@@ -283,10 +283,11 @@ func BenchmarkDispatchFrameRecorded(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchFrameProfiled measures the identical frame with the
-// frame-budget ledger active on top of the obs registry, the way a
-// profiled Simulator.Step runs one: BeginFrame/EndFrame bracket the
-// dispatch and every stage span records into the ledger. Compare
+// BenchmarkDispatchFrameProfiled measures the identical frame with a
+// frame-budget ledger on the frame and the obs registry enabled, the
+// way a profiled Simulator.Step runs one: BeginFrame/EndFrame bracket
+// the dispatch and every stage span records into the ledger, its only
+// sink. Compare
 // against BenchmarkDispatchFrameInstrumented to bound the profiler
 // overhead (budget: ≤5% — per stage one monotonic clock read and a few
 // array stores, per frame one ring slot write, all allocation-free).
@@ -294,9 +295,9 @@ func BenchmarkDispatchFrameProfiled(b *testing.B) {
 	was := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(was)
-	ld := prof.Configure(prof.Config{TopN: 8})
-	defer prof.Disable()
+	ld := prof.New(prof.Config{TopN: 8})
 	f := benchFrame(b, 100, 400)
+	f.Ledger = ld
 	d := dispatch.NewNSTDP()
 	b.ReportAllocs()
 	b.ResetTimer()

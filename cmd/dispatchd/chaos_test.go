@@ -37,7 +37,7 @@ func hardenedServer(t *testing.T) *httptest.Server {
 	}
 	srv := newServer(s).withEvents(events)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	ts := httptest.NewServer(withRecovery(logger, withBodyLimit(srv.handler())))
+	ts := httptest.NewServer(withRecovery(logger, nil, withBodyLimit(srv.handler())))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -165,7 +165,7 @@ func TestStrictPathIDs(t *testing.T) {
 
 func TestRecoveryMiddlewareConvertsPanics(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	h := withRecovery(logger, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := withRecovery(logger, nil, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
 	}))
 	before := obsHTTPPanics.Value()

@@ -139,28 +139,25 @@ func run(args []string) error {
 	if *kpiCap > 0 {
 		kpi = tseries.New(tseries.Config{Capacity: *kpiCap})
 	}
+	var recorder *flightrec.Recorder
 	if *bundleDir != "" {
-		if _, err := flightrec.Configure(flightrec.Config{Dir: *bundleDir, ChromeTrace: *dtraceOn}); err != nil {
+		if recorder, err = flightrec.New(flightrec.Config{Dir: *bundleDir, ChromeTrace: *dtraceOn}); err != nil {
 			return err
 		}
-		defer flightrec.Disable()
 	}
-	// The frame-budget profiler is always on in the daemon: /v1/profile
-	// and the prof stream topic need the ledger, and its disabled-overrun
-	// cost is a few span reads per frame. Overrun captures only arm when
-	// a budget is set; they bundle through the flight recorder when one
-	// is configured.
-	profCfg := prof.Config{
+	// The frame-budget profiler is always on in the daemon: /v1/report,
+	// /v1/profile, /v1/metrics' stage histograms and the prof stream
+	// topic all read the ledger, and its disabled-overrun cost is a few
+	// span reads per frame. Overrun captures only arm when a budget and
+	// a flight recorder to bundle them into are both configured.
+	ledger := prof.New(prof.Config{
 		BudgetNs:       profBudget.Nanoseconds(),
 		TopN:           *profTopN,
 		CaptureFrames:  *profCapt,
 		CooldownFrames: *profCool,
-	}
-	if *profBudget > 0 && *bundleDir != "" {
-		profCfg.OnCapture = flightrec.OverrunHandler()
-	}
-	prof.Configure(profCfg)
-	defer prof.Disable()
+		Capture:        *profBudget > 0 && recorder != nil,
+	})
+	defer ledger.Close()
 	var sloEng *slo.Engine
 	if *sloFile != "" {
 		if kpi == nil {
@@ -171,6 +168,10 @@ func run(args []string) error {
 			return err
 		}
 	}
+	// The live-telemetry hub: the simulator and the admission controller
+	// publish into it, /v1/stream subscribes. While no connection is up
+	// every publish gate is one atomic load.
+	hub := stream.NewHub()
 	// The admission controller fronts POST /v1/requests; its Retry-After
 	// hint is the auto-tick interval when one is set (the queue drains
 	// once per frame), else the 1s default.
@@ -178,6 +179,7 @@ func run(args []string) error {
 		QueueCap:    *intakeCap,
 		MaxInflight: *maxInfl,
 		RetryAfter:  *auto,
+		Hub:         hub,
 	})
 	s, err := sim.New(sim.Config{
 		Params:     pref.DefaultParams(),
@@ -186,6 +188,10 @@ func run(args []string) error {
 		KPI:        kpi,
 		SLO:        sloEng,
 		Workers:    *workers,
+		Ledger:     ledger,
+		Recorder:   recorder,
+		Hub:        hub,
+		Admission:  adm,
 	}, fleetTaxis, nil)
 	if err != nil {
 		return err
@@ -197,20 +203,13 @@ func run(args []string) error {
 		accessLogger = nil
 	}
 
-	// The live-telemetry hub: producers (sim, slo, admission, dispatch)
-	// publish through the process-wide handle, /v1/stream subscribes.
-	// While no connection is up every publish gate is one atomic load.
-	hub := stream.NewHub()
-	stream.SetActive(hub)
-	defer stream.SetActive(nil)
-
 	// Middleware order: metrics/logging outermost (a recovered panic is
 	// still logged with its 500), then panic recovery, then the body cap.
 	server := newServer(s).withEvents(events).withSLO(sloEng).withAdmission(adm).
 		withStream(hub, *streamBuf, *streamHB)
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           withObs(accessLogger, withRecovery(logger, withBodyLimit(server.handler()))),
+		Handler:           withObs(accessLogger, withRecovery(logger, recorder, withBodyLimit(server.handler()))),
 		ReadHeaderTimeout: 5 * time.Second,
 		// Bound slow-loris reads and wedged writes; WriteTimeout leaves
 		// room for a large manual /v1/tick batch on the paper-scale

@@ -25,18 +25,21 @@ const maxBodyBytes = 1 << 20
 // letting net/http kill the connection, so one poisoned request cannot
 // take down an operator's session mid-incident. If the handler already
 // wrote a partial response the 500 header is lost, but the panic is
-// still logged and counted.
-func withRecovery(logger *slog.Logger, next http.Handler) http.Handler {
+// still logged and counted, and it fires the flight recorder when one
+// is configured.
+func withRecovery(logger *slog.Logger, rec *flightrec.Recorder, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
-			if rec := recover(); rec != nil {
+			if p := recover(); p != nil {
 				obsHTTPPanics.Inc()
 				if logger != nil {
 					logger.Error("handler panic",
-						"method", r.Method, "path", r.URL.Path, "panic", rec)
+						"method", r.Method, "path", r.URL.Path, "panic", p)
 				}
-				flightrec.TriggerActive(-1, flightrec.ReasonPanic,
-					fmt.Sprintf("HTTP handler panic on %s %s: %v", r.Method, r.URL.Path, rec))
+				if rec != nil {
+					rec.Trigger(-1, flightrec.ReasonPanic, //nolint:errcheck // counted by the recorder
+						fmt.Sprintf("HTTP handler panic on %s %s: %v", r.Method, r.URL.Path, p), false)
+				}
 				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal server error"))
 			}
 		}()

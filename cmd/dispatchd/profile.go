@@ -7,12 +7,12 @@ import (
 )
 
 // profileOut is the GET /v1/profile payload: the frame-budget
-// profiler's view of the serve path. Stages carries the rolling
-// per-stage percentile distributions (present whenever frames have
-// run, ledger or not); Summary and TopFrames come from the per-frame
-// cost ledger and are absent until -prof is enabled.
+// profiler's view of the serve path, all read from the simulator's
+// ledger. Stages carries the rolling per-stage distributions of
+// per-frame stage time; Summary and TopFrames the per-frame cost
+// attribution. Without a ledger only an empty Stages list remains.
 type profileOut struct {
-	// Enabled reports whether the per-frame cost ledger is installed.
+	// Enabled reports whether the simulator has a ledger.
 	Enabled  bool  `json:"enabled"`
 	BudgetNs int64 `json:"budgetNs,omitempty"`
 	// Summary is the run-cumulative ledger: per-stage time/alloc/cache
@@ -28,17 +28,18 @@ type profileOut struct {
 }
 
 func (s *server) getProfile(w http.ResponseWriter, _ *http.Request) {
-	frameLatency, stages := prof.StageBreakdown()
-	if stages == nil {
-		stages = []prof.StageSummary{}
-	}
-	out := profileOut{FrameLatency: frameLatency, Stages: stages}
-	if ld := prof.Active(); ld != nil {
+	out := profileOut{Stages: []prof.StageSummary{}}
+	if ld := s.sim.Ledger(); ld != nil {
+		frameLatency, stages := ld.StageBreakdown()
 		sum := ld.Summary()
 		out.Enabled = true
 		out.BudgetNs = sum.BudgetNs
 		out.Summary = &sum
+		out.FrameLatency = frameLatency
 		out.TopFrames = ld.TopFrames()
+		if stages != nil {
+			out.Stages = stages
+		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -7,15 +7,13 @@ import (
 	"stabledispatch/internal/prof"
 )
 
-// TestProfileEndpoint drives frames with the cost ledger installed and
-// checks GET /v1/profile serves a consistent attribution: the summary
-// frame count matches the frames run, every retained slow frame's
-// attributed stage time stays within its wall-clock, and the rolling
-// stage distributions are present.
+// TestProfileEndpoint drives frames with the simulator's cost ledger
+// and checks GET /v1/profile serves a consistent attribution: the
+// summary frame count matches the frames run, every retained slow
+// frame's attributed stage time stays within its wall-clock, and the
+// rolling stage distributions are present.
 func TestProfileEndpoint(t *testing.T) {
-	prof.Configure(prof.Config{TopN: 16})
-	defer prof.Disable()
-	ts := testServer(t)
+	ts := ledgerServer(t, prof.New(prof.Config{TopN: 16}))
 	postJSON(t, ts.URL+"/v1/requests", requestIn{
 		Pickup:  pointJSON{X: 10.5, Y: 10},
 		Dropoff: pointJSON{X: 12, Y: 10},
@@ -62,10 +60,10 @@ func TestProfileEndpoint(t *testing.T) {
 	}
 }
 
-// TestProfileEndpointWithoutLedger checks the endpoint degrades to the
-// rolling histogram view when no ledger is installed.
+// TestProfileEndpointWithoutLedger checks the endpoint degrades to an
+// empty stage list when the simulator has no ledger.
 func TestProfileEndpointWithoutLedger(t *testing.T) {
-	ts := testServer(t)
+	ts := ledgerServer(t, nil)
 	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 1})
 	resp, err := http.Get(ts.URL + "/v1/profile")
 	if err != nil {

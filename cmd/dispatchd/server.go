@@ -381,9 +381,14 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 	rep := s.sim.Snapshot()
 	frame := s.sim.Frame()
 	s.mu.Unlock()
-	// One read path for stage aggregation across the whole stack:
-	// prof.StageBreakdown also feeds /v1/profile and taxisim's summary.
-	frameLatency, stages := prof.StageBreakdown()
+	// One read path for stage aggregation across the whole stack: the
+	// ledger's StageBreakdown also feeds /v1/profile and taxisim's
+	// summary.
+	var frameLatency *prof.StageSummary
+	var stages []prof.StageSummary
+	if ld := s.sim.Ledger(); ld != nil {
+		frameLatency, stages = ld.StageBreakdown()
+	}
 	writeJSON(w, http.StatusOK, reportOut{
 		Algorithm:         rep.Algorithm,
 		Frame:             frame,
@@ -399,12 +404,16 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// getMetrics exposes the obs registry in the Prometheus text format.
+// getMetrics exposes the process-wide obs registry and the simulator
+// ledger's stage histograms in the Prometheus text format.
 func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := obs.WritePrometheus(w); err != nil {
 		// The header is already out; the client sees a truncated body.
 		return
+	}
+	if ld := s.sim.Ledger(); ld != nil {
+		ld.WritePrometheus(w) //nolint:errcheck // same truncation as above
 	}
 }
 

@@ -14,10 +14,18 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/sim"
 )
 
 func testServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	return ledgerServer(t, prof.New(prof.Config{}))
+}
+
+// ledgerServer is testServer with the simulator's frame-budget ledger
+// chosen by the caller (nil: no profiling).
+func ledgerServer(t *testing.T, ld *prof.Ledger) *httptest.Server {
 	t.Helper()
 	taxis := []fleet.Taxi{
 		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
@@ -27,6 +35,7 @@ func testServer(t *testing.T) *httptest.Server {
 		Params:     pref.Unbounded(),
 		Dispatcher: dispatch.NewNSTDP(),
 		SpeedKmH:   60,
+		Ledger:     ld,
 	}, taxis, nil)
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)

@@ -90,7 +90,7 @@ type bundleOut struct {
 // cooldown, not the retention cap). 503 when no flight recorder is
 // configured.
 func (s *server) postBundle(w http.ResponseWriter, r *http.Request) {
-	rec := flightrec.Active()
+	rec := s.sim.Recorder()
 	if rec == nil {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("flight recorder disabled: start with -bundle-dir"))
 		return

@@ -148,10 +148,20 @@ func TestDebugBundleEndpoint(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if _, err := flightrec.Configure(flightrec.Config{Dir: dir}); err != nil {
+	rec, err := flightrec.New(flightrec.Config{Dir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer flightrec.Disable()
+	s, err := sim.New(sim.Config{
+		Params:     pref.Unbounded(),
+		Dispatcher: dispatch.NewNSTDP(),
+		Recorder:   rec,
+	}, []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}}, nil)
+	if err != nil {
+		t.Fatalf("sim.New: %v", err)
+	}
+	ts = httptest.NewServer(newServer(s).handler())
+	defer ts.Close()
 
 	resp = postJSON(t, ts.URL+"/v1/debug/bundle", bundleIn{Detail: "during incident 42"})
 	if resp.StatusCode != http.StatusCreated {

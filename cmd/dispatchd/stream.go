@@ -87,7 +87,7 @@ type streamSnapshot struct {
 	// Events is the retained lifecycle-event tail, oldest first.
 	Events []sim.Event `json:"events,omitempty"`
 	// Prof is the frame-budget profiler's run-cumulative stage ledger
-	// (absent when the ledger is not installed).
+	// (absent when the simulator has no ledger).
 	Prof *prof.Summary `json:"prof,omitempty"`
 }
 
@@ -135,11 +135,9 @@ func (s *server) snapshot(topics map[stream.Topic]bool) streamSnapshot {
 		}
 		snap.Events = tail
 	}
-	if topics[stream.TopicProf] {
-		if ld := prof.Active(); ld != nil {
-			sum := ld.Summary()
-			snap.Prof = &sum
-		}
+	if ld := s.sim.Ledger(); topics[stream.TopicProf] && ld != nil {
+		sum := ld.Summary()
+		snap.Prof = &sum
 	}
 	return snap
 }

@@ -17,6 +17,7 @@ import (
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/obs"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/stream"
 	"stabledispatch/internal/tseries"
@@ -34,20 +35,21 @@ func streamServer(t *testing.T, ring int, heartbeat time.Duration) (*httptest.Se
 	}
 	events := newEventBuffer(1000)
 	kpi := tseries.New(tseries.Config{Capacity: 512})
-	adm := admission.New(admission.Config{})
+	hub := stream.NewHub()
+	adm := admission.New(admission.Config{Hub: hub})
 	s, err := sim.New(sim.Config{
 		Params:     pref.Unbounded(),
 		Dispatcher: dispatch.NewNSTDP(),
 		SpeedKmH:   60,
 		Events:     sim.MultiSink(events, admissionSink(adm)),
 		KPI:        kpi,
+		Ledger:     prof.New(prof.Config{}),
+		Hub:        hub,
+		Admission:  adm,
 	}, taxis, nil)
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
-	hub := stream.NewHub()
-	stream.SetActive(hub)
-	t.Cleanup(func() { stream.SetActive(nil) })
 	srv := newServer(s).withEvents(events).withAdmission(adm).withStream(hub, ring, heartbeat)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
@@ -81,7 +83,7 @@ func TestStreamSnapshotThenLive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := http.Get(ts.URL + "/v1/stream?topics=kpi,events,admission")
+	conn, err := http.Get(ts.URL + "/v1/stream?topics=kpi,events,admission,prof")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +110,14 @@ func TestStreamSnapshotThenLive(t *testing.T) {
 	if snap.Frame != 1 {
 		t.Fatalf("snapshot frame = %d, want 1", snap.Frame)
 	}
-	if len(snap.Topics) != 3 {
-		t.Fatalf("snapshot topics = %v, want the 3 subscribed", snap.Topics)
+	if len(snap.Topics) != 4 {
+		t.Fatalf("snapshot topics = %v, want the 4 subscribed", snap.Topics)
 	}
 	if len(snap.KPI) != 1 {
 		t.Fatalf("snapshot carries %d kpi samples, want the 1 recorded frame", len(snap.KPI))
+	}
+	if snap.Prof == nil || snap.Prof.Frames != 1 {
+		t.Fatalf("snapshot prof = %+v, want the ledger's 1 frame", snap.Prof)
 	}
 	if snap.Admission == nil || snap.Admission.Accepted != 1 {
 		t.Fatalf("snapshot admission = %+v, want accepted=1", snap.Admission)
@@ -122,7 +127,7 @@ func TestStreamSnapshotThenLive(t *testing.T) {
 	}
 
 	// Live phase: another request and frame must arrive as admission,
-	// events, and kpi messages.
+	// events, kpi, and prof messages.
 	postJSON(t, ts.URL+"/v1/requests", requestIn{
 		Pickup: pointJSON{X: 10.2, Y: 10}, Dropoff: pointJSON{X: 13, Y: 10},
 	})
@@ -131,7 +136,7 @@ func TestStreamSnapshotThenLive(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	deadline := time.After(5 * time.Second)
-	for !(seen["kpi"] && seen["events"] && seen["admission"]) {
+	for !(seen["kpi"] && seen["events"] && seen["admission"] && seen["prof"]) {
 		select {
 		case <-deadline:
 			t.Fatalf("live events not all seen: %v", seen)

@@ -175,25 +175,14 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
+	var recorder *flightrec.Recorder
 	if *bundleDir != "" {
-		if _, err := flightrec.Configure(flightrec.Config{Dir: *bundleDir, ChromeTrace: *traceOut != ""}); err != nil {
+		if recorder, err = flightrec.New(flightrec.Config{Dir: *bundleDir, ChromeTrace: *traceOut != ""}); err != nil {
 			return err
 		}
-		defer flightrec.Disable()
-	}
-	if *profBudget > 0 {
-		profCfg := prof.Config{
-			BudgetNs:       profBudget.Nanoseconds(),
-			CaptureFrames:  *profCapt,
-			CooldownFrames: *profCool,
-		}
-		if *bundleDir != "" {
-			profCfg.OnCapture = flightrec.OverrunHandler()
-		}
-		prof.Configure(profCfg)
-		defer prof.Disable()
 	}
 	var reports []*sim.Report
+	var ledgers []*prof.Ledger
 	var sloLines []string
 	for _, name := range names {
 		d, err := dispatcherByName(strings.TrimSpace(name), *theta)
@@ -219,6 +208,15 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 		}
+		// Each run gets its own frame-budget ledger, so every algorithm's
+		// stage table and overrun accounting are its own. Overrun
+		// captures arm only with a budget and a recorder to bundle into.
+		ledger := prof.New(prof.Config{
+			BudgetNs:       profBudget.Nanoseconds(),
+			CaptureFrames:  *profCapt,
+			CooldownFrames: *profCool,
+			Capture:        *profBudget > 0 && recorder != nil,
+		})
 		s, err := sim.New(sim.Config{
 			SpeedKmH:       *speed,
 			Params:         pref.DefaultParams(),
@@ -229,15 +227,19 @@ func run(args []string, out io.Writer) error {
 			KPI:            kpi,
 			SLO:            sloEng,
 			Workers:        *workers,
+			Ledger:         ledger,
+			Recorder:       recorder,
 		}, fleetTaxis, reqs)
 		if err != nil {
 			return err
 		}
 		rep, err := s.Run()
+		ledger.Close()
 		if err != nil {
 			return err
 		}
 		reports = append(reports, rep)
+		ledgers = append(ledgers, ledger)
 		if *kpiOut != "" {
 			path := *kpiOut
 			if len(names) > 1 {
@@ -257,11 +259,17 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if len(reports) == 1 {
-		if err := printSummary(out, reports[0], len(reqs), *taxis); err != nil {
+		err = printSummary(out, reports[0], len(reqs), *taxis)
+	} else {
+		err = printComparison(out, reports, len(reqs), *taxis)
+	}
+	if err != nil {
+		return err
+	}
+	for i, rep := range reports {
+		if err := printStageTimings(out, rep.Algorithm, ledgers[i]); err != nil {
 			return err
 		}
-	} else if err := printComparison(out, reports, len(reqs), *taxis); err != nil {
-		return err
 	}
 	for _, line := range sloLines {
 		if _, err := fmt.Fprintln(out, line); err != nil {
@@ -416,23 +424,20 @@ func printSummary(w io.Writer, rep *sim.Report, total, taxis int) error {
 			return err
 		}
 	}
-	return printStageTimings(w)
+	return nil
 }
 
-// printStageTimings renders the dispatch-pipeline stage timings via the
-// frame-budget profiler's shared read path (prof.StageBreakdown, the
-// same rollup behind dispatchd's /v1/report and /v1/profile). Only
-// printed for single-algorithm runs: the registry is process-wide, so a
-// multi-algorithm comparison would blend the algorithms' timings
-// together.
-func printStageTimings(w io.Writer) error {
-	frame, stages := prof.StageBreakdown()
+// printStageTimings renders one run's dispatch-pipeline stage timings
+// from that run's ledger (StageBreakdown, the same rollup behind
+// dispatchd's /v1/report and /v1/profile).
+func printStageTimings(w io.Writer, algo string, ld *prof.Ledger) error {
+	frame, stages := ld.StageBreakdown()
 	if frame == nil && len(stages) == 0 {
 		return nil
 	}
 	tb := stats.Table{
-		Title:   "dispatch pipeline stage timings",
-		Columns: []string{"stage", "calls", "total ms", "p50 ms", "p95 ms", "p99 ms"},
+		Title:   algo + " dispatch pipeline stage timings (per frame)",
+		Columns: []string{"stage", "frames", "total ms", "p50 ms", "p95 ms", "p99 ms"},
 	}
 	ms := func(sec float64) string { return stats.F(sec * 1e3) }
 	add := func(name string, st prof.StageSummary) {
@@ -450,12 +455,10 @@ func printStageTimings(w io.Writer) error {
 	}
 	// With a budget set, the ledger's overrun accounting belongs in the
 	// summary: it is the line an operator greps after a slow run.
-	if ld := prof.Active(); ld != nil {
-		if sum := ld.Summary(); sum.BudgetNs > 0 {
-			_, err := fmt.Fprintf(w, "  frame budget %.2fms: %d overruns, %d pprof captures, %d suppressed\n",
-				float64(sum.BudgetNs)/1e6, sum.Overruns, sum.Captures, sum.Suppressed)
-			return err
-		}
+	if sum := ld.Summary(); sum.BudgetNs > 0 {
+		_, err := fmt.Fprintf(w, "  frame budget %.2fms: %d overruns, %d pprof captures, %d suppressed\n",
+			float64(sum.BudgetNs)/1e6, sum.Overruns, sum.Captures, sum.Suppressed)
+		return err
 	}
 	return nil
 }

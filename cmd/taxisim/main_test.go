@@ -88,7 +88,9 @@ func TestRunComparisonMode(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	out := sb.String()
-	for _, want := range []string{"comparison", "NSTD-P", "Greedy", "taxi diss"} {
+	for _, want := range []string{"comparison", "NSTD-P", "Greedy", "taxi diss",
+		// Every algorithm prints its own stage table from its own ledger.
+		"NSTD-P dispatch pipeline stage timings", "Greedy dispatch pipeline stage timings"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("comparison output missing %q:\n%s", want, out)
 		}

@@ -91,6 +91,9 @@ type Config struct {
 	// cannot drain before the next frame boundary, so retrying sooner
 	// is wasted work. ≤ 0 means DefaultRetryAfter.
 	RetryAfter time.Duration
+	// Hub, when non-nil, receives every front-door decision on the
+	// admission topic.
+	Hub *stream.Hub
 
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -112,6 +115,7 @@ type Controller struct {
 	queue    []fleet.Request
 	nextID   int
 	inflight int
+	shedN    int
 	entries  map[int]*entry
 	draining bool
 
@@ -172,8 +176,8 @@ type Decision struct {
 // the controller's (and a publish must never extend the admission
 // critical section).
 func (c *Controller) publish(d Decision) {
-	if stream.Wants(stream.TopicAdmission) {
-		stream.Publish(stream.TopicAdmission, -1, d)
+	if c.cfg.Hub.Wants(stream.TopicAdmission) {
+		c.cfg.Hub.Publish(stream.TopicAdmission, -1, d)
 	}
 }
 
@@ -183,26 +187,13 @@ func (c *Controller) publish(d Decision) {
 // shed the error is a *ShedError and no state changes.
 func (c *Controller) Admit(r fleet.Request) (int, error) {
 	c.mu.Lock()
-	if c.draining {
-		c.shed[ReasonDraining].Inc()
-		depth, inflight := len(c.queue), c.inflight
-		c.mu.Unlock()
-		c.publish(Decision{Kind: "shed", ID: -1, Reason: ReasonDraining, QueueDepth: depth, Inflight: inflight})
-		return 0, &ShedError{Reason: ReasonDraining, RetryAfter: c.cfg.RetryAfter}
-	}
-	if len(c.queue) >= c.cfg.QueueCap {
-		c.shed[ReasonQueueFull].Inc()
-		depth, inflight := len(c.queue), c.inflight
-		c.mu.Unlock()
-		c.publish(Decision{Kind: "shed", ID: -1, Reason: ReasonQueueFull, QueueDepth: depth, Inflight: inflight})
-		return 0, &ShedError{Reason: ReasonQueueFull, RetryAfter: c.cfg.RetryAfter}
-	}
-	if c.cfg.MaxInflight > 0 && c.inflight >= c.cfg.MaxInflight {
-		c.shed[ReasonInflight].Inc()
-		depth, inflight := len(c.queue), c.inflight
-		c.mu.Unlock()
-		c.publish(Decision{Kind: "shed", ID: -1, Reason: ReasonInflight, QueueDepth: depth, Inflight: inflight})
-		return 0, &ShedError{Reason: ReasonInflight, RetryAfter: c.cfg.RetryAfter}
+	switch {
+	case c.draining:
+		return 0, c.shedLocked(ReasonDraining)
+	case len(c.queue) >= c.cfg.QueueCap:
+		return 0, c.shedLocked(ReasonQueueFull)
+	case c.cfg.MaxInflight > 0 && c.inflight >= c.cfg.MaxInflight:
+		return 0, c.shedLocked(ReasonInflight)
 	}
 	id := c.nextID
 	c.nextID++
@@ -216,6 +207,17 @@ func (c *Controller) Admit(r fleet.Request) (int, error) {
 	c.mu.Unlock()
 	c.publish(Decision{Kind: "accepted", ID: id, QueueDepth: depth, Inflight: inflight})
 	return id, nil
+}
+
+// shedLocked counts one shed, releases c.mu, publishes the decision,
+// and returns the error Admit hands the caller.
+func (c *Controller) shedLocked(reason Reason) error {
+	c.shed[reason].Inc()
+	c.shedN++
+	depth, inflight := len(c.queue), c.inflight
+	c.mu.Unlock()
+	c.publish(Decision{Kind: "shed", ID: -1, Reason: reason, QueueDepth: depth, Inflight: inflight})
+	return &ShedError{Reason: reason, RetryAfter: c.cfg.RetryAfter}
 }
 
 // TakeBatch removes and returns every queued request in admission
@@ -274,6 +276,13 @@ func (c *Controller) Accepted() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.nextID
+}
+
+// Shed returns the number of requests shed so far, for any reason.
+func (c *Controller) Shed() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.shedN
 }
 
 // NoteAssigned records a dispatch for an admitted request: the first

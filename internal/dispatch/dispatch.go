@@ -18,6 +18,7 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/match"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/stable"
@@ -26,7 +27,7 @@ import (
 // idleFleet converts the idle taxis of a frame into fleet.Taxi values,
 // returning also their IDs aligned by index.
 func idleFleet(f *sim.Frame) []fleet.Taxi {
-	defer stageTimer("idle_scan").ObserveDuration()
+	defer f.Ledger.Begin(prof.StageIdleScan).End()
 	views := f.IdleTaxis()
 	taxis := make([]fleet.Taxi, len(views))
 	for i, v := range views {
@@ -40,11 +41,11 @@ func idleFleet(f *sim.Frame) []fleet.Taxi {
 // farther than MaxPickup from a pickup sit behind the dummy regardless,
 // so skipping their cells leaves every preference list unchanged.
 func prunedInstance(f *sim.Frame, taxis []fleet.Taxi) (*pref.Instance, error) {
-	tm := stageTimer("cost_plane")
+	sp := f.Ledger.Begin(prof.StageCostPlane)
 	pl := f.CostPlane(taxis, costplane.Config{PruneRadius: f.Params.MaxPickup})
-	tm.ObserveDuration()
-	tm = stageTimer("pref_build")
-	defer tm.ObserveDuration()
+	sp.End()
+	sp = f.Ledger.Begin(prof.StagePrefBuild)
+	defer sp.End()
 	return pref.FromPlane(pl, f.Params)
 }
 
@@ -84,14 +85,14 @@ func (d *NSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
 	ft := newFrameTracer(f.Number, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
-	tm := stageTimer("matching")
+	sp := f.Ledger.Begin(prof.StageMatching)
 	var m stable.Matching
 	if d.taxiOptimal {
 		m = stable.TaxiOptimalObserved(&inst.Market, ft.observer(true))
 	} else {
 		m = stable.PassengerOptimalObserved(&inst.Market, ft.observer(false))
 	}
-	tm.ObserveDuration()
+	sp.End()
 	out := singleRides(m, taxis, f.Requests)
 	obsAssignments.Add(uint64(len(out)))
 	return out, nil
@@ -103,10 +104,10 @@ func (d *NSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 // acceptability thresholds (a request beyond every radius still takes
 // its nearest taxi), so every cell must hold a real distance.
 func costMatrix(f *sim.Frame, taxis []fleet.Taxi) [][]float64 {
-	tm := stageTimer("cost_plane")
+	sp := f.Ledger.Begin(prof.StageCostPlane)
 	pl := f.CostPlane(taxis, costplane.Config{})
-	tm.ObserveDuration()
-	defer stageTimer("cost_matrix").ObserveDuration()
+	sp.End()
+	defer f.Ledger.Begin(prof.StageCostMatrix).End()
 	return pl.CostMatrix()
 }
 
@@ -155,9 +156,9 @@ func (b *baseline) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 		return nil, nil
 	}
 	cost := costMatrix(f, taxis)
-	tm := stageTimer("matching")
+	sp := f.Ledger.Begin(prof.StageMatching)
 	partner, err := b.run(cost)
-	tm.ObserveDuration()
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %s: %w", b.name, err)
 	}
@@ -213,7 +214,7 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 		return nil, nil
 	}
 	n := packBatchSize(len(f.Requests), d.maxBatch)
-	tm := stageTimer("cost_plane")
+	sp := f.Ledger.Begin(prof.StageCostPlane)
 	pl := f.CostPlane(taxis, costplane.Config{
 		PruneRadius: f.Params.MaxPickup,
 		// A singleton batch consults no pickup pair, so skip the R×R
@@ -221,28 +222,28 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 		Pairs:      n >= 2,
 		PairRadius: d.packCfg.PairRadius,
 	})
-	tm.ObserveDuration()
-	tm = stageTimer("packing")
+	sp.End()
+	sp = f.Ledger.Begin(prof.StagePacking)
 	units, err := packedUnits(f, pl, d.packCfg, n)
-	tm.ObserveDuration()
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
 	}
-	tm = stageTimer("pref_build")
+	sp = f.Ledger.Begin(prof.StagePrefBuild)
 	mk, err := share.BuildMarketPlane(units, taxis, pl, f.Params)
-	tm.ObserveDuration()
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
 	}
 	ft := newFrameTracer(f.Number, mk, unitMemberIDs(units, f.Requests), fleetIDs(taxis))
-	tm = stageTimer("matching")
+	sp = f.Ledger.Begin(prof.StageMatching)
 	var m stable.Matching
 	if d.taxiOptimal {
 		m = stable.TaxiOptimalObserved(mk, ft.observer(true))
 	} else {
 		m = stable.PassengerOptimalObserved(mk, ft.observer(false))
 	}
-	tm.ObserveDuration()
+	sp.End()
 	var out []fleet.Assignment
 	for k, i := range m.ReqPartner {
 		if i != stable.Unmatched {

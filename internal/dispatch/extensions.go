@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stabledispatch/internal/fleet"
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/stable"
 )
@@ -43,9 +44,9 @@ func (d *NSTDC) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	// still records each request's candidate shortlist for the explain
 	// surface.
 	_ = newFrameTracer(f.Number, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
-	tm := stageTimer("matching")
+	sp := f.Ledger.Begin(prof.StageMatching)
 	m := stable.CompanyOptimal(&inst.Market, stable.TotalPickupDistance(inst), enumerationCap)
-	tm.ObserveDuration()
+	sp.End()
 	out := singleRides(m, taxis, f.Requests)
 	obsAssignments.Add(uint64(len(out)))
 	return out, nil
@@ -75,9 +76,9 @@ func (d *NSTDM) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
 	_ = newFrameTracer(f.Number, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
-	tm := stageTimer("matching")
+	sp := f.Ledger.Begin(prof.StageMatching)
 	m := stable.MedianStable(&inst.Market, enumerationCap)
-	tm.ObserveDuration()
+	sp.End()
 	out := singleRides(m, taxis, f.Requests)
 	obsAssignments.Add(uint64(len(out)))
 	return out, nil

@@ -1,12 +1,10 @@
 package dispatch
 
-import (
-	"stabledispatch/internal/obs"
-	"stabledispatch/internal/prof"
-)
+import "stabledispatch/internal/obs"
 
-// Stage timing for the dispatch pipeline, one histogram series per
-// stage of Algorithm 1/3 and the baselines:
+// Stage timing for the dispatch pipeline goes to the frame-budget
+// ledger of the simulator that built the frame (sim.Frame.Ledger), one
+// span per stage of Algorithm 1/3 and the baselines:
 //
 //	idle_scan   — collecting the frame's idle fleet
 //	cost_plane  — building (or memo-hitting) the frame's shared
@@ -18,16 +16,8 @@ import (
 //	matching    — the stable matching (or baseline assignment) solve
 //	packing     — Algorithm 3's feasible-group + set-packing stage
 //
-// cmd/dispatchd folds these into /v1/report and cmd/taxisim into its
-// summary table.
-var stageHists = map[string]*obs.Histogram{
-	"idle_scan":   obs.GetOrCreateHistogram(`dispatch_stage_seconds{stage="idle_scan"}`),
-	"cost_plane":  obs.GetOrCreateHistogram(`dispatch_stage_seconds{stage="cost_plane"}`),
-	"pref_build":  obs.GetOrCreateHistogram(`dispatch_stage_seconds{stage="pref_build"}`),
-	"cost_matrix": obs.GetOrCreateHistogram(`dispatch_stage_seconds{stage="cost_matrix"}`),
-	"matching":    obs.GetOrCreateHistogram(`dispatch_stage_seconds{stage="matching"}`),
-	"packing":     obs.GetOrCreateHistogram(`dispatch_stage_seconds{stage="packing"}`),
-}
+// The ledger derives the dispatch_stage_seconds histograms behind
+// dispatchd's /v1/report and taxisim's stage table from these spans.
 
 var obsAssignments = obs.GetOrCreateCounter("dispatch_assignments_total")
 
@@ -37,35 +27,4 @@ var obsDegraded = map[string]*obs.Counter{
 	"deadline": obs.GetOrCreateCounter(`dispatch_degraded_frames_total{reason="deadline"}`),
 	"panic":    obs.GetOrCreateCounter(`dispatch_degraded_frames_total{reason="panic"}`),
 	"error":    obs.GetOrCreateCounter(`dispatch_degraded_frames_total{reason="error"}`),
-}
-
-// stageIdx maps the stage names to their prof ledger indices once, so
-// the hot path pays a map lookup it was already paying for the
-// histogram, not a linear name scan.
-var stageIdx = map[string]int{
-	"idle_scan":   prof.StageIdleScan,
-	"cost_plane":  prof.StageCostPlane,
-	"pref_build":  prof.StagePrefBuild,
-	"cost_matrix": prof.StageCostMatrix,
-	"matching":    prof.StageMatching,
-	"packing":     prof.StagePacking,
-}
-
-// stageSpan is one stage measurement feeding both views: the rolling
-// dispatch_stage_seconds histogram and, when a prof ledger is
-// installed, the current frame's cost ledger.
-type stageSpan struct {
-	t obs.Timer
-	p prof.Span
-}
-
-// ObserveDuration closes both sides of the span.
-func (s stageSpan) ObserveDuration() {
-	s.t.ObserveDuration()
-	s.p.End()
-}
-
-// stageTimer starts a span against one of the named pipeline stages.
-func stageTimer(stage string) stageSpan {
-	return stageSpan{t: obs.StartTimer(stageHists[stage]), p: prof.Begin(stageIdx[stage])}
 }

@@ -3,52 +3,42 @@ package dispatch
 import (
 	"testing"
 
-	"stabledispatch/internal/geo"
 	"stabledispatch/internal/obs"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
 )
 
-// TestDispatchRecordsStageSpans runs one NSTD and one STD frame and
-// checks every pipeline stage histogram advanced.
+// TestDispatchRecordsStageSpans runs NSTD, STD and a baseline under a
+// simulator with a frame-budget ledger and checks every pipeline stage
+// reached that simulator's ledger through the frame.
 func TestDispatchRecordsStageSpans(t *testing.T) {
 	taxis, reqs := smallWorld(t, 11, 12, 30)
 	if len(reqs) == 0 {
 		t.Fatal("trace generated no requests")
 	}
-	frame := &sim.Frame{
-		Number:   0,
-		Requests: reqs,
-		Metric:   geo.EuclidMetric,
-		Params:   pref.DefaultParams(),
-	}
-	for _, taxi := range taxis {
-		frame.Taxis = append(frame.Taxis, sim.TaxiView{ID: taxi.ID, Pos: taxi.Pos, Seats: taxi.Seats, Idle: true})
-	}
-
-	counts := func() map[string]uint64 {
-		out := make(map[string]uint64, len(stageHists))
-		for stage, h := range stageHists {
-			out[stage] = h.Count()
+	ld := prof.New(prof.Config{})
+	for _, d := range []sim.Dispatcher{NewNSTDP(), NewSTDP(share.DefaultPackConfig()), NewGreedy()} {
+		s, err := sim.New(sim.Config{
+			Dispatcher: d,
+			Params:     pref.DefaultParams(),
+			Ledger:     ld,
+		}, taxis, reqs)
+		if err != nil {
+			t.Fatalf("sim.New: %v", err)
 		}
-		return out
+		if _, err := s.Run(); err != nil {
+			t.Fatalf("%s: %v", d.Name(), err)
+		}
 	}
-
-	before := counts()
-	if _, err := NewNSTDP().Dispatch(frame); err != nil {
-		t.Fatalf("NSTD-P: %v", err)
+	calls := make(map[string]int64)
+	for _, st := range ld.Summary().Stages {
+		calls[st.Stage] = st.Calls
 	}
-	if _, err := NewSTDP(share.DefaultPackConfig()).Dispatch(frame); err != nil {
-		t.Fatalf("STD-P: %v", err)
-	}
-	if _, err := NewGreedy().Dispatch(frame); err != nil {
-		t.Fatalf("Greedy: %v", err)
-	}
-	after := counts()
-	for _, stage := range []string{"idle_scan", "pref_build", "matching", "packing", "cost_matrix"} {
-		if after[stage] <= before[stage] {
-			t.Errorf("stage %q count did not advance: %d → %d", stage, before[stage], after[stage])
+	for _, stage := range []string{"idle_scan", "cost_plane", "pref_build", "matching", "packing", "cost_matrix", "commit"} {
+		if calls[stage] == 0 {
+			t.Errorf("stage %q recorded no spans (ledger stages %v)", stage, calls)
 		}
 	}
 

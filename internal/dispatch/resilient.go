@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"stabledispatch/internal/fleet"
-	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/sim"
-	"stabledispatch/internal/stream"
 )
 
 // DefaultFrameDeadline bounds one frame's dispatch compute when
@@ -82,8 +80,9 @@ func (d *Resilient) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	}
 }
 
-// degrade counts the degraded frame, fires the flight recorder, and
-// reruns the frame with the fallback.
+// degrade counts the degraded frame, notes it on the frame (the
+// simulator counts it, fires its flight recorder, and publishes a
+// notice), and reruns the frame with the fallback.
 func (d *Resilient) degrade(f *sim.Frame, reason string, cause error) ([]fleet.Assignment, error) {
 	if c := obsDegraded[reason]; c != nil {
 		c.Inc()
@@ -92,15 +91,7 @@ func (d *Resilient) degrade(f *sim.Frame, reason string, cause error) ([]fleet.A
 		"frame", f.Number, "primary", d.primary.Name(),
 		"fallback", d.fallback.Name(), "reason", reason, "err", cause)
 	traceDegrade(f.Number, d.primary.Name(), d.fallback.Name(), reason, cause)
-	flightrec.TriggerActive(int64(f.Number), flightrec.ReasonDegraded,
-		fmt.Sprintf("%s degraded to %s (%s): %v", d.primary.Name(), d.fallback.Name(), reason, cause))
-	if stream.Wants(stream.TopicNotices) {
-		stream.Publish(stream.TopicNotices, int64(f.Number), stream.Notice{
-			Kind:   "degrade",
-			Frame:  int64(f.Number),
-			Detail: fmt.Sprintf("%s degraded to %s (%s): %v", d.primary.Name(), d.fallback.Name(), reason, cause),
-		})
-	}
+	f.NoteDegraded(fmt.Sprintf("%s degraded to %s (%s): %v", d.primary.Name(), d.fallback.Name(), reason, cause))
 	res := safeDispatch(d.fallback, f)
 	if res.err != nil {
 		return nil, fmt.Errorf("dispatch: fallback %s after %s degrade: %w", d.fallback.Name(), reason, res.err)

@@ -213,8 +213,8 @@ func sharingDispatchers(theta float64) []sim.Dispatcher {
 // Workload builds the scaled trace and fleet for a city: the request
 // volume and fleet size pass through scaleCount with the options'
 // VolumeScale/TaxiScale before generation. Exported so external
-// harnesses (cmd/perfbench) run exactly the workloads the experiment
-// runners use.
+// harnesses (the benchmark, the KPI pins) run exactly the workloads the
+// experiment runners use.
 func Workload(city trace.City, volumePerDay, fleetSize int, o Options) ([]fleet.Request, []fleet.Taxi, error) {
 	cfg := trace.Config{
 		City:           city,

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"stabledispatch/internal/dtrace"
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/tseries"
 )
 
@@ -30,16 +29,14 @@ type Manifest struct {
 	Trigger ManifestTrigger `json:"trigger"`
 	// Window spans the frames retained in the ring at trigger time.
 	Window ManifestWindow `json:"window"`
-	// Stages summarises the dispatch stage timers accumulated so far
-	// (seconds, interpolated quantiles).
-	Stages []StageSummary `json:"stages,omitempty"`
 	// Suppressed counts automatic triggers the cooldown swallowed
 	// before this bundle.
 	Suppressed uint64 `json:"suppressed"`
 	// Files lists the bundle's payload files, kind → filename.
 	Files map[string]string `json:"files"`
-	// Sections carries extra payloads registered by other layers under
-	// their key (the SLO engine's per-SLO status lives here).
+	// Sections carries extra payloads registered by the simulator under
+	// their key: the SLO engine's per-SLO status ("slo") and the
+	// frame-budget ledger's stage table ("stages").
 	Sections map[string]any `json:"sections,omitempty"`
 }
 
@@ -57,16 +54,6 @@ type ManifestWindow struct {
 	FirstFrame int64 `json:"firstFrame"`
 	LastFrame  int64 `json:"lastFrame"`
 	Events     int   `json:"events"`
-}
-
-// StageSummary is one dispatch stage timer in the manifest.
-type StageSummary struct {
-	Stage string  `json:"stage"`
-	Count uint64  `json:"count"`
-	SumS  float64 `json:"sumSeconds"`
-	P50S  float64 `json:"p50Seconds"`
-	P95S  float64 `json:"p95Seconds"`
-	P99S  float64 `json:"p99Seconds"`
 }
 
 type manifestSection struct {
@@ -137,16 +124,6 @@ func (r *Recorder) writeBundle(snap bundleSnapshot) (string, error) {
 	if n := len(snap.frames); n > 0 {
 		m.Window.FirstFrame = snap.frames[0].Frame
 		m.Window.LastFrame = snap.frames[n-1].Frame
-	}
-	for _, s := range obs.HistogramSummaries("dispatch_stage_seconds") {
-		m.Stages = append(m.Stages, StageSummary{
-			Stage: s.Label("stage"),
-			Count: s.Count,
-			SumS:  s.Sum,
-			P50S:  s.P50,
-			P95S:  s.P95,
-			P99S:  s.P99,
-		})
 	}
 	for _, sect := range snap.sections {
 		if sect.fn == nil {

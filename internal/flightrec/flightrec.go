@@ -20,15 +20,15 @@
 // bundle directories are deleted beyond MaxBundles), so a flapping SLO
 // cannot fill a disk.
 //
-// The recorder follows the obs/dtrace conventions: a process-wide
-// default installed by Configure and reached through Active, costing
-// the instrumented hot paths one atomic load while disabled.
+// A recorder belongs to one simulator (sim.Config.Recorder; nil means
+// off). The simulator feeds its rings and fires its triggers; other
+// layers report what happened to the simulator instead of reaching the
+// recorder themselves.
 package flightrec
 
 import (
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"stabledispatch/internal/obs"
 	"stabledispatch/internal/tseries"
@@ -162,28 +162,14 @@ type Recorder struct {
 	lastFrame  int64 // frame of the last automatic bundle
 	hasBundled bool
 	suppressed uint64
-	// sections are extra manifest payloads registered by other layers
-	// (the SLO engine registers its status here).
+	// sections are extra manifest payloads registered by the simulator
+	// (the SLO status and the ledger's stage table).
 	sections map[string]func() any
 	sectKeys []string
 }
 
-// Process-wide default recorder; nil while disabled.
-var defaultRec atomic.Pointer[Recorder]
-
-// Configure builds a recorder and installs it as the process-wide
-// default returned by Active. The bundle directory is created lazily at
+// New builds a recorder. The bundle directory is created lazily at
 // first trigger.
-func Configure(cfg Config) (*Recorder, error) {
-	r, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defaultRec.Store(r)
-	return r, nil
-}
-
-// New builds a recorder without installing it (library use and tests).
 func New(cfg Config) (*Recorder, error) {
 	if cfg.Dir == "" {
 		return nil, errNoDir
@@ -196,14 +182,6 @@ func New(cfg Config) (*Recorder, error) {
 		sections: make(map[string]func() any),
 	}, nil
 }
-
-// Disable uninstalls the process-wide recorder; instrumented sites go
-// back to one atomic load.
-func Disable() { defaultRec.Store(nil) }
-
-// Active returns the installed recorder, or nil while flight recording
-// is disabled. Hot paths guard every recording site with it.
-func Active() *Recorder { return defaultRec.Load() }
 
 // Config returns the (default-filled) configuration in force.
 func (r *Recorder) Config() Config { return r.cfg }
@@ -244,8 +222,8 @@ func (r *Recorder) RecordEvent(frame int64, payload any) {
 }
 
 // AddManifestSection registers an extra manifest payload under key,
-// resolved at bundle time (the SLO engine registers its per-SLO status
-// this way). Re-registering a key replaces it.
+// resolved at bundle time (the simulator registers the SLO status and
+// the stage table this way). Re-registering a key replaces it.
 func (r *Recorder) AddManifestSection(key string, fn func() any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -290,15 +268,6 @@ func (r *Recorder) Bundles() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.seq
-}
-
-// TriggerActive fires a trigger on the installed recorder, if any; the
-// dispatch and HTTP layers use it so a disabled flight recorder costs
-// one atomic load.
-func TriggerActive(frame int64, reason Reason, detail string) {
-	if r := Active(); r != nil {
-		r.Trigger(frame, reason, detail, false) //nolint:errcheck // counted in obsErrors
-	}
 }
 
 // Trigger freezes the rings and writes one diagnostic bundle, returning

@@ -178,26 +178,13 @@ func TestRetentionPrunesOldest(t *testing.T) {
 	}
 }
 
-// TestConfigureActiveDisable pins the process-global lifecycle.
-func TestConfigureActiveDisable(t *testing.T) {
-	defer Disable()
-	if Active() != nil {
-		t.Fatal("Active() non-nil before Configure")
-	}
-	TriggerActive(1, ReasonPanic, "no-op while disabled") // must not panic
-	r, err := Configure(Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("Configure: %v", err)
-	}
-	if Active() != r {
-		t.Fatal("Active() != configured recorder")
-	}
+// TestNewDefaultsAndRequiresDir pins the constructor contract: zero
+// bounds take their defaults, and a recorder without a directory is
+// refused.
+func TestNewDefaultsAndRequiresDir(t *testing.T) {
+	r := newTestRecorder(t, Config{})
 	if got := r.Config().Frames; got != DefaultFrames {
 		t.Errorf("default Frames = %d, want %d", got, DefaultFrames)
-	}
-	Disable()
-	if Active() != nil {
-		t.Fatal("Active() non-nil after Disable")
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted empty Dir")

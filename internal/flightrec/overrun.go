@@ -23,10 +23,9 @@ type OverrunCapture struct {
 // OverrunCaptureSchema versions profile.json.
 const OverrunCaptureSchema = "prof-capture/v1"
 
-// OverrunHandler returns a prof.Config.OnCapture callback that freezes
-// each finalised overrun capture into a flight-recorder bundle on the
-// installed recorder: manifest reason frame_overrun, the frame ring as
-// usual, plus profile.json (attribution), cpu.pprof (absent when a live
+// TriggerOverrun freezes one finalised overrun capture into a bundle:
+// manifest reason frame_overrun, the frame ring as usual, plus
+// profile.json (attribution), cpu.pprof (absent when a live
 // /debug/pprof session owned the profiler), and the heap_pre/heap pair
 // bracketing the capture.
 //
@@ -34,39 +33,33 @@ const OverrunCaptureSchema = "prof-capture/v1"
 // rate limiter for overrun bundles, so its "exactly one capture per
 // cooldown" guarantee survives recorder cooldown interleaving with
 // other trigger classes (see DESIGN.md).
-func OverrunHandler() func(prof.Capture) {
-	return func(c prof.Capture) {
-		r := Active()
-		if r == nil {
-			return
-		}
-		report := c.Trigger.Report()
-		stage, share := c.Trigger.Dominant()
-		detail := fmt.Sprintf("frame %d ran %.2fms against a %.2fms budget",
-			c.Trigger.Frame, float64(c.Trigger.WallNs)/1e6, float64(c.BudgetNs)/1e6)
-		if stage != "" {
-			detail += fmt.Sprintf("; %.0f%% in %s", share*100, stage)
-		}
-		files := []Attachment{{
-			Kind: "profile",
-			Name: "profile.json",
-			Fill: func(f *os.File) error {
-				enc := json.NewEncoder(f)
-				enc.SetIndent("", "  ")
-				return enc.Encode(OverrunCapture{
-					Schema:     OverrunCaptureSchema,
-					BudgetNs:   c.BudgetNs,
-					Frames:     c.Frames,
-					Suppressed: c.Suppressed,
-					Trigger:    report,
-				})
-			},
-		}}
-		files = append(files, rawAttachment("heap_pre", "heap_pre.pprof", c.HeapPre)...)
-		files = append(files, rawAttachment("heap", "heap.pprof", c.Heap)...)
-		files = append(files, rawAttachment("cpu", "cpu.pprof", c.CPU)...)
-		r.TriggerFiles(c.Trigger.Frame, ReasonOverrun, detail, true, files) //nolint:errcheck // counted in obsErrors
+func (r *Recorder) TriggerOverrun(c prof.Capture) (string, error) {
+	report := c.Trigger.Report()
+	stage, share := c.Trigger.Dominant()
+	detail := fmt.Sprintf("frame %d ran %.2fms against a %.2fms budget",
+		c.Trigger.Frame, float64(c.Trigger.WallNs)/1e6, float64(c.BudgetNs)/1e6)
+	if stage != "" {
+		detail += fmt.Sprintf("; %.0f%% in %s", share*100, stage)
 	}
+	files := []Attachment{{
+		Kind: "profile",
+		Name: "profile.json",
+		Fill: func(f *os.File) error {
+			enc := json.NewEncoder(f)
+			enc.SetIndent("", "  ")
+			return enc.Encode(OverrunCapture{
+				Schema:     OverrunCaptureSchema,
+				BudgetNs:   c.BudgetNs,
+				Frames:     c.Frames,
+				Suppressed: c.Suppressed,
+				Trigger:    report,
+			})
+		},
+	}}
+	files = append(files, rawAttachment("heap_pre", "heap_pre.pprof", c.HeapPre)...)
+	files = append(files, rawAttachment("heap", "heap.pprof", c.Heap)...)
+	files = append(files, rawAttachment("cpu", "cpu.pprof", c.CPU)...)
+	return r.TriggerFiles(c.Trigger.Frame, ReasonOverrun, detail, true, files)
 }
 
 // rawAttachment wraps a byte payload as an attachment; empty payloads

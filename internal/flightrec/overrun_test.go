@@ -11,15 +11,11 @@ import (
 )
 
 // TestOverrunHandlerBundlesCapture feeds a synthetic prof capture
-// through the handler and checks the bundle carries the attribution and
+// through TriggerOverrun and checks the bundle carries the attribution and
 // pprof evidence under the frame_overrun reason.
 func TestOverrunHandlerBundlesCapture(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Configure(Config{Dir: dir, Frames: 8, Events: 16})
-	if err != nil {
-		t.Fatalf("Configure: %v", err)
-	}
-	defer Disable()
+	r := newTestRecorder(t, Config{Dir: dir, Frames: 8, Events: 16})
 	fillFrames(r, 5)
 
 	var trig prof.FrameProfile
@@ -31,7 +27,7 @@ func TestOverrunHandlerBundlesCapture(t *testing.T) {
 	trig.StageNs[prof.StageCostPlane] = 10e6
 	trig.StageCalls[prof.StageCostPlane] = 1
 
-	OverrunHandler()(prof.Capture{
+	if _, err := r.TriggerOverrun(prof.Capture{
 		Trigger:    trig,
 		BudgetNs:   50e6,
 		Frames:     3,
@@ -39,7 +35,9 @@ func TestOverrunHandlerBundlesCapture(t *testing.T) {
 		CPU:        []byte("cpu-profile-bytes"),
 		HeapPre:    []byte("heap-pre-bytes"),
 		Heap:       []byte("heap-post-bytes"),
-	})
+	}); err != nil {
+		t.Fatalf("TriggerOverrun: %v", err)
+	}
 
 	bundles := listBundles(t, dir)
 	if len(bundles) != 1 {
@@ -91,18 +89,17 @@ func TestOverrunHandlerBundlesCapture(t *testing.T) {
 // profile (profiler was busy) still bundles the heap pair.
 func TestOverrunHandlerSkipsEmptyCPU(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Configure(Config{Dir: dir}); err != nil {
-		t.Fatalf("Configure: %v", err)
-	}
-	defer Disable()
+	r := newTestRecorder(t, Config{Dir: dir})
 
 	var trig prof.FrameProfile
 	trig.Frame = 9
 	trig.WallNs = 10e6
-	OverrunHandler()(prof.Capture{
+	if _, err := r.TriggerOverrun(prof.Capture{
 		Trigger: trig, BudgetNs: 1e6, Frames: 1,
 		HeapPre: []byte("pre"), Heap: []byte("post"),
-	})
+	}); err != nil {
+		t.Fatalf("TriggerOverrun: %v", err)
+	}
 	bundles := listBundles(t, dir)
 	if len(bundles) != 1 {
 		t.Fatalf("bundles = %v, want 1", bundles)

@@ -8,35 +8,36 @@
 // profiles, rate-limited flightrec-style, and hands them to a callback
 // for bundling.
 //
-// The ledger is fed by the same stage spans that feed the
-// dispatch_stage_seconds histograms (internal/dispatch wraps both in
-// one timer), so the rolling per-stage percentiles remain the obs
-// histograms' job; prof adds the per-frame attribution the histograms
-// cannot express. StageBreakdown is the single read path over those
-// histograms, shared by dispatchd's /v1/report and /v1/profile and
-// taxisim's end-of-run stage table.
+// The ledger is the only sink of stage timing. Each sealed frame feeds
+// the ledger's own rolling histograms — dispatch_stage_seconds (one
+// observation per stage per frame: the frame's time in that stage) and
+// sim_dispatch_frame_seconds (the frame's wall-clock) — in a registry
+// private to the ledger, so two simulators in one process never blend.
+// StageBreakdown is the single read path over those histograms, shared
+// by dispatchd's /v1/report and /v1/profile, taxisim's end-of-run stage
+// table, and flight-recorder manifests.
 //
-// Like dtrace, flightrec, and stream, the profiler is a process-wide
-// singleton behind an atomic pointer: Configure installs it, Active
-// loads it, Disable removes it. When no ledger is installed a span
-// start is one atomic load; the simulator and dispatchers never pay
-// for profiling they didn't ask for.
+// A ledger belongs to one simulator (sim.Config.Ledger). A nil *Ledger
+// is valid and off: its spans are zero Spans that end for free, so the
+// simulator and dispatchers never pay for profiling they didn't ask
+// for. The ledger forwards nothing itself: EndFrame returns the sealed
+// frame and any finished capture, and the simulator publishes and
+// bundles them.
 package prof
 
 import (
 	"bytes"
+	"io"
 	"runtime/metrics"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stabledispatch/internal/obs"
-	"stabledispatch/internal/stream"
 )
 
 // Stage indices of the fixed per-frame cost ledger, in pipeline order.
-// The names match the dispatch_stage_seconds{stage=...} labels so the
-// two views (per-frame ledger, rolling histogram) join on the stage.
+// The names are the dispatch_stage_seconds{stage=...} labels of the
+// ledger's rolling histograms.
 const (
 	StageIdleScan = iota
 	StageCostPlane
@@ -98,11 +99,9 @@ type Config struct {
 	// profile runs before the capture is finalised (default
 	// DefaultCaptureFrames).
 	CaptureFrames int
-	// OnCapture receives each finalised overrun capture. Nil disables
-	// capturing (overruns are still detected and counted). The callback
-	// runs synchronously on the simulator's step path — it should hand
-	// off promptly (the flightrec bundler writes a bounded bundle).
-	OnCapture func(Capture)
+	// Capture arms pprof captures on overrun; EndFrame returns each
+	// finalised one. False leaves overruns detected and counted only.
+	Capture bool
 }
 
 // FrameProfile is one frame's cost ledger: fixed-width arrays so the
@@ -180,10 +179,9 @@ type pendingCapture struct {
 	heapPre    []byte
 }
 
-// Ledger is the frame-budget profiler. One per process, installed with
-// Configure; all methods are safe for concurrent use (the Resilient
-// dispatcher's abandoned primary may still be closing spans while the
-// fallback runs).
+// Ledger is the frame-budget profiler of one simulator. All methods are
+// safe for concurrent use (the Resilient dispatcher's abandoned primary
+// may still be closing spans while the fallback runs).
 type Ledger struct {
 	cfg Config
 
@@ -213,13 +211,16 @@ type Ledger struct {
 
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
+
+	// reg holds the ledger's rolling histograms, fed once per sealed
+	// frame.
+	reg       *obs.Registry
+	stageHist [NumStages]*obs.Histogram
+	frameHist *obs.Histogram
 }
 
-var active atomic.Pointer[Ledger]
-
-// Configure installs a process-wide ledger and returns it, replacing
-// any previous one.
-func Configure(cfg Config) *Ledger {
+// New builds a ledger.
+func New(cfg Config) *Ledger {
 	if cfg.TopN <= 0 {
 		cfg.TopN = DefaultTopN
 	}
@@ -235,22 +236,18 @@ func Configure(cfg Config) *Ledger {
 		top:         make([]FrameProfile, 0, cfg.TopN),
 		cacheHits:   obs.GetOrCreateCounter("roadnet_cache_hits_total"),
 		cacheMisses: obs.GetOrCreateCounter("roadnet_cache_misses_total"),
+		reg:         obs.NewRegistry(),
 	}
 	ld.allocSample[0].Name = allocMetric
-	active.Store(ld)
+	for i, name := range StageNames {
+		ld.stageHist[i] = ld.reg.GetOrCreateHistogram(`dispatch_stage_seconds{stage="` + name + `"}`)
+	}
+	ld.frameHist = ld.reg.GetOrCreateHistogram("sim_dispatch_frame_seconds")
 	return ld
 }
 
-// Active returns the installed ledger, or nil.
-func Active() *Ledger { return active.Load() }
-
-// Disable removes the installed ledger. An in-flight CPU capture is
-// abandoned without firing OnCapture.
-func Disable() {
-	ld := active.Swap(nil)
-	if ld == nil {
-		return
-	}
+// Close abandons an in-flight CPU capture, stopping the profiler.
+func (ld *Ledger) Close() {
 	ld.mu.Lock()
 	pc := ld.pending
 	ld.pending = nil
@@ -272,7 +269,7 @@ func (ld *Ledger) readAllocs() int64 {
 	return int64(v.Uint64())
 }
 
-// Span is one in-flight stage measurement. The zero Span (no ledger)
+// Span is one in-flight stage measurement. The zero Span (nil ledger)
 // ends for free.
 type Span struct {
 	ld      *Ledger
@@ -283,11 +280,9 @@ type Span struct {
 	misses0 uint64
 }
 
-// Begin opens a span against the installed ledger for a stage index
-// (one of the Stage constants). With no ledger installed the cost is
-// one atomic load.
-func Begin(stage int) Span {
-	ld := active.Load()
+// Begin opens a span for a stage index (one of the Stage constants). On
+// a nil ledger it returns the zero Span.
+func (ld *Ledger) Begin(stage int) Span {
 	if ld == nil || stage < 0 || stage >= NumStages {
 		return Span{}
 	}
@@ -302,7 +297,7 @@ func Begin(stage int) Span {
 }
 
 // End closes the span, attributing its cost to the current frame.
-// Spans closing outside a frame (or after Disable) are dropped.
+// Spans closing outside a frame are dropped.
 func (sp Span) End() {
 	if sp.ld == nil {
 		return
@@ -335,15 +330,16 @@ func (ld *Ledger) BeginFrame(frame int64) {
 // EndFrame seals frame's entry with the simulator-measured wall-clock
 // and allocation count — the same values recorded as the tseries
 // sample's FrameNs/Allocs, so the ledger and the KPI ring agree by
-// construction. It folds the frame into the cumulative totals and the
-// slow-frame ring, runs overrun detection, and publishes the frame on
-// the prof stream topic when someone is listening. Returns whether the
-// frame overran its budget.
-func (ld *Ledger) EndFrame(frame, wallNs, allocs int64) bool {
+// construction. It folds the frame into the cumulative totals, the
+// slow-frame ring and the rolling histograms, and runs overrun
+// detection. It returns the sealed frame (Overrun set when it blew the
+// budget) and the capture this frame finalised, if any; a frame that
+// was never begun returns a zero profile.
+func (ld *Ledger) EndFrame(frame, wallNs, allocs int64) (FrameProfile, *Capture) {
 	ld.mu.Lock()
 	if !ld.inFrame || ld.cur.Frame != frame {
 		ld.mu.Unlock()
-		return false
+		return FrameProfile{}, nil
 	}
 	ld.inFrame = false
 	ld.cur.WallNs = wallNs
@@ -381,7 +377,7 @@ func (ld *Ledger) EndFrame(frame, wallNs, allocs int64) bool {
 			ld.suppressed++
 			ld.sinceCap++
 		}
-	case overrun && ld.cfg.OnCapture != nil:
+	case overrun && ld.cfg.Capture:
 		if frame-ld.lastCapture >= ld.cfg.CooldownFrames {
 			ld.pending = &pendingCapture{
 				trigger:    p,
@@ -400,13 +396,16 @@ func (ld *Ledger) EndFrame(frame, wallNs, allocs int64) bool {
 	}
 	ld.mu.Unlock()
 
-	if done != nil {
-		ld.finishCapture(done)
+	ld.frameHist.Observe(float64(wallNs) / 1e9)
+	for i := 0; i < NumStages; i++ {
+		if p.StageCalls[i] > 0 {
+			ld.stageHist[i].Observe(float64(p.StageNs[i]) / 1e9)
+		}
 	}
-	if stream.Wants(stream.TopicProf) {
-		stream.Publish(stream.TopicProf, frame, p.Report())
+	if done == nil {
+		return p, nil
 	}
-	return overrun
+	return p, ld.finishCapture(done)
 }
 
 // noteTop inserts p into the slow-frame ring, evicting the fastest
@@ -428,15 +427,15 @@ func (ld *Ledger) noteTop(p FrameProfile) {
 	}
 }
 
-// finishCapture stops the profilers and fires OnCapture. Called off the
-// ledger mutex: the callback writes a flight-recorder bundle.
-func (ld *Ledger) finishCapture(pc *pendingCapture) {
+// finishCapture stops the profilers and seals the capture. Called off
+// the ledger mutex: the heap profile walks the whole heap.
+func (ld *Ledger) finishCapture(pc *pendingCapture) *Capture {
 	var cpu []byte
 	if pc.cpuActive {
 		stopCPUProfile()
 		cpu = pc.cpu.Bytes()
 	}
-	ld.cfg.OnCapture(Capture{
+	return &Capture{
 		Trigger:    pc.trigger,
 		BudgetNs:   ld.cfg.BudgetNs,
 		Frames:     ld.cfg.CaptureFrames,
@@ -444,9 +443,9 @@ func (ld *Ledger) finishCapture(pc *pendingCapture) {
 		CPU:        cpu,
 		HeapPre:    pc.heapPre,
 		Heap:       heapProfile(),
-	})
+	}
 }
 
-// BudgetNs returns the configured frame budget (0 when detection is
-// off).
-func (ld *Ledger) BudgetNs() int64 { return ld.cfg.BudgetNs }
+// WritePrometheus writes the ledger's rolling histograms in the
+// Prometheus text format.
+func (ld *Ledger) WritePrometheus(w io.Writer) error { return ld.reg.WritePrometheus(w) }

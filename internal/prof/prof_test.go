@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// configure installs a ledger for the test and uninstalls it afterwards.
-func configure(t *testing.T, cfg Config) *Ledger {
+// newLedger builds a ledger for the test and closes it afterwards.
+func newLedger(t *testing.T, cfg Config) *Ledger {
 	t.Helper()
-	ld := Configure(cfg)
-	t.Cleanup(Disable)
+	ld := New(cfg)
+	t.Cleanup(ld.Close)
 	return ld
 }
 
@@ -22,18 +22,21 @@ func spin(d time.Duration) {
 }
 
 func TestLedgerAttributesStages(t *testing.T) {
-	ld := configure(t, Config{})
+	ld := newLedger(t, Config{})
 	ld.BeginFrame(7)
-	sp := Begin(StageCostPlane)
+	sp := ld.Begin(StageCostPlane)
 	spin(200 * time.Microsecond)
 	sp.End()
-	sp = Begin(StageMatching)
+	sp = ld.Begin(StageMatching)
 	spin(400 * time.Microsecond)
 	sp.End()
-	sp = Begin(StageMatching)
+	sp = ld.Begin(StageMatching)
 	spin(100 * time.Microsecond)
 	sp.End()
-	ld.EndFrame(7, int64(time.Millisecond), 123)
+	sealed, _ := ld.EndFrame(7, int64(time.Millisecond), 123)
+	if sealed.Frame != 7 || sealed.WallNs != int64(time.Millisecond) || sealed.StageCalls[StageMatching] != 2 {
+		t.Fatalf("sealed frame = %+v", sealed)
+	}
 
 	top := ld.TopFrames()
 	if len(top) != 1 {
@@ -62,11 +65,26 @@ func TestLedgerAttributesStages(t *testing.T) {
 	if sum.Frames != 1 || sum.AvgWallNs != int64(time.Millisecond) || sum.AvgAllocs != 123 {
 		t.Fatalf("summary = %+v", sum)
 	}
+
+	// The rolling histograms hold one observation per stage per frame:
+	// the frame's time in that stage, not one per span.
+	frame, stages := ld.StageBreakdown()
+	if frame == nil || frame.Count != 1 || frame.TotalSeconds != 1e-3 {
+		t.Fatalf("frame distribution = %+v", frame)
+	}
+	if len(stages) != 2 {
+		t.Fatalf("stage distributions = %+v, want cost_plane and matching", stages)
+	}
+	for _, st := range stages {
+		if st.Count != 1 || st.TotalSeconds != float64(byStage[st.Stage].Ns)/1e9 {
+			t.Fatalf("stage %s distribution = %+v, want one frame of %dns", st.Stage, st, byStage[st.Stage].Ns)
+		}
+	}
 }
 
 func TestSpansOutsideFrameDropped(t *testing.T) {
-	ld := configure(t, Config{})
-	sp := Begin(StageMatching)
+	ld := newLedger(t, Config{})
+	sp := ld.Begin(StageMatching)
 	spin(50 * time.Microsecond)
 	sp.End() // no frame open: dropped
 	ld.BeginFrame(1)
@@ -78,15 +96,15 @@ func TestSpansOutsideFrameDropped(t *testing.T) {
 }
 
 func TestNoLedgerSpanIsFree(t *testing.T) {
-	Disable()
-	sp := Begin(StageMatching)
+	var ld *Ledger
+	sp := ld.Begin(StageMatching)
 	sp.End() // must not panic
 	var zero Span
 	zero.End()
 }
 
 func TestTopNRingKeepsSlowest(t *testing.T) {
-	ld := configure(t, Config{TopN: 3})
+	ld := newLedger(t, Config{TopN: 3})
 	for i := int64(0); i < 10; i++ {
 		ld.BeginFrame(i)
 		ld.EndFrame(i, (i+1)*1000, 0)
@@ -105,20 +123,23 @@ func TestTopNRingKeepsSlowest(t *testing.T) {
 
 func TestOverrunCaptureRateLimited(t *testing.T) {
 	var captures []Capture
-	ld := configure(t, Config{
+	ld := newLedger(t, Config{
 		BudgetNs:       1, // every frame overruns
 		CaptureFrames:  2,
 		CooldownFrames: 1000,
-		OnCapture:      func(c Capture) { captures = append(captures, c) },
+		Capture:        true,
 	})
 	for i := int64(0); i < 40; i++ {
 		ld.BeginFrame(i)
-		sp := Begin(StageMatching)
+		sp := ld.Begin(StageMatching)
 		spin(20 * time.Microsecond)
 		sp.End()
-		overran := ld.EndFrame(i, int64(50*time.Microsecond), 1)
-		if !overran {
+		p, c := ld.EndFrame(i, int64(50*time.Microsecond), 1)
+		if !p.Overrun {
 			t.Fatalf("frame %d did not overrun a 1ns budget", i)
+		}
+		if c != nil {
+			captures = append(captures, *c)
 		}
 	}
 	if len(captures) != 1 {
@@ -169,7 +190,7 @@ func TestStageIndexRoundTrip(t *testing.T) {
 }
 
 func TestRecordingPathDoesNotAllocate(t *testing.T) {
-	ld := configure(t, Config{TopN: 2})
+	ld := newLedger(t, Config{TopN: 2})
 	// Warm the top ring so inserts replace in place.
 	for i := int64(0); i < 4; i++ {
 		ld.BeginFrame(i)
@@ -178,9 +199,9 @@ func TestRecordingPathDoesNotAllocate(t *testing.T) {
 	frame := int64(100)
 	allocs := testing.AllocsPerRun(50, func() {
 		ld.BeginFrame(frame)
-		sp := Begin(StageCostPlane)
+		sp := ld.Begin(StageCostPlane)
 		sp.End()
-		sp = Begin(StageMatching)
+		sp = ld.Begin(StageMatching)
 		sp.End()
 		ld.EndFrame(frame, 500, 0)
 		frame++

@@ -127,9 +127,11 @@ func (ld *Ledger) TopFrames() []FrameReport {
 	return out
 }
 
-// StageSummary is one stage's rolling distribution, read from the obs
-// histograms: the shared aggregation behind dispatchd's /v1/report and
-// /v1/profile and taxisim's end-of-run stage table.
+// StageSummary is one stage's rolling distribution, read from the
+// ledger's histograms: the shared aggregation behind dispatchd's
+// /v1/report and /v1/profile, taxisim's end-of-run stage table, and
+// flight-recorder manifests. Count is the number of frames that ran the
+// stage; the quantiles are over per-frame stage time.
 type StageSummary struct {
 	Stage        string  `json:"stage"`
 	Count        uint64  `json:"count"`
@@ -140,14 +142,14 @@ type StageSummary struct {
 }
 
 // StageBreakdown reads the rolling per-stage percentiles from the
-// dispatch_stage_seconds histogram family, plus the whole-frame
-// distribution from sim_dispatch_frame_seconds (nil before the first
-// dispatch). Stages with no observations are omitted.
-func StageBreakdown() (frame *StageSummary, stages []StageSummary) {
-	for _, hs := range obs.HistogramSummaries("dispatch_stage_seconds") {
+// ledger's dispatch_stage_seconds histograms, plus the whole-frame
+// distribution (nil before the first sealed frame). Stages with no
+// observations are omitted.
+func (ld *Ledger) StageBreakdown() (frame *StageSummary, stages []StageSummary) {
+	for _, hs := range ld.reg.HistogramSummaries("dispatch_stage_seconds") {
 		stages = append(stages, summaryToStage(hs.Label("stage"), hs))
 	}
-	for _, hs := range obs.HistogramSummaries("sim_dispatch_frame_seconds") {
+	for _, hs := range ld.reg.HistogramSummaries("sim_dispatch_frame_seconds") {
 		out := summaryToStage("frame", hs)
 		frame = &out
 	}

@@ -116,9 +116,11 @@ func (s *Simulator) certifyFrame(rec *dtrace.Recorder, f *Frame, applied []fleet
 	rec.PutCertificate(c)
 	if c.ViolationsTotal > 0 {
 		s.kpi.violations += int64(c.ViolationsTotal)
-		flightrec.TriggerActive(int64(f.Number), flightrec.ReasonStability,
-			fmt.Sprintf("frame %d certificate found %d blocking pair(s) over %d requests × %d idle taxis",
-				f.Number, c.ViolationsTotal, c.Requests, c.Taxis))
+		if r := s.cfg.Recorder; r != nil {
+			r.Trigger(int64(f.Number), flightrec.ReasonStability, //nolint:errcheck // counted by the recorder
+				fmt.Sprintf("frame %d certificate found %d blocking pair(s) over %d requests × %d idle taxis",
+					f.Number, c.ViolationsTotal, c.Requests, c.Taxis), false)
+		}
 	}
 }
 

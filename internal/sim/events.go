@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"stabledispatch/internal/dtrace"
-	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/stream"
 )
@@ -135,7 +134,7 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 }
 
 // emit counts an event and forwards it to the configured sink, the
-// decision-trace layer, and the live telemetry stream, if active.
+// decision-trace layer, the flight recorder, and the hub.
 func (s *Simulator) emit(e Event) {
 	if c := obsEvents[e.Kind]; c != nil {
 		c.Inc()
@@ -146,19 +145,19 @@ func (s *Simulator) emit(e Event) {
 	if rec := dtrace.Active(); rec != nil {
 		s.traceEvent(rec, e)
 	}
-	if fr := flightrec.Active(); fr != nil {
-		fr.RecordEvent(int64(e.Frame), e)
+	if r := s.cfg.Recorder; r != nil {
+		r.RecordEvent(int64(e.Frame), e)
 	}
 	// Live telemetry: every lifecycle event on the events topic, and a
 	// breakdown additionally as an operator notice. Both gated on an
-	// interested subscriber (one atomic load otherwise), and the hub
-	// never blocks — a wedged stream consumer drops its own entries
-	// instead of slowing this frame.
-	if stream.Wants(stream.TopicEvents) {
-		stream.Publish(stream.TopicEvents, int64(e.Frame), e)
+	// interested subscriber, and the hub never blocks — a wedged stream
+	// consumer drops its own entries instead of slowing this frame.
+	hub := s.cfg.Hub
+	if hub.Wants(stream.TopicEvents) {
+		hub.Publish(stream.TopicEvents, int64(e.Frame), e)
 	}
-	if e.Kind == EventBreakdown && stream.Wants(stream.TopicNotices) {
-		stream.Publish(stream.TopicNotices, int64(e.Frame), stream.Notice{
+	if e.Kind == EventBreakdown && hub.Wants(stream.TopicNotices) {
+		hub.Publish(stream.TopicNotices, int64(e.Frame), stream.Notice{
 			Kind:   "breakdown",
 			Frame:  int64(e.Frame),
 			Detail: fmt.Sprintf("taxi %d broke down mid-route", e.TaxiID),

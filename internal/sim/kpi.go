@@ -4,7 +4,9 @@ import (
 	"runtime/metrics"
 	"time"
 
-	"stabledispatch/internal/obs"
+	"stabledispatch/internal/flightrec"
+	"stabledispatch/internal/prof"
+	"stabledispatch/internal/roadnet"
 	"stabledispatch/internal/tseries"
 )
 
@@ -12,11 +14,13 @@ import (
 // every Step finishes by appending one fixed-width sample with the
 // paper's §VI quantities — resolved as running statistics over the
 // dispatch decisions so far — plus the frame's wall-clock cost, heap
-// allocations (runtime/metrics, no stop-the-world), and the process-wide
-// Dijkstra cache hit rate and degraded-frame count read from the obs
-// registry. The aggregates live on the engine and are updated inline at
-// the points the outcomes are already in hand, so recording adds O(1)
-// work per assignment and one ring write per frame.
+// allocations (runtime/metrics, no stop-the-world), the degraded-frame
+// count, the Dijkstra cache hit rate of this simulator's own Metric,
+// and the front-door counts of its own admission source. Every column is
+// this simulator's state: two simulators in one process never see each
+// other's numbers. The aggregates live on the engine and are updated
+// inline at the points the outcomes are already in hand, so recording
+// adds O(1) work per assignment and one ring write per frame.
 //
 // Semantics: delay/dissatisfaction series are per *dispatch decision* —
 // a request revoked by a fault and re-dispatched contributes one
@@ -134,17 +138,15 @@ func (s *Simulator) recordKPI(rec *tseries.Recorder, frame int, wall time.Durati
 		Queued:              int64(len(s.pending)),
 		Expired:             k.expired,
 		SharedRides:         k.shared,
-		DegradedFrames:      int64(obs.SumCounters("dispatch_degraded_frames_total")),
+		DegradedFrames:      s.degraded.Load(),
 		StabilityViolations: k.violations,
 		FrameNs:             wall.Nanoseconds(),
 		Allocs:              int64(allocs),
-		// Admission front-door series, read from the process-wide
-		// registry like the degraded-frame count: zero in batch runs,
-		// live when the daemon's internal/admission controller is in
-		// front of this simulator.
-		Accepted:       int64(obs.CounterValue("admission_accepted_total")),
-		Shed:           int64(obs.SumCounters("admission_shed_total")),
-		AdmissionQueue: int64(obs.GaugeValue("admission_queue_depth")),
+	}
+	if a := s.cfg.Admission; a != nil {
+		sample.Accepted = int64(a.Accepted())
+		sample.Shed = int64(a.Shed())
+		sample.AdmissionQueue = int64(a.QueueDepth())
 	}
 	if k.assignedObs > 0 {
 		sample.DelayMean = k.delaySum / float64(k.assignedObs)
@@ -153,10 +155,10 @@ func (s *Simulator) recordKPI(rec *tseries.Recorder, frame int, wall time.Durati
 	if k.decisions > 0 {
 		sample.TaxiDissMean = k.taxiDissSum / float64(k.decisions)
 	}
-	hits := obs.CounterValue("roadnet_cache_hits_total")
-	misses := obs.CounterValue("roadnet_cache_misses_total")
-	if lookups := hits + misses; lookups > 0 {
-		sample.CacheHitRate = float64(hits) / float64(lookups)
+	if m, ok := s.cfg.Metric.(interface{ CacheStats() roadnet.CacheStats }); ok {
+		if cs := m.CacheStats(); cs.Hits+cs.Misses > 0 {
+			sample.CacheHitRate = float64(cs.Hits) / float64(cs.Hits+cs.Misses)
+		}
 	}
 	rec.Record(sample)
 	return sample
@@ -165,6 +167,12 @@ func (s *Simulator) recordKPI(rec *tseries.Recorder, frame int, wall time.Durati
 // KPIRecorder returns the configured per-frame KPI recorder, or nil when
 // KPI recording is disabled.
 func (s *Simulator) KPIRecorder() *tseries.Recorder { return s.cfg.KPI }
+
+// Ledger returns the configured frame-budget ledger, or nil.
+func (s *Simulator) Ledger() *prof.Ledger { return s.cfg.Ledger }
+
+// Recorder returns the configured flight recorder, or nil.
+func (s *Simulator) Recorder() *flightrec.Recorder { return s.cfg.Recorder }
 
 // KPISeries snapshots every retained per-frame KPI sample in
 // chronological order. The result is empty (never nil) when KPI

@@ -2,17 +2,12 @@ package sim
 
 import "stabledispatch/internal/obs"
 
-// Engine telemetry: per-frame dispatch latency (the Dispatcher call
-// plus assignment validation, the tunable part of a frame), pending-
-// queue depth after dispatch, and lifecycle event counts.
+// Engine telemetry: frame count, pending-queue depth after dispatch,
+// and lifecycle event counts. Frame and stage timing live in the
+// simulator's own frame-budget ledger (Config.Ledger).
 var (
-	obsFrames          = obs.GetOrCreateCounter("sim_frames_total")
-	obsDispatchSeconds = obs.GetOrCreateHistogram("sim_dispatch_frame_seconds")
-	// obsCommitSeconds closes the stage family from the engine side:
-	// assignment installation plus the stability audit, the part of a
-	// dispatch the pluggable Dispatcher doesn't own.
-	obsCommitSeconds = obs.GetOrCreateHistogram(`dispatch_stage_seconds{stage="commit"}`)
-	obsPendingDepth  = obs.GetOrCreateGauge("sim_pending_requests")
+	obsFrames       = obs.GetOrCreateCounter("sim_frames_total")
+	obsPendingDepth = obs.GetOrCreateGauge("sim_pending_requests")
 	// obsExpired counts patience-exceeded abandonments: requests the
 	// engine dropped because no dispatch arrived within the patience
 	// bound. The abandon event counter below tracks the same lifecycle

@@ -6,6 +6,7 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/prof"
+	"stabledispatch/internal/stream"
 	"stabledispatch/internal/tseries"
 )
 
@@ -15,11 +16,11 @@ import (
 // WallNs/Allocs equal the tseries sample's FrameNs/Allocs exactly, and
 // the attributed stage time never exceeds the frame wall-clock.
 func TestProfLedgerMatchesTSeries(t *testing.T) {
-	ld := prof.Configure(prof.Config{TopN: 256})
-	defer prof.Disable()
+	ld := prof.New(prof.Config{TopN: 256})
 	rec := tseries.New(tseries.Config{Capacity: 256})
 	cfg := simpleConfig(nearestDispatcher{})
 	cfg.KPI = rec
+	cfg.Ledger = ld
 	reqs := []fleet.Request{
 		{ID: 1, Pickup: geo.Point{X: 1}, Dropoff: geo.Point{X: 2}, Frame: 0},
 		{ID: 2, Pickup: geo.Point{X: 3}, Dropoff: geo.Point{X: 4}, Frame: 1},
@@ -77,12 +78,18 @@ func TestProfLedgerMatchesTSeries(t *testing.T) {
 }
 
 // TestProfLedgerWithoutKPI checks the ledger alone is enough to turn on
-// frame accounting — the daemon can profile without a KPI recorder.
+// frame accounting — the daemon can profile without a KPI recorder —
+// and that the simulator publishes every sealed frame on its hub.
 func TestProfLedgerWithoutKPI(t *testing.T) {
-	ld := prof.Configure(prof.Config{})
-	defer prof.Disable()
+	ld := prof.New(prof.Config{})
+	hub := stream.NewHub()
+	sub := hub.Subscribe(256, stream.TopicProf)
+	defer sub.Close()
+	cfg := simpleConfig(nearestDispatcher{})
+	cfg.Ledger = ld
+	cfg.Hub = hub
 	reqs := []fleet.Request{{ID: 1, Pickup: geo.Point{X: 1}, Dropoff: geo.Point{X: 2}, Frame: 0}}
-	s, err := New(simpleConfig(nearestDispatcher{}), singleTaxi(geo.Point{}), reqs)
+	s, err := New(cfg, singleTaxi(geo.Point{}), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,5 +102,8 @@ func TestProfLedgerWithoutKPI(t *testing.T) {
 	}
 	if sum.AvgWallNs <= 0 {
 		t.Fatalf("avg wall = %d, want > 0", sum.AvgWallNs)
+	}
+	if got := len(sub.TakeBatch(nil)); int64(got) != sum.Frames {
+		t.Fatalf("hub carried %d prof messages for %d ledger frames", got, sum.Frames)
 	}
 }

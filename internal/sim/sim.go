@@ -15,16 +15,18 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
+	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/geo"
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/slo"
+	"stabledispatch/internal/stream"
 	"stabledispatch/internal/tseries"
 )
 
@@ -56,6 +58,10 @@ type Frame struct {
 	// runtime.GOMAXPROCS(0). Assignments are bit-identical for every
 	// value.
 	Workers int
+	// Ledger is the frame-budget ledger of the simulator that built the
+	// frame; dispatchers time their stages with Ledger.Begin. Nil (no
+	// profiling) yields spans that end for free.
+	Ledger *prof.Ledger
 
 	// planes memoises cost planes by content key, so a frame visited by
 	// several consumers (a resilient primary and its fallback, or the
@@ -66,6 +72,29 @@ type Frame struct {
 	// primary still holds the frame.
 	planeMu sync.Mutex
 	planes  []framePlane
+
+	// sim is the simulator that built the frame (nil for a frame built
+	// by hand); NoteDegraded reports to it.
+	sim *Simulator
+}
+
+// NoteDegraded reports that the frame was handed to a fallback
+// dispatcher. The simulator counts it in the degraded_frames KPI, fires
+// its flight recorder, and publishes a degrade notice on its hub. A
+// frame built by hand ignores the note.
+func (f *Frame) NoteDegraded(detail string) {
+	s := f.sim
+	if s == nil {
+		return
+	}
+	s.degraded.Add(1)
+	frame := int64(f.Number)
+	if r := s.cfg.Recorder; r != nil {
+		r.Trigger(frame, flightrec.ReasonDegraded, detail, false) //nolint:errcheck // counted by the recorder
+	}
+	if s.cfg.Hub.Wants(stream.TopicNotices) {
+		s.cfg.Hub.Publish(stream.TopicNotices, frame, stream.Notice{Kind: "degrade", Frame: frame, Detail: detail})
+	}
 }
 
 // framePlane is one memoised (configuration, plane) pair of a frame.
@@ -189,6 +218,39 @@ type Config struct {
 	// runtime.GOMAXPROCS(0). Purely a throughput knob: simulation
 	// output is bit-identical for every value.
 	Workers int
+
+	// The observability handles below belong to this simulator alone;
+	// nil means off and costs one pointer check per site. The simulator
+	// is the one place that forwards output into them.
+
+	// Ledger, when non-nil, is the frame-budget profiler: every Step is
+	// bracketed as one ledger frame, dispatchers open stage spans
+	// through Frame.Ledger, and each sealed frame is published on the
+	// Hub's prof topic. Overrun captures are bundled into Recorder.
+	Ledger *prof.Ledger
+	// Recorder, when non-nil, is the flight recorder: it receives every
+	// lifecycle event and, with KPI, every frame's context, and the
+	// simulator triggers it on SLO breaches, degraded frames, stability
+	// violations, and overrun captures.
+	Recorder *flightrec.Recorder
+	// Hub, when non-nil, receives the live telemetry: KPI samples, SLO
+	// transitions, lifecycle events, notices, and ledger frames.
+	Hub *stream.Hub
+	// Admission, when non-nil, is the front door feeding this simulator;
+	// its counts fill the KPI samples' accepted, shed and
+	// admission_queue columns (zero otherwise).
+	Admission AdmissionSource
+}
+
+// AdmissionSource is the front-door view the KPI sample reads:
+// internal/admission's Controller implements it.
+type AdmissionSource interface {
+	// Accepted counts requests admitted so far.
+	Accepted() int
+	// Shed counts requests refused so far.
+	Shed() int
+	// QueueDepth counts admitted requests awaiting injection.
+	QueueDepth() int
 }
 
 // Outage takes one taxi out of service for the frame interval
@@ -306,6 +368,10 @@ type Simulator struct {
 	// kpi holds the running per-frame KPI aggregates; only updated when
 	// cfg.KPI is configured.
 	kpi kpiState
+	// degraded counts frames a dispatcher reported through
+	// Frame.NoteDegraded. Atomic: a nested Resilient may note from its
+	// primary's goroutine.
+	degraded atomic.Int64
 
 	// Fault machinery: scheduled cancellations keyed by due frame, and
 	// the outage book (configured + dynamically injected) maintained as
@@ -366,6 +432,17 @@ func New(cfg Config, taxis []fleet.Taxi, requests []fleet.Request) (*Simulator, 
 		s.outageStart[start] = append(s.outageStart[start], o)
 	}
 	s.refreshOutages()
+	if r := cfg.Recorder; r != nil {
+		if cfg.SLO != nil {
+			r.AddManifestSection("slo", func() any { return cfg.SLO.Status() })
+		}
+		if ld := cfg.Ledger; ld != nil {
+			r.AddManifestSection("stages", func() any {
+				_, stages := ld.StageBreakdown()
+				return stages
+			})
+		}
+	}
 	return s, nil
 }
 
@@ -423,8 +500,7 @@ func (s *Simulator) Done() bool {
 // wall-clock cost and allocation count bracket the whole step and the
 // finished frame is appended to the ring.
 func (s *Simulator) Step() error {
-	rec := s.cfg.KPI
-	ld := prof.Active()
+	rec, ld := s.cfg.KPI, s.cfg.Ledger
 	if rec == nil && ld == nil {
 		return s.step()
 	}
@@ -448,7 +524,13 @@ func (s *Simulator) Step() error {
 		// overrun capture's flight-recorder bundle already holds the
 		// overrun frame itself. The wall/allocs handed to the ledger are
 		// the exact values recorded as the sample's FrameNs/Allocs.
-		ld.EndFrame(int64(frame), wall.Nanoseconds(), int64(allocs))
+		p, capture := ld.EndFrame(int64(frame), wall.Nanoseconds(), int64(allocs))
+		if s.cfg.Hub.Wants(stream.TopicProf) {
+			s.cfg.Hub.Publish(stream.TopicProf, p.Frame, p.Report())
+		}
+		if capture != nil && s.cfg.Recorder != nil {
+			s.cfg.Recorder.TriggerOverrun(*capture) //nolint:errcheck // counted by the recorder
+		}
 	}
 	return nil
 }
@@ -462,10 +544,7 @@ func (s *Simulator) step() error {
 	s.releaseArrivals()
 	s.applyFaults()
 	s.expireImpatient()
-	tm := obs.StartTimer(obsDispatchSeconds)
-	err := s.dispatch()
-	tm.ObserveDuration()
-	if err != nil {
+	if err := s.dispatch(); err != nil {
 		return err
 	}
 	obsPendingDepth.Set(float64(len(s.pending)))
@@ -561,6 +640,8 @@ func (s *Simulator) view() *Frame {
 		Metric:  s.cfg.Metric,
 		Params:  s.cfg.Params,
 		Workers: s.cfg.Workers,
+		Ledger:  s.cfg.Ledger,
+		sim:     s,
 	}
 	for _, id := range s.pending {
 		f.Requests = append(f.Requests, s.reqs[id].req)
@@ -607,21 +688,17 @@ func (s *Simulator) dispatch() error {
 	// Frame commit: install the assignments, then audit the realized
 	// matching for stability while the pre-dispatch view is still in
 	// hand. The commit stage closes the pipeline in the stage ledger.
-	tm := obs.StartTimer(obsCommitSeconds)
-	sp := prof.Begin(prof.StageCommit)
+	sp := s.cfg.Ledger.Begin(prof.StageCommit)
+	defer sp.End()
 	seenTaxi := make(map[int]bool, len(assignments))
 	for _, a := range assignments {
 		if err := s.apply(a, seenTaxi); err != nil {
-			tm.ObserveDuration()
-			sp.End()
 			return fmt.Errorf("sim: dispatcher %s frame %d: %w", s.cfg.Dispatcher.Name(), s.frame, err)
 		}
 	}
 	if rec := dtrace.Active(); rec != nil {
 		s.certifyFrame(rec, frame, assignments)
 	}
-	tm.ObserveDuration()
-	sp.End()
 	return nil
 }
 

@@ -4,33 +4,40 @@ import (
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fault"
 	"stabledispatch/internal/flightrec"
+	"stabledispatch/internal/slo"
 	"stabledispatch/internal/stream"
 	"stabledispatch/internal/tseries"
 )
 
 // Watchdog glue: after every recorded frame, the finished sample is
 // pushed into the flight recorder's context ring (with the frame's
-// certificate summary and the fault-injection state) and handed to the
-// SLO engine for evaluation. Both are gated — an unconfigured flight
-// recorder costs one atomic load, a nil SLO engine one pointer check —
-// and neither runs at all when KPI recording is off, since there is no
-// sample to evaluate.
+// certificate summary and the fault-injection state), handed to the SLO
+// engine for evaluation, and published on the hub's kpi topic. The SLO
+// engine's transitions are forwarded here too: each is published on the
+// slo topic and each breach fires the recorder. Every handle is
+// optional (a nil check each), and none of this runs when KPI recording
+// is off, since there is no sample to evaluate.
 
-// watchFrame feeds one completed frame's sample to the flight recorder
-// and the SLO engine. Ring push precedes evaluation so a breach bundle
-// contains the frame that tripped it.
+// watchFrame feeds one completed frame's sample to the flight recorder,
+// the SLO engine, and the hub. Ring push precedes evaluation so a breach
+// bundle contains the frame that tripped it.
 func (s *Simulator) watchFrame(sample tseries.Sample) {
-	if fr := flightrec.Active(); fr != nil {
-		fr.ObserveFrame(s.frameContext(sample))
+	rec, hub := s.cfg.Recorder, s.cfg.Hub
+	if rec != nil {
+		rec.ObserveFrame(s.frameContext(sample))
 	}
 	if s.cfg.SLO != nil {
-		s.cfg.SLO.Observe(sample)
+		for _, tr := range s.cfg.SLO.Observe(sample) {
+			if tr.To == slo.StateBreach && rec != nil {
+				rec.Trigger(tr.Frame, flightrec.ReasonSLOBreach, tr.Detail(), false) //nolint:errcheck // counted by the recorder
+			}
+			if hub.Wants(stream.TopicSLO) {
+				hub.Publish(stream.TopicSLO, tr.Frame, tr)
+			}
+		}
 	}
-	// Live telemetry: one kpi message per recorded frame. Gated on an
-	// interested subscriber so the batch runners (no hub) and an idle
-	// daemon (no /v1/stream connection) pay one atomic load.
-	if stream.Wants(stream.TopicKPI) {
-		stream.Publish(stream.TopicKPI, sample.Frame, sample)
+	if hub.Wants(stream.TopicKPI) {
+		hub.Publish(stream.TopicKPI, sample.Frame, sample)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -79,7 +80,9 @@ func ParseLine(line string) (Def, error) {
 	tok := rhs[0]
 	pct := strings.HasSuffix(tok, "%")
 	v, err := strconv.ParseFloat(strings.TrimSuffix(tok, "%"), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) {
+		// A NaN bound fails every comparison: the objective could never
+		// be healthy.
 		return d, fmt.Errorf("slo %s: bad threshold %q", d.Name, tok)
 	}
 	if pct {

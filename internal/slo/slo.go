@@ -16,10 +16,11 @@
 //	warning ──clear streak──▶ ok
 //	breach ──clear streak──▶ recovered ──clear streak──▶ ok
 //
-// so a flapping signal cannot oscillate the alert every frame. The
-// breach transition fires the flight recorder (one diagnostic bundle,
-// rate-limited there) and increments slo_breaches_total; every state is
-// exported as slo_state{slo="..."} gauges for scrapers.
+// so a flapping signal cannot oscillate the alert every frame. Observe
+// returns the frame's transitions; the simulator publishes them on its
+// stream hub and fires its flight recorder on each breach. A breach
+// also increments slo_breaches_total, and every state is exported as
+// slo_state{slo="..."} gauges for scrapers.
 //
 // The engine is deliberately simulation-frame-clocked, not wall-
 // clocked: windows are counted in dispatch frames so the same SLO file
@@ -31,9 +32,7 @@ import (
 	"strings"
 	"sync"
 
-	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/obs"
-	"stabledispatch/internal/stream"
 	"stabledispatch/internal/tseries"
 )
 
@@ -238,7 +237,6 @@ type Engine struct {
 	head   int
 	n      int
 	frames int64
-	bound  bool // flight-recorder manifest section registered
 }
 
 // New validates defs and builds an engine. At least one objective is
@@ -277,10 +275,12 @@ func New(defs []Def) (*Engine, error) {
 
 var obsBreaches = obs.GetOrCreateCounter("slo_breaches_total")
 
-// Observe feeds one frame's sample and advances every objective's state
-// machine. Breach transitions trigger the active flight recorder.
-func (e *Engine) Observe(s tseries.Sample) {
+// Observe feeds one frame's sample, advances every objective's state
+// machine, and returns the state transitions it caused, in definition
+// order (nil when nothing changed).
+func (e *Engine) Observe(s tseries.Sample) []Transition {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.n < len(e.ring) {
 		e.ring[(e.head+e.n)%len(e.ring)] = s
 		e.n++
@@ -290,19 +290,7 @@ func (e *Engine) Observe(s tseries.Sample) {
 	}
 	e.frames++
 
-	// Lazily register the SLO section on the flight recorder so bundles
-	// carry the alert table regardless of construction order.
-	if !e.bound {
-		if r := flightrec.Active(); r != nil {
-			r.AddManifestSection("slo", func() any { return e.Status() })
-			e.bound = true
-		}
-	}
-
-	type breach struct{ name, detail string }
-	var breaches []breach
 	var transitions []Transition
-	wantStream := stream.Wants(stream.TopicSLO)
 	for _, o := range e.objs {
 		o.fast, o.fastOK = e.evalLocked(o.def, o.def.FastWindow)
 		o.slow, o.slowOK = e.evalLocked(o.def, o.def.SlowWindow)
@@ -333,39 +321,22 @@ func (e *Engine) Observe(s tseries.Sample) {
 			if o.state == StateBreach {
 				o.breaches++
 				obsBreaches.Inc()
-				breaches = append(breaches, breach{
-					name:   o.def.Name,
-					detail: fmt.Sprintf("%s: %s (fast=%g slow=%g)", o.def.Name, o.def.Expr(), o.fast, o.slow),
-				})
 			}
-			if wantStream {
-				transitions = append(transitions, Transition{
-					Name:  o.def.Name,
-					Expr:  o.def.Expr(),
-					From:  prev,
-					To:    o.state,
-					Frame: s.Frame,
-					Fast:  o.fast,
-					Slow:  o.slow,
-				})
-			}
+			transitions = append(transitions, Transition{
+				Name:  o.def.Name,
+				Expr:  o.def.Expr(),
+				From:  prev,
+				To:    o.state,
+				Frame: s.Frame,
+				Fast:  o.fast,
+				Slow:  o.slow,
+			})
 		}
 		o.stateG.Set(stateRank(o.state))
 		o.fastG.Set(o.fast)
 		o.slowG.Set(o.slow)
 	}
-	frame := s.Frame
-	e.mu.Unlock()
-
-	// Trigger and publish outside the lock: the recorder's sections
-	// callback calls back into Status, which takes e.mu, and the stream
-	// hub's locks must never nest inside the engine's.
-	for _, b := range breaches {
-		flightrec.TriggerActive(frame, flightrec.ReasonSLOBreach, b.detail)
-	}
-	for _, tr := range transitions {
-		stream.Publish(stream.TopicSLO, tr.Frame, tr)
-	}
+	return transitions
 }
 
 // Transition is one hysteresis state change, published on the live
@@ -378,6 +349,12 @@ type Transition struct {
 	Frame int64   `json:"frame"`
 	Fast  float64 `json:"fast"`
 	Slow  float64 `json:"slow"`
+}
+
+// Detail renders the transition for a flight-recorder trigger:
+// "delay_p95: max(delay_p95) < 3 (fast=4.2 slow=3.1)".
+func (t Transition) Detail() string {
+	return fmt.Sprintf("%s: %s (fast=%g slow=%g)", t.Name, t.Expr, t.Fast, t.Slow)
 }
 
 // evalLocked aggregates the newest min(win, n) samples for one def.

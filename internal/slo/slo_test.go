@@ -1,12 +1,9 @@
 package slo
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/tseries"
 )
 
@@ -60,6 +57,7 @@ func TestParseRejects(t *testing.T) {
 		"x: wat(served) < 1",              // unknown aggregator
 		"x: served ~ 1",                   // unknown operator
 		"x: served < banana",              // bad threshold
+		"x: served < NaN",                 // NaN threshold never holds
 		"x: served < 1 fast=0",            // non-positive window
 		"x: served < 1 turbo=3",           // unknown option
 		"x: frac(expired) < 1",            // frac arity
@@ -167,15 +165,11 @@ func TestHysteresisLifecycle(t *testing.T) {
 	}
 }
 
-// TestBreachTriggersFlightRecorder wires a real recorder and checks the
-// breach transition produces exactly one bundle naming the SLO.
-func TestBreachTriggersFlightRecorder(t *testing.T) {
-	defer flightrec.Disable()
-	dir := t.TempDir()
-	rec, err := flightrec.Configure(flightrec.Config{Dir: dir, CooldownFrames: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestObserveReportsBreachOnce checks Observe hands back exactly one
+// breach transition for a sustained violation, with a detail line that
+// names the objective: the simulator forwards it to its flight
+// recorder and hub.
+func TestObserveReportsBreachOnce(t *testing.T) {
 	e, err := New([]Def{{
 		Name: "delay", Agg: AggMax, Series: "delay_p95", Op: OpLT, Threshold: 3,
 		FastWindow: 2, SlowWindow: 4, ClearFrames: 2,
@@ -183,48 +177,20 @@ func TestBreachTriggersFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var breaches []Transition
 	for f := int64(0); f < 20; f++ {
-		s := tseries.Sample{Frame: f, DelayP95: 10} // violates from frame 0
-		rec.ObserveFrame(flightrec.FrameContext{Frame: f, KPI: s})
-		e.Observe(s)
-	}
-	if got := rec.Bundles(); got != 1 {
-		t.Fatalf("bundles = %d, want exactly 1 (breach fires once)", got)
-	}
-	// Find the bundle and check the manifest names the objective and
-	// carries the SLO status section.
-	entries := bundleDirs(t, dir)
-	if len(entries) != 1 {
-		t.Fatalf("bundle dirs = %v", entries)
-	}
-	m, err := flightrec.ReadManifest(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Trigger.Reason != flightrec.ReasonSLOBreach {
-		t.Errorf("trigger reason = %q", m.Trigger.Reason)
-	}
-	if !strings.Contains(m.Trigger.Detail, "delay") {
-		t.Errorf("trigger detail %q does not name the objective", m.Trigger.Detail)
-	}
-	if m.Sections["slo"] == nil {
-		t.Error("manifest lacks the slo status section")
-	}
-}
-
-func bundleDirs(t *testing.T, dir string) []string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("ReadDir: %v", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), flightrec.DefaultBundlePrefix) {
-			out = append(out, filepath.Join(dir, e.Name()))
+		for _, tr := range e.Observe(tseries.Sample{Frame: f, DelayP95: 10}) { // violates from frame 0
+			if tr.To == StateBreach {
+				breaches = append(breaches, tr)
+			}
 		}
 	}
-	return out
+	if len(breaches) != 1 {
+		t.Fatalf("breach transitions = %+v, want exactly 1", breaches)
+	}
+	if tr := breaches[0]; tr.Frame != 0 || tr.From != StateOK || !strings.Contains(tr.Detail(), "delay: max(delay_p95) < 3") {
+		t.Errorf("breach transition = %+v, detail %q", tr, tr.Detail())
+	}
 }
 
 func TestReportLine(t *testing.T) {

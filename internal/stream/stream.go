@@ -15,9 +15,10 @@
 //     connection therefore costs itself history, never the frame loop
 //     and never its sibling subscribers.
 //   - Publish with no subscriber interested in the topic is one atomic
-//     load — producers can publish unconditionally from the hot path.
-//     The payload is JSON-encoded once per publish, not once per
-//     subscriber.
+//     load, and producers gate payload construction on Wants, which is
+//     false on a nil hub — so a simulator with no hub configured pays
+//     one pointer check per publish site. The payload is JSON-encoded
+//     once per publish, not once per subscriber.
 //   - The hub takes only its own locks. It knows nothing about the
 //     serving layer, so it cannot hold server.mu — the SSE handler
 //     composes its snapshot separately and only then drains the ring.
@@ -129,8 +130,11 @@ func NewHub() *Hub {
 
 // Wants reports whether at least one subscriber is interested in the
 // topic — one atomic load, so producers can gate payload construction
-// on it from the hot path.
+// on it from the hot path. A nil hub (streaming off) wants nothing.
 func (h *Hub) Wants(t Topic) bool {
+	if h == nil {
+		return false
+	}
 	i := topicIndex(t)
 	return i >= 0 && h.nsubs[i].Load() > 0
 }
@@ -308,40 +312,6 @@ func (s *Sub) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	s.hub.unsubscribe(s)
-}
-
-// Process-wide default hub, nil until the serving layer installs one —
-// the obs/dtrace/flightrec convention: producers pay one atomic load
-// while streaming is disabled.
-var active atomic.Pointer[Hub]
-
-// SetActive installs h as the process-wide hub returned by Active (nil
-// uninstalls).
-func SetActive(h *Hub) {
-	if h == nil {
-		active.Store(nil)
-		return
-	}
-	active.Store(h)
-}
-
-// Active returns the installed hub, or nil while streaming is disabled.
-func Active() *Hub { return active.Load() }
-
-// Wants reports whether the active hub has a subscriber for the topic;
-// false while streaming is disabled. Producers building non-trivial
-// payloads should gate on it.
-func Wants(t Topic) bool {
-	h := Active()
-	return h != nil && h.Wants(t)
-}
-
-// Publish publishes to the active hub, if any. The payload is only
-// encoded when a subscriber is interested in the topic.
-func Publish(t Topic, frame int64, payload any) {
-	if h := Active(); h != nil {
-		h.Publish(t, frame, payload)
-	}
 }
 
 // Notice is the TopicNotices payload: one exceptional condition.

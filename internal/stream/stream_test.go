@@ -93,24 +93,26 @@ func TestCloseDetaches(t *testing.T) {
 	}
 }
 
+// TestActiveHubGating pins the gate producers publish behind: a nil hub
+// (streaming off) wants no topic, and a live hub wants exactly the
+// topics someone subscribed to.
 func TestActiveHubGating(t *testing.T) {
-	SetActive(nil)
-	if Wants(TopicKPI) {
-		t.Fatal("Wants true with no active hub")
+	var off *Hub
+	for _, topic := range Topics {
+		if off.Wants(topic) {
+			t.Fatalf("nil hub wants %q", topic)
+		}
 	}
-	Publish(TopicKPI, 1, "dropped") // must not panic
 
 	h := NewHub()
-	SetActive(h)
-	defer SetActive(nil)
 	sub := h.Subscribe(4, TopicKPI)
 	defer sub.Close()
-	if !Wants(TopicKPI) {
-		t.Fatal("Wants false with active hub and subscriber")
+	if !h.Wants(TopicKPI) || h.Wants(TopicEvents) {
+		t.Fatal("live hub gating does not follow its subscriptions")
 	}
-	Publish(TopicKPI, 2, "live")
+	h.Publish(TopicKPI, 2, "live")
 	if got := sub.TakeBatch(nil); len(got) != 1 {
-		t.Fatalf("package-level Publish delivered %d messages, want 1", len(got))
+		t.Fatalf("Publish delivered %d messages, want 1", len(got))
 	}
 }
 

@@ -461,19 +461,12 @@ type (
 	BundleManifest = flightrec.Manifest
 )
 
-// ConfigureFlightRecorder installs the process-wide flight recorder the
-// simulator, the resilient dispatcher, and the SLO engine trigger into.
-// Disable with DisableFlightRecorder.
-func ConfigureFlightRecorder(cfg FlightRecorderConfig) (*FlightRecorder, error) {
-	return flightrec.Configure(cfg)
+// NewFlightRecorder builds a flight recorder. Attach it to one
+// simulator through SimConfig.Recorder; the simulator triggers it on SLO
+// breaches, degraded frames, and stability violations.
+func NewFlightRecorder(cfg FlightRecorderConfig) (*FlightRecorder, error) {
+	return flightrec.New(cfg)
 }
-
-// DisableFlightRecorder uninstalls the process-wide flight recorder.
-func DisableFlightRecorder() { flightrec.Disable() }
-
-// ActiveFlightRecorder returns the installed flight recorder, or nil
-// while flight recording is disabled.
-func ActiveFlightRecorder() *FlightRecorder { return flightrec.Active() }
 
 // ReadBundleManifest loads and schema-checks one bundle's manifest.
 func ReadBundleManifest(bundleDir string) (BundleManifest, error) {
@@ -484,8 +477,8 @@ func ReadBundleManifest(bundleDir string) (BundleManifest, error) {
 // (KPI samples, SLO transitions, admission decisions, lifecycle events,
 // operator notices) to subscribers through bounded per-subscriber
 // rings; a slow subscriber drops its own oldest entries and can never
-// block a producer. dispatchd serves the installed hub at GET
-// /v1/stream over SSE.
+// block a producer. Attach a hub to one simulator through
+// SimConfig.Hub; dispatchd serves its hub at GET /v1/stream over SSE.
 type (
 	// StreamHub is the broadcast hub.
 	StreamHub = stream.Hub
@@ -502,15 +495,6 @@ type (
 // NewStreamHub builds a hub and registers its obs metrics
 // (stream_published_total, stream_dropped_total, stream_subscribers).
 func NewStreamHub() *StreamHub { return stream.NewHub() }
-
-// SetActiveStreamHub installs (or, with nil, removes) the process-wide
-// hub the simulator, SLO engine, admission controller, and resilient
-// dispatcher publish into.
-func SetActiveStreamHub(h *StreamHub) { stream.SetActive(h) }
-
-// ActiveStreamHub returns the installed hub, or nil when streaming is
-// off.
-func ActiveStreamHub() *StreamHub { return stream.Active() }
 
 // StreamTopics lists the valid telemetry topics.
 func StreamTopics() []StreamTopic { return append([]StreamTopic(nil), stream.Topics...) }

@@ -371,9 +371,9 @@ func TestFacadeKPISeries(t *testing.T) {
 	}
 }
 
-// TestFacadeStreamHub installs the process-wide telemetry hub through
-// the public API and proves a simulation's lifecycle events reach a
-// subscriber's ring.
+// TestFacadeStreamHub attaches a telemetry hub to one simulator through
+// the public API and proves its lifecycle events reach a subscriber's
+// ring.
 func TestFacadeStreamHub(t *testing.T) {
 	reqs, err := GenerateTrace(BostonConfig(10, 5))
 	if err != nil {
@@ -385,11 +385,6 @@ func TestFacadeStreamHub(t *testing.T) {
 	}
 
 	hub := NewStreamHub()
-	SetActiveStreamHub(hub)
-	defer SetActiveStreamHub(nil)
-	if ActiveStreamHub() != hub {
-		t.Fatal("ActiveStreamHub did not return the installed hub")
-	}
 	if topics := StreamTopics(); len(topics) != 6 {
 		t.Fatalf("StreamTopics() = %v, want 6 topics", topics)
 	}
@@ -399,6 +394,7 @@ func TestFacadeStreamHub(t *testing.T) {
 	s, err := NewSimulator(SimConfig{
 		Dispatcher: NSTDP(),
 		Params:     DefaultParams(),
+		Hub:        hub,
 	}, taxis, reqs)
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)

@@ -29,14 +29,13 @@ func TestWatchdogDegradeBreachBundle(t *testing.T) {
 	dir := t.TempDir()
 	// A cooldown longer than the run: only the first trigger bundles,
 	// everything after is suppressed.
-	rec, err := ConfigureFlightRecorder(FlightRecorderConfig{
+	rec, err := NewFlightRecorder(FlightRecorderConfig{
 		Dir:            dir,
 		CooldownFrames: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer DisableFlightRecorder()
 
 	sloPath := filepath.Join(dir, "watchdog.slo")
 	// clear is huge so the breach state survives to the end of the run.
@@ -69,6 +68,7 @@ func TestWatchdogDegradeBreachBundle(t *testing.T) {
 		Params:     DefaultParams(),
 		KPI:        kpi,
 		SLO:        eng,
+		Recorder:   rec,
 	}, taxis, reqs)
 	if err != nil {
 		t.Fatal(err)
