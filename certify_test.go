@@ -1,0 +1,161 @@
+package stabledispatch
+
+// Stability certificates from the simulator's commit path. Each traced
+// frame is certified against the market built from the frame's own cost
+// plane, pruned at the pickup threshold; these pins hold the per-frame
+// certificates of quick-scale runs and the rank evidence of a
+// hand-crossed frame to the values of a certificate built from a fresh
+// unpruned plane.
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"stabledispatch/internal/dispatch"
+	"stabledispatch/internal/dtrace"
+	"stabledispatch/internal/exp"
+	"stabledispatch/internal/fleet"
+	"stabledispatch/internal/geo"
+	"stabledispatch/internal/pref"
+	"stabledispatch/internal/share"
+	"stabledispatch/internal/sim"
+	"stabledispatch/internal/trace"
+)
+
+// withTracing runs fn with decision tracing on and a clean default
+// recorder, switching it off and clearing it afterwards.
+func withTracing(t *testing.T, fn func(rec *dtrace.Recorder)) {
+	t.Helper()
+	dtrace.SetEnabled(true)
+	dtrace.Default().Reset()
+	defer func() {
+		dtrace.SetEnabled(false)
+		dtrace.Default().Reset()
+	}()
+	fn(dtrace.Default())
+}
+
+func TestTracedQuickScaleCertificates(t *testing.T) {
+	o := exp.QuickOptions()
+	packCfg := share.PackConfig{Theta: o.Theta, MaxGroupSize: 3, PairRadius: 2 * o.Theta}
+	cases := []struct {
+		algo string
+		make func() sim.Dispatcher
+		// frames, unstable and matched summarise the certificates;
+		// digest covers every frame's (Frame, Stable, Matched,
+		// Requests, Taxis).
+		frames, unstable, matched int
+		digest                    string
+	}{
+		{"NSTD-P", func() sim.Dispatcher { return dispatch.NewNSTDP() }, 121, 0, 62, "4f9593890efec49c"},
+		{"STD-P", func() sim.Dispatcher { return dispatch.NewSTDP(packCfg) }, 121, 2, 62, "499d1cca52f5834f"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.algo, func(t *testing.T) {
+			withTracing(t, func(rec *dtrace.Recorder) {
+				reqs, taxis, err := exp.Workload(trace.Boston(), 13500, 200, o)
+				if err != nil {
+					t.Fatalf("workload: %v", err)
+				}
+				s, err := sim.New(sim.Config{
+					Params:         o.Params,
+					Dispatcher:     tc.make(),
+					PatienceFrames: o.PatienceMinutes,
+					Workers:        o.Workers,
+				}, taxis, reqs)
+				if err != nil {
+					t.Fatalf("sim.New: %v", err)
+				}
+				if _, err := s.Run(); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				h := sha256.New()
+				frames, unstable, matched := 0, 0, 0
+				for _, fr := range rec.CertifiedFrames() {
+					c, _ := rec.Certificate(fr)
+					fmt.Fprintf(h, "%d %v %d %d %d\n", c.Frame, c.Stable, c.Matched, c.Requests, c.Taxis)
+					frames++
+					matched += c.Matched
+					if !c.Stable {
+						unstable++
+					}
+				}
+				digest := hex.EncodeToString(h.Sum(nil))[:16]
+				if frames != tc.frames || unstable != tc.unstable || matched != tc.matched || digest != tc.digest {
+					t.Errorf("certificates: %d frames, %d unstable, %d matched, digest %s; want %d, %d, %d, %s",
+						frames, unstable, matched, digest, tc.frames, tc.unstable, tc.matched, tc.digest)
+				}
+			})
+		})
+	}
+}
+
+// crossedDispatcher hands request k to taxi 1−k: against both sides'
+// preferences when each request's pickup sits next to the taxi of the
+// same index.
+type crossedDispatcher struct{}
+
+func (crossedDispatcher) Name() string { return "crossed" }
+
+func (crossedDispatcher) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
+	if len(f.Requests) != 2 {
+		return nil, nil
+	}
+	return []fleet.Assignment{
+		fleet.SingleRide(f.Taxis[1].ID, f.Requests[0]),
+		fleet.SingleRide(f.Taxis[0].ID, f.Requests[1]),
+	}, nil
+}
+
+// TestCertifyFrameHandCrossedBlockingPair commits a crossed 2×2 matching
+// with a third taxi beyond the prune radius and checks the frame's
+// certificate names the blocking pair with the ranks a certificate over
+// the unpruned instance reports.
+func TestCertifyFrameHandCrossedBlockingPair(t *testing.T) {
+	reqs := []fleet.Request{
+		{ID: 10, Pickup: geo.Point{X: 0, Y: 0}, Dropoff: geo.Point{X: 20, Y: 0}, Seats: 1},
+		{ID: 11, Pickup: geo.Point{X: 9, Y: 0}, Dropoff: geo.Point{X: 9, Y: 20}, Seats: 1},
+	}
+	taxis := []fleet.Taxi{
+		{ID: 20, Pos: geo.Point{X: 0, Y: 1}, Seats: 3},
+		{ID: 21, Pos: geo.Point{X: 9, Y: 1}, Seats: 3},
+		{ID: 22, Pos: geo.Point{X: 50, Y: 50}, Seats: 3},
+	}
+	params := pref.DefaultParams()
+	inst, err := pref.NewInstance(reqs, taxis, geo.EuclidMetric, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dtrace.Certify(0, &inst.Market, []int{1, 0}, []int{10, 11}, []int{20, 21, 22})
+	if want.ViolationsTotal == 0 {
+		t.Fatal("reference certificate finds no violation")
+	}
+
+	withTracing(t, func(rec *dtrace.Recorder) {
+		s, err := sim.New(sim.Config{Params: params, Dispatcher: crossedDispatcher{}, Metric: geo.EuclidMetric}, taxis, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := rec.Certificate(0)
+		if !ok {
+			t.Fatal("frame 0 not certified")
+		}
+		if got.Stable || got.ViolationsTotal != want.ViolationsTotal || got.Matched != 2 || got.Taxis != 3 {
+			t.Fatalf("certificate %+v, want %d violations over 2 matched of 3 taxis", got, want.ViolationsTotal)
+		}
+		for k, v := range got.Violations {
+			if v != want.Violations[k] {
+				t.Errorf("violation %d = %+v, want %+v", k, v, want.Violations[k])
+			}
+		}
+		v := got.Violations[0]
+		if v.RequestID != 10 || v.TaxiID != 20 || v.ReqRank != 0 || v.ReqPartnerRank != 1 || v.TaxiRank != 0 || v.TaxiPartnerRank != 1 {
+			t.Errorf("first violation %+v, want (r10, t20) at ranks 0 over partners at 1", v)
+		}
+	})
+}

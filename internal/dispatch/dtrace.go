@@ -13,9 +13,9 @@ import (
 // Decision tracing for the matching stage. Package stable reports
 // decisions in market indices; frameTracer translates them into fleet
 // IDs and preference ranks and records them on each affected request's
-// trace. Everything here is built only when tracing is enabled — the
-// rank tables cost O(R·T) per traced frame — and the untraced path pays
-// one atomic load in newFrameTracer.
+// trace. A rank is a position on a market preference list, looked up
+// per event. Everything here runs only when tracing is enabled; the
+// untraced path pays one atomic load in newFrameTracer.
 
 // traceTopCandidates bounds the per-request shortlist recorded at
 // preference-build time.
@@ -31,10 +31,6 @@ type frameTracer struct {
 	mk        *pref.Market
 	memberIDs [][]int
 	taxiIDs   []int
-	// reqRank[j][i] is taxi i's rank on request j's list (-1 when not
-	// mutually acceptable); taxiRank[i][j] mirrors it.
-	reqRank  [][]int
-	taxiRank [][]int
 }
 
 // newFrameTracer returns a tracer for the frame, or nil when tracing is
@@ -52,30 +48,9 @@ func newFrameTracer(frame int, mk *pref.Market, memberIDs [][]int, taxiIDs []int
 		mk:        mk,
 		memberIDs: memberIDs,
 		taxiIDs:   taxiIDs,
-		reqRank:   make([][]int, mk.NumRequests()),
-		taxiRank:  make([][]int, mk.NumTaxis()),
-	}
-	for j := range t.reqRank {
-		t.reqRank[j] = rankTable(mk.NumTaxis(), mk.ReqPrefList(j))
-	}
-	for i := range t.taxiRank {
-		t.taxiRank[i] = rankTable(mk.NumRequests(), mk.TaxiPrefList(i))
 	}
 	t.recordCandidates()
 	return t
-}
-
-// rankTable inverts a preference list into a rank lookup (-1 = behind a
-// dummy).
-func rankTable(n int, prefList []int) []int {
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = -1
-	}
-	for rank, idx := range prefList {
-		ranks[idx] = rank
-	}
-	return ranks
 }
 
 // membersOf returns the fleet request IDs behind proposer-side index j.
@@ -122,7 +97,7 @@ func (t *frameTracer) record(j int, e dtrace.Event) {
 func (t *frameTracer) recordCandidates() {
 	pool := t.mk.NumTaxis()
 	for j := 0; j < t.mk.NumRequests(); j++ {
-		list := t.mk.ReqPrefList(j)
+		list := t.mk.ReqEntries(j)
 		e := dtrace.Ev(dtrace.KindCandidates)
 		e.Acceptable = len(list)
 		e.Pool = pool
@@ -137,12 +112,12 @@ func (t *frameTracer) recordCandidates() {
 		if len(top) > traceTopCandidates {
 			top = top[:traceTopCandidates]
 		}
-		for rank, i := range top {
+		for rank, c := range top {
 			e.Candidates = append(e.Candidates, dtrace.Candidate{
-				TaxiID:   t.taxiID(i),
+				TaxiID:   t.taxiID(c.Partner),
 				Rank:     rank,
-				PickupKm: t.mk.ReqCost[j][i],
-				NetKm:    t.mk.TaxiCost[i][j],
+				PickupKm: c.ReqCost,
+				NetKm:    c.TaxiCost,
 			})
 		}
 		t.record(j, e)
@@ -174,12 +149,12 @@ func (t *frameTracer) observer(taxiProposing bool) *stable.Observer {
 func (t *frameTracer) reqProposal(j, i, rival int, outcome string) {
 	e := dtrace.Ev(dtrace.KindPropose)
 	e.TaxiID = t.taxiID(i)
-	e.ReqRank = t.reqRank[j][i]
-	e.TaxiRank = t.taxiRank[i][j]
+	e.ReqRank = t.mk.ReqRank(j, i)
+	e.TaxiRank = t.mk.TaxiRank(i, j)
 	e.Outcome = outcome
 	if rival != stable.Unmatched {
 		e.RivalID = t.firstMember(rival)
-		e.RivalRank = t.taxiRank[i][rival]
+		e.RivalRank = t.mk.TaxiRank(i, rival)
 	}
 	switch outcome {
 	case "accepted":
@@ -199,10 +174,10 @@ func (t *frameTracer) reqProposal(j, i, rival int, outcome string) {
 	if outcome == "displaced" && rival != stable.Unmatched {
 		d := dtrace.Ev(dtrace.KindDisplaced)
 		d.TaxiID = e.TaxiID
-		d.ReqRank = t.reqRank[rival][i]
-		d.TaxiRank = t.taxiRank[i][rival]
+		d.ReqRank = t.mk.ReqRank(rival, i)
+		d.TaxiRank = t.mk.TaxiRank(i, rival)
 		d.RivalID = t.firstMember(j)
-		d.RivalRank = t.taxiRank[i][j]
+		d.RivalRank = t.mk.TaxiRank(i, j)
 		d.Outcome = "displaced"
 		d.Detail = fmt.Sprintf("lost taxi %d to request %d, which the taxi ranks #%d (this request ranked #%d); resuming proposals",
 			d.TaxiID, d.RivalID, d.RivalRank, d.TaxiRank)
@@ -224,11 +199,11 @@ func (t *frameTracer) reqExhausted(j int) {
 func (t *frameTracer) taxiProposal(i, j, rival int, outcome string) {
 	e := dtrace.Ev(dtrace.KindPropose)
 	e.TaxiID = t.taxiID(i)
-	e.ReqRank = t.reqRank[j][i]
-	e.TaxiRank = t.taxiRank[i][j]
+	e.ReqRank = t.mk.ReqRank(j, i)
+	e.TaxiRank = t.mk.TaxiRank(i, j)
 	if rival != stable.Unmatched {
 		e.RivalID = t.taxiID(rival)
-		e.RivalRank = t.reqRank[j][rival]
+		e.RivalRank = t.mk.ReqRank(j, rival)
 	}
 	switch outcome {
 	case "accepted":

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/stable"
 )
 
 // MaxViolations caps the violating pairs stored in one certificate; the
@@ -11,10 +12,6 @@ import (
 // blocking pairs and one example with evidence is what an operator acts
 // on, not ten thousand.
 const MaxViolations = 64
-
-// unmatched mirrors stable.Unmatched without importing package stable
-// (stable is below dtrace in the dependency order).
-const unmatched = -1
 
 // BlockingPair is one stability violation with its rank evidence: a
 // request and taxi that both prefer each other over their realized
@@ -72,74 +69,49 @@ func Trivial(frame, requests, taxis int, note string) *Certificate {
 // Certify runs the blocking-pair scan over a realized matching.
 // reqPartner[j] is the market index of the taxi matched to request j
 // (or -1), exactly the shape of stable.Matching.ReqPartner; reqIDs and
-// taxiIDs map market indices to fleet IDs for the evidence. The test is
-// Definition 1 with the same strict tie-breaks as stable.IsStable: an
-// unmatched side (dummy partner) prefers any mutually acceptable
-// counterparty.
+// taxiIDs map market indices to fleet IDs for the evidence. The scan is
+// stable.EachBlockingPair, the Definition 1 test behind stable.IsStable:
+// an unmatched side (dummy partner) prefers any mutually acceptable
+// counterparty. It walks the market's stored pairs only.
 func Certify(frame int, mk *pref.Market, reqPartner, reqIDs, taxiIDs []int) *Certificate {
 	r, t := mk.NumRequests(), mk.NumTaxis()
 	c := &Certificate{Frame: frame, Stable: true, Requests: r, Taxis: t}
-
-	// taxiPartner inverts reqPartner so the taxi side of the scan is
-	// O(1) per pair.
-	taxiPartner := make([]int, t)
-	for i := range taxiPartner {
-		taxiPartner[i] = unmatched
-	}
-	for j := 0; j < r; j++ {
-		i := reqPartner[j]
-		if i == unmatched {
-			continue
-		}
-		c.Matched++
-		taxiPartner[i] = j
-		if !mk.MutualOK(j, i) {
-			c.addViolation(mk, reqPartner, taxiPartner, reqIDs, taxiIDs, j, i, "irrational")
+	m := stable.NewMatching(r, t)
+	for j, i := range reqPartner {
+		if i != stable.Unmatched {
+			c.Matched++
+			m.ReqPartner[j] = i
+			m.TaxiPartner[i] = j
 		}
 	}
-
-	for j := 0; j < r; j++ {
-		for i := 0; i < t; i++ {
-			if reqPartner[j] == i || !mk.MutualOK(j, i) {
-				continue
-			}
-			jWants := reqPartner[j] == unmatched || mk.ReqPrefers(j, i, reqPartner[j])
-			if !jWants {
-				continue
-			}
-			iWants := taxiPartner[i] == unmatched || mk.TaxiPrefers(i, j, taxiPartner[i])
-			if iWants {
-				c.addViolation(mk, reqPartner, taxiPartner, reqIDs, taxiIDs, j, i, "blocking_pair")
-			}
-		}
-	}
+	stable.EachBlockingPair(mk, m, func(b stable.BlockingPair) bool {
+		c.addViolation(mk, b, reqIDs, taxiIDs)
+		return true
+	})
 	return c
 }
 
-// addViolation records one violating pair, computing the rank evidence
-// lazily (only violations pay the O(R+T) rank scans).
-func (c *Certificate) addViolation(mk *pref.Market, reqPartner, taxiPartner, reqIDs, taxiIDs []int, j, i int, reason string) {
+// addViolation records one violating pair with its rank evidence: each
+// side's position of the other and of its realized partner on its
+// preference list, -1 for a pair behind a dummy or an unmatched side.
+func (c *Certificate) addViolation(mk *pref.Market, b stable.BlockingPair, reqIDs, taxiIDs []int) {
 	c.Stable = false
 	c.ViolationsTotal++
 	if len(c.Violations) >= MaxViolations {
 		return
 	}
+	j, i := b.Request, b.Taxi
 	bp := BlockingPair{
 		RequestID:       idOf(reqIDs, j),
 		TaxiID:          idOf(taxiIDs, i),
-		Reason:          reason,
-		ReqRank:         reqRank(mk, j, i),
-		ReqPartnerRank:  -1,
-		TaxiRank:        taxiRank(mk, i, j),
-		TaxiPartnerRank: -1,
+		Reason:          "blocking_pair",
+		ReqRank:         mk.ReqRank(j, i),
+		ReqPartnerRank:  mk.ReqRank(j, b.ReqPartner),
+		TaxiRank:        mk.TaxiRank(i, j),
+		TaxiPartnerRank: mk.TaxiRank(i, b.TaxiPartner),
 	}
-	if p := reqPartner[j]; p != unmatched {
-		bp.ReqPartnerRank = reqRank(mk, j, p)
-	}
-	if p := taxiPartner[i]; p != unmatched {
-		bp.TaxiPartnerRank = taxiRank(mk, i, p)
-	}
-	if reason == "irrational" {
+	if b.Irrational() {
+		bp.Reason = "irrational"
 		bp.Detail = fmt.Sprintf("request %d and taxi %d are matched but behind a dummy partner (individually irrational)",
 			bp.RequestID, bp.TaxiID)
 	} else {
@@ -148,36 +120,6 @@ func (c *Certificate) addViolation(mk *pref.Market, reqPartner, taxiPartner, req
 			bp.TaxiID, rankWord(bp.TaxiRank), rankWord(bp.TaxiPartnerRank))
 	}
 	c.Violations = append(c.Violations, bp)
-}
-
-// reqRank returns taxi i's rank on request j's preference list: the
-// number of mutually acceptable taxis j strictly prefers over i
-// (0 = most preferred), or -1 when the pair is not mutually acceptable.
-func reqRank(mk *pref.Market, j, i int) int {
-	if !mk.MutualOK(j, i) {
-		return -1
-	}
-	rank := 0
-	for k := 0; k < mk.NumTaxis(); k++ {
-		if k != i && mk.MutualOK(j, k) && mk.ReqPrefers(j, k, i) {
-			rank++
-		}
-	}
-	return rank
-}
-
-// taxiRank mirrors reqRank on the taxi's list.
-func taxiRank(mk *pref.Market, i, j int) int {
-	if !mk.MutualOK(j, i) {
-		return -1
-	}
-	rank := 0
-	for k := 0; k < mk.NumRequests(); k++ {
-		if k != j && mk.MutualOK(k, i) && mk.TaxiPrefers(i, k, j) {
-			rank++
-		}
-	}
-	return rank
 }
 
 func idOf(ids []int, idx int) int {

@@ -10,13 +10,14 @@
 //
 // Dummy partners (the paper's "no dispatch" / "no service" entries) are
 // realised as acceptability thresholds: entries whose cost exceeds the
-// threshold sit behind the dummy and can never be stably matched.
+// threshold sit behind the dummy, are not stored in the Market, and can
+// never be stably matched.
 package pref
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/fleet"
@@ -81,86 +82,208 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Market is a two-sided matching instance: R requests and T taxis, each
-// side holding a cost it assigns to every counterparty (lower is better)
-// and an acceptability bit (false means the counterparty sits behind the
-// dummy entry). Preference orders are strict: cost ties are broken by the
-// counterparty's index, which keeps every algorithm in package stable
-// deterministic.
+// Market is a two-sided matching instance between R requests and T
+// taxis that stores only the mutually acceptable pairs. A pair behind
+// either side's dummy is never proposed to and never matched (Theorem 1,
+// Property 1), so it carries no information the matching needs; on a
+// city frame that leaves a few percent of the R·T cells.
+//
+// The pairs sit in compressed-row form, once per side. Request j's
+// entries are byReq[reqStart[j]:reqStart[j+1]], most preferred first:
+// lowest request cost, ties to the lower taxi index. Taxi i's entries are
+// byTaxi[taxiStart[i]:taxiStart[i+1]]: lowest taxi cost, ties to the
+// lower request index. Every entry carries both sides' costs, so the
+// receiving side of a proposal compares costs without a lookup. A
+// counterparty behind the dummy ranks after every acceptable one, and
+// such counterparties rank among themselves by index. The orders are
+// strict, which keeps every algorithm in package stable deterministic.
 type Market struct {
-	// ReqCost[j][i] is the cost request j assigns taxi i; for the
-	// non-sharing model this is D(t_i, r_j^s), which is also the
-	// passenger-dissatisfaction metric of the paper.
-	ReqCost [][]float64
-	// TaxiCost[i][j] is the cost taxi i assigns request j; for the
-	// non-sharing model this is D(t_i, r_j^s) − α·D(r_j^s, r_j^d), the
-	// taxi-dissatisfaction metric.
-	TaxiCost [][]float64
-	// ReqOK[j][i] reports whether taxi i is ahead of request j's dummy.
-	ReqOK [][]bool
-	// TaxiOK[i][j] reports whether request j is ahead of taxi i's dummy.
-	TaxiOK [][]bool
+	reqStart, taxiStart []int
+	byReq, byTaxi       []Entry
 }
 
-// MakeMarket returns a Market with all four matrices carved from two
-// backing slabs (one float64, one bool). Markets are rebuilt every
-// frame, so a row-per-allocation layout would dominate the frame's
-// allocation profile; the slab layout costs six allocations regardless
-// of size.
-func MakeMarket(nReq, nTaxi int) Market {
-	m := Market{
-		ReqCost:  make([][]float64, nReq),
-		TaxiCost: make([][]float64, nTaxi),
-		ReqOK:    make([][]bool, nReq),
-		TaxiOK:   make([][]bool, nTaxi),
+// Entry is one mutually acceptable pair as it sits on one side's
+// preference list.
+type Entry struct {
+	// Partner is the counterparty: a taxi index on a request's list, a
+	// request index on a taxi's list.
+	Partner int
+	// ReqCost is the cost the request assigns the taxi; for the
+	// non-sharing model this is D(t_i, r_j^s), which is also the
+	// passenger-dissatisfaction metric of the paper.
+	ReqCost float64
+	// TaxiCost is the cost the taxi assigns the request; for the
+	// non-sharing model this is D(t_i, r_j^s) − α·D(r_j^s, r_j^d), the
+	// taxi-dissatisfaction metric.
+	TaxiCost float64
+}
+
+// Pair is one mutually acceptable request–taxi pair with both sides'
+// costs, the input of NewMarket.
+type Pair struct {
+	Req, Taxi         int
+	ReqCost, TaxiCost float64
+}
+
+// Better reports whether a counterparty with index k1 at cost c1 is
+// strictly preferred over k2 at cost c2: the lower cost wins and a cost
+// tie goes to the lower index. Both sides of every market order their
+// lists this way.
+func Better(c1 float64, k1 int, c2 float64, k2 int) bool { return order(c1, k1, c2, k2) < 0 }
+
+// order is Better as a three-way comparison, for sorting.
+func order(c1 float64, k1 int, c2 float64, k2 int) int {
+	switch {
+	case c1 < c2:
+		return -1
+	case c1 > c2:
+		return 1
 	}
-	floats := make([]float64, 2*nReq*nTaxi)
-	bools := make([]bool, 2*nReq*nTaxi)
-	for j := 0; j < nReq; j++ {
-		m.ReqCost[j] = floats[j*nTaxi : (j+1)*nTaxi : (j+1)*nTaxi]
-		m.ReqOK[j] = bools[j*nTaxi : (j+1)*nTaxi : (j+1)*nTaxi]
+	return k1 - k2
+}
+
+// NewMarket returns the market whose mutually acceptable pairs are
+// pairs, given in any order; every other request–taxi pair sits behind a
+// dummy. It panics on an index outside the nReq × nTaxi market; Validate
+// reports duplicate pairs and NaN costs.
+func NewMarket(nReq, nTaxi int, pairs []Pair) *Market {
+	taxiStart := make([]int, nTaxi+1)
+	for _, p := range pairs {
+		if p.Req < 0 || p.Req >= nReq || p.Taxi < 0 || p.Taxi >= nTaxi {
+			panic(fmt.Sprintf("pref: pair (r%d, t%d) outside a %dx%d market", p.Req, p.Taxi, nReq, nTaxi))
+		}
+		taxiStart[p.Taxi+1]++
 	}
-	base := nReq * nTaxi
 	for i := 0; i < nTaxi; i++ {
-		m.TaxiCost[i] = floats[base+i*nReq : base+(i+1)*nReq : base+(i+1)*nReq]
-		m.TaxiOK[i] = bools[base+i*nReq : base+(i+1)*nReq : base+(i+1)*nReq]
+		taxiStart[i+1] += taxiStart[i]
+	}
+	next := slices.Clone(taxiStart[:nTaxi])
+	byTaxi := make([]Entry, len(pairs))
+	for _, p := range pairs {
+		byTaxi[next[p.Taxi]] = Entry{Partner: p.Req, ReqCost: p.ReqCost, TaxiCost: p.TaxiCost}
+		next[p.Taxi]++
+	}
+	m := assemble(nReq, taxiStart, byTaxi)
+	return &m
+}
+
+// BuildMarket assembles a market in one pass over the taxis. For taxi i,
+// accept appends to dst the requests whose pair with i is mutually
+// acceptable and returns dst; costs returns both sides' costs of a pair
+// accept kept. accept may read every one of the R·T cells, but only the
+// accepted pairs are ever stored.
+func BuildMarket(nReq, nTaxi int, accept func(i int, dst []int32) []int32, costs func(i, j int) (reqCost, taxiCost float64)) Market {
+	taxiStart := make([]int, nTaxi+1)
+	var kept []int32
+	for i := 0; i < nTaxi; i++ {
+		kept = accept(i, kept)
+		taxiStart[i+1] = len(kept)
+	}
+	byTaxi := make([]Entry, len(kept))
+	for i := 0; i < nTaxi; i++ {
+		for k := taxiStart[i]; k < taxiStart[i+1]; k++ {
+			j := int(kept[k])
+			rc, tc := costs(i, j)
+			byTaxi[k] = Entry{Partner: j, ReqCost: rc, TaxiCost: tc}
+		}
+	}
+	return assemble(nReq, taxiStart, byTaxi)
+}
+
+// assemble completes a market from its taxi-side entries, grouped by taxi
+// in taxiStart's rows but in any order within a row: it sorts every
+// taxi's row into preference order and derives the request-side rows by
+// a counting sort on the request index.
+func assemble(nReq int, taxiStart []int, byTaxi []Entry) Market {
+	m := Market{
+		reqStart:  make([]int, nReq+1),
+		taxiStart: taxiStart,
+		byReq:     make([]Entry, len(byTaxi)),
+		byTaxi:    byTaxi,
+	}
+	for _, e := range byTaxi {
+		m.reqStart[e.Partner+1]++
+	}
+	for j := 0; j < nReq; j++ {
+		m.reqStart[j+1] += m.reqStart[j]
+	}
+	next := slices.Clone(m.reqStart[:nReq])
+	for i := 0; i < m.NumTaxis(); i++ {
+		row := m.TaxiEntries(i)
+		for _, e := range row {
+			m.byReq[next[e.Partner]] = Entry{Partner: i, ReqCost: e.ReqCost, TaxiCost: e.TaxiCost}
+			next[e.Partner]++
+		}
+		slices.SortFunc(row, func(a, b Entry) int { return order(a.TaxiCost, a.Partner, b.TaxiCost, b.Partner) })
+	}
+	for j := 0; j < nReq; j++ {
+		slices.SortFunc(m.ReqEntries(j), func(a, b Entry) int { return order(a.ReqCost, a.Partner, b.ReqCost, b.Partner) })
 	}
 	return m
 }
 
 // NumRequests returns R.
-func (m *Market) NumRequests() int { return len(m.ReqCost) }
+func (m *Market) NumRequests() int { return max(len(m.reqStart)-1, 0) }
 
 // NumTaxis returns T.
-func (m *Market) NumTaxis() int { return len(m.TaxiCost) }
+func (m *Market) NumTaxis() int { return max(len(m.taxiStart)-1, 0) }
 
-// Validate checks that all matrices are consistently sized.
+// ReqEntries returns request j's mutually acceptable taxis, most
+// preferred first. The slice aliases the market; callers must not modify
+// it.
+func (m *Market) ReqEntries(j int) []Entry { return m.byReq[m.reqStart[j]:m.reqStart[j+1]] }
+
+// TaxiEntries returns taxi i's mutually acceptable requests, most
+// preferred first. The slice aliases the market; callers must not modify
+// it.
+func (m *Market) TaxiEntries(i int) []Entry { return m.byTaxi[m.taxiStart[i]:m.taxiStart[i+1]] }
+
+// ReqRank returns taxi i's position on request j's preference list (0 =
+// most preferred), or -1 when the pair is not mutually acceptable.
+func (m *Market) ReqRank(j, i int) int { return position(m.ReqEntries(j), i) }
+
+// TaxiRank returns request j's position on taxi i's preference list, or
+// -1 when the pair is not mutually acceptable.
+func (m *Market) TaxiRank(i, j int) int { return position(m.TaxiEntries(i), j) }
+
+func position(list []Entry, partner int) int {
+	for r, e := range list {
+		if e.Partner == partner {
+			return r
+		}
+	}
+	return -1
+}
+
+// Validate checks the market's invariants: row bounds that cover the
+// entries, in-range partners, no NaN cost, and every row strictly in
+// preference order, so that no pair is stored twice.
 func (m *Market) Validate() error {
 	r, t := m.NumRequests(), m.NumTaxis()
-	if len(m.ReqOK) != r || len(m.TaxiOK) != t {
-		return fmt.Errorf("pref: acceptability matrices sized %dx%d, want %dx%d",
-			len(m.ReqOK), len(m.TaxiOK), r, t)
+	if len(m.reqStart) != r+1 || len(m.taxiStart) != t+1 || m.reqStart[r] != len(m.byReq) || m.taxiStart[t] != len(m.byTaxi) {
+		return fmt.Errorf("pref: market rows disagree with its %d request / %d taxi entries", len(m.byReq), len(m.byTaxi))
+	}
+	check := func(side string, owner int, row []Entry, n int, cost func(Entry) float64) error {
+		for k, e := range row {
+			switch {
+			case e.Partner < 0 || e.Partner >= n:
+				return fmt.Errorf("pref: %s %d lists partner %d outside [0, %d)", side, owner, e.Partner, n)
+			case math.IsNaN(e.ReqCost) || math.IsNaN(e.TaxiCost):
+				return fmt.Errorf("pref: %s %d has a NaN cost for partner %d", side, owner, e.Partner)
+			case k > 0 && !Better(cost(row[k-1]), row[k-1].Partner, cost(e), e.Partner):
+				return fmt.Errorf("pref: %s %d lists partner %d out of preference order or twice", side, owner, e.Partner)
+			}
+		}
+		return nil
 	}
 	for j := 0; j < r; j++ {
-		if len(m.ReqCost[j]) != t || len(m.ReqOK[j]) != t {
-			return fmt.Errorf("pref: request %d has %d costs / %d accept bits, want %d",
-				j, len(m.ReqCost[j]), len(m.ReqOK[j]), t)
-		}
-		for i := 0; i < t; i++ {
-			if math.IsNaN(m.ReqCost[j][i]) {
-				return fmt.Errorf("pref: request %d cost for taxi %d is NaN", j, i)
-			}
+		if err := check("request", j, m.ReqEntries(j), t, func(e Entry) float64 { return e.ReqCost }); err != nil {
+			return err
 		}
 	}
 	for i := 0; i < t; i++ {
-		if len(m.TaxiCost[i]) != r || len(m.TaxiOK[i]) != r {
-			return fmt.Errorf("pref: taxi %d has %d costs / %d accept bits, want %d",
-				i, len(m.TaxiCost[i]), len(m.TaxiOK[i]), r)
-		}
-		for j := 0; j < r; j++ {
-			if math.IsNaN(m.TaxiCost[i][j]) {
-				return fmt.Errorf("pref: taxi %d cost for request %d is NaN", i, j)
-			}
+		if err := check("taxi", i, m.TaxiEntries(i), r, func(e Entry) float64 { return e.TaxiCost }); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -168,57 +291,50 @@ func (m *Market) Validate() error {
 
 // MutualOK reports whether request j and taxi i are each ahead of the
 // other's dummy entry; only such pairs can appear in a stable matching.
-func (m *Market) MutualOK(j, i int) bool {
-	return m.ReqOK[j][i] && m.TaxiOK[i][j]
-}
+// It scans request j's list.
+func (m *Market) MutualOK(j, i int) bool { return m.ReqRank(j, i) >= 0 }
 
 // ReqPrefers reports whether request j strictly prefers taxi i1 over i2.
 func (m *Market) ReqPrefers(j, i1, i2 int) bool {
-	c1, c2 := m.ReqCost[j][i1], m.ReqCost[j][i2]
-	if c1 != c2 {
-		return c1 < c2
-	}
-	return i1 < i2
+	return rankBefore(m.ReqRank(j, i1), i1, m.ReqRank(j, i2), i2)
 }
 
 // TaxiPrefers reports whether taxi i strictly prefers request j1 over j2.
 func (m *Market) TaxiPrefers(i, j1, j2 int) bool {
-	c1, c2 := m.TaxiCost[i][j1], m.TaxiCost[i][j2]
-	if c1 != c2 {
-		return c1 < c2
+	return rankBefore(m.TaxiRank(i, j1), j1, m.TaxiRank(i, j2), j2)
+}
+
+// rankBefore orders two counterparties by list position, one behind the
+// dummy (rank -1) after every acceptable one and by index among
+// themselves.
+func rankBefore(r1, k1, r2, k2 int) bool {
+	if r1 < 0 {
+		r1 = math.MaxInt
 	}
-	return j1 < j2
+	if r2 < 0 {
+		r2 = math.MaxInt
+	}
+	if r1 != r2 {
+		return r1 < r2
+	}
+	return k1 < k2
 }
 
 // ReqPrefList returns request j's preference list: the mutually
-// acceptable taxis sorted from most to least preferred. Taxis behind
-// either dummy are omitted (they can never be stably matched to j).
-func (m *Market) ReqPrefList(j int) []int {
-	var list []int
-	for i := 0; i < m.NumTaxis(); i++ {
-		if m.MutualOK(j, i) {
-			list = append(list, i)
-		}
-	}
-	sort.Slice(list, func(a, b int) bool {
-		return m.ReqPrefers(j, list[a], list[b])
-	})
-	return list
-}
+// acceptable taxis from most to least preferred. Taxis behind either
+// dummy are omitted (they can never be stably matched to j).
+func (m *Market) ReqPrefList(j int) []int { return partners(m.ReqEntries(j)) }
 
 // TaxiPrefList returns taxi i's preference list: the mutually acceptable
-// requests sorted from most to least preferred.
-func (m *Market) TaxiPrefList(i int) []int {
-	var list []int
-	for j := 0; j < m.NumRequests(); j++ {
-		if m.MutualOK(j, i) {
-			list = append(list, j)
-		}
+// requests from most to least preferred.
+func (m *Market) TaxiPrefList(i int) []int { return partners(m.TaxiEntries(i)) }
+
+func partners(list []Entry) []int {
+	out := make([]int, len(list))
+	for k, e := range list {
+		out[k] = e.Partner
 	}
-	sort.Slice(list, func(a, b int) bool {
-		return m.TaxiPrefers(i, list[a], list[b])
-	})
-	return list
+	return out
 }
 
 // Instance is a non-sharing dispatch instance: the market derived from
@@ -274,22 +390,34 @@ func FromPlane(pl *costplane.Plane, params Params) (*Instance, error) {
 	return inst, nil
 }
 
+// buildNonSharingMarket keeps a pair iff the taxi has the seats, the
+// pickup distance is within params.MaxPickup and the taxi's net cost is
+// within params.MaxNet. The scan reads every cell of the plane's taxi
+// rows; a pruned cell reads +Inf and fails a finite pickup threshold.
 func buildNonSharingMarket(inst *Instance) Market {
-	r, t := len(inst.Requests), len(inst.Taxis)
-	m := MakeMarket(r, t)
-	for i, taxi := range inst.Taxis {
-		for j, req := range inst.Requests {
-			pickup := inst.PickupDist[i][j]
-			net := pickup - inst.Params.Alpha*inst.TripDist[j]
-			seatsOK := taxi.Capacity() >= req.SeatCount()
-
-			m.ReqCost[j][i] = pickup
-			m.TaxiCost[i][j] = net
-			m.ReqOK[j][i] = seatsOK && pickup <= inst.Params.MaxPickup
-			m.TaxiOK[i][j] = seatsOK && net <= inst.Params.MaxNet
+	p := inst.Params
+	accept := func(i int, dst []int32) []int32 {
+		seats := inst.Taxis[i].Capacity()
+		for j, pickup := range inst.PickupDist[i] {
+			// Most cells fail the pickup threshold, so the net cost
+			// is computed only past it.
+			if pickup <= p.MaxPickup {
+				if _, net := inst.costs(i, j); net <= p.MaxNet && inst.Requests[j].SeatCount() <= seats {
+					dst = append(dst, int32(j))
+				}
+			}
 		}
+		return dst
 	}
-	return m
+	return BuildMarket(len(inst.Requests), len(inst.Taxis), accept, inst.costs)
+}
+
+// costs returns the §IV-A interest-model costs of taxi i serving
+// request j: D(t_i, r_j^s) for the passenger and
+// D(t_i, r_j^s) − α·D(r_j^s, r_j^d) for the driver.
+func (inst *Instance) costs(i, j int) (pickup, net float64) {
+	pickup = inst.PickupDist[i][j]
+	return pickup, pickup - inst.Params.Alpha*inst.TripDist[j]
 }
 
 // PassengerDissatisfaction returns the paper's non-sharing passenger

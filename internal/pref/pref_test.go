@@ -3,8 +3,10 @@ package pref
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 )
@@ -71,22 +73,36 @@ func TestInstanceDistances(t *testing.T) {
 	}
 }
 
+// entry returns the stored pair (j, i) as request j lists it.
+func entry(t *testing.T, m *Market, j, i int) Entry {
+	t.Helper()
+	k := m.ReqRank(j, i)
+	if k < 0 {
+		t.Fatalf("pair (r%d, t%d) is not stored", j, i)
+	}
+	return m.ReqEntries(j)[k]
+}
+
 func TestInterestModelCosts(t *testing.T) {
 	params := Unbounded()
 	params.Alpha = 2
 	inst := simpleInstance(t, params)
 
 	// Passenger cost is the pickup distance.
-	if got := inst.ReqCost[0][0]; got != 1 {
-		t.Errorf("ReqCost[0][0] = %v, want 1", got)
+	if got := entry(t, &inst.Market, 0, 0).ReqCost; got != 1 {
+		t.Errorf("ReqCost(r0, t0) = %v, want 1", got)
 	}
 	// Taxi cost is pickup - alpha * trip: 1 - 2*4 = -7.
-	if got := inst.TaxiCost[0][0]; got != -7 {
-		t.Errorf("TaxiCost[0][0] = %v, want -7", got)
+	if got := entry(t, &inst.Market, 0, 0).TaxiCost; got != -7 {
+		t.Errorf("TaxiCost(t0, r0) = %v, want -7", got)
 	}
 	// Taxi 1 serving request 0: 9 - 2*4 = 1.
-	if got := inst.TaxiCost[1][0]; got != 1 {
-		t.Errorf("TaxiCost[1][0] = %v, want 1", got)
+	if got := entry(t, &inst.Market, 0, 1).TaxiCost; got != 1 {
+		t.Errorf("TaxiCost(t1, r0) = %v, want 1", got)
+	}
+	// The taxi's list carries the same pair with the same costs.
+	if e := inst.TaxiEntries(1)[inst.TaxiRank(1, 0)]; e.ReqCost != 9 || e.TaxiCost != 1 {
+		t.Errorf("taxi 1's entry for r0 = %+v, want costs 9 and 1", e)
 	}
 }
 
@@ -96,24 +112,24 @@ func TestDummyThresholds(t *testing.T) {
 
 	// Taxi 1 is 9 km from request 0's pickup: behind the passenger
 	// dummy.
-	if inst.ReqOK[0][1] {
-		t.Error("ReqOK[0][1] = true, want false (beyond MaxPickup)")
+	if inst.MutualOK(0, 1) {
+		t.Error("MutualOK(0, 1) = true, want false (beyond MaxPickup)")
 	}
-	// Taxi 0 is 1 km away: acceptable.
-	if !inst.ReqOK[0][0] {
-		t.Error("ReqOK[0][0] = false, want true")
+	// Taxi 0 is 1 km away and nets 1 - 4 = -3 <= 0: acceptable to both.
+	if !inst.MutualOK(0, 0) {
+		t.Error("MutualOK(0, 0) = false, want true")
 	}
-	// Taxi 0 on request 0 nets 1 - 4 = -3 <= 0: acceptable to taxi.
-	if !inst.TaxiOK[0][0] {
-		t.Error("TaxiOK[0][0] = false, want true")
-	}
-	// Taxi 1 on request 1 nets 1 - 1 = 0 <= 0: acceptable.
-	if !inst.TaxiOK[1][1] {
-		t.Error("TaxiOK[1][1] = false, want true")
+	// Taxi 1 on request 1 is 1 km away and nets 1 - 1 = 0 <= 0:
+	// acceptable to both.
+	if !inst.MutualOK(1, 1) {
+		t.Error("MutualOK(1, 1) = false, want true")
 	}
 	// Taxi 0 on request 1 nets 9 - 1 = 8 > 0: behind the taxi dummy.
-	if inst.TaxiOK[0][1] {
-		t.Error("TaxiOK[0][1] = true, want false (beyond MaxNet)")
+	if inst.MutualOK(1, 0) {
+		t.Error("MutualOK(1, 0) = true, want false (beyond MaxNet)")
+	}
+	if got := len(inst.byReq); got != 2 {
+		t.Errorf("%d pairs stored, want 2", got)
 	}
 }
 
@@ -129,10 +145,10 @@ func TestSeatInfeasiblePairsBehindDummies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInstance: %v", err)
 	}
-	if inst.ReqOK[0][0] || inst.TaxiOK[0][0] {
+	if inst.MutualOK(0, 0) || inst.TaxiRank(0, 0) >= 0 {
 		t.Error("seat-infeasible pair (r0, t0) must be behind both dummies")
 	}
-	if !inst.ReqOK[0][1] || !inst.TaxiOK[1][0] {
+	if !inst.MutualOK(0, 1) || inst.TaxiRank(1, 0) != 0 {
 		t.Error("seat-feasible pair (r0, t1) must be acceptable")
 	}
 }
@@ -144,15 +160,19 @@ func TestMarketValidate(t *testing.T) {
 	}
 
 	bad := inst.Market
-	bad.ReqCost = bad.ReqCost[:1]
+	bad.reqStart = bad.reqStart[:1]
 	if err := bad.Validate(); err == nil {
-		t.Error("Validate accepted inconsistent matrix sizes")
+		t.Error("Validate accepted inconsistent row bounds")
 	}
 
-	nan := simpleInstance(t, DefaultParams()).Market
-	nan.TaxiCost[0][0] = math.NaN()
+	nan := NewMarket(1, 1, []Pair{{Req: 0, Taxi: 0, ReqCost: 1, TaxiCost: math.NaN()}})
 	if err := nan.Validate(); err == nil {
 		t.Error("Validate accepted NaN cost")
+	}
+
+	twice := NewMarket(1, 1, []Pair{{Req: 0, Taxi: 0, ReqCost: 1, TaxiCost: 2}, {Req: 0, Taxi: 0, ReqCost: 1, TaxiCost: 2}})
+	if err := twice.Validate(); err == nil {
+		t.Error("Validate accepted a pair stored twice")
 	}
 }
 
@@ -172,13 +192,12 @@ func TestPreferenceOrdering(t *testing.T) {
 }
 
 func TestTieBreakByIndex(t *testing.T) {
-	reqCost := [][]float64{{5, 5}}
-	taxiCost := [][]float64{{3}, {3}}
-	m := Market{
-		ReqCost:  reqCost,
-		TaxiCost: taxiCost,
-		ReqOK:    [][]bool{{true, true}},
-		TaxiOK:   [][]bool{{true}, {true}},
+	m := NewMarket(1, 2, []Pair{
+		{Req: 0, Taxi: 1, ReqCost: 5, TaxiCost: 3},
+		{Req: 0, Taxi: 0, ReqCost: 5, TaxiCost: 3},
+	})
+	if err := m.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
 	if !m.ReqPrefers(0, 0, 1) || m.ReqPrefers(0, 1, 0) {
 		t.Error("request tie must break toward the lower taxi index")
@@ -249,12 +268,19 @@ func TestCostsMatchDissatisfactionMetrics(t *testing.T) {
 	for i, taxi := range taxis {
 		for j, req := range reqs {
 			wantP := PassengerDissatisfaction(taxi.Pos, req, geo.EuclidMetric)
-			if got := inst.ReqCost[j][i]; math.Abs(got-wantP) > 1e-12 {
-				t.Fatalf("ReqCost[%d][%d] = %v, want %v", j, i, got, wantP)
-			}
 			wantT := TaxiDissatisfaction(taxi.Pos, req, geo.EuclidMetric, params.Alpha)
-			if got := inst.TaxiCost[i][j]; math.Abs(got-wantT) > 1e-12 {
-				t.Fatalf("TaxiCost[%d][%d] = %v, want %v", i, j, got, wantT)
+			if !inst.MutualOK(j, i) {
+				if wantP <= params.MaxPickup && wantT <= params.MaxNet {
+					t.Fatalf("pair (r%d, t%d) within both thresholds is not stored", j, i)
+				}
+				continue
+			}
+			e := entry(t, &inst.Market, j, i)
+			if got := e.ReqCost; math.Abs(got-wantP) > 1e-12 {
+				t.Fatalf("ReqCost(r%d, t%d) = %v, want %v", j, i, got, wantP)
+			}
+			if got := e.TaxiCost; math.Abs(got-wantT) > 1e-12 {
+				t.Fatalf("TaxiCost(t%d, r%d) = %v, want %v", i, j, got, wantT)
 			}
 		}
 	}
@@ -303,4 +329,73 @@ func TestSplitOversizedPassThrough(t *testing.T) {
 	if len(got) != 2 {
 		t.Errorf("maxSeats=0: got %d requests, want 2", len(got))
 	}
+}
+
+// TestFromPlaneAllocatesOnlyAcceptablePairs pins the sparse layout: on a
+// 400×400 plane with at most 2% mutually acceptable cells, building the
+// market allocates under an eighth of the R·T·18 bytes the dense layout
+// took (two float64 and two bool matrices).
+func TestFromPlaneAllocatesOnlyAcceptablePairs(t *testing.T) {
+	const n = 400
+	rng := rand.New(rand.NewSource(3))
+	pt := func() geo.Point { return geo.Point{X: rng.Float64() * 38, Y: rng.Float64() * 38} }
+	reqs := make([]fleet.Request, n)
+	taxis := make([]fleet.Taxi, n)
+	for k := 0; k < n; k++ {
+		reqs[k] = fleet.Request{ID: k, Pickup: pt(), Dropoff: pt()}
+		taxis[k] = fleet.Taxi{ID: k, Pos: pt()}
+	}
+	params := DefaultParams()
+	params.MaxPickup = 3
+	pl := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{Workers: 1, PruneRadius: params.MaxPickup})
+
+	const runs = 10
+	var inst *Instance
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < runs; k++ {
+		var err error
+		if inst, err = FromPlane(pl, params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+
+	frac := float64(len(inst.byReq)) / (n * n)
+	if frac == 0 || frac > 0.02 {
+		t.Fatalf("fixture has %.2f%% mutually acceptable cells, want (0, 2%%]", 100*frac)
+	}
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if dense := float64(n * n * 18); perRun >= dense/8 {
+		t.Errorf("FromPlane allocates %.0f bytes per build at %.2f%% acceptable, want under %.0f (1/8 of dense)", perRun, 100*frac, dense/8)
+	}
+	t.Logf("%.0f bytes per build, %d pairs (%.2f%%)", perRun, len(inst.byReq), 100*frac)
+}
+
+// BenchmarkFromPlane builds the market of a city-like 700-taxi ×
+// 400-request frame whose pickup threshold keeps a few percent of the
+// cells.
+func BenchmarkFromPlane(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	pt := func() geo.Point { return geo.Point{X: rng.Float64() * 110, Y: rng.Float64() * 110} }
+	reqs := make([]fleet.Request, 400)
+	for j := range reqs {
+		reqs[j] = fleet.Request{ID: j, Pickup: pt(), Dropoff: pt()}
+	}
+	taxis := make([]fleet.Taxi, 700)
+	for i := range taxis {
+		taxis[i] = fleet.Taxi{ID: i, Pos: pt()}
+	}
+	params := DefaultParams()
+	pl := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{Workers: 1, PruneRadius: params.MaxPickup})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var inst *Instance
+	for k := 0; k < b.N; k++ {
+		var err error
+		if inst, err = FromPlane(pl, params); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(inst.byReq))/float64(pl.Cells()), "acceptable/cell")
 }

@@ -150,18 +150,24 @@ func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near fun
 		for g, idx := range members {
 			sub[g] = reqs[idx]
 		}
+		// Trace details are formatted only with a live recorder: an
+		// untraced frame tries thousands of candidate groups.
 		plan, err := BestRoute(sub, m)
 		if err != nil {
-			traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "route_error",
-				fmt.Sprintf("no feasible shared route: %v", err))
+			if rec != nil {
+				traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "route_error",
+					fmt.Sprintf("no feasible shared route: %v", err))
+			}
 			return Group{}, false
 		}
 		soloSum := 0.0
 		for g, idx := range members {
 			soloTrip := solo(idx)
 			if d := plan.Detour(g, soloTrip); d > cfg.Theta {
-				traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "detour_exceeded",
-					fmt.Sprintf("rider r%d detour %.2f km exceeds θ=%.2f km on the best shared route", reqs[idx].ID, d, cfg.Theta))
+				if rec != nil {
+					traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "detour_exceeded",
+						fmt.Sprintf("rider r%d detour %.2f km exceeds θ=%.2f km on the best shared route", reqs[idx].ID, d, cfg.Theta))
+				}
 				return Group{}, false
 			}
 			soloSum += soloTrip
@@ -169,13 +175,17 @@ func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near fun
 		if !cfg.AllowChaining && plan.Length >= soloSum-1e-9 {
 			// The "shared" route saves nothing over driving the
 			// trips one after another: a chain, not a share.
-			traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "no_savings",
-				fmt.Sprintf("shared route %.2f km saves nothing over %.2f km of solo trips (chain)", plan.Length, soloSum))
+			if rec != nil {
+				traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "no_savings",
+					fmt.Sprintf("shared route %.2f km saves nothing over %.2f km of solo trips (chain)", plan.Length, soloSum))
+			}
 			return Group{}, false
 		}
-		traceGroup(rec, reqs, members, dtrace.KindGroupFormed, "feasible",
-			fmt.Sprintf("shared route %.2f km keeps every detour within θ=%.2f km, saving %.2f km vs solo trips",
-				plan.Length, cfg.Theta, soloSum-plan.Length))
+		if rec != nil {
+			traceGroup(rec, reqs, members, dtrace.KindGroupFormed, "feasible",
+				fmt.Sprintf("shared route %.2f km keeps every detour within θ=%.2f km, saving %.2f km vs solo trips",
+					plan.Length, cfg.Theta, soloSum-plan.Length))
+		}
 		return Group{Members: append([]int(nil), members...), Plan: plan}, true
 	}
 

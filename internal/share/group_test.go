@@ -281,10 +281,10 @@ func TestBuildMarketCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildMarket: %v", err)
 	}
-	if mk.ReqOK[0][0] || mk.TaxiOK[0][0] {
+	if mk.MutualOK(0, 0) || mk.TaxiRank(0, 0) >= 0 {
 		t.Error("3-seat group acceptable to 2-seat taxi")
 	}
-	if !mk.ReqOK[0][1] || !mk.TaxiOK[1][0] {
+	if !mk.MutualOK(0, 1) || mk.TaxiRank(1, 0) != 0 {
 		t.Error("3-seat group rejected by 4-seat taxi")
 	}
 }

@@ -197,36 +197,37 @@ func BuildMarketPlane(units []Unit, taxis []fleet.Taxi, pl *costplane.Plane, par
 }
 
 // buildMarket is the shared market core: solo returns a member's solo
-// trip distance, lead the taxi→unit-start distance.
+// trip distance, lead the taxi→unit-start distance. It stores only the
+// mutually acceptable pairs.
 func buildMarket(units []Unit, taxis []fleet.Taxi, params pref.Params, solo func(idx int) float64, lead func(i, k int) float64) (*pref.Market, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	nu, nt := len(units), len(taxis)
-	market := pref.MakeMarket(nu, nt)
-	mk := &market
+	nu := len(units)
 	// Both interest formulas decompose as lead-in distance plus a
 	// taxi-independent unit constant, so precompute the constants once
 	// per unit and spend exactly one distance lookup per (unit, taxi)
-	// pair — this is the per-frame hot loop of the sharing dispatchers.
+	// cell — this is the per-frame hot loop of the sharing dispatchers.
 	consts := make([]float64, 2*nu)
 	passengerConst, taxiConst := consts[:nu:nu], consts[nu:]
 	for k, u := range units {
 		passengerConst[k] = u.passengerCost(0, solo, params.Beta)
 		taxiConst[k] = u.taxiCost(0, solo, params.Alpha)
 	}
-	for i, taxi := range taxis {
-		for k, u := range units {
-			l := lead(i, k)
-			pc := l + passengerConst[k]
-			tc := l + taxiConst[k]
-			seatsOK := taxi.Capacity() >= u.Plan.MaxLoad
-
-			mk.ReqCost[k][i] = pc
-			mk.TaxiCost[i][k] = tc
-			mk.ReqOK[k][i] = seatsOK && pc <= params.MaxPickup
-			mk.TaxiOK[i][k] = seatsOK && tc <= params.MaxNet
-		}
+	costs := func(i, k int) (float64, float64) {
+		l := lead(i, k)
+		return l + passengerConst[k], l + taxiConst[k]
 	}
-	return mk, nil
+	accept := func(i int, dst []int32) []int32 {
+		seats := taxis[i].Capacity()
+		for k := range units {
+			l := lead(i, k)
+			if l+passengerConst[k] <= params.MaxPickup && l+taxiConst[k] <= params.MaxNet && units[k].Plan.MaxLoad <= seats {
+				dst = append(dst, int32(k))
+			}
+		}
+		return dst
+	}
+	market := pref.BuildMarket(nu, len(taxis), accept, costs)
+	return &market, nil
 }

@@ -1,0 +1,224 @@
+package share
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"stabledispatch/internal/costplane"
+	"stabledispatch/internal/fleet"
+	"stabledispatch/internal/geo"
+	"stabledispatch/internal/pref"
+)
+
+// denseReference is a market in the dense layout: both sides' cost of
+// every cell and both sides' acceptability bit. Its lists are the
+// mutually acceptable cells sorted by cost, ties to the lower index.
+type denseReference struct {
+	reqCost, taxiCost [][]float64 // [j][i] and [i][j]
+	reqOK, taxiOK     [][]bool    // [j][i] and [i][j]
+}
+
+func newDenseReference(nReq, nTaxi int) denseReference {
+	d := denseReference{
+		reqCost: make([][]float64, nReq), reqOK: make([][]bool, nReq),
+		taxiCost: make([][]float64, nTaxi), taxiOK: make([][]bool, nTaxi),
+	}
+	for j := range d.reqCost {
+		d.reqCost[j], d.reqOK[j] = make([]float64, nTaxi), make([]bool, nTaxi)
+	}
+	for i := range d.taxiCost {
+		d.taxiCost[i], d.taxiOK[i] = make([]float64, nReq), make([]bool, nReq)
+	}
+	return d
+}
+
+// set fills cell (j, i) with the two sides' costs under the dummy
+// thresholds: seatsOK && reqCost <= MaxPickup on the request side,
+// seatsOK && taxiCost <= MaxNet on the taxi side.
+func (d denseReference) set(j, i int, reqCost, taxiCost float64, seatsOK bool, p pref.Params) {
+	d.reqCost[j][i], d.taxiCost[i][j] = reqCost, taxiCost
+	d.reqOK[j][i] = seatsOK && reqCost <= p.MaxPickup
+	d.taxiOK[i][j] = seatsOK && taxiCost <= p.MaxNet
+}
+
+func (d denseReference) reqList(j int) []pref.Entry {
+	var list []pref.Entry
+	for i := range d.taxiCost {
+		if d.reqOK[j][i] && d.taxiOK[i][j] {
+			list = append(list, pref.Entry{Partner: i, ReqCost: d.reqCost[j][i], TaxiCost: d.taxiCost[i][j]})
+		}
+	}
+	sort.SliceStable(list, func(a, b int) bool { return list[a].ReqCost < list[b].ReqCost })
+	return list
+}
+
+func (d denseReference) taxiList(i int) []pref.Entry {
+	var list []pref.Entry
+	for j := range d.reqCost {
+		if d.reqOK[j][i] && d.taxiOK[i][j] {
+			list = append(list, pref.Entry{Partner: j, ReqCost: d.reqCost[j][i], TaxiCost: d.taxiCost[i][j]})
+		}
+	}
+	sort.SliceStable(list, func(a, b int) bool { return list[a].TaxiCost < list[b].TaxiCost })
+	return list
+}
+
+// sameEntries compares two lists entry by entry; +Inf costs compare
+// equal to themselves.
+func sameEntries(a, b []pref.Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k] != b[k] {
+			return false
+		}
+	}
+	return true
+}
+
+func (d denseReference) check(t *testing.T, what string, mk *pref.Market) {
+	t.Helper()
+	if err := mk.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if mk.NumRequests() != len(d.reqCost) || mk.NumTaxis() != len(d.taxiCost) {
+		t.Fatalf("%s: market is %dx%d, want %dx%d", what, mk.NumRequests(), mk.NumTaxis(), len(d.reqCost), len(d.taxiCost))
+	}
+	for j := range d.reqCost {
+		if want, got := d.reqList(j), mk.ReqEntries(j); !sameEntries(got, want) {
+			t.Fatalf("%s: request %d list\n got %v\nwant %v", what, j, got, want)
+		}
+	}
+	for i := range d.taxiCost {
+		if want, got := d.taxiList(i), mk.TaxiEntries(i); !sameEntries(got, want) {
+			t.Fatalf("%s: taxi %d list\n got %v\nwant %v", what, i, got, want)
+		}
+	}
+}
+
+// randomFrame draws requests and taxis on a small integer grid, so
+// distances tie often, with party sizes and seat counts that leave some
+// pairs seat-infeasible.
+func randomFrame(rng *rand.Rand) ([]fleet.Request, []fleet.Taxi) {
+	pt := func() geo.Point { return geo.Point{X: float64(rng.Intn(7)), Y: float64(rng.Intn(7))} }
+	reqs := make([]fleet.Request, 1+rng.Intn(7))
+	for j := range reqs {
+		reqs[j] = fleet.Request{ID: 100 + j, Pickup: pt(), Dropoff: pt(), Seats: rng.Intn(6)}
+	}
+	taxis := make([]fleet.Taxi, 1+rng.Intn(7))
+	for i := range taxis {
+		taxis[i] = fleet.Taxi{ID: 200 + i, Pos: pt(), Seats: rng.Intn(5)}
+	}
+	return reqs, taxis
+}
+
+// randomParams returns pref.Unbounded a quarter of the time and small
+// finite thresholds otherwise.
+func randomParams(rng *rand.Rand) pref.Params {
+	if rng.Intn(4) == 0 {
+		return pref.Unbounded()
+	}
+	p := pref.DefaultParams()
+	p.Alpha = float64(rng.Intn(3))
+	p.MaxPickup = float64(1 + rng.Intn(6))
+	p.MaxNet = float64(rng.Intn(5) - 2)
+	return p
+}
+
+// TestMarketConstructionMatchesDenseReference pins both market builders
+// to the dense construction on random small planes with pruned +Inf
+// cells (the prune radius is drawn independently of the thresholds, so
+// unbounded params meet pruned cells too), cost ties, seat-infeasible
+// pairs and unbounded params.
+func TestMarketConstructionMatchesDenseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	for trial := 0; trial < 400; trial++ {
+		reqs, taxis := randomFrame(rng)
+		params := randomParams(rng)
+		prune := []float64{0, 2, 3.5}[rng.Intn(3)]
+		pl := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{Workers: 1, PruneRadius: prune})
+
+		inst, err := pref.FromPlane(pl, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newDenseReference(len(reqs), len(taxis))
+		for i, tx := range taxis {
+			for j, r := range reqs {
+				pickup := pl.PickupDist(i, j)
+				d.set(j, i, pickup, pickup-params.Alpha*pl.Trip(j), tx.Capacity() >= r.SeatCount(), params)
+			}
+		}
+		d.check(t, "FromPlane", &inst.Market)
+
+		units := randomUnits(t, rng, pl)
+		mk, err := BuildMarketPlane(units, taxis, pl, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d = newDenseReference(len(units), len(taxis))
+		for k, u := range units {
+			start := -1
+			for _, idx := range u.Members {
+				if reqs[idx].ID == u.Plan.Stops[0].RequestID {
+					start = idx
+				}
+			}
+			pc, tc := u.passengerCost(0, pl.Trip, params.Beta), u.taxiCost(0, pl.Trip, params.Alpha)
+			for i, tx := range taxis {
+				lead := pl.PickupDist(i, start)
+				d.set(k, i, lead+pc, lead+tc, tx.Capacity() >= u.Plan.MaxLoad, params)
+			}
+		}
+		d.check(t, "BuildMarketPlane", mk)
+	}
+}
+
+// randomUnits packs a random prefix of the plane's requests (groups of
+// up to three with a generous detour bound) and rides the rest alone.
+func randomUnits(t *testing.T, rng *rand.Rand, pl *costplane.Plane) []Unit {
+	t.Helper()
+	n := rng.Intn(len(pl.Requests) + 1)
+	res, err := PackPlane(n, pl, PackConfig{Theta: 4, MaxGroupSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := res.UnitsPlane(pl)
+	for idx := n; idx < len(pl.Requests); idx++ {
+		units = append(units, SingleUnitPlane(idx, pl))
+	}
+	return units
+}
+
+// TestFeasibleGroupsPlaneUntracedAllocs bounds the allocations of group
+// enumeration with tracing off. Every candidate group costs its member
+// and route scratch, 1591 allocations over this batch with Go 1.24; the
+// trace detail of each candidate, a formatted string the recorder would
+// drop, must not be built at all. Building it takes the count to 1914.
+func TestFeasibleGroupsPlaneUntracedAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	reqs := randomRequests(rng, 24)
+	cfg := PackConfig{Theta: 3, MaxGroupSize: 3, PairRadius: 4}
+	pl := costplane.Build(reqs, nil, geo.EuclidMetric, costplane.Config{Workers: 1, Pairs: true, PairRadius: cfg.PairRadius})
+	candidates := 0
+	for a := range reqs {
+		for b := a + 1; b < len(reqs); b++ {
+			if pl.PairDist(a, b) <= cfg.PairRadius {
+				candidates++
+			}
+		}
+	}
+	if candidates < 50 {
+		t.Fatalf("fixture too sparse: %d candidate pairs", candidates)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := FeasibleGroupsPlane(len(reqs), pl, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 1700.0; allocs > limit {
+		t.Errorf("FeasibleGroupsPlane allocates %.0f times untraced over %d candidate pairs, limit %.0f", allocs, candidates, limit)
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/flightrec"
@@ -75,7 +76,10 @@ func (s *Simulator) certifyFrame(rec *dtrace.Recorder, f *Frame, applied []fleet
 		taxiIDs[i] = v.ID
 		taxiIdx[v.ID] = i
 	}
-	inst, err := pref.NewInstance(f.Requests, taxis, f.Metric, f.Params)
+	// The frame's plane pruned at the pickup threshold yields the same
+	// market as an unpruned one (see pref.FromPlane), and it is the
+	// plane the non-sharing dispatchers already built this frame.
+	inst, err := pref.FromPlane(f.CostPlane(taxis, costplane.Config{PruneRadius: f.Params.MaxPickup}), f.Params)
 	if err != nil {
 		rec.AddFrameNote(f.Number, "stability certificate unavailable: "+err.Error())
 		return

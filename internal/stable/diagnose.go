@@ -2,6 +2,7 @@ package stable
 
 import (
 	"fmt"
+	"slices"
 
 	"stabledispatch/internal/pref"
 )
@@ -32,43 +33,72 @@ func partnerName(p int, side string) string {
 	return fmt.Sprintf("%s%d", side, p)
 }
 
+// Irrational reports whether the violation is an individually
+// irrational pairing rather than a blocking pair: a matched pair sitting
+// behind a dummy, reported with both partners set to the offending match.
+func (b BlockingPair) Irrational() bool { return b.ReqPartner == b.Taxi }
+
 // BlockingPairs returns every stability violation of the matching, in
-// (request, taxi) index order — the full diagnostic behind IsStable,
-// which stops at the first. Individually irrational pairings (someone
-// matched behind their dummy) are reported as a pair blocking with the
-// dummy itself: (j, i) with both partners set to the offending match.
+// the order EachBlockingPair visits them — the full diagnostic behind
+// IsStable, which stops at the first.
 func BlockingPairs(mk *pref.Market, m Matching) []BlockingPair {
 	var out []BlockingPair
+	EachBlockingPair(mk, m, func(b BlockingPair) bool {
+		out = append(out, b)
+		return true
+	})
+	return out
+}
+
+// EachBlockingPair calls fn on every stability violation of the
+// matching until fn returns false. Individually irrational pairings
+// (someone matched behind their dummy) come first, in request order,
+// as a pair blocking with the dummy itself: (j, i) with both partners
+// set to the offending match. Blocking pairs follow in (request, taxi)
+// index order. A partner behind a dummy, like the dummy itself, ranks
+// after every acceptable counterparty. The scan walks the stored pairs
+// only: O(P) for P mutually acceptable pairs, plus a sort of each
+// request's blocking taxis. A matching of the wrong size has no
+// violations to report.
+func EachBlockingPair(mk *pref.Market, m Matching, fn func(BlockingPair) bool) {
 	r, t := mk.NumRequests(), mk.NumTaxis()
 	if len(m.ReqPartner) != r || len(m.TaxiPartner) != t {
-		return nil
+		return
 	}
-	for j := 0; j < r; j++ {
-		if i := m.ReqPartner[j]; i != Unmatched && !mk.MutualOK(j, i) {
-			out = append(out, BlockingPair{
-				Request: j, Taxi: i, ReqPartner: i, TaxiPartner: j,
-			})
-		}
-	}
-	for j := 0; j < r; j++ {
-		for i := 0; i < t; i++ {
-			if m.ReqPartner[j] == i || !mk.MutualOK(j, i) {
-				continue
-			}
-			jWants := m.ReqPartner[j] == Unmatched || mk.ReqPrefers(j, i, m.ReqPartner[j])
-			if !jWants {
-				continue
-			}
-			iWants := m.TaxiPartner[i] == Unmatched || mk.TaxiPrefers(i, j, m.TaxiPartner[i])
-			if iWants {
-				out = append(out, BlockingPair{
-					Request:     j,
-					Taxi:        i,
-					ReqPartner:  m.ReqPartner[j],
-					TaxiPartner: m.TaxiPartner[i],
-				})
+	for j, i := range m.ReqPartner {
+		if i != Unmatched && !mk.MutualOK(j, i) {
+			if !fn(BlockingPair{Request: j, Taxi: i, ReqPartner: i, TaxiPartner: j}) {
+				return
 			}
 		}
 	}
-	return out
+	// held[i] is taxi i's entry for its partner; heldOK[i] is false when
+	// the taxi is free or its partner sits behind its dummy, so that
+	// every acceptable request beats it.
+	held := make([]pref.Entry, t)
+	heldOK := make([]bool, t)
+	for i, j := range m.TaxiPartner {
+		if k := mk.TaxiRank(i, j); k >= 0 {
+			held[i], heldOK[i] = mk.TaxiEntries(i)[k], true
+		}
+	}
+	var blocking []int
+	for j, p := range m.ReqPartner {
+		blocking = blocking[:0]
+		for _, e := range mk.ReqEntries(j) {
+			if e.Partner == p {
+				break // j prefers its partner over the rest of its list
+			}
+			i := e.Partner
+			if !heldOK[i] || pref.Better(e.TaxiCost, j, held[i].TaxiCost, held[i].Partner) {
+				blocking = append(blocking, i)
+			}
+		}
+		slices.Sort(blocking)
+		for _, i := range blocking {
+			if !fn(BlockingPair{Request: j, Taxi: i, ReqPartner: p, TaxiPartner: m.TaxiPartner[i]}) {
+				return
+			}
+		}
+	}
 }

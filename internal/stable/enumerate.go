@@ -20,8 +20,8 @@ func AllStableMatchings(mk *pref.Market, limit int) []Matching {
 	if limit <= 0 {
 		limit = math.MaxInt
 	}
-	state, prefs := passengerOptimalState(mk, nil, nil)
-	e := &enumerator{mk: mk, prefs: prefs, limit: limit}
+	state := passengerOptimalState(mk, nil)
+	e := &enumerator{mk: mk, limit: limit}
 	e.results = append(e.results, state.match.Clone())
 	e.explore(state, 0)
 	return e.results
@@ -29,7 +29,6 @@ func AllStableMatchings(mk *pref.Market, limit int) []Matching {
 
 type enumerator struct {
 	mk      *pref.Market
-	prefs   [][]int
 	results []Matching
 	limit   int
 }
@@ -71,26 +70,30 @@ func (e *enumerator) explore(s gsState, minJ int) {
 // dummy; the freed taxi would stay undispatched and block).
 func (e *enumerator) breakDispatch(s gsState, j int) (gsState, bool) {
 	t := s.match.ReqPartner[j]
+	lost := s.held[t] // the freed taxi's cost of r_j
 	ns := s.clone()
 	ns.match.ReqPartner[j] = Unmatched
 	ns.match.TaxiPartner[t] = Unmatched
 
 	active := j
 	for {
-		if ns.next[active] >= len(e.prefs[active]) {
+		list := e.mk.ReqEntries(active)
+		if ns.next[active] >= len(list) {
 			// active reached its dummy entry: no stable matching
 			// down this branch (the freed taxi stays single).
 			return gsState{}, false
 		}
-		i := e.prefs[active][ns.next[active]]
+		en := list[ns.next[active]]
 		ns.next[active]++
 
+		i := en.Partner
 		if i == t {
 			// Rule 1: the freed taxi holds out for a strictly
 			// better request than the one it lost.
-			if e.mk.TaxiPrefers(i, active, j) {
+			if pref.Better(en.TaxiCost, active, lost, j) {
 				ns.match.TaxiPartner[i] = active
 				ns.match.ReqPartner[active] = i
+				ns.held[i] = en.TaxiCost
 				return ns, true
 			}
 			continue
@@ -103,7 +106,7 @@ func (e *enumerator) breakDispatch(s gsState, j int) (gsState, bool) {
 			// strand the freed taxi, so this branch is dead.
 			return gsState{}, false
 		}
-		if e.mk.TaxiPrefers(i, active, cur) {
+		if pref.Better(en.TaxiCost, active, ns.held[i], cur) {
 			if cur < j {
 				// Rule 2: requests before r_j may not be moved.
 				return gsState{}, false
@@ -111,6 +114,7 @@ func (e *enumerator) breakDispatch(s gsState, j int) (gsState, bool) {
 			ns.match.TaxiPartner[i] = active
 			ns.match.ReqPartner[active] = i
 			ns.match.ReqPartner[cur] = Unmatched
+			ns.held[i] = en.TaxiCost
 			active = cur
 			continue
 		}

@@ -136,7 +136,8 @@ func TestCompanyOptimalIsStableQuick(t *testing.T) {
 			total := 0.0
 			for j, i := range m.ReqPartner {
 				if i != Unmatched {
-					total += mk.ReqCost[j][i] * mk.TaxiCost[i][j]
+					rc, tc := pairCosts(mk, j, i)
+					total += rc * tc
 				}
 			}
 			return total

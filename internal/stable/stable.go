@@ -7,12 +7,14 @@
 // Terminology follows the paper: passengers play the proposing side of
 // the Gale–Shapley procedure, so Algorithm 1 yields the passenger-optimal
 // stable matching (Property 2). Dummy partners (Theorem 1) are encoded by
-// the acceptability bits of pref.Market — a pair behind either dummy is
-// simply never proposed to and never accepted.
+// leaving the pair out of pref.Market altogether — a pair behind either
+// dummy is simply never proposed to and never accepted, and every
+// algorithm here walks the stored pairs only.
 package stable
 
 import (
 	"fmt"
+	"slices"
 
 	"stabledispatch/internal/pref"
 )
@@ -84,22 +86,20 @@ func (m Matching) Key() string {
 	return fmt.Sprint(m.ReqPartner)
 }
 
-// market state shared by Algorithm 1, Algorithm 2, and the verifier.
-// prefs[j] is request j's mutually acceptable taxi list, most preferred
-// first; next[j] is the index of the entry request j will propose to
-// next (entries before it have already refused j or been left by j).
+// gsState is the deferred-acceptance state shared by Algorithm 1 and
+// Algorithm 2. next[j] is the position on request j's list
+// (pref.Market.ReqEntries) of the entry j will propose to next: entries
+// before it have already refused j or been left by j. held[i] is taxi
+// i's cost of its tentative partner, so a proposal is decided by one
+// comparison of the proposer's entry against it.
 type gsState struct {
 	match Matching
 	next  []int
+	held  []float64
 }
 
 func (s gsState) clone() gsState {
-	c := gsState{
-		match: s.match.Clone(),
-		next:  make([]int, len(s.next)),
-	}
-	copy(c.next, s.next)
-	return c
+	return gsState{match: s.match.Clone(), next: slices.Clone(s.next), held: slices.Clone(s.held)}
 }
 
 // PassengerOptimal runs Algorithm 1 (Non-Sharing Taxi Dispatch) and
@@ -108,70 +108,66 @@ func (s gsState) clone() gsState {
 // (Property 2). Requests and taxis whose preference order starts with the
 // dummy are never dispatched (Property 1).
 func PassengerOptimal(mk *pref.Market) Matching {
-	state, _ := passengerOptimalState(mk, nil, nil)
-	obsMatchings.Inc()
-	return state.match
+	return PassengerOptimalObserved(mk, nil)
 }
 
 // passengerOptimalState runs Algorithm 1 and returns the full proposal
-// state, which Algorithm 2 continues from. prefs may be nil, in which
-// case the preference lists are computed here; otherwise it must be the
-// market's request preference lists. o may be nil.
-func passengerOptimalState(mk *pref.Market, prefs [][]int, o *Observer) (gsState, [][]int) {
+// state, which Algorithm 2 continues from. o may be nil.
+func passengerOptimalState(mk *pref.Market, o *Observer) gsState {
 	r, t := mk.NumRequests(), mk.NumTaxis()
-	if prefs == nil {
-		prefs = make([][]int, r)
-		for j := 0; j < r; j++ {
-			prefs[j] = mk.ReqPrefList(j)
-		}
-	}
-	state := gsState{
+	s := gsState{
 		match: NewMatching(r, t),
 		next:  make([]int, r),
+		held:  make([]float64, t),
 	}
+	var proposals, displacements uint64
 	for j := 0; j < r; j++ {
-		propose(mk, prefs, &state, j, o)
+		p, d := propose(mk, &s, j, o)
+		proposals += p
+		displacements += d
 	}
-	return state, prefs
+	obsProposals.Add(proposals)
+	obsDisplacements.Add(displacements)
+	return s
 }
 
 // propose is the paper's Proposal/Refusal pair: request j proposes down
 // its preference list; a displaced request immediately re-proposes
-// (iteratively rather than recursively). o may be nil.
-func propose(mk *pref.Market, prefs [][]int, s *gsState, j int, o *Observer) {
-	proposals, displacements := uint64(0), uint64(0)
-	defer func() {
-		obsProposals.Add(proposals)
-		obsDisplacements.Add(displacements)
-	}()
+// (iteratively rather than recursively). It returns the proposals made
+// and the partners displaced. o may be nil.
+func propose(mk *pref.Market, s *gsState, j int, o *Observer) (proposals, displacements uint64) {
 	active := j
 	for {
-		if s.next[active] >= len(prefs[active]) {
+		list := mk.ReqEntries(active)
+		if s.next[active] >= len(list) {
 			// Next entry is the dummy: active stays unserved.
 			s.match.ReqPartner[active] = Unmatched
 			o.exhausted(active)
 			return
 		}
-		i := prefs[active][s.next[active]]
+		e := list[s.next[active]]
 		s.next[active]++
 		proposals++
 
+		i := e.Partner
 		cur := s.match.TaxiPartner[i]
 		if cur == Unmatched {
 			// Refusal, lines 10-11: an undispatched taxi accepts
-			// any request ahead of its dummy (the pref list
-			// already guarantees mutual acceptability).
+			// any request ahead of its dummy (the list holds only
+			// mutually acceptable pairs).
 			s.match.TaxiPartner[i] = active
 			s.match.ReqPartner[active] = i
+			s.held[i] = e.TaxiCost
 			o.proposal(active, i, Unmatched, "accepted")
 			return
 		}
-		if mk.TaxiPrefers(i, active, cur) {
+		if pref.Better(e.TaxiCost, active, s.held[i], cur) {
 			// Refusal, lines 12-14: the taxi upgrades and the
 			// displaced request goes back to proposing.
 			s.match.TaxiPartner[i] = active
 			s.match.ReqPartner[active] = i
 			s.match.ReqPartner[cur] = Unmatched
+			s.held[i] = e.TaxiCost
 			displacements++
 			o.proposal(active, i, cur, "displaced")
 			active = cur
@@ -190,43 +186,45 @@ func propose(mk *pref.Market, prefs [][]int, s *gsState, j int, o *Observer) {
 // Algorithm 2 enumeration in tests) is exactly the matching the paper
 // calls NSTD-T.
 func TaxiOptimal(mk *pref.Market) Matching {
-	return taxiOptimal(mk, nil)
+	return TaxiOptimalObserved(mk, nil)
 }
 
 // taxiOptimal is the taxi-proposing deferred acceptance with optional
-// per-decision callbacks (o may be nil).
+// per-decision callbacks (o may be nil). held[j] is request j's cost of
+// its tentative taxi.
 func taxiOptimal(mk *pref.Market, o *Observer) Matching {
 	r, t := mk.NumRequests(), mk.NumTaxis()
-	prefs := make([][]int, t)
-	for i := 0; i < t; i++ {
-		prefs[i] = mk.TaxiPrefList(i)
-	}
 	match := NewMatching(r, t)
 	next := make([]int, t)
+	held := make([]float64, r)
 	proposals, displacements := uint64(0), uint64(0)
 	for i := 0; i < t; i++ {
 		active := i
 		for {
-			if next[active] >= len(prefs[active]) {
+			list := mk.TaxiEntries(active)
+			if next[active] >= len(list) {
 				match.TaxiPartner[active] = Unmatched
 				o.exhausted(active)
 				break
 			}
-			j := prefs[active][next[active]]
+			e := list[next[active]]
 			next[active]++
 			proposals++
 
+			j := e.Partner
 			cur := match.ReqPartner[j]
 			if cur == Unmatched {
 				match.ReqPartner[j] = active
 				match.TaxiPartner[active] = j
+				held[j] = e.ReqCost
 				o.proposal(active, j, Unmatched, "accepted")
 				break
 			}
-			if mk.ReqPrefers(j, active, cur) {
+			if pref.Better(e.ReqCost, active, held[j], cur) {
 				match.ReqPartner[j] = active
 				match.TaxiPartner[active] = j
 				match.TaxiPartner[cur] = Unmatched
+				held[j] = e.ReqCost
 				displacements++
 				o.proposal(active, j, cur, "displaced")
 				active = cur
@@ -268,22 +266,10 @@ func IsStable(mk *pref.Market, m Matching) error {
 			return fmt.Errorf("stable: pair (r%d, t%d) is behind a dummy (individually irrational)", j, i)
 		}
 	}
-	for j := 0; j < r; j++ {
-		for i := 0; i < t; i++ {
-			if m.ReqPartner[j] == i || !mk.MutualOK(j, i) {
-				continue
-			}
-			// Request side: prefers i over its current partner,
-			// where the dummy loses to any acceptable taxi.
-			jWants := m.ReqPartner[j] == Unmatched || mk.ReqPrefers(j, i, m.ReqPartner[j])
-			if !jWants {
-				continue
-			}
-			iWants := m.TaxiPartner[i] == Unmatched || mk.TaxiPrefers(i, j, m.TaxiPartner[i])
-			if iWants {
-				return fmt.Errorf("stable: (r%d, t%d) is a blocking pair", j, i)
-			}
-		}
-	}
-	return nil
+	var blocking error
+	EachBlockingPair(mk, m, func(b BlockingPair) bool {
+		blocking = fmt.Errorf("stable: (r%d, t%d) is a blocking pair", b.Request, b.Taxi)
+		return false
+	})
+	return blocking
 }

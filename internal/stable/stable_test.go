@@ -9,58 +9,54 @@ import (
 	"stabledispatch/internal/pref"
 )
 
+// denseMarket builds a market from dense cost matrices, reqCost[j][i]
+// and taxiCost[i][j], keeping the pairs ok accepts (nil keeps all).
+func denseMarket(reqCost, taxiCost [][]float64, ok func(j, i int) bool) *pref.Market {
+	var pairs []pref.Pair
+	for j := range reqCost {
+		for i := range taxiCost {
+			if ok == nil || ok(j, i) {
+				pairs = append(pairs, pref.Pair{Req: j, Taxi: i, ReqCost: reqCost[j][i], TaxiCost: taxiCost[i][j]})
+			}
+		}
+	}
+	return pref.NewMarket(len(reqCost), len(taxiCost), pairs)
+}
+
 // marketFromCosts builds a fully acceptable market from explicit cost
 // matrices: reqCost[j][i] and taxiCost[i][j].
 func marketFromCosts(reqCost, taxiCost [][]float64) *pref.Market {
-	r := len(reqCost)
-	t := len(taxiCost)
-	m := &pref.Market{
-		ReqCost:  reqCost,
-		TaxiCost: taxiCost,
-		ReqOK:    make([][]bool, r),
-		TaxiOK:   make([][]bool, t),
-	}
-	for j := 0; j < r; j++ {
-		m.ReqOK[j] = make([]bool, t)
-		for i := range m.ReqOK[j] {
-			m.ReqOK[j][i] = true
-		}
-	}
-	for i := 0; i < t; i++ {
-		m.TaxiOK[i] = make([]bool, r)
-		for j := range m.TaxiOK[i] {
-			m.TaxiOK[i][j] = true
-		}
-	}
-	return m
+	return denseMarket(reqCost, taxiCost, nil)
 }
 
 // randomMarket generates a market with integer-ish costs (to exercise
-// tie-breaking) and random acceptability.
+// tie-breaking) and random one-sided acceptability: each side accepts
+// each pair with probability acceptProb, and only pairs both sides
+// accept are kept.
 func randomMarket(rng *rand.Rand, r, t int, acceptProb float64) *pref.Market {
-	m := &pref.Market{
-		ReqCost:  make([][]float64, r),
-		TaxiCost: make([][]float64, t),
-		ReqOK:    make([][]bool, r),
-		TaxiOK:   make([][]bool, t),
-	}
+	reqCost, reqOK := make([][]float64, r), make([][]bool, r)
 	for j := 0; j < r; j++ {
-		m.ReqCost[j] = make([]float64, t)
-		m.ReqOK[j] = make([]bool, t)
+		reqCost[j], reqOK[j] = make([]float64, t), make([]bool, t)
 		for i := 0; i < t; i++ {
-			m.ReqCost[j][i] = float64(rng.Intn(6))
-			m.ReqOK[j][i] = rng.Float64() < acceptProb
+			reqCost[j][i] = float64(rng.Intn(6))
+			reqOK[j][i] = rng.Float64() < acceptProb
 		}
 	}
+	taxiCost, taxiOK := make([][]float64, t), make([][]bool, t)
 	for i := 0; i < t; i++ {
-		m.TaxiCost[i] = make([]float64, r)
-		m.TaxiOK[i] = make([]bool, r)
+		taxiCost[i], taxiOK[i] = make([]float64, r), make([]bool, r)
 		for j := 0; j < r; j++ {
-			m.TaxiCost[i][j] = float64(rng.Intn(6))
-			m.TaxiOK[i][j] = rng.Float64() < acceptProb
+			taxiCost[i][j] = float64(rng.Intn(6))
+			taxiOK[i][j] = rng.Float64() < acceptProb
 		}
 	}
-	return m
+	return denseMarket(reqCost, taxiCost, func(j, i int) bool { return reqOK[j][i] && taxiOK[i][j] })
+}
+
+// pairCosts returns both sides' costs of a mutually acceptable pair.
+func pairCosts(mk *pref.Market, j, i int) (reqCost, taxiCost float64) {
+	e := mk.ReqEntries(j)[mk.ReqRank(j, i)]
+	return e.ReqCost, e.TaxiCost
 }
 
 // TestAlgorithm1PaperExample encodes the worked example of the paper's
@@ -82,15 +78,8 @@ func TestAlgorithm1PaperExample(t *testing.T) {
 		{1, 1, 1},
 		{1, 1, 1},
 	}
-	mk := marketFromCosts(reqCost, taxiCost)
 	// Encode the "inf" entries as behind the dummy.
-	for j := 0; j < 3; j++ {
-		for i := 0; i < 3; i++ {
-			if math.IsInf(reqCost[j][i], 1) {
-				mk.ReqOK[j][i] = false
-			}
-		}
-	}
+	mk := denseMarket(reqCost, taxiCost, func(j, i int) bool { return !math.IsInf(reqCost[j][i], 1) })
 
 	m := PassengerOptimal(mk)
 	if err := IsStable(mk, m); err != nil {
@@ -414,7 +403,7 @@ func TestIsStableDetectsViolations(t *testing.T) {
 	}
 
 	// Matching behind a dummy must be rejected.
-	mk.ReqOK[0][0] = false
+	mk = denseMarket(reqCost, taxiCost, func(j, i int) bool { return j != 0 || i != 0 })
 	irr := NewMatching(2, 2)
 	irr.ReqPartner[0], irr.TaxiPartner[0] = 0, 0
 	if err := IsStable(mk, irr); err == nil {
@@ -439,7 +428,7 @@ func TestCompanyOptimal(t *testing.T) {
 		total := 0.0
 		for j, i := range m.ReqPartner {
 			if i != Unmatched {
-				total += mk.ReqCost[j][i]
+				total += reqCost[j][i]
 			}
 		}
 		return -total
@@ -546,7 +535,7 @@ func TestBlockingPairsDescribesViolation(t *testing.T) {
 	}
 
 	// An irrational pairing is reported too.
-	mk.ReqOK[0][1] = false
+	mk = denseMarket(reqCost, taxiCost, func(j, i int) bool { return j != 0 || i != 1 })
 	pairs = BlockingPairs(mk, bad)
 	found := false
 	for _, p := range pairs {
