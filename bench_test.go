@@ -18,7 +18,6 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/match"
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/roadnet"
@@ -216,10 +215,7 @@ func benchFrame(b *testing.B, nReqs, nTaxis int) *sim.Frame {
 	return f
 }
 
-func benchmarkDispatchFrame(b *testing.B, instrumented, traced bool) {
-	was := obs.Enabled()
-	obs.SetEnabled(instrumented)
-	defer obs.SetEnabled(was)
+func benchmarkDispatchFrame(b *testing.B, traced bool) {
 	wasTracing := dtrace.Enabled()
 	dtrace.SetEnabled(traced)
 	defer func() {
@@ -241,21 +237,16 @@ func benchmarkDispatchFrame(b *testing.B, instrumented, traced bool) {
 	}
 }
 
-// BenchmarkDispatchFrame measures an NSTD-P frame with the obs registry
-// and decision tracing both disabled: the uninstrumented baseline.
-func BenchmarkDispatchFrame(b *testing.B) { benchmarkDispatchFrame(b, false, false) }
-
-// BenchmarkDispatchFrameInstrumented measures the identical frame with
-// metrics enabled; compare against BenchmarkDispatchFrame to bound the
-// instrumentation overhead (budget: <2%).
-func BenchmarkDispatchFrameInstrumented(b *testing.B) { benchmarkDispatchFrame(b, true, false) }
+// BenchmarkDispatchFrame measures an NSTD-P frame with decision tracing
+// disabled: the uninstrumented baseline.
+func BenchmarkDispatchFrame(b *testing.B) { benchmarkDispatchFrame(b, false) }
 
 // BenchmarkDispatchFrameTraced measures the identical frame with
 // decision tracing recording every proposal; compare against
 // BenchmarkDispatchFrame for the traced-path cost. The kill-switch-off
 // budget is ≤5% (BenchmarkDispatchFrame itself exercises that path: each
 // instrumentation site is one atomic load when disabled).
-func BenchmarkDispatchFrameTraced(b *testing.B) { benchmarkDispatchFrame(b, false, true) }
+func BenchmarkDispatchFrameTraced(b *testing.B) { benchmarkDispatchFrame(b, true) }
 
 // BenchmarkDispatchFrameRecorded measures the identical frame with a
 // per-frame KPI sample recorded into a tseries ring after each dispatch,
@@ -263,9 +254,6 @@ func BenchmarkDispatchFrameTraced(b *testing.B) { benchmarkDispatchFrame(b, fals
 // BenchmarkDispatchFrame to bound the recorder overhead (budget: ≤5% —
 // one mutex acquisition plus a fixed-width struct copy per frame).
 func BenchmarkDispatchFrameRecorded(b *testing.B) {
-	was := obs.Enabled()
-	obs.SetEnabled(false)
-	defer obs.SetEnabled(was)
 	f := benchFrame(b, 100, 400)
 	d := dispatch.NewNSTDP()
 	rec := tseries.New(tseries.Config{Capacity: 1024, Downsample: true})
@@ -284,17 +272,13 @@ func BenchmarkDispatchFrameRecorded(b *testing.B) {
 }
 
 // BenchmarkDispatchFrameProfiled measures the identical frame with a
-// frame-budget ledger on the frame and the obs registry enabled, the
-// way a profiled Simulator.Step runs one: BeginFrame/EndFrame bracket
-// the dispatch and every stage span records into the ledger, its only
-// sink. Compare
-// against BenchmarkDispatchFrameInstrumented to bound the profiler
-// overhead (budget: ≤5% — per stage one monotonic clock read and a few
-// array stores, per frame one ring slot write, all allocation-free).
+// frame-budget ledger on the frame, the way a profiled Simulator.Step
+// runs one: BeginFrame/EndFrame bracket the dispatch and every stage
+// span records into the ledger, its only sink. Compare against
+// BenchmarkDispatchFrame to bound the profiler overhead (budget: ≤5% —
+// per stage one monotonic clock read and a few array stores, per frame
+// one ring slot write, all allocation-free).
 func BenchmarkDispatchFrameProfiled(b *testing.B) {
-	was := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(was)
 	ld := prof.New(prof.Config{TopN: 8})
 	f := benchFrame(b, 100, 400)
 	f.Ledger = ld
@@ -302,7 +286,7 @@ func BenchmarkDispatchFrameProfiled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ld.BeginFrame(int64(i))
+		ld.BeginFrame(int64(i), f.Metric)
 		start := time.Now()
 		out, err := d.Dispatch(f)
 		if err != nil {

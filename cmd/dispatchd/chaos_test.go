@@ -37,7 +37,7 @@ func hardenedServer(t *testing.T) *httptest.Server {
 	}
 	srv := newServer(s).withEvents(events)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	ts := httptest.NewServer(withRecovery(logger, nil, withBodyLimit(srv.handler())))
+	ts := httptest.NewServer(withRecovery(logger, nil, srv.http, withBodyLimit(srv.handler())))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -165,10 +165,10 @@ func TestStrictPathIDs(t *testing.T) {
 
 func TestRecoveryMiddlewareConvertsPanics(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	h := withRecovery(logger, nil, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	metrics := newHTTPMetrics()
+	h := withRecovery(logger, nil, metrics, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
 	}))
-	before := obsHTTPPanics.Value()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/taxis", nil))
 	if rec.Code != http.StatusInternalServerError {
@@ -180,8 +180,8 @@ func TestRecoveryMiddlewareConvertsPanics(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "internal server error") {
 		t.Errorf("body = %q", rec.Body.String())
 	}
-	if obsHTTPPanics.Value() != before+1 {
-		t.Error("http_panics_total not incremented")
+	if got := metrics.GetOrCreateCounter("http_panics_total").Value(); got != 1 {
+		t.Errorf("http_panics_total = %d, want 1", got)
 	}
 }
 

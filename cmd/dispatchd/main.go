@@ -209,7 +209,7 @@ func run(args []string) error {
 		withStream(hub, *streamBuf, *streamHB)
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           withObs(accessLogger, withRecovery(logger, recorder, withBodyLimit(server.handler()))),
+		Handler:           withObs(accessLogger, server.http, withRecovery(logger, recorder, server.http, withBodyLimit(server.handler()))),
 		ReadHeaderTimeout: 5 * time.Second,
 		// Bound slow-loris reads and wedged writes; WriteTimeout leaves
 		// room for a large manual /v1/tick batch on the paper-scale

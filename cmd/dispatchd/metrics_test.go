@@ -9,10 +9,10 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/prof"
 )
 
@@ -43,17 +43,12 @@ func interruptAfterStartup(t *testing.T, errCh <-chan error) {
 var promSample = regexp.MustCompile(
 	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_:][a-zA-Z0-9_:]*="[^"]*"(,[a-zA-Z_:][a-zA-Z0-9_:]*="[^"]*")*\})? (\S+)$`)
 
-func TestMetricsEndpointPrometheusFormat(t *testing.T) {
-	ts := testServer(t)
-
-	// Generate some traffic so the registry has dispatch series.
-	postJSON(t, ts.URL+"/v1/requests", requestIn{
-		Pickup:  pointJSON{X: 10.5, Y: 10},
-		Dropoff: pointJSON{X: 12, Y: 10},
-	})
-	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 3})
-
-	resp, err := http.Get(ts.URL + "/v1/metrics")
+// scrape fetches url's /v1/metrics, checks every line is a TYPE comment
+// or a well-formed sample with a float value, and returns the samples
+// keyed by full series name (labels included).
+func scrape(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +59,13 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("content type = %q, want text/plain", ct)
 	}
-
-	// Every line must be a TYPE comment or a well-formed sample whose
-	// value parses as a float.
-	names := make(map[string]bool)
+	samples := make(map[string]float64)
 	sc := bufio.NewScanner(resp.Body)
-	lines := 0
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" {
 			continue
 		}
-		lines++
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
 			if len(fields) != 4 || fields[1] != "TYPE" {
@@ -88,32 +78,192 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 			t.Errorf("unparseable sample line %q", line)
 			continue
 		}
-		if _, err := strconv.ParseFloat(m[4], 64); err != nil {
+		v, err := strconv.ParseFloat(m[4], 64)
+		if err != nil {
 			t.Errorf("non-numeric value in %q: %v", line, err)
 		}
-		names[m[1]] = true
+		if _, dup := samples[m[1]+m[2]]; dup {
+			t.Errorf("series %s exported twice", m[1]+m[2])
+		}
+		samples[m[1]+m[2]] = v
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if lines == 0 {
+	if len(samples) == 0 {
 		t.Fatal("empty metrics body")
+	}
+	return samples
+}
+
+// TestMetricsEndpointPrometheusFormat checks the exposition format and
+// that every series the README documents is served under its name and
+// labels.
+func TestMetricsEndpointPrometheusFormat(t *testing.T) {
+	ts, _ := streamServer(t, 64, time.Minute)
+
+	// Generate some traffic so every family has observations.
+	postJSON(t, ts.URL+"/v1/requests", requestIn{
+		Pickup:  pointJSON{X: 10.5, Y: 10},
+		Dropoff: pointJSON{X: 12, Y: 10},
+	})
+	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 3})
+
+	samples := scrape(t, ts.URL)
+	names := make(map[string]bool)
+	for series := range samples {
+		name, _, _ := strings.Cut(series, "{")
+		names[name] = true
 	}
 	for _, want := range []string{
 		"sim_frames_total",
+		"sim_pending_requests",
+		"sim_requests_expired_total",
+		"sim_event_sink_errors_total",
 		"sim_dispatch_frame_seconds_bucket",
 		"sim_dispatch_frame_seconds_count",
 		"dispatch_stage_seconds_bucket",
-		"sim_events_total",
+		"dispatch_stage_seconds_p50",
+		"roadnet_cache_hits_total",
+		"roadnet_cache_misses_total",
+		"roadnet_cache_evictions_total",
+		"roadnet_cache_size",
+		"admission_accepted_total",
+		"admission_queue_depth",
+		"admission_inject_failures_total",
+		"admission_wait_seconds_bucket",
+		"admission_wait_seconds_p99",
+		"http_request_seconds_count",
+		"http_panics_total",
+		"stream_dropped_total",
+		"stream_subscribers",
 	} {
 		if !names[want] {
 			t.Errorf("metric family %q missing from exposition", want)
 		}
 	}
+	for _, want := range []string{
+		`sim_events_total{kind="assign"}`,
+		`sim_faults_total{kind="breakdown"}`,
+		`sim_faults_total{kind="driver_cancel"}`,
+		`sim_faults_total{kind="passenger_cancel"}`,
+		"sim_redispatch_total",
+		`dispatch_degraded_frames_total{reason="deadline"}`,
+		`dispatch_degraded_frames_total{reason="panic"}`,
+		`dispatch_degraded_frames_total{reason="error"}`,
+		`admission_shed_total{reason="queue_full"}`,
+		`admission_shed_total{reason="inflight_cap"}`,
+		`admission_shed_total{reason="draining"}`,
+		`http_requests_total{code="201"}`,
+		`stream_published_total{topic="kpi"}`,
+		`dispatch_stage_seconds_bucket{stage="matching",le="+Inf"}`,
+	} {
+		if _, ok := samples[want]; !ok {
+			t.Errorf("series %s missing from exposition", want)
+		}
+	}
+}
+
+// TestMetricsArePerServer runs two daemon stacks in one process and
+// sends traffic to only one. The idle server's /v1/metrics must show
+// none of it, and the busy server's counts must equal its own
+// simulator's and admission controller's.
+func TestMetricsArePerServer(t *testing.T) {
+	busyTS, busy := streamServer(t, 64, time.Minute)
+	idleTS, _ := streamServer(t, 64, time.Minute)
+
+	for i := 0; i < 3; i++ {
+		postJSON(t, busyTS.URL+"/v1/requests", requestIn{
+			Pickup:  pointJSON{X: 10 + float64(i)/2, Y: 10},
+			Dropoff: pointJSON{X: 14, Y: 10},
+		})
+	}
+	postJSON(t, busyTS.URL+"/v1/tick", tickIn{Frames: 4})
+
+	idle := scrape(t, idleTS.URL)
+	for _, series := range []string{"sim_frames_total", "admission_accepted_total", `sim_events_total{kind="assign"}`} {
+		if got := idle[series]; got != 0 {
+			t.Errorf("idle server %s = %v, want 0", series, got)
+		}
+	}
+	for series := range idle {
+		if strings.HasPrefix(series, "http_requests_total") {
+			t.Errorf("idle server exports %s = %v before serving any request", series, idle[series])
+		}
+	}
+
+	got := scrape(t, busyTS.URL)
+	busy.mu.Lock()
+	c := busy.sim.Counts()
+	busy.mu.Unlock()
+	shed := got[`admission_shed_total{reason="queue_full"}`] + got[`admission_shed_total{reason="inflight_cap"}`] +
+		got[`admission_shed_total{reason="draining"}`]
+	for _, tc := range []struct {
+		series string
+		got    float64
+		want   int
+	}{
+		{"sim_frames_total", got["sim_frames_total"], c.Frame},
+		{"sim_pending_requests", got["sim_pending_requests"], c.Pending},
+		{"admission_accepted_total", got["admission_accepted_total"], busy.adm.Accepted()},
+		{"admission_shed_total", shed, busy.adm.Shed()},
+		{`http_requests_total{code="201"}`, got[`http_requests_total{code="201"}`], 3},
+	} {
+		if tc.got != float64(tc.want) {
+			t.Errorf("busy server %s = %v, want %d", tc.series, tc.got, tc.want)
+		}
+	}
+	if c.Frame != 4 || busy.adm.Accepted() != 3 {
+		t.Errorf("busy server ran %d frames and accepted %d requests, want 4 and 3", c.Frame, busy.adm.Accepted())
+	}
+}
+
+// TestMetricsScrapeDuringTraffic scrapes /v1/metrics while requests
+// arrive and frames tick on other goroutines; run under -race it pins
+// that every series is read from its owner under the owner's own
+// synchronisation.
+func TestMetricsScrapeDuringTraffic(t *testing.T) {
+	ts, _ := streamServer(t, 64, time.Minute)
+	get := func(path string) {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+	}
+	post := func(path, body string) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+	}
+	var wg sync.WaitGroup
+	for _, work := range []func(){
+		func() { post("/v1/requests", `{"pickup":{"x":10.5,"y":10},"dropoff":{"x":12,"y":10}}`) },
+		func() { post("/v1/tick", `{"frames":1}`) },
+		func() { get("/v1/metrics") },
+		func() { get("/v1/metrics") },
+	} {
+		wg.Add(1)
+		go func(work func()) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				work()
+			}
+		}(work)
+	}
+	wg.Wait()
+	if got := scrape(t, ts.URL)["sim_frames_total"]; got != 20 {
+		t.Errorf("sim_frames_total = %v after 20 ticks", got)
+	}
 }
 
 func TestWithObsCountsRequests(t *testing.T) {
-	handler := withObs(nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	metrics := newHTTPMetrics()
+	handler := withObs(nil, metrics, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/boom" {
 			w.WriteHeader(http.StatusNotFound)
 			return
@@ -123,12 +273,7 @@ func TestWithObsCountsRequests(t *testing.T) {
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
 
-	okCounter := obs.GetOrCreateCounter(`http_requests_total{code="200"}`)
-	missCounter := obs.GetOrCreateCounter(`http_requests_total{code="404"}`)
-	okBefore, missBefore := okCounter.Value(), missCounter.Value()
-	secondsBefore := obsHTTPSeconds.Count()
-
-	for _, path := range []string{"/", "/boom"} {
+	for _, path := range []string{"/", "/boom", "/"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -136,14 +281,14 @@ func TestWithObsCountsRequests(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	if got := okCounter.Value(); got != okBefore+1 {
-		t.Errorf("200 counter = %d, want %d", got, okBefore+1)
+	if got := metrics.GetOrCreateCounter(`http_requests_total{code="200"}`).Value(); got != 2 {
+		t.Errorf("200 counter = %d, want 2", got)
 	}
-	if got := missCounter.Value(); got != missBefore+1 {
-		t.Errorf("404 counter = %d, want %d", got, missBefore+1)
+	if got := metrics.GetOrCreateCounter(`http_requests_total{code="404"}`).Value(); got != 1 {
+		t.Errorf("404 counter = %d, want 1", got)
 	}
-	if got := obsHTTPSeconds.Count(); got != secondsBefore+2 {
-		t.Errorf("http_request_seconds count = %d, want %d", got, secondsBefore+2)
+	if got := metrics.GetOrCreateHistogram("http_request_seconds").Count(); got != 3 {
+		t.Errorf("http_request_seconds count = %d, want 3", got)
 	}
 }
 

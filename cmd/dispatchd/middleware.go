@@ -10,11 +10,16 @@ import (
 	"stabledispatch/internal/obs"
 )
 
-// obsHTTPSeconds times every API request end to end, across all routes.
-var obsHTTPSeconds = obs.GetOrCreateHistogram("http_request_seconds")
-
-// obsHTTPPanics counts handler panics converted into JSON 500s.
-var obsHTTPPanics = obs.GetOrCreateCounter("http_panics_total")
+// newHTTPMetrics builds one server's request-metrics registry:
+// http_request_seconds times every API request end to end across all
+// routes, http_panics_total counts handler panics converted into JSON
+// 500s, and withObs adds http_requests_total{code=...} per status code.
+func newHTTPMetrics() *obs.Registry {
+	reg := obs.NewRegistry()
+	reg.GetOrCreateHistogram("http_request_seconds")
+	reg.GetOrCreateCounter("http_panics_total")
+	return reg
+}
 
 // maxBodyBytes caps request bodies; every API payload is a few hundred
 // bytes, so a megabyte is generous and keeps a hostile client from
@@ -25,13 +30,13 @@ const maxBodyBytes = 1 << 20
 // letting net/http kill the connection, so one poisoned request cannot
 // take down an operator's session mid-incident. If the handler already
 // wrote a partial response the 500 header is lost, but the panic is
-// still logged and counted, and it fires the flight recorder when one
-// is configured.
-func withRecovery(logger *slog.Logger, rec *flightrec.Recorder, next http.Handler) http.Handler {
+// still logged and counted in metrics' http_panics_total, and it fires
+// the flight recorder when one is configured.
+func withRecovery(logger *slog.Logger, rec *flightrec.Recorder, metrics *obs.Registry, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
-				obsHTTPPanics.Inc()
+				metrics.GetOrCreateCounter("http_panics_total").Inc()
 				if logger != nil {
 					logger.Error("handler panic",
 						"method", r.Method, "path", r.URL.Path, "panic", p)
@@ -75,17 +80,17 @@ func (w *statusWriter) WriteHeader(code int) {
 // stream handler depends on both.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// withObs wraps the API handler with request metrics
-// (http_requests_total{code=...}, http_request_seconds) and, when logger
-// is non-nil, one structured access-log line per request.
-func withObs(logger *slog.Logger, next http.Handler) http.Handler {
+// withObs wraps the API handler with request metrics recorded into
+// metrics (http_requests_total{code=...}, http_request_seconds) and,
+// when logger is non-nil, one structured access-log line per request.
+func withObs(logger *slog.Logger, metrics *obs.Registry, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
-		obsHTTPSeconds.Observe(elapsed.Seconds())
-		obs.GetOrCreateCounter(fmt.Sprintf(`http_requests_total{code="%d"}`, sw.status)).Inc()
+		metrics.GetOrCreateHistogram("http_request_seconds").Observe(elapsed.Seconds())
+		metrics.GetOrCreateCounter(fmt.Sprintf(`http_requests_total{code="%d"}`, sw.status)).Inc()
 		if logger != nil {
 			logger.Info("request",
 				"method", r.Method,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"stabledispatch/internal/admission"
+	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/obs"
@@ -49,10 +51,13 @@ type server struct {
 	// draining view) can read it without s.mu.
 	frameNow atomic.Int64
 	start    time.Time
+	// http holds this server's request metrics; withObs and
+	// withRecovery record into it.
+	http *obs.Registry
 }
 
 func newServer(s *sim.Simulator) *server {
-	return &server{sim: s, adm: admission.New(admission.Config{}), start: time.Now()}
+	return &server{sim: s, adm: admission.New(admission.Config{}), start: time.Now(), http: newHTTPMetrics()}
 }
 
 // withEvents attaches the event buffer served at /v1/events.
@@ -404,16 +409,74 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// getMetrics exposes the process-wide obs registry and the simulator
-// ledger's stage histograms in the Prometheus text format.
+// getMetrics renders the Prometheus text format at scrape time, each
+// series read from the one instance that counts it: the simulator
+// (sim_*, dispatch_degraded_frames_total, roadnet_cache_*), its flight
+// recorder (flightrec_*), the SLO engine (slo_*), the hub (stream_*),
+// the admission controller (admission_*), this server's HTTP metrics
+// (http_*), and the ledger's stage histograms. A subsystem that is off
+// exports nothing.
 func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.WritePrometheus(w); err != nil {
-		// The header is already out; the client sees a truncated body.
-		return
+	reg := obs.NewRegistry()
+	count := func(name string, v uint64) { reg.GetOrCreateCounter(name).Add(v) }
+	gauge := func(name string, v float64) { reg.GetOrCreateGauge(name).Set(v) }
+
+	s.mu.Lock()
+	st := s.sim.Stats()
+	s.mu.Unlock()
+	count("sim_frames_total", uint64(st.Frames))
+	gauge("sim_pending_requests", float64(st.Pending))
+	for kind, n := range st.Events {
+		count(`sim_events_total{kind="`+string(kind)+`"}`, uint64(n))
 	}
+	count(`sim_faults_total{kind="breakdown"}`, uint64(st.Breakdowns))
+	count(`sim_faults_total{kind="driver_cancel"}`, uint64(st.DriverCancels))
+	count(`sim_faults_total{kind="passenger_cancel"}`, uint64(st.PassengerCancels))
+	count("sim_redispatch_total", uint64(st.Redispatched))
+	count("sim_requests_expired_total", uint64(st.Expired))
+	count("sim_event_sink_errors_total", uint64(st.SinkErrors))
+	for _, reason := range dispatch.DegradeReasons {
+		count(`dispatch_degraded_frames_total{reason="`+reason+`"}`, uint64(st.Degraded[reason]))
+	}
+	count("roadnet_cache_hits_total", st.Cache.Hits)
+	count("roadnet_cache_misses_total", st.Cache.Misses)
+	count("roadnet_cache_evictions_total", st.Cache.Evictions)
+	gauge("roadnet_cache_size", float64(st.Cache.Size))
+	if rec := s.sim.Recorder(); rec != nil {
+		count("flightrec_bundles_total", uint64(rec.Bundles()))
+		count("flightrec_suppressed_total", rec.Suppressed())
+		count("flightrec_bundle_errors_total", uint64(rec.Errors()))
+	}
+	if s.slo != nil {
+		var breaches int64
+		for _, o := range s.slo.Status() {
+			label := fmt.Sprintf(`{slo=%q}`, o.Name)
+			gauge("slo_state"+label, o.State.Rank())
+			gauge("slo_value_fast"+label, o.Fast)
+			gauge("slo_value_slow"+label, o.Slow)
+			breaches += o.Breaches
+		}
+		count("slo_breaches_total", uint64(breaches))
+	}
+	if s.hub != nil {
+		for _, t := range stream.Topics {
+			count(`stream_published_total{topic="`+string(t)+`"}`, s.hub.Published(t))
+		}
+		count("stream_dropped_total", s.hub.Dropped())
+		gauge("stream_subscribers", float64(s.hub.Subscribers()))
+	}
+
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	// Once the header is out, a write error leaves the client a
+	// truncated body; there is nothing else to report it to.
+	writers := []func(io.Writer) error{reg.WritePrometheus, s.adm.WritePrometheus, s.http.WritePrometheus}
 	if ld := s.sim.Ledger(); ld != nil {
-		ld.WritePrometheus(w) //nolint:errcheck // same truncation as above
+		writers = append(writers, ld.WritePrometheus)
+	}
+	for _, write := range writers {
+		if err := write(w); err != nil {
+			return
+		}
 	}
 }
 

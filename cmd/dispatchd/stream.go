@@ -27,8 +27,8 @@ package main
 //
 // Backpressure: each connection owns a bounded ring (-stream-buffer).
 // A consumer slower than the feed drops its own oldest entries — the
-// drops are counted in the terminal comment and in the process-wide
-// stream_dropped_total counter — and can never block the frame loop,
+// drops are counted in the terminal comment and in the hub's
+// stream_dropped_total series — and can never block the frame loop,
 // the hub, or any other connection.
 
 import (

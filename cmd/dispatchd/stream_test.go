@@ -15,7 +15,6 @@ import (
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/sim"
@@ -24,9 +23,9 @@ import (
 )
 
 // streamServer builds a full daemon stack — simulator with KPI
-// recording and event buffering, admission controller, broadcast hub —
-// behind an httptest server, with the hub installed process-wide the
-// way main() does it.
+// recording, a ledger and event buffering, admission controller,
+// broadcast hub — behind an httptest server, with the request-metrics
+// middleware main() installs.
 func streamServer(t *testing.T, ring int, heartbeat time.Duration) (*httptest.Server, *server) {
 	t.Helper()
 	taxis := []fleet.Taxi{
@@ -51,7 +50,7 @@ func streamServer(t *testing.T, ring int, heartbeat time.Duration) (*httptest.Se
 		t.Fatalf("sim.New: %v", err)
 	}
 	srv := newServer(s).withEvents(events).withAdmission(adm).withStream(hub, ring, heartbeat)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(withObs(nil, srv.http, srv.handler()))
 	t.Cleanup(ts.Close)
 	return ts, srv
 }
@@ -209,7 +208,6 @@ func (g *gateRW) String() string {
 func TestStreamStalledConnectionDropsAndAccounts(t *testing.T) {
 	_, srv := streamServer(t, 8, time.Minute)
 	hub := srv.hub
-	dropped0 := obs.CounterValue("stream_dropped_total")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -233,7 +231,7 @@ func TestStreamStalledConnectionDropsAndAccounts(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("publishing %d messages against a stalled connection took %v", total, elapsed)
 	}
-	waitFor(t, func() bool { return obs.CounterValue("stream_dropped_total") > dropped0 })
+	waitFor(t, func() bool { return hub.Dropped() > 0 })
 
 	// Release the connection and let it die; the terminal comment must
 	// account the drops.
@@ -256,8 +254,8 @@ func TestStreamStalledConnectionDropsAndAccounts(t *testing.T) {
 	if gotDropped == 0 {
 		t.Fatal("stalled connection reports zero drops after flooding an 8-slot ring")
 	}
-	if got := obs.CounterValue("stream_dropped_total") - dropped0; got < gotDropped {
-		t.Fatalf("stream_dropped_total grew by %d, less than the connection's own %d", got, gotDropped)
+	if got := hub.Dropped(); got != gotDropped {
+		t.Fatalf("hub Dropped = %d, want the only connection's own %d", got, gotDropped)
 	}
 }
 

@@ -30,13 +30,16 @@
 // hold — queued plus dispatched-but-unfinished — and carries the
 // enqueue→assignment latency histogram.
 //
-// Exported obs series: admission_accepted_total,
-// admission_shed_total{reason=...}, admission_queue_depth, and
-// admission_wait_seconds (enqueue to assignment).
+// WritePrometheus renders the controller's own series:
+// admission_accepted_total, admission_shed_total{reason=...},
+// admission_queue_depth, admission_inject_failures_total, and the
+// admission_wait_seconds histogram (enqueue to assignment). Two
+// controllers in one process never share a count.
 package admission
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -115,19 +118,17 @@ type Controller struct {
 	queue    []fleet.Request
 	nextID   int
 	inflight int
-	shedN    int
 	entries  map[int]*entry
 	draining bool
 
-	accepted    *obs.Counter
-	shed        map[Reason]*obs.Counter
-	depth       *obs.Gauge
-	wait        *obs.Histogram
-	injectFails *obs.Counter
+	shed        map[Reason]int // requests shed, by reason
+	injectFails int
+	// reg holds the enqueue→assignment histogram, wait.
+	reg  *obs.Registry
+	wait *obs.Histogram
 }
 
-// New builds a Controller. The obs series are process-wide: two
-// controllers in one process share them (the daemon runs exactly one).
+// New builds a Controller.
 func New(cfg Config) *Controller {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = DefaultQueueCap
@@ -138,21 +139,14 @@ func New(cfg Config) *Controller {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	c := &Controller{
-		cfg:      cfg,
-		entries:  make(map[int]*entry),
-		accepted: obs.GetOrCreateCounter("admission_accepted_total"),
-		shed: map[Reason]*obs.Counter{
-			ReasonQueueFull: obs.GetOrCreateCounter(`admission_shed_total{reason="queue_full"}`),
-			ReasonInflight:  obs.GetOrCreateCounter(`admission_shed_total{reason="inflight_cap"}`),
-			ReasonDraining:  obs.GetOrCreateCounter(`admission_shed_total{reason="draining"}`),
-		},
-		depth:       obs.GetOrCreateGauge("admission_queue_depth"),
-		wait:        obs.GetOrCreateHistogram("admission_wait_seconds"),
-		injectFails: obs.GetOrCreateCounter("admission_inject_failures_total"),
+	reg := obs.NewRegistry()
+	return &Controller{
+		cfg:     cfg,
+		entries: make(map[int]*entry),
+		shed:    make(map[Reason]int),
+		reg:     reg,
+		wait:    reg.GetOrCreateHistogram("admission_wait_seconds"),
 	}
-	c.depth.Set(0)
-	return c
 }
 
 // Decision is the live-stream payload of one front-door outcome,
@@ -201,9 +195,7 @@ func (c *Controller) Admit(r fleet.Request) (int, error) {
 	c.queue = append(c.queue, r)
 	c.entries[id] = &entry{enqueuedAt: c.cfg.now()}
 	c.inflight++
-	c.accepted.Inc()
 	depth, inflight := len(c.queue), c.inflight
-	c.depth.Set(float64(depth))
 	c.mu.Unlock()
 	c.publish(Decision{Kind: "accepted", ID: id, QueueDepth: depth, Inflight: inflight})
 	return id, nil
@@ -212,8 +204,7 @@ func (c *Controller) Admit(r fleet.Request) (int, error) {
 // shedLocked counts one shed, releases c.mu, publishes the decision,
 // and returns the error Admit hands the caller.
 func (c *Controller) shedLocked(reason Reason) error {
-	c.shed[reason].Inc()
-	c.shedN++
+	c.shed[reason]++
 	depth, inflight := len(c.queue), c.inflight
 	c.mu.Unlock()
 	c.publish(Decision{Kind: "shed", ID: -1, Reason: reason, QueueDepth: depth, Inflight: inflight})
@@ -232,7 +223,6 @@ func (c *Controller) TakeBatch() []fleet.Request {
 	}
 	batch := c.queue
 	c.queue = nil
-	c.depth.Set(0)
 	inflight := c.inflight
 	c.mu.Unlock()
 	c.publish(Decision{Kind: "intake", ID: -1, Batch: len(batch), Inflight: inflight})
@@ -282,7 +272,11 @@ func (c *Controller) Accepted() int {
 func (c *Controller) Shed() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.shedN
+	n := 0
+	for _, k := range c.shed {
+		n += k
+	}
+	return n
 }
 
 // NoteAssigned records a dispatch for an admitted request: the first
@@ -337,6 +331,26 @@ func (c *Controller) NoteRequeued(id int) {
 // the sole ID allocator so this cannot happen in practice, but a bug
 // there must not leak in-flight capacity forever.
 func (c *Controller) NoteInjectFailure(id int) {
-	c.injectFails.Inc()
+	c.mu.Lock()
+	c.injectFails++
+	c.mu.Unlock()
 	c.NoteTerminal(id)
+}
+
+// WritePrometheus renders the controller's series in the Prometheus
+// text format, every count read from the controller's own state.
+func (c *Controller) WritePrometheus(w io.Writer) error {
+	snap := obs.NewRegistry()
+	c.mu.Lock()
+	snap.GetOrCreateCounter("admission_accepted_total").Add(uint64(c.nextID))
+	for _, r := range []Reason{ReasonQueueFull, ReasonInflight, ReasonDraining} {
+		snap.GetOrCreateCounter(`admission_shed_total{reason="` + string(r) + `"}`).Add(uint64(c.shed[r]))
+	}
+	snap.GetOrCreateGauge("admission_queue_depth").Set(float64(len(c.queue)))
+	snap.GetOrCreateCounter("admission_inject_failures_total").Add(uint64(c.injectFails))
+	c.mu.Unlock()
+	if err := snap.WritePrometheus(w); err != nil {
+		return err
+	}
+	return c.reg.WritePrometheus(w)
 }

@@ -2,13 +2,14 @@ package admission
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
-	"stabledispatch/internal/obs"
 )
 
 // fakeClock is a hand-advanced clock for latency assertions.
@@ -31,6 +32,28 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func req(x float64) fleet.Request {
 	return fleet.Request{Pickup: geo.Point{X: x}, Dropoff: geo.Point{X: x + 1}}
+}
+
+// rendered parses c's Prometheus exposition into series name → value.
+func rendered(t *testing.T, c *Controller) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := c.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, val, _ := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		out[name] = v
+	}
+	return out
 }
 
 func TestAdmitAllocatesSequentialIDsInOrder(t *testing.T) {
@@ -62,7 +85,6 @@ func TestAdmitAllocatesSequentialIDsInOrder(t *testing.T) {
 }
 
 func TestQueueFullSheds(t *testing.T) {
-	shed0 := obs.CounterValue(`admission_shed_total{reason="queue_full"}`)
 	c := New(Config{QueueCap: 2})
 	for i := 0; i < 2; i++ {
 		if _, err := c.Admit(req(0)); err != nil {
@@ -80,8 +102,8 @@ func TestQueueFullSheds(t *testing.T) {
 	if shed.RetryAfter <= 0 {
 		t.Errorf("retry-after = %v", shed.RetryAfter)
 	}
-	if got := obs.CounterValue(`admission_shed_total{reason="queue_full"}`) - shed0; got != 1 {
-		t.Errorf("shed counter delta = %d", got)
+	if got := rendered(t, c)[`admission_shed_total{reason="queue_full"}`]; got != 1 {
+		t.Errorf("queue_full shed count = %v, want 1", got)
 	}
 	// Draining the queue reopens admission.
 	c.TakeBatch()
@@ -132,23 +154,21 @@ func TestDrainShedsWithDrainingReason(t *testing.T) {
 
 func TestAssignmentLatencyObservedOncePerDispatch(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	wait := obs.GetOrCreateHistogram("admission_wait_seconds")
-	count0 := wait.Count()
 	c := New(Config{QueueCap: 4, now: clock.now})
 	id, _ := c.Admit(req(0))
 	c.TakeBatch()
 	clock.advance(2 * time.Second)
 	c.NoteAssigned(id)
 	c.NoteAssigned(id) // duplicate assign events must not double-observe
-	if got := wait.Count() - count0; got != 1 {
-		t.Fatalf("wait observations = %d, want 1", got)
+	if got := rendered(t, c)["admission_wait_seconds_count"]; got != 1 {
+		t.Fatalf("wait observations = %v, want 1", got)
 	}
 	// A requeue restarts the clock; the re-dispatch observes again.
 	c.NoteRequeued(id)
 	clock.advance(time.Second)
 	c.NoteAssigned(id)
-	if got := wait.Count() - count0; got != 2 {
-		t.Errorf("wait observations after requeue = %d, want 2", got)
+	if got := rendered(t, c)["admission_wait_seconds_count"]; got != 2 {
+		t.Errorf("wait observations after requeue = %v, want 2", got)
 	}
 }
 
@@ -179,19 +199,19 @@ func TestRequeueRebalancesLedgerAfterCancel(t *testing.T) {
 }
 
 func TestQueueDepthGaugeTracksQueue(t *testing.T) {
-	g := obs.GetOrCreateGauge("admission_queue_depth")
 	c := New(Config{QueueCap: 8})
-	if g.Value() != 0 {
-		t.Fatalf("initial gauge = %v", g.Value())
+	depth := func() float64 { return rendered(t, c)["admission_queue_depth"] }
+	if g := depth(); g != 0 {
+		t.Fatalf("initial gauge = %v", g)
 	}
 	c.Admit(req(0))
 	c.Admit(req(1))
-	if g.Value() != 2 {
-		t.Errorf("gauge = %v, want 2", g.Value())
+	if g := depth(); g != 2 {
+		t.Errorf("gauge = %v, want 2", g)
 	}
 	c.TakeBatch()
-	if g.Value() != 0 {
-		t.Errorf("gauge after TakeBatch = %v, want 0", g.Value())
+	if g := depth(); g != 0 {
+		t.Errorf("gauge after TakeBatch = %v, want 0", g)
 	}
 }
 

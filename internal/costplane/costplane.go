@@ -28,18 +28,7 @@ import (
 
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/spatial"
-)
-
-// Plane-construction telemetry: planes built, cells actually computed,
-// cells skipped by spatial pruning, and cells served again to an
-// additional consumer (the reuse the shared plane exists for).
-var (
-	obsBuilds      = obs.GetOrCreateCounter("costplane_builds_total")
-	obsCellsDone   = obs.GetOrCreateCounter("costplane_cells_computed_total")
-	obsCellsPruned = obs.GetOrCreateCounter("costplane_cells_pruned_total")
-	obsCellsReused = obs.GetOrCreateCounter("costplane_cells_reused_total")
 )
 
 // Config controls plane construction.
@@ -94,9 +83,6 @@ type Plane struct {
 	pairs  [][]float64     // [request][request] D(r_j^s, r_k^s); nil without Pairs
 
 	allPickups []geo.Point // build-time scratch: every request's pickup
-
-	computed uint64
-	pruned   uint64
 }
 
 // Metric returns the metric the plane was built with, for the residual
@@ -146,11 +132,6 @@ func (p *Plane) CostMatrix() [][]float64 {
 	}
 	return cost
 }
-
-// MarkReuse records that the plane's cells were served to an additional
-// consumer instead of being recomputed; sim.Frame calls this on every
-// memo hit.
-func (p *Plane) MarkReuse() { obsCellsReused.Add(uint64(p.Cells())) }
 
 // autoSerialCells is the plane size below which auto worker sizing
 // (Config.Workers ≤ 0) skips the pool: at a few thousand cells the
@@ -256,9 +237,6 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 	}
 
 	p.allPickups = nil
-	obsBuilds.Inc()
-	obsCellsDone.Add(atomic.LoadUint64(&p.computed))
-	obsCellsPruned.Add(atomic.LoadUint64(&p.pruned))
 	return p
 }
 
@@ -302,26 +280,20 @@ func pickupIndex(reqs []fleet.Request, radius float64) *spatial.Index {
 // traversal; scalar metrics apply the identical straight-line rule
 // per pair, which allocates nothing.
 func (p *Plane) buildPickupRow(i int, prune bool, radius float64, pickups *spatial.Index) {
-	r := len(p.Requests)
 	row := p.pickup[i]
 	src := p.Taxis[i].Pos
 	if p.batch == nil {
-		computed := 0
 		for j, rq := range p.Requests {
 			if prune && geo.Euclid(src, rq.Pickup) > radius {
 				row[j] = math.Inf(1)
 				continue
 			}
 			row[j] = p.metric.Distance(src, rq.Pickup)
-			computed++
 		}
-		atomic.AddUint64(&p.computed, uint64(computed))
-		atomic.AddUint64(&p.pruned, uint64(r-computed))
 		return
 	}
 	if !prune {
 		copy(row, p.batch.DistancesFrom(src, p.allPickups))
-		atomic.AddUint64(&p.computed, uint64(r))
 		return
 	}
 	for j := range row {
@@ -341,8 +313,6 @@ func (p *Plane) buildPickupRow(i int, prune bool, radius float64, pickups *spati
 			row[j] = vals[x]
 		}
 	}
-	atomic.AddUint64(&p.computed, uint64(len(cand)))
-	atomic.AddUint64(&p.pruned, uint64(r-len(cand)))
 }
 
 // buildRequestRow fills request j's solo trip distance and, when pairs
@@ -353,13 +323,11 @@ func (p *Plane) buildRequestRow(j int, pairs, prune bool, radius float64, pickup
 	rq := p.Requests[j]
 	if !pairs {
 		p.trip[j] = rq.TripDistance(p.metric)
-		atomic.AddUint64(&p.computed, 1)
 		return
 	}
 	r := len(p.Requests)
 	row := p.pairs[j]
 	if p.batch == nil {
-		computed := 1 // the trip below
 		for k, other := range p.Requests {
 			switch {
 			case k == j:
@@ -368,12 +336,9 @@ func (p *Plane) buildRequestRow(j int, pairs, prune bool, radius float64, pickup
 				row[k] = math.Inf(1)
 			default:
 				row[k] = p.metric.Distance(rq.Pickup, other.Pickup)
-				computed++
 			}
 		}
 		p.trip[j] = p.metric.Distance(rq.Pickup, rq.Dropoff)
-		atomic.AddUint64(&p.computed, uint64(computed))
-		atomic.AddUint64(&p.pruned, uint64(r-computed))
 		return
 	}
 	var cand []int
@@ -405,6 +370,4 @@ func (p *Plane) buildRequestRow(j int, pairs, prune bool, radius float64, pickup
 	}
 	row[j] = 0
 	p.trip[j] = vals[len(vals)-1]
-	atomic.AddUint64(&p.computed, uint64(len(kept)+1))
-	atomic.AddUint64(&p.pruned, uint64(r-1-len(kept)))
 }

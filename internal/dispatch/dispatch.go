@@ -9,6 +9,23 @@
 //
 // All non-sharing dispatchers assign idle taxis only and emit one
 // single-ride assignment per matched pair.
+//
+// Stage timing for the dispatch pipeline goes to the frame-budget
+// ledger of the simulator that built the frame (sim.Frame.Ledger), one
+// span per stage of Algorithm 1/3 and the baselines:
+//
+//	idle_scan   — collecting the frame's idle fleet
+//	cost_plane  — building (or memo-hitting) the frame's shared
+//	              distance plane: spatial candidate pruning plus the
+//	              parallel batched distance computation
+//	pref_build  — market construction from the plane (pref.FromPlane
+//	              or share.BuildMarketPlane)
+//	cost_matrix — the baselines' request-major view of the plane
+//	matching    — the stable matching (or baseline assignment) solve
+//	packing     — Algorithm 3's feasible-group + set-packing stage
+//
+// The ledger derives the dispatch_stage_seconds histograms behind
+// dispatchd's /v1/report and taxisim's stage table from these spans.
 package dispatch
 
 import (
@@ -93,9 +110,7 @@ func (d *NSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 		m = stable.PassengerOptimalObserved(&inst.Market, ft.observer(false))
 	}
 	sp.End()
-	out := singleRides(m, taxis, f.Requests)
-	obsAssignments.Add(uint64(len(out)))
-	return out, nil
+	return singleRides(m, taxis, f.Requests), nil
 }
 
 // costMatrix returns the request-major pickup-distance matrix the
@@ -168,7 +183,6 @@ func (b *baseline) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 			out = append(out, fleet.SingleRide(taxis[i].ID, f.Requests[j]))
 		}
 	}
-	obsAssignments.Add(uint64(len(out)))
 	return out, nil
 }
 
@@ -250,7 +264,6 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 			out = append(out, units[k].Assignment(taxis[i].ID, f.Requests))
 		}
 	}
-	obsAssignments.Add(uint64(len(out)))
 	return out, nil
 }
 

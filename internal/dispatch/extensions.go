@@ -47,9 +47,7 @@ func (d *NSTDC) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	sp := f.Ledger.Begin(prof.StageMatching)
 	m := stable.CompanyOptimal(&inst.Market, stable.TotalPickupDistance(inst), enumerationCap)
 	sp.End()
-	out := singleRides(m, taxis, f.Requests)
-	obsAssignments.Add(uint64(len(out)))
-	return out, nil
+	return singleRides(m, taxis, f.Requests), nil
 }
 
 // NSTDM selects the median stable matching of each frame — the fairness
@@ -79,9 +77,7 @@ func (d *NSTDM) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	sp := f.Ledger.Begin(prof.StageMatching)
 	m := stable.MedianStable(&inst.Market, enumerationCap)
 	sp.End()
-	out := singleRides(m, taxis, f.Requests)
-	obsAssignments.Add(uint64(len(out)))
-	return out, nil
+	return singleRides(m, taxis, f.Requests), nil
 }
 
 // singleRides converts a non-sharing matching into assignments.

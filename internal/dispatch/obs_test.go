@@ -3,7 +3,6 @@ package dispatch
 import (
 	"testing"
 
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/share"
@@ -12,7 +11,8 @@ import (
 
 // TestDispatchRecordsStageSpans runs NSTD, STD and a baseline under a
 // simulator with a frame-budget ledger and checks every pipeline stage
-// reached that simulator's ledger through the frame.
+// reached that simulator's ledger through the frame, and that each
+// simulator's assign events count exactly its own served requests.
 func TestDispatchRecordsStageSpans(t *testing.T) {
 	taxis, reqs := smallWorld(t, 11, 12, 30)
 	if len(reqs) == 0 {
@@ -28,8 +28,12 @@ func TestDispatchRecordsStageSpans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sim.New: %v", err)
 		}
-		if _, err := s.Run(); err != nil {
+		rep, err := s.Run()
+		if err != nil {
 			t.Fatalf("%s: %v", d.Name(), err)
+		}
+		if got, want := s.Stats().Events[sim.EventAssign], rep.ServedCount(); got != want || want == 0 {
+			t.Errorf("%s: %d assign events, want its %d served requests (> 0)", d.Name(), got, want)
 		}
 	}
 	calls := make(map[string]int64)
@@ -40,10 +44,5 @@ func TestDispatchRecordsStageSpans(t *testing.T) {
 		if calls[stage] == 0 {
 			t.Errorf("stage %q recorded no spans (ledger stages %v)", stage, calls)
 		}
-	}
-
-	proposals := obs.GetOrCreateCounter("stable_gs_proposals_total")
-	if proposals.Value() == 0 {
-		t.Error("stable_gs_proposals_total = 0 after stable dispatches")
 	}
 }

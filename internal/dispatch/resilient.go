@@ -80,18 +80,19 @@ func (d *Resilient) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	}
 }
 
-// degrade counts the degraded frame, notes it on the frame (the
-// simulator counts it, fires its flight recorder, and publishes a
-// notice), and reruns the frame with the fallback.
+// DegradeReasons are the reasons Resilient gives Frame.NoteDegraded,
+// and the reason labels of dispatchd's dispatch_degraded_frames_total.
+var DegradeReasons = []string{"deadline", "panic", "error"}
+
+// degrade notes the degraded frame on the frame (the simulator counts
+// it by reason, fires its flight recorder, and publishes a notice), and
+// reruns the frame with the fallback.
 func (d *Resilient) degrade(f *sim.Frame, reason string, cause error) ([]fleet.Assignment, error) {
-	if c := obsDegraded[reason]; c != nil {
-		c.Inc()
-	}
 	slog.Warn("dispatch: degraded frame",
 		"frame", f.Number, "primary", d.primary.Name(),
 		"fallback", d.fallback.Name(), "reason", reason, "err", cause)
 	traceDegrade(f.Number, d.primary.Name(), d.fallback.Name(), reason, cause)
-	f.NoteDegraded(fmt.Sprintf("%s degraded to %s (%s): %v", d.primary.Name(), d.fallback.Name(), reason, cause))
+	f.NoteDegraded(reason, fmt.Sprintf("%s degraded to %s (%s): %v", d.primary.Name(), d.fallback.Name(), reason, cause))
 	res := safeDispatch(d.fallback, f)
 	if res.err != nil {
 		return nil, fmt.Errorf("dispatch: fallback %s after %s degrade: %w", d.fallback.Name(), reason, res.err)

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"errors"
+	"maps"
 	"testing"
 	"time"
 
@@ -47,15 +48,45 @@ func resilientFrame() *sim.Frame {
 	}
 }
 
-func degradedCount(reason string) uint64 { return obsDegraded[reason].Value() }
+// simCapture keeps a dispatcher's own output and hands the simulator
+// none, so a fake's made-up assignments never reach the engine.
+type simCapture struct {
+	d   sim.Dispatcher
+	out []fleet.Assignment
+	err error
+}
+
+func (c *simCapture) Name() string { return c.d.Name() }
+
+func (c *simCapture) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
+	c.out, c.err = c.d.Dispatch(f)
+	return nil, nil
+}
+
+// dispatchInSim runs d on the first frame of a simulator holding
+// resilientFrame's world, returning d's output and that simulator's
+// degraded-frame counts by reason.
+func dispatchInSim(t *testing.T, d sim.Dispatcher) ([]fleet.Assignment, map[string]int, error) {
+	t.Helper()
+	f := resilientFrame()
+	c := &simCapture{d: d}
+	s, err := sim.New(sim.Config{Dispatcher: c, Params: f.Params},
+		[]fleet.Taxi{{ID: 3, Seats: 3}}, f.Requests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	return c.out, s.Stats().Degraded, c.err
+}
 
 func TestResilientHealthyPrimaryPassesThrough(t *testing.T) {
 	want := []fleet.Assignment{{TaxiID: 99, Requests: []int{1}}}
 	primary := &fakeDispatcher{name: "ok", out: want}
 	fallback := &fakeDispatcher{name: "never"}
 	r := NewResilient(primary, fallback, time.Second)
-	before := degradedCount("deadline") + degradedCount("panic") + degradedCount("error")
-	got, err := r.Dispatch(resilientFrame())
+	got, degraded, err := dispatchInSim(t, r)
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
@@ -65,9 +96,8 @@ func TestResilientHealthyPrimaryPassesThrough(t *testing.T) {
 	if fallback.calls != 0 {
 		t.Error("fallback invoked on a healthy frame")
 	}
-	after := degradedCount("deadline") + degradedCount("panic") + degradedCount("error")
-	if after != before {
-		t.Errorf("degraded counter moved %d→%d on a healthy frame", before, after)
+	if len(degraded) != 0 {
+		t.Errorf("degraded counts %v on a healthy frame", degraded)
 	}
 	if r.Name() != "ok+failsafe" {
 		t.Errorf("Name() = %q", r.Name())
@@ -78,9 +108,8 @@ func TestResilientDeadlineDegradesToFallback(t *testing.T) {
 	const deadline = 30 * time.Millisecond
 	primary := &fakeDispatcher{name: "slow", sleep: 2 * time.Second}
 	r := NewResilient(primary, nil, deadline) // nil fallback → Greedy
-	before := degradedCount("deadline")
 	start := time.Now()
-	got, err := r.Dispatch(resilientFrame())
+	got, degraded, err := dispatchInSim(t, r)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
@@ -89,8 +118,8 @@ func TestResilientDeadlineDegradesToFallback(t *testing.T) {
 	if len(got) != 1 || got[0].TaxiID != 3 || len(got[0].Requests) != 1 || got[0].Requests[0] != 1 {
 		t.Fatalf("fallback assignments = %+v, want taxi 3 → request 1", got)
 	}
-	if degradedCount("deadline") != before+1 {
-		t.Error("dispatch_degraded_frames_total{reason=\"deadline\"} not incremented")
+	if want := map[string]int{"deadline": 1}; !maps.Equal(degraded, want) {
+		t.Errorf("degraded counts = %v, want %v", degraded, want)
 	}
 	// Frame latency is bounded by the deadline plus the fallback's
 	// (near-instant on one taxi) cost — nowhere near the primary's 2s.
@@ -103,8 +132,7 @@ func TestResilientPanicDegradesToFallback(t *testing.T) {
 	primary := &fakeDispatcher{name: "boom", panics: true}
 	fallback := &fakeDispatcher{name: "safe", out: []fleet.Assignment{{TaxiID: 3, Requests: []int{1}}}}
 	r := NewResilient(primary, fallback, time.Second)
-	before := degradedCount("panic")
-	got, err := r.Dispatch(resilientFrame())
+	got, degraded, err := dispatchInSim(t, r)
 	if err != nil {
 		t.Fatalf("Dispatch after primary panic: %v", err)
 	}
@@ -114,8 +142,8 @@ func TestResilientPanicDegradesToFallback(t *testing.T) {
 	if len(got) != 1 || got[0].TaxiID != 3 {
 		t.Fatalf("got %+v, want the fallback's assignment", got)
 	}
-	if degradedCount("panic") != before+1 {
-		t.Error("dispatch_degraded_frames_total{reason=\"panic\"} not incremented")
+	if want := map[string]int{"panic": 1}; !maps.Equal(degraded, want) {
+		t.Errorf("degraded counts = %v, want %v", degraded, want)
 	}
 }
 
@@ -123,15 +151,15 @@ func TestResilientErrorDegradesToFallback(t *testing.T) {
 	primary := &fakeDispatcher{name: "bad", err: errors.New("solver wedged")}
 	fallback := &fakeDispatcher{name: "safe"}
 	r := NewResilient(primary, fallback, time.Second)
-	before := degradedCount("error")
-	if _, err := r.Dispatch(resilientFrame()); err != nil {
+	_, degraded, err := dispatchInSim(t, r)
+	if err != nil {
 		t.Fatalf("Dispatch after primary error: %v", err)
 	}
 	if fallback.calls != 1 {
 		t.Fatalf("fallback calls = %d, want 1", fallback.calls)
 	}
-	if degradedCount("error") != before+1 {
-		t.Error("dispatch_degraded_frames_total{reason=\"error\"} not incremented")
+	if want := map[string]int{"error": 1}; !maps.Equal(degraded, want) {
+		t.Errorf("degraded counts = %v, want %v", degraded, want)
 	}
 }
 

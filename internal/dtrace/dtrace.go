@@ -16,9 +16,9 @@
 // peer-to-peer ridesharing literature run post hoc, kept as an always-on
 // runtime surface.
 //
-// Recording follows the obs conventions: a process-wide Default recorder
-// the instrumented packages write into, gated by a kill switch. Tracing
-// is OFF by default — hot paths pay exactly one atomic load via Active()
+// Recording goes to a process-wide Default recorder the instrumented
+// packages write into, gated by a kill switch. Tracing is OFF by
+// default — hot paths pay exactly one atomic load via Active()
 // until an operator (or cmd/dispatchd's -dtrace flag, or cmd/taxisim's
 // -trace-out) switches it on. Memory is bounded twice over: the ring
 // keeps at most Capacity request traces (oldest evicted first) and each
@@ -31,9 +31,9 @@ import (
 	"sync/atomic"
 )
 
-// enabled is the process-wide recording switch. Unlike obs, tracing is
-// opt-in: the default is off, so the untraced dispatch path costs one
-// atomic load per potential recording site.
+// enabled is the process-wide recording switch. Tracing is opt-in: the
+// default is off, so the untraced dispatch path costs one atomic load
+// per potential recording site.
 var enabled atomic.Bool
 
 // SetEnabled switches decision-trace recording on or off process-wide

@@ -250,7 +250,7 @@ func (r *Recorder) enforceRetention() {
 	sort.Strings(bundles)
 	for _, name := range bundles[:len(bundles)-r.cfg.MaxBundles] {
 		if err := os.RemoveAll(filepath.Join(r.cfg.Dir, name)); err != nil {
-			obsErrors.Inc()
+			r.count(&r.errors)
 		}
 	}
 }

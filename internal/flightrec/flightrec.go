@@ -30,7 +30,6 @@ import (
 	"os"
 	"sync"
 
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/tseries"
 )
 
@@ -158,7 +157,9 @@ type Recorder struct {
 	events     []EventRecord // ring
 	eventHead  int
 	eventN     int
-	seq        int   // bundles written so far (also the directory sequence)
+	seq        int   // bundles attempted so far (the directory sequence)
+	written    int   // bundles written successfully
+	errors     int   // bundle write and retention-cleanup failures
 	lastFrame  int64 // frame of the last automatic bundle
 	hasBundled bool
 	suppressed uint64
@@ -185,13 +186,6 @@ func New(cfg Config) (*Recorder, error) {
 
 // Config returns the (default-filled) configuration in force.
 func (r *Recorder) Config() Config { return r.cfg }
-
-// Observability counters.
-var (
-	obsBundles    = obs.GetOrCreateCounter("flightrec_bundles_total")
-	obsSuppressed = obs.GetOrCreateCounter("flightrec_suppressed_total")
-	obsErrors     = obs.GetOrCreateCounter("flightrec_bundle_errors_total")
-)
 
 // ObserveFrame pushes one frame's context into the ring, evicting the
 // oldest beyond capacity. O(1), no allocation beyond the caller's
@@ -267,14 +261,28 @@ func (r *Recorder) Suppressed() uint64 {
 func (r *Recorder) Bundles() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.seq
+	return r.written
+}
+
+// Errors returns how many bundle writes and retention deletions failed.
+func (r *Recorder) Errors() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.errors
+}
+
+// count adds one to a counter guarded by r.mu.
+func (r *Recorder) count(n *int) {
+	r.mu.Lock()
+	*n++
+	r.mu.Unlock()
 }
 
 // Trigger freezes the rings and writes one diagnostic bundle, returning
 // its directory path. An automatic trigger (force=false) inside the
 // cooldown window is suppressed and returns ("", nil); a forced trigger
 // bypasses the cooldown but still counts toward retention. Write
-// failures are counted in flightrec_bundle_errors_total and returned.
+// failures are counted (Errors) and returned.
 func (r *Recorder) Trigger(frame int64, reason Reason, detail string, force bool) (string, error) {
 	return r.TriggerFiles(frame, reason, detail, force, nil)
 }
@@ -298,7 +306,6 @@ func (r *Recorder) TriggerFiles(frame int64, reason Reason, detail string, force
 	if !force && r.hasBundled && frame >= r.lastFrame && frame-r.lastFrame < int64(r.cfg.CooldownFrames) {
 		r.suppressed++
 		r.mu.Unlock()
-		obsSuppressed.Inc()
 		return "", nil
 	}
 	r.seq++
@@ -323,10 +330,10 @@ func (r *Recorder) TriggerFiles(frame int64, reason Reason, detail string, force
 
 	dir, err := r.writeBundle(snap)
 	if err != nil {
-		obsErrors.Inc()
+		r.count(&r.errors)
 		return "", err
 	}
-	obsBundles.Inc()
+	r.count(&r.written)
 	r.enforceRetention()
 	return dir, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // DefBuckets are the default histogram bucket upper bounds, in seconds:
@@ -41,11 +40,8 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
 }
 
-// Observe records one value. It is a no-op while recording is disabled.
+// Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
-		return
-	}
 	h.buckets[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	h.count.Add(1)
 	for {
@@ -134,33 +130,4 @@ func (h *Histogram) snapshot() (bounds []float64, cumulative []uint64, count uin
 		cumulative[i] = cum
 	}
 	return h.bounds, cumulative, h.count.Load(), h.Sum()
-}
-
-// Timer measures one span into a histogram, in seconds:
-//
-//	defer obs.StartTimer(h).ObserveDuration()
-//
-// A timer started while recording is disabled (or with a nil histogram)
-// costs nothing and records nothing.
-type Timer struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartTimer begins timing a span against h.
-func StartTimer(h *Histogram) Timer {
-	if h == nil || !enabled.Load() {
-		return Timer{}
-	}
-	return Timer{h: h, start: time.Now()}
-}
-
-// ObserveDuration records the elapsed time and returns it.
-func (t Timer) ObserveDuration() time.Duration {
-	if t.h == nil {
-		return 0
-	}
-	d := time.Since(t.start)
-	t.h.Observe(d.Seconds())
-	return d
 }

@@ -6,9 +6,7 @@ import (
 )
 
 // Counter is a monotonically increasing event count, safe for
-// concurrent use. Increments are single atomic adds; hot loops should
-// still accumulate locally and Add once per call for the last few
-// percent (the stable-matching core does).
+// concurrent use.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -16,13 +14,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n. It is a no-op while recording is disabled.
-func (c *Counter) Add(n uint64) {
-	if !enabled.Load() {
-		return
-	}
-	c.v.Add(n)
-}
+// Add adds n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -33,35 +26,8 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v. It is a no-op while recording is disabled.
-func (g *Gauge) Set(v float64) {
-	if !enabled.Load() {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds delta to the gauge. It is a no-op while recording is
-// disabled.
-func (g *Gauge) Add(delta float64) {
-	if !enabled.Load() {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Inc adds one to the gauge — the idiom for occupancy gauges
-// (subscriber counts, open connections) that move by ±1.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one from the gauge.
-func (g *Gauge) Dec() { g.Add(-1) }
+// Set stores v.
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

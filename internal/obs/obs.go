@@ -1,49 +1,31 @@
-// Package obs is the dispatch pipeline's observability substrate: a
-// dependency-free, concurrency-safe metrics registry with atomic
+// Package obs is the metrics substrate for the instances that own
+// histograms: a dependency-free, concurrency-safe Registry of atomic
 // counters, gauges, and fixed-bucket latency histograms, plus a
-// Prometheus-text-format exporter. Every hot-path package (the sim
-// engine, the dispatchers, the stable-matching core, the set packer,
-// the road-network cache) registers its metrics here, and cmd/dispatchd
-// serves the whole registry at GET /v1/metrics.
+// Prometheus-text-format writer. There is no process-wide registry:
+// each owner (the frame-budget ledger, the admission controller,
+// dispatchd's HTTP layer) holds its own, and cmd/dispatchd renders every
+// other /v1/metrics series at scrape time from the instance that counts
+// it.
 //
 // Metric names follow the Prometheus convention and may carry a fixed
 // label set inline, VictoriaMetrics-style:
 //
-//	obs.GetOrCreateCounter("roadnet_cache_hits_total")
-//	obs.GetOrCreateHistogram(`dispatch_stage_seconds{stage="matching"}`)
+//	reg.GetOrCreateCounter(`http_requests_total{code="200"}`)
+//	reg.GetOrCreateHistogram(`dispatch_stage_seconds{stage="matching"}`)
 //
 // The full string (base name plus optional {labels}) identifies one time
-// series; two calls with the same name return the same metric, so
-// packages can register at init time and increment lock-free afterwards.
-//
-// SetEnabled(false) turns every Inc/Add/Set/Observe into a no-op; the
-// benchmark suite uses it to prove the instrumentation overhead is
-// negligible, and operators can use it as a kill switch.
+// series; two calls with the same name on one registry return the same
+// metric.
 package obs
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// enabled is the global recording switch. Metrics are registered either
-// way; only the write paths are gated.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled switches metric recording on or off process-wide.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether metric recording is on.
-func Enabled() bool { return enabled.Load() }
-
 // Registry holds named metrics. The zero value is not usable; call
-// NewRegistry. Most code uses the process-wide Default registry through
-// the package-level GetOrCreate helpers.
+// NewRegistry.
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]any // full name → *Counter | *Gauge | *Histogram
@@ -52,31 +34,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]any)}
-}
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry that the instrumented
-// packages register into and cmd/dispatchd exports.
-func Default() *Registry { return defaultRegistry }
-
-// GetOrCreateCounter returns the counter registered under name in the
-// default registry, creating it on first use.
-func GetOrCreateCounter(name string) *Counter {
-	return defaultRegistry.GetOrCreateCounter(name)
-}
-
-// GetOrCreateGauge returns the gauge registered under name in the
-// default registry, creating it on first use.
-func GetOrCreateGauge(name string) *Gauge {
-	return defaultRegistry.GetOrCreateGauge(name)
-}
-
-// GetOrCreateHistogram returns the histogram registered under name in
-// the default registry, creating it with the given bucket upper bounds
-// (DefBuckets when omitted) on first use.
-func GetOrCreateHistogram(name string, buckets ...float64) *Histogram {
-	return defaultRegistry.GetOrCreateHistogram(name, buckets...)
 }
 
 // GetOrCreateCounter returns the counter registered under name,
@@ -129,67 +86,6 @@ func mustKind[T any](name string, m any) *T {
 		panic(fmt.Sprintf("obs: metric %q already registered as %T", name, m))
 	}
 	return v
-}
-
-// CounterValue returns the current value of one counter of the default
-// registry, or 0 when the name is unregistered (or not a counter).
-func CounterValue(name string) uint64 { return defaultRegistry.CounterValue(name) }
-
-// CounterValue returns the current value of the named counter, or 0
-// when the name is unregistered (or registered as another kind).
-func (r *Registry) CounterValue(name string) uint64 {
-	r.mu.RLock()
-	m, ok := r.metrics[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0
-	}
-	c, ok := m.(*Counter)
-	if !ok {
-		return 0
-	}
-	return c.Value()
-}
-
-// GaugeValue returns the current value of one gauge of the default
-// registry, or 0 when the name is unregistered (or not a gauge).
-func GaugeValue(name string) float64 { return defaultRegistry.GaugeValue(name) }
-
-// GaugeValue returns the current value of the named gauge, or 0 when
-// the name is unregistered (or registered as another kind).
-func (r *Registry) GaugeValue(name string) float64 {
-	r.mu.RLock()
-	m, ok := r.metrics[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0
-	}
-	g, ok := m.(*Gauge)
-	if !ok {
-		return 0
-	}
-	return g.Value()
-}
-
-// SumCounters sums every counter of the default registry whose full
-// name starts with prefix — the read-side companion of labelled counter
-// families like dispatch_degraded_frames_total{reason=...}.
-func SumCounters(prefix string) uint64 { return defaultRegistry.SumCounters(prefix) }
-
-// SumCounters sums every counter whose full name starts with prefix.
-// Summation is order-independent, so it reads the live map under the
-// lock instead of taking Each's sorted snapshot — this runs once per
-// simulation frame and must not allocate.
-func (r *Registry) SumCounters(prefix string) uint64 {
-	var total uint64
-	r.mu.RLock()
-	for name, metric := range r.metrics {
-		if c, ok := metric.(*Counter); ok && strings.HasPrefix(name, prefix) {
-			total += c.Value()
-		}
-	}
-	r.mu.RUnlock()
-	return total
 }
 
 // Each calls fn for every registered metric in lexicographic name

@@ -88,10 +88,6 @@ func seriesName(base, labels, extra string) string {
 	}
 }
 
-// WritePrometheus renders every registered metric of the default
-// registry in the Prometheus text exposition format.
-func WritePrometheus(w io.Writer) error { return defaultRegistry.WritePrometheus(w) }
-
 // WritePrometheus renders every registered metric in the Prometheus
 // text exposition format (version 0.0.4): counters and gauges as single
 // samples, histograms as cumulative le-buckets plus _sum and _count.
@@ -189,12 +185,6 @@ type HistogramSummary struct {
 
 // Label returns the value of one label of the summarised series.
 func (s HistogramSummary) Label(key string) string { return LabelValue(s.Name, key) }
-
-// HistogramSummaries summarises every histogram of the default registry
-// whose full name starts with prefix, in name order.
-func HistogramSummaries(prefix string) []HistogramSummary {
-	return defaultRegistry.HistogramSummaries(prefix)
-}
 
 // HistogramSummaries summarises every histogram whose full name starts
 // with prefix, in name order. Series with no observations are skipped.

@@ -28,7 +28,6 @@ func TestConcurrentWritersAndExporter(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				c.Inc()
 				g.Set(float64(i))
-				g.Add(1)
 				h.Observe(float64(i%100) / 1000)
 			}
 		}()

@@ -32,7 +32,9 @@ import (
 	"sync"
 	"time"
 
+	"stabledispatch/internal/geo"
 	"stabledispatch/internal/obs"
+	"stabledispatch/internal/roadnet"
 )
 
 // Stage indices of the fixed per-frame cost ledger, in pipeline order.
@@ -116,7 +118,8 @@ type FrameProfile struct {
 	StageCalls  [NumStages]int64
 	StageAllocs [NumStages]int64
 	// Dijkstra-cache traffic attributed to the stage (deltas of the
-	// roadnet cache counters across the span; zero on grid metrics).
+	// frame's own roadnet cache counters across the span; zero on
+	// metrics without a cache).
 	StageCacheHits   [NumStages]int64
 	StageCacheMisses [NumStages]int64
 }
@@ -188,6 +191,9 @@ type Ledger struct {
 	mu      sync.Mutex
 	inFrame bool
 	cur     FrameProfile
+	// cache is the current frame's Dijkstra cache (nil when its metric
+	// has none); spans read their hit/miss deltas from it.
+	cache cacheCounter
 
 	frames      int64
 	overruns    int64
@@ -208,9 +214,6 @@ type Ledger struct {
 
 	allocMu     sync.Mutex
 	allocSample [1]metrics.Sample
-
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
 
 	// reg holds the ledger's rolling histograms, fed once per sealed
 	// frame.
@@ -234,8 +237,6 @@ func New(cfg Config) *Ledger {
 		cfg:         cfg,
 		lastCapture: -1 << 62,
 		top:         make([]FrameProfile, 0, cfg.TopN),
-		cacheHits:   obs.GetOrCreateCounter("roadnet_cache_hits_total"),
-		cacheMisses: obs.GetOrCreateCounter("roadnet_cache_misses_total"),
 		reg:         obs.NewRegistry(),
 	}
 	ld.allocSample[0].Name = allocMetric
@@ -269,6 +270,10 @@ func (ld *Ledger) readAllocs() int64 {
 	return int64(v.Uint64())
 }
 
+// cacheCounter is the view of a metric with a Dijkstra cache — the same
+// CacheStats assertion the simulator's KPI sample makes.
+type cacheCounter interface{ CacheStats() roadnet.CacheStats }
+
 // Span is one in-flight stage measurement. The zero Span (nil ledger)
 // ends for free.
 type Span struct {
@@ -276,8 +281,8 @@ type Span struct {
 	stage   int
 	start   time.Time
 	allocs0 int64
-	hits0   uint64
-	misses0 uint64
+	cache   cacheCounter
+	cache0  roadnet.CacheStats
 }
 
 // Begin opens a span for a stage index (one of the Stage constants). On
@@ -286,14 +291,14 @@ func (ld *Ledger) Begin(stage int) Span {
 	if ld == nil || stage < 0 || stage >= NumStages {
 		return Span{}
 	}
-	return Span{
-		ld:      ld,
-		stage:   stage,
-		start:   time.Now(),
-		allocs0: ld.readAllocs(),
-		hits0:   ld.cacheHits.Value(),
-		misses0: ld.cacheMisses.Value(),
+	ld.mu.Lock()
+	cache := ld.cache
+	ld.mu.Unlock()
+	sp := Span{ld: ld, stage: stage, start: time.Now(), allocs0: ld.readAllocs(), cache: cache}
+	if cache != nil {
+		sp.cache0 = cache.CacheStats()
 	}
+	return sp
 }
 
 // End closes the span, attributing its cost to the current frame.
@@ -305,8 +310,11 @@ func (sp Span) End() {
 	ld := sp.ld
 	ns := time.Since(sp.start).Nanoseconds()
 	allocs := ld.readAllocs() - sp.allocs0
-	hits := int64(ld.cacheHits.Value() - sp.hits0)
-	misses := int64(ld.cacheMisses.Value() - sp.misses0)
+	var hits, misses int64
+	if sp.cache != nil {
+		cs := sp.cache.CacheStats()
+		hits, misses = int64(cs.Hits-sp.cache0.Hits), int64(cs.Misses-sp.cache0.Misses)
+	}
 	ld.mu.Lock()
 	if ld.inFrame {
 		ld.cur.StageNs[sp.stage] += ns
@@ -319,11 +327,15 @@ func (sp Span) End() {
 }
 
 // BeginFrame opens frame's ledger entry; subsequent span ends attribute
-// to it until EndFrame.
-func (ld *Ledger) BeginFrame(frame int64) {
+// to it until EndFrame. metric is the frame's distance metric: when it
+// has a Dijkstra cache (roadnet.Metric), spans attribute that cache's
+// hits and misses to their stage.
+func (ld *Ledger) BeginFrame(frame int64, metric geo.Metric) {
+	cache, _ := metric.(cacheCounter)
 	ld.mu.Lock()
 	ld.cur = FrameProfile{Frame: frame}
 	ld.inFrame = true
+	ld.cache = cache
 	ld.mu.Unlock()
 }
 

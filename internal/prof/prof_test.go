@@ -23,7 +23,7 @@ func spin(d time.Duration) {
 
 func TestLedgerAttributesStages(t *testing.T) {
 	ld := newLedger(t, Config{})
-	ld.BeginFrame(7)
+	ld.BeginFrame(7, nil)
 	sp := ld.Begin(StageCostPlane)
 	spin(200 * time.Microsecond)
 	sp.End()
@@ -87,7 +87,7 @@ func TestSpansOutsideFrameDropped(t *testing.T) {
 	sp := ld.Begin(StageMatching)
 	spin(50 * time.Microsecond)
 	sp.End() // no frame open: dropped
-	ld.BeginFrame(1)
+	ld.BeginFrame(1, nil)
 	ld.EndFrame(1, 1000, 0)
 	top := ld.TopFrames()
 	if len(top) != 1 || top[0].StageSumNs != 0 {
@@ -106,7 +106,7 @@ func TestNoLedgerSpanIsFree(t *testing.T) {
 func TestTopNRingKeepsSlowest(t *testing.T) {
 	ld := newLedger(t, Config{TopN: 3})
 	for i := int64(0); i < 10; i++ {
-		ld.BeginFrame(i)
+		ld.BeginFrame(i, nil)
 		ld.EndFrame(i, (i+1)*1000, 0)
 	}
 	top := ld.TopFrames()
@@ -130,7 +130,7 @@ func TestOverrunCaptureRateLimited(t *testing.T) {
 		Capture:        true,
 	})
 	for i := int64(0); i < 40; i++ {
-		ld.BeginFrame(i)
+		ld.BeginFrame(i, nil)
 		sp := ld.Begin(StageMatching)
 		spin(20 * time.Microsecond)
 		sp.End()
@@ -193,12 +193,12 @@ func TestRecordingPathDoesNotAllocate(t *testing.T) {
 	ld := newLedger(t, Config{TopN: 2})
 	// Warm the top ring so inserts replace in place.
 	for i := int64(0); i < 4; i++ {
-		ld.BeginFrame(i)
+		ld.BeginFrame(i, nil)
 		ld.EndFrame(i, 1000, 0)
 	}
 	frame := int64(100)
 	allocs := testing.AllocsPerRun(50, func() {
-		ld.BeginFrame(frame)
+		ld.BeginFrame(frame, nil)
 		sp := ld.Begin(StageCostPlane)
 		sp.End()
 		sp = ld.Begin(StageMatching)

@@ -3,20 +3,9 @@ package roadnet
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"stabledispatch/internal/geo"
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/spatial"
-)
-
-// Cache telemetry shared by every Metric instance in the process; the
-// per-instance breakdown is available through CacheStats.
-var (
-	obsCacheHits      = obs.GetOrCreateCounter("roadnet_cache_hits_total")
-	obsCacheMisses    = obs.GetOrCreateCounter("roadnet_cache_misses_total")
-	obsCacheEvictions = obs.GetOrCreateCounter("roadnet_cache_evictions_total")
-	obsCacheSize      = obs.GetOrCreateGauge("roadnet_cache_size")
 )
 
 // maxCacheShards bounds the shard fan-out; sixteen shards is enough to
@@ -58,7 +47,6 @@ type Metric struct {
 
 	shards    []cacheShard
 	shardMask int
-	size      atomic.Int64 // total cached tables across shards
 }
 
 // CacheStats is a point-in-time view of the Dijkstra memo: cumulative
@@ -231,23 +219,18 @@ func (m *Metric) sourceTable(u int) []float64 {
 	defer sh.mu.Unlock()
 	if d, ok := sh.tables[u]; ok {
 		sh.hits++
-		obsCacheHits.Inc()
 		return d
 	}
 	sh.misses++
-	obsCacheMisses.Inc()
 	dist := m.graph.ShortestDistances(u)
 	if len(sh.tables) >= sh.capacity {
 		oldest := sh.order[0]
 		sh.order = sh.order[1:]
 		delete(sh.tables, oldest)
 		sh.evictions++
-		obsCacheEvictions.Inc()
-		m.size.Add(-1)
 	}
 	sh.tables[u] = dist
 	sh.order = append(sh.order, u)
-	obsCacheSize.Set(float64(m.size.Add(1)))
 	return dist
 }
 

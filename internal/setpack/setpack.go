@@ -19,16 +19,6 @@ package setpack
 import (
 	"fmt"
 	"sort"
-
-	"stabledispatch/internal/obs"
-)
-
-// Local-search telemetry: passes are full improvement sweeps until the
-// fixed point, moves are accepted (0,1)-additions and (1,2)-exchanges.
-// Counts are accumulated locally and published once per solve.
-var (
-	obsLSPasses = obs.GetOrCreateCounter("setpack_localsearch_passes_total")
-	obsLSMoves  = obs.GetOrCreateCounter("setpack_localsearch_moves_total")
 )
 
 // Problem is an MSPP instance over the universe {0, …, N-1}.
@@ -152,15 +142,9 @@ func LocalSearchObserved(p Problem, o Observer) []int {
 		}
 	}
 
-	passes, moves := uint64(0), uint64(0)
-	defer func() {
-		obsLSPasses.Add(passes)
-		obsLSMoves.Add(moves)
-	}()
 	improved := true
 	for improved {
 		improved = false
-		passes++
 
 		// conflictsOf returns the distinct chosen sets overlapping s.
 		conflictsOf := func(s []int) []int {
@@ -183,7 +167,6 @@ func LocalSearchObserved(p Problem, o Observer) []int {
 				used[e] = k
 			}
 			improved = true
-			moves++
 			if o != nil {
 				o("add", nil, []int{k})
 			}
@@ -241,7 +224,6 @@ func LocalSearchObserved(p Problem, o Observer) []int {
 				}
 			}
 			improved = true
-			moves++
 			if o != nil {
 				o("swap", []int{c}, []int{a, b})
 			}

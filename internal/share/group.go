@@ -8,17 +8,7 @@ import (
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/setpack"
-)
-
-// Packing-stage telemetry: how many feasible share groups line 1 of
-// Algorithm 3 generates per frame, and how many groups/requests the set
-// packing actually commits.
-var (
-	obsFeasibleGroups = obs.GetOrCreateCounter("share_feasible_groups_total")
-	obsPackedGroups   = obs.GetOrCreateCounter("share_packed_groups_total")
-	obsPackedRequests = obs.GetOrCreateCounter("share_packed_requests_total")
 )
 
 // Group is a feasible subset c_k of requests that can share one taxi:
@@ -285,18 +275,13 @@ func pack(reqs []fleet.Request, groups []Group, cfg PackConfig) PackResult {
 
 	res := PackResult{Groups: make([]Group, 0, len(chosen))}
 	packed := make([]bool, len(reqs))
-	packedReqs := 0
 	for _, k := range chosen {
 		res.Groups = append(res.Groups, groups[k])
 		tracePick(rec, reqs, groups[k], cfg.Theta)
 		for _, idx := range groups[k].Members {
 			packed[idx] = true
-			packedReqs++
 		}
 	}
-	obsFeasibleGroups.Add(uint64(len(groups)))
-	obsPackedGroups.Add(uint64(len(chosen)))
-	obsPackedRequests.Add(uint64(packedReqs))
 	for idx := range reqs {
 		if !packed[idx] {
 			res.Singles = append(res.Singles, idx)

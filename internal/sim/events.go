@@ -32,6 +32,12 @@ const (
 	EventRescue    EventKind = "rescue"    // an orphaned rider re-entered the queue from the breakdown position
 )
 
+// eventKinds lists every kind, in lifecycle order.
+var eventKinds = [...]EventKind{
+	EventRequest, EventAssign, EventPickup, EventDropoff, EventAbandon,
+	EventCancel, EventBreakdown, EventRequeue, EventRescue,
+}
+
 // Event is one step of a request's lifecycle, suitable for JSONL replay
 // and visualisation tooling.
 type Event struct {
@@ -111,7 +117,6 @@ func (s *JSONLSink) Record(e Event) {
 	}
 	if err := s.enc.Encode(e); err != nil {
 		s.err = fmt.Errorf("sim: event sink: %w", err)
-		obsEventSinkErrors.Inc()
 	}
 }
 
@@ -136,9 +141,7 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 // emit counts an event and forwards it to the configured sink, the
 // decision-trace layer, the flight recorder, and the hub.
 func (s *Simulator) emit(e Event) {
-	if c := obsEvents[e.Kind]; c != nil {
-		c.Inc()
-	}
+	s.events[e.Kind]++
 	if s.cfg.Events != nil {
 		s.cfg.Events.Record(e)
 	}

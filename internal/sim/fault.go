@@ -176,7 +176,6 @@ func (s *Simulator) passengerCancel(rs *requestState) {
 		s.removePending(rs.req.ID)
 	}
 	rs.cancelled = true
-	obsFaults["passenger_cancel"].Inc()
 	s.emit(Event{Frame: s.frame, Kind: EventCancel, RequestID: rs.req.ID, TaxiID: taxiID, Pos: rs.req.Pickup})
 }
 
@@ -185,7 +184,7 @@ func (s *Simulator) passengerCancel(rs *requestState) {
 func (s *Simulator) driverCancel(rs *requestState) {
 	taxiID := rs.taxiID
 	s.unassign(rs)
-	obsFaults["driver_cancel"].Inc()
+	s.driverCancels++
 	s.emit(Event{Frame: s.frame, Kind: EventCancel, RequestID: rs.req.ID, TaxiID: taxiID, Pos: rs.req.Pickup})
 	s.requeue(rs, EventRequeue, taxiID)
 }
@@ -195,7 +194,6 @@ func (s *Simulator) driverCancel(rs *requestState) {
 // the breakdown position, the remaining route is dropped where the taxi
 // stands, and the taxi goes dark for repair frames.
 func (s *Simulator) breakdown(t *taxiState, repair int) {
-	obsFaults["breakdown"].Inc()
 	s.emit(Event{Frame: s.frame, Kind: EventBreakdown, RequestID: -1, TaxiID: t.taxi.ID, Pos: t.pos})
 	if to := s.frame + repair; to > s.activeOutage[t.taxi.ID] {
 		s.activeOutage[t.taxi.ID] = to
@@ -288,7 +286,6 @@ func (s *Simulator) requeue(rs *requestState, kind EventKind, taxiID int) {
 	s.pending = append(s.pending, 0)
 	copy(s.pending[pos+1:], s.pending[pos:])
 	s.pending[pos] = id
-	obsRedispatch.Inc()
 	s.emit(Event{Frame: s.frame, Kind: kind, RequestID: id, TaxiID: taxiID, Pos: rs.req.Pickup})
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/prof"
-	"stabledispatch/internal/roadnet"
 	"stabledispatch/internal/tseries"
 )
 
@@ -85,7 +84,6 @@ type kpiState struct {
 	decisions   int64
 	taxiDissSum float64
 	shared      int64
-	expired     int64
 	violations  int64 // blocking-pair violations from the dtrace certificates
 
 	memSamples [1]metrics.Sample
@@ -136,9 +134,9 @@ func (s *Simulator) recordKPI(rec *tseries.Recorder, frame int, wall time.Durati
 		DelayP95:            k.delays.quantile(0.95),
 		Served:              k.served,
 		Queued:              int64(len(s.pending)),
-		Expired:             k.expired,
+		Expired:             int64(s.events[EventAbandon]),
 		SharedRides:         k.shared,
-		DegradedFrames:      s.degraded.Load(),
+		DegradedFrames:      int64(s.degradedTotal()),
 		StabilityViolations: k.violations,
 		FrameNs:             wall.Nanoseconds(),
 		Allocs:              int64(allocs),
@@ -155,10 +153,8 @@ func (s *Simulator) recordKPI(rec *tseries.Recorder, frame int, wall time.Durati
 	if k.decisions > 0 {
 		sample.TaxiDissMean = k.taxiDissSum / float64(k.decisions)
 	}
-	if m, ok := s.cfg.Metric.(interface{ CacheStats() roadnet.CacheStats }); ok {
-		if cs := m.CacheStats(); cs.Hits+cs.Misses > 0 {
-			sample.CacheHitRate = float64(cs.Hits) / float64(cs.Hits+cs.Misses)
-		}
+	if cs := s.cacheStats(); cs.Hits+cs.Misses > 0 {
+		sample.CacheHitRate = float64(cs.Hits) / float64(cs.Hits+cs.Misses)
 	}
 	rec.Record(sample)
 	return sample

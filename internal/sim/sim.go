@@ -15,7 +15,6 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stabledispatch/internal/costplane"
@@ -79,15 +78,18 @@ type Frame struct {
 }
 
 // NoteDegraded reports that the frame was handed to a fallback
-// dispatcher. The simulator counts it in the degraded_frames KPI, fires
-// its flight recorder, and publishes a degrade notice on its hub. A
-// frame built by hand ignores the note.
-func (f *Frame) NoteDegraded(detail string) {
+// dispatcher for reason ("deadline", "panic", "error"). The simulator
+// counts it by reason (Stats.Degraded) and in the degraded_frames KPI,
+// fires its flight recorder, and publishes a degrade notice on its hub.
+// A frame built by hand ignores the note.
+func (f *Frame) NoteDegraded(reason, detail string) {
 	s := f.sim
 	if s == nil {
 		return
 	}
-	s.degraded.Add(1)
+	s.degradedMu.Lock()
+	s.degraded[reason]++
+	s.degradedMu.Unlock()
 	frame := int64(f.Number)
 	if r := s.cfg.Recorder; r != nil {
 		r.Trigger(frame, flightrec.ReasonDegraded, detail, false) //nolint:errcheck // counted by the recorder
@@ -107,7 +109,6 @@ type framePlane struct {
 // configuration, building it on first use and memoising it by
 // cfg.Key(). taxis must be the frame's idle fleet (every dispatcher
 // derives the same slice from the frame, so concurrent callers agree).
-// A memoised hit counts the plane's cells as reused.
 func (f *Frame) CostPlane(taxis []fleet.Taxi, cfg costplane.Config) *costplane.Plane {
 	if cfg.Workers == 0 {
 		cfg.Workers = f.Workers
@@ -117,7 +118,6 @@ func (f *Frame) CostPlane(taxis []fleet.Taxi, cfg costplane.Config) *costplane.P
 	defer f.planeMu.Unlock()
 	for _, e := range f.planes {
 		if e.key == key {
-			e.pl.MarkReuse()
 			return e.pl
 		}
 	}
@@ -368,10 +368,16 @@ type Simulator struct {
 	// kpi holds the running per-frame KPI aggregates; only updated when
 	// cfg.KPI is configured.
 	kpi kpiState
+	// events counts emitted lifecycle events by kind, and driverCancels
+	// the driver cancellations among the cancel events; Stats derives
+	// every sim_* count from them.
+	events        map[EventKind]int
+	driverCancels int
 	// degraded counts frames a dispatcher reported through
-	// Frame.NoteDegraded. Atomic: a nested Resilient may note from its
-	// primary's goroutine.
-	degraded atomic.Int64
+	// Frame.NoteDegraded, by reason. Locked: a nested Resilient may note
+	// from its primary's goroutine.
+	degradedMu sync.Mutex
+	degraded   map[string]int
 
 	// Fault machinery: scheduled cancellations keyed by due frame, and
 	// the outage book (configured + dynamically injected) maintained as
@@ -393,6 +399,8 @@ func New(cfg Config, taxis []fleet.Taxi, requests []fleet.Request) (*Simulator, 
 		cfg:          cfg,
 		reqs:         make(map[int]*requestState, len(requests)),
 		byID:         make(map[int]*taxiState, len(taxis)),
+		events:       make(map[EventKind]int, len(eventKinds)),
+		degraded:     make(map[string]int),
 		cancelDue:    make(map[int][]int),
 		driverDue:    make(map[int][]driverCancelDue),
 		outageStart:  make(map[int][]Outage),
@@ -507,7 +515,7 @@ func (s *Simulator) Step() error {
 	frame := s.frame
 	allocs0 := s.kpi.readAllocs()
 	if ld != nil {
-		ld.BeginFrame(int64(frame))
+		ld.BeginFrame(int64(frame), s.cfg.Metric)
 	}
 	start := time.Now()
 	if err := s.step(); err != nil {
@@ -547,10 +555,8 @@ func (s *Simulator) step() error {
 	if err := s.dispatch(); err != nil {
 		return err
 	}
-	obsPendingDepth.Set(float64(len(s.pending)))
 	s.moveTaxis()
 	s.frame++
-	obsFrames.Inc()
 	return nil
 }
 
@@ -571,17 +577,12 @@ func (s *Simulator) expireImpatient() {
 		rs := s.reqs[id]
 		if s.frame-rs.waitSince >= s.cfg.PatienceFrames {
 			rs.abandoned = true
-			obsExpired.Inc()
-			if s.cfg.KPI != nil {
-				s.kpi.expired++
-			}
 			s.emit(Event{Frame: s.frame, Kind: EventAbandon, RequestID: id, TaxiID: -1, Pos: rs.req.Pickup})
 			continue
 		}
 		kept = append(kept, id)
 	}
 	s.pending = kept
-	obsPendingDepth.Set(float64(len(s.pending)))
 }
 
 // Run steps the simulation until done (plus the drain bound) and returns

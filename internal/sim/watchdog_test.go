@@ -21,7 +21,7 @@ type degradingDispatcher struct{}
 func (degradingDispatcher) Name() string { return "degrading" }
 
 func (degradingDispatcher) Dispatch(f *Frame) ([]fleet.Assignment, error) {
-	f.NoteDegraded("primary missed its deadline")
+	f.NoteDegraded("deadline", "primary missed its deadline")
 	return nearestDispatcher{}.Dispatch(f)
 }
 

@@ -18,9 +18,10 @@
 //
 // so a flapping signal cannot oscillate the alert every frame. Observe
 // returns the frame's transitions; the simulator publishes them on its
-// stream hub and fires its flight recorder on each breach. A breach
-// also increments slo_breaches_total, and every state is exported as
-// slo_state{slo="..."} gauges for scrapers.
+// stream hub and fires its flight recorder on each breach. Status
+// carries every objective's state, window values and breach count;
+// dispatchd renders them as its slo_state{slo="..."},
+// slo_value_fast/slow and slo_breaches_total series.
 //
 // The engine is deliberately simulation-frame-clocked, not wall-
 // clocked: windows are counted in dispatch frames so the same SLO file
@@ -32,7 +33,6 @@ import (
 	"strings"
 	"sync"
 
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/tseries"
 )
 
@@ -53,8 +53,9 @@ const (
 	StateRecovered State = "recovered"
 )
 
-// stateRank maps states to the numeric gauge scrapers alert on.
-func stateRank(s State) float64 {
+// Rank maps a state to the numeric gauge scrapers alert on: ok 0,
+// warning 1, breach 2, recovered 3.
+func (s State) Rank() float64 {
 	switch s {
 	case StateWarning:
 		return 1
@@ -222,9 +223,6 @@ type objective struct {
 	fast, slow float64
 	fastOK     bool
 	slowOK     bool
-	stateG     *obs.Gauge
-	fastG      *obs.Gauge
-	slowG      *obs.Gauge
 }
 
 // Engine evaluates a set of objectives frame by frame. Safe for
@@ -260,20 +258,11 @@ func New(defs []Def) (*Engine, error) {
 		if d.SlowWindow > maxWin {
 			maxWin = d.SlowWindow
 		}
-		label := fmt.Sprintf(`{slo=%q}`, d.Name)
-		e.objs = append(e.objs, &objective{
-			def:    d,
-			state:  StateOK,
-			stateG: obs.GetOrCreateGauge("slo_state" + label),
-			fastG:  obs.GetOrCreateGauge("slo_value_fast" + label),
-			slowG:  obs.GetOrCreateGauge("slo_value_slow" + label),
-		})
+		e.objs = append(e.objs, &objective{def: d, state: StateOK})
 	}
 	e.ring = make([]tseries.Sample, maxWin)
 	return e, nil
 }
-
-var obsBreaches = obs.GetOrCreateCounter("slo_breaches_total")
 
 // Observe feeds one frame's sample, advances every objective's state
 // machine, and returns the state transitions it caused, in definition
@@ -320,7 +309,6 @@ func (e *Engine) Observe(s tseries.Sample) []Transition {
 			o.lastChange = s.Frame
 			if o.state == StateBreach {
 				o.breaches++
-				obsBreaches.Inc()
 			}
 			transitions = append(transitions, Transition{
 				Name:  o.def.Name,
@@ -332,9 +320,6 @@ func (e *Engine) Observe(s tseries.Sample) []Transition {
 				Slow:  o.slow,
 			})
 		}
-		o.stateG.Set(stateRank(o.state))
-		o.fastG.Set(o.fast)
-		o.slowG.Set(o.slow)
 	}
 	return transitions
 }

@@ -42,9 +42,7 @@ func (o *Observer) exhausted(proposer int) {
 // PassengerOptimalObserved is PassengerOptimal with per-decision
 // callbacks; a nil observer makes it identical to PassengerOptimal.
 func PassengerOptimalObserved(mk *pref.Market, o *Observer) Matching {
-	state := passengerOptimalState(mk, o)
-	obsMatchings.Inc()
-	return state.match
+	return passengerOptimalState(mk, o).match
 }
 
 // TaxiOptimalObserved is TaxiOptimal with per-decision callbacks; the

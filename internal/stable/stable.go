@@ -120,22 +120,16 @@ func passengerOptimalState(mk *pref.Market, o *Observer) gsState {
 		next:  make([]int, r),
 		held:  make([]float64, t),
 	}
-	var proposals, displacements uint64
 	for j := 0; j < r; j++ {
-		p, d := propose(mk, &s, j, o)
-		proposals += p
-		displacements += d
+		propose(mk, &s, j, o)
 	}
-	obsProposals.Add(proposals)
-	obsDisplacements.Add(displacements)
 	return s
 }
 
 // propose is the paper's Proposal/Refusal pair: request j proposes down
 // its preference list; a displaced request immediately re-proposes
-// (iteratively rather than recursively). It returns the proposals made
-// and the partners displaced. o may be nil.
-func propose(mk *pref.Market, s *gsState, j int, o *Observer) (proposals, displacements uint64) {
+// (iteratively rather than recursively). o may be nil.
+func propose(mk *pref.Market, s *gsState, j int, o *Observer) {
 	active := j
 	for {
 		list := mk.ReqEntries(active)
@@ -147,7 +141,6 @@ func propose(mk *pref.Market, s *gsState, j int, o *Observer) (proposals, displa
 		}
 		e := list[s.next[active]]
 		s.next[active]++
-		proposals++
 
 		i := e.Partner
 		cur := s.match.TaxiPartner[i]
@@ -168,7 +161,6 @@ func propose(mk *pref.Market, s *gsState, j int, o *Observer) (proposals, displa
 			s.match.ReqPartner[active] = i
 			s.match.ReqPartner[cur] = Unmatched
 			s.held[i] = e.TaxiCost
-			displacements++
 			o.proposal(active, i, cur, "displaced")
 			active = cur
 			continue
@@ -197,7 +189,6 @@ func taxiOptimal(mk *pref.Market, o *Observer) Matching {
 	match := NewMatching(r, t)
 	next := make([]int, t)
 	held := make([]float64, r)
-	proposals, displacements := uint64(0), uint64(0)
 	for i := 0; i < t; i++ {
 		active := i
 		for {
@@ -209,7 +200,6 @@ func taxiOptimal(mk *pref.Market, o *Observer) Matching {
 			}
 			e := list[next[active]]
 			next[active]++
-			proposals++
 
 			j := e.Partner
 			cur := match.ReqPartner[j]
@@ -225,7 +215,6 @@ func taxiOptimal(mk *pref.Market, o *Observer) Matching {
 				match.TaxiPartner[active] = j
 				match.TaxiPartner[cur] = Unmatched
 				held[j] = e.ReqCost
-				displacements++
 				o.proposal(active, j, cur, "displaced")
 				active = cur
 				continue
@@ -233,9 +222,6 @@ func taxiOptimal(mk *pref.Market, o *Observer) Matching {
 			o.proposal(active, j, cur, "refused")
 		}
 	}
-	obsProposals.Add(proposals)
-	obsDisplacements.Add(displacements)
-	obsMatchings.Inc()
 	return match
 }
 

@@ -24,17 +24,16 @@
 //     composes its snapshot separately and only then drains the ring.
 //
 // Drop accounting is two-level: each subscriber counts its own drops
-// (Sub.Dropped, reported in the SSE terminal comment), and the
-// process-wide stream_dropped_total obs counter sums drops across all
-// subscribers, so "is anyone losing telemetry" is one scrape away.
+// (Sub.Dropped, reported in the SSE terminal comment), and the hub sums
+// drops across all of its subscribers (Hub.Dropped, exported by
+// dispatchd as stream_dropped_total), so "is anyone losing telemetry"
+// is one scrape away.
 package stream
 
 import (
 	"encoding/json"
 	"sync"
 	"sync/atomic"
-
-	"stabledispatch/internal/obs"
 )
 
 // Topic labels one telemetry stream. Subscribers filter by topic; the
@@ -109,23 +108,13 @@ type Hub struct {
 	// reads it lock-free to skip encoding when nobody is listening.
 	nsubs [numTopics]atomic.Int32
 
-	published [numTopics]*obs.Counter
-	dropped   *obs.Counter
-	subsGauge *obs.Gauge
+	published [numTopics]atomic.Uint64
+	dropped   atomic.Uint64
 }
 
-// NewHub builds an empty hub. The obs series are process-wide: two hubs
-// in one process share them (the daemon runs exactly one).
+// NewHub builds an empty hub.
 func NewHub() *Hub {
-	h := &Hub{
-		subs:      make(map[*Sub]struct{}),
-		dropped:   obs.GetOrCreateCounter("stream_dropped_total"),
-		subsGauge: obs.GetOrCreateGauge("stream_subscribers"),
-	}
-	for i, t := range Topics {
-		h.published[i] = obs.GetOrCreateCounter(`stream_published_total{topic="` + string(t) + `"}`)
-	}
-	return h
+	return &Hub{subs: make(map[*Sub]struct{})}
 }
 
 // Wants reports whether at least one subscriber is interested in the
@@ -157,7 +146,7 @@ func (h *Hub) Publish(t Topic, frame int64, payload any) uint64 {
 	}
 	seq := h.seq.Add(1)
 	m := Msg{Topic: t, Seq: seq, Frame: frame, Data: data}
-	h.published[ti].Inc()
+	h.published[ti].Add(1)
 	h.mu.Lock()
 	for s := range h.subs {
 		if s.topics[ti] {
@@ -196,7 +185,6 @@ func (h *Hub) Subscribe(ring int, topics ...Topic) *Sub {
 			h.nsubs[i].Add(1)
 		}
 	}
-	h.subsGauge.Inc()
 	return s
 }
 
@@ -214,7 +202,6 @@ func (h *Hub) unsubscribe(s *Sub) {
 			h.nsubs[i].Add(-1)
 		}
 	}
-	h.subsGauge.Dec()
 }
 
 // Subscribers returns the current subscriber count.
@@ -223,6 +210,20 @@ func (h *Hub) Subscribers() int {
 	defer h.mu.Unlock()
 	return len(h.subs)
 }
+
+// Published returns how many messages the hub has published on topic t
+// (0 for an unknown topic).
+func (h *Hub) Published(t Topic) uint64 {
+	i := topicIndex(t)
+	if i < 0 {
+		return 0
+	}
+	return h.published[i].Load()
+}
+
+// Dropped returns how many messages the hub's subscribers, past and
+// present, have lost to ring overwrites.
+func (h *Hub) Dropped() uint64 { return h.dropped.Load() }
 
 // Sub is one subscriber's bounded view of the stream. Producers push
 // into the ring through the hub; the consumer drains with TakeBatch,
@@ -258,7 +259,7 @@ func (s *Sub) push(m Msg) {
 		s.ring[s.head] = m
 		s.head = (s.head + 1) % len(s.ring)
 		s.dropped++
-		s.hub.dropped.Inc()
+		s.hub.dropped.Add(1)
 	}
 	s.mu.Unlock()
 	// Non-blocking wake: a pending wake already covers this message.

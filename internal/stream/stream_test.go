@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"stabledispatch/internal/obs"
 )
 
 func drainAll(s *Sub) []Msg {
@@ -127,8 +125,6 @@ func TestSlowSubscriberDropsOwnEntriesOnly(t *testing.T) {
 		total    = 5000
 		stallCap = 32
 	)
-	dropped0 := obs.CounterValue("stream_dropped_total")
-
 	stalled := h.Subscribe(stallCap, TopicEvents)
 	defer stalled.Close()
 
@@ -214,10 +210,13 @@ func TestSlowSubscriberDropsOwnEntriesOnly(t *testing.T) {
 		}
 	}
 
-	// Process-wide accounting: the obs counter grew by exactly the
-	// stalled subscriber's drops.
-	if got := obs.CounterValue("stream_dropped_total") - dropped0; got != wantDropped {
-		t.Fatalf("stream_dropped_total grew by %d, want %d", got, wantDropped)
+	// Hub accounting: this hub's drop count is exactly the stalled
+	// subscriber's drops, and every publish is counted on its topic.
+	if got := h.Dropped(); got != wantDropped {
+		t.Fatalf("hub Dropped = %d, want %d", got, wantDropped)
+	}
+	if got := h.Published(TopicEvents); got != total {
+		t.Fatalf("hub Published(events) = %d, want %d", got, total)
 	}
 }
 

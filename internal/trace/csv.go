@@ -4,11 +4,16 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 )
+
+// maxCSVSeats is the largest party a trace row may carry, the bound
+// dispatchd puts on POST /v1/requests.
+const maxCSVSeats = 6
 
 // csvHeader is the column layout for trace files: one request per row.
 var csvHeader = []string{"id", "frame", "pickup_x", "pickup_y", "dropoff_x", "dropoff_y", "seats"}
@@ -39,7 +44,9 @@ func WriteCSV(w io.Writer, reqs []fleet.Request) error {
 }
 
 // ReadCSV parses a trace CSV produced by WriteCSV (or converted from a
-// real dataset).
+// real dataset). It rejects, with the offending row number, negative
+// frames, non-finite coordinates (strconv accepts "NaN" and "Inf"), and
+// seat counts outside dispatchd's 0–6 range (0 means one seat).
 func ReadCSV(r io.Reader) ([]fleet.Request, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(csvHeader)
@@ -75,16 +82,25 @@ func parseRow(row []string) (fleet.Request, error) {
 	if err != nil {
 		return fleet.Request{}, fmt.Errorf("frame: %w", err)
 	}
+	if frame < 0 {
+		return fleet.Request{}, fmt.Errorf("frame %d is negative", frame)
+	}
 	coords := make([]float64, 4)
 	for i := 0; i < 4; i++ {
 		coords[i], err = strconv.ParseFloat(row[2+i], 64)
 		if err != nil {
-			return fleet.Request{}, fmt.Errorf("coordinate %d: %w", i, err)
+			return fleet.Request{}, fmt.Errorf("%s: %w", csvHeader[2+i], err)
+		}
+		if math.IsNaN(coords[i]) || math.IsInf(coords[i], 0) {
+			return fleet.Request{}, fmt.Errorf("%s %q is not finite", csvHeader[2+i], row[2+i])
 		}
 	}
 	seats, err := strconv.Atoi(row[6])
 	if err != nil {
 		return fleet.Request{}, fmt.Errorf("seats: %w", err)
+	}
+	if seats < 0 || seats > maxCSVSeats {
+		return fleet.Request{}, fmt.Errorf("seats %d outside 0-%d", seats, maxCSVSeats)
 	}
 	return fleet.Request{
 		ID:      id,

@@ -238,3 +238,27 @@ func TestReadCSVErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestReadCSVRejectsOutOfRangeValues checks the values strconv parses
+// but a trace must not carry are refused with the row that holds them.
+func TestReadCSVRejectsOutOfRangeValues(t *testing.T) {
+	const header = "id,frame,pickup_x,pickup_y,dropoff_x,dropoff_y,seats\n1,0,0,0,1,1,1\n"
+	for _, tt := range []struct{ row, want string }{
+		{"2,0,NaN,0,1,1,1", `row 3: pickup_x "NaN" is not finite`},
+		{"2,0,0,+Inf,1,1,1", `row 3: pickup_y "+Inf" is not finite`},
+		{"2,0,0,0,-inf,1,1", `row 3: dropoff_x "-inf" is not finite`},
+		{"2,0,0,0,1,1e400,1", "row 3: dropoff_y"},
+		{"2,-1,0,0,1,1,1", "row 3: frame -1 is negative"},
+		{"2,0,0,0,1,1,7", "row 3: seats 7 outside 0-6"},
+		{"2,0,0,0,1,1,-1", "row 3: seats -1 outside 0-6"},
+	} {
+		_, err := ReadCSV(strings.NewReader(header + tt.row + "\n"))
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("row %q: err = %v, want one containing %q", tt.row, err, tt.want)
+		}
+	}
+	reqs, err := ReadCSV(strings.NewReader(header + "2,5,-3.5,0,1,1,0\n3,0,0,0,1,1,6\n"))
+	if err != nil || len(reqs) != 3 {
+		t.Fatalf("in-range rows: %d requests, err %v", len(reqs), err)
+	}
+}

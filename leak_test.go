@@ -8,6 +8,7 @@ package stabledispatch
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/roadnet"
 	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
@@ -146,5 +148,79 @@ func TestInterleavedSimulatorsMatchSoloRuns(t *testing.T) {
 	}
 	if got, want := attributableCSV(t, degKPI), attributableCSV(t, soloDegKPI); !bytes.Equal(got, want) {
 		t.Errorf("interleaved degrading STD-P KPI series differs from its solo run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// nestingMetric is a road metric that steps another simulator one frame
+// on each batched query while that simulator has frames left, so the
+// other simulator's frames, cache traffic included, run inside this
+// simulator's stage spans: the overlap two simulators stepping
+// concurrently produce, made deterministic.
+type nestingMetric struct {
+	*roadnet.Metric
+	t     *testing.T
+	other *sim.Simulator
+}
+
+func (m *nestingMetric) DistancesFrom(src geo.Point, dsts []geo.Point) []float64 {
+	if m.other != nil && !m.other.Done() {
+		if err := m.other.Step(); err != nil {
+			m.t.Errorf("nested step: %v", err)
+		}
+	}
+	return m.Metric.DistancesFrom(src, dsts)
+}
+
+// TestLedgerCacheColumnsMatchSoloRuns pins the ledger's per-stage
+// Dijkstra-cache columns to the frame's own metric: two simulators, each
+// on its own road metric, stepped alternately — one inside the other's
+// stage spans — attribute exactly the cache hits and misses of their
+// solo runs.
+func TestLedgerCacheColumnsMatchSoloRuns(t *testing.T) {
+	newRun := func(d sim.Dispatcher, m geo.Metric) (*sim.Simulator, *prof.Ledger) {
+		reqs, taxis := leakWorkload(t)
+		ld := prof.New(prof.Config{})
+		s, err := sim.New(sim.Config{
+			Metric:         m,
+			Params:         pref.DefaultParams(),
+			Dispatcher:     d,
+			PatienceFrames: 30,
+			Workers:        1,
+			Ledger:         ld,
+		}, taxis, reqs)
+		if err != nil {
+			t.Fatalf("sim.New: %v", err)
+		}
+		return s, ld
+	}
+	cacheColumns := func(ld *prof.Ledger) map[string][2]int64 {
+		cols := make(map[string][2]int64)
+		for _, st := range ld.Summary().Stages {
+			cols[st.Stage] = [2]int64{st.CacheHits, st.CacheMisses}
+		}
+		return cols
+	}
+	nested := func(other *sim.Simulator) geo.Metric {
+		return &nestingMetric{Metric: roadMetric(t).(*roadnet.Metric), t: t, other: other}
+	}
+
+	soloOuter, soloOuterLd := newRun(dispatch.NewNSTDP(), nested(nil))
+	stepAll(t, soloOuter)
+	soloInner, soloInnerLd := newRun(dispatch.NewGreedy(), roadMetric(t))
+	stepAll(t, soloInner)
+
+	inner, innerLd := newRun(dispatch.NewGreedy(), roadMetric(t))
+	outer, outerLd := newRun(dispatch.NewNSTDP(), nested(inner))
+	stepAll(t, outer, inner)
+
+	want := cacheColumns(soloOuterLd)
+	if c := want["cost_plane"]; c[0] == 0 || c[1] == 0 {
+		t.Fatalf("solo cost_plane cache columns %v: the pin needs both hits and misses", c)
+	}
+	if got := cacheColumns(outerLd); !maps.Equal(got, want) {
+		t.Errorf("outer simulator's per-stage cache [hits misses] = %v, want its solo run's %v", got, want)
+	}
+	if got, want := cacheColumns(innerLd), cacheColumns(soloInnerLd); !maps.Equal(got, want) {
+		t.Errorf("inner simulator's per-stage cache [hits misses] = %v, want its solo run's %v", got, want)
 	}
 }

@@ -492,8 +492,8 @@ type (
 	StreamMsg = stream.Msg
 )
 
-// NewStreamHub builds a hub and registers its obs metrics
-// (stream_published_total, stream_dropped_total, stream_subscribers).
+// NewStreamHub builds a hub. It counts its own publishes, drops and
+// subscribers (Published, Dropped, Subscribers).
 func NewStreamHub() *StreamHub { return stream.NewHub() }
 
 // StreamTopics lists the valid telemetry topics.
