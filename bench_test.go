@@ -336,14 +336,15 @@ func BenchmarkAblationStableVariant(b *testing.B) {
 }
 
 // BenchmarkCostPlane measures one frame's shared distance-plane build —
-// the pruned configuration every stable dispatcher requests — serially
-// and with the default worker pool. The road variant rebuilds the
-// shortest-path cache each iteration so the pool is measured against
-// cold Dijkstra fills, not cache hits; note on a single-core runner the
-// parallel rows match the serial ones.
+// the threshold-pruned configuration the non-sharing stable dispatchers
+// request (pref.PlaneConfig) — serially and with the default worker
+// pool, and reports the stored share of the T·R cells. The road variant
+// rebuilds the shortest-path cache each iteration so the pool is
+// measured against cold Dijkstra fills, not cache hits; note on a
+// single-core runner the parallel rows match the serial ones.
 func BenchmarkCostPlane(b *testing.B) {
 	reqs, taxis := benchWorld(b, 100, 400)
-	cfg := costplane.Config{PruneRadius: pref.DefaultParams().MaxPickup}
+	cfg := pref.PlaneConfig(pref.DefaultParams())
 	g, err := roadnet.NewGrid(roadnet.GridConfig{Rows: 24, Cols: 24, Spacing: 1, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
@@ -356,21 +357,19 @@ func BenchmarkCostPlane(b *testing.B) {
 		cfg.Workers = workers.n
 		b.Run("euclid/"+workers.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var pl *costplane.Plane
 			for i := 0; i < b.N; i++ {
-				pl := costplane.Build(reqs, taxis, geo.EuclidMetric, cfg)
-				if pl.Cells() != len(reqs)*len(taxis) {
-					b.Fatal("bad plane")
-				}
+				pl = costplane.Build(reqs, taxis, geo.EuclidMetric, cfg)
 			}
+			b.ReportMetric(float64(pl.Entries())/float64(pl.Cells()), "entries/cell")
 		})
 		b.Run("road/"+workers.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var pl *costplane.Plane
 			for i := 0; i < b.N; i++ {
-				pl := costplane.Build(reqs, taxis, roadnet.NewMetric(g, 256), cfg)
-				if pl.Cells() != len(reqs)*len(taxis) {
-					b.Fatal("bad plane")
-				}
+				pl = costplane.Build(reqs, taxis, roadnet.NewMetric(g, 256), cfg)
 			}
+			b.ReportMetric(float64(pl.Entries())/float64(pl.Cells()), "entries/cell")
 		})
 	}
 }

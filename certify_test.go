@@ -2,7 +2,7 @@ package stabledispatch
 
 // Stability certificates from the simulator's commit path. Each traced
 // frame is certified against the market built from the frame's own cost
-// plane, pruned at the pickup threshold; these pins hold the per-frame
+// plane, pruned at both dummy thresholds; these pins hold the per-frame
 // certificates of quick-scale runs and the rank evidence of a
 // hand-crossed frame to the values of a certificate built from a fresh
 // unpruned plane.
@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"stabledispatch/internal/dispatch"
@@ -89,6 +90,58 @@ func TestTracedQuickScaleCertificates(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// countingMetric is the Euclidean metric counting its Distance calls;
+// safe for the cost-plane worker pool.
+type countingMetric struct{ calls atomic.Int64 }
+
+func (c *countingMetric) Distance(a, b geo.Point) float64 {
+	c.calls.Add(1)
+	return geo.Euclid(a, b)
+}
+
+// TestTracedFrameReusesDispatchPlane pins that certifying a frame costs
+// no distance computation on NSTD-P: the certifier asks the frame for
+// the plane configuration the dispatcher asked for, so it memo-hits the
+// dispatcher's plane and a traced quick-scale run makes exactly the
+// distance calls of an untraced one. The test fails if the two keys
+// diverge, since a second plane per frame repeats the computation.
+func TestTracedFrameReusesDispatchPlane(t *testing.T) {
+	o := exp.QuickOptions()
+	run := func() int64 {
+		reqs, taxis, err := exp.Workload(trace.Boston(), 13500, 200, o)
+		if err != nil {
+			t.Fatalf("workload: %v", err)
+		}
+		m := &countingMetric{}
+		s, err := sim.New(sim.Config{
+			Params:         o.Params,
+			Metric:         m,
+			Dispatcher:     dispatch.NewNSTDP(),
+			PatienceFrames: o.PatienceMinutes,
+			Workers:        o.Workers,
+		}, taxis, reqs)
+		if err != nil {
+			t.Fatalf("sim.New: %v", err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return m.calls.Load()
+	}
+	untraced := run()
+	var traced int64
+	withTracing(t, func(rec *dtrace.Recorder) {
+		traced = run()
+		if len(rec.CertifiedFrames()) == 0 {
+			t.Fatal("traced run certified no frame")
+		}
+	})
+	t.Logf("%d distance calls per run", untraced)
+	if traced != untraced {
+		t.Errorf("traced run made %d distance calls, untraced %d: certification built its own plane", traced, untraced)
 	}
 }
 

@@ -1,34 +1,40 @@
 // Package costplane builds the per-frame distance oracle every
-// dispatcher queries: the taxi→pickup matrix, the solo trip distances,
-// and (for the sharing pipeline) the pickup→pickup matrix, computed once
-// per frame and then served to preference construction, the baselines'
-// cost matrix, and share-group formation.
+// dispatcher queries: the taxi→pickup distances, the solo trip
+// distances, and (for the sharing pipeline) the pickup→pickup matrix,
+// computed once per frame and then served to preference construction,
+// the baselines' cost matrix, and share-group formation.
 //
 // Two things make the plane cheaper than the query-as-you-go pattern it
-// replaces. First, spatial pruning: taxis farther than the pickup
-// threshold from a pickup sit behind the passenger's dummy partner in
-// every market built from the plane, so those cells are never computed —
-// a spatial index over the frame's pickups keeps each taxi's candidate
-// scan sub-linear. Second, batched parallel construction: each matrix
-// row is one single-source job (served by geo.BatchMetric when the
-// metric provides one, so a road-network row costs one Dijkstra
-// traversal), and rows are computed by a bounded worker pool.
+// replaces. First, threshold pruning: the straight line lower-bounds
+// every metric in this repository, so a taxi whose straight-line
+// distance to a pickup exceeds the largest pickup any market could
+// accept sits behind a dummy partner in every market built from the
+// plane. Such cells are never computed and never stored; each taxi's
+// row keeps only its candidate requests. With the non-sharing
+// thresholds that radius is r_j = min(MaxPickup, MaxNet + α·trip_j),
+// rounded outward, and the exact threshold test stays in package pref,
+// which builds the markets, so pruning can never drop a pair the test
+// accepts. Second, batched parallel construction: each row is one
+// single-source job (served by geo.BatchMetric when the metric provides
+// one, so a road-network row costs one Dijkstra traversal over the
+// row's candidates), and rows are computed by a bounded worker pool.
 //
-// Construction is bit-deterministic: every cell's value depends only on
-// the inputs, never on worker count or scheduling, because workers write
-// disjoint pre-allocated rows and the underlying metrics return
+// Construction is bit-deterministic: every row's contents depend only
+// on the inputs, never on worker count or scheduling, because each row
+// is written by exactly one job and the underlying metrics return
 // cache-state-independent values.
 package costplane
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
-	"stabledispatch/internal/spatial"
 )
 
 // Config controls plane construction.
@@ -44,6 +50,14 @@ type Config struct {
 	// cells beyond the radius as unacceptable — which is exactly the
 	// passenger-side dummy threshold Params.MaxPickup.
 	PruneRadius float64
+	// Net, when set, also prunes request j's cells beyond
+	// MaxNet + Alpha·trip_j: the taxi-side dummy threshold of the
+	// non-sharing market, D(t,r^s) − α·D(r^s,r^d) ≤ MaxNet, solved for
+	// the pickup. The radius is rounded outward (see netSlack). The
+	// zero value prunes by PruneRadius alone.
+	Net    bool
+	MaxNet float64
+	Alpha  float64
 	// Pairs additionally computes the pickup→pickup matrix the sharing
 	// pipeline's group formation reads.
 	Pairs bool
@@ -57,48 +71,79 @@ type Config struct {
 // Key is the portion of a Config that determines the plane's contents:
 // everything except Workers, which only changes how fast the identical
 // values are produced. sim.Frame memoises planes by Key.
-type Key struct {
-	PruneRadius float64
-	Pairs       bool
-	PairRadius  float64
-}
+type Key Config
 
 // Key returns the memoisation key of c.
 func (c Config) Key() Key {
-	return Key{PruneRadius: c.PruneRadius, Pairs: c.Pairs, PairRadius: c.PairRadius}
+	c.Workers = 0
+	return Key(c)
 }
 
-// Plane is an immutable per-frame distance oracle. Cells skipped by
-// pruning read as +Inf; everything else is the metric's exact value.
+// netSlack widens the MaxNet + α·trip radius by this fraction of
+// |MaxNet| + α·trip: far above the float64 rounding of the sum and of
+// the market's pickup − α·trip test, so a cell the test would accept is
+// always inside the radius.
+const netSlack = 1e-9
+
+// Entry is one stored taxi→pickup cell of a row.
+type Entry struct {
+	// Req is the request's index in Plane.Requests.
+	Req int32
+	// Dist is D(t_i, r_j^s) under the plane's metric.
+	Dist float64
+}
+
+// Plane is an immutable per-frame distance oracle. Each taxi's row
+// stores only the cells pruning kept, in request order; every other
+// cell reads +Inf.
 type Plane struct {
 	// Requests and Taxis are the frame slices the plane was built over;
-	// matrix indices are positions in these slices.
+	// indices are positions in these slices.
 	Requests []fleet.Request
 	Taxis    []fleet.Taxi
 
 	metric geo.Metric
 	batch  geo.BatchMetric // metric when it batches (road network); nil otherwise
-	pickup [][]float64     // [taxi][request] D(t_i, r_j^s)
+	rows   [][]Entry       // [taxi] stored D(t_i, r_j^s) cells, ascending Req
 	trip   []float64       // [request] D(r_j^s, r_j^d)
 	pairs  [][]float64     // [request][request] D(r_j^s, r_k^s); nil without Pairs
-
-	allPickups []geo.Point // build-time scratch: every request's pickup
 }
 
 // Metric returns the metric the plane was built with, for the residual
 // queries a plane cannot serve (route permutations, walk legs).
 func (p *Plane) Metric() geo.Metric { return p.metric }
 
-// PickupDist returns D(t_i, r_j^s), or +Inf if the cell was pruned.
-func (p *Plane) PickupDist(i, j int) float64 { return p.pickup[i][j] }
+// PickupDist returns D(t_i, r_j^s), or +Inf if the cell was pruned. It
+// binary-searches taxi i's row; consumers that visit many cells walk
+// PickupRow instead.
+func (p *Plane) PickupDist(i, j int) float64 {
+	row := p.rows[i]
+	k, ok := slices.BinarySearchFunc(row, int32(j), func(e Entry, j int32) int { return cmp.Compare(e.Req, j) })
+	if !ok {
+		return math.Inf(1)
+	}
+	return row[k].Dist
+}
 
-// PickupRow returns taxi i's distance row, indexed by request. The
-// caller must not modify it.
-func (p *Plane) PickupRow(i int) []float64 { return p.pickup[i] }
+// PickupRow returns taxi i's stored cells in ascending request order.
+// The caller must not modify it.
+func (p *Plane) PickupRow(i int) []Entry { return p.rows[i] }
 
-// PickupMatrix returns the full taxi-major matrix. The caller must not
-// modify it.
-func (p *Plane) PickupMatrix() [][]float64 { return p.pickup }
+// FullRow appends to dst taxi i's row with every request present,
+// pruned cells reading +Inf — the row a market whose thresholds accept
+// +Inf must visit — and returns it.
+func (p *Plane) FullRow(i int, dst []Entry) []Entry {
+	row := p.rows[i]
+	for j := range p.Requests {
+		if len(row) > 0 && int(row[0].Req) == j {
+			dst = append(dst, row[0])
+			row = row[1:]
+			continue
+		}
+		dst = append(dst, Entry{Req: int32(j), Dist: math.Inf(1)})
+	}
+	return dst
+}
 
 // Trip returns D(r_j^s, r_j^d). Trips are always computed, never pruned.
 func (p *Plane) Trip(j int) float64 { return p.trip[j] }
@@ -116,19 +161,32 @@ func (p *Plane) PairDist(j, k int) float64 { return p.pairs[j][k] }
 // Cells returns the number of addressable taxi→pickup cells.
 func (p *Plane) Cells() int { return len(p.Taxis) * len(p.Requests) }
 
-// CostMatrix returns a request-major copy of the pickup matrix —
-// cost[j][i] = D(t_i, r_j^s) — the layout the baseline assignment
-// solvers consume. The copy is the caller's to mutate.
+// Entries returns the number of stored taxi→pickup cells.
+func (p *Plane) Entries() int {
+	n := 0
+	for _, row := range p.rows {
+		n += len(row)
+	}
+	return n
+}
+
+// CostMatrix returns the dense request-major matrix — cost[j][i] =
+// D(t_i, r_j^s), +Inf where pruned — the layout the baseline assignment
+// solvers consume. The matrix is the caller's to mutate.
 func (p *Plane) CostMatrix() [][]float64 {
 	r, t := len(p.Requests), len(p.Taxis)
 	cost := make([][]float64, r)
 	cells := make([]float64, r*t)
-	for j := 0; j < r; j++ {
-		row := cells[j*t : (j+1)*t : (j+1)*t]
-		for i := 0; i < t; i++ {
-			row[i] = p.pickup[i][j]
+	for k := range cells {
+		cells[k] = math.Inf(1)
+	}
+	for i, row := range p.rows {
+		for _, e := range row {
+			cells[int(e.Req)*t+i] = e.Dist
 		}
-		cost[j] = row
+	}
+	for j := range cost {
+		cost[j] = cells[j*t : (j+1)*t : (j+1)*t]
 	}
 	return cost
 }
@@ -140,234 +198,228 @@ func (p *Plane) CostMatrix() [][]float64 {
 // can force the pool onto arbitrarily small planes.
 const autoSerialCells = 4096
 
-// Build computes the plane for one frame. Jobs are rows — one per taxi,
-// plus one per request when trips ride a batched traversal — executed by
-// min(cfg.Workers, rows) goroutines pulling from an atomic counter. Each
-// job writes only its own pre-allocated row, so the result is
+// Build computes the plane for one frame in two parallel passes. The
+// request pass computes the solo trips (and pair rows), which fix each
+// request's pickup radius; the taxi pass then computes each taxi's row
+// over its candidate requests. Jobs are rows, executed by
+// min(cfg.Workers, rows) goroutines pulling from an atomic counter.
+// Each row is written by exactly one job, so the result is
 // bit-identical for every worker count.
 func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Config) *Plane {
 	p := &Plane{
 		Requests: reqs,
 		Taxis:    taxis,
 		metric:   metric,
-		pickup:   make([][]float64, len(taxis)),
+		rows:     make([][]Entry, len(taxis)),
 	}
 	p.batch, _ = metric.(geo.BatchMetric)
 	r, t := len(reqs), len(taxis)
-	// Every row lives in one backing slab: workers still write disjoint
-	// ranges, and a frame costs one cell allocation instead of one per
-	// taxi and request.
-	cellCount := t*r + r
+	// The trips and the pair rows share one dense slab: workers write
+	// disjoint ranges, and a frame costs one allocation for them.
+	dense := r
 	if cfg.Pairs {
-		cellCount += r * r
+		dense += r * r
 	}
-	cells := make([]float64, cellCount)
-	for i := range p.pickup {
-		p.pickup[i] = cells[i*r : (i+1)*r : (i+1)*r]
-	}
-	p.trip = cells[t*r : t*r+r : t*r+r]
-	pruneTaxi := cfg.PruneRadius > 0 && !math.IsInf(cfg.PruneRadius, 1)
+	cells := make([]float64, dense)
+	p.trip = cells[:r:r]
 	prunePair := cfg.Pairs && cfg.PairRadius > 0 && !math.IsInf(cfg.PairRadius, 1)
 	if cfg.Pairs {
 		p.pairs = make([][]float64, r)
-		base := t*r + r
 		for j := range p.pairs {
-			p.pairs[j] = cells[base+j*r : base+(j+1)*r : base+(j+1)*r]
+			p.pairs[j] = cells[r+j*r : r+(j+1)*r : r+(j+1)*r]
 		}
 	}
 
-	// The spatial index and the shared destination scratch only pay off
-	// on batching metrics, where a row is one single-source traversal;
-	// scalar metrics take the direct per-pair path below, which prunes
-	// by the same straight-line rule without allocating.
-	var pickups *spatial.Index
-	if p.batch != nil && r > 0 {
-		if pruneTaxi || prunePair {
-			maxRadius := cfg.PruneRadius
-			if prunePair && cfg.PairRadius > maxRadius {
-				maxRadius = cfg.PairRadius
-			}
-			pickups = pickupIndex(reqs, maxRadius)
-		}
-		p.allPickups = make([]geo.Point, r)
-		for j, rq := range reqs {
-			p.allPickups[j] = rq.Pickup
-		}
-	}
-
-	jobs := t + r
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-		if cellCount < autoSerialCells {
+		if t*r+dense < autoSerialCells {
 			workers = 1
 		}
 	}
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers <= 1 {
-		for i := 0; i < t; i++ {
-			p.buildPickupRow(i, pruneTaxi, cfg.PruneRadius, pickups)
-		}
-		for j := 0; j < r; j++ {
-			p.buildRequestRow(j, cfg.Pairs, prunePair, cfg.PairRadius, pickups)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= jobs {
-						return
-					}
-					if k < t {
-						p.buildPickupRow(k, pruneTaxi, cfg.PruneRadius, pickups)
-					} else {
-						p.buildRequestRow(k-t, cfg.Pairs, prunePair, cfg.PairRadius, pickups)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	workers = max(min(workers, t+r), 1)
 
-	p.allPickups = nil
+	parallel(workers, r, func(_, j int) {
+		p.buildRequestRow(j, cfg.Pairs, prunePair, cfg.PairRadius)
+	})
+
+	discs, pruned := radii(cfg, reqs, p.trip)
+	if !pruned {
+		// Every row is full, so the rows share one exactly sized slab.
+		slab := make([]Entry, t*r)
+		parallel(workers, t, func(_, i int) {
+			p.rows[i] = p.buildPickupRow(i, discs, slab[i*r:i*r:(i+1)*r])
+		})
+	} else {
+		// A threshold plane keeps a few percent of the cells, so each
+		// worker's first block guesses 1/32 of its share of the plane.
+		arenas := make([]rowArena, workers)
+		hint := max(r, t*r/(32*workers))
+		parallel(workers, t, func(w, i int) {
+			a := &arenas[w]
+			p.rows[i] = a.keep(p.buildPickupRow(i, discs, a.reserve(r, hint)))
+		})
+	}
 	return p
 }
 
-// pickupIndex builds the spatial index over request pickups used for
-// candidate pruning. Cells a quarter of the query radius keep the ring
-// scan small while the grid stays coarse enough to hold the frame's
-// pickups in a handful of cells.
-func pickupIndex(reqs []fleet.Request, radius float64) *spatial.Index {
-	bounds := geo.NewRect(reqs[0].Pickup, reqs[0].Pickup)
-	for _, rq := range reqs[1:] {
-		p := rq.Pickup
-		if p.X < bounds.Min.X {
-			bounds.Min.X = p.X
+// parallel runs job(w, k) for k in [0, n) on `workers` goroutines, w
+// naming the goroutine; a single worker runs inline.
+func parallel(workers, n int, job func(w, k int)) {
+	if workers <= 1 || n <= 1 {
+		for k := 0; k < n; k++ {
+			job(0, k)
 		}
-		if p.X > bounds.Max.X {
-			bounds.Max.X = p.X
-		}
-		if p.Y < bounds.Min.Y {
-			bounds.Min.Y = p.Y
-		}
-		if p.Y > bounds.Max.Y {
-			bounds.Max.Y = p.Y
-		}
+		return
 	}
-	cell := radius / 4
-	if cell <= 0 {
-		cell = 1
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= n {
+					return
+				}
+				job(w, k)
+			}
+		}()
 	}
-	ix := spatial.NewIndex(bounds, cell)
-	for j, rq := range reqs {
-		ix.Insert(j, rq.Pickup)
-	}
-	return ix
+	wg.Wait()
 }
 
-// buildPickupRow fills taxi i's distance row. With pruning, only the
-// pickups within the straight-line radius are computed — the straight
-// line lower-bounds every metric here, so a pruned cell's true distance
-// also exceeds the radius and sits behind the dummy partner regardless.
-// Batching metrics go through the spatial index and one single-source
-// traversal; scalar metrics apply the identical straight-line rule
-// per pair, which allocates nothing.
-func (p *Plane) buildPickupRow(i int, prune bool, radius float64, pickups *spatial.Index) {
-	row := p.pickup[i]
-	src := p.Taxis[i].Pos
-	if p.batch == nil {
-		for j, rq := range p.Requests {
-			if prune && geo.Euclid(src, rq.Pickup) > radius {
-				row[j] = math.Inf(1)
-				continue
+// rowArena carves one worker's rows out of a few large blocks: a row is
+// reserved at its worst case (every request) and shrunk to the cells it
+// kept, so a pruned plane costs a handful of allocations and no copying.
+type rowArena struct {
+	free []Entry // unused tail of the current block
+	last int     // size of the current block
+}
+
+// reserve returns empty storage for up to n entries. The first block
+// holds hint entries; each later one doubles.
+func (a *rowArena) reserve(n, hint int) []Entry {
+	if len(a.free) < n {
+		a.last = max(n, hint, 2*a.last)
+		a.free = make([]Entry, a.last)
+	}
+	return a.free[:0:n]
+}
+
+// keep commits row, which must be storage reserve just returned.
+func (a *rowArena) keep(row []Entry) []Entry {
+	a.free = a.free[len(row):]
+	return row[:len(row):len(row)]
+}
+
+// disc is one request's pickup with its taxi→pickup pruning radius r
+// and the squared pre-test bound sq, packed so the row scan streams
+// through one small array.
+type disc struct {
+	pickup geo.Point
+	r, sq  float64
+}
+
+// radii returns each request's pruning disc under cfg and whether any
+// disc is finite (when none is, every row is full). Request j's radius
+// is PruneRadius, tightened with Net to MaxNet + α·trip_j plus the
+// outward netSlack; a negative radius empties the row. The squared
+// bound carries a further relative slack so that it never rejects a
+// point the exact rule keeps.
+func radii(cfg Config, reqs []fleet.Request, trips []float64) ([]disc, bool) {
+	base := math.Inf(1)
+	if cfg.PruneRadius > 0 {
+		base = cfg.PruneRadius
+	}
+	discs := make([]disc, len(reqs))
+	pruned := false
+	for j, trip := range trips {
+		r := base
+		if cfg.Net {
+			// A NaN bound (0·Inf) fails the comparison and keeps base.
+			pay := cfg.Alpha * trip
+			if net := cfg.MaxNet + pay + netSlack*(math.Abs(cfg.MaxNet)+pay); net < r {
+				r = net
 			}
-			row[j] = p.metric.Distance(src, rq.Pickup)
 		}
-		return
-	}
-	if !prune {
-		copy(row, p.batch.DistancesFrom(src, p.allPickups))
-		return
-	}
-	for j := range row {
-		row[j] = math.Inf(1)
-	}
-	var cand []int
-	if pickups != nil {
-		cand = pickups.WithinRadius(src, radius)
-	}
-	if len(cand) > 0 {
-		dsts := make([]geo.Point, len(cand))
-		for x, j := range cand {
-			dsts[x] = p.Requests[j].Pickup
+		sq := -1.0 // below every squared distance
+		if r >= 0 {
+			sq = r * r * (1 + netSlack)
 		}
-		vals := p.batch.DistancesFrom(src, dsts)
-		for x, j := range cand {
-			row[j] = vals[x]
+		discs[j] = disc{pickup: reqs[j].Pickup, r: r, sq: sq}
+		pruned = pruned || !math.IsInf(r, 1)
+	}
+	return discs, pruned
+}
+
+// buildPickupRow appends taxi i's stored cells to dst, whose capacity
+// holds every request, and returns it: the pickups whose disc holds the
+// taxi. The squared pre-test rejects most pickups before any square
+// root; the exact straight-line rule decides the rest. The straight
+// line lower-bounds every metric here, so a pruned cell's true distance
+// also exceeds its radius and fails the threshold the radius came from.
+// Scalar metrics compute each candidate directly; batching metrics
+// spend one single-source traversal on the row's candidates.
+func (p *Plane) buildPickupRow(i int, discs []disc, dst []Entry) []Entry {
+	src := p.Taxis[i].Pos
+	var dsts []geo.Point // batching metrics: the row's candidate pickups
+	for j, d := range discs {
+		dx, dy := d.pickup.X-src.X, d.pickup.Y-src.Y
+		if dx*dx+dy*dy > d.sq || (!math.IsInf(d.r, 1) && geo.Euclid(src, d.pickup) > d.r) {
+			continue
+		}
+		if p.batch == nil {
+			dst = append(dst, Entry{Req: int32(j), Dist: p.metric.Distance(src, d.pickup)})
+		} else {
+			dst = append(dst, Entry{Req: int32(j)})
+			dsts = append(dsts, d.pickup)
 		}
 	}
+	if len(dsts) > 0 {
+		row := dst[len(dst)-len(dsts):]
+		for x, d := range p.batch.DistancesFrom(src, dsts) {
+			row[x].Dist = d
+		}
+	}
+	return dst
 }
 
 // buildRequestRow fills request j's solo trip distance and, when pairs
-// are requested, its pickup→pickup row. The request's own dropoff rides
-// the same batched traversal as the pair row, so a road-network request
-// row costs one Dijkstra run total.
-func (p *Plane) buildRequestRow(j int, pairs, prune bool, radius float64, pickups *spatial.Index) {
+// are requested, its pickup→pickup row, skipping pairs farther apart
+// than radius in a straight line when prune is set. On a batching
+// metric the request's own dropoff rides the same traversal as the pair
+// row, so a road-network request row costs one Dijkstra run total.
+func (p *Plane) buildRequestRow(j int, pairs, prune bool, radius float64) {
 	rq := p.Requests[j]
 	if !pairs {
 		p.trip[j] = rq.TripDistance(p.metric)
 		return
 	}
-	r := len(p.Requests)
 	row := p.pairs[j]
-	if p.batch == nil {
-		for k, other := range p.Requests {
-			switch {
-			case k == j:
-				row[k] = 0 // diagonal is exactly zero, no query needed
-			case prune && geo.Euclid(rq.Pickup, other.Pickup) > radius:
-				row[k] = math.Inf(1)
-			default:
-				row[k] = p.metric.Distance(rq.Pickup, other.Pickup)
-			}
+	var kept []int       // batching metrics: the pair row's candidates
+	var dsts []geo.Point // and their pickups
+	for k, other := range p.Requests {
+		switch {
+		case k == j:
+			row[k] = 0 // diagonal is exactly zero, no query needed
+		case prune && geo.Euclid(rq.Pickup, other.Pickup) > radius:
+			row[k] = math.Inf(1)
+		case p.batch == nil:
+			row[k] = p.metric.Distance(rq.Pickup, other.Pickup)
+		default:
+			kept = append(kept, k)
+			dsts = append(dsts, other.Pickup)
 		}
-		p.trip[j] = p.metric.Distance(rq.Pickup, rq.Dropoff)
+	}
+	if p.batch == nil {
+		p.trip[j] = rq.TripDistance(p.metric)
 		return
 	}
-	var cand []int
-	if prune {
-		for k := range row {
-			row[k] = math.Inf(1)
-		}
-		cand = pickups.WithinRadius(rq.Pickup, radius)
-	} else {
-		cand = make([]int, r)
-		for k := range cand {
-			cand[k] = k
-		}
-	}
-	// One batch: the near pickups plus the request's own dropoff.
-	dsts := make([]geo.Point, 0, len(cand)+1)
-	kept := cand[:0]
-	for _, k := range cand {
-		if k == j {
-			continue // diagonal is exactly zero, no query needed
-		}
-		kept = append(kept, k)
-		dsts = append(dsts, p.Requests[k].Pickup)
-	}
-	dsts = append(dsts, rq.Dropoff)
-	vals := p.batch.DistancesFrom(rq.Pickup, dsts)
+	vals := p.batch.DistancesFrom(rq.Pickup, append(dsts, rq.Dropoff))
 	for x, k := range kept {
 		row[k] = vals[x]
 	}
-	row[j] = 0
-	p.trip[j] = vals[len(vals)-1]
+	p.trip[j] = vals[len(kept)]
 }

@@ -3,6 +3,7 @@ package costplane
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stabledispatch/internal/fleet"
@@ -118,9 +119,53 @@ func TestPruning(t *testing.T) {
 	}
 }
 
+// TestNetPruning checks the threshold radius: a taxi→pickup cell is
+// stored, with the metric's exact value, when the straight line is
+// within min(PruneRadius, MaxNet + α·trip), and absent beyond it; rows
+// are in request order and FullRow and CostMatrix agree with PickupDist
+// on every cell.
+func TestNetPruning(t *testing.T) {
+	reqs, taxis := world(t, 30, 40, 6)
+	m := geo.ManhattanMetric
+	cfg := Config{Workers: 1, PruneRadius: 9, Net: true, MaxNet: 1, Alpha: 0.5}
+	pl := Build(reqs, taxis, m, cfg)
+	cost := pl.CostMatrix()
+	var full []Entry
+	stored := 0
+	for i, taxi := range taxis {
+		row := pl.PickupRow(i)
+		if !slices.IsSortedFunc(row, func(a, b Entry) int { return int(a.Req - b.Req) }) {
+			t.Fatalf("row %d is not in request order", i)
+		}
+		stored += len(row)
+		full = pl.FullRow(i, full[:0])
+		for j, rq := range reqs {
+			radius := min(cfg.PruneRadius, cfg.MaxNet+cfg.Alpha*pl.Trip(j))
+			got, straight := pl.PickupDist(i, j), geo.Euclid(taxi.Pos, rq.Pickup)
+			switch {
+			case straight <= radius:
+				if want := m.Distance(taxi.Pos, rq.Pickup); got != want {
+					t.Fatalf("PickupDist(%d,%d) = %v, want %v", i, j, got, want)
+				}
+			case straight > radius+1e-6:
+				if !math.IsInf(got, 1) {
+					t.Fatalf("PickupDist(%d,%d) = %v, want +Inf (beyond %v)", i, j, got, radius)
+				}
+			}
+			if full[j].Req != int32(j) || full[j].Dist != got || cost[j][i] != got {
+				t.Fatalf("cell (%d,%d): FullRow %+v, CostMatrix %v, PickupDist %v", i, j, full[j], cost[j][i], got)
+			}
+		}
+	}
+	if stored != pl.Entries() || stored == 0 || stored == pl.Cells() {
+		t.Fatalf("rows hold %d cells, Entries() = %d, of %d", stored, pl.Entries(), pl.Cells())
+	}
+}
+
 // TestWorkerCountInvariance is the package-level determinism guarantee:
-// every cell is bit-identical across worker counts, with and without
-// pruning, on both metric kinds.
+// every row and cell is bit-identical across worker counts, with and
+// without pruning — at a fixed radius and at the non-sharing thresholds
+// — on both metric kinds.
 func TestWorkerCountInvariance(t *testing.T) {
 	reqs, taxis := world(t, 40, 60, 3)
 	configs := []Config{
@@ -128,6 +173,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{PruneRadius: 8},
 		{Pairs: true, PairRadius: 8},
 		{PruneRadius: 8, Pairs: true, PairRadius: 8},
+		{PruneRadius: 10, Net: true, MaxNet: 2, Alpha: 1},
+		{Net: true, MaxNet: -3, Alpha: 0.5, Pairs: true, PairRadius: 8},
 	}
 	metrics := map[string]geo.Metric{
 		"euclid":  geo.EuclidMetric,
@@ -142,7 +189,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 				c := cfg
 				c.Workers = workers
 				pl := Build(reqs, taxis, m, c)
+				if pl.Entries() != ref.Entries() {
+					t.Fatalf("%s workers=%d cfg=%+v: %d entries, want %d", name, workers, cfg, pl.Entries(), ref.Entries())
+				}
 				for i := range taxis {
+					if !slices.Equal(pl.PickupRow(i), ref.PickupRow(i)) {
+						t.Fatalf("%s workers=%d cfg=%+v: row %d differs", name, workers, cfg, i)
+					}
 					for j := range reqs {
 						if pl.PickupDist(i, j) != ref.PickupDist(i, j) {
 							t.Fatalf("%s workers=%d cfg=%+v: PickupDist(%d,%d) = %v, want %v",
@@ -195,7 +248,7 @@ func TestCostMatrixLayout(t *testing.T) {
 // TestEmptyAndDegenerate covers zero-request and zero-taxi frames.
 func TestEmptyAndDegenerate(t *testing.T) {
 	reqs, taxis := world(t, 3, 2, 5)
-	for _, cfg := range []Config{{}, {PruneRadius: 5, Pairs: true, PairRadius: 5}} {
+	for _, cfg := range []Config{{}, {PruneRadius: 5, Pairs: true, PairRadius: 5}, {Net: true, MaxNet: 2, Alpha: 1}} {
 		if pl := Build(nil, taxis, geo.EuclidMetric, cfg); pl.Cells() != 0 {
 			t.Fatal("empty request frame has cells")
 		}
@@ -207,7 +260,8 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-// TestConfigKey pins that Workers is excluded from the memo key.
+// TestConfigKey pins that Workers is excluded from the memo key and the
+// prune thresholds are included.
 func TestConfigKey(t *testing.T) {
 	a := Config{Workers: 1, PruneRadius: 3, Pairs: true, PairRadius: 7}
 	b := Config{Workers: 16, PruneRadius: 3, Pairs: true, PairRadius: 7}
@@ -217,5 +271,12 @@ func TestConfigKey(t *testing.T) {
 	c := Config{Workers: 1, PruneRadius: 4, Pairs: true, PairRadius: 7}
 	if a.Key() == c.Key() {
 		t.Fatal("prune radius missing from the plane key")
+	}
+	net := a
+	net.Net, net.MaxNet, net.Alpha = true, 2, 1
+	for _, other := range []Config{a, {Workers: 1, PruneRadius: 3, Pairs: true, PairRadius: 7, Net: true, MaxNet: 2, Alpha: 0.5}} {
+		if net.Key() == other.Key() {
+			t.Fatalf("net thresholds missing from the plane key: %+v and %+v share a key", net, other)
+		}
 	}
 }

@@ -16,7 +16,7 @@
 //
 //	idle_scan   — collecting the frame's idle fleet
 //	cost_plane  — building (or memo-hitting) the frame's shared
-//	              distance plane: spatial candidate pruning plus the
+//	              distance plane: threshold candidate pruning plus the
 //	              parallel batched distance computation
 //	pref_build  — market construction from the plane (pref.FromPlane
 //	              or share.BuildMarketPlane)
@@ -54,12 +54,13 @@ func idleFleet(f *sim.Frame) []fleet.Taxi {
 }
 
 // prunedInstance builds the frame's non-sharing preference instance from
-// a cost plane pruned at the passenger-side dummy threshold: taxis
-// farther than MaxPickup from a pickup sit behind the dummy regardless,
-// so skipping their cells leaves every preference list unchanged.
+// a cost plane pruned at both dummy thresholds (pref.PlaneConfig): a
+// taxi beyond request j's radius min(MaxPickup, MaxNet + α·trip_j) sits
+// behind a dummy regardless, so skipping its cell leaves every
+// preference list unchanged.
 func prunedInstance(f *sim.Frame, taxis []fleet.Taxi) (*pref.Instance, error) {
 	sp := f.Ledger.Begin(prof.StageCostPlane)
-	pl := f.CostPlane(taxis, costplane.Config{PruneRadius: f.Params.MaxPickup})
+	pl := f.CostPlane(taxis, pref.PlaneConfig(f.Params))
 	sp.End()
 	sp = f.Ledger.Begin(prof.StagePrefBuild)
 	defer sp.End()

@@ -167,25 +167,22 @@ func NewMarket(nReq, nTaxi int, pairs []Pair) *Market {
 	return &m
 }
 
-// BuildMarket assembles a market in one pass over the taxis. For taxi i,
-// accept appends to dst the requests whose pair with i is mutually
-// acceptable and returns dst; costs returns both sides' costs of a pair
-// accept kept. accept may read every one of the R·T cells, but only the
+// BuildMarket assembles a market in one pass over the taxis. For taxi
+// i, accept appends to dst the entries of i's mutually acceptable
+// requests, each carrying both sides' costs, and returns dst. Only the
 // accepted pairs are ever stored.
-func BuildMarket(nReq, nTaxi int, accept func(i int, dst []int32) []int32, costs func(i, j int) (reqCost, taxiCost float64)) Market {
+func BuildMarket(nReq, nTaxi int, accept func(i int, dst []Entry) []Entry) Market {
 	taxiStart := make([]int, nTaxi+1)
-	var kept []int32
+	var byTaxi []Entry
 	for i := 0; i < nTaxi; i++ {
-		kept = accept(i, kept)
-		taxiStart[i+1] = len(kept)
-	}
-	byTaxi := make([]Entry, len(kept))
-	for i := 0; i < nTaxi; i++ {
-		for k := taxiStart[i]; k < taxiStart[i+1]; k++ {
-			j := int(kept[k])
-			rc, tc := costs(i, j)
-			byTaxi[k] = Entry{Partner: j, ReqCost: rc, TaxiCost: tc}
+		// A row adds at most nReq entries. Growing ahead of each row
+		// by at least the current length keeps accept's appends from
+		// reallocating and the total growth a doubling.
+		if cap(byTaxi)-len(byTaxi) < nReq {
+			byTaxi = slices.Grow(byTaxi, max(nReq, len(byTaxi)))
 		}
+		byTaxi = accept(i, byTaxi)
+		taxiStart[i+1] = len(byTaxi)
 	}
 	return assemble(nReq, taxiStart, byTaxi)
 }
@@ -345,11 +342,26 @@ type Instance struct {
 
 	Requests []fleet.Request
 	Taxis    []fleet.Taxi
-	// PickupDist[i][j] = D(t_i, r_j^s).
-	PickupDist [][]float64
 	// TripDist[j] = D(r_j^s, r_j^d).
 	TripDist []float64
 	Params   Params
+
+	plane *costplane.Plane
+}
+
+// PickupDist returns D(t_i, r_j^s), or +Inf where the instance's plane
+// pruned the cell (such a pair is never mutually acceptable under
+// finite thresholds).
+func (inst *Instance) PickupDist(i, j int) float64 { return inst.plane.PickupDist(i, j) }
+
+// PlaneConfig returns the cost-plane configuration the non-sharing
+// market under p reads: each request's cells pruned at
+// min(MaxPickup, MaxNet + α·trip), the largest pickup both of the
+// pair's thresholds can accept. Every caller that builds this market
+// for a frame takes its configuration from here, so they share one
+// memoised plane.
+func PlaneConfig(p Params) costplane.Config {
+	return costplane.Config{PruneRadius: p.MaxPickup, Net: true, MaxNet: p.MaxNet, Alpha: p.Alpha}
 }
 
 // NewInstance computes the non-sharing market for the given requests and
@@ -369,55 +381,56 @@ func NewInstance(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, pa
 }
 
 // FromPlane builds the non-sharing instance from an already-computed
-// distance plane. The instance aliases the plane's matrices (planes are
-// immutable after Build). A plane pruned at params.MaxPickup yields the
-// same market as an unpruned one: a pruned cell reads +Inf, which fails
-// the pickup threshold exactly like its true distance (the prune radius
-// lower-bounds it) — the pair sits behind the passenger's dummy either
-// way, so preference lists are unchanged.
+// distance plane, which the instance keeps (planes are immutable after
+// Build). A plane pruned at PlaneConfig(params), or at any radius no
+// smaller, yields the same market as an unpruned one: a pruned cell's
+// true distance exceeds the radius, so it fails the pickup or the net
+// threshold exactly like the +Inf the plane reports — the pair sits
+// behind a dummy either way, so preference lists are unchanged.
 func FromPlane(pl *costplane.Plane, params Params) (*Instance, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	inst := &Instance{
-		Requests:   pl.Requests,
-		Taxis:      pl.Taxis,
-		PickupDist: pl.PickupMatrix(),
-		TripDist:   pl.Trips(),
-		Params:     params,
+		Requests: pl.Requests,
+		Taxis:    pl.Taxis,
+		TripDist: pl.Trips(),
+		Params:   params,
+		plane:    pl,
 	}
 	inst.Market = buildNonSharingMarket(inst)
 	return inst, nil
 }
 
 // buildNonSharingMarket keeps a pair iff the taxi has the seats, the
-// pickup distance is within params.MaxPickup and the taxi's net cost is
-// within params.MaxNet. The scan reads every cell of the plane's taxi
-// rows; a pruned cell reads +Inf and fails a finite pickup threshold.
+// pickup distance is within params.MaxPickup and the taxi's net cost
+// D(t_i, r_j^s) − α·D(r_j^s, r_j^d) is within params.MaxNet. It walks
+// each taxi's stored cells and takes both costs from the cell's own
+// distance. A cell the plane did not store reads +Inf, which passes
+// only when both thresholds are +Inf; such a market visits every cell.
 func buildNonSharingMarket(inst *Instance) Market {
 	p := inst.Params
-	accept := func(i int, dst []int32) []int32 {
+	everyCell := math.IsInf(p.MaxPickup, 1) && math.IsInf(p.MaxNet, 1)
+	var full []costplane.Entry
+	accept := func(i int, dst []Entry) []Entry {
 		seats := inst.Taxis[i].Capacity()
-		for j, pickup := range inst.PickupDist[i] {
-			// Most cells fail the pickup threshold, so the net cost
-			// is computed only past it.
-			if pickup <= p.MaxPickup {
-				if _, net := inst.costs(i, j); net <= p.MaxNet && inst.Requests[j].SeatCount() <= seats {
-					dst = append(dst, int32(j))
-				}
+		row := inst.plane.PickupRow(i)
+		if everyCell {
+			full = inst.plane.FullRow(i, full[:0])
+			row = full
+		}
+		for _, e := range row {
+			pickup := e.Dist
+			if pickup > p.MaxPickup {
+				continue
+			}
+			if net := pickup - p.Alpha*inst.TripDist[e.Req]; net <= p.MaxNet && inst.Requests[e.Req].SeatCount() <= seats {
+				dst = append(dst, Entry{Partner: int(e.Req), ReqCost: pickup, TaxiCost: net})
 			}
 		}
 		return dst
 	}
-	return BuildMarket(len(inst.Requests), len(inst.Taxis), accept, inst.costs)
-}
-
-// costs returns the §IV-A interest-model costs of taxi i serving
-// request j: D(t_i, r_j^s) for the passenger and
-// D(t_i, r_j^s) − α·D(r_j^s, r_j^d) for the driver.
-func (inst *Instance) costs(i, j int) (pickup, net float64) {
-	pickup = inst.PickupDist[i][j]
-	return pickup, pickup - inst.Params.Alpha*inst.TripDist[j]
+	return BuildMarket(len(inst.Requests), len(inst.Taxis), accept)
 }
 
 // PassengerDissatisfaction returns the paper's non-sharing passenger

@@ -1,14 +1,17 @@
 package pref
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
+	"stabledispatch/internal/roadnet"
 )
 
 func simpleInstance(t *testing.T, params Params) *Instance {
@@ -65,10 +68,10 @@ func TestInstanceDistances(t *testing.T) {
 	if got := inst.TripDist[1]; got != 1 {
 		t.Errorf("TripDist[1] = %v, want 1", got)
 	}
-	if got := inst.PickupDist[0][0]; got != 1 {
+	if got := inst.PickupDist(0, 0); got != 1 {
 		t.Errorf("PickupDist[0][0] = %v, want 1", got)
 	}
-	if got := inst.PickupDist[1][0]; got != 9 {
+	if got := inst.PickupDist(1, 0); got != 9 {
 		t.Errorf("PickupDist[1][0] = %v, want 9", got)
 	}
 }
@@ -398,4 +401,190 @@ func BenchmarkFromPlane(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(inst.byReq))/float64(pl.Cells()), "acceptable/cell")
+}
+
+// diffMarkets returns the first row where two markets differ, or "".
+func diffMarkets(got, want *Market) string {
+	if got.NumRequests() != want.NumRequests() || got.NumTaxis() != want.NumTaxis() {
+		return fmt.Sprintf("shape %dx%d, want %dx%d", got.NumRequests(), got.NumTaxis(), want.NumRequests(), want.NumTaxis())
+	}
+	for j := 0; j < want.NumRequests(); j++ {
+		if g, w := got.ReqEntries(j), want.ReqEntries(j); !slices.Equal(g, w) {
+			return fmt.Sprintf("request %d lists %v, want %v", j, g, w)
+		}
+	}
+	for i := 0; i < want.NumTaxis(); i++ {
+		if g, w := got.TaxiEntries(i), want.TaxiEntries(i); !slices.Equal(g, w) {
+			return fmt.Sprintf("taxi %d lists %v, want %v", i, g, w)
+		}
+	}
+	return ""
+}
+
+// boundaryMetrics are the three metric kinds the threshold prune must be
+// exact under: the straight line itself, a scalar metric strictly above
+// it, and a batching road network. The road grid has unit blocks and no
+// jitter, so integer points sit on intersections and road distances are
+// integers too.
+func boundaryMetrics(t *testing.T) []struct {
+	name string
+	m    geo.Metric
+} {
+	t.Helper()
+	g, err := roadnet.NewGrid(roadnet.GridConfig{Rows: 16, Cols: 16, Spacing: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name string
+		m    geo.Metric
+	}{{"euclid", geo.EuclidMetric}, {"manhattan", geo.ManhattanMetric}, {"road", roadnet.NewMetric(g, 64)}}
+}
+
+// checkThresholdPlane builds the market from the PlaneConfig(params)
+// plane and from an unpruned plane and requires them to be identical,
+// with every stored cell equal to the unpruned plane's value.
+func checkThresholdPlane(t *testing.T, label string, reqs []fleet.Request, taxis []fleet.Taxi, m geo.Metric, params Params) *costplane.Plane {
+	t.Helper()
+	cfg := PlaneConfig(params)
+	cfg.Workers = 1
+	pruned := costplane.Build(reqs, taxis, m, cfg)
+	full := costplane.Build(reqs, taxis, m, costplane.Config{Workers: 1})
+	for i := range taxis {
+		for _, e := range pruned.PickupRow(i) {
+			if want := full.PickupDist(i, int(e.Req)); e.Dist != want {
+				t.Fatalf("%s: stored cell (t%d, r%d) = %v, want %v", label, i, e.Req, e.Dist, want)
+			}
+		}
+	}
+	got, err := FromPlane(pruned, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FromPlane(full, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffMarkets(&got.Market, &want.Market); d != "" {
+		t.Fatalf("%s: threshold plane's market differs from the unpruned one: %s", label, d)
+	}
+	return pruned
+}
+
+// TestThresholdPlaneMatchesUnprunedMarket is the boundary-exactness
+// property of the threshold prune: on Euclid, Manhattan and the road
+// metric, the market from a plane pruned at min(MaxPickup,
+// MaxNet + α·trip) equals the market from an unpruned plane. The fixed
+// frame uses 3-4-5 geometry, so pickups land exactly on r_j and on
+// MaxPickup and several taxis tie; the cases cover α = 0, a negative
+// radius (every row empty) and Unbounded (every row full). Random
+// integer-grid frames then draw thresholds that hit the boundaries
+// often.
+func TestThresholdPlaneMatchesUnprunedMarket(t *testing.T) {
+	reqs := []fleet.Request{
+		{ID: 0, Pickup: geo.Point{X: 5, Y: 5}, Dropoff: geo.Point{X: 8, Y: 9}},  // trip 5 (7 on the grid)
+		{ID: 1, Pickup: geo.Point{X: 5, Y: 5}, Dropoff: geo.Point{X: 5, Y: 10}}, // trip 5 on every metric
+		{ID: 2, Pickup: geo.Point{X: 9, Y: 8}, Dropoff: geo.Point{X: 9, Y: 8}},  // zero trip
+	}
+	var taxis []fleet.Taxi
+	for k, off := range []geo.Point{{X: 3, Y: 4}, {X: 4, Y: 3}, {X: 0, Y: 5}, {X: 5, Y: 0}, {X: 6, Y: 8}, {X: 0, Y: 10}, {X: 1, Y: 1}, {X: 0, Y: 0}, {X: 7, Y: 7}} {
+		taxis = append(taxis, fleet.Taxi{ID: k, Pos: geo.Point{X: 5, Y: 5}.Add(off), Seats: 4})
+	}
+	inf := math.Inf(1)
+	cases := []struct {
+		name   string
+		params Params
+		empty  bool
+		full   bool
+	}{
+		{name: "r_j equals MaxPickup", params: Params{Alpha: 1, Beta: 1, MaxPickup: 5, MaxNet: 0}},
+		{name: "r_j from MaxNet", params: Params{Alpha: 1, Beta: 1, MaxPickup: 10, MaxNet: 5}},
+		{name: "alpha zero", params: Params{Alpha: 0, Beta: 1, MaxPickup: 10, MaxNet: 5}},
+		{name: "fractional alpha", params: Params{Alpha: 0.5, Beta: 1, MaxPickup: 10, MaxNet: 2.5}},
+		{name: "net only", params: Params{Alpha: 2, Beta: 1, MaxPickup: inf, MaxNet: 0}},
+		{name: "pickup only", params: Params{Alpha: 1, Beta: 1, MaxPickup: 5, MaxNet: inf}},
+		{name: "negative radius", params: Params{Alpha: 1, Beta: 1, MaxPickup: 10, MaxNet: -20}, empty: true},
+		{name: "unbounded", params: Unbounded(), full: true},
+	}
+	for _, mt := range boundaryMetrics(t) {
+		for _, tc := range cases {
+			label := mt.name + "/" + tc.name
+			pl := checkThresholdPlane(t, label, reqs, taxis, mt.m, tc.params)
+			switch {
+			case tc.empty && pl.Entries() != 0:
+				t.Errorf("%s: %d cells stored, want none", label, pl.Entries())
+			case tc.full && pl.Entries() != pl.Cells():
+				t.Errorf("%s: %d of %d cells stored, want all", label, pl.Entries(), pl.Cells())
+			case !tc.empty && !tc.full && (pl.Entries() == 0 || pl.Entries() == pl.Cells()):
+				t.Errorf("%s: %d of %d cells stored, want a proper subset", label, pl.Entries(), pl.Cells())
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(20261017))
+	pt := func() geo.Point { return geo.Point{X: float64(rng.Intn(9)), Y: float64(rng.Intn(9))} }
+	for trial := 0; trial < 300; trial++ {
+		reqs := make([]fleet.Request, 1+rng.Intn(8))
+		for j := range reqs {
+			reqs[j] = fleet.Request{ID: j, Pickup: pt(), Dropoff: pt(), Seats: rng.Intn(4)}
+		}
+		taxis := make([]fleet.Taxi, 1+rng.Intn(8))
+		for i := range taxis {
+			taxis[i] = fleet.Taxi{ID: i, Pos: pt(), Seats: rng.Intn(5)}
+		}
+		params := Params{
+			Alpha:     []float64{0, 0.5, 1, 2}[rng.Intn(4)],
+			Beta:      1,
+			MaxPickup: []float64{1, 2, 3, 5, 8, inf}[rng.Intn(6)],
+			MaxNet:    []float64{-4, -1, 0, 1, 2, 5, inf}[rng.Intn(7)],
+		}
+		for _, mt := range boundaryMetrics(t) {
+			checkThresholdPlane(t, fmt.Sprintf("%s/trial %d %+v", mt.name, trial, params), reqs, taxis, mt.m, params)
+		}
+	}
+}
+
+// TestThresholdPlaneStoresOnlyCandidates pins the sparse plane: on a
+// city-like 700-taxi × 400-request frame at default params, the
+// PlaneConfig plane stores at most 3% of the T·R cells and its build
+// allocates under an eighth of the T·R·8 bytes a dense float64 plane
+// took. Taxis and pickups spread over 50×50 km and trips are local
+// (0.5 km plus an exponential 1.5 km), so MaxPickup alone would keep
+// about four times as many cells as the net threshold does.
+func TestThresholdPlaneStoresOnlyCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	pt := func() geo.Point { return geo.Point{X: rng.Float64() * 50, Y: rng.Float64() * 50} }
+	reqs := make([]fleet.Request, 400)
+	for j := range reqs {
+		p := pt()
+		trip, angle := 0.5+1.5*rng.ExpFloat64(), 2*math.Pi*rng.Float64()
+		reqs[j] = fleet.Request{ID: j, Pickup: p, Dropoff: p.Add(geo.Point{X: trip * math.Cos(angle), Y: trip * math.Sin(angle)})}
+	}
+	taxis := make([]fleet.Taxi, 700)
+	for i := range taxis {
+		taxis[i] = fleet.Taxi{ID: i, Pos: pt()}
+	}
+	cfg := PlaneConfig(DefaultParams())
+	cfg.Workers = 1
+
+	const runs = 10
+	var pl *costplane.Plane
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < runs; k++ {
+		pl = costplane.Build(reqs, taxis, geo.EuclidMetric, cfg)
+	}
+	runtime.ReadMemStats(&after)
+
+	frac := float64(pl.Entries()) / float64(pl.Cells())
+	if frac == 0 || frac > 0.03 {
+		t.Errorf("plane stores %.2f%% of the cells, want (0, 3%%]", 100*frac)
+	}
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if dense := float64(pl.Cells() * 8); perRun >= dense/8 {
+		t.Errorf("Build allocates %.0f bytes per plane, want under %.0f (1/8 of dense)", perRun, dense/8)
+	}
+	pickupOnly := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{Workers: 1, PruneRadius: DefaultParams().MaxPickup})
+	t.Logf("%.0f bytes per build, %d entries (%.2f%% of cells; MaxPickup alone keeps %.2f%%)",
+		perRun, pl.Entries(), 100*frac, 100*float64(pickupOnly.Entries())/float64(pl.Cells()))
 }

@@ -2,6 +2,7 @@ package share
 
 import (
 	"fmt"
+	"math"
 
 	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/fleet"
@@ -161,73 +162,114 @@ func BuildMarket(units []Unit, reqs []fleet.Request, taxis []fleet.Taxi, m geo.M
 		}
 		starts[k] = u.Start()
 	}
-	solo := func(idx int) float64 { return reqs[idx].TripDistance(m) }
-	lead := func(i, k int) float64 { return m.Distance(taxis[i].Pos, starts[k]) }
-	return buildMarket(units, taxis, params, solo, lead)
+	c, err := newUnitCosts(units, params, func(idx int) float64 { return reqs[idx].TripDistance(m) })
+	if err != nil {
+		return nil, err
+	}
+	market := pref.BuildMarket(len(units), len(taxis), func(i int, dst []pref.Entry) []pref.Entry {
+		seats := taxis[i].Capacity()
+		for k, start := range starts {
+			dst = c.appendAcceptable(dst, k, m.Distance(taxis[i].Pos, start), seats)
+		}
+		return dst
+	})
+	return &market, nil
 }
 
 // BuildMarketPlane is BuildMarket reading every distance from a
 // per-frame cost plane: the lead-in is the plane's taxi→pickup cell of
 // the unit's first stop (always a member's pickup), and the unit
-// constants use the plane's solo trips. A plane pruned at
-// params.MaxPickup yields the same matching market: a pruned lead reads
-// +Inf, and since the unit constants are non-negative under the
-// triangle inequality, the true passenger cost also exceeds the
-// threshold — the pair sits behind the dummy either way.
+// constants use the plane's solo trips. Each taxi's stored cells are
+// walked through a start-request→unit index, so only the cells the
+// plane kept are visited. A plane pruned at params.MaxPickup yields the
+// same matching market: a pruned lead reads +Inf, and since the unit
+// constants are non-negative under the triangle inequality, the true
+// passenger cost also exceeds the threshold — the pair sits behind the
+// dummy either way. Only a market with both thresholds +Inf accepts a
+// +Inf lead; it visits every cell.
 func BuildMarketPlane(units []Unit, taxis []fleet.Taxi, pl *costplane.Plane, params pref.Params) (*pref.Market, error) {
-	startIdx := make([]int, len(units))
+	unitOf := make([]int, len(pl.Requests))
+	for j := range unitOf {
+		unitOf[j] = -1
+	}
 	for k, u := range units {
 		if len(u.Members) == 0 || len(u.Plan.Stops) == 0 {
 			return nil, fmt.Errorf("share: unit with no members or empty plan")
 		}
-		startIdx[k] = -1
+		start := -1
 		startID := u.Plan.Stops[0].RequestID
 		for _, idx := range u.Members {
 			if pl.Requests[idx].ID == startID {
-				startIdx[k] = idx
+				start = idx
 				break
 			}
 		}
-		if startIdx[k] < 0 {
+		if start < 0 {
 			return nil, fmt.Errorf("share: unit %d starts at request %d, not a member", k, startID)
 		}
+		if unitOf[start] >= 0 {
+			return nil, fmt.Errorf("share: units %d and %d both start at request %d", unitOf[start], k, startID)
+		}
+		unitOf[start] = k
 	}
-	lead := func(i, k int) float64 { return pl.PickupDist(i, startIdx[k]) }
-	return buildMarket(units, taxis, params, pl.Trip, lead)
+	c, err := newUnitCosts(units, params, pl.Trip)
+	if err != nil {
+		return nil, err
+	}
+	everyCell := math.IsInf(params.MaxPickup, 1) && math.IsInf(params.MaxNet, 1)
+	var full []costplane.Entry
+	market := pref.BuildMarket(len(units), len(taxis), func(i int, dst []pref.Entry) []pref.Entry {
+		seats := taxis[i].Capacity()
+		row := pl.PickupRow(i)
+		if everyCell {
+			full = pl.FullRow(i, full[:0])
+			row = full
+		}
+		for _, e := range row {
+			if k := unitOf[e.Req]; k >= 0 {
+				dst = c.appendAcceptable(dst, k, e.Dist, seats)
+			}
+		}
+		return dst
+	})
+	return &market, nil
 }
 
-// buildMarket is the shared market core: solo returns a member's solo
-// trip distance, lead the taxi→unit-start distance. It stores only the
-// mutually acceptable pairs.
-func buildMarket(units []Unit, taxis []fleet.Taxi, params pref.Params, solo func(idx int) float64, lead func(i, k int) float64) (*pref.Market, error) {
+// unitCosts is the shared market core. Both interest formulas decompose
+// as lead-in distance plus a taxi-independent unit constant, so the
+// constants are computed once per unit and each (unit, taxi) pair costs
+// one addition per side — this is the per-frame hot loop of the sharing
+// dispatchers.
+type unitCosts struct {
+	params                    pref.Params
+	passengerConst, taxiConst []float64
+	maxLoad                   []int
+}
+
+// newUnitCosts computes the unit constants; solo returns a member's
+// solo trip distance.
+func newUnitCosts(units []Unit, params pref.Params, solo func(idx int) float64) (*unitCosts, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	nu := len(units)
-	// Both interest formulas decompose as lead-in distance plus a
-	// taxi-independent unit constant, so precompute the constants once
-	// per unit and spend exactly one distance lookup per (unit, taxi)
-	// cell — this is the per-frame hot loop of the sharing dispatchers.
 	consts := make([]float64, 2*nu)
-	passengerConst, taxiConst := consts[:nu:nu], consts[nu:]
+	c := &unitCosts{params: params, passengerConst: consts[:nu:nu], taxiConst: consts[nu:], maxLoad: make([]int, nu)}
 	for k, u := range units {
-		passengerConst[k] = u.passengerCost(0, solo, params.Beta)
-		taxiConst[k] = u.taxiCost(0, solo, params.Alpha)
+		c.passengerConst[k] = u.passengerCost(0, solo, params.Beta)
+		c.taxiConst[k] = u.taxiCost(0, solo, params.Alpha)
+		c.maxLoad[k] = u.Plan.MaxLoad
 	}
-	costs := func(i, k int) (float64, float64) {
-		l := lead(i, k)
-		return l + passengerConst[k], l + taxiConst[k]
+	return c, nil
+}
+
+// appendAcceptable appends unit k to a taxi's market row when the pair
+// with lead-in distance lead is mutually acceptable and the taxi's seats
+// carry the unit.
+func (c *unitCosts) appendAcceptable(dst []pref.Entry, k int, lead float64, seats int) []pref.Entry {
+	pc, tc := lead+c.passengerConst[k], lead+c.taxiConst[k]
+	if pc <= c.params.MaxPickup && tc <= c.params.MaxNet && c.maxLoad[k] <= seats {
+		dst = append(dst, pref.Entry{Partner: k, ReqCost: pc, TaxiCost: tc})
 	}
-	accept := func(i int, dst []int32) []int32 {
-		seats := taxis[i].Capacity()
-		for k := range units {
-			l := lead(i, k)
-			if l+passengerConst[k] <= params.MaxPickup && l+taxiConst[k] <= params.MaxNet && units[k].Plan.MaxLoad <= seats {
-				dst = append(dst, int32(k))
-			}
-		}
-		return dst
-	}
-	market := pref.BuildMarket(nu, len(taxis), accept, costs)
-	return &market, nil
+	return dst
 }

@@ -176,6 +176,31 @@ func TestMarketConstructionMatchesDenseReference(t *testing.T) {
 	}
 }
 
+// TestBuildMarketPlaneRejectsBadUnits checks the start-request→unit
+// index refuses units it cannot represent: a unit whose route starts
+// outside its members, and two units starting at the same request.
+func TestBuildMarketPlaneRejectsBadUnits(t *testing.T) {
+	reqs := []fleet.Request{
+		{ID: 7, Pickup: geo.Point{X: 0, Y: 0}, Dropoff: geo.Point{X: 3, Y: 4}},
+		{ID: 8, Pickup: geo.Point{X: 1, Y: 0}, Dropoff: geo.Point{X: 1, Y: 4}},
+	}
+	taxis := []fleet.Taxi{{ID: 1, Pos: geo.Point{X: 0, Y: 1}, Seats: 4}}
+	pl := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{Workers: 1})
+	foreign := SingleUnitPlane(0, pl)
+	foreign.Members = []int{1}
+	for name, units := range map[string][]Unit{
+		"start outside members": {foreign},
+		"shared start":          {SingleUnitPlane(0, pl), SingleUnitPlane(0, pl)},
+	} {
+		if _, err := BuildMarketPlane(units, taxis, pl, pref.DefaultParams()); err == nil {
+			t.Errorf("%s: BuildMarketPlane accepted the units", name)
+		}
+	}
+	if _, err := BuildMarketPlane([]Unit{SingleUnitPlane(0, pl), SingleUnitPlane(1, pl)}, taxis, pl, pref.DefaultParams()); err != nil {
+		t.Errorf("disjoint units rejected: %v", err)
+	}
+}
+
 // randomUnits packs a random prefix of the plane's requests (groups of
 // up to three with a generous detour bound) and rides the rest alone.
 func randomUnits(t *testing.T, rng *rand.Rand, pl *costplane.Plane) []Unit {

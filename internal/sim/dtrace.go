@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/flightrec"
@@ -76,10 +75,11 @@ func (s *Simulator) certifyFrame(rec *dtrace.Recorder, f *Frame, applied []fleet
 		taxiIDs[i] = v.ID
 		taxiIdx[v.ID] = i
 	}
-	// The frame's plane pruned at the pickup threshold yields the same
-	// market as an unpruned one (see pref.FromPlane), and it is the
-	// plane the non-sharing dispatchers already built this frame.
-	inst, err := pref.FromPlane(f.CostPlane(taxis, costplane.Config{PruneRadius: f.Params.MaxPickup}), f.Params)
+	// The frame's plane pruned at both thresholds yields the same market
+	// as an unpruned one (see pref.FromPlane), and its configuration is
+	// the non-sharing dispatchers', so it memo-hits the plane they
+	// already built this frame.
+	inst, err := pref.FromPlane(f.CostPlane(taxis, pref.PlaneConfig(f.Params)), f.Params)
 	if err != nil {
 		rec.AddFrameNote(f.Number, "stability certificate unavailable: "+err.Error())
 		return

@@ -136,7 +136,7 @@ func TotalPickupDistance(inst *pref.Instance) CompanyObjective {
 		total := 0.0
 		for j, i := range m.ReqPartner {
 			if i != Unmatched {
-				total += inst.PickupDist[i][j]
+				total += inst.PickupDist(i, j)
 			}
 		}
 		return total
