@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -25,22 +26,35 @@ import (
 	"stabledispatch/internal/trace"
 )
 
-// withTracing runs fn with decision tracing on and a clean default
-// recorder, switching it off and clearing it afterwards.
-func withTracing(t *testing.T, fn func(rec *dtrace.Recorder)) {
+// quickTracedSim builds a quick-scale Boston simulator dispatching with
+// d and recording its decisions into rec.
+func quickTracedSim(t *testing.T, d sim.Dispatcher, rec *dtrace.Recorder) *sim.Simulator {
 	t.Helper()
-	dtrace.SetEnabled(true)
-	dtrace.Default().Reset()
-	defer func() {
-		dtrace.SetEnabled(false)
-		dtrace.Default().Reset()
-	}()
-	fn(dtrace.Default())
+	o := exp.QuickOptions()
+	reqs, taxis, err := exp.Workload(trace.Boston(), 13500, 200, o)
+	if err != nil {
+		t.Fatalf("workload: %v", err)
+	}
+	s, err := sim.New(sim.Config{
+		Params:         o.Params,
+		Dispatcher:     d,
+		PatienceFrames: o.PatienceMinutes,
+		Workers:        o.Workers,
+		Tracer:         rec,
+	}, taxis, reqs)
+	if err != nil {
+		t.Fatalf("sim.New: %v", err)
+	}
+	return s
+}
+
+// quickPackConfig is Algorithm 3's packing configuration at quick scale.
+func quickPackConfig() share.PackConfig {
+	o := exp.QuickOptions()
+	return share.PackConfig{Theta: o.Theta, MaxGroupSize: 3, PairRadius: 2 * o.Theta}
 }
 
 func TestTracedQuickScaleCertificates(t *testing.T) {
-	o := exp.QuickOptions()
-	packCfg := share.PackConfig{Theta: o.Theta, MaxGroupSize: 3, PairRadius: 2 * o.Theta}
 	cases := []struct {
 		algo string
 		make func() sim.Dispatcher
@@ -51,45 +65,84 @@ func TestTracedQuickScaleCertificates(t *testing.T) {
 		digest                    string
 	}{
 		{"NSTD-P", func() sim.Dispatcher { return dispatch.NewNSTDP() }, 121, 0, 62, "4f9593890efec49c"},
-		{"STD-P", func() sim.Dispatcher { return dispatch.NewSTDP(packCfg) }, 121, 2, 62, "499d1cca52f5834f"},
+		{"STD-P", func() sim.Dispatcher { return dispatch.NewSTDP(quickPackConfig()) }, 121, 2, 62, "499d1cca52f5834f"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.algo, func(t *testing.T) {
-			withTracing(t, func(rec *dtrace.Recorder) {
-				reqs, taxis, err := exp.Workload(trace.Boston(), 13500, 200, o)
-				if err != nil {
-					t.Fatalf("workload: %v", err)
+			rec := dtrace.New(0, 0)
+			if _, err := quickTracedSim(t, tc.make(), rec).Run(); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			h := sha256.New()
+			frames, unstable, matched := 0, 0, 0
+			for _, fr := range rec.CertifiedFrames() {
+				c, _ := rec.Certificate(fr)
+				fmt.Fprintf(h, "%d %v %d %d %d\n", c.Frame, c.Stable, c.Matched, c.Requests, c.Taxis)
+				frames++
+				matched += c.Matched
+				if !c.Stable {
+					unstable++
 				}
-				s, err := sim.New(sim.Config{
-					Params:         o.Params,
-					Dispatcher:     tc.make(),
-					PatienceFrames: o.PatienceMinutes,
-					Workers:        o.Workers,
-				}, taxis, reqs)
-				if err != nil {
-					t.Fatalf("sim.New: %v", err)
-				}
-				if _, err := s.Run(); err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				h := sha256.New()
-				frames, unstable, matched := 0, 0, 0
-				for _, fr := range rec.CertifiedFrames() {
-					c, _ := rec.Certificate(fr)
-					fmt.Fprintf(h, "%d %v %d %d %d\n", c.Frame, c.Stable, c.Matched, c.Requests, c.Taxis)
-					frames++
-					matched += c.Matched
-					if !c.Stable {
-						unstable++
-					}
-				}
-				digest := hex.EncodeToString(h.Sum(nil))[:16]
-				if frames != tc.frames || unstable != tc.unstable || matched != tc.matched || digest != tc.digest {
-					t.Errorf("certificates: %d frames, %d unstable, %d matched, digest %s; want %d, %d, %d, %s",
-						frames, unstable, matched, digest, tc.frames, tc.unstable, tc.matched, tc.digest)
-				}
-			})
+			}
+			digest := hex.EncodeToString(h.Sum(nil))[:16]
+			if frames != tc.frames || unstable != tc.unstable || matched != tc.matched || digest != tc.digest {
+				t.Errorf("certificates: %d frames, %d unstable, %d matched, digest %s; want %d, %d, %d, %s",
+					frames, unstable, matched, digest, tc.frames, tc.unstable, tc.matched, tc.digest)
+			}
 		})
+	}
+}
+
+// TestInterleavedTracedSimulatorsMatchSoloRuns pins that a trace
+// recorder is scoped to its simulator: a quick-scale NSTD-P run and a
+// quick-scale STD-P run stepped alternately, each with its own
+// recorder, record exactly the certificates and traces of their solo
+// runs.
+func TestInterleavedTracedSimulatorsMatchSoloRuns(t *testing.T) {
+	type recorded struct {
+		certs  []dtrace.Certificate
+		traces []dtrace.Trace
+	}
+	record := func(rec *dtrace.Recorder) recorded {
+		var out recorded
+		for _, fr := range rec.CertifiedFrames() {
+			c, _ := rec.Certificate(fr)
+			out.certs = append(out.certs, c)
+		}
+		out.traces = rec.Snapshot()
+		return out
+	}
+	names := []string{"NSTD-P", "STD-P"}
+	makers := []func() sim.Dispatcher{
+		func() sim.Dispatcher { return dispatch.NewNSTDP() },
+		func() sim.Dispatcher { return dispatch.NewSTDP(quickPackConfig()) },
+	}
+	var solo []recorded
+	var sims []*sim.Simulator
+	var recs []*dtrace.Recorder
+	for _, make := range makers {
+		rec := dtrace.New(0, 0)
+		stepAll(t, quickTracedSim(t, make(), rec))
+		solo = append(solo, record(rec))
+		rec = dtrace.New(0, 0)
+		sims = append(sims, quickTracedSim(t, make(), rec))
+		recs = append(recs, rec)
+	}
+	stepAll(t, sims...)
+	for k, rec := range recs {
+		got, want := record(rec), solo[k]
+		if len(want.certs) == 0 || len(want.traces) == 0 {
+			t.Fatalf("%s solo run recorded %d certificates and %d traces; the pin proves nothing",
+				names[k], len(want.certs), len(want.traces))
+		}
+		if !reflect.DeepEqual(got.certs, want.certs) {
+			t.Errorf("%s: interleaved run certified %d frames differently from its solo run (%d frames)",
+				names[k], len(got.certs), len(want.certs))
+		}
+		if !reflect.DeepEqual(got.traces, want.traces) {
+			t.Errorf("%s: interleaved run recorded %d traces, solo run %d, and they differ",
+				names[k], len(got.traces), len(want.traces))
+		}
 	}
 }
 
@@ -110,7 +163,7 @@ func (c *countingMetric) Distance(a, b geo.Point) float64 {
 // diverge, since a second plane per frame repeats the computation.
 func TestTracedFrameReusesDispatchPlane(t *testing.T) {
 	o := exp.QuickOptions()
-	run := func() int64 {
+	run := func(rec *dtrace.Recorder) int64 {
 		reqs, taxis, err := exp.Workload(trace.Boston(), 13500, 200, o)
 		if err != nil {
 			t.Fatalf("workload: %v", err)
@@ -122,6 +175,7 @@ func TestTracedFrameReusesDispatchPlane(t *testing.T) {
 			Dispatcher:     dispatch.NewNSTDP(),
 			PatienceFrames: o.PatienceMinutes,
 			Workers:        o.Workers,
+			Tracer:         rec,
 		}, taxis, reqs)
 		if err != nil {
 			t.Fatalf("sim.New: %v", err)
@@ -131,14 +185,12 @@ func TestTracedFrameReusesDispatchPlane(t *testing.T) {
 		}
 		return m.calls.Load()
 	}
-	untraced := run()
-	var traced int64
-	withTracing(t, func(rec *dtrace.Recorder) {
-		traced = run()
-		if len(rec.CertifiedFrames()) == 0 {
-			t.Fatal("traced run certified no frame")
-		}
-	})
+	untraced := run(nil)
+	rec := dtrace.New(0, 0)
+	traced := run(rec)
+	if len(rec.CertifiedFrames()) == 0 {
+		t.Fatal("traced run certified no frame")
+	}
 	t.Logf("%d distance calls per run", untraced)
 	if traced != untraced {
 		t.Errorf("traced run made %d distance calls, untraced %d: certification built its own plane", traced, untraced)
@@ -186,29 +238,28 @@ func TestCertifyFrameHandCrossedBlockingPair(t *testing.T) {
 		t.Fatal("reference certificate finds no violation")
 	}
 
-	withTracing(t, func(rec *dtrace.Recorder) {
-		s, err := sim.New(sim.Config{Params: params, Dispatcher: crossedDispatcher{}, Metric: geo.EuclidMetric}, taxis, reqs)
-		if err != nil {
-			t.Fatal(err)
+	rec := dtrace.New(0, 0)
+	s, err := sim.New(sim.Config{Params: params, Dispatcher: crossedDispatcher{}, Metric: geo.EuclidMetric, Tracer: rec}, taxis, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := rec.Certificate(0)
+	if !ok {
+		t.Fatal("frame 0 not certified")
+	}
+	if got.Stable || got.ViolationsTotal != want.ViolationsTotal || got.Matched != 2 || got.Taxis != 3 {
+		t.Fatalf("certificate %+v, want %d violations over 2 matched of 3 taxis", got, want.ViolationsTotal)
+	}
+	for k, v := range got.Violations {
+		if v != want.Violations[k] {
+			t.Errorf("violation %d = %+v, want %+v", k, v, want.Violations[k])
 		}
-		if err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := rec.Certificate(0)
-		if !ok {
-			t.Fatal("frame 0 not certified")
-		}
-		if got.Stable || got.ViolationsTotal != want.ViolationsTotal || got.Matched != 2 || got.Taxis != 3 {
-			t.Fatalf("certificate %+v, want %d violations over 2 matched of 3 taxis", got, want.ViolationsTotal)
-		}
-		for k, v := range got.Violations {
-			if v != want.Violations[k] {
-				t.Errorf("violation %d = %+v, want %+v", k, v, want.Violations[k])
-			}
-		}
-		v := got.Violations[0]
-		if v.RequestID != 10 || v.TaxiID != 20 || v.ReqRank != 0 || v.ReqPartnerRank != 1 || v.TaxiRank != 0 || v.TaxiPartnerRank != 1 {
-			t.Errorf("first violation %+v, want (r10, t20) at ranks 0 over partners at 1", v)
-		}
-	})
+	}
+	v := got.Violations[0]
+	if v.RequestID != 10 || v.TaxiID != 20 || v.ReqRank != 0 || v.ReqPartnerRank != 1 || v.TaxiRank != 0 || v.TaxiPartnerRank != 1 {
+		t.Errorf("first violation %+v, want (r10, t20) at ranks 0 over partners at 1", v)
+	}
 }

@@ -14,8 +14,8 @@ import (
 // causal timeline, /v1/explain/{id} folds it into a "why this taxi"
 // answer with ranks and rejected alternatives, and
 // /v1/frames/{n}/stability serves the frame's blocking-pair certificate.
-// All three read the process-wide dtrace recorder, which dispatchd
-// enables at startup unless -dtrace=false.
+// All three read the simulator's own trace recorder (Simulator.Tracer),
+// which dispatchd attaches at startup unless -dtrace=false.
 
 // getTrace serves the full causal timeline of one request.
 func (s *server) getTrace(w http.ResponseWriter, r *http.Request) {
@@ -24,9 +24,9 @@ func (s *server) getTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tr, ok := dtrace.Default().Trace(id)
+	tr, ok := s.sim.Tracer().Trace(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, traceMiss(fmt.Errorf("no trace for request %d", id)))
+		writeError(w, http.StatusNotFound, s.traceMiss(fmt.Errorf("no trace for request %d", id)))
 		return
 	}
 	writeJSON(w, http.StatusOK, tr)
@@ -34,8 +34,8 @@ func (s *server) getTrace(w http.ResponseWriter, r *http.Request) {
 
 // traceMiss annotates a trace lookup failure when the whole layer is
 // switched off — the common operator mistake.
-func traceMiss(err error) error {
-	if !dtrace.Enabled() {
+func (s *server) traceMiss(err error) error {
+	if s.sim.Tracer() == nil {
 		return fmt.Errorf("%w (decision tracing is disabled; restart without -dtrace=false)", err)
 	}
 	return err
@@ -48,9 +48,9 @@ func (s *server) getStability(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad frame number %q", r.PathValue("n")))
 		return
 	}
-	c, ok := dtrace.Default().Certificate(n)
+	c, ok := s.sim.Tracer().Certificate(n)
 	if !ok {
-		writeError(w, http.StatusNotFound, traceMiss(fmt.Errorf("no certificate for frame %d (not yet committed, or evicted)", n)))
+		writeError(w, http.StatusNotFound, s.traceMiss(fmt.Errorf("no certificate for frame %d (not yet committed, or evicted)", n)))
 		return
 	}
 	writeJSON(w, http.StatusOK, c)
@@ -97,9 +97,9 @@ func (s *server) getExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tr, ok := dtrace.Default().Trace(id)
+	tr, ok := s.sim.Tracer().Trace(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, traceMiss(fmt.Errorf("no trace for request %d", id)))
+		writeError(w, http.StatusNotFound, s.traceMiss(fmt.Errorf("no trace for request %d", id)))
 		return
 	}
 	s.mu.Lock()

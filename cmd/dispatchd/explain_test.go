@@ -14,23 +14,9 @@ import (
 	"stabledispatch/internal/sim"
 )
 
-// withTracing flips the process-wide decision-trace layer on for one
-// test, with a clean recorder before and after. The dispatchd tests
-// share dtrace's process-wide state, so every tracing test goes through
-// here to stay order-independent.
-func withTracing(t *testing.T) {
-	t.Helper()
-	prev := dtrace.Enabled()
-	dtrace.SetEnabled(true)
-	dtrace.Default().Reset()
-	t.Cleanup(func() {
-		dtrace.SetEnabled(prev)
-		dtrace.Default().Reset()
-	})
-}
-
-// tracingServer builds a 3-taxi server for the provenance tests.
-func tracingServer(t *testing.T) *httptest.Server {
+// tracingServer builds a 3-taxi server for the provenance tests whose
+// simulator records into rec (nil: tracing off).
+func tracingServer(t *testing.T, rec *dtrace.Recorder) *httptest.Server {
 	t.Helper()
 	taxis := []fleet.Taxi{
 		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
@@ -41,6 +27,7 @@ func tracingServer(t *testing.T) *httptest.Server {
 		Params:     pref.Unbounded(),
 		Dispatcher: dispatch.NewNSTDP(),
 		SpeedKmH:   60,
+		Tracer:     rec,
 	}, taxis, nil)
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
@@ -69,8 +56,7 @@ func getJSON[T any](t *testing.T, url string) (T, int) {
 // taxi, both preference ranks, and at least one rejected alternative
 // with a reason.
 func TestExplainEveryRequestE2E(t *testing.T) {
-	withTracing(t)
-	ts := tracingServer(t)
+	ts := tracingServer(t, dtrace.New(0, 0))
 
 	// Frame 1: three rivals for three taxis. Frame 2: two more requests
 	// while some taxis are still busy.
@@ -147,8 +133,8 @@ func TestExplainEveryRequestE2E(t *testing.T) {
 // certify trivially, and an injected destabilized matching is served
 // with its violating pair.
 func TestStabilityEndpointE2E(t *testing.T) {
-	withTracing(t)
-	ts := tracingServer(t)
+	rec := dtrace.New(0, 0)
+	ts := tracingServer(t, rec)
 
 	for _, x := range []float64{10.2, 11.4} {
 		postJSON(t, ts.URL+"/v1/requests", requestIn{
@@ -181,7 +167,7 @@ func TestStabilityEndpointE2E(t *testing.T) {
 
 	// A destabilized matching (injected, as the engine never commits
 	// one) is served verbatim with its violating pair.
-	dtrace.Default().PutCertificate(&dtrace.Certificate{
+	rec.PutCertificate(&dtrace.Certificate{
 		Frame: 77, Requests: 2, Taxis: 2, Matched: 2,
 		Violations: []dtrace.BlockingPair{{
 			RequestID: 4, TaxiID: 1, Reason: "blocking_pair",
@@ -204,8 +190,7 @@ func TestStabilityEndpointE2E(t *testing.T) {
 
 // TestTraceEndpointErrors pins the 400/404 contract of the new routes.
 func TestTraceEndpointErrors(t *testing.T) {
-	withTracing(t)
-	ts := tracingServer(t)
+	ts := tracingServer(t, dtrace.New(0, 0))
 
 	for path, want := range map[string]int{
 		"/v1/traces/xyz":            http.StatusBadRequest,
@@ -232,9 +217,7 @@ func TestTraceEndpointErrors(t *testing.T) {
 
 // TestTraceDisabledHint checks the operator hint when the layer is off.
 func TestTraceDisabledHint(t *testing.T) {
-	withTracing(t)
-	dtrace.SetEnabled(false)
-	ts := tracingServer(t)
+	ts := tracingServer(t, nil)
 
 	resp, err := http.Get(ts.URL + "/v1/traces/0")
 	if err != nil {
@@ -261,7 +244,7 @@ func containsStr(s, sub string) bool {
 
 // TestHealthzCounts checks the extended liveness payload.
 func TestHealthzCounts(t *testing.T) {
-	ts := tracingServer(t)
+	ts := tracingServer(t, nil)
 	postJSON(t, ts.URL+"/v1/requests", requestIn{
 		Pickup:  pointJSON{X: 10.2, Y: 10},
 		Dropoff: pointJSON{X: 15, Y: 10},

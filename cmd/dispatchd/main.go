@@ -32,8 +32,10 @@
 //	GET    /v1/metrics        Prometheus text format
 //	GET    /healthz           uptime, frame, occupancy counts, and SLO alert state
 //
-// Decision tracing is on by default (disable with -dtrace=false); the
-// trace ring keeps the most recent -trace-capacity requests.
+// Decision tracing is on by default (disable with -dtrace=false): the
+// daemon's simulator owns one trace recorder, whose ring keeps the most
+// recent -trace-capacity requests and whose loss counters are served at
+// /v1/metrics.
 //
 // With -debug-addr a second listener serves net/http/pprof under
 // /debug/pprof/, kept off the public API address on purpose.
@@ -106,9 +108,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	dtrace.SetEnabled(*dtraceOn)
+	var tracer *dtrace.Recorder
 	if *dtraceOn {
-		dtrace.Default().SetCapacity(*traceCap)
+		tracer = dtrace.New(*traceCap, 0)
 	}
 
 	var city trace.City
@@ -141,7 +143,7 @@ func run(args []string) error {
 	}
 	var recorder *flightrec.Recorder
 	if *bundleDir != "" {
-		if recorder, err = flightrec.New(flightrec.Config{Dir: *bundleDir, ChromeTrace: *dtraceOn}); err != nil {
+		if recorder, err = flightrec.New(flightrec.Config{Dir: *bundleDir, Tracer: tracer}); err != nil {
 			return err
 		}
 	}
@@ -190,6 +192,7 @@ func run(args []string) error {
 		Workers:    *workers,
 		Ledger:     ledger,
 		Recorder:   recorder,
+		Tracer:     tracer,
 		Hub:        hub,
 		Admission:  adm,
 	}, fleetTaxis, nil)

@@ -13,6 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"stabledispatch/internal/dtrace"
+	"stabledispatch/internal/fleet"
+	"stabledispatch/internal/geo"
+	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
 )
 
@@ -137,6 +141,9 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		"http_panics_total",
 		"stream_dropped_total",
 		"stream_subscribers",
+		"dtrace_traces_evicted_total",
+		"dtrace_events_dropped_total",
+		"dtrace_certificates",
 	} {
 		if !names[want] {
 			t.Errorf("metric family %q missing from exposition", want)
@@ -169,8 +176,11 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 // none of it, and the busy server's counts must equal its own
 // simulator's and admission controller's.
 func TestMetricsArePerServer(t *testing.T) {
-	busyTS, busy := streamServer(t, 64, time.Minute)
-	idleTS, _ := streamServer(t, 64, time.Minute)
+	// The busy server's trace ring holds two traces of one event each,
+	// so its three requests evict a trace and drop events.
+	twoTaxis := []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}, {ID: 1, Pos: geo.Point{X: 11, Y: 10}}}
+	busyTS, busy := daemonStack(t, pref.Unbounded(), twoTaxis, dtrace.New(2, 1), 64, time.Minute)
+	idleTS, idleSrv := streamServer(t, 64, time.Minute)
 
 	for i := 0; i < 3; i++ {
 		postJSON(t, busyTS.URL+"/v1/requests", requestIn{
@@ -181,8 +191,9 @@ func TestMetricsArePerServer(t *testing.T) {
 	postJSON(t, busyTS.URL+"/v1/tick", tickIn{Frames: 4})
 
 	idle := scrape(t, idleTS.URL)
-	for _, series := range []string{"sim_frames_total", "admission_accepted_total", `sim_events_total{kind="assign"}`} {
-		if got := idle[series]; got != 0 {
+	for _, series := range []string{"sim_frames_total", "admission_accepted_total", `sim_events_total{kind="assign"}`,
+		"dtrace_traces_evicted_total", "dtrace_events_dropped_total", "dtrace_certificates"} {
+		if got, ok := idle[series]; !ok || got != 0 {
 			t.Errorf("idle server %s = %v, want 0", series, got)
 		}
 	}
@@ -196,6 +207,7 @@ func TestMetricsArePerServer(t *testing.T) {
 	busy.mu.Lock()
 	c := busy.sim.Counts()
 	busy.mu.Unlock()
+	ts := busy.sim.Tracer().Stats()
 	shed := got[`admission_shed_total{reason="queue_full"}`] + got[`admission_shed_total{reason="inflight_cap"}`] +
 		got[`admission_shed_total{reason="draining"}`]
 	for _, tc := range []struct {
@@ -208,6 +220,9 @@ func TestMetricsArePerServer(t *testing.T) {
 		{"admission_accepted_total", got["admission_accepted_total"], busy.adm.Accepted()},
 		{"admission_shed_total", shed, busy.adm.Shed()},
 		{`http_requests_total{code="201"}`, got[`http_requests_total{code="201"}`], 3},
+		{"dtrace_traces_evicted_total", got["dtrace_traces_evicted_total"], int(ts.EvictedTraces)},
+		{"dtrace_events_dropped_total", got["dtrace_events_dropped_total"], int(ts.DroppedEvents)},
+		{"dtrace_certificates", got["dtrace_certificates"], ts.Certificates},
 	} {
 		if tc.got != float64(tc.want) {
 			t.Errorf("busy server %s = %v, want %d", tc.series, tc.got, tc.want)
@@ -215,6 +230,12 @@ func TestMetricsArePerServer(t *testing.T) {
 	}
 	if c.Frame != 4 || busy.adm.Accepted() != 3 {
 		t.Errorf("busy server ran %d frames and accepted %d requests, want 4 and 3", c.Frame, busy.adm.Accepted())
+	}
+	if ts.EvictedTraces == 0 || ts.DroppedEvents == 0 || ts.Certificates != 4 {
+		t.Errorf("busy trace recorder %+v: want evictions, dropped events and 4 certificates", ts)
+	}
+	if st := idleSrv.sim.Tracer().Stats(); st != (dtrace.Stats{}) {
+		t.Errorf("idle trace recorder %+v, want empty", st)
 	}
 }
 

@@ -412,10 +412,10 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 // getMetrics renders the Prometheus text format at scrape time, each
 // series read from the one instance that counts it: the simulator
 // (sim_*, dispatch_degraded_frames_total, roadnet_cache_*), its flight
-// recorder (flightrec_*), the SLO engine (slo_*), the hub (stream_*),
-// the admission controller (admission_*), this server's HTTP metrics
-// (http_*), and the ledger's stage histograms. A subsystem that is off
-// exports nothing.
+// recorder (flightrec_*), its decision-trace recorder (dtrace_*), the
+// SLO engine (slo_*), the hub (stream_*), the admission controller
+// (admission_*), this server's HTTP metrics (http_*), and the ledger's
+// stage histograms. A subsystem that is off exports nothing.
 func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	reg := obs.NewRegistry()
 	count := func(name string, v uint64) { reg.GetOrCreateCounter(name).Add(v) }
@@ -446,6 +446,12 @@ func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 		count("flightrec_bundles_total", uint64(rec.Bundles()))
 		count("flightrec_suppressed_total", rec.Suppressed())
 		count("flightrec_bundle_errors_total", uint64(rec.Errors()))
+	}
+	if tr := s.sim.Tracer(); tr != nil {
+		ts := tr.Stats()
+		count("dtrace_traces_evicted_total", ts.EvictedTraces)
+		count("dtrace_events_dropped_total", ts.DroppedEvents)
+		gauge("dtrace_certificates", float64(ts.Certificates))
 	}
 	if s.slo != nil {
 		var breaches int64

@@ -13,6 +13,7 @@ import (
 
 	"stabledispatch/internal/admission"
 	"stabledispatch/internal/dispatch"
+	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
@@ -22,27 +23,36 @@ import (
 	"stabledispatch/internal/tseries"
 )
 
-// streamServer builds a full daemon stack — simulator with KPI
-// recording, a ledger and event buffering, admission controller,
-// broadcast hub — behind an httptest server, with the request-metrics
-// middleware main() installs.
+// streamServer builds a full daemon stack over a two-taxi fleet; see
+// daemonStack.
 func streamServer(t *testing.T, ring int, heartbeat time.Duration) (*httptest.Server, *server) {
 	t.Helper()
 	taxis := []fleet.Taxi{
 		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
 		{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
 	}
+	return daemonStack(t, pref.Unbounded(), taxis, dtrace.New(0, 0), ring, heartbeat)
+}
+
+// daemonStack builds a full daemon stack as main() does — an NSTD-P
+// simulator recording into tracer, with KPI recording, a ledger and
+// event buffering, admission controller, broadcast hub — behind an
+// httptest server with main()'s handler chain: request metrics →
+// recovery → body limit → mux.
+func daemonStack(t *testing.T, params pref.Params, taxis []fleet.Taxi, tracer *dtrace.Recorder, ring int, heartbeat time.Duration) (*httptest.Server, *server) {
+	t.Helper()
 	events := newEventBuffer(1000)
 	kpi := tseries.New(tseries.Config{Capacity: 512})
 	hub := stream.NewHub()
 	adm := admission.New(admission.Config{Hub: hub})
 	s, err := sim.New(sim.Config{
-		Params:     pref.Unbounded(),
+		Params:     params,
 		Dispatcher: dispatch.NewNSTDP(),
 		SpeedKmH:   60,
 		Events:     sim.MultiSink(events, admissionSink(adm)),
 		KPI:        kpi,
 		Ledger:     prof.New(prof.Config{}),
+		Tracer:     tracer,
 		Hub:        hub,
 		Admission:  adm,
 	}, taxis, nil)
@@ -50,7 +60,7 @@ func streamServer(t *testing.T, ring int, heartbeat time.Duration) (*httptest.Se
 		t.Fatalf("sim.New: %v", err)
 	}
 	srv := newServer(s).withEvents(events).withAdmission(adm).withStream(hub, ring, heartbeat)
-	ts := httptest.NewServer(withObs(nil, srv.http, srv.handler()))
+	ts := httptest.NewServer(withObs(nil, srv.http, withRecovery(nil, nil, srv.http, withBodyLimit(srv.handler()))))
 	t.Cleanup(ts.Close)
 	return ts, srv
 }

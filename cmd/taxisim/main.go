@@ -6,6 +6,7 @@
 //	taxisim -algo nstd-p,greedy,mincost    # side-by-side comparison
 //	taxisim -algo all                      # every algorithm
 //	taxisim -algo nstd-p -trace-out decisions.json   # Chrome trace of dispatch decisions
+//	taxisim -algo nstd-p,std-p -trace-out d.json     # one trace per algorithm (d.nstd-p.json, …)
 //	taxisim -algo nstd-p -kpi-out kpi.csv            # per-frame KPI time series
 //	taxisim -algo nstd-p,greedy -kpi-out kpi.csv     # one CSV per algorithm (kpi.nstd-p.csv, …)
 //	taxisim -algo nstd-p -slo ci/watchdog.slo -bundle-dir bundles   # SLO watchdog + flight recorder
@@ -60,11 +61,11 @@ func run(args []string, out io.Writer) error {
 		patience  = fs.Int("patience", 0, "minutes a passenger waits before abandoning (0 = forever)")
 		workers   = fs.Int("workers", 0, "cost-plane worker pool size; 0 = GOMAXPROCS (results are identical for any value)")
 		eventPath = fs.String("events", "", "write a JSONL lifecycle event log to this file")
-		traceOut  = fs.String("trace-out", "", "write a Chrome trace-event JSON of dispatch decisions to this file (single algorithm only)")
+		traceOut  = fs.String("trace-out", "", "write a Chrome trace-event JSON of dispatch decisions to this file (multi-algorithm runs write one suffixed file per algorithm)")
 		kpiOut    = fs.String("kpi-out", "", "write the per-frame KPI time series as CSV to this file (multi-algorithm runs write one suffixed file per algorithm)")
 		traceCap  = fs.Int("trace-capacity", dtrace.DefaultCapacity, "max request traces retained when -trace-out is set")
 		sloPath   = fs.String("slo", "", "SLO definitions file; objectives are evaluated every frame and a report line is printed per run")
-		bundleDir = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, or certificate violation")
+		bundleDir = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, or certificate violation (multi-algorithm runs use one subdirectory per algorithm)")
 
 		faultSeed     = fs.Int64("fault-seed", 0, "seed for the fault-injection schedule (0 = derive from -seed)")
 		breakdownRate = fs.Float64("breakdown-rate", 0, "per-frame probability a busy taxi breaks down mid-route")
@@ -158,16 +159,6 @@ func run(args []string, out io.Writer) error {
 	if strings.EqualFold(*algo, "all") {
 		names = allAlgorithms()
 	}
-	if *traceOut != "" {
-		// The decision-trace ring is process-wide; a second run would
-		// interleave its decisions with the first.
-		if len(names) > 1 {
-			return fmt.Errorf("-trace-out requires a single algorithm, got %d", len(names))
-		}
-		dtrace.SetEnabled(true)
-		dtrace.Default().SetCapacity(*traceCap)
-		defer dtrace.SetEnabled(false)
-	}
 	var sloDefs []slo.Def
 	if *sloPath != "" {
 		sloDefs, err = slo.ParseFile(*sloPath)
@@ -175,17 +166,17 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	var recorder *flightrec.Recorder
-	if *bundleDir != "" {
-		if recorder, err = flightrec.New(flightrec.Config{Dir: *bundleDir, ChromeTrace: *traceOut != ""}); err != nil {
-			return err
-		}
-	}
 	var reports []*sim.Report
 	var ledgers []*prof.Ledger
 	var sloLines []string
 	for _, name := range names {
-		d, err := dispatcherByName(strings.TrimSpace(name), *theta)
+		name = strings.TrimSpace(name)
+		kpiPath, tracePath, bundles := *kpiOut, *traceOut, *bundleDir
+		if len(names) > 1 {
+			kpiPath, tracePath = kpiOutPath(kpiPath, name), kpiOutPath(tracePath, name)
+			bundles = filepath.Join(bundles, strings.ToLower(name))
+		}
+		d, err := dispatcherByName(name, *theta)
 		if err != nil {
 			return err
 		}
@@ -205,6 +196,19 @@ func run(args []string, out io.Writer) error {
 		var sloEng *slo.Engine
 		if len(sloDefs) > 0 {
 			if sloEng, err = slo.New(sloDefs); err != nil {
+				return err
+			}
+		}
+		// Each run gets its own decision-trace recorder and flight
+		// recorder, so a comparison run's traces, certificates and
+		// bundles stay per algorithm.
+		var tracer *dtrace.Recorder
+		if *traceOut != "" {
+			tracer = dtrace.New(*traceCap, 0)
+		}
+		var recorder *flightrec.Recorder
+		if *bundleDir != "" {
+			if recorder, err = flightrec.New(flightrec.Config{Dir: bundles, Tracer: tracer}); err != nil {
 				return err
 			}
 		}
@@ -229,6 +233,7 @@ func run(args []string, out io.Writer) error {
 			Workers:        *workers,
 			Ledger:         ledger,
 			Recorder:       recorder,
+			Tracer:         tracer,
 		}, fleetTaxis, reqs)
 		if err != nil {
 			return err
@@ -241,21 +246,17 @@ func run(args []string, out io.Writer) error {
 		reports = append(reports, rep)
 		ledgers = append(ledgers, ledger)
 		if *kpiOut != "" {
-			path := *kpiOut
-			if len(names) > 1 {
-				path = kpiOutPath(*kpiOut, strings.TrimSpace(name))
+			if err := writeKPISeries(kpiPath, kpi); err != nil {
+				return err
 			}
-			if err := writeKPISeries(path, kpi); err != nil {
+		}
+		if tracer != nil {
+			if err := writeChromeTrace(tracePath, tracer); err != nil {
 				return err
 			}
 		}
 		if sloEng != nil {
 			sloLines = append(sloLines, fmt.Sprintf("%s: %s", rep.Algorithm, sloEng.Report()))
-		}
-	}
-	if *traceOut != "" {
-		if err := writeChromeTrace(*traceOut); err != nil {
-			return err
 		}
 	}
 	if len(reports) == 1 {
@@ -279,9 +280,9 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// kpiOutPath derives the per-algorithm CSV path for a multi-algorithm
-// run by inserting the algorithm name before the extension:
-// "out/kpi.csv" + "nstd-p" → "out/kpi.nstd-p.csv".
+// kpiOutPath derives the per-algorithm KPI CSV or Chrome trace path for
+// a multi-algorithm run by inserting the algorithm name before the
+// extension: "out/kpi.csv" + "nstd-p" → "out/kpi.nstd-p.csv".
 func kpiOutPath(base, algo string) string {
 	dir, file := filepath.Split(base)
 	ext := filepath.Ext(file)
@@ -302,14 +303,14 @@ func writeKPISeries(path string, rec *tseries.Recorder) error {
 	return f.Close()
 }
 
-// writeChromeTrace dumps the run's decision traces in the Chrome
+// writeChromeTrace dumps one run's decision traces in the Chrome
 // trace-event format (load in chrome://tracing or Perfetto).
-func writeChromeTrace(path string) error {
+func writeChromeTrace(path string, rec *dtrace.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := dtrace.Default().WriteChromeTrace(f); err != nil {
+	if err := rec.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return fmt.Errorf("write trace %s: %w", path, err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -133,24 +134,68 @@ func TestRunWritesEventLog(t *testing.T) {
 func TestRunWritesChromeTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "decisions.json")
+	args := []string{"-taxis", "6", "-frames", "10", "-volume", "1500", "-seed", "7", "-trace-out", path}
 	var sb strings.Builder
-	err := run([]string{
-		"-algo", "nstd-p", "-taxis", "6", "-frames", "10",
-		"-volume", "1500", "-seed", "7", "-trace-out", path,
-	}, &sb)
-	if err != nil {
+	if err := run(append([]string{"-algo", "nstd-p"}, args...), &sb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	solo, kinds := readChromeTrace(t, path)
+	// Metadata, decision instants, and lifecycle slices must all appear.
+	for _, ph := range []string{"M", "i", "X"} {
+		if !kinds[ph] {
+			t.Errorf("trace has no %q events (phases seen: %v)", ph, kinds)
+		}
+	}
+	if !bytes.Contains(solo, []byte(`"name":"propose"`)) {
+		t.Error("NSTD-P trace holds no Gale–Shapley proposals")
+	}
+
+	// A comparison run writes one trace per algorithm, each holding only
+	// its own run: the NSTD-P file is byte-identical to the solo run's,
+	// and Greedy, which records no matching decisions, has no proposals.
+	// Its flight recorders (armed by a 1ns frame budget) bundle into one
+	// subdirectory per algorithm, each bundle with its own run's trace.
+	bundles := filepath.Join(dir, "bundles")
+	if err := run(append([]string{"-algo", "nstd-p,greedy", "-bundle-dir", bundles,
+		"-prof-budget", "1ns", "-prof-capture-frames", "1", "-prof-cooldown", "100000"}, args...), &sb); err != nil {
+		t.Fatalf("comparison run: %v", err)
+	}
+	for _, algo := range []string{"nstd-p", "greedy"} {
+		traces, err := filepath.Glob(filepath.Join(bundles, algo, "bundle-*", "trace.json"))
+		if err != nil || len(traces) != 1 {
+			t.Fatalf("%s bundles hold traces %v (err %v), want exactly one", algo, traces, err)
+		}
+		data, _ := readChromeTrace(t, traces[0])
+		if algo == "greedy" && bytes.Contains(data, []byte(`"name":"propose"`)) {
+			t.Error("greedy bundle's trace holds Gale–Shapley proposals from another run")
+		}
+	}
+	if got, _ := readChromeTrace(t, filepath.Join(dir, "decisions.nstd-p.json")); !bytes.Equal(got, solo) {
+		t.Error("comparison run's NSTD-P trace differs from the solo run's")
+	}
+	greedy, kinds := readChromeTrace(t, filepath.Join(dir, "decisions.greedy.json"))
+	if !kinds["X"] {
+		t.Errorf("greedy trace has no lifecycle slices (phases seen: %v)", kinds)
+	}
+	if bytes.Contains(greedy, []byte(`"name":"propose"`)) {
+		t.Error("greedy trace holds Gale–Shapley proposals from another run")
+	}
+}
+
+// readChromeTrace reads one Chrome trace file and returns its bytes and
+// the set of event phases it holds.
+func readChromeTrace(t *testing.T, path string) ([]byte, map[string]bool) {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
 	var events []map[string]any
 	if err := json.Unmarshal(data, &events); err != nil {
-		t.Fatalf("trace is not a JSON array: %v", err)
+		t.Fatalf("%s is not a JSON array: %v", path, err)
 	}
 	if len(events) == 0 {
-		t.Fatal("trace is empty")
+		t.Fatalf("%s is empty", path)
 	}
 	kinds := map[string]bool{}
 	for _, e := range events {
@@ -158,23 +203,7 @@ func TestRunWritesChromeTrace(t *testing.T) {
 			kinds[ph] = true
 		}
 	}
-	// Metadata, decision instants, and lifecycle slices must all appear.
-	for _, ph := range []string{"M", "i", "X"} {
-		if !kinds[ph] {
-			t.Errorf("trace has no %q events (phases seen: %v)", ph, kinds)
-		}
-	}
-}
-
-func TestTraceOutRejectsMultiAlgorithm(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{
-		"-algo", "nstd-p,greedy", "-taxis", "4", "-frames", "5",
-		"-trace-out", filepath.Join(t.TempDir(), "x.json"),
-	}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "single algorithm") {
-		t.Errorf("err = %v, want single-algorithm rejection", err)
-	}
+	return data, kinds
 }
 
 func TestRunWithFaultInjection(t *testing.T) {

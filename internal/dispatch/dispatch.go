@@ -102,7 +102,7 @@ func (d *NSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
-	ft := newFrameTracer(f.Number, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
+	ft := newFrameTracer(f, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
 	sp := f.Ledger.Begin(prof.StageMatching)
 	var m stable.Matching
 	if d.taxiOptimal {
@@ -238,8 +238,12 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 		PairRadius: d.packCfg.PairRadius,
 	})
 	sp.End()
+	// The per-frame copy carries the frame's recorder to the packing
+	// stage's recording sites.
+	packCfg := d.packCfg
+	packCfg.Tracer = f.Tracer
 	sp = f.Ledger.Begin(prof.StagePacking)
-	units, err := packedUnits(f, pl, d.packCfg, n)
+	units, err := packedUnits(f, pl, packCfg, n)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
@@ -250,7 +254,7 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
 	}
-	ft := newFrameTracer(f.Number, mk, unitMemberIDs(units, f.Requests), fleetIDs(taxis))
+	ft := newFrameTracer(f, mk, unitMemberIDs(units, f.Requests), fleetIDs(taxis))
 	sp = f.Ledger.Begin(prof.StageMatching)
 	var m stable.Matching
 	if d.taxiOptimal {

@@ -7,6 +7,7 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/share"
+	"stabledispatch/internal/sim"
 	"stabledispatch/internal/stable"
 )
 
@@ -14,8 +15,8 @@ import (
 // decisions in market indices; frameTracer translates them into fleet
 // IDs and preference ranks and records them on each affected request's
 // trace. A rank is a position on a market preference list, looked up
-// per event. Everything here runs only when tracing is enabled; the
-// untraced path pays one atomic load in newFrameTracer.
+// per event. Everything here runs only when the frame carries a
+// recorder; the untraced path pays one nil check in newFrameTracer.
 
 // traceTopCandidates bounds the per-request shortlist recorded at
 // preference-build time.
@@ -33,18 +34,17 @@ type frameTracer struct {
 	taxiIDs   []int
 }
 
-// newFrameTracer returns a tracer for the frame, or nil when tracing is
-// disabled. Building it records each request's candidate shortlist (the
-// dummy-partner threshold check: who is ahead of the dummy, and by how
-// much).
-func newFrameTracer(frame int, mk *pref.Market, memberIDs [][]int, taxiIDs []int) *frameTracer {
-	rec := dtrace.Active()
-	if rec == nil {
+// newFrameTracer returns a tracer for the frame, or nil when the frame
+// carries no recorder. Building it records each request's candidate
+// shortlist (the dummy-partner threshold check: who is ahead of the
+// dummy, and by how much).
+func newFrameTracer(f *sim.Frame, mk *pref.Market, memberIDs [][]int, taxiIDs []int) *frameTracer {
+	if f.Tracer == nil {
 		return nil
 	}
 	t := &frameTracer{
-		rec:       rec,
-		frame:     frame,
+		rec:       f.Tracer,
+		frame:     f.Number,
 		mk:        mk,
 		memberIDs: memberIDs,
 		taxiIDs:   taxiIDs,
@@ -225,9 +225,9 @@ func (t *frameTracer) taxiProposal(i, j, rival int, outcome string) {
 // traceDegrade annotates the frame when Resilient hands it to the
 // fallback dispatcher: every subsequent assignment of the frame came
 // from the fallback, not the stable matching.
-func traceDegrade(frame int, primary, fallback, reason string, cause error) {
-	if rec := dtrace.Active(); rec != nil {
-		rec.AddFrameNote(frame, fmt.Sprintf(
+func traceDegrade(f *sim.Frame, primary, fallback, reason string, cause error) {
+	if rec := f.Tracer; rec != nil {
+		rec.AddFrameNote(f.Number, fmt.Sprintf(
 			"degraded dispatch: %s failed (%s: %v); frame decided by fallback %s", primary, reason, cause, fallback))
 	}
 }

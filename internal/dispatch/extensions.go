@@ -43,7 +43,7 @@ func (d *NSTDC) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	// The enumeration has no per-proposal observer; building the tracer
 	// still records each request's candidate shortlist for the explain
 	// surface.
-	_ = newFrameTracer(f.Number, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
+	_ = newFrameTracer(f, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
 	sp := f.Ledger.Begin(prof.StageMatching)
 	m := stable.CompanyOptimal(&inst.Market, stable.TotalPickupDistance(inst), enumerationCap)
 	sp.End()
@@ -73,7 +73,7 @@ func (d *NSTDM) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
-	_ = newFrameTracer(f.Number, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
+	_ = newFrameTracer(f, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
 	sp := f.Ledger.Begin(prof.StageMatching)
 	m := stable.MedianStable(&inst.Market, enumerationCap)
 	sp.End()

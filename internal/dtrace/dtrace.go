@@ -16,49 +16,19 @@
 // peer-to-peer ridesharing literature run post hoc, kept as an always-on
 // runtime surface.
 //
-// Recording goes to a process-wide Default recorder the instrumented
-// packages write into, gated by a kill switch. Tracing is OFF by
-// default — hot paths pay exactly one atomic load via Active()
-// until an operator (or cmd/dispatchd's -dtrace flag, or cmd/taxisim's
-// -trace-out) switches it on. Memory is bounded twice over: the ring
-// keeps at most Capacity request traces (oldest evicted first) and each
-// trace keeps at most PerTraceCap events (later events counted, not
-// stored).
+// A Recorder belongs to one simulator (sim.Config.Tracer; nil means
+// off): the simulator and the dispatchers it hands frames to record
+// into it, so two simulators in one process keep disjoint traces and
+// certificates, and an untraced run pays one nil check per recording
+// site. Memory is bounded twice over: the ring keeps at most Capacity
+// request traces (oldest evicted first) and each trace keeps at most
+// PerTraceCap events (later events counted, not stored).
 package dtrace
 
 import (
 	"sync"
 	"sync/atomic"
 )
-
-// enabled is the process-wide recording switch. Tracing is opt-in: the
-// default is off, so the untraced dispatch path costs one atomic load
-// per potential recording site.
-var enabled atomic.Bool
-
-// SetEnabled switches decision-trace recording on or off process-wide
-// (the kill switch).
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether decision tracing is on.
-func Enabled() bool { return enabled.Load() }
-
-var defaultRecorder = New(DefaultCapacity, DefaultPerTraceCap)
-
-// Default returns the process-wide recorder the instrumented packages
-// write into and cmd/dispatchd serves.
-func Default() *Recorder { return defaultRecorder }
-
-// Active returns the default recorder when tracing is enabled, nil
-// otherwise. Hot paths guard every recording site with it:
-//
-//	if rec := dtrace.Active(); rec != nil { rec.Record(id, ev) }
-func Active() *Recorder {
-	if !enabled.Load() {
-		return nil
-	}
-	return defaultRecorder
-}
 
 // Capacity defaults: how many request traces the ring retains, how many
 // events one trace retains, and how many frame certificates are kept.
@@ -169,8 +139,7 @@ type trace struct {
 
 // Recorder is a bounded, concurrency-safe store of per-request decision
 // traces and per-frame stability certificates. All methods may be called
-// concurrently; recording sites should reach the process-wide instance
-// through Active so a disabled recorder costs one atomic load.
+// concurrently.
 type Recorder struct {
 	frame atomic.Int64 // current simulation frame, set by the engine
 
@@ -211,24 +180,6 @@ func normCap(v, def int) int {
 		return def
 	}
 	return v
-}
-
-// SetCapacity bounds the number of retained request traces, evicting the
-// oldest if the ring already holds more. Non-positive restores the
-// default.
-func (r *Recorder) SetCapacity(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.capacity = normCap(n, DefaultCapacity)
-	r.evictLocked()
-}
-
-// SetPerTraceCap bounds the events retained per trace. Only future
-// events are affected. Non-positive restores the default.
-func (r *Recorder) SetPerTraceCap(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.perTraceCap = normCap(n, DefaultPerTraceCap)
 }
 
 // SetFrame publishes the engine's current frame number; events recorded
@@ -285,8 +236,12 @@ func (r *Recorder) Lifecycle(reqID, frame, taxiID int, kind Kind, detail string)
 	r.Record(reqID, e)
 }
 
-// Trace returns a snapshot of one request's decision history.
+// Trace returns a snapshot of one request's decision history. A nil
+// recorder (tracing off) holds no trace.
 func (r *Recorder) Trace(reqID int) (Trace, bool) {
+	if r == nil {
+		return Trace{}, false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t, ok := r.traces[reqID]
@@ -368,8 +323,11 @@ func (r *Recorder) PutCertificate(c *Certificate) {
 
 // Certificate returns the stored certificate for one frame, with any
 // frame notes attached, or false when the frame is unknown (not yet
-// committed, evicted, or traced with recording off).
+// committed, evicted, or the recorder is nil because tracing is off).
 func (r *Recorder) Certificate(frame int) (Certificate, bool) {
+	if r == nil {
+		return Certificate{}, false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.certs[frame]
@@ -410,20 +368,4 @@ func (r *Recorder) Stats() Stats {
 		EvictedTraces: r.evictedTraces,
 		DroppedEvents: r.droppedEvents,
 	}
-}
-
-// Reset drops every trace, certificate, and note, keeping the configured
-// capacities.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq = 0
-	r.traces = make(map[int]*trace)
-	r.order = nil
-	r.certs = make(map[int]*Certificate)
-	r.certOrder = nil
-	r.notes = make(map[int][]string)
-	r.noteOrder = nil
-	r.evictedTraces = 0
-	r.droppedEvents = 0
 }

@@ -14,20 +14,6 @@ import (
 	"stabledispatch/internal/stable"
 )
 
-func TestKillSwitchDefaultOff(t *testing.T) {
-	if Enabled() {
-		t.Fatal("tracing must default to off")
-	}
-	if Active() != nil {
-		t.Fatal("Active() must be nil while disabled")
-	}
-	SetEnabled(true)
-	defer SetEnabled(false)
-	if Active() != Default() {
-		t.Fatal("Active() must return the default recorder while enabled")
-	}
-}
-
 func TestRecordAndTrace(t *testing.T) {
 	r := New(8, 4)
 	r.SetFrame(7)
@@ -82,17 +68,6 @@ func TestRingEvictionAndPerTraceCap(t *testing.T) {
 	st := r.Stats()
 	if st.EvictedTraces != 2 || st.DroppedEvents != 4 {
 		t.Fatalf("stats %+v: want 2 evicted, 4 dropped", st)
-	}
-}
-
-func TestSetCapacityShrinks(t *testing.T) {
-	r := New(10, 10)
-	for id := 0; id < 6; id++ {
-		r.Record(id, Ev(KindPropose))
-	}
-	r.SetCapacity(2)
-	if ids := r.TraceIDs(); len(ids) != 2 || ids[0] != 4 || ids[1] != 5 {
-		t.Fatalf("want [4 5] after shrink, got %v", ids)
 	}
 }
 
@@ -339,18 +314,5 @@ func TestWriteChromeTrace(t *testing.T) {
 		if !haveSlices[want] {
 			t.Fatalf("missing %q lifecycle slice; slices=%v", want, haveSlices)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := New(4, 4)
-	r.Record(1, Ev(KindPropose))
-	r.PutCertificate(&Certificate{Frame: 1})
-	r.Reset()
-	if len(r.TraceIDs()) != 0 || len(r.CertifiedFrames()) != 0 {
-		t.Fatal("reset must clear traces and certificates")
-	}
-	if st := r.Stats(); st.Events != 0 {
-		t.Fatalf("reset must clear counters: %+v", st)
 	}
 }

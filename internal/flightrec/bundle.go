@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/tseries"
 )
 
@@ -178,13 +177,9 @@ func (r *Recorder) writeBundle(snap bundleSnapshot) (string, error) {
 	m.Files["events"] = "events.jsonl"
 
 	// Optional: decision traces as a Chrome trace-event file.
-	if r.cfg.ChromeTrace {
-		if tr := dtrace.Active(); tr != nil {
-			keep(writeFile(dir, "trace.json", func(f *os.File) error {
-				return tr.WriteChromeTrace(f)
-			}))
-			m.Files["trace"] = "trace.json"
-		}
+	if tr := r.cfg.Tracer; tr != nil {
+		keep(writeFile(dir, "trace.json", func(f *os.File) error { return tr.WriteChromeTrace(f) }))
+		m.Files["trace"] = "trace.json"
 	}
 
 	// Trigger-site attachments (pprof captures from the frame-budget

@@ -30,6 +30,7 @@ import (
 	"os"
 	"sync"
 
+	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/tseries"
 )
 
@@ -84,9 +85,10 @@ type Config struct {
 	MaxBundles int
 	// Heap, when true, adds a pprof heap snapshot to every bundle.
 	Heap bool
-	// ChromeTrace, when true, adds the decision-trace ring as a Chrome
-	// trace-event file when decision tracing is active at trigger time.
-	ChromeTrace bool
+	// Tracer, when non-nil, is the owning simulator's decision-trace
+	// recorder; every bundle then carries its traces as a Chrome
+	// trace-event file.
+	Tracer *dtrace.Recorder
 }
 
 func (c Config) withDefaults() Config {

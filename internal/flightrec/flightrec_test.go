@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/tseries"
 )
 
@@ -52,7 +53,9 @@ func listBundles(t *testing.T, dir string) []string {
 // the manifest contract the CI watchdog depends on.
 func TestBundleContents(t *testing.T) {
 	dir := t.TempDir()
-	r := newTestRecorder(t, Config{Dir: dir, Frames: 8, Events: 16})
+	tracer := dtrace.New(0, 0)
+	tracer.Lifecycle(42, 3, 7, "assign", "dispatched")
+	r := newTestRecorder(t, Config{Dir: dir, Frames: 8, Events: 16, Tracer: tracer})
 	fillFrames(r, 20) // overflows both rings
 	r.AddManifestSection("slo", func() any { return map[string]string{"delay": "breach"} })
 
@@ -95,6 +98,15 @@ func TestBundleContents(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "frame,") {
 		t.Errorf("kpi.csv header = %q", lines[0])
+	}
+
+	// The decision trace is the configured recorder's.
+	raw, err = os.ReadFile(filepath.Join(path, m.Files["trace"]))
+	if err != nil {
+		t.Fatalf("read trace.json: %v", err)
+	}
+	if !strings.Contains(string(raw), `"request 42"`) {
+		t.Errorf("trace.json lacks the recorder's request 42:\n%s", raw)
 	}
 
 	// Event tail and frame context are line-valid JSON.

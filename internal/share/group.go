@@ -54,6 +54,10 @@ type PackConfig struct {
 	// is strictly shorter than the members' solo trips combined, i.e.
 	// when sharing actually saves distance.
 	AllowChaining bool
+	// Tracer, when non-nil, records every feasible-group and packing
+	// decision on the members' traces. Dispatchers set it per frame
+	// from sim.Frame.Tracer.
+	Tracer *dtrace.Recorder
 }
 
 // DefaultPackConfig returns the paper's evaluation settings: θ = 5 km,
@@ -133,7 +137,7 @@ func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, e
 // pairs, solo returns a request's solo trip distance.
 func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near func(a, b int) bool, solo func(idx int) float64) []Group {
 	var groups []Group
-	rec := dtrace.Active()
+	rec := cfg.Tracer
 
 	tryGroup := func(members []int) (Group, bool) {
 		sub := make([]fleet.Request, len(members))
@@ -261,7 +265,7 @@ func pack(reqs []fleet.Request, groups []Group, cfg PackConfig) PackResult {
 	for k, g := range groups {
 		problem.Sets[k] = g.Members
 	}
-	rec := dtrace.Active()
+	rec := cfg.Tracer
 	var chosen []int
 	if cfg.ExactPacking {
 		budget := cfg.ExactNodeBudget

@@ -13,8 +13,8 @@ import (
 // request's trace, and every dispatched frame gets a stability
 // certificate at commit — a blocking-pair scan of the realized matching
 // against the §IV-A interest model the frame was dispatched under. All
-// of it is gated on dtrace.Active(), so an untraced run pays one atomic
-// load per frame plus one per event.
+// of it is gated on Config.Tracer, so an untraced run pays one nil check
+// per frame plus one per event.
 
 // traceEvent forwards one lifecycle event to the decision-trace layer.
 // Breakdowns carry no request (RequestID −1) and become a frame note on

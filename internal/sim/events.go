@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/stream"
 )
@@ -145,7 +144,7 @@ func (s *Simulator) emit(e Event) {
 	if s.cfg.Events != nil {
 		s.cfg.Events.Record(e)
 	}
-	if rec := dtrace.Active(); rec != nil {
+	if rec := s.cfg.Tracer; rec != nil {
 		s.traceEvent(rec, e)
 	}
 	if r := s.cfg.Recorder; r != nil {

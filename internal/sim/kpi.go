@@ -4,6 +4,7 @@ import (
 	"runtime/metrics"
 	"time"
 
+	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/tseries"
@@ -169,6 +170,9 @@ func (s *Simulator) Ledger() *prof.Ledger { return s.cfg.Ledger }
 
 // Recorder returns the configured flight recorder, or nil.
 func (s *Simulator) Recorder() *flightrec.Recorder { return s.cfg.Recorder }
+
+// Tracer returns the configured decision-trace recorder, or nil.
+func (s *Simulator) Tracer() *dtrace.Recorder { return s.cfg.Tracer }
 
 // KPISeries snapshots every retained per-frame KPI sample in
 // chronological order. The result is empty (never nil) when KPI

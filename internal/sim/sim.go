@@ -61,6 +61,10 @@ type Frame struct {
 	// frame; dispatchers time their stages with Ledger.Begin. Nil (no
 	// profiling) yields spans that end for free.
 	Ledger *prof.Ledger
+	// Tracer is the decision-trace recorder of the simulator that built
+	// the frame; dispatchers record their decisions into it. Nil means
+	// tracing is off.
+	Tracer *dtrace.Recorder
 
 	// planes memoises cost planes by content key, so a frame visited by
 	// several consumers (a resilient primary and its fallback, or the
@@ -233,6 +237,10 @@ type Config struct {
 	// simulator triggers it on SLO breaches, degraded frames, stability
 	// violations, and overrun captures.
 	Recorder *flightrec.Recorder
+	// Tracer, when non-nil, is the decision-trace recorder: it receives
+	// every lifecycle event, every dispatch decision (through
+	// Frame.Tracer), and a stability certificate per frame.
+	Tracer *dtrace.Recorder
 	// Hub, when non-nil, receives the live telemetry: KPI samples, SLO
 	// transitions, lifecycle events, notices, and ledger frames.
 	Hub *stream.Hub
@@ -545,7 +553,7 @@ func (s *Simulator) Step() error {
 
 // step is the uninstrumented frame advance.
 func (s *Simulator) step() error {
-	if rec := dtrace.Active(); rec != nil {
+	if rec := s.cfg.Tracer; rec != nil {
 		rec.SetFrame(s.frame)
 	}
 	s.refreshOutages()
@@ -642,6 +650,7 @@ func (s *Simulator) view() *Frame {
 		Params:  s.cfg.Params,
 		Workers: s.cfg.Workers,
 		Ledger:  s.cfg.Ledger,
+		Tracer:  s.cfg.Tracer,
 		sim:     s,
 	}
 	for _, id := range s.pending {
@@ -676,7 +685,7 @@ func (s *Simulator) view() *Frame {
 
 func (s *Simulator) dispatch() error {
 	if len(s.pending) == 0 {
-		if rec := dtrace.Active(); rec != nil {
+		if rec := s.cfg.Tracer; rec != nil {
 			rec.PutCertificate(dtrace.Trivial(s.frame, 0, len(s.taxis), "no pending requests: nothing to match, vacuously stable"))
 		}
 		return nil
@@ -697,7 +706,7 @@ func (s *Simulator) dispatch() error {
 			return fmt.Errorf("sim: dispatcher %s frame %d: %w", s.cfg.Dispatcher.Name(), s.frame, err)
 		}
 	}
-	if rec := dtrace.Active(); rec != nil {
+	if rec := s.cfg.Tracer; rec != nil {
 		s.certifyFrame(rec, frame, assignments)
 	}
 	return nil

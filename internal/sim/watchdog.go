@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fault"
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/slo"
@@ -44,15 +43,13 @@ func (s *Simulator) watchFrame(sample tseries.Sample) {
 // frameContext assembles the flight recorder's per-frame rich context.
 func (s *Simulator) frameContext(sample tseries.Sample) flightrec.FrameContext {
 	fc := flightrec.FrameContext{Frame: sample.Frame, KPI: sample}
-	if rec := dtrace.Active(); rec != nil {
-		if c, ok := rec.Certificate(int(sample.Frame)); ok {
-			fc.Cert = &flightrec.CertSummary{
-				Stable:     c.Stable,
-				Violations: c.ViolationsTotal,
-				Matched:    c.Matched,
-				Requests:   c.Requests,
-				Taxis:      c.Taxis,
-			}
+	if c, ok := s.cfg.Tracer.Certificate(int(sample.Frame)); ok {
+		fc.Cert = &flightrec.CertSummary{
+			Stable:     c.Stable,
+			Violations: c.ViolationsTotal,
+			Matched:    c.Matched,
+			Requests:   c.Requests,
+			Taxis:      c.Taxis,
 		}
 	}
 	if s.cfg.Faults != nil {

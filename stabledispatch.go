@@ -296,17 +296,13 @@ type (
 	BlockingPair = dtrace.BlockingPair
 )
 
-// SetDecisionTracing toggles the process-wide decision-trace layer.
-// Tracing is off by default; when off, instrumentation costs one atomic
-// load per site.
-func SetDecisionTracing(on bool) { dtrace.SetEnabled(on) }
-
-// DecisionTracingEnabled reports whether the trace layer is recording.
-func DecisionTracingEnabled() bool { return dtrace.Enabled() }
-
-// DecisionTracer returns the process-wide trace recorder that the
-// dispatchers and simulator record into while tracing is enabled.
-func DecisionTracer() *TraceRecorder { return dtrace.Default() }
+// NewTraceRecorder returns an empty decision-trace recorder keeping at
+// most capacity request traces of at most perTraceCap events each
+// (non-positive arguments take the defaults). Attach it to one
+// simulator through SimConfig.Tracer.
+func NewTraceRecorder(capacity, perTraceCap int) *TraceRecorder {
+	return dtrace.New(capacity, perTraceCap)
+}
 
 // CertifyStability audits a realized matching against Definition 1 under
 // the market's interest model: reqPartner[j] is the taxi index matched

@@ -258,16 +258,7 @@ func TestFacadeOutagesAndEvents(t *testing.T) {
 // API: traces accumulate for dispatched requests, frames certify stable,
 // and CertifyStability flags a hand-crossed matching.
 func TestFacadeDecisionTracing(t *testing.T) {
-	SetDecisionTracing(true)
-	DecisionTracer().Reset()
-	defer func() {
-		SetDecisionTracing(false)
-		DecisionTracer().Reset()
-	}()
-	if !DecisionTracingEnabled() {
-		t.Fatal("tracing did not enable")
-	}
-
+	rec := NewTraceRecorder(0, 0)
 	reqs, err := GenerateTrace(BostonConfig(15, 3))
 	if err != nil {
 		t.Fatalf("GenerateTrace: %v", err)
@@ -279,6 +270,7 @@ func TestFacadeDecisionTracing(t *testing.T) {
 	s, err := NewSimulator(SimConfig{
 		Dispatcher: NSTDP(),
 		Params:     DefaultParams(),
+		Tracer:     rec,
 	}, taxis, reqs)
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)
@@ -291,7 +283,6 @@ func TestFacadeDecisionTracing(t *testing.T) {
 		t.Fatal("nothing served")
 	}
 
-	rec := DecisionTracer()
 	if len(rec.TraceIDs()) == 0 {
 		t.Fatal("no traces recorded")
 	}
