@@ -271,7 +271,7 @@ func BenchmarkDispatchFrameRecorded(b *testing.B) {
 // BenchmarkDispatchFrameProfiled measures the identical frame with a
 // frame-budget ledger on the frame, the way a profiled Simulator.Step
 // runs one: BeginFrame/EndFrame bracket the dispatch and every stage
-// span records into the ledger, its only sink. Compare against
+// span records into the ledger. Compare against
 // BenchmarkDispatchFrame to bound the profiler overhead (budget: ≤5% —
 // per stage one monotonic clock read and a few array stores, per frame
 // one ring slot write, all allocation-free).

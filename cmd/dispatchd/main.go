@@ -92,7 +92,7 @@ func run(args []string) error {
 		frameDDL   = fs.Duration("frame-deadline", 0, "per-frame dispatch compute deadline; overruns and panics degrade to greedy (0 = unbounded)")
 		dtraceOn   = fs.Bool("dtrace", true, "record per-request decision traces and frame stability certificates")
 		traceCap   = fs.Int("trace-capacity", dtrace.DefaultCapacity, "max request traces retained in the decision-trace ring")
-		kpiCap     = fs.Int("kpi-capacity", tseries.DefaultCapacity, "per-frame KPI samples retained for /v1/timeseries (0 disables recording)")
+		kpiCap     = fs.Int("kpi-capacity", tseries.DefaultCapacity, "per-frame KPI samples retained for /v1/timeseries and the stage distributions of /v1/report, /v1/profile and /v1/metrics (0 disables recording and empties the stage views)")
 		workers    = fs.Int("workers", 0, "cost-plane worker pool size; 0 = GOMAXPROCS (results are identical for any value)")
 		sloFile    = fs.String("slo-file", "", "SLO definitions file; objectives are evaluated every frame and served at /v1/slo (requires KPI recording)")
 		bundleDir  = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, panic, certificate violation, or POST /v1/debug/bundle")
@@ -135,8 +135,9 @@ func run(args []string) error {
 	}
 	events := newEventBuffer(10000)
 	// The daemon's ring is a sliding window (no downsampling): operators
-	// polling /v1/timeseries care about the recent trajectory, and the
-	// memory bound is kpi-capacity fixed-width samples.
+	// polling /v1/timeseries care about the recent trajectory, the stage
+	// distributions cover the same retained frames, and the memory bound
+	// is kpi-capacity fixed-width samples.
 	var kpi *tseries.Recorder
 	if *kpiCap > 0 {
 		kpi = tseries.New(tseries.Config{Capacity: *kpiCap})
@@ -147,10 +148,10 @@ func run(args []string) error {
 			return err
 		}
 	}
-	// The frame-budget profiler is always on in the daemon: /v1/report,
-	// /v1/profile, /v1/metrics' stage histograms and the prof stream
-	// topic all read the ledger, and its disabled-overrun cost is a few
-	// span reads per frame. Overrun captures only arm when a budget and
+	// The frame-budget profiler is always on in the daemon: its stage
+	// times fill the KPI samples' stage columns, /v1/profile and the
+	// prof stream topic read its slow frames and totals, and its
+	// disabled-overrun cost is a few span reads per frame. Overrun captures only arm when a budget and
 	// a flight recorder to bundle them into are both configured.
 	ledger := prof.New(prof.Config{
 		BudgetNs:       profBudget.Nanoseconds(),

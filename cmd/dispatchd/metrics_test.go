@@ -18,6 +18,7 @@ import (
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
+	"stabledispatch/internal/tseries"
 )
 
 // interruptAfterStartup sends SIGINT once run has had time to install
@@ -174,7 +175,9 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 // TestMetricsArePerServer runs two daemon stacks in one process and
 // sends traffic to only one. The idle server's /v1/metrics must show
 // none of it, and the busy server's counts must equal its own
-// simulator's and admission controller's.
+// simulator's and admission controller's — its stage histograms
+// included: each dispatch_stage_seconds_count is the number of its
+// retained KPI samples that ran the stage.
 func TestMetricsArePerServer(t *testing.T) {
 	// The busy server's trace ring holds two traces of one event each,
 	// so its three requests evict a trace and drop events.
@@ -195,6 +198,12 @@ func TestMetricsArePerServer(t *testing.T) {
 		"dtrace_traces_evicted_total", "dtrace_events_dropped_total", "dtrace_certificates"} {
 		if got, ok := idle[series]; !ok || got != 0 {
 			t.Errorf("idle server %s = %v, want 0", series, got)
+		}
+	}
+	for _, name := range prof.StageNames {
+		series := `dispatch_stage_seconds_count{stage="` + name + `"}`
+		if got, ok := idle[series]; !ok || got != 0 {
+			t.Errorf("idle server %s = %v (exported %v), want 0", series, got, ok)
 		}
 	}
 	for series := range idle {
@@ -227,6 +236,25 @@ func TestMetricsArePerServer(t *testing.T) {
 		if tc.got != float64(tc.want) {
 			t.Errorf("busy server %s = %v, want %d", tc.series, tc.got, tc.want)
 		}
+	}
+	samples := busy.sim.KPISeries()
+	if got := got["sim_dispatch_frame_seconds_count"]; got != float64(len(samples)) {
+		t.Errorf("busy server sim_dispatch_frame_seconds_count = %v, want its %d samples", got, len(samples))
+	}
+	for i, name := range prof.StageNames {
+		ran := 0
+		for _, smp := range samples {
+			if smp.StageNs[i] > 0 {
+				ran++
+			}
+		}
+		series := `dispatch_stage_seconds_count{stage="` + name + `"}`
+		if got[series] != float64(ran) {
+			t.Errorf("busy server %s = %v, want %d", series, got[series], ran)
+		}
+	}
+	if got[`dispatch_stage_seconds_count{stage="view"}`] == 0 {
+		t.Error("busy server dispatched no frame: the stage check proves nothing")
 	}
 	if c.Frame != 4 || busy.adm.Accepted() != 3 {
 		t.Errorf("busy server ran %d frames and accepted %d requests, want 4 and 3", c.Frame, busy.adm.Accepted())
@@ -330,7 +358,7 @@ func TestReportIncludesStageBreakdown(t *testing.T) {
 	if report.FrameLatency == nil || report.FrameLatency.Count == 0 {
 		t.Errorf("frame latency missing: %+v", report.FrameLatency)
 	}
-	stages := make(map[string]prof.StageSummary)
+	stages := make(map[string]tseries.StageSummary)
 	for _, st := range report.Stages {
 		stages[st.Stage] = st
 	}

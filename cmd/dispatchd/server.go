@@ -22,6 +22,7 @@ import (
 	"stabledispatch/internal/slo"
 	"stabledispatch/internal/stats"
 	"stabledispatch/internal/stream"
+	"stabledispatch/internal/tseries"
 )
 
 // server wraps a live simulator behind a JSON HTTP API: the O2O platform
@@ -368,17 +369,17 @@ func (s *server) getTaxis(w http.ResponseWriter, _ *http.Request) {
 }
 
 type reportOut struct {
-	Algorithm         string              `json:"algorithm"`
-	Frame             int                 `json:"frame"`
-	Requests          int                 `json:"requests"`
-	Served            int                 `json:"served"`
-	Episodes          int                 `json:"episodes"`
-	SharedRides       int                 `json:"sharedRides"`
-	MeanDelayMinutes  float64             `json:"meanDelayMinutes"`
-	MeanPassengerDiss float64             `json:"meanPassengerDissKm"`
-	MeanTaxiDiss      float64             `json:"meanTaxiDissKm"`
-	FrameLatency      *prof.StageSummary  `json:"frameLatency,omitempty"`
-	Stages            []prof.StageSummary `json:"stages,omitempty"`
+	Algorithm         string                 `json:"algorithm"`
+	Frame             int                    `json:"frame"`
+	Requests          int                    `json:"requests"`
+	Served            int                    `json:"served"`
+	Episodes          int                    `json:"episodes"`
+	SharedRides       int                    `json:"sharedRides"`
+	MeanDelayMinutes  float64                `json:"meanDelayMinutes"`
+	MeanPassengerDiss float64                `json:"meanPassengerDissKm"`
+	MeanTaxiDiss      float64                `json:"meanTaxiDissKm"`
+	FrameLatency      *tseries.StageSummary  `json:"frameLatency,omitempty"`
+	Stages            []tseries.StageSummary `json:"stages,omitempty"`
 }
 
 func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
@@ -386,14 +387,10 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 	rep := s.sim.Snapshot()
 	frame := s.sim.Frame()
 	s.mu.Unlock()
-	// One read path for stage aggregation across the whole stack: the
-	// ledger's StageBreakdown also feeds /v1/profile and taxisim's
-	// summary.
-	var frameLatency *prof.StageSummary
-	var stages []prof.StageSummary
-	if ld := s.sim.Ledger(); ld != nil {
-		frameLatency, stages = ld.StageBreakdown()
-	}
+	// One read path for stage aggregation across the whole stack:
+	// tseries.StageBreakdown over the KPI ring also feeds /v1/profile
+	// and taxisim's summary, and /v1/metrics reads the same samples.
+	frameLatency, stages := tseries.StageBreakdown(s.sim.KPISeries())
 	writeJSON(w, http.StatusOK, reportOut{
 		Algorithm:         rep.Algorithm,
 		Frame:             frame,
@@ -414,8 +411,10 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 // (sim_*, dispatch_degraded_frames_total, roadnet_cache_*), its flight
 // recorder (flightrec_*), its decision-trace recorder (dtrace_*), the
 // SLO engine (slo_*), the hub (stream_*), the admission controller
-// (admission_*), this server's HTTP metrics (http_*), and the ledger's
-// stage histograms. A subsystem that is off exports nothing.
+// (admission_*), this server's HTTP metrics (http_*), and the KPI
+// ring, whose retained samples fill the frame and stage histograms
+// (sim_dispatch_frame_seconds, dispatch_stage_seconds). A subsystem
+// that is off exports nothing.
 func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	reg := obs.NewRegistry()
 	count := func(name string, v uint64) { reg.GetOrCreateCounter(name).Add(v) }
@@ -464,6 +463,9 @@ func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 		count("slo_breaches_total", uint64(breaches))
 	}
+	if rec := s.sim.KPIRecorder(); rec != nil {
+		observeFrames(reg, rec.Snapshot())
+	}
 	if s.hub != nil {
 		for _, t := range stream.Topics {
 			count(`stream_published_total{topic="`+string(t)+`"}`, s.hub.Published(t))
@@ -475,13 +477,31 @@ func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// Once the header is out, a write error leaves the client a
 	// truncated body; there is nothing else to report it to.
-	writers := []func(io.Writer) error{reg.WritePrometheus, s.adm.WritePrometheus, s.http.WritePrometheus}
-	if ld := s.sim.Ledger(); ld != nil {
-		writers = append(writers, ld.WritePrometheus)
-	}
-	for _, write := range writers {
+	for _, write := range []func(io.Writer) error{reg.WritePrometheus, s.adm.WritePrometheus, s.http.WritePrometheus} {
 		if err := write(w); err != nil {
 			return
+		}
+	}
+}
+
+// observeFrames renders the KPI samples' frame wall-clock and stage
+// columns into reg's sim_dispatch_frame_seconds and
+// dispatch_stage_seconds{stage} histograms. Like StageBreakdown, a
+// frame counts toward a column only when its value is positive.
+func observeFrames(reg *obs.Registry, samples []tseries.Sample) {
+	frame := reg.GetOrCreateHistogram("sim_dispatch_frame_seconds")
+	var stages [prof.NumStages]*obs.Histogram
+	for i, name := range prof.StageNames {
+		stages[i] = reg.GetOrCreateHistogram(`dispatch_stage_seconds{stage="` + name + `"}`)
+	}
+	for _, smp := range samples {
+		if smp.FrameNs > 0 {
+			frame.Observe(float64(smp.FrameNs) / 1e9)
+		}
+		for i, ns := range smp.StageNs {
+			if ns > 0 {
+				stages[i].Observe(float64(ns) / 1e9)
+			}
 		}
 	}
 }

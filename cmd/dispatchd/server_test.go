@@ -16,6 +16,7 @@ import (
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/sim"
+	"stabledispatch/internal/tseries"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -24,19 +25,23 @@ func testServer(t *testing.T) *httptest.Server {
 }
 
 // ledgerServer is testServer with the simulator's frame-budget ledger
-// chosen by the caller (nil: no profiling).
+// chosen by the caller (nil: no profiling). Like main(), the simulator
+// records a KPI ring, which the stage views read.
 func ledgerServer(t *testing.T, ld *prof.Ledger) *httptest.Server {
+	t.Helper()
+	return simServer(t, sim.Config{KPI: tseries.New(tseries.Config{}), Ledger: ld})
+}
+
+// simServer serves an NSTD-P simulator of two idle Boston-centre taxis
+// with cfg's instrumentation handles.
+func simServer(t *testing.T, cfg sim.Config) *httptest.Server {
 	t.Helper()
 	taxis := []fleet.Taxi{
 		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
 		{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
 	}
-	s, err := sim.New(sim.Config{
-		Params:     pref.Unbounded(),
-		Dispatcher: dispatch.NewNSTDP(),
-		SpeedKmH:   60,
-		Ledger:     ld,
-	}, taxis, nil)
+	cfg.Params, cfg.Dispatcher, cfg.SpeedKmH = pref.Unbounded(), dispatch.NewNSTDP(), 60
+	s, err := sim.New(cfg, taxis, nil)
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/tseries"
 )
@@ -199,9 +200,12 @@ func TestTimeseriesCSV(t *testing.T) {
 }
 
 // TestTimeseriesNoRecorder keeps the endpoint well-formed when the
-// daemon runs with -kpi-capacity=0: empty series, not an error.
+// daemon runs with -kpi-capacity=0: empty series, not an error. The
+// stage views read the same ring, so /v1/profile keeps its ledger
+// sections but serves no stage distributions.
 func TestTimeseriesNoRecorder(t *testing.T) {
-	ts := testServer(t) // testServer configures no KPI recorder
+	ts := simServer(t, sim.Config{Ledger: prof.New(prof.Config{})})
+	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 2})
 	resp := getTS(t, ts.URL, "?series=served")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
@@ -209,5 +213,46 @@ func TestTimeseriesNoRecorder(t *testing.T) {
 	out := decode[timeseriesOut](t, resp)
 	if out.Count != 0 || len(out.Frames) != 0 {
 		t.Errorf("count %d frames %v, want empty", out.Count, out.Frames)
+	}
+	resp, err := http.Get(ts.URL + "/v1/profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	po := decode[profileOut](t, resp)
+	if !po.Enabled || po.Summary == nil || po.Summary.Frames != 2 {
+		t.Errorf("ledger sections = enabled %v, summary %+v; want the 2-frame ledger", po.Enabled, po.Summary)
+	}
+	if po.FrameLatency != nil || len(po.Stages) != 0 {
+		t.Errorf("stage views without a KPI ring: frame %+v, stages %+v", po.FrameLatency, po.Stages)
+	}
+}
+
+// TestTimeseriesStageColumns checks the ledger's stage times reach
+// /v1/timeseries as stage_<name>_ns series: every frame runs the
+// arrivals phase, and the frame that dispatches the one request builds
+// a dispatch view.
+func TestTimeseriesStageColumns(t *testing.T) {
+	ts := testServer(t)
+	postJSON(t, ts.URL+"/v1/requests", requestIn{
+		Pickup:  pointJSON{X: 10.5, Y: 10},
+		Dropoff: pointJSON{X: 12, Y: 10},
+	})
+	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 3})
+	out := decode[timeseriesOut](t, getTS(t, ts.URL, "?series=stage_view_ns,stage_arrivals_ns"))
+	if out.Count != 3 || len(out.Series) != 2 {
+		t.Fatalf("count %d, series %v; want 3 frames of 2 series", out.Count, out.Series)
+	}
+	views := 0
+	for i := range out.Frames {
+		if out.Series["stage_arrivals_ns"][i] <= 0 {
+			t.Errorf("frame %d: stage_arrivals_ns = %v, want > 0", out.Frames[i], out.Series["stage_arrivals_ns"][i])
+		}
+		if out.Series["stage_view_ns"][i] > 0 {
+			views++
+		}
+	}
+	if views != 1 {
+		t.Errorf("stage_view_ns = %v, want exactly the dispatching frame positive", out.Series["stage_view_ns"])
 	}
 }

@@ -168,6 +168,7 @@ func run(args []string, out io.Writer) error {
 	}
 	var reports []*sim.Report
 	var ledgers []*prof.Ledger
+	var kpis []*tseries.Recorder
 	var sloLines []string
 	for _, name := range names {
 		name = strings.TrimSpace(name)
@@ -184,15 +185,12 @@ func run(args []string, out io.Writer) error {
 			d = dispatch.NewResilient(d, nil, *frameDDL)
 		}
 		// Each algorithm gets its own recorder so a comparison run keeps
-		// per-run trajectories separate. Downsampling keeps the whole-run
+		// per-run trajectories separate; the stage table, -kpi-out and
+		// the SLO engine all read it. Downsampling keeps the whole-run
 		// trajectory bounded: a paper-scale day (1440 frames) fits
 		// losslessly, and longer replays compact to every 2nd/4th/...
-		// frame instead of dropping the start of the day. The SLO engine
-		// needs the sample stream too, so -slo implies a recorder.
-		var kpi *tseries.Recorder
-		if *kpiOut != "" || len(sloDefs) > 0 {
-			kpi = tseries.New(tseries.Config{Capacity: 4096, Downsample: true})
-		}
+		// frame instead of dropping the start of the day.
+		kpi := tseries.New(tseries.Config{Capacity: 4096, Downsample: true})
 		var sloEng *slo.Engine
 		if len(sloDefs) > 0 {
 			if sloEng, err = slo.New(sloDefs); err != nil {
@@ -245,6 +243,7 @@ func run(args []string, out io.Writer) error {
 		}
 		reports = append(reports, rep)
 		ledgers = append(ledgers, ledger)
+		kpis = append(kpis, kpi)
 		if *kpiOut != "" {
 			if err := writeKPISeries(kpiPath, kpi); err != nil {
 				return err
@@ -268,7 +267,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	for i, rep := range reports {
-		if err := printStageTimings(out, rep.Algorithm, ledgers[i]); err != nil {
+		if err := printStageTimings(out, rep.Algorithm, kpis[i].Snapshot(), ledgers[i]); err != nil {
 			return err
 		}
 	}
@@ -428,11 +427,11 @@ func printSummary(w io.Writer, rep *sim.Report, total, taxis int) error {
 	return nil
 }
 
-// printStageTimings renders one run's dispatch-pipeline stage timings
-// from that run's ledger (StageBreakdown, the same rollup behind
-// dispatchd's /v1/report and /v1/profile).
-func printStageTimings(w io.Writer, algo string, ld *prof.Ledger) error {
-	frame, stages := ld.StageBreakdown()
+// printStageTimings renders one run's stage timings from that run's KPI
+// samples (tseries.StageBreakdown, the same rollup behind dispatchd's
+// /v1/report and /v1/profile) and its ledger's overrun accounting.
+func printStageTimings(w io.Writer, algo string, samples []tseries.Sample, ld *prof.Ledger) error {
+	frame, stages := tseries.StageBreakdown(samples)
 	if frame == nil && len(stages) == 0 {
 		return nil
 	}
@@ -441,7 +440,7 @@ func printStageTimings(w io.Writer, algo string, ld *prof.Ledger) error {
 		Columns: []string{"stage", "frames", "total ms", "p50 ms", "p95 ms", "p99 ms"},
 	}
 	ms := func(sec float64) string { return stats.F(sec * 1e3) }
-	add := func(name string, st prof.StageSummary) {
+	add := func(name string, st tseries.StageSummary) {
 		tb.AddRow(name, fmt.Sprintf("%d", st.Count),
 			ms(st.TotalSeconds), ms(st.P50Seconds), ms(st.P95Seconds), ms(st.P99Seconds))
 	}

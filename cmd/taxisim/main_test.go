@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"stabledispatch/internal/prof"
 )
 
 func TestRunSmoke(t *testing.T) {
@@ -304,6 +308,60 @@ func TestRunWritesKPISeries(t *testing.T) {
 	}
 }
 
+// TestStageColumnsCoverFrame pins the per-frame record's coverage: at
+// quick scale (-frames 240 -volume 4000) the -kpi-out stage columns of
+// an NSTD-P and an STD-P run sum to at least 90% of their frame_ns,
+// summed over both runs. The remainder is span overhead and dispatcher
+// glue between stages.
+func TestStageColumnsCoverFrame(t *testing.T) {
+	dir := t.TempDir()
+	var sb strings.Builder
+	if err := run([]string{
+		"-algo", "nstd-p,std-p", "-frames", "240", "-volume", "4000",
+		"-kpi-out", filepath.Join(dir, "kpi.csv"),
+	}, &sb); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var frameNs, stageNs float64
+	for _, name := range []string{"kpi.nstd-p.csv", "kpi.std-p.csv"} {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := csv.NewReader(f).ReadAll()
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var stageCols []int
+		frameCol := -1
+		for i, col := range rows[0] {
+			switch {
+			case col == "frame_ns":
+				frameCol = i
+			case strings.HasPrefix(col, "stage_") && strings.HasSuffix(col, "_ns"):
+				stageCols = append(stageCols, i)
+			}
+		}
+		if frameCol < 0 || len(stageCols) != prof.NumStages {
+			t.Fatalf("%s header %v: want frame_ns and %d stage columns", name, rows[0], prof.NumStages)
+		}
+		for _, row := range rows[1:] {
+			v, _ := strconv.ParseFloat(row[frameCol], 64)
+			frameNs += v
+			for _, c := range stageCols {
+				v, _ := strconv.ParseFloat(row[c], 64)
+				stageNs += v
+			}
+		}
+	}
+	if frameNs == 0 || stageNs < 0.9*frameNs {
+		t.Errorf("stage columns sum to %.0f of %.0f frame ns (%.1f%%), want >= 90%%",
+			stageNs, frameNs, 100*stageNs/frameNs)
+	}
+	t.Logf("stage columns cover %.1f%% of frame time", 100*stageNs/frameNs)
+}
+
 // TestKPIOutMultiAlgorithm checks a comparison run writes one suffixed
 // CSV per algorithm instead of erroring or overwriting.
 func TestKPIOutMultiAlgorithm(t *testing.T) {
@@ -400,5 +458,32 @@ func TestRunProfBudgetCapturesOverrun(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(bdir, "heap.pprof")); err != nil {
 		t.Fatalf("heap delta missing from bundle: %v", err)
+	}
+	// taxisim always records KPI samples, so the bundle's kpi.csv
+	// carries the stage columns and its manifest the stage table.
+	kpi, err := os.ReadFile(filepath.Join(bdir, "kpi.csv"))
+	if err != nil {
+		t.Fatalf("bundle kpi.csv: %v", err)
+	}
+	if header, _, _ := strings.Cut(string(kpi), "\n"); !strings.Contains(header, ",stage_idle_scan_ns,") {
+		t.Errorf("kpi.csv header %q lacks the stage columns", header)
+	}
+	raw, err = os.ReadFile(filepath.Join(bdir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Sections struct {
+			Stages []struct {
+				Stage string `json:"stage"`
+				Count uint64 `json:"count"`
+			} `json:"stages"`
+		} `json:"sections"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("parse manifest.json: %v", err)
+	}
+	if len(m.Sections.Stages) == 0 || m.Sections.Stages[0].Count == 0 {
+		t.Errorf("manifest stages section = %+v, want the run's stage table", m.Sections.Stages)
 	}
 }

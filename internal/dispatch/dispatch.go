@@ -24,8 +24,11 @@
 //	matching    — the stable matching (or baseline assignment) solve
 //	packing     — Algorithm 3's feasible-group + set-packing stage
 //
-// The ledger derives the dispatch_stage_seconds histograms behind
-// dispatchd's /v1/report and taxisim's stage table from these spans.
+// The simulator times its own phases around these (arrivals, faults,
+// expiry, view, commit, movement) and copies every stage's per-frame
+// time into the frame's KPI sample, whose stage columns back
+// dispatchd's /v1/report and dispatch_stage_seconds and taxisim's stage
+// table.
 package dispatch
 
 import (

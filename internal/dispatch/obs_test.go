@@ -10,8 +10,9 @@ import (
 )
 
 // TestDispatchRecordsStageSpans runs NSTD, STD and a baseline under a
-// simulator with a frame-budget ledger and checks every pipeline stage
-// reached that simulator's ledger through the frame, and that each
+// simulator with a frame-budget ledger and checks every stage — the
+// simulator's phases and the pipeline stages the dispatchers open
+// through the frame — reached that simulator's ledger, and that each
 // simulator's assign events count exactly its own served requests.
 func TestDispatchRecordsStageSpans(t *testing.T) {
 	taxis, reqs := smallWorld(t, 11, 12, 30)
@@ -40,7 +41,7 @@ func TestDispatchRecordsStageSpans(t *testing.T) {
 	for _, st := range ld.Summary().Stages {
 		calls[st.Stage] = st.Calls
 	}
-	for _, stage := range []string{"idle_scan", "cost_plane", "pref_build", "matching", "packing", "cost_matrix", "commit"} {
+	for _, stage := range prof.StageNames {
 		if calls[stage] == 0 {
 			t.Errorf("stage %q recorded no spans (ledger stages %v)", stage, calls)
 		}

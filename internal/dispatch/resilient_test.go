@@ -9,6 +9,7 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/sim"
 )
 
@@ -204,5 +205,54 @@ func TestResilientFrameLatencyBounded(t *testing.T) {
 	}
 	if worst > deadline+500*time.Millisecond {
 		t.Errorf("worst frame latency %v, want bounded by deadline %v + fallback cost", worst, deadline)
+	}
+}
+
+// straddlingPrimary holds frame 0's packing span open past the
+// Resilient deadline. Its frame-1 call releases that span and returns
+// only once it has ended, so the abandoned span closes inside frame 1.
+type straddlingPrimary struct {
+	release, ended chan struct{}
+}
+
+func (d *straddlingPrimary) Name() string { return "straddler" }
+
+func (d *straddlingPrimary) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
+	if f.Number == 0 {
+		sp := f.Ledger.Begin(prof.StagePacking)
+		<-d.release
+		sp.End()
+		close(d.ended)
+		return nil, nil
+	}
+	close(d.release)
+	<-d.ended
+	return nil, nil
+}
+
+// TestAbandonedPrimarySpanStaysOutOfNextFrame pins span attribution
+// across frames: a span the abandoned primary opened in frame 0 and
+// ends during frame 1 belongs to neither frame's ledger entry, so frame
+// 1's stage sum cannot exceed its wall-clock on the primary's account.
+func TestAbandonedPrimarySpanStaysOutOfNextFrame(t *testing.T) {
+	ld := prof.New(prof.Config{})
+	defer ld.Close()
+	primary := &straddlingPrimary{release: make(chan struct{}), ended: make(chan struct{})}
+	fallback := &fakeDispatcher{name: "quiet"}
+	r := NewResilient(primary, fallback, 50*time.Millisecond)
+	for n := 0; n < 2; n++ {
+		f := resilientFrame()
+		f.Number, f.Ledger = n, ld
+		ld.BeginFrame(int64(n), nil)
+		if _, err := r.Dispatch(f); err != nil {
+			t.Fatalf("frame %d: %v", n, err)
+		}
+		sealed, _ := ld.EndFrame(int64(n), int64(time.Second), 0)
+		if got := sealed.StageCalls[prof.StagePacking]; got != 0 {
+			t.Errorf("frame %d: %d packing calls, want 0 (the span began in frame 0 and ended in frame 1)", n, got)
+		}
+	}
+	if fallback.calls != 1 {
+		t.Errorf("fallback calls = %d, want 1 (frame 0's deadline only)", fallback.calls)
 	}
 }

@@ -229,13 +229,8 @@ func (r *Recorder) AddManifestSection(key string, fn func() any) {
 	r.sections[key] = fn
 }
 
-// FrameWindow copies out the retained frame contexts, oldest first.
-func (r *Recorder) FrameWindow() []FrameContext {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.frameWindowLocked()
-}
-
+// frameWindowLocked copies out the retained frame contexts, oldest
+// first. Callers hold r.mu.
 func (r *Recorder) frameWindowLocked() []FrameContext {
 	out := make([]FrameContext, 0, r.frameN)
 	for i := 0; i < r.frameN; i++ {

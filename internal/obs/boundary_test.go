@@ -11,12 +11,12 @@ import (
 )
 
 // obsImporters are the only packages allowed to import obs: the
-// instances that own a histogram (the frame-budget ledger, the
-// admission controller's wait histogram, dispatchd's HTTP timing).
-// Every other /v1/metrics series is read from its owner at scrape time,
-// so a new importer is a new process-global counter creeping back in.
+// instances that own a histogram (the admission controller's wait
+// histogram, dispatchd's HTTP timing and its scrape-time registry).
+// Every other /v1/metrics series — the stage histograms included — is
+// read from its owner at scrape time, so a new importer is a new
+// process-global counter creeping back in.
 var obsImporters = map[string]bool{
-	"internal/prof":      true,
 	"internal/admission": true,
 	"cmd/dispatchd":      true,
 }

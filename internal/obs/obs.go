@@ -2,10 +2,10 @@
 // histograms: a dependency-free, concurrency-safe Registry of atomic
 // counters, gauges, and fixed-bucket latency histograms, plus a
 // Prometheus-text-format writer. There is no process-wide registry:
-// each owner (the frame-budget ledger, the admission controller,
-// dispatchd's HTTP layer) holds its own, and cmd/dispatchd renders every
-// other /v1/metrics series at scrape time from the instance that counts
-// it.
+// each owner (the admission controller, dispatchd's HTTP layer) holds
+// its own, and cmd/dispatchd renders every other /v1/metrics series —
+// the frame and stage histograms from the KPI ring's samples among
+// them — at scrape time from the instance that counts it.
 //
 // Metric names follow the Prometheus convention and may carry a fixed
 // label set inline, VictoriaMetrics-style:

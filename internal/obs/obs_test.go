@@ -138,22 +138,6 @@ func TestInvalidNamePanics(t *testing.T) {
 	}
 }
 
-func TestLabelValue(t *testing.T) {
-	name := `stage_seconds{stage="matching",algo="nstd-p"}`
-	if got := LabelValue(name, "stage"); got != "matching" {
-		t.Errorf("stage = %q", got)
-	}
-	if got := LabelValue(name, "algo"); got != "nstd-p" {
-		t.Errorf("algo = %q", got)
-	}
-	if got := LabelValue(name, "nope"); got != "" {
-		t.Errorf("absent label = %q, want empty", got)
-	}
-	if got := LabelValue("plain_total", "stage"); got != "" {
-		t.Errorf("unlabelled name = %q, want empty", got)
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.GetOrCreateCounter("hits_total").Add(3)
@@ -249,27 +233,5 @@ func TestWritePrometheusGroupsTypeHeaders(t *testing.T) {
 	}
 	if got := strings.Count(sb.String(), "# TYPE req_total counter"); got != 1 {
 		t.Errorf("TYPE header written %d times, want 1:\n%s", got, sb.String())
-	}
-}
-
-func TestHistogramSummaries(t *testing.T) {
-	r := NewRegistry()
-	a := r.GetOrCreateHistogram(`stage_seconds{stage="a"}`, 0.01, 0.1)
-	b := r.GetOrCreateHistogram(`stage_seconds{stage="b"}`, 0.01, 0.1)
-	r.GetOrCreateHistogram(`stage_seconds{stage="idle"}`) // never observed
-	r.GetOrCreateHistogram("other_seconds").Observe(1)
-	a.Observe(0.005)
-	a.Observe(0.005)
-	b.Observe(0.05)
-
-	got := r.HistogramSummaries("stage_seconds")
-	if len(got) != 2 {
-		t.Fatalf("got %d summaries, want 2: %+v", len(got), got)
-	}
-	if got[0].Label("stage") != "a" || got[0].Count != 2 {
-		t.Errorf("first summary = %+v", got[0])
-	}
-	if got[1].Label("stage") != "b" || got[1].Count != 1 {
-		t.Errorf("second summary = %+v", got[1])
 	}
 }

@@ -57,22 +57,6 @@ func validBase(s string) bool {
 	return true
 }
 
-// LabelValue extracts the value of one label from a full metric name,
-// or "" when the label is absent.
-func LabelValue(full, key string) string {
-	_, labels, err := parseName(full)
-	if err != nil {
-		return ""
-	}
-	for _, pair := range strings.Split(labels, ",") {
-		k, v, ok := strings.Cut(pair, "=")
-		if ok && k == key {
-			return strings.Trim(v, `"`)
-		}
-	}
-	return ""
-}
-
 // seriesName renders a base name with an optional label set, appending
 // extra as a final label when non-empty.
 func seriesName(base, labels, extra string) string {
@@ -169,44 +153,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// HistogramSummary condenses one histogram series for report payloads:
-// observation count, total, and interpolated quantiles (all in the
-// histogram's native unit — seconds for the stage timers).
-type HistogramSummary struct {
-	Name  string // full series name, labels included
-	Count uint64
-	Sum   float64
-	P50   float64
-	P95   float64
-	P99   float64
-}
-
-// Label returns the value of one label of the summarised series.
-func (s HistogramSummary) Label(key string) string { return LabelValue(s.Name, key) }
-
-// HistogramSummaries summarises every histogram whose full name starts
-// with prefix, in name order. Series with no observations are skipped.
-func (r *Registry) HistogramSummaries(prefix string) []HistogramSummary {
-	var out []HistogramSummary
-	r.Each(func(name string, metric any) {
-		h, ok := metric.(*Histogram)
-		if !ok || !strings.HasPrefix(name, prefix) {
-			return
-		}
-		count := h.Count()
-		if count == 0 {
-			return
-		}
-		out = append(out, HistogramSummary{
-			Name:  name,
-			Count: count,
-			Sum:   h.Sum(),
-			P50:   h.Quantile(0.50),
-			P95:   h.Quantile(0.95),
-			P99:   h.Quantile(0.99),
-		})
-	})
-	return out
 }

@@ -1,21 +1,24 @@
 // Package prof is the continuous frame-budget profiler: a per-frame
-// cost ledger that attributes each dispatch frame's wall-clock,
-// allocations, and Dijkstra-cache traffic to the pipeline stage that
-// spent them (costplane build/prune → preference construction → market
-// build → matching/set-packing → commit), keeps the N slowest frames
-// for post-hoc attribution ("frame 412: 78% in matching"), and — when a
+// cost ledger that attributes each simulator frame's wall-clock,
+// allocations, and Dijkstra-cache traffic to the stage that spent them
+// (the simulator's own phases — arrivals, faults, expiry, the dispatch
+// view, movement — and the dispatch pipeline between them: costplane
+// build/prune → preference construction → market build →
+// matching/set-packing → commit), keeps the N slowest frames for
+// post-hoc attribution ("frame 412: 78% in matching"), and — when a
 // frame blows a configured deadline budget — captures pprof CPU/heap
 // profiles, rate-limited flightrec-style, and hands them to a callback
 // for bundling.
 //
-// The ledger is the only sink of stage timing. Each sealed frame feeds
-// the ledger's own rolling histograms — dispatch_stage_seconds (one
-// observation per stage per frame: the frame's time in that stage) and
-// sim_dispatch_frame_seconds (the frame's wall-clock) — in a registry
-// private to the ledger, so two simulators in one process never blend.
-// StageBreakdown is the single read path over those histograms, shared
-// by dispatchd's /v1/report and /v1/profile, taxisim's end-of-run stage
-// table, and flight-recorder manifests.
+// The ledger stores no distributions. The simulator copies each sealed
+// frame's per-stage time into that frame's KPI sample (tseries.Sample's
+// StageNs), and tseries.StageBreakdown computes every stage
+// distribution — /v1/report, /v1/profile, /v1/metrics'
+// dispatch_stage_seconds, taxisim's stage table, flight-recorder
+// manifests — over the KPI ring's retained window. The ledger keeps
+// only what that ring cannot: the in-flight frame's spans, the N
+// slowest frames with per-stage calls, allocations and cache traffic,
+// the run-cumulative Summary, and overrun capture.
 //
 // A ledger belongs to one simulator (sim.Config.Ledger). A nil *Ledger
 // is valid and off: its spans are zero Spans that end for free, so the
@@ -27,44 +30,39 @@ package prof
 
 import (
 	"bytes"
-	"io"
 	"runtime/metrics"
 	"sync"
 	"time"
 
 	"stabledispatch/internal/geo"
-	"stabledispatch/internal/obs"
 	"stabledispatch/internal/roadnet"
 )
 
-// Stage indices of the fixed per-frame cost ledger, in pipeline order.
-// The names are the dispatch_stage_seconds{stage=...} labels of the
-// ledger's rolling histograms.
+// Stage indices of the fixed per-frame cost ledger, in frame order: the
+// simulator's phases around the dispatch pipeline's stages.
 const (
-	StageIdleScan = iota
+	StageArrivals = iota
+	StageFaults
+	StageExpiry
+	StageView
+	StageIdleScan
 	StageCostPlane
 	StagePrefBuild
 	StageCostMatrix
 	StageMatching
 	StagePacking
 	StageCommit
+	StageMovement
 	NumStages
 )
 
-// StageNames maps stage indices to their histogram label values.
+// StageNames maps stage indices to their names: the
+// dispatch_stage_seconds{stage=...} label values and, as
+// stage_<name>_ns, the KPI sample's stage columns.
 var StageNames = [NumStages]string{
+	"arrivals", "faults", "expiry", "view",
 	"idle_scan", "cost_plane", "pref_build", "cost_matrix",
-	"matching", "packing", "commit",
-}
-
-// StageIndex resolves a stage label to its ledger index (-1 unknown).
-func StageIndex(name string) int {
-	for i, n := range StageNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
+	"matching", "packing", "commit", "movement",
 }
 
 // Defaults for Config zero values.
@@ -124,10 +122,10 @@ type FrameProfile struct {
 	StageCacheMisses [NumStages]int64
 }
 
-// StageSumNs is the sum of all attributed stage time. It is ≤ WallNs up
-// to unattributed frame work (event application, KPI recording) except
-// when a Resilient fallback overlaps its abandoned primary, whose spans
-// land on the same frame.
+// StageSumNs is the sum of all attributed stage time. Stages never nest,
+// so it is ≤ WallNs unless an abandoned Resilient primary's span ends
+// while its fallback is still running in the same frame; a span that
+// ends after its frame sealed is dropped.
 func (p *FrameProfile) StageSumNs() int64 {
 	var sum int64
 	for _, ns := range p.StageNs {
@@ -214,12 +212,6 @@ type Ledger struct {
 
 	allocMu     sync.Mutex
 	allocSample [1]metrics.Sample
-
-	// reg holds the ledger's rolling histograms, fed once per sealed
-	// frame.
-	reg       *obs.Registry
-	stageHist [NumStages]*obs.Histogram
-	frameHist *obs.Histogram
 }
 
 // New builds a ledger.
@@ -237,13 +229,8 @@ func New(cfg Config) *Ledger {
 		cfg:         cfg,
 		lastCapture: -1 << 62,
 		top:         make([]FrameProfile, 0, cfg.TopN),
-		reg:         obs.NewRegistry(),
 	}
 	ld.allocSample[0].Name = allocMetric
-	for i, name := range StageNames {
-		ld.stageHist[i] = ld.reg.GetOrCreateHistogram(`dispatch_stage_seconds{stage="` + name + `"}`)
-	}
-	ld.frameHist = ld.reg.GetOrCreateHistogram("sim_dispatch_frame_seconds")
 	return ld
 }
 
@@ -279,30 +266,36 @@ type cacheCounter interface{ CacheStats() roadnet.CacheStats }
 type Span struct {
 	ld      *Ledger
 	stage   int
+	frame   int64 // the frame open at Begin
 	start   time.Time
 	allocs0 int64
 	cache   cacheCounter
 	cache0  roadnet.CacheStats
 }
 
-// Begin opens a span for a stage index (one of the Stage constants). On
-// a nil ledger it returns the zero Span.
+// Begin opens a span for a stage index (one of the Stage constants) in
+// the current frame. On a nil ledger or outside a frame it returns the
+// zero Span.
 func (ld *Ledger) Begin(stage int) Span {
 	if ld == nil || stage < 0 || stage >= NumStages {
 		return Span{}
 	}
 	ld.mu.Lock()
-	cache := ld.cache
+	cache, frame, open := ld.cache, ld.cur.Frame, ld.inFrame
 	ld.mu.Unlock()
-	sp := Span{ld: ld, stage: stage, start: time.Now(), allocs0: ld.readAllocs(), cache: cache}
+	if !open {
+		return Span{}
+	}
+	sp := Span{ld: ld, stage: stage, frame: frame, start: time.Now(), allocs0: ld.readAllocs(), cache: cache}
 	if cache != nil {
 		sp.cache0 = cache.CacheStats()
 	}
 	return sp
 }
 
-// End closes the span, attributing its cost to the current frame.
-// Spans closing outside a frame are dropped.
+// End closes the span, attributing its cost to the frame it began in.
+// A span that ends after its frame sealed (an abandoned Resilient
+// primary finishing during the next frame) is dropped.
 func (sp Span) End() {
 	if sp.ld == nil {
 		return
@@ -316,7 +309,7 @@ func (sp Span) End() {
 		hits, misses = int64(cs.Hits-sp.cache0.Hits), int64(cs.Misses-sp.cache0.Misses)
 	}
 	ld.mu.Lock()
-	if ld.inFrame {
+	if ld.inFrame && ld.cur.Frame == sp.frame {
 		ld.cur.StageNs[sp.stage] += ns
 		ld.cur.StageCalls[sp.stage]++
 		ld.cur.StageAllocs[sp.stage] += allocs
@@ -342,11 +335,11 @@ func (ld *Ledger) BeginFrame(frame int64, metric geo.Metric) {
 // EndFrame seals frame's entry with the simulator-measured wall-clock
 // and allocation count — the same values recorded as the tseries
 // sample's FrameNs/Allocs, so the ledger and the KPI ring agree by
-// construction. It folds the frame into the cumulative totals, the
-// slow-frame ring and the rolling histograms, and runs overrun
-// detection. It returns the sealed frame (Overrun set when it blew the
-// budget) and the capture this frame finalised, if any; a frame that
-// was never begun returns a zero profile.
+// construction. It folds the frame into the cumulative totals and the
+// slow-frame ring, and runs overrun detection. It returns the sealed
+// frame (Overrun set when it blew the budget) and the capture this
+// frame finalised, if any; a frame that was never begun returns a zero
+// profile.
 func (ld *Ledger) EndFrame(frame, wallNs, allocs int64) (FrameProfile, *Capture) {
 	ld.mu.Lock()
 	if !ld.inFrame || ld.cur.Frame != frame {
@@ -408,12 +401,6 @@ func (ld *Ledger) EndFrame(frame, wallNs, allocs int64) (FrameProfile, *Capture)
 	}
 	ld.mu.Unlock()
 
-	ld.frameHist.Observe(float64(wallNs) / 1e9)
-	for i := 0; i < NumStages; i++ {
-		if p.StageCalls[i] > 0 {
-			ld.stageHist[i].Observe(float64(p.StageNs[i]) / 1e9)
-		}
-	}
 	if done == nil {
 		return p, nil
 	}
@@ -457,7 +444,3 @@ func (ld *Ledger) finishCapture(pc *pendingCapture) *Capture {
 		Heap:       heapProfile(),
 	}
 }
-
-// WritePrometheus writes the ledger's rolling histograms in the
-// Prometheus text format.
-func (ld *Ledger) WritePrometheus(w io.Writer) error { return ld.reg.WritePrometheus(w) }

@@ -24,6 +24,9 @@ func spin(d time.Duration) {
 func TestLedgerAttributesStages(t *testing.T) {
 	ld := newLedger(t, Config{})
 	ld.BeginFrame(7, nil)
+	// The frame's wall-clock is measured around its spans, as
+	// Simulator.Step does, so the stage-sum bound holds on a loaded host.
+	start := time.Now()
 	sp := ld.Begin(StageCostPlane)
 	spin(200 * time.Microsecond)
 	sp.End()
@@ -33,8 +36,9 @@ func TestLedgerAttributesStages(t *testing.T) {
 	sp = ld.Begin(StageMatching)
 	spin(100 * time.Microsecond)
 	sp.End()
-	sealed, _ := ld.EndFrame(7, int64(time.Millisecond), 123)
-	if sealed.Frame != 7 || sealed.WallNs != int64(time.Millisecond) || sealed.StageCalls[StageMatching] != 2 {
+	wall := time.Since(start).Nanoseconds()
+	sealed, _ := ld.EndFrame(7, wall, 123)
+	if sealed.Frame != 7 || sealed.WallNs != wall || sealed.StageCalls[StageMatching] != 2 {
 		t.Fatalf("sealed frame = %+v", sealed)
 	}
 
@@ -43,7 +47,7 @@ func TestLedgerAttributesStages(t *testing.T) {
 		t.Fatalf("TopFrames len = %d, want 1", len(top))
 	}
 	fr := top[0]
-	if fr.Frame != 7 || fr.WallNs != int64(time.Millisecond) || fr.Allocs != 123 {
+	if fr.Frame != 7 || fr.WallNs != wall || fr.Allocs != 123 {
 		t.Fatalf("frame header = %+v", fr)
 	}
 	if fr.StageSumNs <= 0 || fr.StageSumNs > fr.WallNs {
@@ -62,23 +66,12 @@ func TestLedgerAttributesStages(t *testing.T) {
 	}
 
 	sum := ld.Summary()
-	if sum.Frames != 1 || sum.AvgWallNs != int64(time.Millisecond) || sum.AvgAllocs != 123 {
+	if sum.Frames != 1 || sum.AvgWallNs != wall || sum.AvgAllocs != 123 {
 		t.Fatalf("summary = %+v", sum)
 	}
 
-	// The rolling histograms hold one observation per stage per frame:
-	// the frame's time in that stage, not one per span.
-	frame, stages := ld.StageBreakdown()
-	if frame == nil || frame.Count != 1 || frame.TotalSeconds != 1e-3 {
-		t.Fatalf("frame distribution = %+v", frame)
-	}
-	if len(stages) != 2 {
-		t.Fatalf("stage distributions = %+v, want cost_plane and matching", stages)
-	}
-	for _, st := range stages {
-		if st.Count != 1 || st.TotalSeconds != float64(byStage[st.Stage].Ns)/1e9 {
-			t.Fatalf("stage %s distribution = %+v, want one frame of %dns", st.Stage, st, byStage[st.Stage].Ns)
-		}
+	if sealed.StageNs != [NumStages]int64{StageCostPlane: byStage["cost_plane"].Ns, StageMatching: byStage["matching"].Ns} {
+		t.Fatalf("sealed stage times %v disagree with the report %+v", sealed.StageNs, byStage)
 	}
 }
 
@@ -88,10 +81,14 @@ func TestSpansOutsideFrameDropped(t *testing.T) {
 	spin(50 * time.Microsecond)
 	sp.End() // no frame open: dropped
 	ld.BeginFrame(1, nil)
+	sp = ld.Begin(StageMatching)
 	ld.EndFrame(1, 1000, 0)
+	ld.BeginFrame(2, nil)
+	sp.End() // began in frame 1, which is sealed: dropped
+	ld.EndFrame(2, 1000, 0)
 	top := ld.TopFrames()
-	if len(top) != 1 || top[0].StageSumNs != 0 {
-		t.Fatalf("orphan span leaked into frame: %+v", top)
+	if len(top) != 2 || top[0].StageSumNs != 0 || top[1].StageSumNs != 0 {
+		t.Fatalf("orphan span leaked into a frame: %+v", top)
 	}
 }
 
@@ -175,17 +172,6 @@ func TestDominant(t *testing.T) {
 	stage, share := p.Dominant()
 	if stage != "matching" || share != 0.78 {
 		t.Fatalf("dominant = %q/%v, want matching/0.78", stage, share)
-	}
-}
-
-func TestStageIndexRoundTrip(t *testing.T) {
-	for i, name := range StageNames {
-		if got := StageIndex(name); got != i {
-			t.Fatalf("StageIndex(%q) = %d, want %d", name, got, i)
-		}
-	}
-	if StageIndex("nope") != -1 {
-		t.Fatalf("unknown stage should be -1")
 	}
 }
 

@@ -1,10 +1,6 @@
 package prof
 
-import (
-	"sort"
-
-	"stabledispatch/internal/obs"
-)
+import "sort"
 
 // StageCost is one stage's share of a frame (or of a run, in Summary):
 // the JSON-friendly projection of the fixed ledger arrays.
@@ -125,44 +121,4 @@ func (ld *Ledger) TopFrames() []FrameReport {
 		out[i] = top[i].Report()
 	}
 	return out
-}
-
-// StageSummary is one stage's rolling distribution, read from the
-// ledger's histograms: the shared aggregation behind dispatchd's
-// /v1/report and /v1/profile, taxisim's end-of-run stage table, and
-// flight-recorder manifests. Count is the number of frames that ran the
-// stage; the quantiles are over per-frame stage time.
-type StageSummary struct {
-	Stage        string  `json:"stage"`
-	Count        uint64  `json:"count"`
-	TotalSeconds float64 `json:"totalSeconds"`
-	P50Seconds   float64 `json:"p50Seconds"`
-	P95Seconds   float64 `json:"p95Seconds"`
-	P99Seconds   float64 `json:"p99Seconds"`
-}
-
-// StageBreakdown reads the rolling per-stage percentiles from the
-// ledger's dispatch_stage_seconds histograms, plus the whole-frame
-// distribution (nil before the first sealed frame). Stages with no
-// observations are omitted.
-func (ld *Ledger) StageBreakdown() (frame *StageSummary, stages []StageSummary) {
-	for _, hs := range ld.reg.HistogramSummaries("dispatch_stage_seconds") {
-		stages = append(stages, summaryToStage(hs.Label("stage"), hs))
-	}
-	for _, hs := range ld.reg.HistogramSummaries("sim_dispatch_frame_seconds") {
-		out := summaryToStage("frame", hs)
-		frame = &out
-	}
-	return frame, stages
-}
-
-func summaryToStage(name string, hs obs.HistogramSummary) StageSummary {
-	return StageSummary{
-		Stage:        name,
-		Count:        hs.Count,
-		TotalSeconds: hs.Sum,
-		P50Seconds:   hs.P50,
-		P95Seconds:   hs.P95,
-		P99Seconds:   hs.P99,
-	}
 }

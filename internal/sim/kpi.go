@@ -14,8 +14,8 @@ import (
 // every Step finishes by appending one fixed-width sample with the
 // paper's §VI quantities — resolved as running statistics over the
 // dispatch decisions so far — plus the frame's wall-clock cost, heap
-// allocations (runtime/metrics, no stop-the-world), the degraded-frame
-// count, the Dijkstra cache hit rate of this simulator's own Metric,
+// allocations (runtime/metrics, no stop-the-world), its time in each
+// ledger stage (with Config.Ledger), the degraded-frame count, the Dijkstra cache hit rate of this simulator's own Metric,
 // and the front-door counts of its own admission source. Every column is
 // this simulator's state: two simulators in one process never see each
 // other's numbers. The aggregates live on the engine and are updated
@@ -128,7 +128,7 @@ func (k *kpiState) unassign() { k.served-- }
 
 // recordKPI appends the completed frame's sample to the ring and
 // returns it for the SLO/flight-recorder pipeline.
-func (s *Simulator) recordKPI(rec *tseries.Recorder, frame int, wall time.Duration, allocs uint64) tseries.Sample {
+func (s *Simulator) recordKPI(rec *tseries.Recorder, frame int, wall time.Duration, allocs uint64, stageNs [prof.NumStages]int64) tseries.Sample {
 	k := &s.kpi
 	sample := tseries.Sample{
 		Frame:               int64(frame),
@@ -141,6 +141,7 @@ func (s *Simulator) recordKPI(rec *tseries.Recorder, frame int, wall time.Durati
 		StabilityViolations: k.violations,
 		FrameNs:             wall.Nanoseconds(),
 		Allocs:              int64(allocs),
+		StageNs:             stageNs,
 	}
 	if a := s.cfg.Admission; a != nil {
 		sample.Accepted = int64(a.Accepted())

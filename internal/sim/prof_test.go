@@ -11,10 +11,10 @@ import (
 )
 
 // TestProfLedgerMatchesTSeries pins the contract between the
-// frame-budget ledger and the KPI ring: both views of a frame are fed
-// the same wall-clock and allocation measurements, so a ledger frame's
-// WallNs/Allocs equal the tseries sample's FrameNs/Allocs exactly, and
-// the attributed stage time never exceeds the frame wall-clock.
+// frame-budget ledger and the KPI ring: both views of a frame come from
+// one bracket, so a ledger frame's WallNs/Allocs/stage times equal the
+// tseries sample's FrameNs/Allocs/StageNs exactly, and the attributed
+// stage time never exceeds the frame wall-clock.
 func TestProfLedgerMatchesTSeries(t *testing.T) {
 	ld := prof.New(prof.Config{TopN: 256})
 	rec := tseries.New(tseries.Config{Capacity: 256})
@@ -63,10 +63,19 @@ func TestProfLedgerMatchesTSeries(t *testing.T) {
 		if fr.StageSumNs > fr.WallNs {
 			t.Errorf("frame %d: stage sum %dns exceeds frame wall %dns", fr.Frame, fr.StageSumNs, fr.WallNs)
 		}
+		var stageNs [prof.NumStages]int64
 		for _, sc := range fr.Stages {
+			for i, name := range prof.StageNames {
+				if sc.Stage == name {
+					stageNs[i] = sc.Ns
+				}
+			}
 			if sc.Stage == "commit" && sc.Calls > 0 {
 				commitSeen = true
 			}
+		}
+		if stageNs != smp.StageNs {
+			t.Errorf("frame %d: ledger stage times %v != tseries StageNs %v", fr.Frame, stageNs, smp.StageNs)
 		}
 	}
 	if !commitSeen {

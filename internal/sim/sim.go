@@ -228,12 +228,15 @@ type Config struct {
 	// is the one place that forwards output into them.
 
 	// Ledger, when non-nil, is the frame-budget profiler: every Step is
-	// bracketed as one ledger frame, dispatchers open stage spans
-	// through Frame.Ledger, and each sealed frame is published on the
-	// Hub's prof topic. Overrun captures are bundled into Recorder.
+	// bracketed as one ledger frame, the simulator's phases and the
+	// dispatchers (through Frame.Ledger) open stage spans, each sealed
+	// frame's stage times fill its KPI sample's StageNs, and the frame
+	// is published on the Hub's prof topic. Overrun captures are
+	// bundled into Recorder.
 	Ledger *prof.Ledger
 	// Recorder, when non-nil, is the flight recorder: it receives every
-	// lifecycle event and, with KPI, every frame's context, and the
+	// lifecycle event and, with KPI, every frame's context and a stage
+	// table over the KPI ring (manifest section "stages"), and the
 	// simulator triggers it on SLO breaches, degraded frames, stability
 	// violations, and overrun captures.
 	Recorder *flightrec.Recorder
@@ -452,9 +455,9 @@ func New(cfg Config, taxis []fleet.Taxi, requests []fleet.Request) (*Simulator, 
 		if cfg.SLO != nil {
 			r.AddManifestSection("slo", func() any { return cfg.SLO.Status() })
 		}
-		if ld := cfg.Ledger; ld != nil {
+		if kpi := cfg.KPI; kpi != nil {
 			r.AddManifestSection("stages", func() any {
-				_, stages := ld.StageBreakdown()
+				_, stages := tseries.StageBreakdown(kpi.Snapshot())
 				return stages
 			})
 		}
@@ -512,9 +515,10 @@ func (s *Simulator) Done() bool {
 // release arrivals, apply injected faults, expire impatient requests,
 // dispatch, then move taxis. Faults run before dispatch so the
 // dispatcher always sees the post-fault world and never assigns a
-// just-broken taxi. With a KPI recorder configured, the frame's
-// wall-clock cost and allocation count bracket the whole step and the
-// finished frame is appended to the ring.
+// just-broken taxi. With a KPI recorder or a ledger configured, the
+// frame's wall-clock cost and allocation count bracket the whole step;
+// the ledger seals the frame's stage times and the finished frame,
+// stage columns included, is appended to the ring.
 func (s *Simulator) Step() error {
 	rec, ld := s.cfg.KPI, s.cfg.Ledger
 	if rec == nil && ld == nil {
@@ -531,19 +535,25 @@ func (s *Simulator) Step() error {
 	}
 	wall := time.Since(start)
 	allocs := s.kpi.readAllocs() - allocs0
+	// The ledger frame and the KPI sample share one bracket: the sealed
+	// frame's wall/allocs are the sample's FrameNs/Allocs, and its stage
+	// times become the sample's StageNs.
+	var p prof.FrameProfile
+	var capture *prof.Capture
+	if ld != nil {
+		p, capture = ld.EndFrame(int64(frame), wall.Nanoseconds(), int64(allocs))
+	}
 	if rec != nil {
-		sample := s.recordKPI(rec, frame, wall, allocs)
+		sample := s.recordKPI(rec, frame, wall, allocs, p.StageNs)
 		s.watchFrame(sample)
 	}
 	if ld != nil {
-		// Sealed after the KPI sample is recorded and watched, so an
-		// overrun capture's flight-recorder bundle already holds the
-		// overrun frame itself. The wall/allocs handed to the ledger are
-		// the exact values recorded as the sample's FrameNs/Allocs.
-		p, capture := ld.EndFrame(int64(frame), wall.Nanoseconds(), int64(allocs))
 		if s.cfg.Hub.Wants(stream.TopicProf) {
 			s.cfg.Hub.Publish(stream.TopicProf, p.Frame, p.Report())
 		}
+		// Triggered after the KPI sample is recorded and watched, so an
+		// overrun capture's flight-recorder bundle already holds the
+		// overrun frame itself.
 		if capture != nil && s.cfg.Recorder != nil {
 			s.cfg.Recorder.TriggerOverrun(*capture) //nolint:errcheck // counted by the recorder
 		}
@@ -551,19 +561,28 @@ func (s *Simulator) Step() error {
 	return nil
 }
 
-// step is the uninstrumented frame advance.
+// step is the frame advance, each phase a ledger stage.
 func (s *Simulator) step() error {
 	if rec := s.cfg.Tracer; rec != nil {
 		rec.SetFrame(s.frame)
 	}
+	ld := s.cfg.Ledger
+	sp := ld.Begin(prof.StageArrivals)
 	s.refreshOutages()
 	s.releaseArrivals()
+	sp.End()
+	sp = ld.Begin(prof.StageFaults)
 	s.applyFaults()
+	sp.End()
+	sp = ld.Begin(prof.StageExpiry)
 	s.expireImpatient()
+	sp.End()
 	if err := s.dispatch(); err != nil {
 		return err
 	}
+	sp = ld.Begin(prof.StageMovement)
 	s.moveTaxis()
+	sp.End()
 	s.frame++
 	return nil
 }
@@ -690,7 +709,9 @@ func (s *Simulator) dispatch() error {
 		}
 		return nil
 	}
+	sp := s.cfg.Ledger.Begin(prof.StageView)
 	frame := s.view()
+	sp.End()
 	assignments, err := s.cfg.Dispatcher.Dispatch(frame)
 	if err != nil {
 		return fmt.Errorf("sim: dispatcher %s frame %d: %w", s.cfg.Dispatcher.Name(), s.frame, err)
@@ -698,7 +719,7 @@ func (s *Simulator) dispatch() error {
 	// Frame commit: install the assignments, then audit the realized
 	// matching for stability while the pre-dispatch view is still in
 	// hand. The commit stage closes the pipeline in the stage ledger.
-	sp := s.cfg.Ledger.Begin(prof.StageCommit)
+	sp = s.cfg.Ledger.Begin(prof.StageCommit)
 	defer sp.End()
 	seenTaxi := make(map[int]bool, len(assignments))
 	for _, a := range assignments {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/tseries"
 )
 
@@ -205,5 +206,25 @@ func TestReportLine(t *testing.T) {
 	got := e.Report()
 	if !strings.Contains(got, "1/2 ok") || !strings.Contains(got, "b BREACH") {
 		t.Errorf("Report() = %q", got)
+	}
+}
+
+// TestStageSeriesObjective checks an objective can watch a ledger stage
+// column: stage_<name>_ns is a plain KPI series, so Parse accepts it and
+// the engine breaches on the sample's StageNs.
+func TestStageSeriesObjective(t *testing.T) {
+	defs, err := Parse(strings.NewReader("plane: max(stage_cost_plane_ns) < 2000000 fast=2 slow=4 clear=2\n"))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	e, err := New(defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s tseries.Sample
+	s.StageNs[prof.StageCostPlane] = 5e6
+	trs := e.Observe(s)
+	if len(trs) != 1 || trs[0].To != StateBreach {
+		t.Fatalf("transitions = %+v, want one breach on a 5ms cost plane", trs)
 	}
 }

@@ -3,7 +3,9 @@
 // frame with the paper's §VI quantities (dispatch delay, passenger and
 // taxi dissatisfaction, served/queued/expired counts, shared rides,
 // degraded frames) plus runtime series (frame wall-clock, allocations,
-// Dijkstra cache hit rate).
+// Dijkstra cache hit rate, and the frame's time in each profiler stage).
+// A sample is the one per-frame record: StageBreakdown computes every
+// stage distribution the system serves from a window of samples.
 //
 // The recorder is a ring of fixed-width Sample values. Memory is bounded
 // by Capacity·sizeof(Sample) and allocated once at construction; Record
@@ -29,6 +31,9 @@ import (
 	"strings"
 	"sync"
 	"unsafe"
+
+	"stabledispatch/internal/prof"
+	"stabledispatch/internal/stats"
 )
 
 // Sample is one frame's KPI snapshot. All fields are fixed-width scalars
@@ -81,19 +86,32 @@ type Sample struct {
 	// AdmissionQueue is the intake-queue depth when the frame was
 	// recorded (admitted requests awaiting frame injection).
 	AdmissionQueue int64 `json:"admissionQueue"`
+	// StageNs is the frame's wall-clock per frame-budget ledger stage,
+	// indexed like prof.StageNames (all zero without a ledger). Each
+	// stage is the series stage_<name>_ns.
+	StageNs [prof.NumStages]int64 `json:"stageNs"`
 }
 
 // sampleBytes is the in-memory width of one Sample.
 const sampleBytes = int(unsafe.Sizeof(Sample{}))
 
+// stageSeries are the stage columns' series names, stage_<name>_ns in
+// prof.StageNames order.
+var stageSeries = func() (names [prof.NumStages]string) {
+	for i, stage := range prof.StageNames {
+		names[i] = "stage_" + stage + "_ns"
+	}
+	return names
+}()
+
 // SeriesNames lists every extractable per-sample series, in the column
 // order WriteCSV emits.
-var SeriesNames = []string{
+var SeriesNames = append([]string{
 	"delay_mean", "delay_p95", "pass_diss_mean", "taxi_diss_mean",
 	"served", "queued", "expired", "shared_rides", "degraded_frames",
 	"stability_violations", "frame_ns", "allocs", "cache_hit_rate",
 	"accepted", "shed", "admission_queue",
-}
+}, stageSeries[:]...)
 
 // Value extracts one named series value from the sample; ok is false for
 // unknown names.
@@ -131,6 +149,11 @@ func (s Sample) Value(name string) (v float64, ok bool) {
 		return float64(s.Shed), true
 	case "admission_queue":
 		return float64(s.AdmissionQueue), true
+	}
+	for i, stage := range stageSeries {
+		if name == stage {
+			return float64(s.StageNs[i]), true
+		}
 	}
 	return 0, false
 }
@@ -326,14 +349,6 @@ func (r *Recorder) Last() (Sample, bool) {
 	return r.buf[(r.head+r.n-1)%len(r.buf)], true
 }
 
-// Reset empties the ring and restores the initial stride.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.head, r.n, r.stride, r.skip = 0, 0, 1, 0
-	r.offered, r.dropped = 0, 0
-}
-
 // WriteCSV renders samples as a CSV table: a frame column followed by
 // the requested series (all of SeriesNames when series is empty).
 func WriteCSV(w io.Writer, samples []Sample, series []string) error {
@@ -363,4 +378,55 @@ func WriteCSV(w io.Writer, samples []Sample, series []string) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// StageSummary is one column's distribution over a window of samples:
+// Count frames with a positive value, their total, and exact quantiles
+// of the per-frame value, in seconds.
+type StageSummary struct {
+	Stage        string  `json:"stage"`
+	Count        uint64  `json:"count"`
+	TotalSeconds float64 `json:"totalSeconds"`
+	P50Seconds   float64 `json:"p50Seconds"`
+	P95Seconds   float64 `json:"p95Seconds"`
+	P99Seconds   float64 `json:"p99Seconds"`
+}
+
+// StageBreakdown is the one read path for stage timing: the whole-frame
+// wall-clock distribution (nil when no sample has one) and one
+// distribution per ledger stage, in prof.StageNames order, over the
+// given samples. A frame counts toward a column only when its value is
+// positive, so stages no frame ran are omitted.
+func StageBreakdown(samples []Sample) (frame *StageSummary, stages []StageSummary) {
+	xs := make([]float64, 0, len(samples))
+	summarize := func(name string, col func(*Sample) int64) (StageSummary, bool) {
+		xs = xs[:0]
+		var total int64
+		for i := range samples {
+			if ns := col(&samples[i]); ns > 0 {
+				xs = append(xs, float64(ns)/1e9)
+				total += ns
+			}
+		}
+		if len(xs) == 0 {
+			return StageSummary{}, false
+		}
+		return StageSummary{
+			Stage:        name,
+			Count:        uint64(len(xs)),
+			TotalSeconds: float64(total) / 1e9,
+			P50Seconds:   stats.Percentile(xs, 50),
+			P95Seconds:   stats.Percentile(xs, 95),
+			P99Seconds:   stats.Percentile(xs, 99),
+		}, true
+	}
+	if st, ok := summarize("frame", func(s *Sample) int64 { return s.FrameNs }); ok {
+		frame = &st
+	}
+	for i, name := range prof.StageNames {
+		if st, ok := summarize(name, func(s *Sample) int64 { return s.StageNs[i] }); ok {
+			stages = append(stages, st)
+		}
+	}
+	return frame, stages
 }

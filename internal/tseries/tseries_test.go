@@ -4,6 +4,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"stabledispatch/internal/prof"
+	"stabledispatch/internal/stats"
 )
 
 func sampleAt(frame int64) Sample {
@@ -152,6 +155,12 @@ func TestValueAndSeriesNames(t *testing.T) {
 		"stability_violations": 2, "frame_ns": 12345, "allocs": 99, "cache_hit_rate": 0.75,
 		"accepted": 50, "shed": 7, "admission_queue": 5,
 	}
+	// One stage_<name>_ns column per ledger stage, generated from
+	// prof.StageNames.
+	for i, stage := range prof.StageNames {
+		s.StageNs[i] = int64(1000 * (i + 1))
+		want["stage_"+stage+"_ns"] = float64(1000 * (i + 1))
+	}
 	if len(SeriesNames) != len(want) {
 		t.Fatalf("SeriesNames has %d entries, want %d", len(SeriesNames), len(want))
 	}
@@ -228,5 +237,50 @@ func TestMemoryBound(t *testing.T) {
 	}
 	if got := r.Len(); got > 100 {
 		t.Errorf("ring grew to %d samples past its capacity", got)
+	}
+}
+
+// TestStageBreakdownExactBelowBucketEdges pins the one stage read path
+// to exact quantiles: sub-10µs stage times (below the first bucket edge
+// of a fixed-bucket histogram) come out as stats.Percentile over the
+// same values, counted only on frames that ran the stage.
+func TestStageBreakdownExactBelowBucketEdges(t *testing.T) {
+	r := New(Config{Capacity: 64})
+	var frameSec, viewSec []float64
+	for f := int64(0); f < 40; f++ {
+		s := Sample{Frame: f, FrameNs: 9000 + 37*f}
+		s.StageNs[prof.StageView] = 1000 + 211*f%7919
+		if f%3 == 0 {
+			s.StageNs[prof.StageMatching] = 500
+		}
+		r.Record(s)
+		frameSec = append(frameSec, float64(s.FrameNs)/1e9)
+		viewSec = append(viewSec, float64(s.StageNs[prof.StageView])/1e9)
+	}
+	frame, stages := StageBreakdown(r.Snapshot())
+	if frame == nil || frame.Stage != "frame" || frame.Count != 40 {
+		t.Fatalf("frame summary = %+v", frame)
+	}
+	if len(stages) != 2 || stages[0].Stage != "view" || stages[1].Stage != "matching" {
+		t.Fatalf("stages = %+v, want view then matching", stages)
+	}
+	for _, c := range []struct {
+		got  StageSummary
+		xs   []float64
+		name string
+	}{{*frame, frameSec, "frame"}, {stages[0], viewSec, "view"}} {
+		for _, q := range []struct {
+			got, p float64
+		}{{c.got.P50Seconds, 50}, {c.got.P95Seconds, 95}, {c.got.P99Seconds, 99}} {
+			if want := stats.Percentile(c.xs, q.p); q.got != want {
+				t.Errorf("%s p%v = %v, want exact %v", c.name, q.p, q.got, want)
+			}
+		}
+	}
+	if m := stages[1]; m.Count != 14 || m.P50Seconds != 5e-7 || m.TotalSeconds != 7e-6 {
+		t.Errorf("matching summary = %+v, want 14 frames of 0.5µs", m)
+	}
+	if frame, stages := StageBreakdown(nil); frame != nil || stages != nil {
+		t.Errorf("empty window = %+v, %+v, want nil", frame, stages)
 	}
 }
