@@ -12,32 +12,31 @@ import (
 
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/fleet"
+	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/sim"
 )
 
 // hardenedServer builds the same handler chain main() installs:
-// recovery → body limit → mux, with an event buffer attached.
+// recovery → body limit → mux.
 func hardenedServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	taxis := []fleet.Taxi{
 		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
 		{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
 	}
-	events := newEventBuffer(1000)
 	s, err := sim.New(sim.Config{
 		Params:     pref.Unbounded(),
 		Dispatcher: dispatch.NewNSTDP(),
 		SpeedKmH:   60,
-		Events:     events,
 	}, taxis, nil)
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
-	srv := newServer(s).withEvents(events)
+	srv := newServer(s)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	ts := httptest.NewServer(withRecovery(logger, nil, srv.http, withBodyLimit(srv.handler())))
+	ts := httptest.NewServer(withRecovery(logger, nil, srv.frameNow.Load, srv.http, withBodyLimit(srv.handler())))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -166,7 +165,7 @@ func TestStrictPathIDs(t *testing.T) {
 func TestRecoveryMiddlewareConvertsPanics(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	metrics := newHTTPMetrics()
-	h := withRecovery(logger, nil, metrics, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := withRecovery(logger, nil, nil, metrics, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
 	}))
 	rec := httptest.NewRecorder()
@@ -182,6 +181,44 @@ func TestRecoveryMiddlewareConvertsPanics(t *testing.T) {
 	}
 	if got := metrics.GetOrCreateCounter("http_panics_total").Value(); got != 1 {
 		t.Errorf("http_panics_total = %d, want 1", got)
+	}
+}
+
+// TestPanicBundleKeepsCooldown pins the panic trigger to the daemon's
+// frame: a panic inside an automatic bundle's cooldown is suppressed like
+// any other automatic trigger, instead of bundling at frame -1 and
+// re-arming the cooldown as if the run had restarted.
+func TestPanicBundleKeepsCooldown(t *testing.T) {
+	rec, err := flightrec.New(flightrec.Config{Dir: t.TempDir(), CooldownFrames: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(sim.Config{
+		Params:     pref.Unbounded(),
+		Dispatcher: dispatch.NewNSTDP(),
+		Recorder:   rec,
+	}, []fleet.Taxi{{ID: 0}}, nil)
+	if err != nil {
+		t.Fatalf("sim.New: %v", err)
+	}
+	srv := newServer(s)
+	if _, err := srv.tick(505); err != nil {
+		t.Fatal(err)
+	}
+	h := withRecovery(nil, rec, srv.frameNow.Load, srv.http, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("handler bug")
+	}))
+
+	if path, err := rec.Trigger(500, flightrec.ReasonSLOBreach, "", false); err != nil || path == "" {
+		t.Fatalf("SLO bundle: path=%q err=%v", path, err)
+	}
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/taxis", nil))
+	if _, err := rec.Trigger(510, flightrec.ReasonSLOBreach, "", false); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Bundles() != 1 || rec.Suppressed() != 2 {
+		t.Errorf("bundles = %d, suppressed = %d; want 1 and 2 (the panic and the breach inside the cooldown)",
+			rec.Bundles(), rec.Suppressed())
 	}
 }
 

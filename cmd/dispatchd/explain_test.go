@@ -279,17 +279,15 @@ func TestHealthzCounts(t *testing.T) {
 // strict parsing.
 func TestEventsLimit(t *testing.T) {
 	taxis := []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}}
-	buffer := newEventBuffer(100)
 	s, err := sim.New(sim.Config{
 		Params:     pref.Unbounded(),
 		Dispatcher: dispatch.NewNSTDP(),
 		SpeedKmH:   60,
-		Events:     buffer,
 	}, taxis, nil)
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
-	ts := httptest.NewServer(newServer(s).withEvents(buffer).handler())
+	ts := httptest.NewServer(newServer(s).handler())
 	defer ts.Close()
 
 	postJSON(t, ts.URL+"/v1/requests", requestIn{

@@ -92,7 +92,7 @@ func run(args []string) error {
 		frameDDL   = fs.Duration("frame-deadline", 0, "per-frame dispatch compute deadline; overruns and panics degrade to greedy (0 = unbounded)")
 		dtraceOn   = fs.Bool("dtrace", true, "record per-request decision traces and frame stability certificates")
 		traceCap   = fs.Int("trace-capacity", dtrace.DefaultCapacity, "max request traces retained in the decision-trace ring")
-		kpiCap     = fs.Int("kpi-capacity", tseries.DefaultCapacity, "per-frame KPI samples retained for /v1/timeseries and the stage distributions of /v1/report, /v1/profile and /v1/metrics (0 disables recording and empties the stage views)")
+		kpiCap     = fs.Int("kpi-capacity", tseries.DefaultCapacity, "per-frame KPI samples retained for /v1/timeseries and the stage distributions of /v1/profile, /v1/metrics and flight-recorder bundles (0 disables recording and empties the stage views)")
 		workers    = fs.Int("workers", 0, "cost-plane worker pool size; 0 = GOMAXPROCS (results are identical for any value)")
 		sloFile    = fs.String("slo-file", "", "SLO definitions file; objectives are evaluated every frame and served at /v1/slo (requires KPI recording)")
 		bundleDir  = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, panic, certificate violation, or POST /v1/debug/bundle")
@@ -133,7 +133,6 @@ func run(args []string) error {
 	if *frameDDL > 0 {
 		d = dispatch.NewResilient(d, nil, *frameDDL)
 	}
-	events := newEventBuffer(10000)
 	// The daemon's ring is a sliding window (no downsampling): operators
 	// polling /v1/timeseries care about the recent trajectory, the stage
 	// distributions cover the same retained frames, and the memory bound
@@ -144,7 +143,7 @@ func run(args []string) error {
 	}
 	var recorder *flightrec.Recorder
 	if *bundleDir != "" {
-		if recorder, err = flightrec.New(flightrec.Config{Dir: *bundleDir, Tracer: tracer}); err != nil {
+		if recorder, err = flightrec.New(flightrec.Config{Dir: *bundleDir}); err != nil {
 			return err
 		}
 	}
@@ -187,7 +186,7 @@ func run(args []string) error {
 	s, err := sim.New(sim.Config{
 		Params:     pref.DefaultParams(),
 		Dispatcher: d,
-		Events:     sim.MultiSink(events, admissionSink(adm)),
+		Events:     admissionSink(adm),
 		KPI:        kpi,
 		SLO:        sloEng,
 		Workers:    *workers,
@@ -209,11 +208,11 @@ func run(args []string) error {
 
 	// Middleware order: metrics/logging outermost (a recovered panic is
 	// still logged with its 500), then panic recovery, then the body cap.
-	server := newServer(s).withEvents(events).withSLO(sloEng).withAdmission(adm).
+	server := newServer(s).withSLO(sloEng).withAdmission(adm).
 		withStream(hub, *streamBuf, *streamHB)
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           withObs(accessLogger, server.http, withRecovery(logger, recorder, server.http, withBodyLimit(server.handler()))),
+		Handler:           withObs(accessLogger, server.http, withRecovery(logger, recorder, server.frameNow.Load, server.http, withBodyLimit(server.handler()))),
 		ReadHeaderTimeout: 5 * time.Second,
 		// Bound slow-loris reads and wedged writes; WriteTimeout leaves
 		// room for a large manual /v1/tick batch on the paper-scale

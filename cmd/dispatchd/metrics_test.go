@@ -341,7 +341,10 @@ func TestWithObsCountsRequests(t *testing.T) {
 	}
 }
 
-func TestReportIncludesStageBreakdown(t *testing.T) {
+// TestProfileIncludesStageBreakdown checks /v1/profile serves the frame
+// latency and per-stage distributions over the KPI ring, and that
+// /v1/report no longer repeats them.
+func TestProfileIncludesStageBreakdown(t *testing.T) {
 	ts := testServer(t)
 	postJSON(t, ts.URL+"/v1/requests", requestIn{
 		Pickup:  pointJSON{X: 10.5, Y: 10},
@@ -349,23 +352,38 @@ func TestReportIncludesStageBreakdown(t *testing.T) {
 	})
 	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 2})
 
-	resp, err := http.Get(ts.URL + "/v1/report")
+	resp, err := http.Get(ts.URL + "/v1/profile")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	report := decode[reportOut](t, resp)
-	if report.FrameLatency == nil || report.FrameLatency.Count == 0 {
-		t.Errorf("frame latency missing: %+v", report.FrameLatency)
+	profile := decode[profileOut](t, resp)
+	if profile.FrameLatency == nil || profile.FrameLatency.Count == 0 {
+		t.Errorf("frame latency missing: %+v", profile.FrameLatency)
 	}
 	stages := make(map[string]tseries.StageSummary)
-	for _, st := range report.Stages {
+	for _, st := range profile.Stages {
 		stages[st.Stage] = st
 	}
 	for _, want := range []string{"idle_scan", "pref_build", "matching"} {
 		if stages[want].Count == 0 {
-			t.Errorf("stage %q missing from report (got %v)", want, report.Stages)
+			t.Errorf("stage %q missing from profile (got %v)", want, profile.Stages)
 		}
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	report := decode[map[string]any](t, resp)
+	for _, gone := range []string{"frameLatency", "stages"} {
+		if _, ok := report[gone]; ok {
+			t.Errorf("/v1/report still carries %q", gone)
+		}
+	}
+	if report["served"] != 1.0 {
+		t.Errorf("/v1/report served = %v, want 1", report["served"])
 	}
 }
 

@@ -31,8 +31,10 @@ const maxBodyBytes = 1 << 20
 // take down an operator's session mid-incident. If the handler already
 // wrote a partial response the 500 header is lost, but the panic is
 // still logged and counted in metrics' http_panics_total, and it fires
-// the flight recorder when one is configured.
-func withRecovery(logger *slog.Logger, rec *flightrec.Recorder, metrics *obs.Registry, next http.Handler) http.Handler {
+// the flight recorder when one is configured, at the frame reported by
+// frame (the daemon's lock-free frame counter: the panicking handler may
+// have left the server lock held).
+func withRecovery(logger *slog.Logger, rec *flightrec.Recorder, frame func() int64, metrics *obs.Registry, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -42,7 +44,7 @@ func withRecovery(logger *slog.Logger, rec *flightrec.Recorder, metrics *obs.Reg
 						"method", r.Method, "path", r.URL.Path, "panic", p)
 				}
 				if rec != nil {
-					rec.Trigger(-1, flightrec.ReasonPanic, //nolint:errcheck // counted by the recorder
+					rec.Trigger(frame(), flightrec.ReasonPanic, //nolint:errcheck // counted by the recorder
 						fmt.Sprintf("HTTP handler panic on %s %s: %v", r.Method, r.URL.Path, p), false)
 				}
 				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal server error"))

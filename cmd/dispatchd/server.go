@@ -36,11 +36,10 @@ import (
 // frame is solving. Admitted requests are batch-injected at the next
 // frame boundary (stepLocked), in admission order.
 type server struct {
-	mu     sync.Mutex
-	sim    *sim.Simulator
-	events *eventBuffer
-	slo    *slo.Engine
-	adm    *admission.Controller
+	mu  sync.Mutex
+	sim *sim.Simulator
+	slo *slo.Engine
+	adm *admission.Controller
 	// hub is the live-telemetry broadcast hub behind GET /v1/stream
 	// (nil = streaming disabled); streamRing and streamHeartbeat are the
 	// per-connection ring capacity and keepalive interval.
@@ -59,12 +58,6 @@ type server struct {
 
 func newServer(s *sim.Simulator) *server {
 	return &server{sim: s, adm: admission.New(admission.Config{}), start: time.Now(), http: newHTTPMetrics()}
-}
-
-// withEvents attaches the event buffer served at /v1/events.
-func (s *server) withEvents(b *eventBuffer) *server {
-	s.events = b
-	return s
 }
 
 // withAdmission replaces the default admission controller. The caller
@@ -368,18 +361,18 @@ func (s *server) getTaxis(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// reportOut is the GET /v1/report payload: the paper's §VI metrics so
+// far. Stage timings are served by /v1/profile.
 type reportOut struct {
-	Algorithm         string                 `json:"algorithm"`
-	Frame             int                    `json:"frame"`
-	Requests          int                    `json:"requests"`
-	Served            int                    `json:"served"`
-	Episodes          int                    `json:"episodes"`
-	SharedRides       int                    `json:"sharedRides"`
-	MeanDelayMinutes  float64                `json:"meanDelayMinutes"`
-	MeanPassengerDiss float64                `json:"meanPassengerDissKm"`
-	MeanTaxiDiss      float64                `json:"meanTaxiDissKm"`
-	FrameLatency      *tseries.StageSummary  `json:"frameLatency,omitempty"`
-	Stages            []tseries.StageSummary `json:"stages,omitempty"`
+	Algorithm         string  `json:"algorithm"`
+	Frame             int     `json:"frame"`
+	Requests          int     `json:"requests"`
+	Served            int     `json:"served"`
+	Episodes          int     `json:"episodes"`
+	SharedRides       int     `json:"sharedRides"`
+	MeanDelayMinutes  float64 `json:"meanDelayMinutes"`
+	MeanPassengerDiss float64 `json:"meanPassengerDissKm"`
+	MeanTaxiDiss      float64 `json:"meanTaxiDissKm"`
 }
 
 func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
@@ -387,10 +380,6 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 	rep := s.sim.Snapshot()
 	frame := s.sim.Frame()
 	s.mu.Unlock()
-	// One read path for stage aggregation across the whole stack:
-	// tseries.StageBreakdown over the KPI ring also feeds /v1/profile
-	// and taxisim's summary, and /v1/metrics reads the same samples.
-	frameLatency, stages := tseries.StageBreakdown(s.sim.KPISeries())
 	writeJSON(w, http.StatusOK, reportOut{
 		Algorithm:         rep.Algorithm,
 		Frame:             frame,
@@ -401,8 +390,6 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 		MeanDelayMinutes:  nanToZero(stats.Mean(rep.DispatchDelays())),
 		MeanPassengerDiss: nanToZero(stats.Mean(rep.PassengerDissatisfactions())),
 		MeanTaxiDiss:      nanToZero(stats.Mean(rep.TaxiDissatisfactions())),
-		FrameLatency:      frameLatency,
-		Stages:            stages,
 	})
 }
 
@@ -665,51 +652,8 @@ func nanToZero(x float64) float64 {
 	return x
 }
 
-// eventBuffer retains the most recent simulator events for the
-// /v1/events endpoint.
-type eventBuffer struct {
-	mu     sync.Mutex
-	events []sim.Event
-	max    int
-}
-
-var _ sim.EventSink = (*eventBuffer)(nil)
-
-func newEventBuffer(max int) *eventBuffer {
-	if max <= 0 {
-		max = 10000
-	}
-	return &eventBuffer{max: max}
-}
-
-// Record implements sim.EventSink.
-func (b *eventBuffer) Record(e sim.Event) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.events = append(b.events, e)
-	if len(b.events) > b.max {
-		b.events = b.events[len(b.events)-b.max:]
-	}
-}
-
-// Since returns retained events at or after the given frame.
-func (b *eventBuffer) Since(frame int) []sim.Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []sim.Event
-	for _, e := range b.events {
-		if e.Frame >= frame {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
+// getEvents serves the simulator's event tail.
 func (s *server) getEvents(w http.ResponseWriter, r *http.Request) {
-	if s.events == nil {
-		writeJSON(w, http.StatusOK, []sim.Event{})
-		return
-	}
 	since := 0
 	if q := r.URL.Query().Get("since"); q != "" {
 		n, err := strconv.Atoi(q)
@@ -728,14 +672,11 @@ func (s *server) getEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	out := s.events.Since(since)
+	out := s.sim.RecentEvents(since)
 	if limit >= 0 && len(out) > limit {
 		// Keep the newest events: a poller asking for a bounded page
 		// wants the tail of the stream.
 		out = out[len(out)-limit:]
-	}
-	if out == nil {
-		out = []sim.Event{}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -266,17 +266,15 @@ func TestRunFlagErrors(t *testing.T) {
 
 func TestEventsEndpoint(t *testing.T) {
 	taxis := []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}}
-	buffer := newEventBuffer(100)
 	s, err := sim.New(sim.Config{
 		Params:     pref.Unbounded(),
 		Dispatcher: dispatch.NewNSTDP(),
 		SpeedKmH:   60,
-		Events:     buffer,
 	}, taxis, nil)
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
-	ts := httptest.NewServer(newServer(s).withEvents(buffer).handler())
+	ts := httptest.NewServer(newServer(s).handler())
 	defer ts.Close()
 
 	postJSON(t, ts.URL+"/v1/requests", requestIn{
@@ -319,7 +317,7 @@ func TestEventsEndpoint(t *testing.T) {
 }
 
 func TestEventsEndpointWithoutBuffer(t *testing.T) {
-	ts := testServer(t) // no withEvents
+	ts := testServer(t) // no requests, so an empty tail
 	resp, err := http.Get(ts.URL + "/v1/events")
 	if err != nil {
 		t.Fatal(err)
@@ -327,17 +325,6 @@ func TestEventsEndpointWithoutBuffer(t *testing.T) {
 	defer resp.Body.Close()
 	if events := decode[[]sim.Event](t, resp); len(events) != 0 {
 		t.Errorf("events = %v, want empty", events)
-	}
-}
-
-func TestEventBufferEviction(t *testing.T) {
-	b := newEventBuffer(3)
-	for i := 0; i < 5; i++ {
-		b.Record(sim.Event{Frame: i})
-	}
-	got := b.Since(0)
-	if len(got) != 3 || got[0].Frame != 2 {
-		t.Errorf("Since = %v, want frames 2..4", got)
 	}
 }
 

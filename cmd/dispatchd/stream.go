@@ -128,8 +128,8 @@ func (s *server) snapshot(topics map[stream.Topic]bool) streamSnapshot {
 			Draining:   s.adm.Draining(),
 		}
 	}
-	if topics[stream.TopicEvents] && s.events != nil {
-		tail := s.events.Since(0)
+	if topics[stream.TopicEvents] {
+		tail := s.sim.RecentEvents(0)
 		if len(tail) > snapshotEventTail {
 			tail = tail[len(tail)-snapshotEventTail:]
 		}

@@ -35,13 +35,12 @@ func streamServer(t *testing.T, ring int, heartbeat time.Duration) (*httptest.Se
 }
 
 // daemonStack builds a full daemon stack as main() does — an NSTD-P
-// simulator recording into tracer, with KPI recording, a ledger and
-// event buffering, admission controller, broadcast hub — behind an
+// simulator recording into tracer, with KPI recording, a ledger,
+// admission controller, broadcast hub — behind an
 // httptest server with main()'s handler chain: request metrics →
 // recovery → body limit → mux.
 func daemonStack(t *testing.T, params pref.Params, taxis []fleet.Taxi, tracer *dtrace.Recorder, ring int, heartbeat time.Duration) (*httptest.Server, *server) {
 	t.Helper()
-	events := newEventBuffer(1000)
 	kpi := tseries.New(tseries.Config{Capacity: 512})
 	hub := stream.NewHub()
 	adm := admission.New(admission.Config{Hub: hub})
@@ -49,7 +48,7 @@ func daemonStack(t *testing.T, params pref.Params, taxis []fleet.Taxi, tracer *d
 		Params:     params,
 		Dispatcher: dispatch.NewNSTDP(),
 		SpeedKmH:   60,
-		Events:     sim.MultiSink(events, admissionSink(adm)),
+		Events:     admissionSink(adm),
 		KPI:        kpi,
 		Ledger:     prof.New(prof.Config{}),
 		Tracer:     tracer,
@@ -59,8 +58,8 @@ func daemonStack(t *testing.T, params pref.Params, taxis []fleet.Taxi, tracer *d
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
-	srv := newServer(s).withEvents(events).withAdmission(adm).withStream(hub, ring, heartbeat)
-	ts := httptest.NewServer(withObs(nil, srv.http, withRecovery(nil, nil, srv.http, withBodyLimit(srv.handler()))))
+	srv := newServer(s).withAdmission(adm).withStream(hub, ring, heartbeat)
+	ts := httptest.NewServer(withObs(nil, srv.http, withRecovery(nil, nil, srv.frameNow.Load, srv.http, withBodyLimit(srv.handler()))))
 	t.Cleanup(ts.Close)
 	return ts, srv
 }

@@ -206,7 +206,7 @@ func run(args []string, out io.Writer) error {
 		}
 		var recorder *flightrec.Recorder
 		if *bundleDir != "" {
-			if recorder, err = flightrec.New(flightrec.Config{Dir: bundles, Tracer: tracer}); err != nil {
+			if recorder, err = flightrec.New(flightrec.Config{Dir: bundles}); err != nil {
 				return err
 			}
 		}

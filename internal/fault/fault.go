@@ -27,25 +27,25 @@ import "fmt"
 type Config struct {
 	// Seed keys every decision; two schedules with the same seed and
 	// rates make identical decisions.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// BreakdownRate is the per-frame hazard that a busy taxi breaks
 	// down mid-route (0 disables breakdowns). With rate h, the chance a
 	// taxi survives an n-frame trip is (1-h)^n.
-	BreakdownRate float64
+	BreakdownRate float64 `json:"breakdownRate"`
 	// DriverCancelRate is the probability that a driver abandons an
 	// assignment they accepted, before pickup (0 disables).
-	DriverCancelRate float64
+	DriverCancelRate float64 `json:"driverCancelRate"`
 	// PassengerCancelRate is the probability that a passenger cancels
 	// their request before pickup (0 disables).
-	PassengerCancelRate float64
+	PassengerCancelRate float64 `json:"passengerCancelRate"`
 	// RepairFrames is how long a broken-down taxi stays out of service.
 	// Defaults to DefaultRepairFrames.
-	RepairFrames int
+	RepairFrames int `json:"repairFrames"`
 	// MaxCancelDelayFrames bounds how many frames after arrival (for
 	// passengers) or assignment (for drivers) a cancellation fires; the
 	// actual delay is uniform in [1, MaxCancelDelayFrames]. Defaults to
 	// DefaultMaxCancelDelay.
-	MaxCancelDelayFrames int
+	MaxCancelDelayFrames int `json:"maxCancelDelayFrames"`
 }
 
 // Defaults for the optional Config durations.

@@ -4,20 +4,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"sort"
 	"strings"
-
-	"stabledispatch/internal/tseries"
 )
 
 var errNoDir = errors.New("flightrec: Config.Dir is required")
 
 // ManifestSchema versions the bundle manifest layout; readers check it
 // before trusting field shapes.
-const ManifestSchema = "flightrec/v1"
+const ManifestSchema = "flightrec/v2"
 
 // Manifest is the machine-readable index of one bundle. It is written
 // as manifest.json and is the contract the CI watchdog and the degrade-
@@ -26,16 +24,13 @@ type Manifest struct {
 	Schema  string          `json:"schema"`
 	Seq     int             `json:"seq"`
 	Trigger ManifestTrigger `json:"trigger"`
-	// Window spans the frames retained in the ring at trigger time.
-	Window ManifestWindow `json:"window"`
 	// Suppressed counts automatic triggers the cooldown swallowed
 	// before this bundle.
 	Suppressed uint64 `json:"suppressed"`
 	// Files lists the bundle's payload files, kind → filename.
 	Files map[string]string `json:"files"`
-	// Sections carries extra payloads registered by the simulator under
-	// their key: the SLO engine's per-SLO status ("slo") and the
-	// frame-budget ledger's stage table ("stages").
+	// Sections carries the contents' manifest payloads under their key
+	// (a simulator registers "slo", "stages" and "faults").
 	Sections map[string]any `json:"sections,omitempty"`
 }
 
@@ -47,32 +42,12 @@ type ManifestTrigger struct {
 	Forced bool   `json:"forced,omitempty"`
 }
 
-// ManifestWindow spans the retained frame ring.
-type ManifestWindow struct {
-	Frames     int   `json:"frames"`
-	FirstFrame int64 `json:"firstFrame"`
-	LastFrame  int64 `json:"lastFrame"`
-	Events     int   `json:"events"`
-}
-
-type manifestSection struct {
-	key string
-	fn  func() any
-}
-
-// bundleSnapshot is the frozen state handed from Trigger (under the
-// lock) to the writer (outside it).
-type bundleSnapshot struct {
+// bundle is one frozen bundle handed from TriggerFiles to the writer.
+type bundle struct {
+	Contents
 	seq        int
-	frame      int64
-	reason     Reason
-	detail     string
-	forced     bool
-	frames     []FrameContext
-	events     []EventRecord
+	trigger    ManifestTrigger
 	suppressed uint64
-	sections   []manifestSection
-	attached   []Attachment
 }
 
 // sanitizeReason keeps bundle directory names shell-safe.
@@ -93,116 +68,41 @@ func sanitizeReason(r Reason) string {
 	return s
 }
 
-// writeBundle renders one snapshot as a bundle directory.
-func (r *Recorder) writeBundle(snap bundleSnapshot) (string, error) {
+// writeBundle renders one bundle as a directory: every payload file,
+// then the manifest indexing them.
+func (r *Recorder) writeBundle(b bundle) (string, error) {
 	if err := os.MkdirAll(r.cfg.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("flightrec: create bundle dir: %w", err)
 	}
-	name := fmt.Sprintf("%s%06d-f%06d-%s", DefaultBundlePrefix, snap.seq, snap.frame, sanitizeReason(snap.reason))
+	name := fmt.Sprintf("%s%06d-f%06d-%s", DefaultBundlePrefix, b.seq, b.trigger.Frame, sanitizeReason(b.trigger.Reason))
 	dir := filepath.Join(r.cfg.Dir, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("flightrec: create bundle: %w", err)
 	}
 
 	m := Manifest{
-		Schema: ManifestSchema,
-		Seq:    snap.seq,
-		Trigger: ManifestTrigger{
-			Reason: snap.reason,
-			Detail: snap.detail,
-			Frame:  snap.frame,
-			Forced: snap.forced,
-		},
-		Window: ManifestWindow{
-			Frames: len(snap.frames),
-			Events: len(snap.events),
-		},
-		Suppressed: snap.suppressed,
+		Schema:     ManifestSchema,
+		Seq:        b.seq,
+		Trigger:    b.trigger,
+		Suppressed: b.suppressed,
 		Files:      map[string]string{"manifest": "manifest.json"},
+		Sections:   b.Sections,
 	}
-	if n := len(snap.frames); n > 0 {
-		m.Window.FirstFrame = snap.frames[0].Frame
-		m.Window.LastFrame = snap.frames[n-1].Frame
-	}
-	for _, sect := range snap.sections {
-		if sect.fn == nil {
-			continue
-		}
-		if m.Sections == nil {
-			m.Sections = make(map[string]any)
-		}
-		m.Sections[sect.key] = sect.fn()
-	}
-
 	var firstErr error
 	keep := func(err error) {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-
-	// KPI window: the ring's samples rendered through the shared CSV
-	// writer, every series.
-	keep(writeFile(dir, "kpi.csv", func(f *os.File) error {
-		samples := make([]tseries.Sample, 0, len(snap.frames))
-		for _, fc := range snap.frames {
-			samples = append(samples, fc.KPI)
-		}
-		return tseries.WriteCSV(f, samples, nil)
-	}))
-	m.Files["kpi"] = "kpi.csv"
-
-	// Per-frame rich context (certificate summaries, fault state).
-	keep(writeFile(dir, "frames.jsonl", func(f *os.File) error {
-		enc := json.NewEncoder(f)
-		for _, fc := range snap.frames {
-			if err := enc.Encode(fc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
-	m.Files["frames"] = "frames.jsonl"
-
-	// Lifecycle event tail.
-	keep(writeFile(dir, "events.jsonl", func(f *os.File) error {
-		enc := json.NewEncoder(f)
-		for _, ev := range snap.events {
-			if err := enc.Encode(ev); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
-	m.Files["events"] = "events.jsonl"
-
-	// Optional: decision traces as a Chrome trace-event file.
-	if tr := r.cfg.Tracer; tr != nil {
-		keep(writeFile(dir, "trace.json", func(f *os.File) error { return tr.WriteChromeTrace(f) }))
-		m.Files["trace"] = "trace.json"
-	}
-
-	// Trigger-site attachments (pprof captures from the frame-budget
-	// profiler). Attachments own their Files keys: a capture's
-	// stop-time heap profile supersedes the generic Heap option's.
-	for _, a := range snap.attached {
+	for _, a := range b.Files {
 		if a.Kind == "" || a.Name == "" || a.Fill == nil {
 			continue
 		}
 		keep(writeFile(dir, a.Name, a.Fill))
 		m.Files[a.Kind] = a.Name
 	}
-
-	// Optional: heap profile.
-	if r.cfg.Heap && m.Files["heap"] == "" {
-		keep(writeFile(dir, "heap.pprof", func(f *os.File) error {
-			return pprof.WriteHeapProfile(f)
-		}))
-		m.Files["heap"] = "heap.pprof"
-	}
-
-	keep(writeFile(dir, "manifest.json", func(f *os.File) error {
-		enc := json.NewEncoder(f)
+	keep(writeFile(dir, "manifest.json", func(w io.Writer) error {
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(m)
 	}))
@@ -213,7 +113,7 @@ func (r *Recorder) writeBundle(snap bundleSnapshot) (string, error) {
 	return dir, nil
 }
 
-func writeFile(dir, name string, fill func(*os.File) error) error {
+func writeFile(dir, name string, fill func(io.Writer) error) error {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return err

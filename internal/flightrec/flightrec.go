@@ -1,19 +1,20 @@
-// Package flightrec is the dispatch pipeline's "black box": a bounded
-// ring of rich per-frame context (the KPI sample, the lifecycle event
-// tail, the frame's stability-certificate summary, and the
-// fault-injection state) that is continuously overwritten while the run
-// is healthy and frozen into a self-contained diagnostic bundle the
-// moment something goes wrong.
+// Package flightrec is the dispatch pipeline's "black box": when
+// something goes wrong it freezes the owning simulator's own stores
+// into a self-contained diagnostic bundle, so the frames that *caused*
+// the incident survive even though the live stores keep rolling.
+//
+// The recorder keeps no copies of per-frame or per-event state. It owns
+// only the trigger policy, the manifest and the file writer; what a
+// bundle holds comes from one contents function the simulator registers
+// (SetContents), called once per bundle: the KPI ring's retained
+// samples (kpi.csv, and the stage table over the same samples), the
+// simulator's event tail (events.jsonl), its decision-trace recorder
+// (trace.json), the SLO status and the fault state.
 //
 // Triggers follow a small taxonomy (see Reason): an SLO breach from
 // internal/slo, a dispatch.Resilient degrade, a recovered panic, a
-// stability-certificate violation from dtrace.Certify, or a manual
-// operator request (POST /v1/debug/bundle). On a trigger the recorder
-// snapshots its rings under the lock and writes a bundle directory —
-// manifest JSON, KPI window CSV, event tail JSONL, per-frame context
-// JSONL, and optionally a Chrome decision trace and a pprof heap
-// snapshot — so the frames that *caused* the incident survive even
-// though the live rings keep rolling.
+// stability-certificate violation from dtrace.Certify, a frame-budget
+// overrun, or a manual operator request (POST /v1/debug/bundle).
 //
 // Bundles are rate-limited (a cooldown in frames between automatic
 // triggers; manual triggers may force) and retention-capped (oldest
@@ -21,17 +22,14 @@
 // cannot fill a disk.
 //
 // A recorder belongs to one simulator (sim.Config.Recorder; nil means
-// off). The simulator feeds its rings and fires its triggers; other
-// layers report what happened to the simulator instead of reaching the
-// recorder themselves.
+// off). The simulator registers its contents and fires its triggers;
+// other layers report what happened to the simulator instead of
+// reaching the recorder themselves.
 package flightrec
 
 import (
-	"os"
+	"io"
 	"sync"
-
-	"stabledispatch/internal/dtrace"
-	"stabledispatch/internal/tseries"
 )
 
 // Reason labels one trigger class. The taxonomy is closed on purpose:
@@ -60,8 +58,6 @@ const (
 
 // Defaults for Config.
 const (
-	DefaultFrames       = 120
-	DefaultEvents       = 4096
 	DefaultCooldown     = 300
 	DefaultMaxBundles   = 8
 	DefaultBundlePrefix = "bundle-"
@@ -72,10 +68,6 @@ type Config struct {
 	// Dir is the directory bundles are written into (created on
 	// demand). Required.
 	Dir string
-	// Frames bounds the per-frame context ring (default DefaultFrames).
-	Frames int
-	// Events bounds the lifecycle event tail (default DefaultEvents).
-	Events int
 	// CooldownFrames is the minimum number of frames between two
 	// automatic bundles (default DefaultCooldown). Forced (manual)
 	// triggers ignore it.
@@ -83,21 +75,9 @@ type Config struct {
 	// MaxBundles caps retained bundle directories; beyond it the
 	// oldest are deleted (default DefaultMaxBundles).
 	MaxBundles int
-	// Heap, when true, adds a pprof heap snapshot to every bundle.
-	Heap bool
-	// Tracer, when non-nil, is the owning simulator's decision-trace
-	// recorder; every bundle then carries its traces as a Chrome
-	// trace-event file.
-	Tracer *dtrace.Recorder
 }
 
 func (c Config) withDefaults() Config {
-	if c.Frames <= 0 {
-		c.Frames = DefaultFrames
-	}
-	if c.Events <= 0 {
-		c.Events = DefaultEvents
-	}
 	if c.CooldownFrames <= 0 {
 		c.CooldownFrames = DefaultCooldown
 	}
@@ -107,68 +87,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// CertSummary condenses one frame's stability certificate for the ring
-// (the full certificate lives in dtrace's own ring).
-type CertSummary struct {
-	Stable     bool `json:"stable"`
-	Violations int  `json:"violations"`
-	Matched    int  `json:"matched"`
-	Requests   int  `json:"requests"`
-	Taxis      int  `json:"taxis"`
+// Attachment is one payload file of a bundle. Kind is the manifest
+// Files key, Name the filename, and Fill writes the contents.
+type Attachment struct {
+	Kind string
+	Name string
+	Fill func(io.Writer) error
 }
 
-// FaultInfo is the fault-injection state carried into the manifest.
-type FaultInfo struct {
-	Seed                int64   `json:"seed"`
-	BreakdownRate       float64 `json:"breakdownRate"`
-	DriverCancelRate    float64 `json:"driverCancelRate"`
-	PassengerCancelRate float64 `json:"passengerCancelRate"`
-	// ActiveOutages counts taxis offline this frame (configured
-	// outages, chaos injections, and breakdown repairs).
-	ActiveOutages int `json:"activeOutages"`
+// Contents is what one bundle holds besides its trigger: manifest
+// sections (key → payload) and payload files, frozen together so every
+// part of a bundle describes the same moment.
+type Contents struct {
+	Sections map[string]any
+	Files    []Attachment
 }
 
-// FrameContext is one frame's rich context in the ring.
-type FrameContext struct {
-	Frame int64          `json:"frame"`
-	KPI   tseries.Sample `json:"kpi"`
-	// Cert is the frame's stability-certificate summary (nil when
-	// decision tracing is off).
-	Cert *CertSummary `json:"cert,omitempty"`
-	// Fault is the fault-injection state (nil when no injector is
-	// configured).
-	Fault *FaultInfo `json:"fault,omitempty"`
-}
-
-// EventRecord is one lifecycle event in the tail. Payload is the
-// sink-side event value (sim.Event in practice), marshalled verbatim
-// into events.jsonl.
-type EventRecord struct {
-	Frame   int64 `json:"frame"`
-	Payload any   `json:"event"`
-}
-
-// Recorder is the bounded black box. Safe for concurrent use.
+// Recorder is the trigger policy and bundle writer. Safe for
+// concurrent use.
 type Recorder struct {
 	cfg Config
 
 	mu         sync.Mutex
-	frames     []FrameContext // ring
-	frameHead  int
-	frameN     int
-	events     []EventRecord // ring
-	eventHead  int
-	eventN     int
+	contents   func() Contents
 	seq        int   // bundles attempted so far (the directory sequence)
 	written    int   // bundles written successfully
 	errors     int   // bundle write and retention-cleanup failures
 	lastFrame  int64 // frame of the last automatic bundle
 	hasBundled bool
 	suppressed uint64
-	// sections are extra manifest payloads registered by the simulator
-	// (the SLO status and the ledger's stage table).
-	sections map[string]func() any
-	sectKeys []string
 }
 
 // New builds a recorder. The bundle directory is created lazily at
@@ -177,74 +124,19 @@ func New(cfg Config) (*Recorder, error) {
 	if cfg.Dir == "" {
 		return nil, errNoDir
 	}
-	cfg = cfg.withDefaults()
-	return &Recorder{
-		cfg:      cfg,
-		frames:   make([]FrameContext, cfg.Frames),
-		events:   make([]EventRecord, cfg.Events),
-		sections: make(map[string]func() any),
-	}, nil
+	return &Recorder{cfg: cfg.withDefaults()}, nil
 }
 
 // Config returns the (default-filled) configuration in force.
 func (r *Recorder) Config() Config { return r.cfg }
 
-// ObserveFrame pushes one frame's context into the ring, evicting the
-// oldest beyond capacity. O(1), no allocation beyond the caller's
-// context value.
-func (r *Recorder) ObserveFrame(fc FrameContext) {
+// SetContents registers the function that freezes a bundle's contents;
+// it is called once per written bundle, outside the recorder's lock.
+// The owning simulator registers it. Re-registering replaces it.
+func (r *Recorder) SetContents(fn func() Contents) {
 	r.mu.Lock()
-	if r.frameN < len(r.frames) {
-		r.frames[(r.frameHead+r.frameN)%len(r.frames)] = fc
-		r.frameN++
-	} else {
-		r.frames[r.frameHead] = fc
-		r.frameHead = (r.frameHead + 1) % len(r.frames)
-	}
+	r.contents = fn
 	r.mu.Unlock()
-}
-
-// RecordEvent appends one lifecycle event to the tail ring.
-func (r *Recorder) RecordEvent(frame int64, payload any) {
-	r.mu.Lock()
-	if r.eventN < len(r.events) {
-		r.events[(r.eventHead+r.eventN)%len(r.events)] = EventRecord{Frame: frame, Payload: payload}
-		r.eventN++
-	} else {
-		r.events[r.eventHead] = EventRecord{Frame: frame, Payload: payload}
-		r.eventHead = (r.eventHead + 1) % len(r.events)
-	}
-	r.mu.Unlock()
-}
-
-// AddManifestSection registers an extra manifest payload under key,
-// resolved at bundle time (the simulator registers the SLO status and
-// the stage table this way). Re-registering a key replaces it.
-func (r *Recorder) AddManifestSection(key string, fn func() any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.sections[key]; !ok {
-		r.sectKeys = append(r.sectKeys, key)
-	}
-	r.sections[key] = fn
-}
-
-// frameWindowLocked copies out the retained frame contexts, oldest
-// first. Callers hold r.mu.
-func (r *Recorder) frameWindowLocked() []FrameContext {
-	out := make([]FrameContext, 0, r.frameN)
-	for i := 0; i < r.frameN; i++ {
-		out = append(out, r.frames[(r.frameHead+i)%len(r.frames)])
-	}
-	return out
-}
-
-func (r *Recorder) eventTailLocked() []EventRecord {
-	out := make([]EventRecord, 0, r.eventN)
-	for i := 0; i < r.eventN; i++ {
-		out = append(out, r.events[(r.eventHead+i)%len(r.events)])
-	}
-	return out
 }
 
 // Suppressed returns how many automatic triggers the cooldown swallowed.
@@ -275,23 +167,13 @@ func (r *Recorder) count(n *int) {
 	r.mu.Unlock()
 }
 
-// Trigger freezes the rings and writes one diagnostic bundle, returning
-// its directory path. An automatic trigger (force=false) inside the
-// cooldown window is suppressed and returns ("", nil); a forced trigger
-// bypasses the cooldown but still counts toward retention. Write
-// failures are counted (Errors) and returned.
+// Trigger freezes the registered contents and writes one diagnostic
+// bundle, returning its directory path. An automatic trigger
+// (force=false) inside the cooldown window is suppressed and returns
+// ("", nil); a forced trigger bypasses the cooldown but still counts
+// toward retention. Write failures are counted (Errors) and returned.
 func (r *Recorder) Trigger(frame int64, reason Reason, detail string, force bool) (string, error) {
 	return r.TriggerFiles(frame, reason, detail, force, nil)
-}
-
-// Attachment is one extra payload file a trigger site ships with its
-// bundle (the frame-budget profiler attaches pprof captures this way).
-// Kind is the manifest Files key, Name the filename, and Fill writes
-// the contents.
-type Attachment struct {
-	Kind string
-	Name string
-	Fill func(*os.File) error
 }
 
 // TriggerFiles is Trigger with extra attachment files written into the
@@ -306,26 +188,22 @@ func (r *Recorder) TriggerFiles(frame int64, reason Reason, detail string, force
 		return "", nil
 	}
 	r.seq++
-	seq := r.seq
 	r.lastFrame = frame
 	r.hasBundled = true
-	snap := bundleSnapshot{
-		seq:        seq,
-		frame:      frame,
-		reason:     reason,
-		detail:     detail,
-		forced:     force,
-		frames:     r.frameWindowLocked(),
-		events:     r.eventTailLocked(),
+	b := bundle{
+		seq:        r.seq,
+		trigger:    ManifestTrigger{Reason: reason, Detail: detail, Frame: frame, Forced: force},
 		suppressed: r.suppressed,
-		attached:   attachments,
 	}
-	for _, k := range r.sectKeys {
-		snap.sections = append(snap.sections, manifestSection{key: k, fn: r.sections[k]})
-	}
+	contents := r.contents
 	r.mu.Unlock()
 
-	dir, err := r.writeBundle(snap)
+	if contents != nil {
+		b.Contents = contents()
+	}
+	// Trigger-site attachments own their Files keys.
+	b.Files = append(b.Files, attachments...)
+	dir, err := r.writeBundle(b)
 	if err != nil {
 		r.count(&r.errors)
 		return "", err

@@ -1,15 +1,12 @@
 package flightrec
 
 import (
-	"bufio"
-	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"stabledispatch/internal/dtrace"
-	"stabledispatch/internal/tseries"
 )
 
 func newTestRecorder(t *testing.T, cfg Config) *Recorder {
@@ -24,13 +21,31 @@ func newTestRecorder(t *testing.T, cfg Config) *Recorder {
 	return r
 }
 
-func fillFrames(r *Recorder, n int) {
-	for f := 0; f < n; f++ {
-		r.ObserveFrame(FrameContext{
-			Frame: int64(f),
-			KPI:   tseries.Sample{Frame: int64(f), Served: int64(f * 2)},
-		})
-		r.RecordEvent(int64(f), map[string]any{"kind": "request_arrived", "frame": f})
+// registerFiles registers contents the way a simulator does: a KPI CSV
+// with a header and n rows, an n-line event tail, and an slo section.
+// Each call of the contents function renders the store as it is then.
+func registerFiles(r *Recorder, n int) {
+	r.SetContents(func() Contents {
+		var kpi, events strings.Builder
+		kpi.WriteString("frame,served\n")
+		for f := 0; f < n; f++ {
+			fmt.Fprintf(&kpi, "%d,%d\n", f, 2*f)
+			fmt.Fprintf(&events, "{\"frame\":%d,\"kind\":\"request\"}\n", f)
+		}
+		return Contents{
+			Sections: map[string]any{"slo": map[string]string{"delay": "breach"}},
+			Files: []Attachment{
+				{Kind: "kpi", Name: "kpi.csv", Fill: writeString(kpi.String())},
+				{Kind: "events", Name: "events.jsonl", Fill: writeString(events.String())},
+			},
+		}
+	})
+}
+
+func writeString(s string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.WriteString(w, s)
+		return err
 	}
 }
 
@@ -49,25 +64,40 @@ func listBundles(t *testing.T, dir string) []string {
 	return out
 }
 
-// TestBundleContents triggers once and checks every payload file plus
-// the manifest contract the CI watchdog depends on.
+// TestBundleContents triggers twice and checks the manifest contract
+// the CI watchdog depends on, and that every bundle holds the
+// registered contents as they were at its own trigger.
 func TestBundleContents(t *testing.T) {
 	dir := t.TempDir()
-	tracer := dtrace.New(0, 0)
-	tracer.Lifecycle(42, 3, 7, "assign", "dispatched")
-	r := newTestRecorder(t, Config{Dir: dir, Frames: 8, Events: 16, Tracer: tracer})
-	fillFrames(r, 20) // overflows both rings
-	r.AddManifestSection("slo", func() any { return map[string]string{"delay": "breach"} })
+	r := newTestRecorder(t, Config{Dir: dir, CooldownFrames: 1})
+	rows := 3
+	r.SetContents(func() Contents {
+		var kpi strings.Builder
+		kpi.WriteString("frame\n")
+		for f := 0; f < rows; f++ {
+			fmt.Fprintf(&kpi, "%d\n", f)
+		}
+		return Contents{
+			Sections: map[string]any{"slo": map[string]string{"delay": "breach"}},
+			Files:    []Attachment{{Kind: "kpi", Name: "kpi.csv", Fill: writeString(kpi.String())}},
+		}
+	})
 
 	path, err := r.Trigger(19, ReasonDegraded, "deadline 1ms exceeded", false)
 	if err != nil {
 		t.Fatalf("Trigger: %v", err)
 	}
+	rows = 5
+	later, err := r.Trigger(30, ReasonDegraded, "", false)
+	if err != nil {
+		t.Fatalf("second Trigger: %v", err)
+	}
+
 	m, err := ReadManifest(path)
 	if err != nil {
 		t.Fatalf("ReadManifest: %v", err)
 	}
-	if m.Schema != ManifestSchema {
+	if m.Schema != ManifestSchema || ManifestSchema != "flightrec/v2" {
 		t.Errorf("schema = %q", m.Schema)
 	}
 	if m.Trigger.Reason != ReasonDegraded || m.Trigger.Frame != 19 {
@@ -76,58 +106,42 @@ func TestBundleContents(t *testing.T) {
 	if m.Trigger.Detail != "deadline 1ms exceeded" {
 		t.Errorf("detail = %q", m.Trigger.Detail)
 	}
-	// The 8-frame ring retained frames 12..19.
-	if m.Window.Frames != 8 || m.Window.FirstFrame != 12 || m.Window.LastFrame != 19 {
-		t.Errorf("window = %+v", m.Window)
-	}
-	if m.Window.Events != 16 {
-		t.Errorf("events in window = %d, want 16", m.Window.Events)
-	}
 	if got := m.Sections["slo"]; got == nil {
 		t.Error("registered manifest section missing")
 	}
-
-	// KPI CSV: header plus one row per retained frame.
-	raw, err := os.ReadFile(filepath.Join(path, m.Files["kpi"]))
-	if err != nil {
-		t.Fatalf("read kpi.csv: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 1+8 {
-		t.Errorf("kpi.csv has %d lines, want 9", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "frame,") {
-		t.Errorf("kpi.csv header = %q", lines[0])
+	if len(m.Files) != 2 || m.Files["manifest"] != "manifest.json" || m.Files["kpi"] != "kpi.csv" {
+		t.Errorf("files = %v, want exactly the manifest and the registered kpi.csv", m.Files)
 	}
 
-	// The decision trace is the configured recorder's.
-	raw, err = os.ReadFile(filepath.Join(path, m.Files["trace"]))
-	if err != nil {
-		t.Fatalf("read trace.json: %v", err)
-	}
-	if !strings.Contains(string(raw), `"request 42"`) {
-		t.Errorf("trace.json lacks the recorder's request 42:\n%s", raw)
-	}
-
-	// Event tail and frame context are line-valid JSON.
-	for _, file := range []string{m.Files["events"], m.Files["frames"]} {
-		f, err := os.Open(filepath.Join(path, file))
+	// Each bundle froze the store as it was at its own trigger.
+	for _, tc := range []struct {
+		path string
+		want int
+	}{{path, 3}, {later, 5}} {
+		raw, err := os.ReadFile(filepath.Join(tc.path, "kpi.csv"))
 		if err != nil {
-			t.Fatalf("open %s: %v", file, err)
+			t.Fatalf("read kpi.csv: %v", err)
 		}
-		sc := bufio.NewScanner(f)
-		n := 0
-		for sc.Scan() {
-			var v map[string]any
-			if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
-				t.Errorf("%s line %d invalid JSON: %v", file, n, err)
-			}
-			n++
+		if lines := strings.Split(strings.TrimSpace(string(raw)), "\n"); len(lines) != 1+tc.want {
+			t.Errorf("%s: kpi.csv has %d lines, want %d", filepath.Base(tc.path), len(lines), 1+tc.want)
 		}
-		f.Close()
-		if n == 0 {
-			t.Errorf("%s is empty", file)
-		}
+	}
+}
+
+// TestNoContentsWritesManifestOnly checks a recorder with nothing
+// registered still writes a valid manifest-only bundle.
+func TestNoContentsWritesManifestOnly(t *testing.T) {
+	r := newTestRecorder(t, Config{})
+	path, err := r.Trigger(0, ReasonManual, "", true)
+	if err != nil {
+		t.Fatalf("Trigger: %v", err)
+	}
+	m, err := ReadManifest(path)
+	if err != nil {
+		t.Fatalf("ReadManifest: %v", err)
+	}
+	if len(m.Files) != 1 || m.Sections != nil {
+		t.Errorf("files = %v, sections = %v, want the manifest alone", m.Files, m.Sections)
 	}
 }
 
@@ -136,7 +150,7 @@ func TestBundleContents(t *testing.T) {
 func TestCooldownSuppresses(t *testing.T) {
 	dir := t.TempDir()
 	r := newTestRecorder(t, Config{Dir: dir, CooldownFrames: 100})
-	fillFrames(r, 5)
+	registerFiles(r, 5)
 
 	if path, err := r.Trigger(10, ReasonSLOBreach, "", false); err != nil || path == "" {
 		t.Fatalf("first trigger: path=%q err=%v", path, err)
@@ -171,7 +185,7 @@ func TestCooldownSuppresses(t *testing.T) {
 func TestRetentionPrunesOldest(t *testing.T) {
 	dir := t.TempDir()
 	r := newTestRecorder(t, Config{Dir: dir, MaxBundles: 3, CooldownFrames: 1})
-	fillFrames(r, 2)
+	registerFiles(r, 2)
 	for i := 0; i < 6; i++ {
 		if _, err := r.Trigger(int64(i*10), ReasonManual, "", true); err != nil {
 			t.Fatalf("trigger %d: %v", i, err)
@@ -195,8 +209,8 @@ func TestRetentionPrunesOldest(t *testing.T) {
 // refused.
 func TestNewDefaultsAndRequiresDir(t *testing.T) {
 	r := newTestRecorder(t, Config{})
-	if got := r.Config().Frames; got != DefaultFrames {
-		t.Errorf("default Frames = %d, want %d", got, DefaultFrames)
+	if got := r.Config(); got.CooldownFrames != DefaultCooldown || got.MaxBundles != DefaultMaxBundles {
+		t.Errorf("default config = %+v, want cooldown %d, max bundles %d", got, DefaultCooldown, DefaultMaxBundles)
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted empty Dir")

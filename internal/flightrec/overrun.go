@@ -3,7 +3,7 @@ package flightrec
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 
 	"stabledispatch/internal/prof"
 )
@@ -24,7 +24,7 @@ type OverrunCapture struct {
 const OverrunCaptureSchema = "prof-capture/v1"
 
 // TriggerOverrun freezes one finalised overrun capture into a bundle:
-// manifest reason frame_overrun, the frame ring as usual, plus
+// manifest reason frame_overrun, the registered contents as usual, plus
 // profile.json (attribution), cpu.pprof (absent when a live
 // /debug/pprof session owned the profiler), and the heap_pre/heap pair
 // bracketing the capture.
@@ -44,8 +44,8 @@ func (r *Recorder) TriggerOverrun(c prof.Capture) (string, error) {
 	files := []Attachment{{
 		Kind: "profile",
 		Name: "profile.json",
-		Fill: func(f *os.File) error {
-			enc := json.NewEncoder(f)
+		Fill: func(w io.Writer) error {
+			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(OverrunCapture{
 				Schema:     OverrunCaptureSchema,
@@ -68,8 +68,8 @@ func rawAttachment(kind, name string, data []byte) []Attachment {
 	if len(data) == 0 {
 		return nil
 	}
-	return []Attachment{{Kind: kind, Name: name, Fill: func(f *os.File) error {
-		_, err := f.Write(data)
+	return []Attachment{{Kind: kind, Name: name, Fill: func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
 	}}}
 }

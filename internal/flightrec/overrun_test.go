@@ -12,11 +12,12 @@ import (
 
 // TestOverrunHandlerBundlesCapture feeds a synthetic prof capture
 // through TriggerOverrun and checks the bundle carries the attribution and
-// pprof evidence under the frame_overrun reason.
+// pprof evidence under the frame_overrun reason, next to the registered
+// contents.
 func TestOverrunHandlerBundlesCapture(t *testing.T) {
 	dir := t.TempDir()
-	r := newTestRecorder(t, Config{Dir: dir, Frames: 8, Events: 16})
-	fillFrames(r, 5)
+	r := newTestRecorder(t, Config{Dir: dir})
+	registerFiles(r, 5)
 
 	var trig prof.FrameProfile
 	trig.Frame = 412
@@ -60,6 +61,7 @@ func TestOverrunHandlerBundlesCapture(t *testing.T) {
 	for kind, name := range map[string]string{
 		"profile": "profile.json", "cpu": "cpu.pprof",
 		"heap_pre": "heap_pre.pprof", "heap": "heap.pprof",
+		"kpi": "kpi.csv", "events": "events.jsonl", // registered contents ride along
 	} {
 		if m.Files[kind] != name {
 			t.Fatalf("manifest files[%q] = %q, want %q (files=%v)", kind, m.Files[kind], name, m.Files)

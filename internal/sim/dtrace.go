@@ -120,10 +120,10 @@ func (s *Simulator) certifyFrame(rec *dtrace.Recorder, f *Frame, applied []fleet
 	rec.PutCertificate(c)
 	if c.ViolationsTotal > 0 {
 		s.kpi.violations += int64(c.ViolationsTotal)
-		if r := s.cfg.Recorder; r != nil {
-			r.Trigger(int64(f.Number), flightrec.ReasonStability, //nolint:errcheck // counted by the recorder
+		if s.cfg.Recorder != nil {
+			s.queueTrigger(int64(f.Number), flightrec.ReasonStability,
 				fmt.Sprintf("frame %d certificate found %d blocking pair(s) over %d requests × %d idle taxis",
-					f.Number, c.ViolationsTotal, c.Requests, c.Taxis), false)
+					f.Number, c.ViolationsTotal, c.Requests, c.Taxis))
 		}
 	}
 }

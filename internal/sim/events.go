@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/stream"
@@ -137,18 +138,57 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	return events, nil
 }
 
-// emit counts an event and forwards it to the configured sink, the
-// decision-trace layer, the flight recorder, and the hub.
+// EventTailCapacity bounds every simulator's event tail.
+const EventTailCapacity = 10000
+
+// eventTail is a simulator's ring of its most recent lifecycle events,
+// the one store behind GET /v1/events, the /v1/stream snapshot and
+// flight-recorder bundles. It carries its own lock, so readers on other
+// goroutines never wait on a solving frame.
+type eventTail struct {
+	mu   sync.Mutex
+	buf  []Event // grows to EventTailCapacity, then wraps
+	next int     // once full, the oldest event's slot
+}
+
+func (t *eventTail) add(e Event) {
+	t.mu.Lock()
+	if len(t.buf) < EventTailCapacity {
+		t.buf = append(t.buf, e)
+	} else {
+		t.buf[t.next] = e
+		t.next = (t.next + 1) % EventTailCapacity
+	}
+	t.mu.Unlock()
+}
+
+// RecentEvents copies out the retained events at or after frame, oldest
+// first; the result is never nil. Safe to call concurrently with Step.
+func (s *Simulator) RecentEvents(frame int) []Event {
+	t := &s.tail
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := []Event{}
+	for _, part := range [2][]Event{t.buf[t.next:], t.buf[:t.next]} {
+		for _, e := range part {
+			if e.Frame >= frame {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// emit counts an event, retains it in the tail, and forwards it to the
+// configured sink, the decision-trace layer, and the hub.
 func (s *Simulator) emit(e Event) {
 	s.events[e.Kind]++
+	s.tail.add(e)
 	if s.cfg.Events != nil {
 		s.cfg.Events.Record(e)
 	}
 	if rec := s.cfg.Tracer; rec != nil {
 		s.traceEvent(rec, e)
-	}
-	if r := s.cfg.Recorder; r != nil {
-		r.RecordEvent(int64(e.Frame), e)
 	}
 	// Live telemetry: every lifecycle event on the events topic, and a
 	// breakdown additionally as an operator notice. Both gated on an

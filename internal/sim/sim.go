@@ -15,6 +15,7 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stabledispatch/internal/costplane"
@@ -84,8 +85,9 @@ type Frame struct {
 // NoteDegraded reports that the frame was handed to a fallback
 // dispatcher for reason ("deadline", "panic", "error"). The simulator
 // counts it by reason (Stats.Degraded) and in the degraded_frames KPI,
-// fires its flight recorder, and publishes a degrade notice on its hub.
-// A frame built by hand ignores the note.
+// queues a flight-recorder trigger for the end of the frame, and
+// publishes a degrade notice on its hub. A frame built by hand ignores
+// the note.
 func (f *Frame) NoteDegraded(reason, detail string) {
 	s := f.sim
 	if s == nil {
@@ -95,9 +97,7 @@ func (f *Frame) NoteDegraded(reason, detail string) {
 	s.degraded[reason]++
 	s.degradedMu.Unlock()
 	frame := int64(f.Number)
-	if r := s.cfg.Recorder; r != nil {
-		r.Trigger(frame, flightrec.ReasonDegraded, detail, false) //nolint:errcheck // counted by the recorder
-	}
+	s.queueTrigger(frame, flightrec.ReasonDegraded, detail)
 	if s.cfg.Hub.Wants(stream.TopicNotices) {
 		s.cfg.Hub.Publish(stream.TopicNotices, frame, stream.Notice{Kind: "degrade", Frame: frame, Detail: detail})
 	}
@@ -234,11 +234,11 @@ type Config struct {
 	// is published on the Hub's prof topic. Overrun captures are
 	// bundled into Recorder.
 	Ledger *prof.Ledger
-	// Recorder, when non-nil, is the flight recorder: it receives every
-	// lifecycle event and, with KPI, every frame's context and a stage
-	// table over the KPI ring (manifest section "stages"), and the
-	// simulator triggers it on SLO breaches, degraded frames, stability
-	// violations, and overrun captures.
+	// Recorder, when non-nil, is the flight recorder. Its bundles freeze
+	// this simulator's own stores (the KPI ring, the event tail, the
+	// Tracer, the SLO status and the fault state), and the simulator
+	// triggers it at the end of Step on SLO breaches, degraded frames,
+	// stability violations, and overrun captures.
 	Recorder *flightrec.Recorder
 	// Tracer, when non-nil, is the decision-trace recorder: it receives
 	// every lifecycle event, every dispatch decision (through
@@ -384,11 +384,18 @@ type Simulator struct {
 	// every sim_* count from them.
 	events        map[EventKind]int
 	driverCancels int
+	// tail retains the most recent lifecycle events.
+	tail eventTail
 	// degraded counts frames a dispatcher reported through
-	// Frame.NoteDegraded, by reason. Locked: a nested Resilient may note
-	// from its primary's goroutine.
+	// Frame.NoteDegraded, by reason, and triggers queues the flight-
+	// recorder triggers raised during the frame. Locked: a nested
+	// Resilient may note from its primary's goroutine.
 	degradedMu sync.Mutex
 	degraded   map[string]int
+	triggers   []trigger
+	// outagesNow is the active-outage count at the last frame boundary,
+	// published for bundles triggered off the frame loop.
+	outagesNow atomic.Int64
 
 	// Fault machinery: scheduled cancellations keyed by due frame, and
 	// the outage book (configured + dynamically injected) maintained as
@@ -452,15 +459,7 @@ func New(cfg Config, taxis []fleet.Taxi, requests []fleet.Request) (*Simulator, 
 	}
 	s.refreshOutages()
 	if r := cfg.Recorder; r != nil {
-		if cfg.SLO != nil {
-			r.AddManifestSection("slo", func() any { return cfg.SLO.Status() })
-		}
-		if kpi := cfg.KPI; kpi != nil {
-			r.AddManifestSection("stages", func() any {
-				_, stages := tseries.StageBreakdown(kpi.Snapshot())
-				return stages
-			})
-		}
+		r.SetContents(s.bundleContents)
 	}
 	return s, nil
 }
@@ -518,11 +517,16 @@ func (s *Simulator) Done() bool {
 // just-broken taxi. With a KPI recorder or a ledger configured, the
 // frame's wall-clock cost and allocation count bracket the whole step;
 // the ledger seals the frame's stage times and the finished frame,
-// stage columns included, is appended to the ring.
+// stage columns included, is appended to the ring. Flight-recorder
+// triggers raised during the frame fire last.
 func (s *Simulator) Step() error {
 	rec, ld := s.cfg.KPI, s.cfg.Ledger
 	if rec == nil && ld == nil {
-		return s.step()
+		if err := s.step(); err != nil {
+			return err
+		}
+		s.fireTriggers()
+		return nil
 	}
 	frame := s.frame
 	allocs0 := s.kpi.readAllocs()
@@ -547,16 +551,14 @@ func (s *Simulator) Step() error {
 		sample := s.recordKPI(rec, frame, wall, allocs, p.StageNs)
 		s.watchFrame(sample)
 	}
-	if ld != nil {
-		if s.cfg.Hub.Wants(stream.TopicProf) {
-			s.cfg.Hub.Publish(stream.TopicProf, p.Frame, p.Report())
-		}
-		// Triggered after the KPI sample is recorded and watched, so an
-		// overrun capture's flight-recorder bundle already holds the
-		// overrun frame itself.
-		if capture != nil && s.cfg.Recorder != nil {
-			s.cfg.Recorder.TriggerOverrun(*capture) //nolint:errcheck // counted by the recorder
-		}
+	if ld != nil && s.cfg.Hub.Wants(stream.TopicProf) {
+		s.cfg.Hub.Publish(stream.TopicProf, p.Frame, p.Report())
+	}
+	// Every trigger fires after the KPI sample is recorded, so each
+	// bundle already holds the frame that tripped it.
+	s.fireTriggers()
+	if capture != nil && s.cfg.Recorder != nil {
+		s.cfg.Recorder.TriggerOverrun(*capture) //nolint:errcheck // counted by the recorder
 	}
 	return nil
 }

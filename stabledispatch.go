@@ -443,23 +443,25 @@ func NewSLOEngine(defs []SLODef) (*SLOEngine, error) { return slo.New(defs) }
 // "name: agg(series) op threshold" line per objective).
 func ParseSLOFile(path string) ([]SLODef, error) { return slo.ParseFile(path) }
 
-// Flight-recorder types: a bounded black-box ring of per-frame context
-// that freezes into a self-contained diagnostic bundle (manifest, KPI
-// CSV, event/frame JSONL) on SLO breach, dispatch degrade, stability
-// violation, panic, or manual trigger.
+// Flight-recorder types: a black box that freezes its simulator's own
+// stores into a self-contained diagnostic bundle (manifest, the KPI
+// ring as CSV, the event tail as JSONL, the decision trace) on SLO
+// breach, dispatch degrade, stability violation, frame overrun, panic,
+// or manual trigger.
 type (
-	// FlightRecorder is the bounded black box.
+	// FlightRecorder is the black box: trigger policy and bundle writer.
 	FlightRecorder = flightrec.Recorder
-	// FlightRecorderConfig parameterises the ring, cooldown, and
-	// retention bounds.
+	// FlightRecorderConfig sets the bundle directory, the cooldown
+	// between automatic bundles, and the retention cap.
 	FlightRecorderConfig = flightrec.Config
 	// BundleManifest is the machine-readable index of one bundle.
 	BundleManifest = flightrec.Manifest
 )
 
 // NewFlightRecorder builds a flight recorder. Attach it to one
-// simulator through SimConfig.Recorder; the simulator triggers it on SLO
-// breaches, degraded frames, and stability violations.
+// simulator through SimConfig.Recorder; the simulator registers what its
+// bundles hold and triggers it on SLO breaches, degraded frames,
+// stability violations, and frame overruns.
 func NewFlightRecorder(cfg FlightRecorderConfig) (*FlightRecorder, error) {
 	return flightrec.New(cfg)
 }
