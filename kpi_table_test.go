@@ -1,15 +1,22 @@
 package stabledispatch
 
-// Quick-scale KPI pin: the paper's headline dispatchers over two
+// Quick-scale KPI pin: the paper's headline dispatchers and the two
+// insertion baselines (the only readers of busy taxis' routes) over two
 // simulated Boston hours at a tenth of the paper volume must reproduce
-// these end-of-run KPIs exactly. Every input is seeded, so any change
-// in a value is a change in dispatch behaviour, not noise.
+// these end-of-run KPIs exactly, as must NSTD-P under seeded faults.
+// Every input is seeded, so any change in a value is a change in
+// dispatch behaviour, not noise.
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
+	"stabledispatch/internal/carpool"
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/exp"
+	"stabledispatch/internal/fault"
 	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/trace"
@@ -32,6 +39,18 @@ func TestQuickScaleKPIs(t *testing.T) {
 		{"NSTD-T", func() sim.Dispatcher { return dispatch.NewNSTDT() }, 62, 0.016129032258064516, 0, 1.2753322832902854, -0.6401274483997326},
 		{"STD-P", func() sim.Dispatcher { return dispatch.NewSTDP(packCfg) }, 62, 0.3709677419354839, 0, 1.223253422272735, -0.8682186663500442},
 		{"Greedy", func() sim.Dispatcher { return dispatch.NewGreedy() }, 62, 0, 0, 1.338192073948082, -0.5772676577419357},
+		{"RAII", func() sim.Dispatcher { return carpool.NewRAII(carpool.DefaultConfig()) }, 62, 0, 0, 1.7097137938133697, -1.1903204102245741},
+		{"SARP", func() sim.Dispatcher { return carpool.NewSARP(carpool.DefaultConfig()) }, 62, 0, 0, 1.7097137938133697, -1.1903204102245741},
+		{"NSTD-P+faults", func() sim.Dispatcher { return dispatch.NewNSTDP() }, 57, 0.875, 4, 1.2677785630848795, -0.7051091251503289},
+	}
+	// Rows named here also run under a seeded fault schedule and pin the
+	// SHA-256 of their JSONL event stream, so breakdown requeue/rescue
+	// order and cancellation unwinding cannot drift.
+	faulted := map[string]struct {
+		faults    fault.Config
+		eventsSHA string
+	}{
+		"NSTD-P+faults": {fault.Config{Seed: 7, BreakdownRate: 0.02, DriverCancelRate: 0.1, PassengerCancelRate: 0.1}, "f484714925c4f8505df7a5009a07745f7ee223f9d358b18e030deba100fc8e4e"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.algo, func(t *testing.T) {
@@ -40,18 +59,35 @@ func TestQuickScaleKPIs(t *testing.T) {
 				t.Fatalf("workload: %v", err)
 			}
 			kpi := tseries.New(tseries.Config{Capacity: 4*o.Frames + 64})
-			s, err := sim.New(sim.Config{
+			cfg := sim.Config{
 				Params:         o.Params,
 				Dispatcher:     tc.make(),
 				PatienceFrames: o.PatienceMinutes,
 				KPI:            kpi,
 				Workers:        o.Workers,
-			}, taxis, reqs)
+			}
+			var events bytes.Buffer
+			pin, isFaulted := faulted[tc.algo]
+			if isFaulted {
+				sched, err := fault.New(pin.faults)
+				if err != nil {
+					t.Fatalf("fault.New: %v", err)
+				}
+				cfg.Faults = sched
+				cfg.Events = sim.NewJSONLSink(&events)
+			}
+			s, err := sim.New(cfg, taxis, reqs)
 			if err != nil {
 				t.Fatalf("sim.New: %v", err)
 			}
 			if _, err := s.Run(); err != nil {
 				t.Fatalf("run: %v", err)
+			}
+			if isFaulted {
+				sum := sha256.Sum256(events.Bytes())
+				if got := hex.EncodeToString(sum[:]); got != pin.eventsSHA {
+					t.Errorf("event stream SHA-256 = %s, want %s", got, pin.eventsSHA)
+				}
 			}
 			samples := kpi.Snapshot()
 			if len(samples) == 0 {
