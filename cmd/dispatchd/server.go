@@ -349,13 +349,14 @@ func (s *server) getTaxis(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	out := make([]taxiOut, len(views))
 	for i, v := range views {
+		onboard, assigned := v.Riders()
 		out[i] = taxiOut{
 			ID:       v.ID,
 			Pos:      pointJSON{X: v.Pos.X, Y: v.Pos.Y},
 			Idle:     v.Idle,
 			Load:     v.Load,
-			Onboard:  v.Onboard,
-			Assigned: v.Assigned,
+			Onboard:  onboard,
+			Assigned: assigned,
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

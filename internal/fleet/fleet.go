@@ -100,11 +100,15 @@ func (k StopKind) String() string {
 	}
 }
 
-// Stop is one waypoint on a taxi route, tied to a request.
+// Stop is one waypoint on a taxi route, tied to a request. Seats is the
+// request's party size (Request.SeatCount): the seats that board at a
+// pickup or free up at a drop-off, so a route alone yields the taxi's
+// load profile.
 type Stop struct {
 	RequestID int
 	Kind      StopKind
 	Pos       geo.Point
+	Seats     int
 }
 
 // String implements fmt.Stringer.
@@ -174,8 +178,8 @@ func SingleRide(taxiID int, r Request) Assignment {
 		TaxiID:   taxiID,
 		Requests: []int{r.ID},
 		Route: []Stop{
-			{RequestID: r.ID, Kind: StopPickup, Pos: r.Pickup},
-			{RequestID: r.ID, Kind: StopDropoff, Pos: r.Dropoff},
+			{RequestID: r.ID, Kind: StopPickup, Pos: r.Pickup, Seats: r.SeatCount()},
+			{RequestID: r.ID, Kind: StopDropoff, Pos: r.Dropoff, Seats: r.SeatCount()},
 		},
 	}
 }

@@ -295,19 +295,21 @@ func (ld *Ledger) Begin(stage int) Span {
 
 // End closes the span, attributing its cost to the frame it began in.
 // A span that ends after its frame sealed (an abandoned Resilient
-// primary finishing during the next frame) is dropped.
+// primary finishing during the next frame) is dropped. The clock is
+// read last, as Begin reads it first, so the span's own counter samples
+// are charged to its stage instead of falling between stages.
 func (sp Span) End() {
 	if sp.ld == nil {
 		return
 	}
 	ld := sp.ld
-	ns := time.Since(sp.start).Nanoseconds()
 	allocs := ld.readAllocs() - sp.allocs0
 	var hits, misses int64
 	if sp.cache != nil {
 		cs := sp.cache.CacheStats()
 		hits, misses = int64(cs.Hits-sp.cache0.Hits), int64(cs.Misses-sp.cache0.Misses)
 	}
+	ns := time.Since(sp.start).Nanoseconds()
 	ld.mu.Lock()
 	if ld.inFrame && ld.cur.Frame == sp.frame {
 		ld.cur.StageNs[sp.stage] += ns

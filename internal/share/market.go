@@ -37,8 +37,8 @@ func singleUnit(r fleet.Request, idx int, trip float64) Unit {
 		Members: []int{idx},
 		Plan: RoutePlan{
 			Stops: []fleet.Stop{
-				{RequestID: r.ID, Kind: fleet.StopPickup, Pos: r.Pickup},
-				{RequestID: r.ID, Kind: fleet.StopDropoff, Pos: r.Dropoff},
+				{RequestID: r.ID, Kind: fleet.StopPickup, Pos: r.Pickup, Seats: r.SeatCount()},
+				{RequestID: r.ID, Kind: fleet.StopDropoff, Pos: r.Dropoff, Seats: r.SeatCount()},
 			},
 			Length:       trip,
 			PickupOffset: []float64{0},

@@ -82,7 +82,7 @@ func bestRoute(start *geo.Point, reqs []fleet.Request, m geo.Metric) (RoutePlan,
 		reqs:    reqs,
 		metric:  m,
 		start:   start,
-		order:   make([]fleet.Stop, 0, 2*k),
+		order:   make([]searchStop, 0, 2*k),
 		picked:  make([]bool, k),
 		dropped: make([]bool, k),
 		best:    RoutePlan{Length: math.Inf(1)},
@@ -100,10 +100,18 @@ type routeSearch struct {
 	reqs    []fleet.Request
 	metric  geo.Metric
 	start   *geo.Point
-	order   []fleet.Stop
+	order   []searchStop
 	picked  []bool
 	dropped []bool
 	best    RoutePlan
+}
+
+// searchStop is one stop of the order under search: member g's pickup or
+// drop-off. record turns the winning order into fleet.Stops.
+type searchStop struct {
+	g    int
+	kind fleet.StopKind
+	pos  geo.Point
 }
 
 func (s *routeSearch) extend(lengthSoFar float64) {
@@ -130,9 +138,9 @@ func (s *routeSearch) visit(g int, kind fleet.StopKind, pos geo.Point, lengthSoF
 			leg = s.metric.Distance(*s.start, pos)
 		}
 	} else {
-		leg = s.metric.Distance(s.order[len(s.order)-1].Pos, pos)
+		leg = s.metric.Distance(s.order[len(s.order)-1].pos, pos)
 	}
-	s.order = append(s.order, fleet.Stop{RequestID: s.reqs[g].ID, Kind: kind, Pos: pos})
+	s.order = append(s.order, searchStop{g: g, kind: kind, pos: pos})
 	if kind == fleet.StopPickup {
 		s.picked[g] = true
 	} else {
@@ -152,14 +160,10 @@ func (s *routeSearch) visit(g int, kind fleet.StopKind, pos geo.Point, lengthSoF
 // record captures the current complete order as the incumbent best plan.
 func (s *routeSearch) record(length float64) {
 	plan := RoutePlan{
-		Stops:        append([]fleet.Stop(nil), s.order...),
+		Stops:        make([]fleet.Stop, len(s.order)),
 		Length:       length,
 		PickupOffset: make([]float64, len(s.reqs)),
 		OnBoard:      make([]float64, len(s.reqs)),
-	}
-	idByGroup := make(map[int]int, len(s.reqs))
-	for g, r := range s.reqs {
-		idByGroup[r.ID] = g
 	}
 
 	// Walk the route accumulating distance from the first stop; the
@@ -167,21 +171,22 @@ func (s *routeSearch) record(length float64) {
 	dist := 0.0
 	load, maxLoad := 0, 0
 	var pickupAt = make([]float64, len(s.reqs))
-	for i, stop := range plan.Stops {
+	for i, st := range s.order {
 		if i > 0 {
-			dist += s.metric.Distance(plan.Stops[i-1].Pos, stop.Pos)
+			dist += s.metric.Distance(s.order[i-1].pos, st.pos)
 		}
-		g := idByGroup[stop.RequestID]
-		if stop.Kind == fleet.StopPickup {
+		g, seats := st.g, s.reqs[st.g].SeatCount()
+		plan.Stops[i] = fleet.Stop{RequestID: s.reqs[g].ID, Kind: st.kind, Pos: st.pos, Seats: seats}
+		if st.kind == fleet.StopPickup {
 			plan.PickupOffset[g] = dist
 			pickupAt[g] = dist
-			load += s.reqs[g].SeatCount()
+			load += seats
 			if load > maxLoad {
 				maxLoad = load
 			}
 		} else {
 			plan.OnBoard[g] = dist - pickupAt[g]
-			load -= s.reqs[g].SeatCount()
+			load -= seats
 		}
 	}
 	plan.MaxLoad = maxLoad

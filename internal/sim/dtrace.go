@@ -152,7 +152,11 @@ func (s *Simulator) Counts() Counts {
 		} else if t.idle() {
 			c.TaxisIdle++
 		}
-		c.Active += len(t.pending) + len(t.onboard)
+		for _, stop := range t.route {
+			if stop.Kind == fleet.StopDropoff {
+				c.Active++
+			}
+		}
 	}
 	return c
 }

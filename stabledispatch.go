@@ -77,7 +77,8 @@ type (
 	Request = fleet.Request
 	// Taxi is a privately owned vehicle.
 	Taxi = fleet.Taxi
-	// Stop is one waypoint of a taxi route.
+	// Stop is one waypoint of a taxi route; Seats is the party size that
+	// boards (pickup) or leaves (drop-off) there.
 	Stop = fleet.Stop
 	// Assignment dispatches one taxi to one or more requests.
 	Assignment = fleet.Assignment
@@ -183,7 +184,10 @@ type (
 	Simulator = sim.Simulator
 	// Frame is the dispatcher's view of one time step.
 	Frame = sim.Frame
-	// TaxiView is the dispatcher-visible state of one taxi.
+	// TaxiView is the dispatcher-visible state of one taxi. Its Route is
+	// the simulator's own slice, shared and read-only (the simulator
+	// never writes into it); Riders derives the onboard and assigned
+	// request IDs from it.
 	TaxiView = sim.TaxiView
 	// Dispatcher decides assignments each frame.
 	Dispatcher = sim.Dispatcher
