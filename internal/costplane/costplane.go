@@ -1,8 +1,9 @@
 // Package costplane builds the per-frame distance oracle every
 // dispatcher queries: the taxi→pickup distances, the solo trip
-// distances, and (for the sharing pipeline) the pickup→pickup matrix,
-// computed once per frame and then served to preference construction,
-// the baselines' cost matrix, and share-group formation.
+// distances, and (for the sharing pipeline) the pickup→pickup matrix
+// over the packing batch, computed once per frame and then served to
+// preference construction, the baselines' cost matrix, and share-group
+// formation.
 //
 // Two things make the plane cheaper than the query-as-you-go pattern it
 // replaces. First, threshold pruning: the straight line lower-bounds
@@ -61,6 +62,11 @@ type Config struct {
 	// Pairs additionally computes the pickup→pickup matrix the sharing
 	// pipeline's group formation reads.
 	Pairs bool
+	// PairRows limits the pickup→pickup matrix to the first PairRows
+	// requests: the packing batch, a prefix of the frame queue, is all
+	// group formation reads. Zero (or a value past the request count)
+	// covers every request. Ignored without Pairs.
+	PairRows int
 	// PairRadius, when positive, prunes pickup→pickup cells the same
 	// way PruneRadius prunes taxi→pickup cells. Zero computes every
 	// pair (share.PackConfig.PairRadius = 0 disables pruning there
@@ -106,7 +112,7 @@ type Plane struct {
 	batch  geo.BatchMetric // metric when it batches (road network); nil otherwise
 	rows   [][]Entry       // [taxi] stored D(t_i, r_j^s) cells, ascending Req
 	trip   []float64       // [request] D(r_j^s, r_j^d)
-	pairs  [][]float64     // [request][request] D(r_j^s, r_k^s); nil without Pairs
+	pairs  [][]float64     // [j][k] D(r_j^s, r_k^s) for j, k < PairRows(); nil without Pairs
 }
 
 // Metric returns the metric the plane was built with, for the residual
@@ -151,11 +157,13 @@ func (p *Plane) Trip(j int) float64 { return p.trip[j] }
 // Trips returns all solo trip distances. The caller must not modify it.
 func (p *Plane) Trips() []float64 { return p.trip }
 
-// HasPairs reports whether the pickup→pickup matrix was built.
-func (p *Plane) HasPairs() bool { return p.pairs != nil }
+// PairRows returns how many leading requests the pickup→pickup matrix
+// covers: Config.PairRows clamped to the request count, or 0 without
+// Pairs.
+func (p *Plane) PairRows() int { return len(p.pairs) }
 
 // PairDist returns D(r_j^s, r_k^s), or +Inf if the cell was pruned.
-// Valid only when HasPairs.
+// Valid only for j, k < PairRows().
 func (p *Plane) PairDist(j, k int) float64 { return p.pairs[j][k] }
 
 // Cells returns the number of addressable taxi→pickup cells.
@@ -199,9 +207,9 @@ func (p *Plane) CostMatrix() [][]float64 {
 const autoSerialCells = 4096
 
 // Build computes the plane for one frame in two parallel passes. The
-// request pass computes the solo trips (and pair rows), which fix each
-// request's pickup radius; the taxi pass then computes each taxi's row
-// over its candidate requests. Jobs are rows, executed by
+// request pass computes the solo trips (and the batch's pair rows),
+// which fix each request's pickup radius; the taxi pass then computes
+// each taxi's row over its candidate requests. Jobs are rows, executed by
 // min(cfg.Workers, rows) goroutines pulling from an atomic counter.
 // Each row is written by exactly one job, so the result is
 // bit-identical for every worker count.
@@ -214,19 +222,25 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 	}
 	p.batch, _ = metric.(geo.BatchMetric)
 	r, t := len(reqs), len(taxis)
-	// The trips and the pair rows share one dense slab: workers write
-	// disjoint ranges, and a frame costs one allocation for them.
-	dense := r
+	// The trips and the batch's pair rows share one dense slab: workers
+	// write disjoint ranges, and a frame costs one allocation for them.
+	// Pair rows cover the first m requests only, so the slab stays
+	// m×m however long the queue grows.
+	m := 0
 	if cfg.Pairs {
-		dense += r * r
+		m = r
+		if cfg.PairRows > 0 && cfg.PairRows < r {
+			m = cfg.PairRows
+		}
 	}
+	dense := r + m*m
 	cells := make([]float64, dense)
 	p.trip = cells[:r:r]
 	prunePair := cfg.Pairs && cfg.PairRadius > 0 && !math.IsInf(cfg.PairRadius, 1)
 	if cfg.Pairs {
-		p.pairs = make([][]float64, r)
+		p.pairs = make([][]float64, m)
 		for j := range p.pairs {
-			p.pairs[j] = cells[r+j*r : r+(j+1)*r : r+(j+1)*r]
+			p.pairs[j] = cells[r+j*m : r+(j+1)*m : r+(j+1)*m]
 		}
 	}
 
@@ -240,7 +254,7 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 	workers = max(min(workers, t+r), 1)
 
 	parallel(workers, r, func(_, j int) {
-		p.buildRequestRow(j, cfg.Pairs, prunePair, cfg.PairRadius)
+		p.buildRequestRow(j, prunePair, cfg.PairRadius)
 	})
 
 	discs, pruned := radii(cfg, reqs, p.trip)
@@ -386,21 +400,22 @@ func (p *Plane) buildPickupRow(i int, discs []disc, dst []Entry) []Entry {
 	return dst
 }
 
-// buildRequestRow fills request j's solo trip distance and, when pairs
-// are requested, its pickup→pickup row, skipping pairs farther apart
-// than radius in a straight line when prune is set. On a batching
-// metric the request's own dropoff rides the same traversal as the pair
-// row, so a road-network request row costs one Dijkstra run total.
-func (p *Plane) buildRequestRow(j int, pairs, prune bool, radius float64) {
+// buildRequestRow fills request j's solo trip distance and, for a
+// request inside the pair rows, its pickup→pickup row over the pair
+// rows' requests, skipping pairs farther apart than radius in a
+// straight line when prune is set. On a batching metric the request's
+// own dropoff rides the same traversal as the pair row, so a
+// road-network request row costs one Dijkstra run total.
+func (p *Plane) buildRequestRow(j int, prune bool, radius float64) {
 	rq := p.Requests[j]
-	if !pairs {
+	if j >= len(p.pairs) {
 		p.trip[j] = rq.TripDistance(p.metric)
 		return
 	}
 	row := p.pairs[j]
 	var kept []int       // batching metrics: the pair row's candidates
 	var dsts []geo.Point // and their pickups
-	for k, other := range p.Requests {
+	for k, other := range p.Requests[:len(row)] {
 		switch {
 		case k == j:
 			row[k] = 0 // diagonal is exactly zero, no query needed

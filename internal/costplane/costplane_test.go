@@ -175,6 +175,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{PruneRadius: 8, Pairs: true, PairRadius: 8},
 		{PruneRadius: 10, Net: true, MaxNet: 2, Alpha: 1},
 		{Net: true, MaxNet: -3, Alpha: 0.5, Pairs: true, PairRadius: 8},
+		{PruneRadius: 8, Pairs: true, PairRows: 17, PairRadius: 8},
 	}
 	metrics := map[string]geo.Metric{
 		"euclid":  geo.EuclidMetric,
@@ -203,20 +204,69 @@ func TestWorkerCountInvariance(t *testing.T) {
 						}
 					}
 				}
+				if pl.PairRows() != ref.PairRows() {
+					t.Fatalf("%s workers=%d cfg=%+v: %d pair rows, want %d", name, workers, cfg, pl.PairRows(), ref.PairRows())
+				}
 				for j := range reqs {
 					if pl.Trip(j) != ref.Trip(j) {
 						t.Fatalf("%s workers=%d cfg=%+v: Trip(%d) differs", name, workers, cfg, j)
 					}
-					if cfg.Pairs {
-						for k := range reqs {
-							if pl.PairDist(j, k) != ref.PairDist(j, k) {
-								t.Fatalf("%s workers=%d cfg=%+v: PairDist(%d,%d) differs", name, workers, cfg, j, k)
-							}
+				}
+				for j := range ref.PairRows() {
+					for k := range ref.PairRows() {
+						if pl.PairDist(j, k) != ref.PairDist(j, k) {
+							t.Fatalf("%s workers=%d cfg=%+v: PairDist(%d,%d) differs", name, workers, cfg, j, k)
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestPairRowsPrefix checks a plane whose pair rows cover only the
+// first n requests holds exactly the full plane's pair cells over that
+// prefix, and the same trips and taxi rows, for every n from 0 (which,
+// like a count past the queue, means every request) to past the queue,
+// on both metric kinds.
+func TestPairRowsPrefix(t *testing.T) {
+	reqs, taxis := world(t, 25, 12, 7)
+	metrics := map[string]geo.Metric{
+		"euclid":  geo.EuclidMetric,
+		"roadnet": roadMetric(t),
+	}
+	for name, m := range metrics {
+		full := Build(reqs, taxis, m, Config{Workers: 1, PruneRadius: 8, Pairs: true, PairRadius: 6})
+		for _, n := range []int{0, 1, 2, 13, 24, 25, 40} {
+			pl := Build(reqs, taxis, m, Config{Workers: 3, PruneRadius: 8, Pairs: true, PairRows: n, PairRadius: 6})
+			rows := n
+			if n == 0 || n > len(reqs) {
+				rows = len(reqs)
+			}
+			if pl.PairRows() != rows {
+				t.Fatalf("%s n=%d: PairRows() = %d, want %d", name, n, pl.PairRows(), rows)
+			}
+			for j := range rows {
+				for k := range rows {
+					if got, want := pl.PairDist(j, k), full.PairDist(j, k); got != want {
+						t.Fatalf("%s n=%d: PairDist(%d,%d) = %v, full plane %v", name, n, j, k, got, want)
+					}
+				}
+			}
+			for j := range reqs {
+				if pl.Trip(j) != full.Trip(j) {
+					t.Fatalf("%s n=%d: Trip(%d) = %v, full plane %v", name, n, j, pl.Trip(j), full.Trip(j))
+				}
+			}
+			for i := range taxis {
+				if !slices.Equal(pl.PickupRow(i), full.PickupRow(i)) {
+					t.Fatalf("%s n=%d: taxi row %d differs from the full plane", name, n, i)
+				}
+			}
+		}
+	}
+	if pl := Build(reqs, taxis, geo.EuclidMetric, Config{PairRows: 5}); pl.PairRows() != 0 {
+		t.Fatalf("PairRows without Pairs built %d pair rows", pl.PairRows())
 	}
 }
 
@@ -261,7 +311,7 @@ func TestEmptyAndDegenerate(t *testing.T) {
 }
 
 // TestConfigKey pins that Workers is excluded from the memo key and the
-// prune thresholds are included.
+// prune thresholds and pair rows are included.
 func TestConfigKey(t *testing.T) {
 	a := Config{Workers: 1, PruneRadius: 3, Pairs: true, PairRadius: 7}
 	b := Config{Workers: 16, PruneRadius: 3, Pairs: true, PairRadius: 7}
@@ -271,6 +321,11 @@ func TestConfigKey(t *testing.T) {
 	c := Config{Workers: 1, PruneRadius: 4, Pairs: true, PairRadius: 7}
 	if a.Key() == c.Key() {
 		t.Fatal("prune radius missing from the plane key")
+	}
+	rows := a
+	rows.PairRows = 100
+	if a.Key() == rows.Key() {
+		t.Fatal("pair rows missing from the plane key")
 	}
 	net := a
 	net.Net, net.MaxNet, net.Alpha = true, 2, 1

@@ -105,15 +105,16 @@ func (d *NSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
-	ft := newFrameTracer(f, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
-	sp := f.Ledger.Begin(prof.StageMatching)
+	// The matching span also covers the tracer and the assignments
+	// built from the matching, so no dispatcher glue runs unstaged.
+	defer f.Ledger.Begin(prof.StageMatching).End()
+	ft := newFrameTracer(f, &inst.Market, nil, taxis)
 	var m stable.Matching
 	if d.taxiOptimal {
 		m = stable.TaxiOptimalObserved(&inst.Market, ft.observer(true))
 	} else {
 		m = stable.PassengerOptimalObserved(&inst.Market, ft.observer(false))
 	}
-	sp.End()
 	return singleRides(m, taxis, f.Requests), nil
 }
 
@@ -235,9 +236,12 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	sp := f.Ledger.Begin(prof.StageCostPlane)
 	pl := f.CostPlane(taxis, costplane.Config{
 		PruneRadius: f.Params.MaxPickup,
-		// A singleton batch consults no pickup pair, so skip the R×R
-		// pair matrix entirely — common at quiet frames.
+		// Group formation reads pickup pairs within the batch only, so
+		// the pair matrix is n×n however long the queue is; a singleton
+		// batch consults no pair, so it skips the matrix entirely —
+		// common at quiet frames.
 		Pairs:      n >= 2,
+		PairRows:   n,
 		PairRadius: d.packCfg.PairRadius,
 	})
 	sp.End()
@@ -257,15 +261,14 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
 	}
-	ft := newFrameTracer(f, mk, unitMemberIDs(units, f.Requests), fleetIDs(taxis))
-	sp = f.Ledger.Begin(prof.StageMatching)
+	defer f.Ledger.Begin(prof.StageMatching).End()
+	ft := newFrameTracer(f, mk, units, taxis)
 	var m stable.Matching
 	if d.taxiOptimal {
 		m = stable.TaxiOptimalObserved(mk, ft.observer(true))
 	} else {
 		m = stable.PassengerOptimalObserved(mk, ft.observer(false))
 	}
-	sp.End()
 	var out []fleet.Assignment
 	for k, i := range m.ReqPartner {
 		if i != stable.Unmatched {

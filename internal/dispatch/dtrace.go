@@ -34,20 +34,27 @@ type frameTracer struct {
 	taxiIDs   []int
 }
 
-// newFrameTracer returns a tracer for the frame, or nil when the frame
-// carries no recorder. Building it records each request's candidate
-// shortlist (the dummy-partner threshold check: who is ahead of the
-// dummy, and by how much).
-func newFrameTracer(f *sim.Frame, mk *pref.Market, memberIDs [][]int, taxiIDs []int) *frameTracer {
+// newFrameTracer returns a tracer for the frame's market mk over taxis,
+// or nil when the frame carries no recorder. units are the sharing
+// dispatchers' proposers; nil means one proposer per frame request. The
+// ID tables are built only for a live recorder, so an untraced frame
+// allocates nothing here. Building the tracer records each request's
+// candidate shortlist (the dummy-partner threshold check: who is ahead
+// of the dummy, and by how much).
+func newFrameTracer(f *sim.Frame, mk *pref.Market, units []share.Unit, taxis []fleet.Taxi) *frameTracer {
 	if f.Tracer == nil {
 		return nil
+	}
+	memberIDs := singleIDs(f.Requests)
+	if units != nil {
+		memberIDs = unitMemberIDs(units, f.Requests)
 	}
 	t := &frameTracer{
 		rec:       f.Tracer,
 		frame:     f.Number,
 		mk:        mk,
 		memberIDs: memberIDs,
-		taxiIDs:   taxiIDs,
+		taxiIDs:   fleetIDs(taxis),
 	}
 	t.recordCandidates()
 	return t

@@ -40,13 +40,12 @@ func (d *NSTDC) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
+	defer f.Ledger.Begin(prof.StageMatching).End()
 	// The enumeration has no per-proposal observer; building the tracer
 	// still records each request's candidate shortlist for the explain
 	// surface.
-	_ = newFrameTracer(f, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
-	sp := f.Ledger.Begin(prof.StageMatching)
+	_ = newFrameTracer(f, &inst.Market, nil, taxis)
 	m := stable.CompanyOptimal(&inst.Market, stable.TotalPickupDistance(inst), enumerationCap)
-	sp.End()
 	return singleRides(m, taxis, f.Requests), nil
 }
 
@@ -73,10 +72,9 @@ func (d *NSTDM) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
-	_ = newFrameTracer(f, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
-	sp := f.Ledger.Begin(prof.StageMatching)
+	defer f.Ledger.Begin(prof.StageMatching).End()
+	_ = newFrameTracer(f, &inst.Market, nil, taxis)
 	m := stable.MedianStable(&inst.Market, enumerationCap)
-	sp.End()
 	return singleRides(m, taxis, f.Requests), nil
 }
 

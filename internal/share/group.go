@@ -2,6 +2,7 @@ package share
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"stabledispatch/internal/costplane"
@@ -108,20 +109,25 @@ func FeasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig) ([]Group
 // FeasibleGroupsPlane is FeasibleGroups reading pickup-pair distances
 // and solo trips from a per-frame cost plane instead of querying the
 // metric. It considers the first n of the plane's requests (the packing
-// batch is a prefix of the frame queue, so plane indices align). The
-// result is identical to FeasibleGroups: a pair-pruned plane cell reads
-// +Inf, which fails the PairRadius prefilter exactly like its true
-// distance would. Route search still uses the plane's metric — route
-// permutations visit point pairs no frame-wide matrix can hold.
+// batch is a prefix of the frame queue, so plane indices align), and
+// with PairRadius pruning the plane's pair rows must cover them
+// (costplane.Config.PairRows ≥ n, or 0). The result is identical to
+// FeasibleGroups: a pair-pruned plane cell reads +Inf, which fails the
+// PairRadius prefilter exactly like its true distance would. Route
+// search reads a per-group leg table filled from the plane's metric —
+// route permutations visit point pairs no frame-wide matrix holds.
 func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if n < 0 || n > len(pl.Requests) {
+		return nil, fmt.Errorf("share: batch of %d requests on a plane of %d", n, len(pl.Requests))
+	}
 	// With fewer than two batched requests no pair is ever consulted, so
 	// a plane without the pair matrix is fine (dispatchers skip building
 	// it for singleton batches).
-	if cfg.PairRadius > 0 && n >= 2 && !pl.HasPairs() {
-		return nil, fmt.Errorf("share: pair-radius pruning needs a plane built with Pairs")
+	if cfg.PairRadius > 0 && n >= 2 && n > pl.PairRows() {
+		return nil, fmt.Errorf("share: pair-radius pruning over %d requests needs a plane with pair rows for them, got %d", n, pl.PairRows())
 	}
 	reqs := pl.Requests[:n]
 	near := func(a, b int) bool {
@@ -139,25 +145,31 @@ func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near fun
 	var groups []Group
 	rec := cfg.Tracer
 
+	// One route search serves every candidate. A rejected candidate is
+	// judged from the search's fixed arrays and allocates nothing; only
+	// a feasible group gets its RoutePlan.
+	var s routeSearch
 	tryGroup := func(members []int) (Group, bool) {
-		sub := make([]fleet.Request, len(members))
+		var buf [MaxGroupSize]fleet.Request
+		sub := buf[:len(members)]
 		for g, idx := range members {
 			sub[g] = reqs[idx]
 		}
+		s.run(sub, m)
 		// Trace details are formatted only with a live recorder: an
 		// untraced frame tries thousands of candidate groups.
-		plan, err := BestRoute(sub, m)
-		if err != nil {
+		if !s.found() {
 			if rec != nil {
 				traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "route_error",
-					fmt.Sprintf("no feasible shared route: %v", err))
+					fmt.Sprintf("no feasible shared route: %v", errNoOrder(len(members))))
 			}
 			return Group{}, false
 		}
+		_, onBoard, _ := s.walk(sub)
 		soloSum := 0.0
 		for g, idx := range members {
 			soloTrip := solo(idx)
-			if d := plan.Detour(g, soloTrip); d > cfg.Theta {
+			if d := onBoard[g] - soloTrip; d > cfg.Theta {
 				if rec != nil {
 					traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "detour_exceeded",
 						fmt.Sprintf("rider r%d detour %.2f km exceeds θ=%.2f km on the best shared route", reqs[idx].ID, d, cfg.Theta))
@@ -166,37 +178,44 @@ func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near fun
 			}
 			soloSum += soloTrip
 		}
-		if !cfg.AllowChaining && plan.Length >= soloSum-1e-9 {
+		if !cfg.AllowChaining && s.length >= soloSum-1e-9 {
 			// The "shared" route saves nothing over driving the
 			// trips one after another: a chain, not a share.
 			if rec != nil {
 				traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "no_savings",
-					fmt.Sprintf("shared route %.2f km saves nothing over %.2f km of solo trips (chain)", plan.Length, soloSum))
+					fmt.Sprintf("shared route %.2f km saves nothing over %.2f km of solo trips (chain)", s.length, soloSum))
 			}
 			return Group{}, false
 		}
 		if rec != nil {
 			traceGroup(rec, reqs, members, dtrace.KindGroupFormed, "feasible",
 				fmt.Sprintf("shared route %.2f km keeps every detour within θ=%.2f km, saving %.2f km vs solo trips",
-					plan.Length, cfg.Theta, soloSum-plan.Length))
+					s.length, cfg.Theta, soloSum-s.length))
 		}
-		return Group{Members: append([]int(nil), members...), Plan: plan}, true
+		return Group{Members: append([]int(nil), members...), Plan: s.plan(sub)}, true
 	}
 
-	// Pairs, and the pair feasibility matrix reused to prune triples: a
-	// triple is only explored when all three pickups are mutually near.
-	pairOK := make(map[[2]int]bool)
+	// Pairs, and the feasible-pair graph reused to prune triples: a
+	// triple is only explored when all three member pairs are
+	// feasible. The graph is kept as ascending adjacency lists —
+	// request a's feasible partners b > a are adj[first[a]:first[a+1]]
+	// — so the enumeration order, and with it set packing's
+	// index-ordered tie-breaks, is a function of the input alone.
+	first := make([]int, len(reqs)+1)
+	var adj []int
 	for a := 0; a < len(reqs); a++ {
+		first[a] = len(adj)
 		for b := a + 1; b < len(reqs); b++ {
 			if !near(a, b) {
 				continue
 			}
 			if g, ok := tryGroup([]int{a, b}); ok {
 				groups = append(groups, g)
-				pairOK[[2]int{a, b}] = true
+				adj = append(adj, b)
 			}
 		}
 	}
+	first[len(reqs)] = len(adj)
 	if cfg.MaxGroupSize >= 3 {
 		// Triples are grown from feasible pairs: adding a rider can
 		// only lengthen the others' on-board legs, so a triple whose
@@ -204,19 +223,12 @@ func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near fun
 		// the O(R³) scan into a triangle enumeration of the feasible-
 		// pair graph, which is what keeps Algorithm 3 frame-rate under
 		// rush-hour queue build-up.
-		neighbors := make(map[int][]int)
-		for key := range pairOK {
-			neighbors[key[0]] = append(neighbors[key[0]], key[1])
-		}
 		for a := 0; a < len(reqs); a++ {
-			na := neighbors[a]
-			for bi := 0; bi < len(na); bi++ {
-				for ci := bi + 1; ci < len(na); ci++ {
-					b, c := na[bi], na[ci]
-					if b > c {
-						b, c = c, b
-					}
-					if !pairOK[[2]int{b, c}] {
+			na := adj[first[a]:first[a+1]]
+			for bi, b := range na {
+				nb := adj[first[b]:first[b+1]]
+				for _, c := range na[bi+1:] {
+					if _, ok := slices.BinarySearch(nb, c); !ok {
 						continue
 					}
 					if g, ok := tryGroup([]int{a, b, c}); ok {

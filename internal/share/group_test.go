@@ -3,6 +3,7 @@ package share
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stabledispatch/internal/fleet"
@@ -334,5 +335,44 @@ func TestPackExactNeverWorseThanApprox(t *testing.T) {
 				t.Fatalf("trial %d: request %d appears %d times", trial, idx, n)
 			}
 		}
+	}
+}
+
+// TestFeasibleGroupsOrderIsDeterministic checks repeated enumeration of
+// one batch returns the same groups in the same order. Set packing's
+// greedy pass and (1,2) moves break ties by set index, so the order must
+// be a function of the input alone.
+func TestFeasibleGroupsOrderIsDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cfg := PackConfig{Theta: 4, MaxGroupSize: 3, PairRadius: 8}
+	triples := 0
+	for trial := 0; trial < 20; trial++ {
+		reqs := randomRequests(rng, 40)
+		first, err := FeasibleGroups(reqs, geo.EuclidMetric, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range first {
+			if len(g.Members) == 3 {
+				triples++
+			}
+		}
+		for call := 0; call < 3; call++ {
+			again, err := FeasibleGroups(reqs, geo.EuclidMetric, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(again) != len(first) {
+				t.Fatalf("trial %d call %d: %d groups, first call %d", trial, call, len(again), len(first))
+			}
+			for k := range first {
+				if !slices.Equal(again[k].Members, first[k].Members) {
+					t.Fatalf("trial %d call %d: group %d is %v, first call %v", trial, call, k, again[k].Members, first[k].Members)
+				}
+			}
+		}
+	}
+	if triples == 0 {
+		t.Fatal("fixtures form no triple; the order of triples is untested")
 	}
 }

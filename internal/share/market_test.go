@@ -1,7 +1,9 @@
 package share
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/trace"
 )
 
 // denseReference is a market in the dense layout: both sides' cost of
@@ -218,10 +221,12 @@ func randomUnits(t *testing.T, rng *rand.Rand, pl *costplane.Plane) []Unit {
 }
 
 // TestFeasibleGroupsPlaneUntracedAllocs bounds the allocations of group
-// enumeration with tracing off. Every candidate group costs its member
-// and route scratch, 1591 allocations over this batch with Go 1.24; the
-// trace detail of each candidate, a formatted string the recorder would
-// drop, must not be built at all. Building it takes the count to 1914.
+// enumeration with tracing off. A candidate group is judged in the route
+// search's fixed arrays and allocates nothing; only a feasible group
+// allocates its members and RoutePlan. That is 91 allocations over this
+// batch with Go 1.24. The trace detail of each candidate, a formatted
+// string the recorder would drop, must not be built at all: formatting
+// the detour and savings details alone takes the count to about 600.
 func TestFeasibleGroupsPlaneUntracedAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	reqs := randomRequests(rng, 24)
@@ -243,7 +248,133 @@ func TestFeasibleGroupsPlaneUntracedAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := 1700.0; allocs > limit {
+	if limit := 100.0; allocs > limit {
 		t.Errorf("FeasibleGroupsPlane allocates %.0f times untraced over %d candidate pairs, limit %.0f", allocs, candidates, limit)
+	}
+}
+
+// TestBatchPairRowsMatchFullPlane pins that a plane whose pair rows
+// cover only the packing batch — the dispatcher's configuration: pairs
+// for a batch of at least two, PairRows = n — yields the same feasible
+// groups and packing as a plane holding every pair. Pickups sit on an
+// integer grid, so they tie and sit exactly PairRadius apart, and the
+// radius prunes pair and taxi cells.
+func TestBatchPairRowsMatchFullPlane(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	pt := func() geo.Point { return geo.Point{X: float64(rng.Intn(7)), Y: float64(rng.Intn(7))} }
+	cfg := PackConfig{Theta: 3, MaxGroupSize: 3, PairRadius: 2}
+	var ties, onRadius, pruned, groups int
+	for trial := 0; trial < 80; trial++ {
+		reqs := make([]fleet.Request, 3+rng.Intn(22))
+		for j := range reqs {
+			reqs[j] = fleet.Request{ID: 100 + j, Pickup: pt(), Dropoff: pt(), Seats: rng.Intn(3)}
+		}
+		taxis := make([]fleet.Taxi, 1+rng.Intn(5))
+		for i := range taxis {
+			taxis[i] = fleet.Taxi{ID: 200 + i, Pos: pt(), Seats: 4}
+		}
+		full := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{Workers: 1, PruneRadius: 3, Pairs: true, PairRadius: cfg.PairRadius})
+		for a := range reqs {
+			for b := a + 1; b < len(reqs); b++ {
+				switch d := full.PairDist(a, b); {
+				case d == 0:
+					ties++
+				case d == cfg.PairRadius:
+					onRadius++
+				case math.IsInf(d, 1):
+					pruned++
+				}
+			}
+		}
+		r := len(reqs)
+		for _, n := range []int{0, 1, 2, r - 1, r} {
+			pl := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{
+				Workers: 1, PruneRadius: 3, Pairs: n >= 2, PairRows: n, PairRadius: cfg.PairRadius,
+			})
+			want, err := FeasibleGroupsPlane(n, full, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := FeasibleGroupsPlane(n, pl, cfg)
+			if err != nil {
+				t.Fatalf("trial %d n=%d: %v", trial, n, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d n=%d: batch-row plane groups %v, full plane %v", trial, n, got, want)
+			}
+			groups += len(got)
+			wantPack, err := PackPlane(n, full, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotPack, err := PackPlane(n, pl, cfg)
+			if err != nil {
+				t.Fatalf("trial %d n=%d: %v", trial, n, err)
+			}
+			if !reflect.DeepEqual(gotPack, wantPack) {
+				t.Fatalf("trial %d n=%d: batch-row plane packing %+v, full plane %+v", trial, n, gotPack, wantPack)
+			}
+		}
+	}
+	if ties == 0 || onRadius == 0 || pruned == 0 || groups == 0 {
+		t.Fatalf("fixtures miss a case: %d tied pickups, %d pairs on the radius, %d pruned pairs, %d groups", ties, onRadius, pruned, groups)
+	}
+}
+
+// TestFeasibleGroupsPlaneShortPairRows checks a batch the plane's pair
+// rows do not cover is an error, not an index panic, whenever group
+// formation would read pair distances; without PairRadius pruning it
+// reads none, so any plane serves.
+func TestFeasibleGroupsPlaneShortPairRows(t *testing.T) {
+	reqs := randomRequests(rand.New(rand.NewSource(8)), 10)
+	cfg := DefaultPackConfig()
+	short := costplane.Build(reqs, nil, geo.EuclidMetric, costplane.Config{Workers: 1, Pairs: true, PairRows: 6, PairRadius: cfg.PairRadius})
+	none := costplane.Build(reqs, nil, geo.EuclidMetric, costplane.Config{Workers: 1})
+	unpruned := cfg
+	unpruned.PairRadius = 0
+	for _, tc := range []struct {
+		name    string
+		n       int
+		pl      *costplane.Plane
+		cfg     PackConfig
+		wantErr bool
+	}{
+		{"batch inside the pair rows", 6, short, cfg, false},
+		{"batch past the pair rows", 7, short, cfg, true},
+		{"whole queue past the pair rows", 10, short, cfg, true},
+		{"no pair rows, one request", 1, none, cfg, false},
+		{"no pair rows, two requests", 2, none, cfg, true},
+		{"no pruning reads no pairs", 10, short, unpruned, false},
+		{"batch past the queue", 11, short, unpruned, true},
+		{"negative batch", -1, short, cfg, true},
+	} {
+		_, err := FeasibleGroupsPlane(tc.n, tc.pl, tc.cfg)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: FeasibleGroupsPlane(%d) err = %v, wantErr %v", tc.name, tc.n, err, tc.wantErr)
+		}
+	}
+}
+
+// BenchmarkFeasibleGroupsPlane times Algorithm 3's group formation on
+// one packing batch: the DefaultPackBatch-sized prefix of a calibrated
+// New York rush-hour queue, the batch dispatch.STD packs every frame.
+func BenchmarkFeasibleGroupsPlane(b *testing.B) {
+	reqs, err := trace.Generate(trace.NewYorkConfig(600, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := sort.Search(len(reqs), func(j int) bool { return reqs[j].Frame >= 480 })
+	if len(reqs)-start < 100 {
+		b.Fatalf("trace holds %d requests from 08:00, want a batch of 100", len(reqs)-start)
+	}
+	batch := reqs[start : start+100]
+	cfg := DefaultPackConfig()
+	pl := costplane.Build(batch, nil, geo.EuclidMetric, costplane.Config{Workers: 1, Pairs: true, PairRows: len(batch), PairRadius: cfg.PairRadius})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := FeasibleGroupsPlane(len(batch), pl, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

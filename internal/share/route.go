@@ -58,18 +58,6 @@ func (p RoutePlan) Detour(g int, soloTrip float64) float64 {
 // route starts at the first pickup of the winning order. Groups larger
 // than MaxGroupSize are rejected — the search is factorial.
 func BestRoute(reqs []fleet.Request, m geo.Metric) (RoutePlan, error) {
-	return bestRoute(nil, reqs, m)
-}
-
-// BestRouteFrom is BestRoute with a known taxi start position: the leg
-// from start to the first stop counts toward the route length, so orders
-// are compared from the taxi's perspective. The carpool baselines (which
-// pick a taxi before routing) use this variant.
-func BestRouteFrom(start geo.Point, reqs []fleet.Request, m geo.Metric) (RoutePlan, error) {
-	return bestRoute(&start, reqs, m)
-}
-
-func bestRoute(start *geo.Point, reqs []fleet.Request, m geo.Metric) (RoutePlan, error) {
 	k := len(reqs)
 	if k == 0 {
 		return RoutePlan{}, ErrNoRequests
@@ -77,118 +65,132 @@ func bestRoute(start *geo.Point, reqs []fleet.Request, m geo.Metric) (RoutePlan,
 	if k > MaxGroupSize {
 		return RoutePlan{}, fmt.Errorf("share: group of %d exceeds the exhaustive-search limit %d", k, MaxGroupSize)
 	}
-
-	s := &routeSearch{
-		reqs:    reqs,
-		metric:  m,
-		start:   start,
-		order:   make([]searchStop, 0, 2*k),
-		picked:  make([]bool, k),
-		dropped: make([]bool, k),
-		best:    RoutePlan{Length: math.Inf(1)},
+	var s routeSearch
+	s.run(reqs, m)
+	if !s.found() {
+		return RoutePlan{}, errNoOrder(k)
 	}
-	s.extend(0)
-	if math.IsInf(s.best.Length, 1) {
-		return RoutePlan{}, fmt.Errorf("share: no feasible stop order for %d requests", k)
-	}
-	return s.best, nil
+	return s.plan(reqs), nil
 }
 
-// routeSearch enumerates stop orders depth-first with branch-and-bound on
-// the accumulated distance.
+// errNoOrder reports a group whose every stop order has an infinite
+// length.
+func errNoOrder(k int) error {
+	return fmt.Errorf("share: no feasible stop order for %d requests", k)
+}
+
+// maxStops is the length of the longest stop order: a pickup and a
+// drop-off per member.
+const maxStops = 2 * MaxGroupSize
+
+// routeSearch enumerates a group's stop orders depth-first with
+// branch-and-bound on the accumulated distance. Stop s is member s/2's
+// pickup when s is even and its drop-off when s is odd. The directed leg
+// table is filled once per group, so each order costs table reads, not
+// metric calls; road metrics need not be symmetric.
 type routeSearch struct {
-	reqs    []fleet.Request
-	metric  geo.Metric
-	start   *geo.Point
-	order   []searchStop
-	picked  []bool
-	dropped []bool
-	best    RoutePlan
+	k      int
+	legs   [maxStops][maxStops]float64 // legs[a][b] = D(stop a, stop b)
+	stage  [MaxGroupSize]int8          // per member: 0 waiting, 1 on board, 2 dropped off
+	order  [maxStops]int8              // the order under search, depth stops deep
+	depth  int
+	best   [maxStops]int8 // the shortest complete order found
+	length float64        // best's length; +Inf until an order completes
 }
 
-// searchStop is one stop of the order under search: member g's pickup or
-// drop-off. record turns the winning order into fleet.Stops.
-type searchStop struct {
-	g    int
-	kind fleet.StopKind
-	pos  geo.Point
+// run searches the stop orders of reqs, 1 ≤ len(reqs) ≤ MaxGroupSize.
+func (s *routeSearch) run(reqs []fleet.Request, m geo.Metric) {
+	s.k = len(reqs)
+	var pos [maxStops]geo.Point
+	for g, r := range reqs {
+		pos[2*g], pos[2*g+1] = r.Pickup, r.Dropoff
+	}
+	for a := 0; a < 2*s.k; a++ {
+		for b := 0; b < 2*s.k; b++ {
+			// No order revisits a stop or follows a drop-off with its
+			// own pickup.
+			if a != b && (a%2 == 0 || b != a-1) {
+				s.legs[a][b] = m.Distance(pos[a], pos[b])
+			}
+		}
+	}
+	s.stage = [MaxGroupSize]int8{}
+	s.depth = 0
+	s.length = math.Inf(1)
+	s.extend(0)
 }
 
-func (s *routeSearch) extend(lengthSoFar float64) {
-	if lengthSoFar >= s.best.Length {
+// found reports whether some stop order has a finite length.
+func (s *routeSearch) found() bool { return !math.IsInf(s.length, 1) }
+
+func (s *routeSearch) extend(length float64) {
+	if length >= s.length {
 		return // bound: already no better than the incumbent
 	}
-	if len(s.order) == 2*len(s.reqs) {
-		s.record(lengthSoFar)
+	if s.depth == 2*s.k {
+		s.best, s.length = s.order, length
 		return
 	}
-	for g := range s.reqs {
-		if !s.picked[g] {
-			s.visit(g, fleet.StopPickup, s.reqs[g].Pickup, lengthSoFar)
-		} else if !s.dropped[g] {
-			s.visit(g, fleet.StopDropoff, s.reqs[g].Dropoff, lengthSoFar)
+	for g := 0; g < s.k; g++ {
+		if s.stage[g] == 2 {
+			continue
 		}
+		stop := int8(2*g) + s.stage[g]
+		leg := 0.0 // the route is measured from its first stop
+		if s.depth > 0 {
+			leg = s.legs[s.order[s.depth-1]][stop]
+		}
+		s.order[s.depth] = stop
+		s.depth++
+		s.stage[g]++
+		s.extend(length + leg)
+		s.depth--
+		s.stage[g]--
 	}
 }
 
-func (s *routeSearch) visit(g int, kind fleet.StopKind, pos geo.Point, lengthSoFar float64) {
-	leg := 0.0
-	if len(s.order) == 0 {
-		if s.start != nil {
-			leg = s.metric.Distance(*s.start, pos)
-		}
-	} else {
-		leg = s.metric.Distance(s.order[len(s.order)-1].pos, pos)
-	}
-	s.order = append(s.order, searchStop{g: g, kind: kind, pos: pos})
-	if kind == fleet.StopPickup {
-		s.picked[g] = true
-	} else {
-		s.dropped[g] = true
-	}
-
-	s.extend(lengthSoFar + leg)
-
-	s.order = s.order[:len(s.order)-1]
-	if kind == fleet.StopPickup {
-		s.picked[g] = false
-	} else {
-		s.dropped[g] = false
-	}
-}
-
-// record captures the current complete order as the incumbent best plan.
-func (s *routeSearch) record(length float64) {
-	plan := RoutePlan{
-		Stops:        make([]fleet.Stop, len(s.order)),
-		Length:       length,
-		PickupOffset: make([]float64, len(s.reqs)),
-		OnBoard:      make([]float64, len(s.reqs)),
-	}
-
-	// Walk the route accumulating distance from the first stop; the
-	// optional taxi lead-in is excluded from offsets by construction.
-	dist := 0.0
-	load, maxLoad := 0, 0
-	var pickupAt = make([]float64, len(s.reqs))
-	for i, st := range s.order {
+// walk follows the best order from its first stop and returns each
+// member's pickup offset and on-board distance, and the peak seat load.
+func (s *routeSearch) walk(reqs []fleet.Request) (pickup, onBoard [MaxGroupSize]float64, maxLoad int) {
+	dist, load := 0.0, 0
+	for i, stop := range s.best[:2*s.k] {
 		if i > 0 {
-			dist += s.metric.Distance(s.order[i-1].pos, st.pos)
+			dist += s.legs[s.best[i-1]][stop]
 		}
-		g, seats := st.g, s.reqs[st.g].SeatCount()
-		plan.Stops[i] = fleet.Stop{RequestID: s.reqs[g].ID, Kind: st.kind, Pos: st.pos, Seats: seats}
-		if st.kind == fleet.StopPickup {
-			plan.PickupOffset[g] = dist
-			pickupAt[g] = dist
+		g, seats := stop/2, reqs[stop/2].SeatCount()
+		if stop%2 == 0 {
+			pickup[g] = dist
 			load += seats
-			if load > maxLoad {
-				maxLoad = load
-			}
+			maxLoad = max(maxLoad, load)
 		} else {
-			plan.OnBoard[g] = dist - pickupAt[g]
+			onBoard[g] = dist - pickup[g]
 			load -= seats
 		}
 	}
-	plan.MaxLoad = maxLoad
-	s.best = plan
+	return pickup, onBoard, maxLoad
+}
+
+// plan builds the RoutePlan of the best order.
+func (s *routeSearch) plan(reqs []fleet.Request) RoutePlan {
+	k := s.k
+	pickup, onBoard, maxLoad := s.walk(reqs)
+	offsets := make([]float64, 2*k)
+	copy(offsets, pickup[:k])
+	copy(offsets[k:], onBoard[:k])
+	plan := RoutePlan{
+		Stops:        make([]fleet.Stop, 2*k),
+		Length:       s.length,
+		PickupOffset: offsets[:k:k],
+		OnBoard:      offsets[k:],
+		MaxLoad:      maxLoad,
+	}
+	for i, stop := range s.best[:2*k] {
+		r := reqs[stop/2]
+		kind, pos := fleet.StopPickup, r.Pickup
+		if stop%2 == 1 {
+			kind, pos = fleet.StopDropoff, r.Dropoff
+		}
+		plan.Stops[i] = fleet.Stop{RequestID: r.ID, Kind: kind, Pos: pos, Seats: r.SeatCount()}
+	}
+	return plan
 }

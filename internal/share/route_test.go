@@ -24,7 +24,7 @@ func randomRequests(rng *rand.Rand, n int) []fleet.Request {
 
 // bruteBestLength enumerates all stop orders explicitly (no pruning) and
 // returns the minimum length.
-func bruteBestLength(start *geo.Point, reqs []fleet.Request, m geo.Metric) float64 {
+func bruteBestLength(reqs []fleet.Request, m geo.Metric) float64 {
 	n := len(reqs)
 	best := math.Inf(1)
 	picked := make([]bool, n)
@@ -36,11 +36,7 @@ func bruteBestLength(start *geo.Point, reqs []fleet.Request, m geo.Metric) float
 		if len(order) == 2*n {
 			length := 0.0
 			prev := order[0]
-			from := 1
-			if start != nil {
-				length = m.Distance(*start, order[0])
-			}
-			for _, p := range order[from:] {
+			for _, p := range order[1:] {
 				length += m.Distance(prev, p)
 				prev = p
 			}
@@ -138,25 +134,44 @@ func TestBestRouteMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BestRoute: %v", err)
 		}
-		want := bruteBestLength(nil, reqs, geo.EuclidMetric)
+		want := bruteBestLength(reqs, geo.EuclidMetric)
 		if math.Abs(plan.Length-want) > 1e-9 {
 			t.Fatalf("trial %d: Length = %v, brute force = %v", trial, plan.Length, want)
 		}
 	}
 }
 
-func TestBestRouteFromMatchesBruteForce(t *testing.T) {
+// TestBestRouteAsymmetricMetric checks the search reads its leg table
+// in the direction of travel: under a metric where D(a, b) ≠ D(b, a),
+// BestRoute must still find the brute-force minimum, and its offsets
+// must walk the chosen order forwards.
+func TestBestRouteAsymmetricMetric(t *testing.T) {
+	// Eastbound and northbound legs cost extra, so every point pair has
+	// two different lengths.
+	m := geo.MetricFunc(func(a, b geo.Point) float64 {
+		return geo.Euclid(a, b) + 0.7*max(b.X-a.X, 0) + 0.3*max(b.Y-a.Y, 0)
+	})
 	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		reqs := randomRequests(rng, 1+rng.Intn(3))
-		start := geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-		plan, err := BestRouteFrom(start, reqs, geo.EuclidMetric)
+		plan, err := BestRoute(reqs, m)
 		if err != nil {
-			t.Fatalf("BestRouteFrom: %v", err)
+			t.Fatalf("BestRoute: %v", err)
 		}
-		want := bruteBestLength(&start, reqs, geo.EuclidMetric)
-		if math.Abs(plan.Length-want) > 1e-9 {
+		if want := bruteBestLength(reqs, m); plan.Length != want {
 			t.Fatalf("trial %d: Length = %v, brute force = %v", trial, plan.Length, want)
+		}
+		dist := 0.0
+		for i, stop := range plan.Stops {
+			if i > 0 {
+				dist += m.Distance(plan.Stops[i-1].Pos, stop.Pos)
+			}
+			if g := indexByID(reqs, stop.RequestID); stop.Kind == fleet.StopPickup && plan.PickupOffset[g] != dist {
+				t.Fatalf("trial %d: PickupOffset[%d] = %v, walked %v", trial, g, plan.PickupOffset[g], dist)
+			}
+		}
+		if dist != plan.Length {
+			t.Fatalf("trial %d: Length = %v, walked %v", trial, plan.Length, dist)
 		}
 	}
 }
