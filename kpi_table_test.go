@@ -1,7 +1,8 @@
 package stabledispatch
 
-// Quick-scale KPI pin: the paper's headline dispatchers and the two
-// insertion baselines (the only readers of busy taxis' routes) over two
+// Quick-scale KPI pin: the paper's headline dispatchers, the two
+// insertion baselines (the only readers of busy taxis' routes) and the
+// ILP baseline (Algorithm 3's packing with a min-cost assignment) over two
 // simulated Boston hours at a tenth of the paper volume must reproduce
 // these end-of-run KPIs exactly, as must NSTD-P under seeded faults.
 // Every input is seeded, so any change in a value is a change in
@@ -41,6 +42,7 @@ func TestQuickScaleKPIs(t *testing.T) {
 		{"Greedy", func() sim.Dispatcher { return dispatch.NewGreedy() }, 62, 0, 0, 1.338192073948082, -0.5772676577419357},
 		{"RAII", func() sim.Dispatcher { return carpool.NewRAII(carpool.DefaultConfig()) }, 62, 0, 0, 1.7097137938133697, -1.1903204102245741},
 		{"SARP", func() sim.Dispatcher { return carpool.NewSARP(carpool.DefaultConfig()) }, 62, 0, 0, 1.7097137938133697, -1.1903204102245741},
+		{"ILP", func() sim.Dispatcher { return carpool.NewILP(packCfg) }, 62, 0, 0, 1.3022341072178312, -0.7866052919067777},
 		{"NSTD-P+faults", func() sim.Dispatcher { return dispatch.NewNSTDP() }, 57, 0.875, 4, 1.2677785630848795, -0.7051091251503289},
 	}
 	// Rows named here also run under a seeded fault schedule and pin the
