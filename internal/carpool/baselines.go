@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 
+	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/match"
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/spatial"
@@ -175,43 +177,33 @@ func (d *ILP) Name() string { return "ILP" }
 
 // Dispatch implements sim.Dispatcher.
 func (d *ILP) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
-	var idle []sim.TaxiView
-	for _, v := range f.Taxis {
-		if v.Idle {
-			idle = append(idle, v)
-		}
-	}
-	if len(idle) == 0 || len(f.Requests) == 0 {
+	taxis := dispatch.IdleFleet(f)
+	if len(taxis) == 0 || len(f.Requests) == 0 {
 		return nil, nil
 	}
-	// Bound the packing batch like the STD dispatchers do: the group
-	// search is superlinear in the pending queue, and the ILP frame
-	// optimum is over the batched units either way.
-	const maxBatch = 100
-	batch := f.Requests
-	if len(batch) > maxBatch {
-		batch = batch[:maxBatch]
-	}
-	res, err := share.Pack(batch, f.Metric, d.packCfg)
+	// The same packed units as STD: the group search is superlinear in
+	// the pending queue, and the ILP frame optimum is over the batched
+	// units either way.
+	_, units, err := dispatch.PackFrame(f, taxis, d.packCfg)
 	if err != nil {
 		return nil, fmt.Errorf("carpool: ILP: %w", err)
 	}
-	units := res.Units(f.Requests, f.Metric)
-	for idx := len(batch); idx < len(f.Requests); idx++ {
-		units = append(units, share.SingleUnit(idx, f.Requests, f.Metric))
-	}
-
+	// The matching span covers the cost matrix, the solve and the
+	// assignments built from it.
+	defer f.Ledger.Begin(prof.StageMatching).End()
 	// cost[k][i]: total driving distance for idle taxi i to serve unit
-	// k (lead-in plus route), +Inf when the taxi lacks seats.
+	// k (lead-in plus route), +Inf when the taxi lacks seats. Lead-ins
+	// come from the metric, not the plane: the min-cost matching has no
+	// dummy threshold, so a plane pruned at MaxPickup cannot serve them.
 	cost := make([][]float64, len(units))
 	for k, u := range units {
-		cost[k] = make([]float64, len(idle))
-		for i, v := range idle {
-			if v.Capacity() < u.Plan.MaxLoad {
+		cost[k] = make([]float64, len(taxis))
+		for i, tx := range taxis {
+			if tx.Capacity() < u.Plan.MaxLoad {
 				cost[k][i] = math.Inf(1)
 				continue
 			}
-			cost[k][i] = f.Metric.Distance(v.Pos, u.Start()) + u.Plan.Length
+			cost[k][i] = f.Metric.Distance(tx.Pos, u.Start()) + u.Plan.Length
 		}
 	}
 	partner, _, err := match.MinCost(cost)
@@ -221,7 +213,7 @@ func (d *ILP) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	var out []fleet.Assignment
 	for k, i := range partner {
 		if i != match.Unmatched {
-			out = append(out, units[k].Assignment(idle[i].ID, f.Requests))
+			out = append(out, units[k].Assignment(taxis[i].ID, f.Requests))
 		}
 	}
 	return out, nil

@@ -32,7 +32,7 @@ func (d *NSTDC) Name() string { return "NSTD-C" }
 
 // Dispatch implements sim.Dispatcher.
 func (d *NSTDC) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
-	taxis := idleFleet(f)
+	taxis := IdleFleet(f)
 	if len(taxis) == 0 || len(f.Requests) == 0 {
 		return nil, nil
 	}
@@ -64,7 +64,7 @@ func (d *NSTDM) Name() string { return "NSTD-M" }
 
 // Dispatch implements sim.Dispatcher.
 func (d *NSTDM) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
-	taxis := idleFleet(f)
+	taxis := IdleFleet(f)
 	if len(taxis) == 0 || len(f.Requests) == 0 {
 		return nil, nil
 	}

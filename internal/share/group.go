@@ -38,23 +38,6 @@ type PackConfig struct {
 	// a group of mutually distant pickups always violates θ anyway
 	// once PairRadius ≥ 2θ.
 	PairRadius float64
-	// ExactPacking solves the maximum set packing stage exactly by
-	// branch-and-bound (with ExactNodeBudget) instead of the (k+2)/3
-	// local-search approximation. Feasible-group sets at frame scale
-	// are small enough that the exact solve usually completes; past the
-	// budget the incumbent (at least as good as local search) is used.
-	ExactPacking bool
-	// ExactNodeBudget caps the branch-and-bound search when
-	// ExactPacking is set; 0 means 200000 nodes.
-	ExactNodeBudget int
-	// AllowChaining admits groups whose optimal route is a sequential
-	// chain (one rider alights before the next boards). Chains satisfy
-	// the paper's θ constraint trivially — the on-board detour is
-	// zero — but save no driving and make the feasible-group graph
-	// dense. By default a group is feasible only when its shared route
-	// is strictly shorter than the members' solo trips combined, i.e.
-	// when sharing actually saves distance.
-	AllowChaining bool
 	// Tracer, when non-nil, records every feasible-group and packing
 	// decision on the members' traces. Dispatchers set it per frame
 	// from sim.Frame.Tracer.
@@ -80,11 +63,24 @@ func (c PackConfig) Validate() error {
 	return nil
 }
 
-// FeasibleGroups computes the set C of all feasible subsets of requests
-// that can share a taxi (Algorithm 3, line 1): for each subset of size 2
-// to cfg.MaxGroupSize, the optimal shared route must keep every member's
-// detour within θ. Singletons are never emitted — they do not help the
-// packing objective and are dispatched individually afterwards.
+// FeasibleGroupsPlane computes the set C of all feasible subsets of
+// the first n of the plane's requests that can share a taxi (Algorithm
+// 3, line 1): for each subset of size 2 to cfg.MaxGroupSize, the
+// optimal shared route must keep every member's detour within θ and be
+// strictly shorter than the members' solo trips combined. A chain, one
+// rider alighting before the next boards, meets θ trivially but saves
+// no driving, so it is not a share. Singletons are never emitted — they
+// do not help the packing objective and are dispatched individually
+// afterwards.
+//
+// Pickup-pair distances and solo trips come from the plane. The packing
+// batch is a prefix of the frame queue, so plane indices align, and
+// with PairRadius pruning the plane's pair rows must cover the batch
+// (costplane.Config.PairRows ≥ n, or 0); a pair-pruned cell reads +Inf,
+// which fails the PairRadius prefilter exactly like its true distance
+// would. Route search reads a per-group leg table filled from the
+// plane's metric — route permutations visit point pairs no frame-wide
+// matrix holds.
 //
 // Triples are only explored when all three member pairs are themselves
 // feasible (adding a rider to a route almost never shortens the others'
@@ -92,30 +88,6 @@ func (c PackConfig) Validate() error {
 // line 1 tractable when rush-hour queues grow, at the cost of a
 // vanishingly rare missed triple — well within the algorithm's
 // approximation regime.
-func FeasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig) ([]Group, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	near := func(a, b int) bool {
-		if cfg.PairRadius <= 0 {
-			return true
-		}
-		return m.Distance(reqs[a].Pickup, reqs[b].Pickup) <= cfg.PairRadius
-	}
-	solo := func(idx int) float64 { return reqs[idx].TripDistance(m) }
-	return feasibleGroups(reqs, m, cfg, near, solo), nil
-}
-
-// FeasibleGroupsPlane is FeasibleGroups reading pickup-pair distances
-// and solo trips from a per-frame cost plane instead of querying the
-// metric. It considers the first n of the plane's requests (the packing
-// batch is a prefix of the frame queue, so plane indices align), and
-// with PairRadius pruning the plane's pair rows must cover them
-// (costplane.Config.PairRows ≥ n, or 0). The result is identical to
-// FeasibleGroups: a pair-pruned plane cell reads +Inf, which fails the
-// PairRadius prefilter exactly like its true distance would. Route
-// search reads a per-group leg table filled from the plane's metric —
-// route permutations visit point pairs no frame-wide matrix holds.
 func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -129,19 +101,7 @@ func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, e
 	if cfg.PairRadius > 0 && n >= 2 && n > pl.PairRows() {
 		return nil, fmt.Errorf("share: pair-radius pruning over %d requests needs a plane with pair rows for them, got %d", n, pl.PairRows())
 	}
-	reqs := pl.Requests[:n]
-	near := func(a, b int) bool {
-		if cfg.PairRadius <= 0 {
-			return true
-		}
-		return pl.PairDist(a, b) <= cfg.PairRadius
-	}
-	return feasibleGroups(reqs, pl.Metric(), cfg, near, pl.Trip), nil
-}
-
-// feasibleGroups is the shared enumeration core: near prunes candidate
-// pairs, solo returns a request's solo trip distance.
-func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near func(a, b int) bool, solo func(idx int) float64) []Group {
+	reqs, m := pl.Requests[:n], pl.Metric()
 	var groups []Group
 	rec := cfg.Tracer
 
@@ -168,7 +128,7 @@ func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near fun
 		_, onBoard, _ := s.walk(sub)
 		soloSum := 0.0
 		for g, idx := range members {
-			soloTrip := solo(idx)
+			soloTrip := pl.Trip(idx)
 			if d := onBoard[g] - soloTrip; d > cfg.Theta {
 				if rec != nil {
 					traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "detour_exceeded",
@@ -178,7 +138,7 @@ func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near fun
 			}
 			soloSum += soloTrip
 		}
-		if !cfg.AllowChaining && s.length >= soloSum-1e-9 {
+		if s.length >= soloSum-1e-9 {
 			// The "shared" route saves nothing over driving the
 			// trips one after another: a chain, not a share.
 			if rec != nil {
@@ -206,7 +166,7 @@ func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near fun
 	for a := 0; a < len(reqs); a++ {
 		first[a] = len(adj)
 		for b := a + 1; b < len(reqs); b++ {
-			if !near(a, b) {
+			if cfg.PairRadius > 0 && pl.PairDist(a, b) > cfg.PairRadius {
 				continue
 			}
 			if g, ok := tryGroup([]int{a, b}); ok {
@@ -238,7 +198,7 @@ func feasibleGroups(reqs []fleet.Request, m geo.Metric, cfg PackConfig, near fun
 			}
 		}
 	}
-	return groups
+	return groups, nil
 }
 
 // PackResult is the outcome of the packing stage: the chosen disjoint
@@ -249,26 +209,24 @@ type PackResult struct {
 	Singles []int
 }
 
-// Pack runs Algorithm 3's first stage: enumerate feasible groups, then
-// solve the maximum set packing problem with the local-search
-// approximation. Every request appears in exactly one chosen group or in
+// PackPlane runs Algorithm 3's first stage on the first n of the
+// plane's requests: enumerate feasible groups, then solve the maximum
+// set packing problem with the (k+2)/3 local-search approximation.
+// Every batched request appears in exactly one chosen group or in
 // Singles.
-func Pack(reqs []fleet.Request, m geo.Metric, cfg PackConfig) (PackResult, error) {
-	groups, err := FeasibleGroups(reqs, m, cfg)
-	if err != nil {
-		return PackResult{}, err
-	}
-	return pack(reqs, groups, cfg), nil
-}
-
-// PackPlane is Pack reading distances from a per-frame cost plane; it
-// packs the first n of the plane's requests.
 func PackPlane(n int, pl *costplane.Plane, cfg PackConfig) (PackResult, error) {
 	groups, err := FeasibleGroupsPlane(n, pl, cfg)
 	if err != nil {
 		return PackResult{}, err
 	}
 	return pack(pl.Requests[:n], groups, cfg), nil
+}
+
+// Pack is PackPlane over every request, on a taxi-less plane it builds
+// from metric m with the pair rows cfg.PairRadius prunes.
+func Pack(reqs []fleet.Request, m geo.Metric, cfg PackConfig) (PackResult, error) {
+	pl := costplane.Build(reqs, nil, m, costplane.Config{Pairs: true, PairRadius: cfg.PairRadius})
+	return PackPlane(len(reqs), pl, cfg)
 }
 
 // pack solves the maximum set packing over the enumerated groups.
@@ -278,16 +236,7 @@ func pack(reqs []fleet.Request, groups []Group, cfg PackConfig) PackResult {
 		problem.Sets[k] = g.Members
 	}
 	rec := cfg.Tracer
-	var chosen []int
-	if cfg.ExactPacking {
-		budget := cfg.ExactNodeBudget
-		if budget <= 0 {
-			budget = 200000
-		}
-		chosen, _ = setpack.Exact(problem, budget)
-	} else {
-		chosen = setpack.LocalSearchObserved(problem, packObserver(rec, reqs, groups))
-	}
+	chosen := setpack.LocalSearchObserved(problem, packObserver(rec, reqs, groups))
 
 	res := PackResult{Groups: make([]Group, 0, len(chosen))}
 	packed := make([]bool, len(reqs))

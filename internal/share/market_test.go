@@ -169,7 +169,7 @@ func TestMarketConstructionMatchesDenseReference(t *testing.T) {
 					start = idx
 				}
 			}
-			pc, tc := u.passengerCost(0, pl.Trip, params.Beta), u.taxiCost(0, pl.Trip, params.Alpha)
+			pc, tc := u.passengerCost(pl.Trips(), params.Beta), u.taxiCost(pl.Trips(), params.Alpha)
 			for i, tx := range taxis {
 				lead := pl.PickupDist(i, start)
 				d.set(k, i, lead+pc, lead+tc, tx.Capacity() >= u.Plan.MaxLoad, params)

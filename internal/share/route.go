@@ -5,6 +5,12 @@
 // set packing stage (Eqs. 1–3, via package setpack), and the refined
 // interest models that turn packed groups into a pref.Market for
 // Algorithm 1.
+//
+// Group formation, unit building and market construction read every
+// pickup-pair, solo-trip and taxi→pickup distance from the frame's
+// costplane.Plane (FeasibleGroupsPlane, PackPlane, UnitsPlane,
+// SingleUnitPlane, BuildMarketPlane). Pack is the one metric
+// convenience: it builds a taxi-less plane and calls PackPlane.
 package share
 
 import (
