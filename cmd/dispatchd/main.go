@@ -56,13 +56,12 @@ import (
 	"time"
 
 	"stabledispatch/internal/admission"
-	"stabledispatch/internal/carpool"
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/dtrace"
+	"stabledispatch/internal/exp"
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
-	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/slo"
 	"stabledispatch/internal/stream"
@@ -113,20 +112,15 @@ func run(args []string) error {
 		tracer = dtrace.New(*traceCap, 0)
 	}
 
-	var city trace.City
-	switch *cityName {
-	case "boston":
-		city = trace.Boston()
-	case "newyork":
-		city = trace.NewYork()
-	default:
-		return fmt.Errorf("unknown city %q", *cityName)
+	city, err := trace.CityByName(*cityName)
+	if err != nil {
+		return err
 	}
 	fleetTaxis, err := trace.Taxis(city, *taxis, *seed)
 	if err != nil {
 		return err
 	}
-	d, err := daemonDispatcher(*algo, *theta)
+	d, err := exp.Dispatcher(*algo, *theta)
 	if err != nil {
 		return err
 	}
@@ -309,34 +303,5 @@ func run(args []string) error {
 		}
 		logger.Info("drained", "intakeQueue", adm.QueueDepth(), "accepted", adm.Accepted())
 		return shutdownErr
-	}
-}
-
-func daemonDispatcher(name string, theta float64) (sim.Dispatcher, error) {
-	packCfg := share.PackConfig{Theta: theta, MaxGroupSize: 3, PairRadius: 2 * theta}
-	carpoolCfg := carpool.Config{Theta: theta, MaxAdded: 2 * theta, SearchRadius: 2 * theta}
-	switch name {
-	case "nstd-p":
-		return dispatch.NewNSTDP(), nil
-	case "nstd-t":
-		return dispatch.NewNSTDT(), nil
-	case "greedy":
-		return dispatch.NewGreedy(), nil
-	case "mincost":
-		return dispatch.NewMinCost(), nil
-	case "bottleneck":
-		return dispatch.NewBottleneck(), nil
-	case "std-p":
-		return dispatch.NewSTDP(packCfg), nil
-	case "std-t":
-		return dispatch.NewSTDT(packCfg), nil
-	case "raii":
-		return carpool.NewRAII(carpoolCfg), nil
-	case "sarp":
-		return carpool.NewSARP(carpoolCfg), nil
-	case "ilp":
-		return carpool.NewILP(packCfg), nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", name)
 	}
 }

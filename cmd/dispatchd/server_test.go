@@ -13,6 +13,7 @@ import (
 
 	"stabledispatch/internal/carpool"
 	"stabledispatch/internal/dispatch"
+	"stabledispatch/internal/exp"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
@@ -237,16 +238,19 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
+// TestDaemonDispatcherNames pins the -algo names the daemon resolves
+// through exp.Dispatcher: every algorithm taxisim runs, case-insensitively.
 func TestDaemonDispatcherNames(t *testing.T) {
 	for _, name := range []string{
-		"nstd-p", "nstd-t", "greedy", "mincost", "bottleneck",
+		"nstd-p", "nstd-t", "nstd-c", "nstd-m", "NSTD-P",
+		"greedy", "mincost", "bottleneck",
 		"std-p", "std-t", "raii", "sarp", "ilp",
 	} {
-		if _, err := daemonDispatcher(name, 5); err != nil {
-			t.Errorf("daemonDispatcher(%q): %v", name, err)
+		if _, err := exp.Dispatcher(name, 5); err != nil {
+			t.Errorf("exp.Dispatcher(%q): %v", name, err)
 		}
 	}
-	if _, err := daemonDispatcher("nope", 5); err == nil {
+	if _, err := exp.Dispatcher("nope", 5); err == nil {
 		t.Error("accepted unknown dispatcher")
 	}
 }
@@ -267,7 +271,7 @@ func TestEmptyTickDefaultsToOne(t *testing.T) {
 func TestRunStartsAndShutsDown(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- run([]string{"-addr", "127.0.0.1:0", "-taxis", "3"})
+		errCh <- run([]string{"-addr", "127.0.0.1:0", "-taxis", "3", "-city", "nyc", "-algo", "NSTD-P"})
 	}()
 	// Give the server a moment to install its signal handler, then
 	// interrupt the process; run must exit cleanly via Shutdown.

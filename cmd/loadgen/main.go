@@ -64,14 +64,9 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var city trace.City
-	switch *cityName {
-	case "boston":
-		city = trace.Boston()
-	case "newyork":
-		city = trace.NewYork()
-	default:
-		return fmt.Errorf("unknown city %q", *cityName)
+	city, err := trace.CityByName(*cityName)
+	if err != nil {
+		return err
 	}
 	daily := *volume
 	if daily <= 0 {

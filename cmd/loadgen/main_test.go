@@ -189,6 +189,26 @@ func TestDrainingSheds503(t *testing.T) {
 	}
 }
 
+// TestRunCityNames checks -city resolves through trace.CityByName, so
+// the New York aliases replay the New York trace.
+func TestRunCityNames(t *testing.T) {
+	srv := httptest.NewServer(newStub(0, "").mux)
+	defer srv.Close()
+	for _, city := range []string{"nyc", "new-york", "NewYork"} {
+		var out bytes.Buffer
+		err := run([]string{
+			"-addr", srv.URL, "-city", city, "-frames", "2", "-volume", "14400",
+			"-frame-interval", "1ms", "-stream=false", "-poll", "1ms", "-drain", "1s",
+		}, &out)
+		if err != nil {
+			t.Fatalf("run -city %s: %v", city, err)
+		}
+		if !strings.Contains(out.String(), `"city": "newyork"`) {
+			t.Errorf("run -city %s report:\n%s", city, out.String())
+		}
+	}
+}
+
 func TestParseRetryAfter(t *testing.T) {
 	cases := []struct {
 		in   string

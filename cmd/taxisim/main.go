@@ -23,15 +23,14 @@ import (
 	"path/filepath"
 	"strings"
 
-	"stabledispatch/internal/carpool"
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/dtrace"
+	"stabledispatch/internal/exp"
 	"stabledispatch/internal/fault"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
-	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/slo"
 	"stabledispatch/internal/stats"
@@ -157,7 +156,7 @@ func run(args []string, out io.Writer) error {
 
 	names := strings.Split(*algo, ",")
 	if strings.EqualFold(*algo, "all") {
-		names = allAlgorithms()
+		names = exp.Algorithms()
 	}
 	var sloDefs []slo.Def
 	if *sloPath != "" {
@@ -177,7 +176,7 @@ func run(args []string, out io.Writer) error {
 			kpiPath, tracePath = kpiOutPath(kpiPath, name), kpiOutPath(tracePath, name)
 			bundles = filepath.Join(bundles, strings.ToLower(name))
 		}
-		d, err := dispatcherByName(name, *theta)
+		d, err := exp.Dispatcher(name, *theta)
 		if err != nil {
 			return err
 		}
@@ -316,16 +315,6 @@ func writeChromeTrace(path string, rec *dtrace.Recorder) error {
 	return f.Close()
 }
 
-// allAlgorithms lists every dispatcher name for -algo all, the paper's
-// algorithms first.
-func allAlgorithms() []string {
-	return []string{
-		"nstd-p", "nstd-t", "nstd-c", "nstd-m",
-		"greedy", "mincost", "bottleneck",
-		"std-p", "std-t", "raii", "sarp", "ilp",
-	}
-}
-
 // printComparison renders one row per algorithm with the paper's three
 // metrics.
 func printComparison(w io.Writer, reports []*sim.Report, total, taxis int) error {
@@ -351,48 +340,17 @@ func printComparison(w io.Writer, reports []*sim.Report, total, taxis int) error
 	return tb.Render(w)
 }
 
+// cityByName resolves -city and the city's paper-scale fleet size and
+// daily volume.
 func cityByName(name string) (trace.City, int, int, error) {
-	switch strings.ToLower(name) {
-	case "boston":
-		return trace.Boston(), 200, 13500, nil
-	case "newyork", "nyc", "new-york":
-		return trace.NewYork(), 700, 46600, nil
-	default:
-		return trace.City{}, 0, 0, fmt.Errorf("unknown city %q (want boston or newyork)", name)
+	city, err := trace.CityByName(name)
+	if err != nil {
+		return trace.City{}, 0, 0, err
 	}
-}
-
-func dispatcherByName(name string, theta float64) (sim.Dispatcher, error) {
-	packCfg := share.PackConfig{Theta: theta, MaxGroupSize: 3, PairRadius: 2 * theta}
-	carpoolCfg := carpool.Config{Theta: theta, MaxAdded: 2 * theta, SearchRadius: 2 * theta}
-	switch strings.ToLower(name) {
-	case "nstd-p":
-		return dispatch.NewNSTDP(), nil
-	case "nstd-t":
-		return dispatch.NewNSTDT(), nil
-	case "nstd-c":
-		return dispatch.NewNSTDC(), nil
-	case "nstd-m":
-		return dispatch.NewNSTDM(), nil
-	case "greedy":
-		return dispatch.NewGreedy(), nil
-	case "mincost":
-		return dispatch.NewMinCost(), nil
-	case "bottleneck":
-		return dispatch.NewBottleneck(), nil
-	case "std-p":
-		return dispatch.NewSTDP(packCfg), nil
-	case "std-t":
-		return dispatch.NewSTDT(packCfg), nil
-	case "raii":
-		return carpool.NewRAII(carpoolCfg), nil
-	case "sarp":
-		return carpool.NewSARP(carpoolCfg), nil
-	case "ilp":
-		return carpool.NewILP(packCfg), nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", name)
+	if city.Name == "newyork" {
+		return city, 700, 46600, nil
 	}
+	return city, 200, 13500, nil
 }
 
 func printSummary(w io.Writer, rep *sim.Report, total, taxis int) error {

@@ -32,7 +32,8 @@ func TestRunSmoke(t *testing.T) {
 
 func TestRunAllAlgorithms(t *testing.T) {
 	for _, algo := range []string{
-		"nstd-p", "nstd-t", "greedy", "mincost", "bottleneck",
+		"nstd-p", "nstd-t", "nstd-c", "nstd-m", "NSTD-P",
+		"greedy", "mincost", "bottleneck",
 		"std-p", "std-t", "raii", "sarp", "ilp",
 	} {
 		t.Run(algo, func(t *testing.T) {
@@ -45,6 +46,18 @@ func TestRunAllAlgorithms(t *testing.T) {
 				t.Fatalf("run(%s): %v", algo, err)
 			}
 		})
+	}
+}
+
+// TestRunCityNames checks -city resolves through trace.CityByName: the
+// New York aliases and any letter case.
+func TestRunCityNames(t *testing.T) {
+	for _, city := range []string{"nyc", "new-york", "NewYork", "BOSTON"} {
+		var sb strings.Builder
+		err := run([]string{"-city", city, "-taxis", "5", "-frames", "5", "-volume", "1000"}, &sb)
+		if err != nil {
+			t.Errorf("run -city %s: %v", city, err)
+		}
 	}
 }
 
@@ -310,20 +323,20 @@ func TestRunWritesKPISeries(t *testing.T) {
 
 // TestStageColumnsCoverFrame pins the per-frame record's coverage: at
 // quick scale (-frames 240 -volume 4000) the -kpi-out stage columns of
-// an NSTD-P and an STD-P run sum to at least 90% of their frame_ns,
-// summed over both runs. The remainder is span overhead and dispatcher
+// an NSTD-P, an STD-P and an ILP run sum to at least 90% of their
+// frame_ns, summed over the runs. The remainder is span overhead and dispatcher
 // glue between stages.
 func TestStageColumnsCoverFrame(t *testing.T) {
 	dir := t.TempDir()
 	var sb strings.Builder
 	if err := run([]string{
-		"-algo", "nstd-p,std-p", "-frames", "240", "-volume", "4000",
+		"-algo", "nstd-p,std-p,ilp", "-frames", "240", "-volume", "4000",
 		"-kpi-out", filepath.Join(dir, "kpi.csv"),
 	}, &sb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	var frameNs, stageNs float64
-	for _, name := range []string{"kpi.nstd-p.csv", "kpi.std-p.csv"} {
+	for _, name := range []string{"kpi.nstd-p.csv", "kpi.std-p.csv", "kpi.ilp.csv"} {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"stabledispatch/internal/trace"
 )
@@ -47,20 +46,15 @@ func run(args []string, stdout io.Writer) error {
 		return convertTLC(*tlcPath, *outPath, *maxRows, stdout)
 	}
 
-	var (
-		city      trace.City
-		defVolume int
-	)
-	switch strings.ToLower(*cityName) {
-	case "boston":
-		city, defVolume = trace.Boston(), 13500
-	case "newyork", "nyc", "new-york":
-		city, defVolume = trace.NewYork(), 46600
-	default:
-		return fmt.Errorf("unknown city %q", *cityName)
+	city, err := trace.CityByName(*cityName)
+	if err != nil {
+		return err
 	}
 	if *volume == 0 {
-		*volume = defVolume
+		*volume = 13500
+		if city.Name == "newyork" {
+			*volume = 46600
+		}
 	}
 
 	reqs, err := trace.Generate(trace.Config{

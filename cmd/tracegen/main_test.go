@@ -8,16 +8,18 @@ import (
 )
 
 func TestRunToStdout(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-city", "boston", "-frames", "10", "-volume", "2880", "-seed", "1"}, &sb); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "id,frame,pickup_x") {
-		t.Errorf("missing CSV header:\n%.200s", out)
-	}
-	if strings.Count(out, "\n") < 5 {
-		t.Errorf("suspiciously few rows:\n%s", out)
+	for _, city := range []string{"boston", "nyc"} {
+		var sb strings.Builder
+		if err := run([]string{"-city", city, "-frames", "10", "-volume", "2880", "-seed", "1"}, &sb); err != nil {
+			t.Fatalf("run -city %s: %v", city, err)
+		}
+		out := sb.String()
+		if !strings.HasPrefix(out, "id,frame,pickup_x") {
+			t.Errorf("%s: missing CSV header:\n%.200s", city, out)
+		}
+		if strings.Count(out, "\n") < 5 {
+			t.Errorf("%s: suspiciously few rows:\n%s", city, out)
+		}
 	}
 }
 

@@ -8,10 +8,11 @@
 //   - SARP (Li et al. [8]): TSP-style insertion — every taxi is
 //     considered and the new request's pickup and drop-off are spliced
 //     into the existing route wherever they add the least distance.
-//   - ILP ([6]): per frame, requests are packed into share groups and
-//     the group-to-idle-taxi assignment problem is solved exactly as a
-//     minimum-cost matching (the assignment polytope is integral, so the
-//     LP solution is the ILP optimum for the frame).
+//   - ILP ([6]): per frame, requests are packed into share groups by
+//     Algorithm 3's first stage (dispatch.PackFrame, the same units STD
+//     matches) and the group-to-idle-taxi assignment problem is solved
+//     exactly as a minimum-cost matching (the assignment polytope is
+//     integral, so the LP solution is the ILP optimum for the frame).
 //
 // RAII and SARP may insert into busy taxis; the engine's route validator
 // guarantees onboard passengers still reach their destinations.

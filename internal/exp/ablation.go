@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"stabledispatch/internal/dispatch"
-	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/stats"
 	"stabledispatch/internal/trace"
@@ -73,8 +72,7 @@ func AblationTheta(o Options) (Figure, error) {
 	var passes, taxisDiss, shared []float64
 	for i, theta := range thetas {
 		x[i] = theta
-		cfg := share.PackConfig{Theta: theta, MaxGroupSize: 3, PairRadius: 2 * theta}
-		rep, err := runReport(dispatch.NewSTDP(cfg), taxis, reqs, o)
+		rep, err := runReport(dispatch.NewSTDP(packConfig(theta)), taxis, reqs, o)
 		if err != nil {
 			return Figure{}, fmt.Errorf("exp: ablation-theta %v: %w", theta, err)
 		}

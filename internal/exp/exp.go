@@ -8,6 +8,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"stabledispatch/internal/carpool"
 	"stabledispatch/internal/dispatch"
@@ -199,15 +200,67 @@ func nonSharingDispatchers() []sim.Dispatcher {
 // sharingDispatchers returns fresh instances of the five §VI-D
 // algorithms.
 func sharingDispatchers(theta float64) []sim.Dispatcher {
-	packCfg := share.PackConfig{Theta: theta, MaxGroupSize: 3, PairRadius: 2 * theta}
-	carpoolCfg := carpool.Config{Theta: theta, MaxAdded: 2 * theta, SearchRadius: 2 * theta}
 	return []sim.Dispatcher{
-		dispatch.NewSTDP(packCfg),
-		dispatch.NewSTDT(packCfg),
-		carpool.NewRAII(carpoolCfg),
-		carpool.NewSARP(carpoolCfg),
-		carpool.NewILP(packCfg),
+		dispatch.NewSTDP(packConfig(theta)),
+		dispatch.NewSTDT(packConfig(theta)),
+		carpool.NewRAII(carpoolConfig(theta)),
+		carpool.NewSARP(carpoolConfig(theta)),
+		carpool.NewILP(packConfig(theta)),
 	}
+}
+
+// packConfig is Algorithm 3's packing configuration at detour bound θ:
+// groups of at most three, pickup pairs pruned at 2θ.
+func packConfig(theta float64) share.PackConfig {
+	return share.PackConfig{Theta: theta, MaxGroupSize: 3, PairRadius: 2 * theta}
+}
+
+// carpoolConfig is the insertion baselines' configuration at detour
+// bound θ: added distance and index radius at 2θ.
+func carpoolConfig(theta float64) carpool.Config {
+	return carpool.Config{Theta: theta, MaxAdded: 2 * theta, SearchRadius: 2 * theta}
+}
+
+// algorithms maps every algorithm name the commands accept to its
+// constructor, the paper's algorithms first.
+var algorithms = []struct {
+	name string
+	make func(theta float64) sim.Dispatcher
+}{
+	{"nstd-p", func(float64) sim.Dispatcher { return dispatch.NewNSTDP() }},
+	{"nstd-t", func(float64) sim.Dispatcher { return dispatch.NewNSTDT() }},
+	{"nstd-c", func(float64) sim.Dispatcher { return dispatch.NewNSTDC() }},
+	{"nstd-m", func(float64) sim.Dispatcher { return dispatch.NewNSTDM() }},
+	{"greedy", func(float64) sim.Dispatcher { return dispatch.NewGreedy() }},
+	{"mincost", func(float64) sim.Dispatcher { return dispatch.NewMinCost() }},
+	{"bottleneck", func(float64) sim.Dispatcher { return dispatch.NewBottleneck() }},
+	{"std-p", func(theta float64) sim.Dispatcher { return dispatch.NewSTDP(packConfig(theta)) }},
+	{"std-t", func(theta float64) sim.Dispatcher { return dispatch.NewSTDT(packConfig(theta)) }},
+	{"raii", func(theta float64) sim.Dispatcher { return carpool.NewRAII(carpoolConfig(theta)) }},
+	{"sarp", func(theta float64) sim.Dispatcher { return carpool.NewSARP(carpoolConfig(theta)) }},
+	{"ilp", func(theta float64) sim.Dispatcher { return carpool.NewILP(packConfig(theta)) }},
+}
+
+// Algorithms lists every name Dispatcher resolves, the paper's
+// algorithms first.
+func Algorithms() []string {
+	names := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		names[i] = a.name
+	}
+	return names
+}
+
+// Dispatcher returns a fresh dispatcher for an algorithm name, matched
+// case-insensitively; the sharing algorithms run at detour bound θ
+// (km).
+func Dispatcher(name string, theta float64) (sim.Dispatcher, error) {
+	for _, a := range algorithms {
+		if strings.EqualFold(a.name, name) {
+			return a.make(theta), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown algorithm %q", name)
 }
 
 // Workload builds the scaled trace and fleet for a city: the request

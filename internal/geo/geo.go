@@ -35,16 +35,6 @@ func (p Point) Sub(q Point) Point {
 	return Point{X: p.X - q.X, Y: p.Y - q.Y}
 }
 
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point {
-	return Point{X: p.X * s, Y: p.Y * s}
-}
-
-// Norm returns the Euclidean length of the vector p.
-func (p Point) Norm() float64 {
-	return math.Hypot(p.X, p.Y)
-}
-
 // Euclid returns the Euclidean distance between p and q.
 func Euclid(p, q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)

@@ -14,19 +14,6 @@ func NewSampler(seed int64) *Sampler {
 	return &Sampler{rng: rand.New(rand.NewSource(seed))}
 }
 
-// NewSamplerFrom returns a Sampler that draws from rng.
-func NewSamplerFrom(rng *rand.Rand) *Sampler {
-	return &Sampler{rng: rng}
-}
-
-// Uniform draws a point uniformly from r.
-func (s *Sampler) Uniform(r Rect) Point {
-	return Point{
-		X: r.Min.X + s.rng.Float64()*r.Width(),
-		Y: r.Min.Y + s.rng.Float64()*r.Height(),
-	}
-}
-
 // Normal draws a point from an isotropic 2-D normal distribution centred
 // at center with the given standard deviation. The paper seeds taxi
 // locations this way ("the locations of taxis follow a two-dimensional

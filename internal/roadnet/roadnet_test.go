@@ -343,53 +343,3 @@ func TestMetricConcurrentUse(t *testing.T) {
 		<-done
 	}
 }
-
-func TestAStarMatchesDijkstra(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		g, err := NewGrid(GridConfig{
-			Rows: 9, Cols: 9, Spacing: 1, Jitter: 0.2, DropProb: 0.25, Seed: seed,
-		})
-		if err != nil {
-			t.Fatalf("NewGrid: %v", err)
-		}
-		rng := rand.New(rand.NewSource(seed + 100))
-		for q := 0; q < 40; q++ {
-			src, dst := rng.Intn(g.NumNodes()), rng.Intn(g.NumNodes())
-			_, wantDist, err := g.ShortestPath(src, dst)
-			if err != nil {
-				t.Fatalf("ShortestPath: %v", err)
-			}
-			path, gotDist, err := g.AStarPath(src, dst)
-			if err != nil {
-				t.Fatalf("AStarPath: %v", err)
-			}
-			if math.Abs(gotDist-wantDist) > 1e-9 {
-				t.Fatalf("seed %d %d->%d: A* %v, Dijkstra %v", seed, src, dst, gotDist, wantDist)
-			}
-			// The returned path must actually cost its stated length.
-			total := 0.0
-			for i := 1; i < len(path); i++ {
-				total += geo.Euclid(g.Node(path[i-1]), g.Node(path[i]))
-			}
-			if math.Abs(total-gotDist) > 1e-9 {
-				t.Fatalf("path length %v != reported %v", total, gotDist)
-			}
-			if path[0] != src || path[len(path)-1] != dst {
-				t.Fatalf("path endpoints %v for %d->%d", path, src, dst)
-			}
-		}
-	}
-}
-
-func TestAStarSameNodeAndDisconnected(t *testing.T) {
-	g := NewGraph(2)
-	g.AddNode(geo.Point{})
-	g.AddNode(geo.Point{X: 1})
-	path, dist, err := g.AStarPath(0, 0)
-	if err != nil || dist != 0 || len(path) != 1 {
-		t.Errorf("AStarPath(0,0) = %v, %v, %v", path, dist, err)
-	}
-	if _, _, err := g.AStarPath(0, 1); !errors.Is(err, ErrDisconnected) {
-		t.Errorf("err = %v, want ErrDisconnected", err)
-	}
-}

@@ -101,13 +101,6 @@ func (ix *Index) Remove(id int, p geo.Point) bool {
 	return false
 }
 
-// Move relocates id from its old position to a new one.
-func (ix *Index) Move(id int, from, to geo.Point) {
-	if ix.Remove(id, from) {
-		ix.Insert(id, to)
-	}
-}
-
 // Nearest returns the id and position of the indexed point closest to p
 // (in Euclidean distance), or ok=false if the index is empty. It expands
 // ring-by-ring from p's cell, stopping once the current best cannot be
@@ -144,43 +137,6 @@ func (ix *Index) Nearest(p geo.Point) (id int, pos geo.Point, ok bool) {
 		}
 	}
 	return id, pos, ok
-}
-
-// KNearest returns the ids of up to k points closest to p, ordered by
-// increasing distance.
-func (ix *Index) KNearest(p geo.Point, k int) []int {
-	if k <= 0 || ix.count == 0 {
-		return nil
-	}
-	var cands []cand
-	pc, pr := ix.cellOf(p)
-	maxRing := ix.cols
-	if ix.rows > maxRing {
-		maxRing = ix.rows
-	}
-	kthDist := math.Inf(1)
-	for ring := 0; ring <= maxRing; ring++ {
-		if len(cands) >= k && kthDist < float64(ring-1)*ix.cellSize {
-			break
-		}
-		for _, ci := range ix.ringCells(pc, pr, ring) {
-			for _, e := range ix.cells[ci] {
-				cands = append(cands, cand{id: e.id, dist: geo.Euclid(p, e.p)})
-			}
-		}
-		if len(cands) >= k {
-			kthDist = kthSmallest(cands, k)
-		}
-	}
-	sortCands(cands)
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	ids := make([]int, len(cands))
-	for i, c := range cands {
-		ids[i] = c.id
-	}
-	return ids
 }
 
 // WithinRadius returns the ids of all points within radius of p.
@@ -232,38 +188,4 @@ func (ix *Index) ringCells(pc, pr, ring int) []int {
 		}
 	}
 	return out
-}
-
-// cand is a nearest-neighbour candidate during KNearest queries.
-type cand struct {
-	id   int
-	dist float64
-}
-
-// sortCands insertion-sorts candidates by distance; candidate lists are
-// small (k plus one ring's worth of points).
-func sortCands(cands []cand) {
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].dist < cands[j-1].dist; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-}
-
-// kthSmallest returns the k-th smallest candidate distance, or +Inf when
-// fewer than k candidates exist.
-func kthSmallest(cands []cand, k int) float64 {
-	dists := make([]float64, len(cands))
-	for i, c := range cands {
-		dists[i] = c.dist
-	}
-	for i := 1; i < len(dists); i++ {
-		for j := i; j > 0 && dists[j] < dists[j-1]; j-- {
-			dists[j], dists[j-1] = dists[j-1], dists[j]
-		}
-	}
-	if k-1 < len(dists) {
-		return dists[k-1]
-	}
-	return math.Inf(1)
 }

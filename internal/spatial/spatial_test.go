@@ -3,6 +3,7 @@ package spatial
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -35,9 +36,6 @@ func TestNearestEmpty(t *testing.T) {
 	ix := NewIndex(cityBounds(), 2)
 	if _, _, ok := ix.Nearest(geo.Point{X: 1, Y: 1}); ok {
 		t.Error("Nearest on empty index: ok = true, want false")
-	}
-	if ids := ix.KNearest(geo.Point{}, 3); ids != nil {
-		t.Errorf("KNearest on empty index = %v, want nil", ids)
 	}
 	if ids := ix.WithinRadius(geo.Point{}, 5); ids != nil {
 		t.Errorf("WithinRadius on empty index = %v, want nil", ids)
@@ -87,47 +85,6 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestKNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 20; trial++ {
-		ix := NewIndex(cityBounds(), 2)
-		n := 1 + rng.Intn(50)
-		pts := make([]geo.Point, n)
-		for i := range pts {
-			pts[i] = geo.Point{X: rng.Float64() * 20, Y: rng.Float64() * 20}
-			ix.Insert(i, pts[i])
-		}
-		for q := 0; q < 10; q++ {
-			query := geo.Point{X: rng.Float64() * 20, Y: rng.Float64() * 20}
-			k := 1 + rng.Intn(8)
-
-			got := ix.KNearest(query, k)
-
-			order := make([]int, n)
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool {
-				return geo.Euclid(query, pts[order[a]]) < geo.Euclid(query, pts[order[b]])
-			})
-			wantLen := k
-			if n < k {
-				wantLen = n
-			}
-			if len(got) != wantLen {
-				t.Fatalf("KNearest returned %d ids, want %d", len(got), wantLen)
-			}
-			for i, id := range got {
-				wantDist := geo.Euclid(query, pts[order[i]])
-				gotDist := geo.Euclid(query, pts[id])
-				if math.Abs(gotDist-wantDist) > 1e-9 {
-					t.Fatalf("trial %d: rank %d dist %v, want %v", trial, i, gotDist, wantDist)
-				}
-			}
-		}
-	}
-}
-
 func TestWithinRadiusMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -155,22 +112,6 @@ func TestWithinRadiusMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestMove(t *testing.T) {
-	ix := NewIndex(cityBounds(), 2)
-	from := geo.Point{X: 1, Y: 1}
-	to := geo.Point{X: 15, Y: 15}
-	ix.Insert(1, from)
-	ix.Move(1, from, to)
-
-	id, pos, ok := ix.Nearest(geo.Point{X: 14, Y: 14})
-	if !ok || id != 1 || pos != to {
-		t.Errorf("after Move, Nearest = (%d, %v, %v)", id, pos, ok)
-	}
-	if ix.Len() != 1 {
-		t.Errorf("Len = %d, want 1", ix.Len())
-	}
-}
-
 func TestOutOfBoundsPointsAreClamped(t *testing.T) {
 	ix := NewIndex(cityBounds(), 2)
 	outside := geo.Point{X: -50, Y: 300}
@@ -189,11 +130,13 @@ func TestManyPointsSameCell(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ix.Insert(i, geo.Point{X: 1 + float64(i)*0.01, Y: 1})
 	}
-	ids := ix.KNearest(geo.Point{X: 1, Y: 1}, 5)
+	if id, _, ok := ix.Nearest(geo.Point{X: 1, Y: 1}); !ok || id != 0 {
+		t.Fatalf("Nearest = (%d, %v), want id 0", id, ok)
+	}
+	ids := ix.WithinRadius(geo.Point{X: 1, Y: 1}, 0.045)
+	sort.Ints(ids)
 	want := []int{0, 1, 2, 3, 4}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("KNearest = %v, want %v", ids, want)
-		}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("WithinRadius = %v, want %v", ids, want)
 	}
 }

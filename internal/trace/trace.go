@@ -14,6 +14,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
@@ -116,6 +117,18 @@ func Boston() City {
 		LocalTripKm:   1.3,
 		CrossTownProb: 0.10,
 	}
+}
+
+// CityByName resolves a city name, case-insensitively: "boston", or
+// "newyork" (also "nyc" and "new-york").
+func CityByName(name string) (City, error) {
+	switch strings.ToLower(name) {
+	case "boston":
+		return Boston(), nil
+	case "newyork", "nyc", "new-york":
+		return NewYork(), nil
+	}
+	return City{}, fmt.Errorf("unknown city %q (want boston or newyork)", name)
 }
 
 // hourWeights is the diurnal demand profile: relative request intensity

@@ -9,6 +9,21 @@ import (
 	"stabledispatch/internal/geo"
 )
 
+func TestCityByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"boston": "boston", "Boston": "boston",
+		"newyork": "newyork", "nyc": "newyork", "new-york": "newyork", "NYC": "newyork",
+	} {
+		c, err := CityByName(name)
+		if err != nil || c.Name != want {
+			t.Errorf("CityByName(%q) = %q, %v; want %q", name, c.Name, err, want)
+		}
+	}
+	if _, err := CityByName("gotham"); err == nil {
+		t.Error("CityByName accepted an unknown city")
+	}
+}
+
 func TestCityValidate(t *testing.T) {
 	tests := []struct {
 		name    string
