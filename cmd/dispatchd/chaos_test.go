@@ -157,9 +157,6 @@ func TestStrictPathIDs(t *testing.T) {
 			t.Errorf("%s %s = %d, want 400", tt.method, tt.path, resp.StatusCode)
 		}
 	}
-	if resp := doRequest(t, http.MethodGet, ts.URL+"/v1/events?since=abc", ""); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad since = %d, want 400", resp.StatusCode)
-	}
 }
 
 func TestRecoveryMiddlewareConvertsPanics(t *testing.T) {

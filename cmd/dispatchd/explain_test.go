@@ -274,66 +274,3 @@ func TestHealthzCounts(t *testing.T) {
 		t.Errorf("idle = %d, want 2", h.TaxisIdle)
 	}
 }
-
-// TestEventsLimit pins the limit query parameter: tail paging, zero, and
-// strict parsing.
-func TestEventsLimit(t *testing.T) {
-	taxis := []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}}
-	s, err := sim.New(sim.Config{
-		Params:     pref.Unbounded(),
-		Dispatcher: dispatch.NewNSTDP(),
-		SpeedKmH:   60,
-	}, taxis, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	ts := httptest.NewServer(newServer(s).handler())
-	defer ts.Close()
-
-	postJSON(t, ts.URL+"/v1/requests", requestIn{
-		Pickup:  pointJSON{X: 10.5, Y: 10},
-		Dropoff: pointJSON{X: 12, Y: 10},
-	})
-	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 5})
-
-	all, code := getJSON[[]sim.Event](t, ts.URL+"/v1/events")
-	if code != http.StatusOK || len(all) < 3 {
-		t.Fatalf("events = %d items, code %d", len(all), code)
-	}
-
-	// limit keeps the newest tail.
-	two, code := getJSON[[]sim.Event](t, ts.URL+"/v1/events?limit=2")
-	if code != http.StatusOK || len(two) != 2 {
-		t.Fatalf("limit=2 returned %d items, code %d", len(two), code)
-	}
-	if two[1] != all[len(all)-1] || two[0] != all[len(all)-2] {
-		t.Errorf("limit=2 = %v, want tail of %v", two, all)
-	}
-
-	// A limit larger than the stream is a no-op.
-	big, _ := getJSON[[]sim.Event](t, ts.URL+"/v1/events?limit=1000")
-	if len(big) != len(all) {
-		t.Errorf("limit=1000 returned %d items, want %d", len(big), len(all))
-	}
-
-	// limit=0 means no events.
-	zero, code := getJSON[[]sim.Event](t, ts.URL+"/v1/events?limit=0")
-	if code != http.StatusOK || len(zero) != 0 {
-		t.Errorf("limit=0 returned %d items, code %d", len(zero), code)
-	}
-
-	// Junk and negatives are 400s, strictly parsed.
-	for _, q := range []string{"bogus", "-1", "2.5", "1e2", "07x", ""} {
-		if q == "" {
-			continue
-		}
-		resp, err := http.Get(ts.URL + "/v1/events?limit=" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("limit=%q status = %d, want 400", q, resp.StatusCode)
-		}
-	}
-}

@@ -30,7 +30,7 @@ type admissionHarness struct {
 func newAdmissionHarness(t *testing.T, cfg sim.Config, taxis []fleet.Taxi, admCfg admission.Config) *admissionHarness {
 	t.Helper()
 	adm := admission.New(admCfg)
-	cfg.Events = sim.MultiSink(cfg.Events, admissionSink(adm))
+	cfg.Events = admissionSink(adm)
 	s, err := sim.New(cfg, taxis, nil)
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)

@@ -21,7 +21,6 @@
 //	GET    /v1/taxis
 //	GET    /v1/requests/{id}
 //	GET    /v1/report
-//	GET    /v1/events                  ?since=FRAME&limit=N
 //	GET    /v1/traces/{id}             full decision trace of one request
 //	GET    /v1/explain/{id}            why this taxi: ranks + rejected alternatives
 //	GET    /v1/frames/{n}/stability    blocking-pair certificate of frame n

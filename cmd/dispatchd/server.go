@@ -134,7 +134,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /v1/requests/{id}", s.getRequest)
 	mux.HandleFunc("DELETE /v1/requests/{id}", s.deleteRequest)
 	mux.HandleFunc("POST /v1/chaos", s.postChaos)
-	mux.HandleFunc("GET /v1/events", s.getEvents)
 	mux.HandleFunc("GET /v1/stream", s.getStream)
 	mux.HandleFunc("GET /v1/metrics", s.getMetrics)
 	mux.HandleFunc("GET /v1/timeseries", s.getTimeseries)
@@ -651,33 +650,4 @@ func nanToZero(x float64) float64 {
 		return 0
 	}
 	return x
-}
-
-// getEvents serves the simulator's event tail.
-func (s *server) getEvents(w http.ResponseWriter, r *http.Request) {
-	since := 0
-	if q := r.URL.Query().Get("since"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad since %q", q))
-			return
-		}
-		since = n
-	}
-	limit := -1
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", q))
-			return
-		}
-		limit = n
-	}
-	out := s.sim.RecentEvents(since)
-	if limit >= 0 && len(out) > limit {
-		// Keep the newest events: a poller asking for a bounded page
-		// wants the tail of the stream.
-		out = out[len(out)-limit:]
-	}
-	writeJSON(w, http.StatusOK, out)
 }

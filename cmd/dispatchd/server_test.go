@@ -308,7 +308,10 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-func TestEventsEndpoint(t *testing.T) {
+// TestHTTPRequestEventsReachTail drives one ride through the HTTP API
+// and reads its lifecycle from the simulator's event tail, the store
+// the /v1/stream snapshot serves.
+func TestHTTPRequestEventsReachTail(t *testing.T) {
 	taxis := []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}}
 	s, err := sim.New(sim.Config{
 		Params:     pref.Unbounded(),
@@ -327,48 +330,12 @@ func TestEventsEndpoint(t *testing.T) {
 	})
 	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 5})
 
-	resp, err := http.Get(ts.URL + "/v1/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	events := decode[[]sim.Event](t, resp)
+	events := s.RecentEvents()
 	if len(events) < 3 {
 		t.Fatalf("got %d events, want request+assign+pickup at least", len(events))
 	}
 	if events[0].Kind != sim.EventRequest {
 		t.Errorf("first event = %v", events[0].Kind)
-	}
-
-	// Filtering by frame.
-	resp2, err := http.Get(ts.URL + "/v1/events?since=99")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if late := decode[[]sim.Event](t, resp2); len(late) != 0 {
-		t.Errorf("since=99 returned %v", late)
-	}
-
-	resp3, err := http.Get(ts.URL + "/v1/events?since=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad since status = %d", resp3.StatusCode)
-	}
-}
-
-func TestEventsEndpointWithoutBuffer(t *testing.T) {
-	ts := testServer(t) // no requests, so an empty tail
-	resp, err := http.Get(ts.URL + "/v1/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if events := decode[[]sim.Event](t, resp); len(events) != 0 {
-		t.Errorf("events = %v, want empty", events)
 	}
 }
 

@@ -70,11 +70,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	daily := *volume
 	if daily <= 0 {
-		if city.Name == "newyork" {
-			daily = trace.NewYorkConfig(*frames, *seed).RequestsPerDay
-		} else {
-			daily = trace.BostonConfig(*frames, *seed).RequestsPerDay
-		}
+		daily = city.RequestsPerDay
 	}
 	scaled := int(float64(daily) * *mult)
 	if scaled <= 0 {

@@ -99,15 +99,15 @@ func run(args []string, out io.Writer) error {
 		faults = sched
 	}
 
-	city, defTaxis, defVolume, err := cityByName(*cityName)
+	city, err := trace.CityByName(*cityName)
 	if err != nil {
 		return err
 	}
 	if *taxis == 0 {
-		*taxis = defTaxis
+		*taxis = city.Fleet
 	}
 	if *volume == 0 {
-		*volume = defVolume
+		*volume = city.RequestsPerDay
 	}
 
 	var reqs []fleet.Request
@@ -338,19 +338,6 @@ func printComparison(w io.Writer, reports []*sim.Report, total, taxis int) error
 		)
 	}
 	return tb.Render(w)
-}
-
-// cityByName resolves -city and the city's paper-scale fleet size and
-// daily volume.
-func cityByName(name string) (trace.City, int, int, error) {
-	city, err := trace.CityByName(name)
-	if err != nil {
-		return trace.City{}, 0, 0, err
-	}
-	if city.Name == "newyork" {
-		return city, 700, 46600, nil
-	}
-	return city, 200, 13500, nil
 }
 
 func printSummary(w io.Writer, rep *sim.Report, total, taxis int) error {

@@ -51,10 +51,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *volume == 0 {
-		*volume = 13500
-		if city.Name == "newyork" {
-			*volume = 46600
-		}
+		*volume = city.RequestsPerDay
 	}
 
 	reqs, err := trace.Generate(trace.Config{

@@ -18,7 +18,7 @@ func AblationMaxNet(o Options) (Figure, error) {
 	if err := o.Validate(); err != nil {
 		return Figure{}, err
 	}
-	reqs, taxis, err := Workload(trace.Boston(), 13500, 200, o)
+	reqs, taxis, err := paperWorkload(trace.Boston(), o)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -63,7 +63,7 @@ func AblationTheta(o Options) (Figure, error) {
 	if err := o.Validate(); err != nil {
 		return Figure{}, err
 	}
-	reqs, taxis, err := Workload(trace.Boston(), 13500, 200, o)
+	reqs, taxis, err := paperWorkload(trace.Boston(), o)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -105,7 +105,7 @@ func AblationStableVariant(o Options) (Figure, error) {
 	if err := o.Validate(); err != nil {
 		return Figure{}, err
 	}
-	reqs, taxis, err := Workload(trace.Boston(), 13500, 200, o)
+	reqs, taxis, err := paperWorkload(trace.Boston(), o)
 	if err != nil {
 		return Figure{}, err
 	}

@@ -30,8 +30,7 @@ type Options struct {
 	Frames int
 	// VolumeScale multiplies the calibrated requests-per-day.
 	VolumeScale float64
-	// TaxiScale multiplies the paper's fleet sizes (700 NYC, 200
-	// Boston).
+	// TaxiScale multiplies the paper's fleet sizes (trace.City.Fleet).
 	TaxiScale float64
 	// Seed drives all generators.
 	Seed int64
@@ -285,6 +284,12 @@ func Workload(city trace.City, volumePerDay, fleetSize int, o Options) ([]fleet.
 		return nil, nil, err
 	}
 	return reqs, taxis, nil
+}
+
+// paperWorkload is Workload at the city's §VI calibration: its daily
+// request volume and the paper's fleet size.
+func paperWorkload(city trace.City, o Options) ([]fleet.Request, []fleet.Taxi, error) {
+	return Workload(city, city.RequestsPerDay, city.Fleet, o)
 }
 
 func scaleCount(n int, scale float64) int {

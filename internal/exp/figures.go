@@ -13,32 +13,30 @@ import (
 // the New York trace (700 taxis).
 func Fig4(o Options) (Figure, error) {
 	return cdfFigure("fig4", "Non-sharing taxi dispatches, New York trace",
-		trace.NewYork(), 46600, 700, nonSharingDispatchers, o)
+		trace.NewYork(), nonSharingDispatchers, o)
 }
 
 // Fig5 reproduces Fig. 5: the same CDFs on the Boston trace (200 taxis).
 func Fig5(o Options) (Figure, error) {
 	return cdfFigure("fig5", "Non-sharing taxi dispatches, Boston trace",
-		trace.Boston(), 13500, 200, nonSharingDispatchers, o)
+		trace.Boston(), nonSharingDispatchers, o)
 }
 
 // Fig8 reproduces Fig. 8: sharing-dispatch CDFs on the New York trace.
 func Fig8(o Options) (Figure, error) {
 	return cdfFigure("fig8", "Sharing taxi dispatches, New York trace",
-		trace.NewYork(), 46600, 700,
-		func() []sim.Dispatcher { return sharingDispatchers(o.Theta) }, o)
+		trace.NewYork(), func() []sim.Dispatcher { return sharingDispatchers(o.Theta) }, o)
 }
 
 // Fig9 reproduces Fig. 9: sharing-dispatch CDFs on the Boston trace.
 func Fig9(o Options) (Figure, error) {
 	return cdfFigure("fig9", "Sharing taxi dispatches, Boston trace",
-		trace.Boston(), 13500, 200,
-		func() []sim.Dispatcher { return sharingDispatchers(o.Theta) }, o)
+		trace.Boston(), func() []sim.Dispatcher { return sharingDispatchers(o.Theta) }, o)
 }
 
 // cdfFigure runs every dispatcher over one workload and evaluates the
 // three metric CDFs on shared grids.
-func cdfFigure(id, title string, city trace.City, volume, fleetSize int,
+func cdfFigure(id, title string, city trace.City,
 	dispatchers func() []sim.Dispatcher, o Options) (Figure, error) {
 	if err := o.Validate(); err != nil {
 		return Figure{}, err
@@ -56,7 +54,7 @@ func cdfFigure(id, title string, city trace.City, volume, fleetSize int,
 	}
 	for rep := 0; rep < o.replicas(); rep++ {
 		ro := o.replica(rep)
-		reqs, taxis, err := Workload(city, volume, fleetSize, ro)
+		reqs, taxis, err := paperWorkload(city, ro)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -147,6 +145,7 @@ func Fig6(o Options) (Figure, error) {
 		x[i] = float64(scaleCount(c, o.TaxiScale))
 	}
 
+	boston := trace.Boston()
 	algs := nonSharingDispatchers()
 	delays := make([][]float64, len(algs))
 	passes := make([][]float64, len(algs))
@@ -159,7 +158,7 @@ func Fig6(o Options) (Figure, error) {
 		sumTaxi := make([]float64, len(algs))
 		for rep := 0; rep < o.replicas(); rep++ {
 			ro := o.replica(rep)
-			reqs, taxis, err := Workload(trace.Boston(), 13500, count, ro)
+			reqs, taxis, err := Workload(boston, boston.RequestsPerDay, count, ro)
 			if err != nil {
 				return Figure{}, err
 			}
@@ -214,7 +213,7 @@ func Fig7(o Options) (Figure, error) {
 		taxiBuckets := make([][]float64, buckets)
 		for rep := 0; rep < o.replicas(); rep++ {
 			ro := o.replica(rep)
-			reqs, taxis, err := Workload(trace.Boston(), 13500, 200, ro)
+			reqs, taxis, err := paperWorkload(trace.Boston(), ro)
 			if err != nil {
 				return Figure{}, err
 			}

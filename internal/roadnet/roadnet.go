@@ -73,20 +73,8 @@ func (g *Graph) AddRoad(u, v int) error {
 // NumNodes returns the number of intersections.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
-// NumEdges returns the number of undirected road segments.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total / 2
-}
-
 // Node returns the coordinates of intersection i.
 func (g *Graph) Node(i int) geo.Point { return g.nodes[i] }
-
-// Degree returns the number of segments incident to node i.
-func (g *Graph) Degree(i int) int { return len(g.adj[i]) }
 
 // Nearest returns the index of the intersection closest to p, or -1 for
 // an empty graph. It is a linear scan; callers on hot paths should keep a

@@ -21,6 +21,15 @@ func buildTriangle(t *testing.T) *Graph {
 	return g
 }
 
+// numEdges counts g's undirected road segments.
+func numEdges(g *Graph) int {
+	total := 0
+	for _, a := range g.adj {
+		total += len(a)
+	}
+	return total / 2
+}
+
 func mustEdge(t *testing.T, g *Graph, u, v int, w float64) {
 	t.Helper()
 	if err := g.AddEdge(u, v, w); err != nil {
@@ -33,11 +42,11 @@ func TestGraphBasics(t *testing.T) {
 	if g.NumNodes() != 3 {
 		t.Errorf("NumNodes = %d, want 3", g.NumNodes())
 	}
-	if g.NumEdges() != 3 {
-		t.Errorf("NumEdges = %d, want 3", g.NumEdges())
+	if n := numEdges(g); n != 3 {
+		t.Errorf("edges = %d, want 3", n)
 	}
-	if g.Degree(0) != 2 {
-		t.Errorf("Degree(0) = %d, want 2", g.Degree(0))
+	if d := len(g.adj[0]); d != 2 {
+		t.Errorf("degree of node 0 = %d, want 2", d)
 	}
 }
 
@@ -229,8 +238,8 @@ func TestNewGridNoDropKeepsAllEdges(t *testing.T) {
 	}
 	// A full r x c grid has r(c-1) + c(r-1) edges.
 	want := 4*4 + 5*3
-	if g.NumEdges() != want {
-		t.Errorf("NumEdges = %d, want %d", g.NumEdges(), want)
+	if n := numEdges(g); n != want {
+		t.Errorf("edges = %d, want %d", n, want)
 	}
 }
 

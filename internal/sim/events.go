@@ -66,35 +66,6 @@ func (f EventSinkFunc) Record(e Event) { f(e) }
 
 var _ EventSink = EventSinkFunc(nil)
 
-// MultiSink fans one event stream out to several sinks, calling them in
-// argument order. Nil sinks are skipped, so callers can compose optional
-// sinks without branching; with zero or one live sink the composition
-// collapses to nil or the sink itself.
-func MultiSink(sinks ...EventSink) EventSink {
-	live := make(multiSink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}
-
-type multiSink []EventSink
-
-// Record implements EventSink.
-func (m multiSink) Record(e Event) {
-	for _, s := range m {
-		s.Record(e)
-	}
-}
-
 // JSONLSink streams events as JSON lines. Errors are sticky: the first
 // write failure is kept and reported by Err, and later events are
 // dropped — a broken sink must not take the simulation down.
@@ -142,7 +113,7 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 const EventTailCapacity = 10000
 
 // eventTail is a simulator's ring of its most recent lifecycle events,
-// the one store behind GET /v1/events, the /v1/stream snapshot and
+// the one store behind dispatchd's /v1/stream snapshot and
 // flight-recorder bundles. It carries its own lock, so readers on other
 // goroutines never wait on a solving frame.
 type eventTail struct {
@@ -162,21 +133,15 @@ func (t *eventTail) add(e Event) {
 	t.mu.Unlock()
 }
 
-// RecentEvents copies out the retained events at or after frame, oldest
-// first; the result is never nil. Safe to call concurrently with Step.
-func (s *Simulator) RecentEvents(frame int) []Event {
+// RecentEvents copies out the retained events, oldest first; the result
+// is never nil. Safe to call concurrently with Step.
+func (s *Simulator) RecentEvents() []Event {
 	t := &s.tail
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := []Event{}
-	for _, part := range [2][]Event{t.buf[t.next:], t.buf[:t.next]} {
-		for _, e := range part {
-			if e.Frame >= frame {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
+	out := make([]Event, 0, len(t.buf))
+	out = append(out, t.buf[t.next:]...)
+	return append(out, t.buf[:t.next]...)
 }
 
 // emit counts an event, retains it in the tail, and forwards it to the

@@ -198,28 +198,3 @@ func TestRunSurfacesEventSinkError(t *testing.T) {
 		t.Errorf("healthy sink EventSinkErr = %v, want nil", rep2.EventSinkErr)
 	}
 }
-
-// TestMultiSink pins the fan-out order, nil-skipping, and the collapse
-// to nil/single-sink fast paths.
-func TestMultiSink(t *testing.T) {
-	var order []string
-	a := EventSinkFunc(func(Event) { order = append(order, "a") })
-	b := EventSinkFunc(func(Event) { order = append(order, "b") })
-	m := MultiSink(nil, a, nil, b)
-	m.Record(Event{})
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Errorf("fan-out order = %v, want [a b]", order)
-	}
-	if MultiSink(nil, nil) != nil {
-		t.Error("MultiSink of nils != nil")
-	}
-	if got := MultiSink(nil, a); got == nil {
-		t.Error("MultiSink collapsed a live sink to nil")
-	} else {
-		order = order[:0]
-		got.Record(Event{})
-		if len(order) != 1 || order[0] != "a" {
-			t.Errorf("single-sink collapse recorded %v", order)
-		}
-	}
-}

@@ -113,7 +113,7 @@ func (s *Simulator) bundleContents() flightrec.Contents {
 			return tseries.WriteCSV(w, samples, nil)
 		}})
 	}
-	events := s.RecentEvents(0)
+	events := s.RecentEvents()
 	c.Files = append(c.Files, flightrec.Attachment{Kind: "events", Name: "events.jsonl", Fill: func(w io.Writer) error {
 		sink := NewJSONLSink(w)
 		for _, e := range events {

@@ -249,7 +249,7 @@ func TestBundleReadsSimulatorStores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tail := tc.s.RecentEvents(0); len(tail) == 0 || !reflect.DeepEqual(events, tail) {
+		if tail := tc.s.RecentEvents(); len(tail) == 0 || !reflect.DeepEqual(events, tail) {
 			t.Errorf("events.jsonl = %v, want the simulator's tail %v", events, tail)
 		}
 		for _, e := range events {
@@ -325,7 +325,7 @@ func TestInFrameTriggersBundleTheirFrame(t *testing.T) {
 }
 
 // TestEventTailEviction checks the tail keeps the newest
-// EventTailCapacity events, oldest first, and filters by frame.
+// EventTailCapacity events, oldest first.
 func TestEventTailEviction(t *testing.T) {
 	s, err := New(simpleConfig(nearestDispatcher{}), nil, nil)
 	if err != nil {
@@ -334,13 +334,10 @@ func TestEventTailEviction(t *testing.T) {
 	for i := 0; i < EventTailCapacity+5; i++ {
 		s.tail.add(Event{Frame: i})
 	}
-	got := s.RecentEvents(0)
+	got := s.RecentEvents()
 	if len(got) != EventTailCapacity || got[0].Frame != 5 || got[len(got)-1].Frame != EventTailCapacity+4 {
 		t.Errorf("tail holds %d events, frames %d..%d; want %d, frames 5..%d",
 			len(got), got[0].Frame, got[len(got)-1].Frame, EventTailCapacity, EventTailCapacity+4)
-	}
-	if late := s.RecentEvents(EventTailCapacity + 3); len(late) != 2 {
-		t.Errorf("RecentEvents(since) = %v, want the last two", late)
 	}
 }
 
@@ -365,7 +362,7 @@ func TestBundleWhileStepping(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			s.RecentEvents(0)
+			s.RecentEvents()
 		}
 	}()
 	_, err := s.Run()

@@ -74,31 +74,12 @@ func (ix *Index) cellOf(p geo.Point) (int, int) {
 	return c, r
 }
 
-// Insert adds a point with an opaque id. Duplicate ids are allowed; the
-// caller is responsible for removing stale entries.
+// Insert adds a point with an opaque id. Duplicate ids are allowed.
 func (ix *Index) Insert(id int, p geo.Point) {
 	c, r := ix.cellOf(p)
 	i := r*ix.cols + c
 	ix.cells[i] = append(ix.cells[i], entry{id: id, p: p})
 	ix.count++
-}
-
-// Remove deletes the entry with the given id at (or near) p. It reports
-// whether an entry was removed. p must be the position the id was
-// inserted with.
-func (ix *Index) Remove(id int, p geo.Point) bool {
-	c, r := ix.cellOf(p)
-	i := r*ix.cols + c
-	cell := ix.cells[i]
-	for j, e := range cell {
-		if e.id == id {
-			cell[j] = cell[len(cell)-1]
-			ix.cells[i] = cell[:len(cell)-1]
-			ix.count--
-			return true
-		}
-	}
-	return false
 }
 
 // Nearest returns the id and position of the indexed point closest to p

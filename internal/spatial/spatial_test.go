@@ -14,21 +14,17 @@ func cityBounds() geo.Rect {
 	return geo.NewRect(geo.Point{}, geo.Point{X: 20, Y: 20})
 }
 
-func TestInsertRemove(t *testing.T) {
+func TestInsertLen(t *testing.T) {
 	ix := NewIndex(cityBounds(), 2)
 	p := geo.Point{X: 3, Y: 4}
 	ix.Insert(7, p)
 	if ix.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", ix.Len())
 	}
-	if !ix.Remove(7, p) {
-		t.Fatal("Remove = false, want true")
-	}
-	if ix.Len() != 0 {
-		t.Fatalf("Len after remove = %d, want 0", ix.Len())
-	}
-	if ix.Remove(7, p) {
-		t.Fatal("second Remove = true, want false")
+	// Duplicate ids are kept as separate entries.
+	ix.Insert(7, p)
+	if ix.Len() != 2 {
+		t.Fatalf("Len after duplicate = %d, want 2", ix.Len())
 	}
 }
 
@@ -119,9 +115,6 @@ func TestOutOfBoundsPointsAreClamped(t *testing.T) {
 	id, _, ok := ix.Nearest(geo.Point{X: 0, Y: 20})
 	if !ok || id != 1 {
 		t.Errorf("Nearest = (%d, %v), want id 1 found", id, ok)
-	}
-	if !ix.Remove(1, outside) {
-		t.Error("Remove of out-of-bounds point failed")
 	}
 }
 

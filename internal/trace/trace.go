@@ -47,6 +47,11 @@ type City struct {
 	// CrossTownProb is the fraction of trips that run hotspot-to-
 	// hotspot across the city instead of locally.
 	CrossTownProb float64
+	// RequestsPerDay and Fleet are the paper's §VI calibration for the
+	// city: its trace's mean daily request volume and the fleet size
+	// the evaluation runs. Zero for a city the paper does not evaluate.
+	RequestsPerDay int
+	Fleet          int
 }
 
 // Validate reports malformed city descriptions.
@@ -95,9 +100,11 @@ func NewYork() City {
 			{Center: geo.Point{X: 14, Y: 14}, StdDev: 4.0, Weight: 0.5}, // outer region
 			{Center: geo.Point{X: 48, Y: 48}, StdDev: 4.0, Weight: 0.5}, // outer region
 		},
-		TaxiStdDev:    6,
-		LocalTripKm:   1.6,
-		CrossTownProb: 0.06,
+		TaxiStdDev:     6,
+		LocalTripKm:    1.6,
+		CrossTownProb:  0.06,
+		RequestsPerDay: 46600,
+		Fleet:          700,
 	}
 }
 
@@ -113,9 +120,11 @@ func Boston() City {
 			{Center: geo.Point{X: 11.5, Y: 8.5}, StdDev: 1.2, Weight: 1}, // Dorchester
 			{Center: geo.Point{X: 13, Y: 12}, StdDev: 1.4, Weight: 1},    // airport/east
 		},
-		TaxiStdDev:    2,
-		LocalTripKm:   1.3,
-		CrossTownProb: 0.10,
+		TaxiStdDev:     2,
+		LocalTripKm:    1.3,
+		CrossTownProb:  0.10,
+		RequestsPerDay: 13500,
+		Fleet:          200,
 	}
 }
 
@@ -153,8 +162,8 @@ type Config struct {
 	City City
 	// Frames is the horizon in minutes (1440 for one day).
 	Frames int
-	// RequestsPerDay is the target daily volume. The paper's traces
-	// average ~46,600/day (New York) and ~13,500/day (Boston).
+	// RequestsPerDay is the target daily volume; City.RequestsPerDay
+	// holds the paper's calibration.
 	RequestsPerDay int
 	// Seats, if positive, is the maximum party size; parties are drawn
 	// 1..Seats with decaying probability. Zero means all parties of 1.
@@ -181,13 +190,15 @@ func (c Config) Validate() error {
 
 // NewYorkConfig returns the calibrated New York generation config over
 // the given horizon.
-func NewYorkConfig(frames int, seed int64) Config {
-	return Config{City: NewYork(), Frames: frames, RequestsPerDay: 46600, Seats: 3, Seed: seed}
-}
+func NewYorkConfig(frames int, seed int64) Config { return calibratedConfig(NewYork(), frames, seed) }
 
 // BostonConfig returns the calibrated Boston generation config.
-func BostonConfig(frames int, seed int64) Config {
-	return Config{City: Boston(), Frames: frames, RequestsPerDay: 13500, Seats: 3, Seed: seed}
+func BostonConfig(frames int, seed int64) Config { return calibratedConfig(Boston(), frames, seed) }
+
+// calibratedConfig generates city at its calibrated daily volume, with
+// parties of up to three.
+func calibratedConfig(city City, frames int, seed int64) Config {
+	return Config{City: city, Frames: frames, RequestsPerDay: city.RequestsPerDay, Seats: 3, Seed: seed}
 }
 
 // Generate produces a deterministic synthetic request trace: arrivals per

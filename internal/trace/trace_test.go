@@ -24,6 +24,24 @@ func TestCityByName(t *testing.T) {
 	}
 }
 
+// TestPaperCalibration pins the §VI daily volumes and fleets every
+// paper-scale default reads from the city.
+func TestPaperCalibration(t *testing.T) {
+	for _, tc := range []struct {
+		cfg           Config
+		volume, fleet int
+	}{
+		{NewYorkConfig(1440, 1), 46600, 700},
+		{BostonConfig(1440, 1), 13500, 200},
+	} {
+		c := tc.cfg.City
+		if c.RequestsPerDay != tc.volume || c.Fleet != tc.fleet || tc.cfg.RequestsPerDay != tc.volume {
+			t.Errorf("%s: city %d requests/day, fleet %d, config %d requests/day; want %d, %d",
+				c.Name, c.RequestsPerDay, c.Fleet, tc.cfg.RequestsPerDay, tc.volume, tc.fleet)
+		}
+	}
+}
+
 func TestCityValidate(t *testing.T) {
 	tests := []struct {
 		name    string

@@ -34,13 +34,10 @@
 package stabledispatch
 
 import (
-	"time"
-
 	"stabledispatch/internal/carpool"
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/exp"
-	"stabledispatch/internal/fault"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/geo"
@@ -48,7 +45,6 @@ import (
 	"stabledispatch/internal/roadnet"
 	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
-	"stabledispatch/internal/slo"
 	"stabledispatch/internal/stable"
 	"stabledispatch/internal/stream"
 	"stabledispatch/internal/trace"
@@ -59,17 +55,12 @@ import (
 type (
 	// Point is a location on the city plane, in kilometres.
 	Point = geo.Point
-	// Rect is an axis-aligned rectangle of the city plane.
-	Rect = geo.Rect
 	// Metric measures travel distance between two points.
 	Metric = geo.Metric
 )
 
-// Euclidean and Manhattan plane metrics.
-var (
-	EuclidMetric    = geo.EuclidMetric
-	ManhattanMetric = geo.ManhattanMetric
-)
+// EuclidMetric is the straight-line plane metric.
+var EuclidMetric = geo.EuclidMetric
 
 // Domain model types.
 type (
@@ -105,21 +96,10 @@ const Unmatched = stable.Unmatched
 // (α = β = 1, 10 km pickup threshold, 2 km taxi net-loss threshold).
 func DefaultParams() Params { return pref.DefaultParams() }
 
-// UnboundedParams disables both dummy thresholds, recovering classic
-// stable marriage behaviour.
-func UnboundedParams() Params { return pref.Unbounded() }
-
 // NewInstance builds the non-sharing matching market for one batch of
 // requests and idle taxis (§IV-A interest model).
 func NewInstance(reqs []Request, taxis []Taxi, m Metric, p Params) (*Instance, error) {
 	return pref.NewInstance(reqs, taxis, m, p)
-}
-
-// SplitOversized divides requests whose party exceeds maxSeats into
-// multiple same-location requests (§IV-A); new parts take IDs from
-// nextID upward.
-func SplitOversized(reqs []Request, maxSeats, nextID int) []Request {
-	return pref.SplitOversized(reqs, maxSeats, nextID)
 }
 
 // PassengerOptimal runs Algorithm 1 and returns the passenger-optimal
@@ -140,19 +120,12 @@ func AllStableMatchings(m *Market, limit int) []Matching {
 // stable.
 func IsStable(m *Market, match Matching) error { return stable.IsStable(m, match) }
 
-// MedianStable returns the median stable matching — halfway between the
-// passenger-optimal and taxi-optimal extremes. limit caps the underlying
-// enumeration (0 = unlimited).
-func MedianStable(m *Market, limit int) Matching { return stable.MedianStable(m, limit) }
-
 // Sharing types.
 type (
 	// PackConfig controls share-group generation (θ, group size).
 	PackConfig = share.PackConfig
 	// PackResult is the outcome of the packing stage.
 	PackResult = share.PackResult
-	// ShareGroup is a feasible subset of requests sharing one taxi.
-	ShareGroup = share.Group
 	// RoutePlan is an optimal shared route.
 	RoutePlan = share.RoutePlan
 )
@@ -193,12 +166,6 @@ type (
 	Dispatcher = sim.Dispatcher
 	// Report is the outcome of a simulation run.
 	Report = sim.Report
-	// RequestOutcome records one request's trip.
-	RequestOutcome = sim.RequestOutcome
-	// EpisodeOutcome records one taxi busy period.
-	EpisodeOutcome = sim.EpisodeOutcome
-	// AssignmentOutcome records one dispatch decision.
-	AssignmentOutcome = sim.AssignmentOutcome
 	// Outage injects a taxi failure window into a simulation.
 	Outage = sim.Outage
 	// Event is one lifecycle event of a simulated request.
@@ -207,27 +174,7 @@ type (
 	EventSink = sim.EventSink
 	// EventSinkFunc adapts a function to the EventSink interface.
 	EventSinkFunc = sim.EventSinkFunc
-	// FaultInjector supplies cancellation and breakdown decisions to a
-	// simulation (SimConfig.Faults).
-	FaultInjector = sim.FaultInjector
-	// FaultConfig parameterises a seeded fault schedule.
-	FaultConfig = fault.Config
-	// FaultSchedule is a deterministic, seed-derived FaultInjector.
-	FaultSchedule = fault.Schedule
 )
-
-// NewFaultSchedule derives a reproducible fault-injection schedule
-// (breakdowns, driver and passenger cancellations) from cfg.Seed.
-func NewFaultSchedule(cfg FaultConfig) (*FaultSchedule, error) {
-	return fault.New(cfg)
-}
-
-// ResilientDispatcher wraps primary with a per-frame compute deadline
-// and panic recovery, degrading the frame to fallback (Greedy when nil)
-// on overrun, panic, or error.
-func ResilientDispatcher(primary, fallback Dispatcher, deadline time.Duration) Dispatcher {
-	return dispatch.NewResilient(primary, fallback, deadline)
-}
 
 // NewSimulator builds a simulator over the given fleet and request
 // trace.
@@ -288,16 +235,9 @@ func ILPDispatcher(cfg PackConfig) Dispatcher { return carpool.NewILP(cfg) }
 type (
 	// TraceRecorder is a bounded ring of per-request decision traces.
 	TraceRecorder = dtrace.Recorder
-	// DecisionTrace is one request's causally ordered decision timeline.
-	DecisionTrace = dtrace.Trace
-	// TraceEvent is one recorded decision step.
-	TraceEvent = dtrace.Event
 	// StabilityCertificate is a frame-commit audit of the realized
 	// matching against Definition 1.
 	StabilityCertificate = dtrace.Certificate
-	// BlockingPair is one stability violation: a passenger-taxi pair
-	// that would rather elope than keep their partners.
-	BlockingPair = dtrace.BlockingPair
 )
 
 // NewTraceRecorder returns an empty decision-trace recorder keeping at
@@ -328,16 +268,11 @@ type (
 	// (evict-oldest sliding window, or downsample to keep the whole-run
 	// trajectory at halving resolution).
 	KPIRecorderConfig = tseries.Config
-	// KPISample is one frame's KPI observation.
-	KPISample = tseries.Sample
 )
 
 // NewKPIRecorder returns a per-frame KPI ring; attach it via
 // SimConfig.KPI and query it with Simulator.KPISeries / KPIWindow.
 func NewKPIRecorder(cfg KPIRecorderConfig) *KPIRecorder { return tseries.New(cfg) }
-
-// KPISeriesNames lists every queryable series name, in sample order.
-func KPISeriesNames() []string { return append([]string(nil), tseries.SeriesNames...) }
 
 // Trace and workload types.
 type (
@@ -423,30 +358,6 @@ func (e *UnknownFigureError) Error() string {
 	return "stabledispatch: unknown figure " + e.ID
 }
 
-// SLO engine types. An SLOEngine attached to SimConfig.SLO evaluates
-// declarative objectives ("max(delay_p95) < 3", "frac(expired, served)
-// < 1%") against every recorded KPI sample with multi-window burn-rate
-// alerting and a hysteresis state machine; breach transitions fire the
-// flight recorder.
-type (
-	// SLODef is one declarative objective.
-	SLODef = slo.Def
-	// SLOEngine evaluates a set of objectives frame by frame.
-	SLOEngine = slo.Engine
-	// SLOStatus is one objective's externally visible alert state.
-	SLOStatus = slo.Status
-	// SLOState is an objective's hysteresis state (ok, warning, breach,
-	// recovered).
-	SLOState = slo.State
-)
-
-// NewSLOEngine validates defs and builds an engine.
-func NewSLOEngine(defs []SLODef) (*SLOEngine, error) { return slo.New(defs) }
-
-// ParseSLOFile loads objective definitions from an SLO file (one
-// "name: agg(series) op threshold" line per objective).
-func ParseSLOFile(path string) ([]SLODef, error) { return slo.ParseFile(path) }
-
 // Flight-recorder types: a black box that freezes its simulator's own
 // stores into a self-contained diagnostic bundle (manifest, the KPI
 // ring as CSV, the event tail as JSONL, the decision trace) on SLO
@@ -458,8 +369,6 @@ type (
 	// FlightRecorderConfig sets the bundle directory, the cooldown
 	// between automatic bundles, and the retention cap.
 	FlightRecorderConfig = flightrec.Config
-	// BundleManifest is the machine-readable index of one bundle.
-	BundleManifest = flightrec.Manifest
 )
 
 // NewFlightRecorder builds a flight recorder. Attach it to one
@@ -470,33 +379,14 @@ func NewFlightRecorder(cfg FlightRecorderConfig) (*FlightRecorder, error) {
 	return flightrec.New(cfg)
 }
 
-// ReadBundleManifest loads and schema-checks one bundle's manifest.
-func ReadBundleManifest(bundleDir string) (BundleManifest, error) {
-	return flightrec.ReadManifest(bundleDir)
-}
-
-// Telemetry streaming types: a broadcast hub fans per-frame telemetry
+// StreamHub is the telemetry broadcast hub: it fans per-frame telemetry
 // (KPI samples, SLO transitions, admission decisions, lifecycle events,
 // operator notices) to subscribers through bounded per-subscriber
 // rings; a slow subscriber drops its own oldest entries and can never
 // block a producer. Attach a hub to one simulator through
 // SimConfig.Hub; dispatchd serves its hub at GET /v1/stream over SSE.
-type (
-	// StreamHub is the broadcast hub.
-	StreamHub = stream.Hub
-	// StreamSub is one subscription with its bounded ring.
-	StreamSub = stream.Sub
-	// StreamTopic names one telemetry topic (kpi, slo, admission,
-	// events, notice).
-	StreamTopic = stream.Topic
-	// StreamMsg is one published message: topic, sequence, frame, and
-	// the marshalled payload shared by every subscriber.
-	StreamMsg = stream.Msg
-)
+type StreamHub = stream.Hub
 
 // NewStreamHub builds a hub. It counts its own publishes, drops and
 // subscribers (Published, Dropped, Subscribers).
 func NewStreamHub() *StreamHub { return stream.NewHub() }
-
-// StreamTopics lists the valid telemetry topics.
-func StreamTopics() []StreamTopic { return append([]StreamTopic(nil), stream.Topics...) }

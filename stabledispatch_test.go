@@ -4,6 +4,11 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"stabledispatch/internal/pref"
+	"stabledispatch/internal/stable"
+	"stabledispatch/internal/stream"
+	"stabledispatch/internal/tseries"
 )
 
 // TestFacadeEndToEnd exercises the public API the way the README does:
@@ -46,7 +51,7 @@ func TestFacadeMatchingCore(t *testing.T) {
 		{ID: 0, Pos: Point{}},
 		{ID: 1, Pos: Point{X: 3}},
 	}
-	inst, err := NewInstance(reqs, taxis, EuclidMetric, UnboundedParams())
+	inst, err := NewInstance(reqs, taxis, EuclidMetric, pref.Unbounded())
 	if err != nil {
 		t.Fatalf("NewInstance: %v", err)
 	}
@@ -100,7 +105,7 @@ func TestFacadeRoadNetwork(t *testing.T) {
 	// The road metric slots straight into the matching market.
 	reqs := []Request{{ID: 0, Pickup: Point{X: 1}, Dropoff: Point{X: 3}}}
 	taxis := []Taxi{{ID: 0, Pos: Point{}}}
-	inst, err := NewInstance(reqs, taxis, m, UnboundedParams())
+	inst, err := NewInstance(reqs, taxis, m, pref.Unbounded())
 	if err != nil {
 		t.Fatalf("NewInstance on road metric: %v", err)
 	}
@@ -208,11 +213,11 @@ func TestFacadeExtensions(t *testing.T) {
 		{ID: 0, Pos: Point{}},
 		{ID: 1, Pos: Point{X: 3}},
 	}
-	inst, err := NewInstance(reqs, taxis, EuclidMetric, UnboundedParams())
+	inst, err := NewInstance(reqs, taxis, EuclidMetric, pref.Unbounded())
 	if err != nil {
 		t.Fatalf("NewInstance: %v", err)
 	}
-	med := MedianStable(&inst.Market, 0)
+	med := stable.MedianStable(&inst.Market, 0)
 	if err := IsStable(&inst.Market, med); err != nil {
 		t.Fatalf("median unstable: %v", err)
 	}
@@ -229,7 +234,7 @@ func TestFacadeOutagesAndEvents(t *testing.T) {
 	var kinds []string
 	s, err := NewSimulator(SimConfig{
 		Dispatcher: NSTDP(),
-		Params:     UnboundedParams(),
+		Params:     pref.Unbounded(),
 		SpeedKmH:   60,
 		Outages:    []Outage{{TaxiID: 0, From: 0, To: 2}},
 		Events: EventSinkFunc(func(e Event) {
@@ -310,7 +315,7 @@ func TestFacadeDecisionTracing(t *testing.T) {
 		{ID: 20, Pos: Point{X: 1}},
 		{ID: 21, Pos: Point{X: 8}},
 	}
-	inst, err := NewInstance(pair, cabs, EuclidMetric, UnboundedParams())
+	inst, err := NewInstance(pair, cabs, EuclidMetric, pref.Unbounded())
 	if err != nil {
 		t.Fatalf("NewInstance: %v", err)
 	}
@@ -352,7 +357,7 @@ func TestFacadeKPISeries(t *testing.T) {
 	if int(last.Served) != rep.ServedCount() {
 		t.Errorf("final served %d, report says %d", last.Served, rep.ServedCount())
 	}
-	for _, name := range KPISeriesNames() {
+	for _, name := range tseries.SeriesNames {
 		if _, ok := last.Value(name); !ok {
 			t.Errorf("series %q not readable from a sample", name)
 		}
@@ -376,8 +381,8 @@ func TestFacadeStreamHub(t *testing.T) {
 	}
 
 	hub := NewStreamHub()
-	if topics := StreamTopics(); len(topics) != 6 {
-		t.Fatalf("StreamTopics() = %v, want 6 topics", topics)
+	if topics := stream.Topics; len(topics) != 6 {
+		t.Fatalf("stream.Topics = %v, want 6 topics", topics)
 	}
 	sub := hub.Subscribe(65536, "events")
 	defer sub.Close()
@@ -400,7 +405,7 @@ func TestFacadeStreamHub(t *testing.T) {
 		t.Fatalf("no stream messages after %d served rides", rep.ServedCount())
 	}
 	for _, m := range msgs {
-		if m.Topic != StreamTopic("events") {
+		if m.Topic != stream.Topic("events") {
 			t.Fatalf("subscribed to events, got topic %q", m.Topic)
 		}
 	}

@@ -12,6 +12,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"stabledispatch/internal/dispatch"
+	"stabledispatch/internal/flightrec"
+	"stabledispatch/internal/slo"
 )
 
 // molasses stalls past any sane frame deadline before delegating, so a
@@ -44,11 +48,11 @@ func TestWatchdogDegradeBreachBundle(t *testing.T) {
 	if err := os.WriteFile(sloPath, []byte(sloText), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	defs, err := ParseSLOFile(sloPath)
+	defs, err := slo.ParseFile(sloPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewSLOEngine(defs)
+	eng, err := slo.New(defs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func TestWatchdogDegradeBreachBundle(t *testing.T) {
 	}
 	kpi := NewKPIRecorder(KPIRecorderConfig{Capacity: 256})
 	s, err := NewSimulator(SimConfig{
-		Dispatcher: ResilientDispatcher(molasses{GreedyDispatcher()}, nil, time.Millisecond),
+		Dispatcher: dispatch.NewResilient(molasses{GreedyDispatcher()}, nil, time.Millisecond),
 		Params:     DefaultParams(),
 		KPI:        kpi,
 		SLO:        eng,
@@ -119,7 +123,7 @@ func TestWatchdogDegradeBreachBundle(t *testing.T) {
 	}
 
 	// The manifest names the first trigger: a degraded frame.
-	m, err := ReadBundleManifest(filepath.Join(dir, bundles[0]))
+	m, err := flightrec.ReadManifest(filepath.Join(dir, bundles[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
