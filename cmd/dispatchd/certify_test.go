@@ -7,8 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
+	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
@@ -21,8 +21,8 @@ import (
 // only. The idle stack must answer 404 for every request the busy stack
 // traced and every frame it certified; the busy stack serves them all.
 func TestTracesArePerServer(t *testing.T) {
-	busyTS, busy := streamServer(t, 64, time.Minute)
-	idleTS, _ := streamServer(t, 64, time.Minute)
+	busyTS, busy := startServer(t, testConfig())
+	idleTS, _ := startServer(t, testConfig())
 
 	var paths []string
 	for i := 0; i < 3; i++ {
@@ -67,7 +67,12 @@ func TestServingPathCertifiesEveryFrame(t *testing.T) {
 		p := point()
 		taxis[i] = fleet.Taxi{ID: i, Pos: geo.Point{X: p.X, Y: p.Y}, Seats: 3}
 	}
-	ts, srv := daemonStack(t, pref.DefaultParams(), taxis, dtrace.New(0, 0), 64, time.Minute)
+	ts, srv := startServer(t, config{
+		Taxis:      taxis,
+		Params:     pref.DefaultParams(),
+		Dispatcher: dispatch.NewNSTDP(),
+		SpeedKmH:   60,
+	})
 
 	var ids []int
 	cancelled := 0

@@ -13,33 +13,9 @@ import (
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/flightrec"
-	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/sim"
 )
-
-// hardenedServer builds the same handler chain main() installs:
-// recovery → body limit → mux.
-func hardenedServer(t *testing.T) *httptest.Server {
-	t.Helper()
-	taxis := []fleet.Taxi{
-		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
-		{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
-	}
-	s, err := sim.New(sim.Config{
-		Params:     pref.Unbounded(),
-		Dispatcher: dispatch.NewNSTDP(),
-		SpeedKmH:   60,
-	}, taxis, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	srv := newServer(s)
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	ts := httptest.NewServer(withRecovery(logger, nil, srv.frameNow.Load, srv.http, withBodyLimit(srv.handler())))
-	t.Cleanup(ts.Close)
-	return ts
-}
 
 func doRequest(t *testing.T, method, url string, body string) *http.Response {
 	t.Helper()
@@ -56,7 +32,7 @@ func doRequest(t *testing.T, method, url string, body string) *http.Response {
 }
 
 func TestDeleteRequestCancels(t *testing.T) {
-	ts := hardenedServer(t)
+	ts := testServer(t)
 
 	// Pickup 10 km out so a couple of ticks leave it assigned, not done.
 	resp := postJSON(t, ts.URL+"/v1/requests", requestIn{
@@ -89,8 +65,60 @@ func TestDeleteRequestCancels(t *testing.T) {
 	}
 }
 
+// TestDeleteQueuedRequest cancels a request between its 201 and its
+// frame boundary: while queued it reads pending, DELETE withdraws it
+// (200), it is never dispatched, its in-flight slot settles at once,
+// and the rest of the batch joins the frame in admission order.
+func TestDeleteQueuedRequest(t *testing.T) {
+	ts, srv := startServer(t, testConfig())
+	var ids []int
+	for _, x := range []float64{10.2, 10.4, 10.6} {
+		resp := postJSON(t, ts.URL+"/v1/requests", requestIn{
+			Pickup:  pointJSON{X: x, Y: 10},
+			Dropoff: pointJSON{X: x + 2, Y: 10},
+		})
+		ids = append(ids, decode[requestOut](t, resp).ID)
+	}
+	url := fmt.Sprintf("%s/v1/requests/%d", ts.URL, ids[1])
+
+	st, code := getJSON[requestStatusOut](t, url)
+	if code != http.StatusOK || st.Status != "pending" || st.TaxiID != -1 || st.AssignFrame != -1 {
+		t.Fatalf("queued request: status %d, %+v; want 200 pending with no taxi", code, st)
+	}
+	resp := doRequest(t, http.MethodDelete, url, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete queued request = %d, want 200", resp.StatusCode)
+	}
+	if st, _ := getJSON[requestStatusOut](t, url); st.Status != "cancelled" {
+		t.Errorf("status after delete = %q, want cancelled", st.Status)
+	}
+	if h, _ := getJSON[healthOut](t, ts.URL+"/healthz"); h.Inflight != 2 || h.IntakeQueue != 2 {
+		t.Errorf("healthz inflight %d, intake queue %d after the delete; want 2 and 2", h.Inflight, h.IntakeQueue)
+	}
+
+	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 5})
+	if st, _ := getJSON[requestStatusOut](t, url); st.Status != "cancelled" || st.TaxiID != -1 || st.AssignFrame != -1 {
+		t.Errorf("withdrawn request after ticks = %+v, want cancelled and never assigned", st)
+	}
+	var released []int
+	for _, e := range srv.sim.RecentEvents() {
+		if e.RequestID == ids[1] && e.Kind != sim.EventCancel {
+			t.Errorf("withdrawn request reached the simulator's frames: %+v", e)
+		}
+		if e.Kind == sim.EventRequest {
+			released = append(released, e.RequestID)
+		}
+	}
+	if len(released) != 2 || released[0] != ids[0] || released[1] != ids[2] {
+		t.Errorf("released requests %v, want %v in admission order", released, []int{ids[0], ids[2]})
+	}
+	if resp := doRequest(t, http.MethodDelete, url, ""); resp.StatusCode != http.StatusConflict {
+		t.Errorf("second delete = %d, want 409", resp.StatusCode)
+	}
+}
+
 func TestDeleteRequestErrors(t *testing.T) {
-	ts := hardenedServer(t)
+	ts := testServer(t)
 	if resp := doRequest(t, http.MethodDelete, ts.URL+"/v1/requests/404", ""); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("delete unknown = %d, want 404", resp.StatusCode)
 	}
@@ -109,7 +137,7 @@ func TestDeleteRequestErrors(t *testing.T) {
 }
 
 func TestChaosEndpoint(t *testing.T) {
-	ts := hardenedServer(t)
+	ts := testServer(t)
 
 	resp := postJSON(t, ts.URL+"/v1/chaos", chaosIn{Kind: "outage", TaxiID: 0, Frames: 5})
 	if resp.StatusCode != http.StatusOK {
@@ -147,7 +175,7 @@ func TestChaosEndpoint(t *testing.T) {
 // TestStrictPathIDs pins the strconv.Atoi parsing: trailing junk after
 // the numeric ID is a 400, not a silent truncation to the prefix.
 func TestStrictPathIDs(t *testing.T) {
-	ts := hardenedServer(t)
+	ts := testServer(t)
 	for _, tt := range []struct{ method, path string }{
 		{http.MethodGet, "/v1/requests/12abc"},
 		{http.MethodGet, "/v1/requests/0x1f"},
@@ -190,15 +218,12 @@ func TestPanicBundleKeepsCooldown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(sim.Config{
+	_, srv := startServer(t, config{
+		Taxis:      []fleet.Taxi{{ID: 0}},
 		Params:     pref.Unbounded(),
 		Dispatcher: dispatch.NewNSTDP(),
 		Recorder:   rec,
-	}, []fleet.Taxi{{ID: 0}}, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	srv := newServer(s)
+	})
 	if _, err := srv.tick(505); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +245,7 @@ func TestPanicBundleKeepsCooldown(t *testing.T) {
 }
 
 func TestOversizedBodyRejected(t *testing.T) {
-	ts := hardenedServer(t)
+	ts := testServer(t)
 	// One giant JSON string token: syntactically fine, so the decoder
 	// keeps reading until MaxBytesReader cuts it off.
 	huge := append(append([]byte(`{"pickup":"`), bytes.Repeat([]byte("x"), maxBodyBytes+1)...), '"', '}')

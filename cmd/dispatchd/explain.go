@@ -15,7 +15,7 @@ import (
 // answer with ranks and rejected alternatives, and
 // /v1/frames/{n}/stability serves the frame's blocking-pair certificate.
 // All three read the simulator's own trace recorder (Simulator.Tracer),
-// which dispatchd attaches at startup unless -dtrace=false.
+// which newServer always attaches.
 
 // getTrace serves the full causal timeline of one request.
 func (s *server) getTrace(w http.ResponseWriter, r *http.Request) {
@@ -26,19 +26,10 @@ func (s *server) getTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	tr, ok := s.sim.Tracer().Trace(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, s.traceMiss(fmt.Errorf("no trace for request %d", id)))
+		writeError(w, http.StatusNotFound, fmt.Errorf("no trace for request %d", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, tr)
-}
-
-// traceMiss annotates a trace lookup failure when the whole layer is
-// switched off — the common operator mistake.
-func (s *server) traceMiss(err error) error {
-	if s.sim.Tracer() == nil {
-		return fmt.Errorf("%w (decision tracing is disabled; restart without -dtrace=false)", err)
-	}
-	return err
 }
 
 // getStability serves the stability certificate of one committed frame.
@@ -50,7 +41,7 @@ func (s *server) getStability(w http.ResponseWriter, r *http.Request) {
 	}
 	c, ok := s.sim.Tracer().Certificate(n)
 	if !ok {
-		writeError(w, http.StatusNotFound, s.traceMiss(fmt.Errorf("no certificate for frame %d (not yet committed, or evicted)", n)))
+		writeError(w, http.StatusNotFound, fmt.Errorf("no certificate for frame %d (not yet committed, or evicted)", n))
 		return
 	}
 	writeJSON(w, http.StatusOK, c)
@@ -99,7 +90,7 @@ func (s *server) getExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	tr, ok := s.sim.Tracer().Trace(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, s.traceMiss(fmt.Errorf("no trace for request %d", id)))
+		writeError(w, http.StatusNotFound, fmt.Errorf("no trace for request %d", id))
 		return
 	}
 	s.mu.Lock()
@@ -272,7 +263,7 @@ func explainSummary(out explainOut, candidates *dtrace.Event, exhausted bool) st
 	case exhausted:
 		return "unserved: every acceptable taxi refused in favour of a request it ranks higher; the request settled for its dummy partner"
 	case out.AssignFrame < 0 && len(out.Alternatives) == 0:
-		return "no dispatch decision traced yet (the request has not been through a dispatch frame with tracing enabled)"
+		return "no dispatch decision traced yet (the request has not been through a dispatch frame)"
 	default:
 		return "unserved so far: see alternatives for the taxis that went elsewhere"
 	}

@@ -6,35 +6,18 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
-	"stabledispatch/internal/pref"
-	"stabledispatch/internal/sim"
 )
 
-// tracingServer builds a 3-taxi server for the provenance tests whose
-// simulator records into rec (nil: tracing off).
-func tracingServer(t *testing.T, rec *dtrace.Recorder) *httptest.Server {
+// tracingServer builds the 3-taxi daemon the provenance tests read
+// decision traces from.
+func tracingServer(t *testing.T) (*httptest.Server, *server) {
 	t.Helper()
-	taxis := []fleet.Taxi{
-		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
-		{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
-		{ID: 2, Pos: geo.Point{X: 12, Y: 10}},
-	}
-	s, err := sim.New(sim.Config{
-		Params:     pref.Unbounded(),
-		Dispatcher: dispatch.NewNSTDP(),
-		SpeedKmH:   60,
-		Tracer:     rec,
-	}, taxis, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	ts := httptest.NewServer(newServer(s).handler())
-	t.Cleanup(ts.Close)
-	return ts
+	cfg := testConfig()
+	cfg.Taxis = append(cfg.Taxis, fleet.Taxi{ID: 2, Pos: geo.Point{X: 12, Y: 10}})
+	return startServer(t, cfg)
 }
 
 func getJSON[T any](t *testing.T, url string) (T, int) {
@@ -56,7 +39,7 @@ func getJSON[T any](t *testing.T, url string) (T, int) {
 // taxi, both preference ranks, and at least one rejected alternative
 // with a reason.
 func TestExplainEveryRequestE2E(t *testing.T) {
-	ts := tracingServer(t, dtrace.New(0, 0))
+	ts, _ := tracingServer(t)
 
 	// Frame 1: three rivals for three taxis. Frame 2: two more requests
 	// while some taxis are still busy.
@@ -133,8 +116,7 @@ func TestExplainEveryRequestE2E(t *testing.T) {
 // certify trivially, and an injected destabilized matching is served
 // with its violating pair.
 func TestStabilityEndpointE2E(t *testing.T) {
-	rec := dtrace.New(0, 0)
-	ts := tracingServer(t, rec)
+	ts, srv := tracingServer(t)
 
 	for _, x := range []float64{10.2, 11.4} {
 		postJSON(t, ts.URL+"/v1/requests", requestIn{
@@ -167,7 +149,7 @@ func TestStabilityEndpointE2E(t *testing.T) {
 
 	// A destabilized matching (injected, as the engine never commits
 	// one) is served verbatim with its violating pair.
-	rec.PutCertificate(&dtrace.Certificate{
+	srv.sim.Tracer().PutCertificate(&dtrace.Certificate{
 		Frame: 77, Requests: 2, Taxis: 2, Matched: 2,
 		Violations: []dtrace.BlockingPair{{
 			RequestID: 4, TaxiID: 1, Reason: "blocking_pair",
@@ -190,7 +172,7 @@ func TestStabilityEndpointE2E(t *testing.T) {
 
 // TestTraceEndpointErrors pins the 400/404 contract of the new routes.
 func TestTraceEndpointErrors(t *testing.T) {
-	ts := tracingServer(t, dtrace.New(0, 0))
+	ts, _ := tracingServer(t)
 
 	for path, want := range map[string]int{
 		"/v1/traces/xyz":            http.StatusBadRequest,
@@ -215,36 +197,9 @@ func TestTraceEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestTraceDisabledHint checks the operator hint when the layer is off.
-func TestTraceDisabledHint(t *testing.T) {
-	ts := tracingServer(t, nil)
-
-	resp, err := http.Get(ts.URL + "/v1/traces/0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	body := decode[map[string]string](t, resp)
-	if body["error"] == "" || !containsStr(body["error"], "tracing is disabled") {
-		t.Errorf("error = %q, want disabled hint", body["error"])
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // TestHealthzCounts checks the extended liveness payload.
 func TestHealthzCounts(t *testing.T) {
-	ts := tracingServer(t, nil)
+	ts, _ := tracingServer(t)
 	postJSON(t, ts.URL+"/v1/requests", requestIn{
 		Pickup:  pointJSON{X: 10.2, Y: 10},
 		Dropoff: pointJSON{X: 15, Y: 10},

@@ -7,10 +7,6 @@ import (
 	"testing"
 
 	"stabledispatch/internal/dispatch"
-	"stabledispatch/internal/fleet"
-	"stabledispatch/internal/geo"
-	"stabledispatch/internal/pref"
-	"stabledispatch/internal/sim"
 )
 
 // FuzzRequestDecode drives arbitrary bytes through the POST
@@ -30,20 +26,13 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"pickup":{"x":"NaN"}}`))
 	f.Add(bytes.Repeat([]byte(`{"pickup":{"x":1}}`), 1000))
 
-	taxis := []fleet.Taxi{
-		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
-		{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
-	}
-	s, err := sim.New(sim.Config{
-		Params:     pref.Unbounded(),
-		Dispatcher: dispatch.NewGreedy(),
-		SpeedKmH:   60,
-	}, taxis, nil)
+	cfg := testConfig()
+	cfg.Dispatcher = dispatch.NewGreedy()
+	srv, err := newServer(cfg)
 	if err != nil {
-		f.Fatalf("sim.New: %v", err)
+		f.Fatalf("newServer: %v", err)
 	}
-	handler := withBodyLimit(newServer(s).handler())
-
+	handler := srv.handler
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/requests", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")

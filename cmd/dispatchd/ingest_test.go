@@ -3,12 +3,10 @@ package main
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
-	"stabledispatch/internal/admission"
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/pref"
@@ -17,29 +15,6 @@ import (
 	"stabledispatch/internal/trace"
 	"stabledispatch/internal/tseries"
 )
-
-// admissionHarness is a dispatchd wired the way main() wires it: the
-// admission controller in front, its event sink settling the ledger.
-type admissionHarness struct {
-	srv *server
-	adm *admission.Controller
-	ts  *httptest.Server
-	sim *sim.Simulator
-}
-
-func newAdmissionHarness(t *testing.T, cfg sim.Config, taxis []fleet.Taxi, admCfg admission.Config) *admissionHarness {
-	t.Helper()
-	adm := admission.New(admCfg)
-	cfg.Events = admissionSink(adm)
-	s, err := sim.New(cfg, taxis, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	srv := newServer(s).withAdmission(adm)
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
-	return &admissionHarness{srv: srv, adm: adm, ts: ts, sim: s}
-}
 
 // qualityKPIs projects a sample onto its dispatch-quality fields,
 // dropping runtime cost (FrameNs, Allocs), process-global cache and
@@ -84,13 +59,6 @@ func TestAdmissionDeterminismPin(t *testing.T) {
 		t.Fatal("empty trace")
 	}
 	const taxiCount, frames = 30, 90
-	simCfg := func(kpi *tseries.Recorder) sim.Config {
-		return sim.Config{
-			Params:     pref.DefaultParams(),
-			Dispatcher: dispatch.NewNSTDP(),
-			KPI:        kpi,
-		}
-	}
 	newTaxis := func() []fleet.Taxi {
 		taxis, err := trace.Taxis(traceCfg.City, taxiCount, 7)
 		if err != nil {
@@ -101,7 +69,11 @@ func TestAdmissionDeterminismPin(t *testing.T) {
 
 	// Reference: direct injection, the taxisim path.
 	kpiDirect := tseries.New(tseries.Config{Capacity: frames})
-	direct, err := sim.New(simCfg(kpiDirect), newTaxis(), nil)
+	direct, err := sim.New(sim.Config{
+		Params:     pref.DefaultParams(),
+		Dispatcher: dispatch.NewNSTDP(),
+		KPI:        kpiDirect,
+	}, newTaxis(), nil)
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
@@ -120,13 +92,16 @@ func TestAdmissionDeterminismPin(t *testing.T) {
 
 	// Candidate: the same trace POSTed over HTTP in arrival order, one
 	// tick per frame.
-	kpiHTTP := tseries.New(tseries.Config{Capacity: frames})
-	h := newAdmissionHarness(t, simCfg(kpiHTTP), newTaxis(),
-		admission.Config{QueueCap: len(reqs) + 1})
+	ts, srv := startServer(t, config{
+		Taxis:      newTaxis(),
+		Params:     pref.DefaultParams(),
+		Dispatcher: dispatch.NewNSTDP(),
+		QueueCap:   len(reqs) + 1,
+	})
 	next = 0
 	for f := 0; f < frames; f++ {
 		for next < len(reqs) && reqs[next].Frame == f {
-			resp := postJSON(t, h.ts.URL+"/v1/requests", requestIn{
+			resp := postJSON(t, ts.URL+"/v1/requests", requestIn{
 				Pickup:  pointJSON{X: reqs[next].Pickup.X, Y: reqs[next].Pickup.Y},
 				Dropoff: pointJSON{X: reqs[next].Dropoff.X, Y: reqs[next].Dropoff.Y},
 				Seats:   reqs[next].Seats,
@@ -142,13 +117,13 @@ func TestAdmissionDeterminismPin(t *testing.T) {
 			}
 			next++
 		}
-		resp := postJSON(t, h.ts.URL+"/v1/tick", tickIn{Frames: 1})
+		resp := postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 1})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("tick status = %d", resp.StatusCode)
 		}
 	}
 
-	ds, hs := kpiDirect.Snapshot(), kpiHTTP.Snapshot()
+	ds, hs := kpiDirect.Snapshot(), srv.sim.KPISeries()
 	if len(ds) != frames || len(hs) != frames {
 		t.Fatalf("snapshot lengths %d/%d, want %d", len(ds), len(hs), frames)
 	}
@@ -164,15 +139,18 @@ func TestAdmissionDeterminismPin(t *testing.T) {
 // contract: every 201 the daemon issued reaches a terminal outcome,
 // the intake queue is empty, and the in-flight ledger balances to zero.
 func TestConcurrentIngestionNoSilentDrop(t *testing.T) {
-	taxis, err := trace.Taxis(trace.Boston(), 10, 1)
+	taxis, err := trace.Taxis(trace.Boston(), 40, 1)
 	if err != nil {
 		t.Fatalf("trace.Taxis: %v", err)
 	}
-	h := newAdmissionHarness(t, sim.Config{
-		Params:         pref.DefaultParams(),
-		Dispatcher:     dispatch.NewGreedy(),
-		PatienceFrames: 5,
-	}, taxis, admission.Config{QueueCap: 64, RetryAfter: time.Second})
+	ts, srv := startServer(t, config{
+		Taxis:      taxis,
+		Params:     pref.Unbounded(),
+		Dispatcher: dispatch.NewGreedy(),
+		SpeedKmH:   60,
+		QueueCap:   64,
+		RetryAfter: time.Second,
+	})
 
 	// Frame loop, racing the senders like -auto does.
 	stop := make(chan struct{})
@@ -184,7 +162,7 @@ func TestConcurrentIngestionNoSilentDrop(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if err := h.srv.step(); err != nil {
+				if err := srv.step(); err != nil {
 					t.Errorf("step: %v", err)
 					return
 				}
@@ -206,7 +184,7 @@ func TestConcurrentIngestionNoSilentDrop(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				x := 2 + float64((worker*perWorker+i)%16)
-				resp := postJSON(t, h.ts.URL+"/v1/requests", requestIn{
+				resp := postJSON(t, ts.URL+"/v1/requests", requestIn{
 					Pickup:  pointJSON{X: x, Y: 10},
 					Dropoff: pointJSON{X: x + 1, Y: 11},
 					Seats:   1,
@@ -237,15 +215,15 @@ func TestConcurrentIngestionNoSilentDrop(t *testing.T) {
 	if len(accepted)+shed != workers*perWorker {
 		t.Fatalf("accepted %d + shed %d != sent %d", len(accepted), shed, workers*perWorker)
 	}
-	if got := h.adm.Accepted(); got != len(accepted) {
+	if got := srv.adm.Accepted(); got != len(accepted) {
 		t.Fatalf("controller accepted %d, client saw %d", got, len(accepted))
 	}
 
 	// Drive the simulation until every accepted request is terminal:
-	// with 5-frame patience the pending tail abandons, and assigned
-	// rides finish their routes.
+	// with unbounded acceptability every pending request is eventually
+	// dispatched, and assigned rides finish their routes.
 	terminal := func(id int) bool {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/requests/%d", h.ts.URL, id))
+		resp, err := http.Get(fmt.Sprintf("%s/v1/requests/%d", ts.URL, id))
 		if err != nil {
 			t.Fatalf("status %d: %v", id, err)
 		}
@@ -266,7 +244,7 @@ func TestConcurrentIngestionNoSilentDrop(t *testing.T) {
 			t.Fatalf("%d accepted requests never reached a terminal state (first: %d)",
 				len(outstanding), outstanding[0])
 		}
-		if err := h.srv.step(); err != nil {
+		if err := srv.step(); err != nil {
 			t.Fatalf("drain step: %v", err)
 		}
 		live := outstanding[:0]
@@ -278,10 +256,10 @@ func TestConcurrentIngestionNoSilentDrop(t *testing.T) {
 		outstanding = live
 	}
 
-	if depth := h.adm.QueueDepth(); depth != 0 {
+	if depth := srv.adm.QueueDepth(); depth != 0 {
 		t.Errorf("intake queue depth %d after drain, want 0", depth)
 	}
-	if inflight := h.adm.Inflight(); inflight != 0 {
+	if inflight := srv.adm.Inflight(); inflight != 0 {
 		t.Errorf("in-flight ledger %d after all terminal, want 0", inflight)
 	}
 }
@@ -294,12 +272,13 @@ func TestDrainShedsAndFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace.Taxis: %v", err)
 	}
-	h := newAdmissionHarness(t, sim.Config{
+	ts, srv := startServer(t, config{
+		Taxis:      taxis,
 		Params:     pref.DefaultParams(),
 		Dispatcher: dispatch.NewGreedy(),
-	}, taxis, admission.Config{})
+	})
 
-	resp := postJSON(t, h.ts.URL+"/v1/requests", requestIn{
+	resp := postJSON(t, ts.URL+"/v1/requests", requestIn{
 		Pickup: pointJSON{X: 10, Y: 10}, Dropoff: pointJSON{X: 11, Y: 11}, Seats: 1,
 	})
 	if resp.StatusCode != http.StatusCreated {
@@ -307,9 +286,9 @@ func TestDrainShedsAndFlushes(t *testing.T) {
 	}
 	admitted := decode[requestOut](t, resp)
 
-	h.adm.BeginDrain()
+	srv.adm.BeginDrain()
 
-	resp = postJSON(t, h.ts.URL+"/v1/requests", requestIn{
+	resp = postJSON(t, ts.URL+"/v1/requests", requestIn{
 		Pickup: pointJSON{X: 10, Y: 10}, Dropoff: pointJSON{X: 11, Y: 11}, Seats: 1,
 	})
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -319,7 +298,7 @@ func TestDrainShedsAndFlushes(t *testing.T) {
 		t.Error("503 without Retry-After")
 	}
 
-	hres, err := http.Get(h.ts.URL + "/healthz")
+	hres, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,13 +311,13 @@ func TestDrainShedsAndFlushes(t *testing.T) {
 		t.Errorf("intake queue %d, want the admitted request", health.IntakeQueue)
 	}
 
-	if err := h.srv.drainFinal(); err != nil {
+	if err := srv.drainFinal(); err != nil {
 		t.Fatalf("drainFinal: %v", err)
 	}
-	if depth := h.adm.QueueDepth(); depth != 0 {
+	if depth := srv.adm.QueueDepth(); depth != 0 {
 		t.Errorf("queue depth %d after final drain, want 0", depth)
 	}
-	sres, err := http.Get(fmt.Sprintf("%s/v1/requests/%d", h.ts.URL, admitted.ID))
+	sres, err := http.Get(fmt.Sprintf("%s/v1/requests/%d", ts.URL, admitted.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,16 +333,19 @@ func TestQueueFullSheds429(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace.Taxis: %v", err)
 	}
-	h := newAdmissionHarness(t, sim.Config{
+	ts, _ := startServer(t, config{
+		Taxis:      taxis,
 		Params:     pref.DefaultParams(),
 		Dispatcher: dispatch.NewGreedy(),
-	}, taxis, admission.Config{QueueCap: 1, RetryAfter: 2 * time.Second})
+		QueueCap:   1,
+		RetryAfter: 2 * time.Second,
+	})
 
 	in := requestIn{Pickup: pointJSON{X: 10, Y: 10}, Dropoff: pointJSON{X: 11, Y: 11}, Seats: 1}
-	if resp := postJSON(t, h.ts.URL+"/v1/requests", in); resp.StatusCode != http.StatusCreated {
+	if resp := postJSON(t, ts.URL+"/v1/requests", in); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first create status = %d", resp.StatusCode)
 	}
-	resp := postJSON(t, h.ts.URL+"/v1/requests", in)
+	resp := postJSON(t, ts.URL+"/v1/requests", in)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity status = %d, want 429", resp.StatusCode)
 	}
@@ -375,8 +357,8 @@ func TestQueueFullSheds429(t *testing.T) {
 	}
 
 	// A tick drains the queue; the next request is accepted again.
-	postJSON(t, h.ts.URL+"/v1/tick", tickIn{Frames: 1})
-	if resp := postJSON(t, h.ts.URL+"/v1/requests", in); resp.StatusCode != http.StatusCreated {
+	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 1})
+	if resp := postJSON(t, ts.URL+"/v1/requests", in); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("post-drain create status = %d", resp.StatusCode)
 	}
 }

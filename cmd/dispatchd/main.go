@@ -31,10 +31,11 @@
 //	GET    /v1/metrics        Prometheus text format
 //	GET    /healthz           uptime, frame, occupancy counts, and SLO alert state
 //
-// Decision tracing is on by default (disable with -dtrace=false): the
-// daemon's simulator owns one trace recorder, whose ring keeps the most
-// recent -trace-capacity requests and whose loss counters are served at
-// /v1/metrics.
+// Every daemon runs the same instrumentation: its simulator owns a
+// decision-trace recorder (the most recent 4096 requests), a KPI ring
+// (the last 1440 frames, with each frame's stage times), a
+// frame-budget ledger and a live-telemetry hub. Only the SLO engine
+// (-slo-file) and the flight recorder (-bundle-dir) are optional.
 //
 // With -debug-addr a second listener serves net/http/pprof under
 // /debug/pprof/, kept off the public API address on purpose.
@@ -56,16 +57,12 @@ import (
 
 	"stabledispatch/internal/admission"
 	"stabledispatch/internal/dispatch"
-	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/exp"
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
-	"stabledispatch/internal/sim"
 	"stabledispatch/internal/slo"
-	"stabledispatch/internal/stream"
 	"stabledispatch/internal/trace"
-	"stabledispatch/internal/tseries"
 )
 
 func main() {
@@ -88,27 +85,17 @@ func run(args []string) error {
 		debug      = fs.String("debug-addr", "", "optional extra listener for net/http/pprof (e.g. localhost:6060; empty = disabled)")
 		quiet      = fs.Bool("quiet", false, "suppress per-request access logging")
 		frameDDL   = fs.Duration("frame-deadline", 0, "per-frame dispatch compute deadline; overruns and panics degrade to greedy (0 = unbounded)")
-		dtraceOn   = fs.Bool("dtrace", true, "record per-request decision traces and frame stability certificates")
-		traceCap   = fs.Int("trace-capacity", dtrace.DefaultCapacity, "max request traces retained in the decision-trace ring")
-		kpiCap     = fs.Int("kpi-capacity", tseries.DefaultCapacity, "per-frame KPI samples retained for /v1/timeseries and the stage distributions of /v1/profile, /v1/metrics and flight-recorder bundles (0 disables recording and empties the stage views)")
 		workers    = fs.Int("workers", 0, "cost-plane worker pool size; 0 = GOMAXPROCS (results are identical for any value)")
-		sloFile    = fs.String("slo-file", "", "SLO definitions file; objectives are evaluated every frame and served at /v1/slo (requires KPI recording)")
+		sloFile    = fs.String("slo-file", "", "SLO definitions file; objectives are evaluated every frame and served at /v1/slo")
 		bundleDir  = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, panic, certificate violation, or POST /v1/debug/bundle")
 		intakeCap  = fs.Int("intake-queue", admission.DefaultQueueCap, "admission queue capacity: requests accepted but not yet injected into a frame; beyond it POST /v1/requests sheds 429")
 		maxInfl    = fs.Int("max-inflight", 100000, "max admitted requests that have not reached a terminal state; beyond it POST /v1/requests sheds 429 (0 = unlimited)")
-		streamBuf  = fs.Int("stream-buffer", stream.DefaultRingSize, "per-connection /v1/stream ring capacity; a consumer slower than the feed drops its own oldest entries beyond it")
-		streamHB   = fs.Duration("stream-heartbeat", defaultStreamHeartbeat, "keepalive comment interval on idle /v1/stream connections")
 		profBudget = fs.Duration("prof-budget", 0, "frame deadline budget for the frame-budget profiler; frames over it are overruns and, with -bundle-dir, capture pprof CPU/heap deltas into a flight-recorder bundle (0 = attribution only, no overrun detection)")
-		profTopN   = fs.Int("prof-topn", prof.DefaultTopN, "slowest frames retained with per-stage attribution at /v1/profile")
 		profCapt   = fs.Int("prof-capture-frames", prof.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger")
 		profCool   = fs.Int64("prof-cooldown", prof.DefaultCooldownFrames, "minimum frames between two overrun captures; overruns inside it are counted, not captured")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	var tracer *dtrace.Recorder
-	if *dtraceOn {
-		tracer = dtrace.New(*traceCap, 0)
 	}
 
 	city, err := trace.CityByName(*cityName)
@@ -126,86 +113,44 @@ func run(args []string) error {
 	if *frameDDL > 0 {
 		d = dispatch.NewResilient(d, nil, *frameDDL)
 	}
-	// The daemon's ring is a sliding window (no downsampling): operators
-	// polling /v1/timeseries care about the recent trajectory, the stage
-	// distributions cover the same retained frames, and the memory bound
-	// is kpi-capacity fixed-width samples.
-	var kpi *tseries.Recorder
-	if *kpiCap > 0 {
-		kpi = tseries.New(tseries.Config{Capacity: *kpiCap})
-	}
 	var recorder *flightrec.Recorder
 	if *bundleDir != "" {
 		if recorder, err = flightrec.New(flightrec.Config{Dir: *bundleDir}); err != nil {
 			return err
 		}
 	}
-	// The frame-budget profiler is always on in the daemon: its stage
-	// times fill the KPI samples' stage columns, /v1/profile and the
-	// prof stream topic read its slow frames and totals, and its
-	// disabled-overrun cost is a few span reads per frame. Overrun captures only arm when a budget and
-	// a flight recorder to bundle them into are both configured.
-	ledger := prof.New(prof.Config{
-		BudgetNs:       profBudget.Nanoseconds(),
-		TopN:           *profTopN,
-		CaptureFrames:  *profCapt,
-		CooldownFrames: *profCool,
-		Capture:        *profBudget > 0 && recorder != nil,
-	})
-	defer ledger.Close()
 	var sloEng *slo.Engine
 	if *sloFile != "" {
-		if kpi == nil {
-			return fmt.Errorf("-slo-file requires KPI recording (-kpi-capacity > 0)")
-		}
-		sloEng, err = slo.Load(*sloFile)
-		if err != nil {
+		if sloEng, err = slo.Load(*sloFile); err != nil {
 			return err
 		}
 	}
-	// The live-telemetry hub: the simulator and the admission controller
-	// publish into it, /v1/stream subscribes. While no connection is up
-	// every publish gate is one atomic load.
-	hub := stream.NewHub()
-	// The admission controller fronts POST /v1/requests; its Retry-After
-	// hint is the auto-tick interval when one is set (the queue drains
-	// once per frame), else the 1s default.
-	adm := admission.New(admission.Config{
-		QueueCap:    *intakeCap,
-		MaxInflight: *maxInfl,
-		RetryAfter:  *auto,
-		Hub:         hub,
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	// The admission queue drains once per frame, so the Retry-After hint
+	// is the auto-tick interval when one is set (else the 1s default).
+	server, err := newServer(config{
+		Taxis:             fleetTaxis,
+		Params:            pref.DefaultParams(),
+		Dispatcher:        d,
+		Workers:           *workers,
+		SLO:               sloEng,
+		Recorder:          recorder,
+		QueueCap:          *intakeCap,
+		MaxInflight:       *maxInfl,
+		RetryAfter:        *auto,
+		ProfBudget:        *profBudget,
+		ProfCaptureFrames: *profCapt,
+		ProfCooldown:      *profCool,
+		Log:               logger,
+		Quiet:             *quiet,
 	})
-	s, err := sim.New(sim.Config{
-		Params:     pref.DefaultParams(),
-		Dispatcher: d,
-		Events:     admissionSink(adm),
-		KPI:        kpi,
-		SLO:        sloEng,
-		Workers:    *workers,
-		Ledger:     ledger,
-		Recorder:   recorder,
-		Tracer:     tracer,
-		Hub:        hub,
-		Admission:  adm,
-	}, fleetTaxis, nil)
 	if err != nil {
 		return err
 	}
-
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	accessLogger := logger
-	if *quiet {
-		accessLogger = nil
-	}
-
-	// Middleware order: metrics/logging outermost (a recovered panic is
-	// still logged with its 500), then panic recovery, then the body cap.
-	server := newServer(s).withSLO(sloEng).withAdmission(adm).
-		withStream(hub, *streamBuf, *streamHB)
+	defer server.sim.Ledger().Close()
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           withObs(accessLogger, server.http, withRecovery(logger, recorder, server.frameNow.Load, server.http, withBodyLimit(server.handler()))),
+		Handler:           server.handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		// Bound slow-loris reads and wedged writes; WriteTimeout leaves
 		// room for a large manual /v1/tick batch on the paper-scale
@@ -241,18 +186,13 @@ func run(args []string) error {
 	// stopAuto stops the ticker goroutine and waits for it, and is safe
 	// to call more than once (the drain path stops it early, the defer
 	// covers error exits).
-	var (
-		stopTicker = make(chan struct{})
-		tickerDone = make(chan struct{})
-		tickerOnce sync.Once
-	)
-	stopAuto := func() {
-		tickerOnce.Do(func() { close(stopTicker) })
-		<-tickerDone
-	}
+	tickCtx, stopTicker := context.WithCancel(context.Background())
+	var ticking sync.WaitGroup
+	stopAuto := func() { stopTicker(); ticking.Wait() }
 	if *auto > 0 {
+		ticking.Add(1)
 		go func() {
-			defer close(tickerDone)
+			defer ticking.Done()
 			ticker := time.NewTicker(*auto)
 			defer ticker.Stop()
 			for {
@@ -261,13 +201,11 @@ func run(args []string) error {
 					if err := server.step(); err != nil {
 						logger.Warn("auto tick failed", "err", err)
 					}
-				case <-stopTicker:
+				case <-tickCtx.Done():
 					return
 				}
 			}
 		}()
-	} else {
-		close(tickerDone)
 	}
 	defer stopAuto()
 
@@ -291,8 +229,8 @@ func run(args []string) error {
 		// in-flight handlers finish, stop the ticker, then flush any
 		// already-admitted requests through one final dispatch frame so
 		// every 201 the daemon issued reaches the dispatcher.
-		logger.Info("shutdown signal: draining", "intakeQueue", adm.QueueDepth(), "inflight", adm.Inflight())
-		adm.BeginDrain()
+		logger.Info("shutdown signal: draining", "intakeQueue", server.adm.QueueDepth(), "inflight", server.adm.Inflight())
+		server.adm.BeginDrain()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		shutdownErr := srv.Shutdown(shutdownCtx)
@@ -300,7 +238,7 @@ func run(args []string) error {
 		if err := server.drainFinal(); err != nil {
 			logger.Warn("final drain frame failed", "err", err)
 		}
-		logger.Info("drained", "intakeQueue", adm.QueueDepth(), "accepted", adm.Accepted())
+		logger.Info("drained", "intakeQueue", server.adm.QueueDepth(), "accepted", server.adm.Accepted())
 		return shutdownErr
 	}
 }

@@ -14,9 +14,6 @@ import (
 	"time"
 
 	"stabledispatch/internal/dtrace"
-	"stabledispatch/internal/fleet"
-	"stabledispatch/internal/geo"
-	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/tseries"
 )
@@ -105,7 +102,7 @@ func scrape(t *testing.T, url string) map[string]float64 {
 // that every series the README documents is served under its name and
 // labels.
 func TestMetricsEndpointPrometheusFormat(t *testing.T) {
-	ts, _ := streamServer(t, 64, time.Minute)
+	ts := testServer(t)
 
 	// Generate some traffic so every family has observations.
 	postJSON(t, ts.URL+"/v1/requests", requestIn{
@@ -179,11 +176,8 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 // included: each dispatch_stage_seconds_count is the number of its
 // retained KPI samples that ran the stage.
 func TestMetricsArePerServer(t *testing.T) {
-	// The busy server's trace ring holds two traces of one event each,
-	// so its three requests evict a trace and drop events.
-	twoTaxis := []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}, {ID: 1, Pos: geo.Point{X: 11, Y: 10}}}
-	busyTS, busy := daemonStack(t, pref.Unbounded(), twoTaxis, dtrace.New(2, 1), 64, time.Minute)
-	idleTS, idleSrv := streamServer(t, 64, time.Minute)
+	busyTS, busy := startServer(t, testConfig())
+	idleTS, idleSrv := startServer(t, testConfig())
 
 	for i := 0; i < 3; i++ {
 		postJSON(t, busyTS.URL+"/v1/requests", requestIn{
@@ -192,6 +186,15 @@ func TestMetricsArePerServer(t *testing.T) {
 		})
 	}
 	postJSON(t, busyTS.URL+"/v1/tick", tickIn{Frames: 4})
+	// Overflow the busy daemon's trace ring and one trace's event cap,
+	// so its eviction and drop counters are non-zero.
+	tr := busy.sim.Tracer()
+	for id := 0; id <= dtrace.DefaultCapacity; id++ {
+		tr.Record(1_000_000+id, dtrace.Event{Kind: dtrace.KindCandidates})
+	}
+	for i := 0; i <= dtrace.DefaultPerTraceCap; i++ {
+		tr.Record(2_000_000, dtrace.Event{Kind: dtrace.KindCandidates})
+	}
 
 	idle := scrape(t, idleTS.URL)
 	for _, series := range []string{"sim_frames_total", "admission_accepted_total", `sim_events_total{kind="assign"}`,
@@ -272,7 +275,7 @@ func TestMetricsArePerServer(t *testing.T) {
 // that every series is read from its owner under the owner's own
 // synchronisation.
 func TestMetricsScrapeDuringTraffic(t *testing.T) {
-	ts, _ := streamServer(t, 64, time.Minute)
+	ts := testServer(t)
 	get := func(path string) {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

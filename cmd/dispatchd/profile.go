@@ -10,17 +10,15 @@ import (
 // profileOut is the GET /v1/profile payload: the frame-budget
 // profiler's view of the serve path. FrameLatency and Stages are the
 // distributions of per-frame wall-clock and stage time over the KPI
-// ring's retained window (tseries.StageBreakdown, empty without a
-// ring); Summary and TopFrames are the ledger's run-cumulative and
-// slowest-frame attribution (absent without a ledger).
+// ring's retained window (tseries.StageBreakdown); Summary and
+// TopFrames are the ledger's run-cumulative and slowest-frame
+// attribution.
 type profileOut struct {
-	// Enabled reports whether the simulator has a ledger.
-	Enabled  bool  `json:"enabled"`
-	BudgetNs int64 `json:"budgetNs,omitempty"`
 	// Summary is the run-cumulative ledger: per-stage time/alloc/cache
 	// attribution, overrun and capture counts.
-	Summary *prof.Summary `json:"summary,omitempty"`
-	// FrameLatency is the whole-frame wall-clock distribution.
+	Summary prof.Summary `json:"summary"`
+	// FrameLatency is the whole-frame wall-clock distribution (absent
+	// before the first frame).
 	FrameLatency *tseries.StageSummary `json:"frameLatency,omitempty"`
 	// Stages are the per-stage distributions over the retained window.
 	Stages []tseries.StageSummary `json:"stages"`
@@ -30,18 +28,15 @@ type profileOut struct {
 }
 
 func (s *server) getProfile(w http.ResponseWriter, _ *http.Request) {
-	out := profileOut{Stages: []tseries.StageSummary{}}
+	ld := s.sim.Ledger()
 	frameLatency, stages := tseries.StageBreakdown(s.sim.KPISeries())
-	out.FrameLatency = frameLatency
-	if stages != nil {
-		out.Stages = stages
+	if stages == nil {
+		stages = []tseries.StageSummary{}
 	}
-	if ld := s.sim.Ledger(); ld != nil {
-		sum := ld.Summary()
-		out.Enabled = true
-		out.BudgetNs = sum.BudgetNs
-		out.Summary = &sum
-		out.TopFrames = ld.TopFrames()
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, profileOut{
+		Summary:      ld.Summary(),
+		FrameLatency: frameLatency,
+		Stages:       stages,
+		TopFrames:    ld.TopFrames(),
+	})
 }

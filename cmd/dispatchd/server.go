@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
@@ -14,9 +15,12 @@ import (
 
 	"stabledispatch/internal/admission"
 	"stabledispatch/internal/dispatch"
+	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
+	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/obs"
+	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/slo"
@@ -35,16 +39,17 @@ import (
 // touching s.mu, so accepting a ride stays fast while a paper-scale
 // frame is solving. Admitted requests are batch-injected at the next
 // frame boundary (stepLocked), in admission order.
+// The simulator owns every instrumentation handle and the server reads
+// them through its accessors; the server owns only the front door.
 type server struct {
 	mu  sync.Mutex
 	sim *sim.Simulator
-	slo *slo.Engine
 	adm *admission.Controller
-	// hub is the live-telemetry broadcast hub behind GET /v1/stream
-	// (nil = streaming disabled); streamRing and streamHeartbeat are the
-	// per-connection ring capacity and keepalive interval.
-	hub             *stream.Hub
-	streamRing      int
+	// handler is the API behind its middleware chain: request metrics
+	// and access log → panic recovery → body limit → routes.
+	handler http.Handler
+	// streamHeartbeat is the keepalive interval on idle /v1/stream
+	// connections.
 	streamHeartbeat time.Duration
 	// frameNow mirrors the simulator's frame counter so handlers that
 	// only need an advisory frame number (the 201 response, healthz's
@@ -56,16 +61,88 @@ type server struct {
 	http *obs.Registry
 }
 
-func newServer(s *sim.Simulator) *server {
-	return &server{sim: s, adm: admission.New(admission.Config{}), start: time.Now(), http: newHTTPMetrics()}
+// config is every input a dispatchd command line varies. main fills it
+// from flags, tests fill the same fields, and newServer wires the rest
+// identically for both. Zero SpeedKmH and Workers take the simulator's
+// defaults; SLO and Recorder are optional (-slo-file, -bundle-dir).
+type config struct {
+	Taxis      []fleet.Taxi
+	Params     pref.Params
+	Dispatcher sim.Dispatcher
+	SpeedKmH   float64
+	Workers    int
+	SLO        *slo.Engine
+	Recorder   *flightrec.Recorder
+	// QueueCap, MaxInflight and RetryAfter configure the front door
+	// (-intake-queue, -max-inflight, and the -auto interval).
+	QueueCap, MaxInflight int
+	RetryAfter            time.Duration
+	// ProfBudget, ProfCaptureFrames and ProfCooldown configure the
+	// frame-budget ledger; its captures arm only when a budget and a
+	// flight recorder are both set.
+	ProfBudget        time.Duration
+	ProfCaptureFrames int
+	ProfCooldown      int64
+	// Log receives handler panics and, unless Quiet, one access-log
+	// line per request; nil logs nothing.
+	Log   *slog.Logger
+	Quiet bool
 }
 
-// withAdmission replaces the default admission controller. The caller
-// is responsible for wiring admissionSink into the simulator's event
-// stream so the in-flight ledger settles.
-func (s *server) withAdmission(c *admission.Controller) *server {
-	s.adm = c
-	return s
+// newServer builds one daemon: the stream hub, the admission controller
+// (publishing on the hub, settled by the simulator's lifecycle events),
+// the KPI ring, the frame-budget ledger, the decision-trace recorder,
+// the simulator that owns them, and the handler chain that serves it.
+func newServer(cfg config) (*server, error) {
+	hub := stream.NewHub()
+	adm := admission.New(admission.Config{
+		QueueCap:    cfg.QueueCap,
+		MaxInflight: cfg.MaxInflight,
+		RetryAfter:  cfg.RetryAfter,
+		Hub:         hub,
+	})
+	s, err := sim.New(sim.Config{
+		Params:     cfg.Params,
+		Dispatcher: cfg.Dispatcher,
+		SpeedKmH:   cfg.SpeedKmH,
+		Workers:    cfg.Workers,
+		Events:     admissionSink(adm),
+		// A sliding window (no downsampling): operators polling
+		// /v1/timeseries care about the recent trajectory, and the
+		// stage distributions cover the same retained frames.
+		KPI: tseries.New(tseries.Config{Capacity: tseries.DefaultCapacity}),
+		SLO: cfg.SLO,
+		Ledger: prof.New(prof.Config{
+			BudgetNs:       cfg.ProfBudget.Nanoseconds(),
+			CaptureFrames:  cfg.ProfCaptureFrames,
+			CooldownFrames: cfg.ProfCooldown,
+			Capture:        cfg.ProfBudget > 0 && cfg.Recorder != nil,
+		}),
+		Recorder:  cfg.Recorder,
+		Tracer:    dtrace.New(dtrace.DefaultCapacity, 0),
+		Hub:       hub,
+		Admission: adm,
+	}, cfg.Taxis, nil)
+	if err != nil {
+		return nil, err
+	}
+	srv := &server{
+		sim:             s,
+		adm:             adm,
+		streamHeartbeat: defaultStreamHeartbeat,
+		start:           time.Now(),
+		http:            newHTTPMetrics(),
+	}
+	access := cfg.Log
+	if cfg.Quiet {
+		access = nil
+	}
+	// Metrics and logging outermost (a recovered panic is still logged
+	// with its 500), then panic recovery, then the body cap.
+	srv.handler = withObs(access, srv.http,
+		withRecovery(cfg.Log, cfg.Recorder, srv.frameNow.Load, srv.http,
+			withBodyLimit(srv.routes())))
+	return srv, nil
 }
 
 // admissionSink forwards lifecycle transitions into the admission
@@ -99,18 +176,24 @@ func (s *server) step() error {
 // were admitted, so dispatch output per frame is unchanged.
 func (s *server) stepLocked() error {
 	for _, r := range s.adm.TakeBatch() {
-		r.Frame = s.sim.Frame()
-		if err := s.sim.Inject(r); err != nil {
-			// Unreachable while the controller is the sole ID source;
-			// release the slot so a bug cannot leak in-flight capacity.
-			s.adm.NoteInjectFailure(r.ID)
-		}
+		s.injectLocked(r)
 	}
 	if err := s.sim.Step(); err != nil {
 		return err
 	}
 	s.frameNow.Store(int64(s.sim.Frame()))
 	return nil
+}
+
+// injectLocked hands one admitted request to the simulator, stamped
+// with the current frame; the next Step releases it. Callers hold s.mu.
+func (s *server) injectLocked(r fleet.Request) {
+	r.Frame = s.sim.Frame()
+	if err := s.sim.Inject(r); err != nil {
+		// Unreachable while the controller is the sole ID source;
+		// release the slot so a bug cannot leak in-flight capacity.
+		s.adm.NoteInjectFailure(r.ID)
+	}
 }
 
 // drainFinal flushes any still-queued admitted requests through one
@@ -125,7 +208,7 @@ func (s *server) drainFinal() error {
 	return s.stepLocked()
 }
 
-func (s *server) handler() http.Handler {
+func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/requests", s.postRequest)
 	mux.HandleFunc("POST /v1/tick", s.postTick)
@@ -395,13 +478,13 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 
 // getMetrics renders the Prometheus text format at scrape time, each
 // series read from the one instance that counts it: the simulator
-// (sim_*, dispatch_degraded_frames_total, roadnet_cache_*), its flight
-// recorder (flightrec_*), its decision-trace recorder (dtrace_*), the
-// SLO engine (slo_*), the hub (stream_*), the admission controller
-// (admission_*), this server's HTTP metrics (http_*), and the KPI
-// ring, whose retained samples fill the frame and stage histograms
-// (sim_dispatch_frame_seconds, dispatch_stage_seconds). A subsystem
-// that is off exports nothing.
+// (sim_*, dispatch_degraded_frames_total, roadnet_cache_*), its
+// decision-trace recorder (dtrace_*), its hub (stream_*), its KPI ring,
+// whose retained samples fill the frame and stage histograms
+// (sim_dispatch_frame_seconds, dispatch_stage_seconds), the admission
+// controller (admission_*), this server's HTTP metrics (http_*), and
+// the optional flight recorder (flightrec_*) and SLO engine (slo_*),
+// which export nothing when not configured.
 func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	reg := obs.NewRegistry()
 	count := func(name string, v uint64) { reg.GetOrCreateCounter(name).Add(v) }
@@ -428,20 +511,25 @@ func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	count("roadnet_cache_misses_total", st.Cache.Misses)
 	count("roadnet_cache_evictions_total", st.Cache.Evictions)
 	gauge("roadnet_cache_size", float64(st.Cache.Size))
+	ts := s.sim.Tracer().Stats()
+	count("dtrace_traces_evicted_total", ts.EvictedTraces)
+	count("dtrace_events_dropped_total", ts.DroppedEvents)
+	gauge("dtrace_certificates", float64(ts.Certificates))
+	hub := s.sim.Hub()
+	for _, t := range stream.Topics {
+		count(`stream_published_total{topic="`+string(t)+`"}`, hub.Published(t))
+	}
+	count("stream_dropped_total", hub.Dropped())
+	gauge("stream_subscribers", float64(hub.Subscribers()))
+	observeFrames(reg, s.sim.KPISeries())
 	if rec := s.sim.Recorder(); rec != nil {
 		count("flightrec_bundles_total", uint64(rec.Bundles()))
 		count("flightrec_suppressed_total", rec.Suppressed())
 		count("flightrec_bundle_errors_total", uint64(rec.Errors()))
 	}
-	if tr := s.sim.Tracer(); tr != nil {
-		ts := tr.Stats()
-		count("dtrace_traces_evicted_total", ts.EvictedTraces)
-		count("dtrace_events_dropped_total", ts.DroppedEvents)
-		gauge("dtrace_certificates", float64(ts.Certificates))
-	}
-	if s.slo != nil {
+	if eng := s.sim.SLO(); eng != nil {
 		var breaches int64
-		for _, o := range s.slo.Status() {
+		for _, o := range eng.Status() {
 			label := fmt.Sprintf(`{slo=%q}`, o.Name)
 			gauge("slo_state"+label, o.State.Rank())
 			gauge("slo_value_fast"+label, o.Fast)
@@ -449,16 +537,6 @@ func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 			breaches += o.Breaches
 		}
 		count("slo_breaches_total", uint64(breaches))
-	}
-	if rec := s.sim.KPIRecorder(); rec != nil {
-		observeFrames(reg, rec.Snapshot())
-	}
-	if s.hub != nil {
-		for _, t := range stream.Topics {
-			count(`stream_published_total{topic="`+string(t)+`"}`, s.hub.Published(t))
-		}
-		count("stream_dropped_total", s.hub.Dropped())
-		gauge("stream_subscribers", float64(s.hub.Subscribers()))
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -542,6 +620,12 @@ func (s *server) getRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	o, ok := s.sim.RequestOutcome(id)
+	if !ok && s.adm.Queued(id) {
+		// Admitted, waiting for its frame boundary: pending, joining
+		// the current frame.
+		o, ok = sim.RequestOutcome{ID: id, ArrivalFrame: s.sim.Frame(),
+			AssignFrame: -1, PickupFrame: -1, DropoffFrame: -1, TaxiID: -1}, true
+	}
 	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("request %d not found", id))
@@ -561,7 +645,8 @@ func (s *server) getRequest(w http.ResponseWriter, r *http.Request) {
 }
 
 // deleteRequest is the passenger-cancellation endpoint: it withdraws a
-// pending or assigned request, unwinding the assignment if one exists.
+// queued, pending or assigned request, unwinding the assignment if one
+// exists.
 func (s *server) deleteRequest(w http.ResponseWriter, r *http.Request) {
 	id, err := pathID(r)
 	if err != nil {
@@ -569,6 +654,12 @@ func (s *server) deleteRequest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
+	if queued, ok := s.adm.Withdraw(id); ok {
+		// Not yet injected: hand it to the simulator now and cancel it
+		// before its release, so it never reaches a dispatch frame and
+		// its cancel event settles the in-flight slot.
+		s.injectLocked(queued)
+	}
 	err = s.sim.CancelRequest(id)
 	s.mu.Unlock()
 	switch {
@@ -639,10 +730,8 @@ func (s *server) postChaos(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The status line is already out; nothing more to do.
-		return
-	}
+	// The status line is already out; an encode error has nowhere to go.
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func nanToZero(x float64) float64 {

@@ -17,39 +17,39 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
-	"stabledispatch/internal/prof"
 	"stabledispatch/internal/sim"
-	"stabledispatch/internal/tseries"
 )
+
+// testConfig is a daemon over two idle Boston-centre taxis dispatching
+// with NSTD-P at 60 km/h (one kilometre per frame).
+func testConfig() config {
+	return config{
+		Taxis: []fleet.Taxi{
+			{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
+			{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
+		},
+		Params:     pref.Unbounded(),
+		Dispatcher: dispatch.NewNSTDP(),
+		SpeedKmH:   60,
+	}
+}
+
+// startServer builds a daemon through newServer, exactly as main does,
+// and serves its handler chain.
+func startServer(t *testing.T, cfg config) (*httptest.Server, *server) {
+	t.Helper()
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	ts := httptest.NewServer(srv.handler)
+	t.Cleanup(ts.Close)
+	return ts, srv
+}
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	return ledgerServer(t, prof.New(prof.Config{}))
-}
-
-// ledgerServer is testServer with the simulator's frame-budget ledger
-// chosen by the caller (nil: no profiling). Like main(), the simulator
-// records a KPI ring, which the stage views read.
-func ledgerServer(t *testing.T, ld *prof.Ledger) *httptest.Server {
-	t.Helper()
-	return simServer(t, sim.Config{KPI: tseries.New(tseries.Config{}), Ledger: ld})
-}
-
-// simServer serves an NSTD-P simulator of two idle Boston-centre taxis
-// with cfg's instrumentation handles.
-func simServer(t *testing.T, cfg sim.Config) *httptest.Server {
-	t.Helper()
-	taxis := []fleet.Taxi{
-		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
-		{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
-	}
-	cfg.Params, cfg.Dispatcher, cfg.SpeedKmH = pref.Unbounded(), dispatch.NewNSTDP(), 60
-	s, err := sim.New(cfg, taxis, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	ts := httptest.NewServer(newServer(s).handler())
-	t.Cleanup(ts.Close)
+	ts, _ := startServer(t, testConfig())
 	return ts
 }
 
@@ -159,11 +159,12 @@ func TestGetTaxis(t *testing.T) {
 
 	// A busy RAII taxi carrying riders 7 and 3 with insertions 9 and 5
 	// still ahead: the rider lists are ascending, not in route order.
-	s, err := sim.New(sim.Config{Params: pref.Unbounded(), Dispatcher: carpool.NewRAII(carpool.DefaultConfig()), SpeedKmH: 60},
-		[]fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	busy, srv := startServer(t, config{
+		Taxis:      []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}},
+		Params:     pref.Unbounded(),
+		Dispatcher: carpool.NewRAII(carpool.DefaultConfig()),
+		SpeedKmH:   60,
+	})
 	at := func(x float64) geo.Point { return geo.Point{X: x, Y: 10} }
 	for _, r := range []fleet.Request{
 		{ID: 7, Pickup: at(10.2), Dropoff: at(20)},
@@ -171,16 +172,14 @@ func TestGetTaxis(t *testing.T) {
 		{ID: 9, Pickup: at(16), Dropoff: at(18)},
 		{ID: 5, Pickup: at(15), Dropoff: at(17)},
 	} {
-		r.Frame = s.Frame()
-		if err := s.Inject(r); err != nil {
+		r.Frame = srv.sim.Frame()
+		if err := srv.sim.Inject(r); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Step(); err != nil {
+		if err := srv.step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	busy := httptest.NewServer(newServer(s).handler())
-	defer busy.Close()
 	resp, err = http.Get(busy.URL + "/v1/taxis")
 	if err != nil {
 		t.Fatal(err)
@@ -312,17 +311,9 @@ func TestRunFlagErrors(t *testing.T) {
 // and reads its lifecycle from the simulator's event tail, the store
 // the /v1/stream snapshot serves.
 func TestHTTPRequestEventsReachTail(t *testing.T) {
-	taxis := []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}}
-	s, err := sim.New(sim.Config{
-		Params:     pref.Unbounded(),
-		Dispatcher: dispatch.NewNSTDP(),
-		SpeedKmH:   60,
-	}, taxis, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	ts := httptest.NewServer(newServer(s).handler())
-	defer ts.Close()
+	cfg := testConfig()
+	cfg.Taxis = cfg.Taxis[:1]
+	ts, srv := startServer(t, cfg)
 
 	postJSON(t, ts.URL+"/v1/requests", requestIn{
 		Pickup:  pointJSON{X: 10.5, Y: 10},
@@ -330,7 +321,7 @@ func TestHTTPRequestEventsReachTail(t *testing.T) {
 	})
 	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 5})
 
-	events := s.RecentEvents()
+	events := srv.sim.RecentEvents()
 	if len(events) < 3 {
 		t.Fatalf("got %d events, want request+assign+pickup at least", len(events))
 	}
@@ -340,22 +331,33 @@ func TestHTTPRequestEventsReachTail(t *testing.T) {
 }
 
 func TestServerStep(t *testing.T) {
-	taxis := []fleet.Taxi{{ID: 0}}
-	s, err := sim.New(sim.Config{
-		Params:     pref.Unbounded(),
-		Dispatcher: dispatch.NewNSTDP(),
-	}, taxis, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	srv := newServer(s)
+	_, srv := startServer(t, testConfig())
 	for i := 0; i < 3; i++ {
 		if err := srv.step(); err != nil {
 			t.Fatalf("step: %v", err)
 		}
 	}
-	if got := s.Frame(); got != 3 {
+	if got := srv.sim.Frame(); got != 3 {
 		t.Errorf("frame = %d, want 3", got)
+	}
+}
+
+// TestHealthzInflightSettles pins the admission ledger to the
+// simulator's events: once the one admitted request completes,
+// /healthz reports nothing in flight.
+func TestHealthzInflightSettles(t *testing.T) {
+	ts := testServer(t)
+	created := decode[requestOut](t, postJSON(t, ts.URL+"/v1/requests", requestIn{
+		Pickup:  pointJSON{X: 10.5, Y: 10},
+		Dropoff: pointJSON{X: 12, Y: 10},
+	}))
+	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 5})
+	if st, _ := getJSON[requestStatusOut](t, fmt.Sprintf("%s/v1/requests/%d", ts.URL, created.ID)); st.Status != "completed" {
+		t.Fatalf("request status = %q, want completed", st.Status)
+	}
+	h, _ := getJSON[healthOut](t, ts.URL+"/healthz")
+	if h.Inflight != 0 || h.IntakeQueue != 0 {
+		t.Errorf("healthz inflight %d, intake queue %d after the only request completed; want 0 and 0", h.Inflight, h.IntakeQueue)
 	}
 }
 

@@ -13,12 +13,6 @@ import (
 	"stabledispatch/internal/slo"
 )
 
-// withSLO attaches the SLO engine served at /v1/slo.
-func (s *server) withSLO(e *slo.Engine) *server {
-	s.slo = e
-	return s
-}
-
 // sloOut is the /v1/slo payload.
 type sloOut struct {
 	Enabled    bool         `json:"enabled"`
@@ -26,11 +20,12 @@ type sloOut struct {
 }
 
 func (s *server) getSLO(w http.ResponseWriter, _ *http.Request) {
-	if s.slo == nil {
+	eng := s.sim.SLO()
+	if eng == nil {
 		writeJSON(w, http.StatusOK, sloOut{Enabled: false, Objectives: []slo.Status{}})
 		return
 	}
-	writeJSON(w, http.StatusOK, sloOut{Enabled: true, Objectives: s.slo.Status()})
+	writeJSON(w, http.StatusOK, sloOut{Enabled: true, Objectives: eng.Status()})
 }
 
 // sloHealth condenses the alert table for /healthz: the worst state
@@ -47,10 +42,11 @@ type sloHealth struct {
 // sloHealthOut summarises the engine's status, or nil when no SLO file
 // is loaded.
 func (s *server) sloHealthOut() *sloHealth {
-	if s.slo == nil {
+	eng := s.sim.SLO()
+	if eng == nil {
 		return nil
 	}
-	sts := s.slo.Status()
+	sts := eng.Status()
 	out := &sloHealth{State: slo.StateOK, Total: len(sts)}
 	rank := func(st slo.State) int {
 		switch st {

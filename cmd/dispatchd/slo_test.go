@@ -12,15 +12,13 @@ import (
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
-	"stabledispatch/internal/sim"
 	"stabledispatch/internal/slo"
-	"stabledispatch/internal/tseries"
 )
 
-// sloTestServer wires a two-taxi simulator with a KPI recorder and one
-// backlog objective tight enough to breach the moment requests queue
-// and recover two clean frames later.
-func sloTestServer(t *testing.T) (*httptest.Server, *slo.Engine) {
+// sloTestServer builds a two-taxi daemon with one backlog objective
+// tight enough to breach the moment requests queue and recover two
+// clean frames later.
+func sloTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	def, err := slo.ParseLine("backlog: queued == 0 fast=1 slow=1 clear=2")
 	if err != nil {
@@ -30,23 +28,10 @@ func sloTestServer(t *testing.T) (*httptest.Server, *slo.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	taxis := []fleet.Taxi{
-		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
-		{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
-	}
-	s, err := sim.New(sim.Config{
-		Params:     pref.Unbounded(),
-		Dispatcher: dispatch.NewNSTDP(),
-		SpeedKmH:   60,
-		KPI:        tseries.New(tseries.Config{Capacity: 64}),
-		SLO:        eng,
-	}, taxis, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	ts := httptest.NewServer(newServer(s).withSLO(eng).handler())
-	t.Cleanup(ts.Close)
-	return ts, eng
+	cfg := testConfig()
+	cfg.SLO = eng
+	ts, _ := startServer(t, cfg)
+	return ts
 }
 
 // getSLOStatus fetches /v1/slo and returns the single objective.
@@ -68,7 +53,7 @@ func getSLOStatus(t *testing.T, url string) (sloOut, slo.Status) {
 }
 
 func TestSLOEndpointBreachThenRecover(t *testing.T) {
-	ts, _ := sloTestServer(t)
+	ts := sloTestServer(t)
 
 	if _, st := getSLOStatus(t, ts.URL); st.State != slo.StateOK {
 		t.Fatalf("initial state = %q, want ok", st.State)
@@ -152,16 +137,12 @@ func TestDebugBundleEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(sim.Config{
+	ts, _ = startServer(t, config{
+		Taxis:      []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}},
 		Params:     pref.Unbounded(),
 		Dispatcher: dispatch.NewNSTDP(),
 		Recorder:   rec,
-	}, []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}}, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	ts = httptest.NewServer(newServer(s).handler())
-	defer ts.Close()
+	})
 
 	resp = postJSON(t, ts.URL+"/v1/debug/bundle", bundleIn{Detail: "during incident 42"})
 	if resp.StatusCode != http.StatusCreated {

@@ -13,11 +13,11 @@ package main
 //	event: snapshot          once, immediately after connect
 //	data: {...}
 //
-//	event: kpi|slo|admission|events|notice|prof
+//	event: kpi|slo|admission|events|notice
 //	id: <hub sequence number>
 //	data: {...}
 //
-//	: heartbeat seq=<n>      every -stream-heartbeat of silence
+//	: heartbeat seq=<n>      every 10 s of silence
 //	: closed dropped=<n> delivered=<m>   terminal accounting comment
 //
 // Coherence: the handler subscribes BEFORE building the snapshot, so a
@@ -26,11 +26,11 @@ package main
 // live), never a gap. Messages carry frame numbers and hub sequence
 // numbers, so duplicates are trivially collapsed.
 //
-// Backpressure: each connection owns a bounded ring (-stream-buffer).
-// A consumer slower than the feed drops its own oldest entries — the
-// drops are counted in the terminal comment and in the hub's
-// stream_dropped_total series — and can never block the frame loop,
-// the hub, or any other connection.
+// Backpressure: each connection owns a bounded ring of
+// stream.DefaultRingSize messages. A consumer slower than the feed
+// drops its own oldest entries — the drops are counted in the terminal
+// comment and in the hub's stream_dropped_total series — and can never
+// block the frame loop, the hub, or any other connection.
 
 import (
 	"fmt"
@@ -59,26 +59,14 @@ const (
 	snapshotEventTail = 100
 )
 
-// withStream attaches the broadcast hub served at /v1/stream. ring is
-// the per-connection buffer capacity (DefaultRingSize when
-// non-positive); heartbeat the keepalive interval.
-func (s *server) withStream(h *stream.Hub, ring int, heartbeat time.Duration) *server {
-	s.hub = h
-	s.streamRing = ring
-	if heartbeat <= 0 {
-		heartbeat = defaultStreamHeartbeat
-	}
-	s.streamHeartbeat = heartbeat
-	return s
-}
-
 // streamSnapshot is the snapshot event's payload: enough current state
 // to render a full console before the first live message arrives. Each
 // section is present only when its topic is subscribed.
 type streamSnapshot struct {
 	Frame  int64          `json:"frame"`
 	Topics []stream.Topic `json:"topics"`
-	// KPI is the trailing per-frame sample window, oldest first.
+	// KPI is the trailing per-frame sample window, oldest first; each
+	// sample carries its frame's stage times.
 	KPI []tseries.Sample `json:"kpi,omitempty"`
 	// SLO is the full per-objective alert table (nil when no SLO file
 	// is loaded, [] when loaded with the topic subscribed).
@@ -87,8 +75,8 @@ type streamSnapshot struct {
 	Admission *admissionSnapshot `json:"admission,omitempty"`
 	// Events is the retained lifecycle-event tail, oldest first.
 	Events []sim.Event `json:"events,omitempty"`
-	// Prof is the frame-budget profiler's run-cumulative stage ledger
-	// (absent when the simulator has no ledger).
+	// Prof is the frame-budget profiler's run-cumulative ledger, served
+	// with the kpi topic: its budget marks which samples overran.
 	Prof *prof.Summary `json:"prof,omitempty"`
 }
 
@@ -100,28 +88,24 @@ type admissionSnapshot struct {
 	Draining   bool `json:"draining,omitempty"`
 }
 
-// snapshot assembles the connect-time state for the subscribed topics.
-// It takes s.mu only for the two simulator reads (frame and recorder
-// pointer) — never while touching the hub, which has its own locks.
+// snapshot assembles the connect-time state for the subscribed topics
+// without s.mu: every store it reads carries its own lock.
 func (s *server) snapshot(topics map[stream.Topic]bool) streamSnapshot {
-	s.mu.Lock()
-	frame := int64(s.sim.Frame())
-	rec := s.sim.KPIRecorder()
-	s.mu.Unlock()
-
-	snap := streamSnapshot{Frame: frame}
+	snap := streamSnapshot{Frame: s.frameNow.Load()}
 	for _, t := range stream.Topics {
 		if topics[t] {
 			snap.Topics = append(snap.Topics, t)
 		}
 	}
-	if topics[stream.TopicKPI] && rec != nil {
-		snap.KPI = rec.LastN(snapshotKPIWindow)
+	if topics[stream.TopicKPI] {
+		snap.KPI = s.sim.KPIRecorder().LastN(snapshotKPIWindow)
+		sum := s.sim.Ledger().Summary()
+		snap.Prof = &sum
 	}
-	if topics[stream.TopicSLO] && s.slo != nil {
-		snap.SLO = s.slo.Status()
+	if eng := s.sim.SLO(); topics[stream.TopicSLO] && eng != nil {
+		snap.SLO = eng.Status()
 	}
-	if topics[stream.TopicAdmission] && s.adm != nil {
+	if topics[stream.TopicAdmission] {
 		snap.Admission = &admissionSnapshot{
 			QueueDepth: s.adm.QueueDepth(),
 			Inflight:   s.adm.Inflight(),
@@ -136,40 +120,29 @@ func (s *server) snapshot(topics map[stream.Topic]bool) streamSnapshot {
 		}
 		snap.Events = tail
 	}
-	if ld := s.sim.Ledger(); topics[stream.TopicProf] && ld != nil {
-		sum := ld.Summary()
-		snap.Prof = &sum
-	}
 	return snap
 }
 
 // getStream serves one SSE connection: subscribe, snapshot, then relay
 // hub batches until the client goes away or a write fails.
 func (s *server) getStream(w http.ResponseWriter, r *http.Request) {
-	if s.hub == nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("live streaming disabled"))
-		return
-	}
 	topics, err := stream.ParseTopics(r.URL.Query().Get("topics"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	want := make(map[stream.Topic]bool, len(stream.Topics))
 	if len(topics) == 0 {
-		for _, t := range stream.Topics {
-			want[t] = true
-		}
-	} else {
-		for _, t := range topics {
-			want[t] = true
-		}
+		topics = stream.Topics
+	}
+	want := make(map[stream.Topic]bool, len(topics))
+	for _, t := range topics {
+		want[t] = true
 	}
 
 	// Subscribe before snapshotting: anything published while the
 	// snapshot is being built lands in the ring and is delivered after
 	// it. Duplicates are possible, gaps are not.
-	sub := s.hub.Subscribe(s.streamRing, topics...)
+	sub := s.sim.Hub().Subscribe(stream.DefaultRingSize, topics...)
 	defer sub.Close()
 	snap := s.snapshot(want)
 

@@ -11,61 +11,12 @@ import (
 	"testing"
 	"time"
 
-	"stabledispatch/internal/admission"
-	"stabledispatch/internal/dispatch"
-	"stabledispatch/internal/dtrace"
-	"stabledispatch/internal/fleet"
-	"stabledispatch/internal/geo"
-	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
-	"stabledispatch/internal/sim"
 	"stabledispatch/internal/stream"
-	"stabledispatch/internal/tseries"
 )
 
-// streamServer builds a full daemon stack over a two-taxi fleet; see
-// daemonStack.
-func streamServer(t *testing.T, ring int, heartbeat time.Duration) (*httptest.Server, *server) {
-	t.Helper()
-	taxis := []fleet.Taxi{
-		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
-		{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
-	}
-	return daemonStack(t, pref.Unbounded(), taxis, dtrace.New(0, 0), ring, heartbeat)
-}
-
-// daemonStack builds a full daemon stack as main() does — an NSTD-P
-// simulator recording into tracer, with KPI recording, a ledger,
-// admission controller, broadcast hub — behind an
-// httptest server with main()'s handler chain: request metrics →
-// recovery → body limit → mux.
-func daemonStack(t *testing.T, params pref.Params, taxis []fleet.Taxi, tracer *dtrace.Recorder, ring int, heartbeat time.Duration) (*httptest.Server, *server) {
-	t.Helper()
-	kpi := tseries.New(tseries.Config{Capacity: 512})
-	hub := stream.NewHub()
-	adm := admission.New(admission.Config{Hub: hub})
-	s, err := sim.New(sim.Config{
-		Params:     params,
-		Dispatcher: dispatch.NewNSTDP(),
-		SpeedKmH:   60,
-		Events:     admissionSink(adm),
-		KPI:        kpi,
-		Ledger:     prof.New(prof.Config{}),
-		Tracer:     tracer,
-		Hub:        hub,
-		Admission:  adm,
-	}, taxis, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	srv := newServer(s).withAdmission(adm).withStream(hub, ring, heartbeat)
-	ts := httptest.NewServer(withObs(nil, srv.http, withRecovery(nil, nil, srv.frameNow.Load, srv.http, withBodyLimit(srv.handler()))))
-	t.Cleanup(ts.Close)
-	return ts, srv
-}
-
 func TestStreamRejectsUnknownTopic(t *testing.T) {
-	ts, _ := streamServer(t, 64, time.Minute)
+	ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/v1/stream?topics=kpi,bogus")
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +28,7 @@ func TestStreamRejectsUnknownTopic(t *testing.T) {
 }
 
 func TestStreamSnapshotThenLive(t *testing.T) {
-	ts, srv := streamServer(t, 256, time.Minute)
+	ts, srv := startServer(t, testConfig())
 
 	// Pre-stream state the snapshot must carry: one admitted request,
 	// one dispatched frame.
@@ -91,7 +42,7 @@ func TestStreamSnapshotThenLive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := http.Get(ts.URL + "/v1/stream?topics=kpi,events,admission,prof")
+	conn, err := http.Get(ts.URL + "/v1/stream?topics=kpi,events,admission")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +69,14 @@ func TestStreamSnapshotThenLive(t *testing.T) {
 	if snap.Frame != 1 {
 		t.Fatalf("snapshot frame = %d, want 1", snap.Frame)
 	}
-	if len(snap.Topics) != 4 {
-		t.Fatalf("snapshot topics = %v, want the 4 subscribed", snap.Topics)
+	if len(snap.Topics) != 3 {
+		t.Fatalf("snapshot topics = %v, want the 3 subscribed", snap.Topics)
 	}
-	if len(snap.KPI) != 1 {
-		t.Fatalf("snapshot carries %d kpi samples, want the 1 recorded frame", len(snap.KPI))
+	if len(snap.KPI) != 1 || snap.KPI[0].StageNs[prof.StageMatching] <= 0 {
+		t.Fatalf("snapshot kpi = %+v, want the 1 recorded frame with its matching stage time", snap.KPI)
 	}
 	if snap.Prof == nil || snap.Prof.Frames != 1 {
-		t.Fatalf("snapshot prof = %+v, want the ledger's 1 frame", snap.Prof)
+		t.Fatalf("snapshot prof = %+v, want the ledger's 1 frame under the kpi topic", snap.Prof)
 	}
 	if snap.Admission == nil || snap.Admission.Accepted != 1 {
 		t.Fatalf("snapshot admission = %+v, want accepted=1", snap.Admission)
@@ -135,7 +86,7 @@ func TestStreamSnapshotThenLive(t *testing.T) {
 	}
 
 	// Live phase: another request and frame must arrive as admission,
-	// events, kpi, and prof messages.
+	// events, and kpi messages.
 	postJSON(t, ts.URL+"/v1/requests", requestIn{
 		Pickup: pointJSON{X: 10.2, Y: 10}, Dropoff: pointJSON{X: 13, Y: 10},
 	})
@@ -144,7 +95,7 @@ func TestStreamSnapshotThenLive(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	deadline := time.After(5 * time.Second)
-	for !(seen["kpi"] && seen["events"] && seen["admission"] && seen["prof"]) {
+	for !(seen["kpi"] && seen["events"] && seen["admission"]) {
 		select {
 		case <-deadline:
 			t.Fatalf("live events not all seen: %v", seen)
@@ -164,7 +115,8 @@ func TestStreamSnapshotThenLive(t *testing.T) {
 }
 
 func TestStreamHeartbeat(t *testing.T) {
-	ts, _ := streamServer(t, 64, 30*time.Millisecond)
+	ts, srv := startServer(t, testConfig())
+	srv.streamHeartbeat = 30 * time.Millisecond
 	conn, err := http.Get(ts.URL + "/v1/stream?topics=notice")
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +167,8 @@ func (g *gateRW) String() string {
 // stream_dropped_total), never blocks the publisher, and its terminal
 // comment carries the drop count.
 func TestStreamStalledConnectionDropsAndAccounts(t *testing.T) {
-	_, srv := streamServer(t, 8, time.Minute)
-	hub := srv.hub
+	_, srv := startServer(t, testConfig())
+	hub := srv.sim.Hub()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -229,10 +181,10 @@ func TestStreamStalledConnectionDropsAndAccounts(t *testing.T) {
 	}()
 
 	// Wait for the subscription, then flood: the handler is wedged in
-	// its first write (the snapshot), so the ring (capacity 8) must
-	// overwrite and count drops without ever delaying Publish.
+	// its first write (the snapshot), so the ring must overwrite and
+	// count drops without ever delaying Publish.
 	waitFor(t, func() bool { return hub.Subscribers() == 1 })
-	const total = 500
+	const total = 4 * stream.DefaultRingSize
 	start := time.Now()
 	for i := 0; i < total; i++ {
 		hub.Publish(stream.TopicEvents, int64(i), map[string]int{"i": i})
@@ -261,7 +213,7 @@ func TestStreamStalledConnectionDropsAndAccounts(t *testing.T) {
 		t.Fatalf("terminal comment unparsable: %v (tail %q)", err, tail(out, 200))
 	}
 	if gotDropped == 0 {
-		t.Fatal("stalled connection reports zero drops after flooding an 8-slot ring")
+		t.Fatal("stalled connection reports zero drops after flooding past its ring")
 	}
 	if got := hub.Dropped(); got != gotDropped {
 		t.Fatalf("hub Dropped = %d, want the only connection's own %d", got, gotDropped)
@@ -273,7 +225,7 @@ func TestStreamStalledConnectionDropsAndAccounts(t *testing.T) {
 // ticks — every healthy subscriber sees every frame's kpi sample, and
 // stepping stays fast.
 func TestStreamFanout8OneStalled(t *testing.T) {
-	ts, srv := streamServer(t, 256, time.Minute)
+	ts, srv := startServer(t, testConfig())
 
 	// The stalled subscriber: connects, never reads. Its ring is its
 	// problem; everyone else's feed and the frame loop must not notice.

@@ -122,17 +122,8 @@ func (s *server) getTimeseries(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The recorder carries its own lock; no server lock needed.
-	var samples []tseries.Sample
-	stride := 1
-	s.mu.Lock()
 	rec := s.sim.KPIRecorder()
-	s.mu.Unlock()
-	if rec != nil {
-		samples = rec.Window(int64(from), int64(to), step)
-		stride = rec.Stride()
-	} else {
-		samples = []tseries.Sample{}
-	}
+	samples, stride := rec.Window(int64(from), int64(to), step), rec.Stride()
 	if len(samples) > limit {
 		// Keep the newest: a bounded page wants the tail of the run.
 		samples = samples[len(samples)-limit:]

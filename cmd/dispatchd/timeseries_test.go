@@ -8,40 +8,19 @@ import (
 	"strings"
 	"testing"
 
-	"stabledispatch/internal/dispatch"
-	"stabledispatch/internal/fleet"
-	"stabledispatch/internal/geo"
-	"stabledispatch/internal/pref"
-	"stabledispatch/internal/prof"
-	"stabledispatch/internal/sim"
 	"stabledispatch/internal/tseries"
 )
 
-// kpiServer builds a test server whose simulation carries a KPI recorder
-// and has already run a few frames, so /v1/timeseries has samples.
+// kpiServer builds a daemon that has already run a few frames, so
+// /v1/timeseries has samples.
 func kpiServer(t *testing.T, frames int) *httptest.Server {
 	t.Helper()
-	taxis := []fleet.Taxi{
-		{ID: 0, Pos: geo.Point{X: 10, Y: 10}},
-		{ID: 1, Pos: geo.Point{X: 11, Y: 10}},
-	}
-	s, err := sim.New(sim.Config{
-		Params:     pref.Unbounded(),
-		Dispatcher: dispatch.NewNSTDP(),
-		SpeedKmH:   60,
-		KPI:        tseries.New(tseries.Config{Capacity: 256}),
-	}, taxis, nil)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	srv := newServer(s)
+	ts, srv := startServer(t, testConfig())
 	for i := 0; i < frames; i++ {
 		if err := srv.step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
 	return ts
 }
 
@@ -196,35 +175,6 @@ func TestTimeseriesCSV(t *testing.T) {
 		if !strings.HasPrefix(line, fmt.Sprintf("%d,", i)) {
 			t.Errorf("row %d = %q, want frame %d first", i, line, i)
 		}
-	}
-}
-
-// TestTimeseriesNoRecorder keeps the endpoint well-formed when the
-// daemon runs with -kpi-capacity=0: empty series, not an error. The
-// stage views read the same ring, so /v1/profile keeps its ledger
-// sections but serves no stage distributions.
-func TestTimeseriesNoRecorder(t *testing.T) {
-	ts := simServer(t, sim.Config{Ledger: prof.New(prof.Config{})})
-	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 2})
-	resp := getTS(t, ts.URL, "?series=served")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	out := decode[timeseriesOut](t, resp)
-	if out.Count != 0 || len(out.Frames) != 0 {
-		t.Errorf("count %d frames %v, want empty", out.Count, out.Frames)
-	}
-	resp, err := http.Get(ts.URL + "/v1/profile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	po := decode[profileOut](t, resp)
-	if !po.Enabled || po.Summary == nil || po.Summary.Frames != 2 {
-		t.Errorf("ledger sections = enabled %v, summary %+v; want the 2-frame ledger", po.Enabled, po.Summary)
-	}
-	if po.FrameLatency != nil || len(po.Stages) != 0 {
-		t.Errorf("stage views without a KPI ring: frame %+v, stages %+v", po.FrameLatency, po.Stages)
 	}
 }
 

@@ -42,7 +42,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dispatchtop", flag.ContinueOnError)
 	var (
 		base      = fs.String("url", "http://localhost:8080", "dispatchd base URL")
-		topics    = fs.String("topics", "", "comma-separated topic filter (kpi,slo,admission,events,notice,prof; empty = all)")
+		topics    = fs.String("topics", "", "comma-separated topic filter (kpi,slo,admission,events,notice; empty = all)")
 		once      = fs.Bool("once", false, "render one frame to stdout and exit (headless/CI mode)")
 		wait      = fs.Duration("wait", 0, "with -once: consume the live feed this long before rendering")
 		refresh   = fs.Duration("refresh", 500*time.Millisecond, "live-mode repaint interval")

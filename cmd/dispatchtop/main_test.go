@@ -54,15 +54,15 @@ func TestModelApplyAndRender(t *testing.T) {
 	m := newModel(16)
 	r := stream.NewReader(strings.NewReader(feed(
 		sse("snapshot", 0, testSnapshot),
-		sse("kpi", 11, `{"frame":6,"delayMean":1.8,"delayP95":3.2,"served":15,"queued":4,"frameNs":900000}`),
+		// Frame 6 overruns the snapshot's 50ms budget; 70ms of its 90ms
+		// went to matching (stage 8) and 15ms to the cost plane (stage 5).
+		sse("kpi", 11, `{"frame":6,"delayMean":1.8,"delayP95":3.2,"served":15,"queued":4,"frameNs":90000000,`+
+			`"stageNs":[0,0,0,0,0,15000000,0,0,70000000,0,0,0]}`),
 		sse("slo", 12, `{"slo":"p95-delay","expr":"p95(delay) <= 8","from":"ok","to":"warning","frame":6,"fast":9,"slow":4}`),
 		sse("admission", 13, `{"kind":"shed","id":-1,"reason":"queue_full","queueDepth":64,"inflight":80}`),
 		sse("events", 14, `{"frame":6,"kind":"pickup","requestId":9,"taxiId":1}`),
 		sse("notice", 15, `{"kind":"degrade","frame":6,"detail":"nstd-p degraded to greedy (deadline)"}`),
-		sse("prof", 16, `{"frame":6,"wallNs":90000000,"allocs":1200,"overrun":true,"stageSumNs":85000000,`+
-			`"stages":[{"stage":"matching","ns":70000000,"calls":1,"share":0.78},`+
-			`{"stage":"cost_plane","ns":15000000,"calls":1,"share":0.17}]}`),
-		": heartbeat seq=16\n\n",
+		": heartbeat seq=15\n\n",
 	)))
 	for {
 		ev, err := r.ReadEvent()
@@ -87,11 +87,8 @@ func TestModelApplyAndRender(t *testing.T) {
 	if m.heartbeats != 1 {
 		t.Fatalf("heartbeats = %d, want 1", m.heartbeats)
 	}
-	if m.seq != 16 {
-		t.Fatalf("seq = %d, want 16", m.seq)
-	}
-	if m.prof == nil || m.prof.Frame != 6 {
-		t.Fatalf("prof frame report = %+v, want frame 6", m.prof)
+	if m.seq != 15 {
+		t.Fatalf("seq = %d, want 15", m.seq)
 	}
 	// 1 overrun from the snapshot summary + 1 live overrun frame.
 	if m.overruns != 2 {
@@ -102,7 +99,8 @@ func TestModelApplyAndRender(t *testing.T) {
 	for _, want := range []string{
 		"frame 6", "delay mean", "p95-delay", "warning",
 		"queue_full=1", "pickup", "degrade", "nstd-p degraded",
-		"stages", "matching", "OVERRUN", "overruns 2", "captures 1", "budget 50.00ms",
+		"stages  f6  wall 90.00ms", "matching", "70.000ms", "cost_plane", "OVERRUN",
+		"overruns 2", "captures 1", "budget 50.00ms",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)
@@ -165,12 +163,15 @@ func TestRunOnceConnectFailure(t *testing.T) {
 	}
 }
 
-// TestRenderStagePanelFromSnapshot pins the -once path: with a profiler
-// summary from the snapshot but no live prof event yet, the stage panel
-// renders the cumulative per-frame averages instead of disappearing.
+// TestRenderStagePanelFromSnapshot pins the -once path: with only the
+// snapshot applied, the stage panel renders the newest snapshot KPI
+// sample's stage times and the budget line from the profiler summary
+// served with the kpi topic.
 func TestRenderStagePanelFromSnapshot(t *testing.T) {
 	m := newModel(16)
-	snap := `{"frame":5,"topics":["prof"],` +
+	snap := `{"frame":5,"topics":["kpi"],` +
+		`"kpi":[{"frame":3,"frameNs":9000000,"stageNs":[0,0,0,0,0,0,0,0,8000000,0,0,0]},` +
+		`{"frame":4,"frameNs":2000000,"stageNs":[0,0,0,0,0,0,0,0,1000000,0,0,0]}],` +
 		`"prof":{"frames":4,"budgetNs":50000000,"overruns":0,"captures":0,"suppressed":0,` +
 		`"avgWallNs":2000000,"avgAllocs":100,` +
 		`"stages":[{"stage":"matching","ns":4000000,"calls":4,"share":0.5}]}}`
@@ -180,16 +181,19 @@ func TestRenderStagePanelFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.apply(ev)
-	if m.prof != nil {
-		t.Fatal("no live prof event was fed, but model has one")
+	if m.overruns != 0 {
+		t.Fatalf("overruns = %d from a snapshot reporting none", m.overruns)
 	}
 	out := render(m, 100, palette{})
-	if !strings.Contains(out, "4 frames  avg wall 2.00ms") {
-		t.Fatalf("snapshot stage header missing:\n%s", out)
+	if !strings.Contains(out, "stages  f4  wall 2.00ms") {
+		t.Fatalf("newest sample's stage header missing:\n%s", out)
 	}
-	// 4ms cumulative over 4 frames = 1ms per frame.
-	if !strings.Contains(out, "matching") || !strings.Contains(out, "1.000ms") {
-		t.Fatalf("per-frame stage row missing:\n%s", out)
+	// Frame 4 spent 1ms of its 2ms in matching.
+	if !strings.Contains(out, "matching") || !strings.Contains(out, "1.000ms") || !strings.Contains(out, "50%") {
+		t.Fatalf("newest sample's stage row missing:\n%s", out)
+	}
+	if strings.Contains(out, "OVERRUN") {
+		t.Fatalf("frame under budget marked as overrun:\n%s", out)
 	}
 	if !strings.Contains(out, "budget 50.00ms") {
 		t.Fatalf("budget summary line missing:\n%s", out)

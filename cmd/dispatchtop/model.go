@@ -80,9 +80,8 @@ type model struct {
 	lastIntake int
 	events     []sim.Event
 	notices    []stream.Notice
-	// prof is the latest frame's per-stage cost attribution from the
-	// prof topic; profSum the run-cumulative ledger from the snapshot.
-	prof     *prof.FrameReport
+	// profSum is the run-cumulative ledger from the snapshot; its
+	// budget marks which live KPI samples overran.
 	profSum  *prof.Summary
 	overruns int64
 
@@ -144,6 +143,9 @@ func (m *model) apply(ev stream.Event) {
 			m.frame = s.Frame
 			m.kpi = append(m.kpi, s)
 			m.trimKPI()
+			if m.overBudget(s) {
+				m.overruns++
+			}
 		}
 	case "slo":
 		var tr sloTransition
@@ -194,18 +196,14 @@ func (m *model) apply(ev stream.Event) {
 			m.notices = append(m.notices, n)
 			m.trimTails()
 		}
-	case "prof":
-		var fr prof.FrameReport
-		if m.decode(ev.Data, &fr) {
-			m.prof = &fr
-			if fr.Frame > m.frame {
-				m.frame = fr.Frame
-			}
-			if fr.Overrun {
-				m.overruns++
-			}
-		}
 	}
+}
+
+// overBudget reports whether a KPI sample's frame overran the ledger's
+// budget (the ledger's own overrun test: its frame wall-clock is the
+// sample's FrameNs).
+func (m *model) overBudget(s tseries.Sample) bool {
+	return m.profSum != nil && m.profSum.BudgetNs > 0 && s.FrameNs > m.profSum.BudgetNs
 }
 
 // decode unmarshals and counts; a failure records the error for the

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"stabledispatch/internal/prof"
 	"stabledispatch/internal/slo"
 )
 
@@ -150,46 +151,34 @@ func render(m *model, width int, p palette) string {
 				row.label, sparkline(vals, sparkW), fmt.Sprintf(row.format, cur))
 		}
 	} else {
-		b.WriteString(p.dim("  no KPI samples yet (daemon started with -kpi-capacity 0?)") + "\n")
+		b.WriteString(p.dim("  no KPI samples yet") + "\n")
 	}
 
-	// Stage-latency panel: the latest frame's per-stage cost attribution
-	// from the frame-budget profiler; before the first live prof event
-	// (e.g. -once right after connect) the snapshot's cumulative shares
-	// stand in.
-	if m.prof != nil || m.profSum != nil {
-		if fr := m.prof; fr != nil {
-			tag := ""
-			if fr.Overrun {
-				tag = "  " + p.paint("31;1", "OVERRUN")
-			}
-			fmt.Fprintf(&b, "\n%s  f%d  wall %.2fms%s\n",
-				p.bold("  stages"), fr.Frame, float64(fr.WallNs)/1e6, tag)
-			for _, st := range fr.Stages {
-				fmt.Fprintf(&b, "  %-13s %s %8.3fms %4.0f%%\n",
-					st.Stage, shareBar(st.Share, 20), float64(st.Ns)/1e6, st.Share*100)
-			}
-		} else {
-			sum := m.profSum
-			fmt.Fprintf(&b, "\n%s  %d frames  avg wall %.2fms\n",
-				p.bold("  stages"), sum.Frames, float64(sum.AvgWallNs)/1e6)
-			for _, st := range sum.Stages {
-				perFrame := float64(st.Ns)
-				if sum.Frames > 0 {
-					perFrame /= float64(sum.Frames)
-				}
-				fmt.Fprintf(&b, "  %-13s %s %8.3fms %4.0f%%\n",
-					st.Stage, shareBar(st.Share, 20), perFrame/1e6, st.Share*100)
-			}
+	// Stage panel: the newest KPI sample's per-stage cost (the ledger
+	// seals each frame's stage times into its sample), marked when the
+	// frame overran the ledger's budget.
+	if n := len(m.kpi); n > 0 && m.kpi[n-1].FrameNs > 0 {
+		smp := m.kpi[n-1]
+		tag := ""
+		if m.overBudget(smp) {
+			tag = "  " + p.paint("31;1", "OVERRUN")
 		}
-		if sum := m.profSum; sum != nil || m.overruns > 0 {
-			line := fmt.Sprintf("  overruns %d", m.overruns)
-			if sum != nil {
-				if sum.BudgetNs > 0 {
-					line += fmt.Sprintf("  budget %.2fms", float64(sum.BudgetNs)/1e6)
-				}
-				line += fmt.Sprintf("  captures %d  suppressed %d", sum.Captures, sum.Suppressed)
+		fmt.Fprintf(&b, "\n%s  f%d  wall %.2fms%s\n",
+			p.bold("  stages"), smp.Frame, float64(smp.FrameNs)/1e6, tag)
+		for i, ns := range smp.StageNs {
+			if ns <= 0 {
+				continue
 			}
+			share := float64(ns) / float64(smp.FrameNs)
+			fmt.Fprintf(&b, "  %-13s %s %8.3fms %4.0f%%\n",
+				prof.StageNames[i], shareBar(share, 20), float64(ns)/1e6, share*100)
+		}
+		if sum := m.profSum; sum != nil {
+			line := fmt.Sprintf("  overruns %d", m.overruns)
+			if sum.BudgetNs > 0 {
+				line += fmt.Sprintf("  budget %.2fms", float64(sum.BudgetNs)/1e6)
+			}
+			line += fmt.Sprintf("  captures %d  suppressed %d", sum.Captures, sum.Suppressed)
 			b.WriteString(p.dim(line) + "\n")
 		}
 	}

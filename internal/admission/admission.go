@@ -229,6 +229,39 @@ func (c *Controller) TakeBatch() []fleet.Request {
 	return batch
 }
 
+// Queued reports whether request id is admitted and still waiting for
+// its frame boundary.
+func (c *Controller) Queued(id int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.indexLocked(id) >= 0
+}
+
+// Withdraw takes a still-queued request out of the queue, the rest
+// keeping their admission order; false when id is not queued. Its
+// in-flight slot stays held until its cancellation reaches NoteTerminal.
+func (c *Controller) Withdraw(id int) (fleet.Request, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := c.indexLocked(id)
+	if i < 0 {
+		return fleet.Request{}, false
+	}
+	r := c.queue[i]
+	c.queue = append(c.queue[:i], c.queue[i+1:]...)
+	return r, true
+}
+
+// indexLocked returns id's queue position, or -1. Callers hold c.mu.
+func (c *Controller) indexLocked(id int) int {
+	for i, r := range c.queue {
+		if r.ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
 // BeginDrain stops admission permanently: every later Admit sheds with
 // ReasonDraining. Already-queued requests stay queued for the final
 // flush; the in-flight ledger keeps settling as events arrive.

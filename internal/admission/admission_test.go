@@ -263,3 +263,41 @@ func TestInjectFailureReleasesInflight(t *testing.T) {
 		t.Errorf("admit after released slot: %v", err)
 	}
 }
+
+// TestWithdrawKeepsOrderAndSlot pins the queued-cancellation contract:
+// Withdraw takes one request out of the queue, the rest of the batch
+// keeps admission order, and the in-flight slot is held until the
+// cancellation settles it through NoteTerminal.
+func TestWithdrawKeepsOrderAndSlot(t *testing.T) {
+	c := New(Config{QueueCap: 8})
+	for i := 0; i < 4; i++ {
+		c.Admit(req(float64(i)))
+	}
+	if !c.Queued(2) || c.Queued(4) {
+		t.Fatalf("Queued(2), Queued(4) = %v, %v; want true, false", c.Queued(2), c.Queued(4))
+	}
+	r, ok := c.Withdraw(2)
+	if !ok || r.ID != 2 || r.Pickup.X != 2 {
+		t.Fatalf("Withdraw(2) = %+v, %v", r, ok)
+	}
+	if _, ok := c.Withdraw(2); ok || c.Queued(2) {
+		t.Fatal("request 2 still queued after Withdraw")
+	}
+	if c.QueueDepth() != 3 || c.Inflight() != 4 {
+		t.Fatalf("depth %d inflight %d after Withdraw, want 3 and 4", c.QueueDepth(), c.Inflight())
+	}
+	c.NoteTerminal(2)
+	if c.Inflight() != 3 {
+		t.Fatalf("inflight %d after the withdrawn request settled, want 3", c.Inflight())
+	}
+	var ids []int
+	for _, r := range c.TakeBatch() {
+		ids = append(ids, r.ID)
+	}
+	if len(ids) != 3 || ids[0] != 0 || ids[1] != 1 || ids[2] != 3 {
+		t.Fatalf("batch after Withdraw = %v, want [0 1 3]", ids)
+	}
+	if c.Queued(0) {
+		t.Fatal("request 0 reported queued after TakeBatch")
+	}
+}

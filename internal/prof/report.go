@@ -18,8 +18,8 @@ type StageCost struct {
 }
 
 // FrameReport is one frame's attribution, ready for JSON: the slow-frame
-// entries of /v1/profile and the per-frame payload of the prof stream
-// topic. Stages are in pipeline order; zero-call stages are omitted.
+// entries of /v1/profile and of flight-recorder overrun bundles. Stages
+// are in pipeline order; zero-call stages are omitted.
 type FrameReport struct {
 	Frame      int64       `json:"frame"`
 	WallNs     int64       `json:"wallNs"`

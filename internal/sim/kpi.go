@@ -7,6 +7,8 @@ import (
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/prof"
+	"stabledispatch/internal/slo"
+	"stabledispatch/internal/stream"
 	"stabledispatch/internal/tseries"
 )
 
@@ -174,6 +176,12 @@ func (s *Simulator) Recorder() *flightrec.Recorder { return s.cfg.Recorder }
 
 // Tracer returns the configured decision-trace recorder, or nil.
 func (s *Simulator) Tracer() *dtrace.Recorder { return s.cfg.Tracer }
+
+// Hub returns the configured live-telemetry hub, or nil.
+func (s *Simulator) Hub() *stream.Hub { return s.cfg.Hub }
+
+// SLO returns the configured SLO engine, or nil.
+func (s *Simulator) SLO() *slo.Engine { return s.cfg.SLO }
 
 // KPISeries snapshots every retained per-frame KPI sample in
 // chronological order. The result is empty (never nil) when KPI

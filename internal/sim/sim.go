@@ -249,9 +249,8 @@ type Config struct {
 	// Ledger, when non-nil, is the frame-budget profiler: every Step is
 	// bracketed as one ledger frame, the simulator's phases and the
 	// dispatchers (through Frame.Ledger) open stage spans, each sealed
-	// frame's stage times fill its KPI sample's StageNs, and the frame
-	// is published on the Hub's prof topic. Overrun captures are
-	// bundled into Recorder.
+	// frame's stage times fill its KPI sample's StageNs (published on
+	// the Hub's kpi topic). Overrun captures are bundled into Recorder.
 	Ledger *prof.Ledger
 	// Recorder, when non-nil, is the flight recorder. Its bundles freeze
 	// this simulator's own stores (the KPI ring, the event tail, the
@@ -263,8 +262,8 @@ type Config struct {
 	// every lifecycle event, every dispatch decision (through
 	// Frame.Tracer), and a stability certificate per frame.
 	Tracer *dtrace.Recorder
-	// Hub, when non-nil, receives the live telemetry: KPI samples, SLO
-	// transitions, lifecycle events, notices, and ledger frames.
+	// Hub, when non-nil, receives the live telemetry: KPI samples (with
+	// their stage times), SLO transitions, lifecycle events, and notices.
 	Hub *stream.Hub
 	// Admission, when non-nil, is the front door feeding this simulator;
 	// its counts fill the KPI samples' accepted, shed and
@@ -575,9 +574,6 @@ func (s *Simulator) Step() error {
 	if rec != nil {
 		sample := s.recordKPI(rec, frame, wall, allocs, p.StageNs)
 		s.watchFrame(sample)
-	}
-	if ld != nil && s.cfg.Hub.Wants(stream.TopicProf) {
-		s.cfg.Hub.Publish(stream.TopicProf, p.Frame, p.Report())
 	}
 	// Every trigger fires after the KPI sample is recorded, so each
 	// bundle already holds the frame that tripped it.

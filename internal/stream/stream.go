@@ -42,7 +42,8 @@ type Topic string
 
 // Topics, in the order dispatchtop renders them.
 const (
-	// TopicKPI carries one tseries.Sample per dispatch frame.
+	// TopicKPI carries one tseries.Sample per dispatch frame, with the
+	// frame-budget ledger's per-stage times in its StageNs.
 	TopicKPI Topic = "kpi"
 	// TopicSLO carries SLO hysteresis state transitions.
 	TopicSLO Topic = "slo"
@@ -54,16 +55,13 @@ const (
 	// TopicNotices carries exceptional conditions: dispatch degrades,
 	// taxi breakdowns, flight-recorder triggers.
 	TopicNotices Topic = "notice"
-	// TopicProf carries the frame-budget profiler's per-frame stage
-	// attribution (one prof.FrameReport per dispatch frame).
-	TopicProf Topic = "prof"
 )
 
 // Topics lists every topic, in render order.
-var Topics = []Topic{TopicKPI, TopicSLO, TopicAdmission, TopicEvents, TopicNotices, TopicProf}
+var Topics = []Topic{TopicKPI, TopicSLO, TopicAdmission, TopicEvents, TopicNotices}
 
 // numTopics sizes the fixed per-topic arrays below.
-const numTopics = 6
+const numTopics = 5
 
 // topicIndex maps a topic to its slot in the per-topic subscriber
 // counts; -1 for unknown topics.

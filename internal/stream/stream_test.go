@@ -383,16 +383,16 @@ func BenchmarkAppendSSE(b *testing.B) {
 
 // TestParseTopicsEdges pins the parser's tolerance: empty segments and
 // stray whitespace are skipped, duplicates pass through verbatim (the
-// subscriber's topic set dedupes them), and every registered topic —
-// including prof — round-trips by name.
+// subscriber's topic set dedupes them), and every registered topic
+// round-trips by name.
 func TestParseTopicsEdges(t *testing.T) {
 	got, err := ParseTopics("kpi,,  ,slo,")
 	if err != nil || len(got) != 2 || got[0] != TopicKPI || got[1] != TopicSLO {
 		t.Fatalf("ParseTopics with empty segments = %v, %v; want [kpi slo]", got, err)
 	}
-	got, err = ParseTopics("prof,prof")
-	if err != nil || len(got) != 2 || got[0] != TopicProf || got[1] != TopicProf {
-		t.Fatalf("ParseTopics(\"prof,prof\") = %v, %v; want duplicates preserved", got, err)
+	got, err = ParseTopics("notice,notice")
+	if err != nil || len(got) != 2 || got[0] != TopicNotices || got[1] != TopicNotices {
+		t.Fatalf("ParseTopics(\"notice,notice\") = %v, %v; want duplicates preserved", got, err)
 	}
 	var all []string
 	for _, tp := range Topics {
@@ -409,17 +409,17 @@ func TestParseTopicsEdges(t *testing.T) {
 // nor corrupts the hub's per-topic subscriber counts on detach.
 func TestSubscribeDuplicateTopics(t *testing.T) {
 	h := NewHub()
-	sub := h.Subscribe(16, TopicProf, TopicProf)
-	h.Publish(TopicProf, 1, json.RawMessage(`{"frame":1}`))
+	sub := h.Subscribe(16, TopicNotices, TopicNotices)
+	h.Publish(TopicNotices, 1, json.RawMessage(`{"frame":1}`))
 	if got := drainAll(sub); len(got) != 1 {
 		t.Fatalf("duplicate-topic subscriber saw %d copies, want 1", len(got))
 	}
-	if !h.Wants(TopicProf) {
-		t.Fatal("hub should report a prof subscriber")
+	if !h.Wants(TopicNotices) {
+		t.Fatal("hub should report a notice subscriber")
 	}
 	sub.Close()
-	if h.Wants(TopicProf) {
-		t.Fatal("prof subscriber count leaked after Close")
+	if h.Wants(TopicNotices) {
+		t.Fatal("notice subscriber count leaked after Close")
 	}
 }
 
@@ -453,7 +453,7 @@ func TestSSEReaderCommentOnlyHeartbeats(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		wire = AppendSSEComment(wire, "hb")
 	}
-	wire = AppendSSE(wire, Msg{Topic: TopicProf, Seq: 9, Frame: 2, Data: []byte(`{"frame":2}`)})
+	wire = AppendSSE(wire, Msg{Topic: TopicNotices, Seq: 9, Frame: 2, Data: []byte(`{"frame":2}`)})
 	r := NewReader(bytes.NewReader(wire))
 	for i := 0; i < 3; i++ {
 		ev, err := r.ReadEvent()
@@ -462,7 +462,7 @@ func TestSSEReaderCommentOnlyHeartbeats(t *testing.T) {
 		}
 	}
 	ev, err := r.ReadEvent()
-	if err != nil || ev.Name != string(TopicProf) || ev.ID != 9 {
+	if err != nil || ev.Name != string(TopicNotices) || ev.ID != 9 {
 		t.Fatalf("post-heartbeat event = %+v, %v", ev, err)
 	}
 }

@@ -381,8 +381,8 @@ func TestFacadeStreamHub(t *testing.T) {
 	}
 
 	hub := NewStreamHub()
-	if topics := stream.Topics; len(topics) != 6 {
-		t.Fatalf("stream.Topics = %v, want 6 topics", topics)
+	if topics := stream.Topics; len(topics) != 5 {
+		t.Fatalf("stream.Topics = %v, want 5 topics", topics)
 	}
 	sub := hub.Subscribe(65536, "events")
 	defer sub.Close()
