@@ -199,31 +199,30 @@ func BenchmarkSharedRoute(b *testing.B) {
 	}
 }
 
-// benchFrame builds one NSTD-P-sized dispatch frame with an all-idle
-// fleet, for measuring the full per-frame dispatch path.
-func benchFrame(b *testing.B, nReqs, nTaxis int) *sim.Frame {
+// benchFrames returns a builder of one NSTD-P-sized dispatch frame with
+// an all-idle fleet, for measuring the full per-frame dispatch path.
+// Every call builds a fresh frame: a frame memoises its cost planes, so
+// a reused one would skip the cost_plane stage from the second
+// iteration on.
+func benchFrames(b *testing.B, nReqs, nTaxis int) func() *sim.Frame {
 	b.Helper()
 	reqs, taxis := benchWorld(b, nReqs, nTaxis)
-	f := &sim.Frame{
-		Requests: reqs,
-		Metric:   geo.EuclidMetric,
-		Params:   pref.DefaultParams(),
+	views := make([]sim.TaxiView, len(taxis))
+	for i, t := range taxis {
+		views[i] = sim.TaxiView{ID: t.ID, Pos: t.Pos, Seats: t.Seats, Idle: true}
 	}
-	for _, t := range taxis {
-		f.Taxis = append(f.Taxis, sim.TaxiView{ID: t.ID, Pos: t.Pos, Seats: t.Seats, Idle: true})
+	return func() *sim.Frame {
+		return &sim.Frame{Requests: reqs, Taxis: views, Metric: geo.EuclidMetric, Params: pref.DefaultParams()}
 	}
-	return f
 }
 
-func benchmarkDispatchFrame(b *testing.B, traced bool) {
-	f := benchFrame(b, 100, 400)
-	if traced {
-		f.Tracer = dtrace.New(0, 0)
-	}
-	d := dispatch.NewNSTDP()
+func benchmarkDispatchFrame(b *testing.B, d sim.Dispatcher, tracer *dtrace.Recorder) {
+	frame := benchFrames(b, 100, 400)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		f := frame()
+		f.Tracer = tracer
 		out, err := d.Dispatch(f)
 		if err != nil {
 			b.Fatal(err)
@@ -236,14 +235,23 @@ func benchmarkDispatchFrame(b *testing.B, traced bool) {
 
 // BenchmarkDispatchFrame measures an NSTD-P frame with decision tracing
 // disabled: the uninstrumented baseline.
-func BenchmarkDispatchFrame(b *testing.B) { benchmarkDispatchFrame(b, false) }
+func BenchmarkDispatchFrame(b *testing.B) { benchmarkDispatchFrame(b, dispatch.NewNSTDP(), nil) }
 
 // BenchmarkDispatchFrameTraced measures the identical frame with
 // decision tracing recording every proposal; compare against
 // BenchmarkDispatchFrame for the traced-path cost. The untraced budget
 // is ≤5% (BenchmarkDispatchFrame itself exercises that path: each
 // instrumentation site is one nil check without a recorder).
-func BenchmarkDispatchFrameTraced(b *testing.B) { benchmarkDispatchFrame(b, true) }
+func BenchmarkDispatchFrameTraced(b *testing.B) {
+	benchmarkDispatchFrame(b, dispatch.NewNSTDP(), dtrace.New(0, 0))
+}
+
+// BenchmarkDispatchFrameSTDP measures Algorithm 3 on the identical
+// frame, untraced: the request plane, packing, the unit-pruned taxi
+// rows, the unit market and the matching.
+func BenchmarkDispatchFrameSTDP(b *testing.B) {
+	benchmarkDispatchFrame(b, dispatch.NewSTDP(share.DefaultPackConfig()), nil)
+}
 
 // BenchmarkDispatchFrameRecorded measures the identical frame with a
 // per-frame KPI sample recorded into a tseries ring after each dispatch,
@@ -251,13 +259,13 @@ func BenchmarkDispatchFrameTraced(b *testing.B) { benchmarkDispatchFrame(b, true
 // BenchmarkDispatchFrame to bound the recorder overhead (budget: ≤5% —
 // one mutex acquisition plus a fixed-width struct copy per frame).
 func BenchmarkDispatchFrameRecorded(b *testing.B) {
-	f := benchFrame(b, 100, 400)
+	frame := benchFrames(b, 100, 400)
 	d := dispatch.NewNSTDP()
 	rec := tseries.New(tseries.Config{Capacity: 1024, Downsample: true})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := d.Dispatch(f)
+		out, err := d.Dispatch(frame())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,12 +285,13 @@ func BenchmarkDispatchFrameRecorded(b *testing.B) {
 // one ring slot write, all allocation-free).
 func BenchmarkDispatchFrameProfiled(b *testing.B) {
 	ld := prof.New(prof.Config{TopN: 8})
-	f := benchFrame(b, 100, 400)
-	f.Ledger = ld
+	frame := benchFrames(b, 100, 400)
 	d := dispatch.NewNSTDP()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		f := frame()
+		f.Ledger = ld
 		ld.BeginFrame(int64(i), f.Metric)
 		start := time.Now()
 		out, err := d.Dispatch(f)

@@ -77,3 +77,47 @@ func TestRunJSONMode(t *testing.T) {
 		t.Errorf("figures = %v", figures)
 	}
 }
+
+// TestRunJSONEmptyBuckets decodes a quick Fig. 7, whose short horizon
+// leaves most 3-hour clock buckets empty: their NaN means must encode as
+// null, not fail the run.
+func TestRunJSONEmptyBuckets(t *testing.T) {
+	var sb strings.Builder
+	if err := run(append(quickArgs("fig7"), "-json"), &sb); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var figures []struct {
+		ID     string `json:"id"`
+		Panels []struct {
+			X      []float64 `json:"x"`
+			Series []struct {
+				Name string     `json:"name"`
+				Y    []*float64 `json:"y"`
+			} `json:"series"`
+		} `json:"panels"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &figures); err != nil {
+		t.Fatalf("output is not JSON: %v\n%.300s", err, sb.String())
+	}
+	if len(figures) != 1 || figures[0].ID != "fig7" {
+		t.Fatalf("figures = %+v", figures)
+	}
+	empty, filled := 0, 0
+	for _, p := range figures[0].Panels {
+		for _, s := range p.Series {
+			if len(s.Y) != len(p.X) {
+				t.Fatalf("series %s has %d values over %d buckets", s.Name, len(s.Y), len(p.X))
+			}
+			for _, y := range s.Y {
+				if y == nil {
+					empty++
+				} else {
+					filled++
+				}
+			}
+		}
+	}
+	if empty == 0 || filled == 0 {
+		t.Fatalf("%d null and %d numeric bucket means; want both", empty, filled)
+	}
+}

@@ -92,9 +92,17 @@ func run(args []string) error {
 		maxInfl    = fs.Int("max-inflight", 100000, "max admitted requests that have not reached a terminal state; beyond it POST /v1/requests sheds 429 (0 = unlimited)")
 		profBudget = fs.Duration("prof-budget", 0, "frame deadline budget for the frame-budget profiler; frames over it are overruns and, with -bundle-dir, capture pprof CPU/heap deltas into a flight-recorder bundle (0 = attribution only, no overrun detection)")
 		profCapt   = fs.Int("prof-capture-frames", prof.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger")
-		profCool   = fs.Int64("prof-cooldown", prof.DefaultCooldownFrames, "minimum frames between two overrun captures; overruns inside it are counted, not captured")
+		profCool   = fs.Int64("prof-cooldown", prof.DefaultCooldownFrames, "minimum frames between two overrun captures, at least 1; overruns inside it are counted, not captured")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *profCool < 1 {
+		// Reported like a flag parse error: prof.New would read a
+		// cooldown below 1 as its default, not as "no cooldown".
+		err := fmt.Errorf("invalid value %d for flag -prof-cooldown: want at least 1 frame", *profCool)
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
 		return err
 	}
 

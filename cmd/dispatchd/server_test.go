@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -304,6 +305,18 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-nope"}); err == nil {
 		t.Error("accepted unknown flag")
+	}
+}
+
+// TestRunRejectsProfCooldownBelowOne checks -prof-cooldown below one
+// frame is a usage error rather than a silent switch to the profiler's
+// 300-frame default.
+func TestRunRejectsProfCooldownBelowOne(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		err := run([]string{"-prof-cooldown", v})
+		if err == nil || !strings.Contains(err.Error(), "-prof-cooldown") {
+			t.Errorf("-prof-cooldown %s: err = %v, want a usage error naming the flag", v, err)
+		}
 	}
 }
 

@@ -73,9 +73,17 @@ func run(args []string, out io.Writer) error {
 		frameDDL      = fs.Duration("frame-deadline", 0, "per-frame dispatch compute deadline; overruns and panics degrade to greedy (0 = unbounded)")
 		profBudget    = fs.Duration("prof-budget", 0, "frame deadline budget for the frame-budget profiler; overruns print in the run summary and, with -bundle-dir, capture pprof CPU/heap deltas into a flight-recorder bundle (0 = off)")
 		profCapt      = fs.Int("prof-capture-frames", prof.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger")
-		profCool      = fs.Int64("prof-cooldown", prof.DefaultCooldownFrames, "minimum frames between two overrun captures; overruns inside it are counted, not captured")
+		profCool      = fs.Int64("prof-cooldown", prof.DefaultCooldownFrames, "minimum frames between two overrun captures, at least 1; overruns inside it are counted, not captured")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *profCool < 1 {
+		// Reported like a flag parse error: prof.New would read a
+		// cooldown below 1 as its default, not as "no cooldown".
+		err := fmt.Errorf("invalid value %d for flag -prof-cooldown: want at least 1 frame", *profCool)
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
 		return err
 	}
 

@@ -77,6 +77,25 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsProfCooldownBelowOne checks -prof-cooldown below one
+// frame is a usage error rather than a silent switch to the profiler's
+// 300-frame default, and that one frame is accepted.
+func TestRunRejectsProfCooldownBelowOne(t *testing.T) {
+	var sb strings.Builder
+	for _, v := range []string{"0", "-3"} {
+		err := run([]string{"-prof-cooldown", v}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "-prof-cooldown") {
+			t.Errorf("-prof-cooldown %s: err = %v, want a usage error naming the flag", v, err)
+		}
+	}
+	if sb.Len() != 0 {
+		t.Errorf("rejected runs wrote output:\n%s", sb.String())
+	}
+	if err := run([]string{"-frames", "5", "-volume", "200", "-taxis", "5", "-prof-cooldown", "1"}, &sb); err != nil {
+		t.Errorf("-prof-cooldown 1: %v", err)
+	}
+}
+
 func TestRunWithCSVTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.csv")

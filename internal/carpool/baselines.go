@@ -184,7 +184,7 @@ func (d *ILP) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	// The same packed units as STD: the group search is superlinear in
 	// the pending queue, and the ILP frame optimum is over the batched
 	// units either way.
-	_, units, err := dispatch.PackFrame(f, taxis, d.packCfg)
+	_, units, err := dispatch.PackFrame(f, d.packCfg)
 	if err != nil {
 		return nil, fmt.Errorf("carpool: ILP: %w", err)
 	}
@@ -193,8 +193,8 @@ func (d *ILP) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	defer f.Ledger.Begin(prof.StageMatching).End()
 	// cost[k][i]: total driving distance for idle taxi i to serve unit
 	// k (lead-in plus route), +Inf when the taxi lacks seats. Lead-ins
-	// come from the metric, not the plane: the min-cost matching has no
-	// dummy threshold, so a plane pruned at MaxPickup cannot serve them.
+	// come from the metric: PackFrame's plane holds no taxi rows, and the
+	// min-cost matching has no dummy threshold a pruned row could serve.
 	cost := make([][]float64, len(units))
 	for k, u := range units {
 		cost[k] = make([]float64, len(taxis))

@@ -13,9 +13,13 @@
 // plane. Such cells are never computed and never stored; each taxi's
 // row keeps only its candidate requests. With the non-sharing
 // thresholds that radius is r_j = min(MaxPickup, MaxNet + α·trip_j),
-// rounded outward, and the exact threshold test stays in package pref,
-// which builds the markets, so pruning can never drop a pair the test
-// accepts. Second, batched parallel construction: each row is one
+// rounded outward (Radius), and the exact threshold test stays in
+// package pref, which builds the markets, so pruning can never drop a
+// pair the test accepts. The sharing market's radii depend on the units
+// packed on the plane's trips and pair rows, so its taxi pass runs
+// afterwards, over per-request radii package share computes
+// (Plane.WithTaxis); a negative radius leaves a request's column out.
+// Second, batched parallel construction: each row is one
 // single-source job (served by geo.BatchMetric when the metric provides
 // one, so a road-network row costs one Dijkstra traversal over the
 // row's candidates), and rows are computed by a bounded worker pool.
@@ -54,7 +58,7 @@ type Config struct {
 	// Net, when set, also prunes request j's cells beyond
 	// MaxNet + Alpha·trip_j: the taxi-side dummy threshold of the
 	// non-sharing market, D(t,r^s) − α·D(r^s,r^d) ≤ MaxNet, solved for
-	// the pickup. The radius is rounded outward (see netSlack). The
+	// the pickup. The radius is rounded outward (see Radius). The
 	// zero value prunes by PruneRadius alone.
 	Net    bool
 	MaxNet float64
@@ -85,10 +89,10 @@ func (c Config) Key() Key {
 	return Key(c)
 }
 
-// netSlack widens the MaxNet + α·trip radius by this fraction of
-// |MaxNet| + α·trip: far above the float64 rounding of the sum and of
-// the market's pickup − α·trip test, so a cell the test would accept is
-// always inside the radius.
+// netSlack widens a threshold radius limit − c (Radius) by this
+// fraction of |limit| + |c|: far above the float64 rounding of the
+// difference and of the market's lead + c test, so a cell the test
+// would accept is always inside the radius.
 const netSlack = 1e-9
 
 // Entry is one stored taxi→pickup cell of a row.
@@ -206,19 +210,29 @@ func (p *Plane) CostMatrix() [][]float64 {
 // can force the pool onto arbitrarily small planes.
 const autoSerialCells = 4096
 
+// poolSize resolves a worker count for a pass over cells cells split into
+// jobs jobs: ≤ 0 means GOMAXPROCS, or one worker below autoSerialCells.
+func poolSize(workers, cells, jobs int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+		if cells < autoSerialCells {
+			workers = 1
+		}
+	}
+	return max(min(workers, jobs), 1)
+}
+
 // Build computes the plane for one frame in two parallel passes. The
 // request pass computes the solo trips (and the batch's pair rows),
-// which fix each request's pickup radius; the taxi pass then computes
-// each taxi's row over its candidate requests. Jobs are rows, executed by
-// min(cfg.Workers, rows) goroutines pulling from an atomic counter.
-// Each row is written by exactly one job, so the result is
-// bit-identical for every worker count.
+// which fix each request's pickup radius under cfg; the taxi pass then
+// computes each taxi's row over its candidate requests (see WithTaxis).
+// Jobs are rows, executed by min(cfg.Workers, rows) goroutines pulling
+// from an atomic counter. Each row is written by exactly one job, so the
+// result is bit-identical for every worker count.
 func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Config) *Plane {
 	p := &Plane{
 		Requests: reqs,
-		Taxis:    taxis,
 		metric:   metric,
-		rows:     make([][]Entry, len(taxis)),
 	}
 	p.batch, _ = metric.(geo.BatchMetric)
 	r, t := len(reqs), len(taxis)
@@ -244,37 +258,52 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 		}
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if t*r+dense < autoSerialCells {
-			workers = 1
-		}
-	}
-	workers = max(min(workers, t+r), 1)
-
+	workers := poolSize(cfg.Workers, t*r+dense, t+r)
 	parallel(workers, r, func(_, j int) {
 		p.buildRequestRow(j, prunePair, cfg.PairRadius)
 	})
-
-	discs, pruned := radii(cfg, reqs, p.trip)
-	if !pruned {
-		// Every row is full, so the rows share one exactly sized slab.
-		slab := make([]Entry, t*r)
-		parallel(workers, t, func(_, i int) {
-			p.rows[i] = p.buildPickupRow(i, discs, slab[i*r:i*r:(i+1)*r])
-		})
-	} else {
-		// A threshold plane keeps a few percent of the cells, so each
-		// worker's first block guesses 1/32 of its share of the plane.
-		arenas := make([]rowArena, workers)
-		hint := max(r, t*r/(32*workers))
-		parallel(workers, t, func(w, i int) {
-			a := &arenas[w]
-			p.rows[i] = a.keep(p.buildPickupRow(i, discs, a.reserve(r, hint)))
-		})
-	}
+	p.fillRows(taxis, radii(cfg, p.trip), workers)
 	return p
+}
+
+// WithTaxis returns a plane with p's requests, trips and pair rows and
+// one row per taxi — the taxi pass of Build, over radii the caller
+// chose. Request j's column keeps a taxi whose straight-line distance to
+// its pickup is at most radii[j]; a negative radius leaves the column
+// out of the scan, and +Inf (or NaN) keeps every cell. A consumer may
+// trust the plane only for pairs its own threshold test can accept
+// within those radii. Workers ≤ 0 sizes the pool as Config.Workers
+// does; p itself is not modified.
+func (p *Plane) WithTaxis(taxis []fleet.Taxi, radii []float64, workers int) *Plane {
+	q := *p
+	q.fillRows(taxis, radii, poolSize(workers, len(taxis)*len(radii), len(taxis)))
+	return &q
+}
+
+// fillRows is the taxi pass: it sets p.Taxis and computes every taxi's
+// row on `workers` goroutines.
+func (p *Plane) fillRows(taxis []fleet.Taxi, radii []float64, workers int) {
+	p.Taxis = taxis
+	p.rows = make([][]Entry, len(taxis))
+	discs, cols, pruned := scanDiscs(p.Requests, radii)
+	c, t := len(discs), len(taxis)
+	if !pruned {
+		// Every row holds every scanned column, so the rows share one
+		// exactly sized slab.
+		slab := make([]Entry, t*c)
+		parallel(workers, t, func(_, i int) {
+			p.rows[i] = p.buildPickupRow(i, discs, cols, slab[i*c:i*c:(i+1)*c])
+		})
+		return
+	}
+	// A threshold plane keeps a few percent of the cells, so each
+	// worker's first block guesses 1/32 of its share of the plane.
+	arenas := make([]rowArena, workers)
+	hint := max(c, t*c/(32*workers))
+	parallel(workers, t, func(w, i int) {
+		a := &arenas[w]
+		p.rows[i] = a.keep(p.buildPickupRow(i, discs, cols, a.reserve(c, hint)))
+	})
 }
 
 // parallel runs job(w, k) for k in [0, n) on `workers` goroutines, w
@@ -305,8 +334,9 @@ func parallel(workers, n int, job func(w, k int)) {
 }
 
 // rowArena carves one worker's rows out of a few large blocks: a row is
-// reserved at its worst case (every request) and shrunk to the cells it
-// kept, so a pruned plane costs a handful of allocations and no copying.
+// reserved at its worst case (every scanned column) and shrunk to the
+// cells it kept, so a pruned plane costs a handful of allocations and
+// no copying.
 type rowArena struct {
 	free []Entry // unused tail of the current block
 	last int     // size of the current block
@@ -328,66 +358,87 @@ func (a *rowArena) keep(row []Entry) []Entry {
 	return row[:len(row):len(row)]
 }
 
-// disc is one request's pickup with its taxi→pickup pruning radius r
-// and the squared pre-test bound sq, packed so the row scan streams
-// through one small array.
+// Radius returns the straight-line pickup radius of a threshold test
+// lead + c ≤ limit: limit − c, widened outward by netSlack so that any
+// lead the float test accepts lies inside it. A NaN or infinite c never
+// prunes (+Inf), nor does an infinite limit.
+func Radius(limit, c float64) float64 {
+	if math.IsNaN(c) || math.IsInf(c, 0) {
+		return math.Inf(1)
+	}
+	return limit - c + netSlack*(math.Abs(limit)+math.Abs(c))
+}
+
+// radii returns each request's pruning radius under cfg: PruneRadius,
+// tightened with Net to the Radius of the taxi-side test
+// D(t,r^s) − α·D(r^s,r^d) ≤ MaxNet. A NaN radius (MaxNet = −Inf) fails
+// the comparison and keeps the base.
+func radii(cfg Config, trips []float64) []float64 {
+	base := math.Inf(1)
+	if cfg.PruneRadius > 0 {
+		base = cfg.PruneRadius
+	}
+	out := make([]float64, len(trips))
+	for j, trip := range trips {
+		r := base
+		if cfg.Net {
+			if net := Radius(cfg.MaxNet, -cfg.Alpha*trip); net < r {
+				r = net
+			}
+		}
+		out[j] = r
+	}
+	return out
+}
+
+// disc is one scanned column's pickup with its taxi→pickup pruning
+// radius r and the squared pre-test bound sq, packed into 32 bytes so
+// the row scan streams through one small array.
 type disc struct {
 	pickup geo.Point
 	r, sq  float64
 }
 
-// radii returns each request's pruning disc under cfg and whether any
-// disc is finite (when none is, every row is full). Request j's radius
-// is PruneRadius, tightened with Net to MaxNet + α·trip_j plus the
-// outward netSlack; a negative radius empties the row. The squared
-// bound carries a further relative slack so that it never rejects a
-// point the exact rule keeps.
-func radii(cfg Config, reqs []fleet.Request, trips []float64) ([]disc, bool) {
-	base := math.Inf(1)
-	if cfg.PruneRadius > 0 {
-		base = cfg.PruneRadius
-	}
-	discs := make([]disc, len(reqs))
+// scanDiscs returns the discs of the columns whose radius is not
+// negative, in request order, with each disc's request index, and
+// whether any of them is finite (when none is, every row holds every
+// scanned column). The squared bound carries a further relative slack
+// so that it never rejects a point the exact rule keeps.
+func scanDiscs(reqs []fleet.Request, radii []float64) ([]disc, []int32, bool) {
+	discs := make([]disc, 0, len(radii))
+	cols := make([]int32, 0, len(radii))
 	pruned := false
-	for j, trip := range trips {
-		r := base
-		if cfg.Net {
-			// A NaN bound (0·Inf) fails the comparison and keeps base.
-			pay := cfg.Alpha * trip
-			if net := cfg.MaxNet + pay + netSlack*(math.Abs(cfg.MaxNet)+pay); net < r {
-				r = net
-			}
+	for j, r := range radii {
+		if r < 0 {
+			continue
 		}
-		sq := -1.0 // below every squared distance
-		if r >= 0 {
-			sq = r * r * (1 + netSlack)
-		}
-		discs[j] = disc{pickup: reqs[j].Pickup, r: r, sq: sq}
+		discs = append(discs, disc{pickup: reqs[j].Pickup, r: r, sq: r * r * (1 + netSlack)})
+		cols = append(cols, int32(j))
 		pruned = pruned || !math.IsInf(r, 1)
 	}
-	return discs, pruned
+	return discs, cols, pruned
 }
 
 // buildPickupRow appends taxi i's stored cells to dst, whose capacity
-// holds every request, and returns it: the pickups whose disc holds the
-// taxi. The squared pre-test rejects most pickups before any square
-// root; the exact straight-line rule decides the rest. The straight
+// holds every scanned column, and returns it: the pickups whose disc
+// holds the taxi. The squared pre-test rejects most pickups before any
+// square root; the exact straight-line rule decides the rest. The straight
 // line lower-bounds every metric here, so a pruned cell's true distance
 // also exceeds its radius and fails the threshold the radius came from.
 // Scalar metrics compute each candidate directly; batching metrics
 // spend one single-source traversal on the row's candidates.
-func (p *Plane) buildPickupRow(i int, discs []disc, dst []Entry) []Entry {
+func (p *Plane) buildPickupRow(i int, discs []disc, cols []int32, dst []Entry) []Entry {
 	src := p.Taxis[i].Pos
 	var dsts []geo.Point // batching metrics: the row's candidate pickups
-	for j, d := range discs {
+	for x, d := range discs {
 		dx, dy := d.pickup.X-src.X, d.pickup.Y-src.Y
 		if dx*dx+dy*dy > d.sq || (!math.IsInf(d.r, 1) && geo.Euclid(src, d.pickup) > d.r) {
 			continue
 		}
 		if p.batch == nil {
-			dst = append(dst, Entry{Req: int32(j), Dist: p.metric.Distance(src, d.pickup)})
+			dst = append(dst, Entry{Req: cols[x], Dist: p.metric.Distance(src, d.pickup)})
 		} else {
-			dst = append(dst, Entry{Req: int32(j)})
+			dst = append(dst, Entry{Req: cols[x]})
 			dsts = append(dsts, d.pickup)
 		}
 	}

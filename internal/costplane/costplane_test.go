@@ -162,6 +162,87 @@ func TestNetPruning(t *testing.T) {
 	}
 }
 
+// TestWithTaxis checks the taxi pass over caller radii: a column with a
+// negative radius holds no cell, a NaN or +Inf radius keeps every cell,
+// and a finite one keeps exactly the straight-line disc with the
+// metric's value; the request plane is left as it was and shares its
+// trips and pair rows; every worker count agrees; and Build is the
+// request pass followed by this pass over its own radii.
+func TestWithTaxis(t *testing.T) {
+	reqs, taxis := world(t, 30, 25, 8)
+	cols := make([]float64, len(reqs))
+	for j := range cols {
+		cols[j] = []float64{-1, -0.5, 0, 3, 7.5, math.Inf(1), math.NaN()}[j%7]
+	}
+	for name, m := range map[string]geo.Metric{"manhattan": geo.ManhattanMetric, "roadnet": roadMetric(t)} {
+		base := Build(reqs, nil, m, Config{Workers: 1, Pairs: true, PairRows: 9})
+		pl := base.WithTaxis(taxis, cols, 1)
+		if len(base.Taxis) != 0 || base.Entries() != 0 {
+			t.Fatalf("%s: WithTaxis modified the request plane", name)
+		}
+		if &pl.Trips()[0] != &base.Trips()[0] || pl.PairRows() != 9 || pl.PairDist(3, 5) != base.PairDist(3, 5) {
+			t.Fatalf("%s: taxi plane does not share the request plane's trips and pair rows", name)
+		}
+		for i, taxi := range taxis {
+			for j, rq := range reqs {
+				got, straight, r := pl.PickupDist(i, j), geo.Euclid(taxi.Pos, rq.Pickup), cols[j]
+				switch {
+				case r < 0:
+					if !math.IsInf(got, 1) {
+						t.Fatalf("%s: PickupDist(%d,%d) = %v in a left-out column", name, i, j, got)
+					}
+				case math.IsNaN(r) || straight <= r:
+					if want := m.Distance(taxi.Pos, rq.Pickup); got != want {
+						t.Fatalf("%s: PickupDist(%d,%d) = %v, want %v (radius %v)", name, i, j, got, want, r)
+					}
+				case straight > r+1e-6:
+					if !math.IsInf(got, 1) {
+						t.Fatalf("%s: PickupDist(%d,%d) = %v, want +Inf (beyond %v)", name, i, j, got, r)
+					}
+				}
+			}
+		}
+		for _, workers := range []int{0, 3, 16} {
+			other := base.WithTaxis(taxis, cols, workers)
+			for i := range taxis {
+				if !slices.Equal(other.PickupRow(i), pl.PickupRow(i)) {
+					t.Fatalf("%s workers=%d: row %d differs", name, workers, i)
+				}
+			}
+		}
+		for _, cfg := range []Config{{}, {PruneRadius: 6}, {PruneRadius: 10, Net: true, MaxNet: -1, Alpha: 1}} {
+			cfg.Workers = 2
+			want := Build(reqs, taxis, m, cfg)
+			got := base.WithTaxis(taxis, radii(cfg, base.Trips()), 2)
+			for i := range taxis {
+				if !slices.Equal(got.PickupRow(i), want.PickupRow(i)) {
+					t.Fatalf("%s cfg=%+v: row %d differs from Build's", name, cfg, i)
+				}
+			}
+		}
+	}
+}
+
+// TestRadius pins the outward rounding and the constants that never
+// prune.
+func TestRadius(t *testing.T) {
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if r := Radius(2, c); !math.IsInf(r, 1) {
+			t.Errorf("Radius(2, %v) = %v, want +Inf", c, r)
+		}
+	}
+	if r := Radius(math.Inf(1), 3); !math.IsInf(r, 1) {
+		t.Errorf("Radius(+Inf, 3) = %v, want +Inf", r)
+	}
+	for _, tc := range [][2]float64{{10, 0}, {10, 9.5}, {2, -4.25}, {0.1, 0.3}, {-1, 2}} {
+		limit, c := tc[0], tc[1]
+		r := Radius(limit, c)
+		if !(r > limit-c) || r > limit-c+1e-6 {
+			t.Errorf("Radius(%v, %v) = %v, want just above %v", limit, c, r, limit-c)
+		}
+	}
+}
+
 // TestWorkerCountInvariance is the package-level determinism guarantee:
 // every row and cell is bit-identical across worker counts, with and
 // without pruning — at a fixed radius and at the non-sharing thresholds

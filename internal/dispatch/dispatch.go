@@ -17,7 +17,9 @@
 //	idle_scan   — collecting the frame's idle fleet
 //	cost_plane  — building (or memo-hitting) the frame's shared
 //	              distance plane: threshold candidate pruning plus the
-//	              parallel batched distance computation
+//	              parallel batched distance computation (STD times two
+//	              spans: the request plane before packing, the
+//	              unit-start taxi rows after)
 //	pref_build  — market construction from the plane (pref.FromPlane
 //	              or share.BuildMarketPlane)
 //	cost_matrix — the baselines' request-major view of the plane
@@ -201,19 +203,19 @@ func (b *baseline) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 const DefaultPackBatch = 100
 
 // PackFrame runs Algorithm 3's first stage for a frame, for STD and the
-// ILP baseline alike. It builds (or memo-hits) the frame's cost plane
-// over taxis, the frame's idle fleet, packs the oldest DefaultPackBatch
-// pending requests and appends the overflow as single-rider units, so a
-// long queue is still dispatched while the packing stage stays
-// frame-rate. The plane's taxi rows are pruned at the passenger-side
-// dummy threshold Params.MaxPickup, beyond which the §V-A market accepts
-// no pair; its pair rows cover the batch only. It times the cost_plane and
-// packing stages and records packing decisions into the frame's tracer.
-func PackFrame(f *sim.Frame, taxis []fleet.Taxi, cfg share.PackConfig) (*costplane.Plane, []share.Unit, error) {
+// ILP baseline alike. It builds the frame's request plane — solo trips
+// plus the pickup→pickup rows of the oldest DefaultPackBatch pending
+// requests, and no taxi rows — packs that batch on it, and appends the
+// overflow as single-rider units, so a long queue is still dispatched
+// while the packing stage stays frame-rate. STD adds the taxi rows its
+// unit market can accept afterwards (unitPlane); ILP reads no plane
+// cell. It times the cost_plane and packing stages and records packing
+// decisions into the frame's tracer.
+func PackFrame(f *sim.Frame, cfg share.PackConfig) (*costplane.Plane, []share.Unit, error) {
 	n := min(len(f.Requests), DefaultPackBatch)
 	sp := f.Ledger.Begin(prof.StageCostPlane)
-	pl := f.CostPlane(taxis, costplane.Config{
-		PruneRadius: f.Params.MaxPickup,
+	pl := costplane.Build(f.Requests, nil, f.Metric, costplane.Config{
+		Workers: f.Workers,
 		// Group formation reads pickup pairs within the batch only, so
 		// the pair matrix is n×n however long the queue is; a singleton
 		// batch consults no pair, so it skips the matrix entirely —
@@ -234,6 +236,19 @@ func PackFrame(f *sim.Frame, taxis []fleet.Taxi, cfg share.PackConfig) (*costpla
 		units = append(units, share.SingleUnitPlane(idx, pl))
 	}
 	return pl, units, nil
+}
+
+// unitPlane adds to the request plane the taxi rows the §V-A unit
+// market can read: only the columns of unit-start requests, each pruned
+// at its unit's radius (share.UnitRadii). It times a second cost_plane
+// span.
+func unitPlane(f *sim.Frame, taxis []fleet.Taxi, pl *costplane.Plane, units []share.Unit) (*costplane.Plane, error) {
+	defer f.Ledger.Begin(prof.StageCostPlane).End()
+	radii, err := share.UnitRadii(units, pl, f.Params)
+	if err != nil {
+		return nil, err
+	}
+	return pl.WithTaxis(taxis, radii, f.Workers), nil
 }
 
 // STD is Algorithm 3: pack compatible requests into share groups by
@@ -266,8 +281,11 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if len(taxis) == 0 || len(f.Requests) == 0 {
 		return nil, nil
 	}
-	pl, units, err := PackFrame(f, taxis, d.packCfg)
+	pl, units, err := PackFrame(f, d.packCfg)
 	if err != nil {
+		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
+	}
+	if pl, err = unitPlane(f, taxis, pl, units); err != nil {
 		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
 	}
 	sp := f.Ledger.Begin(prof.StagePrefBuild)

@@ -6,8 +6,10 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"stabledispatch/internal/carpool"
@@ -125,6 +127,22 @@ func (o Options) metric() geo.Metric {
 type Series struct {
 	Name string    `json:"name"`
 	Y    []float64 `json:"y"`
+}
+
+// MarshalJSON writes a NaN y-value — the mean of an empty bucket, which
+// quick runs leave in most of Fig. 7's clock buckets — as null, since
+// JSON has no NaN.
+func (s Series) MarshalJSON() ([]byte, error) {
+	y := make([]*float64, len(s.Y))
+	for i := range s.Y {
+		if !math.IsNaN(s.Y[i]) {
+			y[i] = &s.Y[i]
+		}
+	}
+	return json.Marshal(struct {
+		Name string     `json:"name"`
+		Y    []*float64 `json:"y"`
+	}{s.Name, y})
 }
 
 // Panel is one sub-figure (e.g. Fig. 4(a)): a metric with an x-axis and

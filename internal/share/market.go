@@ -123,36 +123,17 @@ func (u Unit) taxiCost(trips []float64, alpha float64) float64 {
 // taxi→pickup cell of the unit's first stop (always a member's pickup),
 // and the unit constants use the plane's solo trips. Each taxi's stored
 // cells are walked through a start-request→unit index, so only the
-// cells the plane kept are visited. A plane pruned at params.MaxPickup
-// yields the same matching market: a pruned lead reads +Inf, and since
-// the unit constants are non-negative under the triangle inequality,
-// the true passenger cost also exceeds the threshold — the pair sits
-// behind the dummy either way. Only a market with both thresholds +Inf
-// accepts a +Inf lead; it visits every cell.
+// cells the plane kept are visited. A plane whose taxi rows follow
+// UnitRadii yields the same market as one pruned at params.MaxPickup,
+// and that one the same as an unpruned plane, since the triangle
+// inequality makes the passenger constants non-negative: a pruned lead
+// reads +Inf, and its true distance also fails the unit's test. Only a
+// market with both thresholds +Inf accepts a +Inf lead; it visits every
+// cell.
 func BuildMarketPlane(units []Unit, taxis []fleet.Taxi, pl *costplane.Plane, params pref.Params) (*pref.Market, error) {
-	unitOf := make([]int, len(pl.Requests))
-	for j := range unitOf {
-		unitOf[j] = -1
-	}
-	for k, u := range units {
-		if len(u.Members) == 0 || len(u.Plan.Stops) == 0 {
-			return nil, fmt.Errorf("share: unit with no members or empty plan")
-		}
-		start := -1
-		startID := u.Plan.Stops[0].RequestID
-		for _, idx := range u.Members {
-			if pl.Requests[idx].ID == startID {
-				start = idx
-				break
-			}
-		}
-		if start < 0 {
-			return nil, fmt.Errorf("share: unit %d starts at request %d, not a member", k, startID)
-		}
-		if unitOf[start] >= 0 {
-			return nil, fmt.Errorf("share: units %d and %d both start at request %d", unitOf[start], k, startID)
-		}
-		unitOf[start] = k
+	unitOf, err := unitStarts(units, pl.Requests)
+	if err != nil {
+		return nil, err
 	}
 	c, err := newUnitCosts(units, params, pl.Trips())
 	if err != nil {
@@ -175,6 +156,66 @@ func BuildMarketPlane(units []Unit, taxis []fleet.Taxi, pl *costplane.Plane, par
 		return dst
 	})
 	return &market, nil
+}
+
+// UnitRadii returns the per-request taxi radii of the unit market, for
+// costplane.Plane.WithTaxis: the column of the request that starts unit
+// k is pruned at the largest lead-in both of k's tests can accept,
+// min(MaxPickup − passengerConst, MaxNet − taxiConst), each widened by
+// costplane.Radius, and every other column is left out (−1), because
+// BuildMarketPlane reads a taxi's lead-in to the unit's first pickup
+// only. The radius is never wider than a positive MaxPickup, the prune
+// of the passenger-side plane, so the kept cells are a subset of that
+// plane's and the market is the same. A NaN or infinite unit constant
+// never prunes its side. pl needs its requests and trips only.
+func UnitRadii(units []Unit, pl *costplane.Plane, params pref.Params) ([]float64, error) {
+	unitOf, err := unitStarts(units, pl.Requests)
+	if err != nil {
+		return nil, err
+	}
+	c, err := newUnitCosts(units, params, pl.Trips())
+	if err != nil {
+		return nil, err
+	}
+	radii := make([]float64, len(unitOf))
+	for j, k := range unitOf {
+		radii[j] = -1
+		if k >= 0 {
+			radii[j] = c.radius(k)
+		}
+	}
+	return radii, nil
+}
+
+// unitStarts returns, for each of reqs, the index of the unit whose
+// route starts at its pickup, or −1. A unit must start at one of its
+// members, and no two units at the same request.
+func unitStarts(units []Unit, reqs []fleet.Request) ([]int, error) {
+	unitOf := make([]int, len(reqs))
+	for j := range unitOf {
+		unitOf[j] = -1
+	}
+	for k, u := range units {
+		if len(u.Members) == 0 || len(u.Plan.Stops) == 0 {
+			return nil, fmt.Errorf("share: unit with no members or empty plan")
+		}
+		start := -1
+		startID := u.Plan.Stops[0].RequestID
+		for _, idx := range u.Members {
+			if reqs[idx].ID == startID {
+				start = idx
+				break
+			}
+		}
+		if start < 0 {
+			return nil, fmt.Errorf("share: unit %d starts at request %d, not a member", k, startID)
+		}
+		if unitOf[start] >= 0 {
+			return nil, fmt.Errorf("share: units %d and %d both start at request %d", unitOf[start], k, startID)
+		}
+		unitOf[start] = k
+	}
+	return unitOf, nil
 }
 
 // unitCosts is the market's hot core. Both interest formulas decompose
@@ -203,6 +244,22 @@ func newUnitCosts(units []Unit, params pref.Params, trips []float64) (*unitCosts
 		c.maxLoad[k] = u.Plan.MaxLoad
 	}
 	return c, nil
+}
+
+// radius returns unit k's lead-in radius (see UnitRadii). The
+// comparisons skip a NaN side, so it never tightens.
+func (c *unitCosts) radius(k int) float64 {
+	r := math.Inf(1)
+	if c.params.MaxPickup > 0 {
+		r = c.params.MaxPickup
+	}
+	if pr := costplane.Radius(c.params.MaxPickup, c.passengerConst[k]); pr < r {
+		r = pr
+	}
+	if nr := costplane.Radius(c.params.MaxNet, c.taxiConst[k]); nr < r {
+		r = nr
+	}
+	return r
 }
 
 // appendAcceptable appends unit k to a taxi's market row when the pair

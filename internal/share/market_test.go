@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,6 +12,8 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/roadnet"
+	"stabledispatch/internal/stable"
 	"stabledispatch/internal/trace"
 )
 
@@ -376,5 +379,168 @@ func BenchmarkFeasibleGroupsPlane(b *testing.B) {
 		if _, err := FeasibleGroupsPlane(len(batch), pl, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestUnitPlaneMarketMatchesPickupPlane pins the dispatcher's pruning
+// of its taxi rows: the market built on a plane whose rows cover only
+// unit-start columns, each at its UnitRadii radius, deep-equals the
+// market on a plane pruned at MaxPickup alone, and so do the
+// passenger- and taxi-optimal matchings STD-P and STD-T take from it.
+// Frames run under Euclid, Manhattan and a road grid whose island node
+// makes some dropoffs unreachable (NaN unit constants), with the default
+// thresholds, α = 0, both thresholds +Inf and random small ones. Riders
+// carry up to three seats and taxis two to four, so some triples lack
+// seats in some taxis, and extra taxis sit exactly on a unit's radius.
+func TestUnitPlaneMarketMatchesPickupPlane(t *testing.T) {
+	g, err := roadnet.NewGrid(roadnet.GridConfig{Rows: 11, Cols: 11, Spacing: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	island := g.AddNode(geo.Point{X: 14, Y: 14}) // no edges: unreachable from the grid
+	metrics := []struct {
+		name string
+		m    geo.Metric
+	}{{"euclid", geo.EuclidMetric}, {"manhattan", geo.ManhattanMetric}, {"roadnet", roadnet.NewMetric(g, 64)}}
+	alpha0 := pref.DefaultParams()
+	alpha0.Alpha = 0
+	cfg := PackConfig{Theta: 4, MaxGroupSize: 3, PairRadius: 4}
+	rng := rand.New(rand.NewSource(20261018))
+	pt := func() geo.Point { return geo.Point{X: float64(rng.Intn(11)), Y: float64(rng.Intn(11))} }
+	var nanUnits, infeasibleTriples, onRadius, leftOut, accepted int
+	for _, mc := range metrics {
+		for trial := 0; trial < 60; trial++ {
+			reqs := make([]fleet.Request, 4+rng.Intn(27))
+			for j := range reqs {
+				reqs[j] = fleet.Request{ID: 100 + j, Pickup: pt(), Dropoff: pt(), Seats: 1 + rng.Intn(3)}
+				if mc.name == "roadnet" && rng.Intn(6) == 0 {
+					reqs[j].Dropoff = g.Node(island)
+				}
+			}
+			n := min(len(reqs), 2+rng.Intn(len(reqs)))
+			base := costplane.Build(reqs, nil, mc.m, costplane.Config{Workers: 1, Pairs: true, PairRows: n, PairRadius: cfg.PairRadius})
+			// Maximum set packing prefers pairs to triples, so the units
+			// take random disjoint feasible groups, triples first.
+			groups, err := FeasibleGroupsPlane(n, base, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortStableFunc(groups, func(a, b Group) int { return len(b.Members) - len(a.Members) })
+			var res PackResult
+			taken := make([]bool, len(reqs))
+			for _, gr := range groups {
+				if rng.Intn(2) == 0 || slices.ContainsFunc(gr.Members, func(idx int) bool { return taken[idx] }) {
+					continue
+				}
+				for _, idx := range gr.Members {
+					taken[idx] = true
+				}
+				res.Groups = append(res.Groups, gr)
+			}
+			for idx := range reqs {
+				if !taken[idx] {
+					res.Singles = append(res.Singles, idx)
+				}
+			}
+			units := res.UnitsPlane(base)
+			for _, params := range []pref.Params{pref.DefaultParams(), alpha0, pref.Unbounded(), randomParams(rng)} {
+				radii, err := UnitRadii(units, base, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := newUnitCosts(units, params, base.Trips())
+				if err != nil {
+					t.Fatal(err)
+				}
+				taxis := make([]fleet.Taxi, 3+rng.Intn(10))
+				for i := range taxis {
+					taxis[i] = fleet.Taxi{ID: 200 + i, Pos: pt(), Seats: 2 + rng.Intn(3)}
+				}
+				for k, u := range units {
+					pc, tc := c.passengerConst[k], c.taxiConst[k]
+					if math.IsNaN(pc) || math.IsNaN(tc) {
+						nanUnits++
+					}
+					// A taxi due east of the unit's start at its exact
+					// (unwidened) radius.
+					r := min(params.MaxPickup-pc, params.MaxNet-tc)
+					if r >= 0 && !math.IsInf(r, 0) {
+						start := u.Start()
+						taxis = append(taxis, fleet.Taxi{ID: 300 + k, Pos: geo.Point{X: start.X + r, Y: start.Y}, Seats: 4})
+						onRadius++
+					}
+				}
+				for _, u := range units {
+					for _, tx := range taxis {
+						if len(u.Members) == 3 && tx.Capacity() < u.Plan.MaxLoad {
+							infeasibleTriples++
+						}
+					}
+				}
+				unitPl := base.WithTaxis(taxis, radii, 1+rng.Intn(3))
+				pickupPl := costplane.Build(reqs, taxis, mc.m, costplane.Config{
+					Workers: 1, PruneRadius: params.MaxPickup, Pairs: true, PairRows: n, PairRadius: cfg.PairRadius,
+				})
+				want, err := BuildMarketPlane(units, taxis, pickupPl, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := BuildMarketPlane(units, taxis, unitPl, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s trial %d params %+v: unit-pruned market differs from the MaxPickup plane's", mc.name, trial, params)
+				}
+				if !reflect.DeepEqual(stable.PassengerOptimal(got), stable.PassengerOptimal(want)) ||
+					!reflect.DeepEqual(stable.TaxiOptimal(got), stable.TaxiOptimal(want)) {
+					t.Fatalf("%s trial %d params %+v: matchings differ", mc.name, trial, params)
+				}
+				leftOut += pickupPl.Entries() - unitPl.Entries()
+				for i := range taxis {
+					accepted += len(got.TaxiEntries(i))
+				}
+			}
+		}
+	}
+	if nanUnits == 0 || infeasibleTriples == 0 || onRadius == 0 || leftOut <= 0 || accepted == 0 {
+		t.Fatalf("fixtures miss a case: %d NaN-constant units, %d seat-infeasible triples, %d taxis on a radius, %d cells left out, %d acceptable pairs",
+			nanUnits, infeasibleTriples, onRadius, leftOut, accepted)
+	}
+}
+
+// TestUnitRadiiNeverExceedMaxPickup checks the cap that keeps the unit
+// plane's cells a subset of the MaxPickup plane's: a hand-built unit
+// whose on-board leg is shorter than its solo trip (a negative
+// passenger constant, which float rounding can produce on real routes)
+// would otherwise widen its radius past MaxPickup and admit a taxi the
+// MaxPickup plane prunes.
+func TestUnitRadiiNeverExceedMaxPickup(t *testing.T) {
+	reqs := []fleet.Request{{ID: 1, Pickup: geo.Point{X: 0, Y: 0}, Dropoff: geo.Point{X: 4, Y: 0}}}
+	taxis := []fleet.Taxi{{ID: 9, Pos: geo.Point{X: 10.25, Y: 0}, Seats: 4}}
+	params := pref.DefaultParams()
+	params.MaxNet = math.Inf(1)
+	base := costplane.Build(reqs, nil, geo.EuclidMetric, costplane.Config{Workers: 1})
+	u := SingleUnitPlane(0, base)
+	u.Plan.OnBoard[0] -= 0.5
+	units := []Unit{u}
+	radii, err := UnitRadii(units, base, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if radii[0] != params.MaxPickup {
+		t.Fatalf("radius %v, want the MaxPickup cap %v", radii[0], params.MaxPickup)
+	}
+	pickupPl := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{Workers: 1, PruneRadius: params.MaxPickup})
+	want, err := BuildMarketPlane(units, taxis, pickupPl, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BuildMarketPlane(units, taxis, base.WithTaxis(taxis, radii, 1), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("unit-pruned market differs from the MaxPickup plane's")
 	}
 }
