@@ -88,22 +88,32 @@ func run(args []string) error {
 		workers    = fs.Int("workers", 0, "cost-plane worker pool size; 0 = GOMAXPROCS (results are identical for any value)")
 		sloFile    = fs.String("slo-file", "", "SLO definitions file; objectives are evaluated every frame and served at /v1/slo")
 		bundleDir  = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, panic, certificate violation, or POST /v1/debug/bundle")
-		intakeCap  = fs.Int("intake-queue", admission.DefaultQueueCap, "admission queue capacity: requests accepted but not yet injected into a frame; beyond it POST /v1/requests sheds 429")
-		maxInfl    = fs.Int("max-inflight", 100000, "max admitted requests that have not reached a terminal state; beyond it POST /v1/requests sheds 429 (0 = unlimited)")
+		intakeCap  = fs.Int("intake-queue", admission.DefaultQueueCap, "admission queue capacity, at least 1: requests accepted but not yet injected into a frame; beyond it POST /v1/requests sheds 429")
+		maxInfl    = fs.Int("max-inflight", 100000, "max admitted requests that have not reached a terminal state; beyond it POST /v1/requests sheds 429 (at least 0; 0 = unlimited)")
 		profBudget = fs.Duration("prof-budget", 0, "frame deadline budget for the frame-budget profiler; frames over it are overruns and, with -bundle-dir, capture pprof CPU/heap deltas into a flight-recorder bundle (0 = attribution only, no overrun detection)")
-		profCapt   = fs.Int("prof-capture-frames", prof.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger")
+		profCapt   = fs.Int("prof-capture-frames", prof.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger, at least 1")
 		profCool   = fs.Int64("prof-cooldown", prof.DefaultCooldownFrames, "minimum frames between two overrun captures, at least 1; overruns inside it are counted, not captured")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *profCool < 1 {
-		// Reported like a flag parse error: prof.New would read a
-		// cooldown below 1 as its default, not as "no cooldown".
-		err := fmt.Errorf("invalid value %d for flag -prof-cooldown: want at least 1 frame", *profCool)
-		fmt.Fprintln(fs.Output(), err)
-		fs.Usage()
-		return err
+	// Reported like flag parse errors: below its minimum each value
+	// would silently become a default (no cap, for -max-inflight).
+	for _, f := range []struct {
+		name   string
+		v, min int64
+	}{
+		{"intake-queue", int64(*intakeCap), 1},
+		{"max-inflight", int64(*maxInfl), 0},
+		{"prof-capture-frames", int64(*profCapt), 1},
+		{"prof-cooldown", *profCool, 1},
+	} {
+		if f.v < f.min {
+			err := fmt.Errorf("invalid value %d for flag -%s: want at least %d", f.v, f.name, f.min)
+			fmt.Fprintln(fs.Output(), err)
+			fs.Usage()
+			return err
+		}
 	}
 
 	city, err := trace.CityByName(*cityName)

@@ -308,14 +308,26 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-// TestRunRejectsProfCooldownBelowOne checks -prof-cooldown below one
-// frame is a usage error rather than a silent switch to the profiler's
-// 300-frame default.
+// TestRunRejectsProfCooldownBelowOne checks each bounded numeric flag
+// below its minimum is a usage error rather than a silent switch to a
+// default: -intake-queue 0 would become 4096, -max-inflight -3
+// unlimited, and -prof-capture-frames or -prof-cooldown the profiler's
+// defaults.
 func TestRunRejectsProfCooldownBelowOne(t *testing.T) {
-	for _, v := range []string{"0", "-1"} {
-		err := run([]string{"-prof-cooldown", v})
-		if err == nil || !strings.Contains(err.Error(), "-prof-cooldown") {
-			t.Errorf("-prof-cooldown %s: err = %v, want a usage error naming the flag", v, err)
+	for _, tc := range []struct{ flag, v string }{
+		{"-intake-queue", "0"},
+		{"-intake-queue", "-1"},
+		{"-max-inflight", "-3"},
+		{"-prof-capture-frames", "0"},
+		{"-prof-capture-frames", "-2"},
+		{"-prof-cooldown", "0"},
+		{"-prof-cooldown", "-1"},
+	} {
+		// The unknown city makes a value that slips past the check
+		// fail fast with another error instead of starting the daemon.
+		err := run([]string{tc.flag, tc.v, "-city", "gotham"})
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s %s: err = %v, want a usage error naming the flag", tc.flag, tc.v, err)
 		}
 	}
 }

@@ -100,7 +100,7 @@ func TestModelApplyAndRender(t *testing.T) {
 		"frame 6", "delay mean", "p95-delay", "warning",
 		"queue_full=1", "pickup", "degrade", "nstd-p degraded",
 		"stages  f6  wall 90.00ms", "matching", "70.000ms", "cost_plane", "OVERRUN",
-		"overruns 2", "captures 1", "budget 50.00ms",
+		"overruns 2", "budget 50ms",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)
@@ -166,13 +166,15 @@ func TestRunOnceConnectFailure(t *testing.T) {
 // TestRenderStagePanelFromSnapshot pins the -once path: with only the
 // snapshot applied, the stage panel renders the newest snapshot KPI
 // sample's stage times and the budget line from the profiler summary
-// served with the kpi topic.
+// served with the kpi topic. Live KPI samples over the budget then
+// advance the overrun count; the snapshot's capture and suppression
+// counts never advance on the stream, so the panel does not print them.
 func TestRenderStagePanelFromSnapshot(t *testing.T) {
 	m := newModel(16)
 	snap := `{"frame":5,"topics":["kpi"],` +
 		`"kpi":[{"frame":3,"frameNs":9000000,"stageNs":[0,0,0,0,0,0,0,0,8000000,0,0,0]},` +
 		`{"frame":4,"frameNs":2000000,"stageNs":[0,0,0,0,0,0,0,0,1000000,0,0,0]}],` +
-		`"prof":{"frames":4,"budgetNs":50000000,"overruns":0,"captures":0,"suppressed":0,` +
+		`"prof":{"frames":4,"budgetNs":50000000,"overruns":30,"captures":1,"suppressed":29,` +
 		`"avgWallNs":2000000,"avgAllocs":100,` +
 		`"stages":[{"stage":"matching","ns":4000000,"calls":4,"share":0.5}]}}`
 	r := stream.NewReader(strings.NewReader(sse("snapshot", 0, snap)))
@@ -181,8 +183,8 @@ func TestRenderStagePanelFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.apply(ev)
-	if m.overruns != 0 {
-		t.Fatalf("overruns = %d from a snapshot reporting none", m.overruns)
+	if m.overruns != 30 {
+		t.Fatalf("overruns = %d, want the snapshot's 30", m.overruns)
 	}
 	out := render(m, 100, palette{})
 	if !strings.Contains(out, "stages  f4  wall 2.00ms") {
@@ -195,7 +197,25 @@ func TestRenderStagePanelFromSnapshot(t *testing.T) {
 	if strings.Contains(out, "OVERRUN") {
 		t.Fatalf("frame under budget marked as overrun:\n%s", out)
 	}
-	if !strings.Contains(out, "budget 50.00ms") {
+	if !strings.Contains(out, "overruns 30  budget 50ms") {
 		t.Fatalf("budget summary line missing:\n%s", out)
+	}
+
+	// Two live frames over the 50ms budget, one under it.
+	for i, frameNs := range []int{60000000, 2000000, 70000000} {
+		m.apply(stream.Event{Name: "kpi", ID: uint64(i + 1), Data: []byte(fmt.Sprintf(
+			`{"frame":%d,"frameNs":%d,"stageNs":[0,0,0,0,0,0,0,0,%d,0,0,0]}`, 5+i, frameNs, frameNs/2))})
+	}
+	if m.overruns != 32 {
+		t.Fatalf("overruns = %d after two live overruns, want 32", m.overruns)
+	}
+	out = render(m, 100, palette{})
+	if !strings.Contains(out, "OVERRUN") || !strings.Contains(out, "overruns 32  budget 50ms") {
+		t.Fatalf("live overruns not rendered:\n%s", out)
+	}
+	for _, frozen := range []string{"captures", "suppressed"} {
+		if strings.Contains(out, frozen) {
+			t.Errorf("panel renders the snapshot's frozen %s count:\n%s", frozen, out)
+		}
 	}
 }

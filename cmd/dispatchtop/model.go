@@ -80,9 +80,11 @@ type model struct {
 	lastIntake int
 	events     []sim.Event
 	notices    []stream.Notice
-	// profSum is the run-cumulative ledger from the snapshot; its
-	// budget marks which live KPI samples overran.
-	profSum  *prof.Summary
+	// budgetNs is the ledger's frame budget from the snapshot; it marks
+	// which live KPI samples overran, and each one adds to the
+	// snapshot's overruns. Captures and suppressions advance only on the
+	// daemon, so the console leaves them to /v1/profile.
+	budgetNs int64
 	overruns int64
 
 	// Connection accounting for the status line.
@@ -133,7 +135,7 @@ func (m *model) apply(ev stream.Event) {
 			m.events = append(m.events[:0], s.Events...)
 			m.trimTails()
 			if s.Prof != nil {
-				m.profSum = s.Prof
+				m.budgetNs = s.Prof.BudgetNs
 				m.overruns = s.Prof.Overruns
 			}
 		}
@@ -203,7 +205,7 @@ func (m *model) apply(ev stream.Event) {
 // budget (the ledger's own overrun test: its frame wall-clock is the
 // sample's FrameNs).
 func (m *model) overBudget(s tseries.Sample) bool {
-	return m.profSum != nil && m.profSum.BudgetNs > 0 && s.FrameNs > m.profSum.BudgetNs
+	return m.budgetNs > 0 && s.FrameNs > m.budgetNs
 }
 
 // decode unmarshals and counts; a failure records the error for the

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/slo"
@@ -173,14 +174,11 @@ func render(m *model, width int, p palette) string {
 			fmt.Fprintf(&b, "  %-13s %s %8.3fms %4.0f%%\n",
 				prof.StageNames[i], shareBar(share, 20), float64(ns)/1e6, share*100)
 		}
-		if sum := m.profSum; sum != nil {
-			line := fmt.Sprintf("  overruns %d", m.overruns)
-			if sum.BudgetNs > 0 {
-				line += fmt.Sprintf("  budget %.2fms", float64(sum.BudgetNs)/1e6)
-			}
-			line += fmt.Sprintf("  captures %d  suppressed %d", sum.Captures, sum.Suppressed)
-			b.WriteString(p.dim(line) + "\n")
+		line := fmt.Sprintf("  overruns %d", m.overruns)
+		if m.budgetNs > 0 {
+			line += fmt.Sprintf("  budget %v", time.Duration(m.budgetNs))
 		}
+		b.WriteString(p.dim(line) + "\n")
 	}
 
 	// SLO table: state with fast/slow burn values.

@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/dtrace"
@@ -72,19 +73,27 @@ func run(args []string, out io.Writer) error {
 		driverCancel  = fs.Float64("driver-cancel-rate", 0, "probability a driver abandons an accepted fare before pickup")
 		frameDDL      = fs.Duration("frame-deadline", 0, "per-frame dispatch compute deadline; overruns and panics degrade to greedy (0 = unbounded)")
 		profBudget    = fs.Duration("prof-budget", 0, "frame deadline budget for the frame-budget profiler; overruns print in the run summary and, with -bundle-dir, capture pprof CPU/heap deltas into a flight-recorder bundle (0 = off)")
-		profCapt      = fs.Int("prof-capture-frames", prof.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger")
+		profCapt      = fs.Int("prof-capture-frames", prof.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger, at least 1")
 		profCool      = fs.Int64("prof-cooldown", prof.DefaultCooldownFrames, "minimum frames between two overrun captures, at least 1; overruns inside it are counted, not captured")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *profCool < 1 {
-		// Reported like a flag parse error: prof.New would read a
-		// cooldown below 1 as its default, not as "no cooldown".
-		err := fmt.Errorf("invalid value %d for flag -prof-cooldown: want at least 1 frame", *profCool)
-		fmt.Fprintln(fs.Output(), err)
-		fs.Usage()
-		return err
+	// Reported like flag parse errors: prof.New would read a value
+	// below its minimum as its default, not as the one asked for.
+	for _, f := range []struct {
+		name   string
+		v, min int64
+	}{
+		{"prof-capture-frames", int64(*profCapt), 1},
+		{"prof-cooldown", *profCool, 1},
+	} {
+		if f.v < f.min {
+			err := fmt.Errorf("invalid value %d for flag -%s: want at least %d", f.v, f.name, f.min)
+			fmt.Fprintln(fs.Output(), err)
+			fs.Usage()
+			return err
+		}
 	}
 
 	var faults sim.FaultInjector
@@ -409,8 +418,8 @@ func printStageTimings(w io.Writer, algo string, samples []tseries.Sample, ld *p
 	// With a budget set, the ledger's overrun accounting belongs in the
 	// summary: it is the line an operator greps after a slow run.
 	if sum := ld.Summary(); sum.BudgetNs > 0 {
-		_, err := fmt.Fprintf(w, "  frame budget %.2fms: %d overruns, %d pprof captures, %d suppressed\n",
-			float64(sum.BudgetNs)/1e6, sum.Overruns, sum.Captures, sum.Suppressed)
+		_, err := fmt.Fprintf(w, "  frame budget %v: %d overruns, %d pprof captures, %d suppressed\n",
+			time.Duration(sum.BudgetNs), sum.Overruns, sum.Captures, sum.Suppressed)
 		return err
 	}
 	return nil

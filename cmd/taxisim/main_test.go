@@ -77,22 +77,29 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunRejectsProfCooldownBelowOne checks -prof-cooldown below one
-// frame is a usage error rather than a silent switch to the profiler's
-// 300-frame default, and that one frame is accepted.
+// TestRunRejectsProfCooldownBelowOne checks -prof-capture-frames and
+// -prof-cooldown below one frame are usage errors rather than a silent
+// switch to the profiler's 30- and 300-frame defaults, and that one
+// frame is accepted.
 func TestRunRejectsProfCooldownBelowOne(t *testing.T) {
 	var sb strings.Builder
-	for _, v := range []string{"0", "-3"} {
-		err := run([]string{"-prof-cooldown", v}, &sb)
-		if err == nil || !strings.Contains(err.Error(), "-prof-cooldown") {
-			t.Errorf("-prof-cooldown %s: err = %v, want a usage error naming the flag", v, err)
+	for _, tc := range []struct{ flag, v string }{
+		{"-prof-capture-frames", "0"},
+		{"-prof-capture-frames", "-2"},
+		{"-prof-cooldown", "0"},
+		{"-prof-cooldown", "-3"},
+	} {
+		err := run([]string{tc.flag, tc.v}, &sb)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s %s: err = %v, want a usage error naming the flag", tc.flag, tc.v, err)
 		}
 	}
 	if sb.Len() != 0 {
 		t.Errorf("rejected runs wrote output:\n%s", sb.String())
 	}
-	if err := run([]string{"-frames", "5", "-volume", "200", "-taxis", "5", "-prof-cooldown", "1"}, &sb); err != nil {
-		t.Errorf("-prof-cooldown 1: %v", err)
+	if err := run([]string{"-frames", "5", "-volume", "200", "-taxis", "5",
+		"-prof-capture-frames", "1", "-prof-cooldown", "1"}, &sb); err != nil {
+		t.Errorf("-prof-capture-frames 1 -prof-cooldown 1: %v", err)
 	}
 }
 
@@ -455,7 +462,8 @@ func TestRunProfBudgetCapturesOverrun(t *testing.T) {
 		t.Fatalf("run with prof budget: %v", err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "frame budget") || !strings.Contains(out, "1 pprof captures") {
+	// The budget prints as a Go duration: "%.2fms" would read 0.00ms.
+	if !strings.Contains(out, "frame budget 1ns:") || !strings.Contains(out, "1 pprof captures") {
 		t.Errorf("summary missing profiler accounting:\n%s", out)
 	}
 	entries, err := os.ReadDir(dir)

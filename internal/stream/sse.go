@@ -20,7 +20,7 @@ import (
 // AppendSSE writes into a caller-owned buffer so a long-lived
 // connection encodes every frame with zero allocations once the buffer
 // has warmed up; the parser on the other side (ReadEvent) is shared by
-// dispatchtop and loadgen.
+// dispatchtop and the dispatchbench serving client.
 
 // AppendSSE appends the SSE wire encoding of m to b and returns the
 // extended buffer. Data is emitted as a single data: line — every
