@@ -284,7 +284,7 @@ func BenchmarkDispatchFrameRecorded(b *testing.B) {
 // per stage one monotonic clock read and a few array stores, per frame
 // one ring slot write, all allocation-free).
 func BenchmarkDispatchFrameProfiled(b *testing.B) {
-	ld := prof.New(prof.Config{TopN: 8})
+	ld := prof.New(prof.Config{})
 	frame := benchFrames(b, 100, 400)
 	d := dispatch.NewNSTDP()
 	b.ReportAllocs()

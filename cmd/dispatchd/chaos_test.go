@@ -204,7 +204,7 @@ func TestRecoveryMiddlewareConvertsPanics(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "internal server error") {
 		t.Errorf("body = %q", rec.Body.String())
 	}
-	if got := metrics.GetOrCreateCounter("http_panics_total").Value(); got != 1 {
+	if got := metrics.panics.Load(); got != 1 {
 		t.Errorf("http_panics_total = %d, want 1", got)
 	}
 }

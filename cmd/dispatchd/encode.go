@@ -1,65 +1,14 @@
 package main
 
-// Hot-path response encoding. The generic writeJSON (reflection-driven
-// encoding/json through a fresh encoder) is fine for operator reads,
-// but three paths run at ingest rate and deserve hand-rolled encoders:
-// the POST /v1/requests 201 body, the writeError envelope every shed
-// response carries, and the SSE frame framing (stream.AppendSSE). All
-// three build their bytes with append/strconv into pooled buffers — no
-// reflection, no intermediate allocations — and the string escaper is
-// pinned byte-for-byte against encoding/json by tests.
-
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
-	"sync"
-	"unicode/utf8"
 )
 
-// bufPool recycles response-encoding buffers across requests. Pooled
-// as *[]byte so Put does not allocate to box the slice header.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
-}
-
-// setJSONContentType sets the Content-Type header unless the handler
-// already did — the Get-first dance keeps the warmed hot path from
-// allocating a fresh header slice per response.
-func setJSONContentType(w http.ResponseWriter) {
-	h := w.Header()
-	if h.Get("Content-Type") == "" {
-		h.Set("Content-Type", "application/json")
-	}
-}
-
-// writeCreatedRequest writes the 201 response of POST /v1/requests —
-// {"id":N,"frame":M} — without encoding/json. This is the daemon's
-// hottest write path: every admitted ride renders one.
-func writeCreatedRequest(w http.ResponseWriter, id, frame int) {
-	bp := bufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	b = append(b, `{"id":`...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, `,"frame":`...)
-	b = strconv.AppendInt(b, int64(frame), 10)
-	b = append(b, '}', '\n')
-	setJSONContentType(w)
-	w.WriteHeader(http.StatusCreated)
-	_, _ = w.Write(b)
-	*bp = b
-	bufPool.Put(bp)
-}
-
-// writeError emits the uniform JSON error envelope, hand-encoded: shed
-// responses (429/503) are exactly the path that runs hot under
-// overload, when allocating the least matters most. Backpressure-class
-// statuses always carry a Retry-After so clients can pace themselves;
-// handlers that computed a sharper hint set the header before calling
-// and the default does not overwrite it.
+// writeError emits the uniform JSON error envelope, {"error":"..."}.
+// Backpressure-class statuses always carry a Retry-After so clients can
+// pace themselves; handlers that computed a sharper hint set the header
+// before calling and the default does not overwrite it.
 func writeError(w http.ResponseWriter, code int, err error) {
 	switch code {
 	case http.StatusRequestEntityTooLarge, http.StatusTooManyRequests, http.StatusServiceUnavailable:
@@ -67,22 +16,13 @@ func writeError(w http.ResponseWriter, code int, err error) {
 			w.Header().Set("Retry-After", "1")
 		}
 	}
-	bp := bufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	b = append(b, `{"error":`...)
-	b = appendJSONString(b, err.Error())
-	b = append(b, '}', '\n')
-	setJSONContentType(w)
-	w.WriteHeader(code)
-	_, _ = w.Write(b)
-	*bp = b
-	bufPool.Put(bp)
+	writeJSON(w, code, struct {
+		Error string `json:"error"`
+	}{err.Error()})
 }
 
-// appendJSON appends the JSON encoding of v to b: the cold-path
-// complement of the hand-rolled encoders (one allocation for the
-// marshal, none for the framing). Used for one-shot payloads like the
-// SSE connect snapshot.
+// appendJSON appends the JSON encoding of v to b, for payloads framed
+// by hand like the SSE connect snapshot.
 func appendJSON(b []byte, v any) []byte {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -91,65 +31,4 @@ func appendJSON(b []byte, v any) []byte {
 		return append(b, '{', '}')
 	}
 	return append(b, data...)
-}
-
-const hexDigits = "0123456789abcdef"
-
-// jsonSafe marks ASCII bytes that pass through a JSON string literal
-// unescaped, matching encoding/json's default (HTML-escaping) encoder:
-// printable ASCII minus quote, backslash, and the HTML trio <, >, &.
-var jsonSafe = func() (t [utf8.RuneSelf]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = true
-	}
-	t['"'], t['\\'], t['<'], t['>'], t['&'] = false, false, false, false, false
-	return
-}()
-
-// appendJSONString appends s as a JSON string literal, byte-for-byte
-// identical to encoding/json's output (HTML escaping on, invalid UTF-8
-// replaced with U+FFFD, U+2028/U+2029 escaped for JS embedding).
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if jsonSafe[c] {
-				b = append(b, c)
-				i++
-				continue
-			}
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				// Control characters and the HTML trio.
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			// encoding/json writes the escape sequence, not the raw
-			// replacement character.
-			b = append(b, `\ufffd`...)
-			i++
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			continue
-		}
-		b = append(b, s[i:i+size]...)
-		i += size
-	}
-	return append(b, '"')
 }

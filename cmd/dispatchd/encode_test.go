@@ -1,67 +1,54 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
-// TestAppendJSONStringMatchesEncodingJSON pins the hand-rolled escaper
-// byte-for-byte against encoding/json across the tricky corpus: the
-// hot-path encoders must never produce a body the stdlib would not.
-func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
-	corpus := []string{
-		"",
-		"plain ascii",
-		`quotes " and \ backslash`,
-		"newline\nand\ttab\rand\x00control\x1f",
-		"html <b>&amp;</b> trio",
-		"unicode: π ≈ 3.14159, 出租车, emoji 🚕",
-		"line sep \u2028 and para sep \u2029",
-		"invalid utf8: \xff\xfe partial \xc3",
-		"mixed \x07bell π\n<& \xffend",
-	}
-	for _, s := range corpus {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatalf("json.Marshal(%q): %v", s, err)
-		}
-		got := appendJSONString(nil, s)
-		if string(got) != string(want) {
-			t.Errorf("appendJSONString(%q)\n got %s\nwant %s", s, got, want)
-		}
-	}
-}
-
+// TestWriteCreatedRequestBody pins the POST /v1/requests 201 on the
+// wire: its Content-Type and its body, byte for byte.
 func TestWriteCreatedRequestBody(t *testing.T) {
-	rec := httptest.NewRecorder()
-	writeCreatedRequest(rec, 42, 17)
+	_, srv := startServer(t, testConfig())
+	if _, err := srv.tick(17); err != nil {
+		t.Fatal(err)
+	}
+	var rec *httptest.ResponseRecorder
+	for i := 0; i < 2; i++ {
+		rec = httptest.NewRecorder()
+		srv.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/requests",
+			strings.NewReader(`{"pickup":{"x":10,"y":10},"dropoff":{"x":14,"y":12}}`)))
+	}
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("status = %d, want 201", rec.Code)
 	}
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	// The hand-rolled body must be exactly what the old
-	// writeJSON(requestOut{...}) produced: wire compatibility is the
-	// whole point.
-	want, _ := json.Marshal(requestOut{ID: 42, Frame: 17})
-	if got := rec.Body.String(); got != string(want)+"\n" {
-		t.Fatalf("body = %q, want %q", got, string(want)+"\n")
+	if got, want := rec.Body.String(), `{"id":1,"frame":17}`+"\n"; got != want {
+		t.Fatalf("body = %q, want %q", got, want)
 	}
 }
 
+// TestWriteErrorBody pins the error envelope byte for byte, escapes
+// included: HTML-sensitive characters, control characters, invalid
+// UTF-8 and the JavaScript line separators.
 func TestWriteErrorBody(t *testing.T) {
 	cases := []struct {
 		code int
 		err  error
+		want string
 	}{
-		{http.StatusBadRequest, errors.New("decode request: bad json")},
-		{http.StatusTooManyRequests, errors.New(`queue full <retry "soon" & back off>`)},
-		{http.StatusServiceUnavailable, errors.New("draining\nnow")},
+		{http.StatusBadRequest, errors.New("decode request: bad json"),
+			`{"error":"decode request: bad json"}`},
+		{http.StatusTooManyRequests, errors.New(`queue full <retry "soon" & back off>`),
+			`{"error":"queue full \u003cretry \"soon\" \u0026 back off\u003e"}`},
+		{http.StatusServiceUnavailable, errors.New("draining\nnow\t\x01"),
+			`{"error":"draining\nnow\t\u0001"}`},
+		{http.StatusInternalServerError, errors.New("bad \xff utf8, 出租车 \u2028 sep"),
+			`{"error":"bad \ufffd utf8, 出租车 \u2028 sep"}`},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -69,9 +56,11 @@ func TestWriteErrorBody(t *testing.T) {
 		if rec.Code != tc.code {
 			t.Fatalf("status = %d, want %d", rec.Code, tc.code)
 		}
-		want, _ := json.Marshal(map[string]string{"error": tc.err.Error()})
-		if got := rec.Body.String(); got != string(want)+"\n" {
-			t.Fatalf("body = %q, want %q", got, string(want)+"\n")
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Content-Type = %q", ct)
+		}
+		if got := rec.Body.String(); got != tc.want+"\n" {
+			t.Fatalf("body = %q, want %q", got, tc.want+"\n")
 		}
 		switch tc.code {
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
@@ -88,67 +77,5 @@ func TestWriteErrorKeepsSharperRetryAfter(t *testing.T) {
 	writeError(rec, http.StatusTooManyRequests, errors.New("shed"))
 	if got := rec.Header().Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After = %q, want the handler's sharper 7", got)
-	}
-}
-
-// discardRW is a ResponseWriter with no body buffer, for allocation
-// accounting of the encoders themselves.
-type discardRW struct{ h http.Header }
-
-func (d *discardRW) Header() http.Header         { return d.h }
-func (d *discardRW) Write(p []byte) (int, error) { return len(p), nil }
-func (d *discardRW) WriteHeader(int)             {}
-
-// TestWriteCreatedRequestZeroAlloc pins the 201 hot path at zero
-// allocations once the buffer pool and the header map are warm.
-func TestWriteCreatedRequestZeroAlloc(t *testing.T) {
-	w := &discardRW{h: make(http.Header)}
-	writeCreatedRequest(w, 1, 1) // warm the pool and the header
-	allocs := testing.AllocsPerRun(200, func() {
-		writeCreatedRequest(w, 123456, 789)
-	})
-	if allocs != 0 {
-		t.Fatalf("writeCreatedRequest allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-// TestWriteErrorLowAlloc bounds the shed path: the envelope encoding
-// itself must not allocate (the error string already exists).
-func TestWriteErrorLowAlloc(t *testing.T) {
-	w := &discardRW{h: make(http.Header)}
-	err := errors.New("intake queue full")
-	writeError(w, http.StatusTooManyRequests, err)
-	allocs := testing.AllocsPerRun(200, func() {
-		writeError(w, http.StatusTooManyRequests, err)
-	})
-	if allocs != 0 {
-		t.Fatalf("writeError allocates %.1f times per call on a warm pool, want 0", allocs)
-	}
-}
-
-func BenchmarkWriteCreatedRequest(b *testing.B) {
-	w := &discardRW{h: make(http.Header)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		writeCreatedRequest(w, i, i/10)
-	}
-}
-
-// BenchmarkWriteCreatedRequestJSON is the before: the generic
-// encoding/json path the hand-rolled encoder replaced.
-func BenchmarkWriteCreatedRequestJSON(b *testing.B) {
-	w := &discardRW{h: make(http.Header)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		writeJSON(w, http.StatusCreated, requestOut{ID: i, Frame: i / 10})
-	}
-}
-
-func BenchmarkWriteError(b *testing.B) {
-	w := &discardRW{h: make(http.Header)}
-	err := fmt.Errorf("intake queue full")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		writeError(w, http.StatusTooManyRequests, err)
 	}
 }

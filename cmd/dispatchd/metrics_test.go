@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"stabledispatch/internal/dtrace"
+	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/prof"
+	"stabledispatch/internal/slo"
 	"stabledispatch/internal/tseries"
 )
 
@@ -46,8 +48,9 @@ var promSample = regexp.MustCompile(
 	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_:][a-zA-Z0-9_:]*="[^"]*"(,[a-zA-Z_:][a-zA-Z0-9_:]*="[^"]*")*\})? (\S+)$`)
 
 // scrape fetches url's /v1/metrics, checks every line is a TYPE comment
-// or a well-formed sample with a float value, and returns the samples
-// keyed by full series name (labels included).
+// or a well-formed sample with a float value, checks each metric family
+// has one TYPE line followed by all of its samples, and returns the
+// samples keyed by full series name (labels included).
 func scrape(t *testing.T, url string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/metrics")
@@ -62,6 +65,8 @@ func scrape(t *testing.T, url string) map[string]float64 {
 		t.Errorf("content type = %q, want text/plain", ct)
 	}
 	samples := make(map[string]float64)
+	typed := make(map[string]string) // family → kind
+	family := ""                     // the family whose samples may follow
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
@@ -72,13 +77,23 @@ func scrape(t *testing.T, url string) map[string]float64 {
 			fields := strings.Fields(line)
 			if len(fields) != 4 || fields[1] != "TYPE" {
 				t.Errorf("bad comment line %q", line)
+				continue
 			}
+			if _, dup := typed[fields[2]]; dup {
+				t.Errorf("family %s has more than one TYPE line", fields[2])
+			}
+			typed[fields[2]], family = fields[3], fields[2]
 			continue
 		}
 		m := promSample.FindStringSubmatch(line)
 		if m == nil {
 			t.Errorf("unparseable sample line %q", line)
 			continue
+		}
+		if fam := sampleFamily(m[1], typed); fam == "" {
+			t.Errorf("sample %q comes before its family's TYPE line", line)
+		} else if fam != family {
+			t.Errorf("sample %q is separated from the rest of family %s", line, fam)
 		}
 		v, err := strconv.ParseFloat(m[4], 64)
 		if err != nil {
@@ -96,6 +111,21 @@ func scrape(t *testing.T, url string) map[string]float64 {
 		t.Fatal("empty metrics body")
 	}
 	return samples
+}
+
+// sampleFamily returns the typed family a sample named name belongs to:
+// the name itself, or for a histogram's _bucket, _sum and _count series
+// its base. It returns "" when no TYPE line has named the family yet.
+func sampleFamily(name string, typed map[string]string) string {
+	if _, ok := typed[name]; ok {
+		return name
+	}
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, suffix); ok && typed[base] == "histogram" {
+			return base
+		}
+	}
+	return ""
 }
 
 // TestMetricsEndpointPrometheusFormat checks the exposition format and
@@ -165,6 +195,40 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 	} {
 		if _, ok := samples[want]; !ok {
 			t.Errorf("series %s missing from exposition", want)
+		}
+	}
+}
+
+// TestMetricsOptionalFamilies scrapes a daemon with an SLO engine and a
+// flight recorder, so scrape's family checks also cover the series only
+// those export: three objectives make each slo_* family multi-series.
+func TestMetricsOptionalFamilies(t *testing.T) {
+	eng, err := slo.Load("../../ci/overload.slo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := flightrec.New(flightrec.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.SLO, cfg.Recorder = eng, rec
+	ts, _ := startServer(t, cfg)
+	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 3})
+
+	samples := scrape(t, ts.URL)
+	for _, want := range []string{"flightrec_bundles_total", "flightrec_suppressed_total",
+		"flightrec_bundle_errors_total", "slo_breaches_total"} {
+		if _, ok := samples[want]; !ok {
+			t.Errorf("series %s missing from exposition", want)
+		}
+	}
+	for _, name := range []string{"shed_rate", "backlog", "pending_backlog"} {
+		for _, family := range []string{"slo_state", "slo_value_fast", "slo_value_slow"} {
+			series := family + `{slo="` + name + `"}`
+			if _, ok := samples[series]; !ok {
+				t.Errorf("series %s missing from exposition", series)
+			}
 		}
 	}
 }
@@ -333,13 +397,13 @@ func TestWithObsCountsRequests(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	if got := metrics.GetOrCreateCounter(`http_requests_total{code="200"}`).Value(); got != 2 {
+	if got := metrics.codes[200].Load(); got != 2 {
 		t.Errorf("200 counter = %d, want 2", got)
 	}
-	if got := metrics.GetOrCreateCounter(`http_requests_total{code="404"}`).Value(); got != 1 {
+	if got := metrics.codes[404].Load(); got != 1 {
 		t.Errorf("404 counter = %d, want 1", got)
 	}
-	if got := metrics.GetOrCreateHistogram("http_request_seconds").Count(); got != 3 {
+	if got := metrics.seconds.Count(); got != 3 {
 		t.Errorf("http_request_seconds count = %d, want 3", got)
 	}
 }

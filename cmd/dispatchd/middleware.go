@@ -4,21 +4,38 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/obs"
 )
 
-// newHTTPMetrics builds one server's request-metrics registry:
-// http_request_seconds times every API request end to end across all
-// routes, http_panics_total counts handler panics converted into JSON
-// 500s, and withObs adds http_requests_total{code=...} per status code.
-func newHTTPMetrics() *obs.Registry {
-	reg := obs.NewRegistry()
-	reg.GetOrCreateHistogram("http_request_seconds")
-	reg.GetOrCreateCounter("http_panics_total")
-	return reg
+// httpMetrics is one server's request metrics: http_request_seconds
+// times every API request end to end across all routes,
+// http_panics_total counts handler panics converted into JSON 500s, and
+// http_requests_total{code=...} counts requests by status code.
+type httpMetrics struct {
+	seconds *obs.Histogram
+	panics  atomic.Uint64
+	codes   [1000]atomic.Uint64 // by status code (net/http allows 100–999)
+}
+
+func newHTTPMetrics() *httpMetrics {
+	return &httpMetrics{seconds: obs.NewHistogram()}
+}
+
+// WritePrometheus writes the request metrics to p; a status code
+// appears once a request has been answered with it.
+func (m *httpMetrics) WritePrometheus(p *obs.Writer) {
+	p.Counter("http_panics_total", m.panics.Load())
+	p.Histogram("http_request_seconds", m.seconds)
+	for code := range m.codes {
+		if n := m.codes[code].Load(); n > 0 {
+			p.Counter(`http_requests_total{code="`+strconv.Itoa(code)+`"}`, n)
+		}
+	}
 }
 
 // maxBodyBytes caps request bodies; every API payload is a few hundred
@@ -34,11 +51,11 @@ const maxBodyBytes = 1 << 20
 // the flight recorder when one is configured, at the frame reported by
 // frame (the daemon's lock-free frame counter: the panicking handler may
 // have left the server lock held).
-func withRecovery(logger *slog.Logger, rec *flightrec.Recorder, frame func() int64, metrics *obs.Registry, next http.Handler) http.Handler {
+func withRecovery(logger *slog.Logger, rec *flightrec.Recorder, frame func() int64, metrics *httpMetrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
-				metrics.GetOrCreateCounter("http_panics_total").Inc()
+				metrics.panics.Add(1)
 				if logger != nil {
 					logger.Error("handler panic",
 						"method", r.Method, "path", r.URL.Path, "panic", p)
@@ -85,14 +102,16 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // withObs wraps the API handler with request metrics recorded into
 // metrics (http_requests_total{code=...}, http_request_seconds) and,
 // when logger is non-nil, one structured access-log line per request.
-func withObs(logger *slog.Logger, metrics *obs.Registry, next http.Handler) http.Handler {
+func withObs(logger *slog.Logger, metrics *httpMetrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
-		metrics.GetOrCreateHistogram("http_request_seconds").Observe(elapsed.Seconds())
-		metrics.GetOrCreateCounter(fmt.Sprintf(`http_requests_total{code="%d"}`, sw.status)).Inc()
+		metrics.seconds.Observe(elapsed.Seconds())
+		if uint(sw.status) < uint(len(metrics.codes)) {
+			metrics.codes[sw.status].Add(1)
+		}
 		if logger != nil {
 			logger.Info("request",
 				"method", r.Method,

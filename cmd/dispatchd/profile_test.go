@@ -31,7 +31,7 @@ func TestProfileEndpoint(t *testing.T) {
 		t.Fatalf("summary = %+v, want 3 frames", out.Summary)
 	}
 	if len(out.TopFrames) != 3 {
-		t.Fatalf("topFrames = %d, want 3 (prof.DefaultTopN exceeds run length)", len(out.TopFrames))
+		t.Fatalf("topFrames = %d, want 3 (prof.TopN exceeds run length)", len(out.TopFrames))
 	}
 	for i, fr := range out.TopFrames {
 		if fr.StageSumNs > fr.WallNs {

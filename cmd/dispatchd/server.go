@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -58,7 +58,7 @@ type server struct {
 	start    time.Time
 	// http holds this server's request metrics; withObs and
 	// withRecovery record into it.
-	http *obs.Registry
+	http *httpMetrics
 }
 
 // config is every input a dispatchd command line varies. main fills it
@@ -345,8 +345,7 @@ func (s *server) postRequest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// Hand-rolled encoder: this is the hot ingest path (see encode.go).
-	writeCreatedRequest(w, id, int(s.frameNow.Load()))
+	writeJSON(w, http.StatusCreated, requestOut{ID: id, Frame: int(s.frameNow.Load())})
 }
 
 // retrySeconds renders a Retry-After hint in the header's non-negative
@@ -486,78 +485,82 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 // the optional flight recorder (flightrec_*) and SLO engine (slo_*),
 // which export nothing when not configured.
 func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
-	reg := obs.NewRegistry()
-	count := func(name string, v uint64) { reg.GetOrCreateCounter(name).Add(v) }
-	gauge := func(name string, v float64) { reg.GetOrCreateGauge(name).Set(v) }
-
+	var p obs.Writer
 	s.mu.Lock()
 	st := s.sim.Stats()
 	s.mu.Unlock()
-	count("sim_frames_total", uint64(st.Frames))
-	gauge("sim_pending_requests", float64(st.Pending))
-	for kind, n := range st.Events {
-		count(`sim_events_total{kind="`+string(kind)+`"}`, uint64(n))
+	p.Counter("sim_frames_total", uint64(st.Frames))
+	p.Gauge("sim_pending_requests", float64(st.Pending))
+	kinds := make([]string, 0, len(st.Events))
+	for kind := range st.Events {
+		kinds = append(kinds, string(kind))
 	}
-	count(`sim_faults_total{kind="breakdown"}`, uint64(st.Breakdowns))
-	count(`sim_faults_total{kind="driver_cancel"}`, uint64(st.DriverCancels))
-	count(`sim_faults_total{kind="passenger_cancel"}`, uint64(st.PassengerCancels))
-	count("sim_redispatch_total", uint64(st.Redispatched))
-	count("sim_requests_expired_total", uint64(st.Expired))
-	count("sim_event_sink_errors_total", uint64(st.SinkErrors))
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		p.Counter(`sim_events_total{kind="`+kind+`"}`, uint64(st.Events[sim.EventKind(kind)]))
+	}
+	p.Counter(`sim_faults_total{kind="breakdown"}`, uint64(st.Breakdowns))
+	p.Counter(`sim_faults_total{kind="driver_cancel"}`, uint64(st.DriverCancels))
+	p.Counter(`sim_faults_total{kind="passenger_cancel"}`, uint64(st.PassengerCancels))
+	p.Counter("sim_redispatch_total", uint64(st.Redispatched))
+	p.Counter("sim_requests_expired_total", uint64(st.Expired))
+	p.Counter("sim_event_sink_errors_total", uint64(st.SinkErrors))
 	for _, reason := range dispatch.DegradeReasons {
-		count(`dispatch_degraded_frames_total{reason="`+reason+`"}`, uint64(st.Degraded[reason]))
+		p.Counter(`dispatch_degraded_frames_total{reason="`+reason+`"}`, uint64(st.Degraded[reason]))
 	}
-	count("roadnet_cache_hits_total", st.Cache.Hits)
-	count("roadnet_cache_misses_total", st.Cache.Misses)
-	count("roadnet_cache_evictions_total", st.Cache.Evictions)
-	gauge("roadnet_cache_size", float64(st.Cache.Size))
+	p.Counter("roadnet_cache_hits_total", st.Cache.Hits)
+	p.Counter("roadnet_cache_misses_total", st.Cache.Misses)
+	p.Counter("roadnet_cache_evictions_total", st.Cache.Evictions)
+	p.Gauge("roadnet_cache_size", float64(st.Cache.Size))
 	ts := s.sim.Tracer().Stats()
-	count("dtrace_traces_evicted_total", ts.EvictedTraces)
-	count("dtrace_events_dropped_total", ts.DroppedEvents)
-	gauge("dtrace_certificates", float64(ts.Certificates))
+	p.Counter("dtrace_traces_evicted_total", ts.EvictedTraces)
+	p.Counter("dtrace_events_dropped_total", ts.DroppedEvents)
+	p.Gauge("dtrace_certificates", float64(ts.Certificates))
 	hub := s.sim.Hub()
 	for _, t := range stream.Topics {
-		count(`stream_published_total{topic="`+string(t)+`"}`, hub.Published(t))
+		p.Counter(`stream_published_total{topic="`+string(t)+`"}`, hub.Published(t))
 	}
-	count("stream_dropped_total", hub.Dropped())
-	gauge("stream_subscribers", float64(hub.Subscribers()))
-	observeFrames(reg, s.sim.KPISeries())
+	p.Counter("stream_dropped_total", hub.Dropped())
+	p.Gauge("stream_subscribers", float64(hub.Subscribers()))
+	observeFrames(&p, s.sim.KPISeries())
 	if rec := s.sim.Recorder(); rec != nil {
-		count("flightrec_bundles_total", uint64(rec.Bundles()))
-		count("flightrec_suppressed_total", rec.Suppressed())
-		count("flightrec_bundle_errors_total", uint64(rec.Errors()))
+		p.Counter("flightrec_bundles_total", uint64(rec.Bundles()))
+		p.Counter("flightrec_suppressed_total", rec.Suppressed())
+		p.Counter("flightrec_bundle_errors_total", uint64(rec.Errors()))
 	}
 	if eng := s.sim.SLO(); eng != nil {
+		status := eng.Status()
 		var breaches int64
-		for _, o := range eng.Status() {
-			label := fmt.Sprintf(`{slo=%q}`, o.Name)
-			gauge("slo_state"+label, o.State.Rank())
-			gauge("slo_value_fast"+label, o.Fast)
-			gauge("slo_value_slow"+label, o.Slow)
+		for _, o := range status {
+			p.Gauge(fmt.Sprintf(`slo_state{slo=%q}`, o.Name), o.State.Rank())
 			breaches += o.Breaches
 		}
-		count("slo_breaches_total", uint64(breaches))
+		for _, o := range status {
+			p.Gauge(fmt.Sprintf(`slo_value_fast{slo=%q}`, o.Name), o.Fast)
+		}
+		for _, o := range status {
+			p.Gauge(fmt.Sprintf(`slo_value_slow{slo=%q}`, o.Name), o.Slow)
+		}
+		p.Counter("slo_breaches_total", uint64(breaches))
 	}
+	s.adm.WritePrometheus(&p)
+	s.http.WritePrometheus(&p)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// Once the header is out, a write error leaves the client a
 	// truncated body; there is nothing else to report it to.
-	for _, write := range []func(io.Writer) error{reg.WritePrometheus, s.adm.WritePrometheus, s.http.WritePrometheus} {
-		if err := write(w); err != nil {
-			return
-		}
-	}
+	_, _ = p.WriteTo(w)
 }
 
-// observeFrames renders the KPI samples' frame wall-clock and stage
-// columns into reg's sim_dispatch_frame_seconds and
+// observeFrames writes the KPI samples' frame wall-clock and stage
+// columns as the sim_dispatch_frame_seconds and
 // dispatch_stage_seconds{stage} histograms. Like StageBreakdown, a
 // frame counts toward a column only when its value is positive.
-func observeFrames(reg *obs.Registry, samples []tseries.Sample) {
-	frame := reg.GetOrCreateHistogram("sim_dispatch_frame_seconds")
+func observeFrames(p *obs.Writer, samples []tseries.Sample) {
+	frame := obs.NewHistogram()
 	var stages [prof.NumStages]*obs.Histogram
-	for i, name := range prof.StageNames {
-		stages[i] = reg.GetOrCreateHistogram(`dispatch_stage_seconds{stage="` + name + `"}`)
+	for i := range stages {
+		stages[i] = obs.NewHistogram()
 	}
 	for _, smp := range samples {
 		if smp.FrameNs > 0 {
@@ -568,6 +571,10 @@ func observeFrames(reg *obs.Registry, samples []tseries.Sample) {
 				stages[i].Observe(float64(ns) / 1e9)
 			}
 		}
+	}
+	p.Histogram("sim_dispatch_frame_seconds", frame)
+	for i, name := range prof.StageNames {
+		p.Histogram(`dispatch_stage_seconds{stage="`+name+`"}`, stages[i])
 	}
 }
 

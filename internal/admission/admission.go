@@ -39,7 +39,6 @@ package admission
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -123,9 +122,7 @@ type Controller struct {
 
 	shed        map[Reason]int // requests shed, by reason
 	injectFails int
-	// reg holds the enqueue→assignment histogram, wait.
-	reg  *obs.Registry
-	wait *obs.Histogram
+	wait        *obs.Histogram // enqueue→assignment latency
 }
 
 // New builds a Controller.
@@ -139,13 +136,11 @@ func New(cfg Config) *Controller {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	reg := obs.NewRegistry()
 	return &Controller{
 		cfg:     cfg,
 		entries: make(map[int]*entry),
 		shed:    make(map[Reason]int),
-		reg:     reg,
-		wait:    reg.GetOrCreateHistogram("admission_wait_seconds"),
+		wait:    obs.NewHistogram(),
 	}
 }
 
@@ -370,20 +365,16 @@ func (c *Controller) NoteInjectFailure(id int) {
 	c.NoteTerminal(id)
 }
 
-// WritePrometheus renders the controller's series in the Prometheus
-// text format, every count read from the controller's own state.
-func (c *Controller) WritePrometheus(w io.Writer) error {
-	snap := obs.NewRegistry()
+// WritePrometheus writes the controller's series to p, every count
+// read from the controller's own state.
+func (c *Controller) WritePrometheus(p *obs.Writer) {
 	c.mu.Lock()
-	snap.GetOrCreateCounter("admission_accepted_total").Add(uint64(c.nextID))
+	p.Counter("admission_accepted_total", uint64(c.nextID))
 	for _, r := range []Reason{ReasonQueueFull, ReasonInflight, ReasonDraining} {
-		snap.GetOrCreateCounter(`admission_shed_total{reason="` + string(r) + `"}`).Add(uint64(c.shed[r]))
+		p.Counter(`admission_shed_total{reason="`+string(r)+`"}`, uint64(c.shed[r]))
 	}
-	snap.GetOrCreateGauge("admission_queue_depth").Set(float64(len(c.queue)))
-	snap.GetOrCreateCounter("admission_inject_failures_total").Add(uint64(c.injectFails))
+	p.Gauge("admission_queue_depth", float64(len(c.queue)))
+	p.Counter("admission_inject_failures_total", uint64(c.injectFails))
 	c.mu.Unlock()
-	if err := snap.WritePrometheus(w); err != nil {
-		return err
-	}
-	return c.reg.WritePrometheus(w)
+	p.Histogram("admission_wait_seconds", c.wait)
 }

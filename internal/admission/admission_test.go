@@ -10,6 +10,7 @@ import (
 
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
+	"stabledispatch/internal/obs"
 )
 
 // fakeClock is a hand-advanced clock for latency assertions.
@@ -37,8 +38,10 @@ func req(x float64) fleet.Request {
 // rendered parses c's Prometheus exposition into series name → value.
 func rendered(t *testing.T, c *Controller) map[string]float64 {
 	t.Helper()
+	var p obs.Writer
+	c.WritePrometheus(&p)
 	var b strings.Builder
-	if err := c.WritePrometheus(&b); err != nil {
+	if _, err := p.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[string]float64)

@@ -1,16 +1,23 @@
+// Package obs is the metrics substrate for the instances that own
+// histograms: a dependency-free, concurrency-safe fixed-bucket latency
+// Histogram and a Writer for the Prometheus text format. There is no
+// registry: each owner (the admission controller, dispatchd's HTTP
+// layer) holds its histograms as fields, and cmd/dispatchd writes every
+// /v1/metrics series — the frame and stage histograms from the KPI
+// ring's samples among them — at scrape time from the instance that
+// counts it.
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
 )
 
-// DefBuckets are the default histogram bucket upper bounds, in seconds:
+// latencyBuckets are the histogram bucket upper bounds, in seconds:
 // 10 µs to 10 s, a decade-and-halves ladder wide enough for both a
 // single Gale–Shapley stage and a whole paper-scale dispatch frame.
-var DefBuckets = []float64{
+var latencyBuckets = []float64{
 	1e-5, 2.5e-5, 5e-5,
 	1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3,
@@ -29,15 +36,12 @@ type Histogram struct {
 	sumBits atomic.Uint64
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefBuckets
-	}
-	if !sort.Float64sAreSorted(bounds) {
-		panic(fmt.Sprintf("obs: histogram buckets not ascending: %v", bounds))
-	}
-	b := append([]float64(nil), bounds...)
-	return &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
+// NewHistogram returns an empty histogram over the latency ladder.
+func NewHistogram() *Histogram { return newHistogram(latencyBuckets...) }
+
+// newHistogram builds a histogram over the given ascending bounds.
+func newHistogram(bounds ...float64) *Histogram {
+	return &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
 }
 
 // Observe records one value.
@@ -117,17 +121,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum = next
 	}
 	return h.bounds[len(h.bounds)-1]
-}
-
-// snapshot returns a consistent-enough copy of the cumulative bucket
-// counts for export (per-bucket loads; concurrent writers may skew the
-// totals by in-flight observations, which Prometheus tolerates).
-func (h *Histogram) snapshot() (bounds []float64, cumulative []uint64, count uint64, sum float64) {
-	cumulative = make([]uint64, len(h.buckets))
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		cumulative[i] = cum
-	}
-	return h.bounds, cumulative, h.count.Load(), h.Sum()
 }

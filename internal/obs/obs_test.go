@@ -7,35 +7,8 @@ import (
 	"testing"
 )
 
-func TestCounter(t *testing.T) {
-	r := NewRegistry()
-	c := r.GetOrCreateCounter("requests_total")
-	c.Inc()
-	c.Add(41)
-	if got := c.Value(); got != 42 {
-		t.Errorf("Value = %d, want 42", got)
-	}
-	if again := r.GetOrCreateCounter("requests_total"); again != c {
-		t.Error("GetOrCreateCounter returned a different instance")
-	}
-}
-
-func TestGauge(t *testing.T) {
-	r := NewRegistry()
-	g := r.GetOrCreateGauge("queue_depth")
-	g.Set(7)
-	if got := g.Value(); got != 7 {
-		t.Errorf("Value = %v, want 7", got)
-	}
-	g.Set(4.5)
-	if got := g.Value(); got != 4.5 {
-		t.Errorf("Value after second Set = %v, want 4.5", got)
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.GetOrCreateHistogram("lat_seconds", 0.001, 0.01, 0.1, 1)
+	h := newHistogram(0.001, 0.01, 0.1, 1)
 	// 90 fast observations, 10 slow: p50 in the first bucket, p95+ in
 	// the last finite one.
 	for i := 0; i < 90; i++ {
@@ -59,14 +32,14 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramQuantileEmpty(t *testing.T) {
-	h := NewRegistry().GetOrCreateHistogram("empty_seconds")
+	h := NewHistogram()
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("Quantile on empty histogram = %v, want 0", got)
 	}
 }
 
 func TestHistogramQuantileExtremes(t *testing.T) {
-	h := NewRegistry().GetOrCreateHistogram("ext_seconds", 0.1, 1, 10)
+	h := newHistogram(0.1, 1, 10)
 	h.Observe(0.05) // first bucket
 	h.Observe(5)    // third bucket
 	if got := h.Quantile(0); got != 0 {
@@ -82,7 +55,7 @@ func TestHistogramQuantileExtremes(t *testing.T) {
 }
 
 func TestHistogramQuantileNaN(t *testing.T) {
-	h := NewRegistry().GetOrCreateHistogram("nan_seconds", 0.1, 1)
+	h := newHistogram(0.1, 1)
 	h.Observe(0.5)
 	if got := h.Quantile(math.NaN()); got != 0 {
 		t.Errorf("Quantile(NaN) = %v, want 0 (not the top bound)", got)
@@ -92,7 +65,7 @@ func TestHistogramQuantileNaN(t *testing.T) {
 func TestHistogramQuantileAllOverflow(t *testing.T) {
 	// Every observation past the last finite bound: all quantiles are
 	// the documented lower-bound estimate, the highest finite bound.
-	h := NewRegistry().GetOrCreateHistogram("inf_seconds", 0.1, 1)
+	h := newHistogram(0.1, 1)
 	for i := 0; i < 5; i++ {
 		h.Observe(50)
 	}
@@ -104,51 +77,25 @@ func TestHistogramQuantileAllOverflow(t *testing.T) {
 }
 
 func TestHistogramOverflowBucket(t *testing.T) {
-	h := NewRegistry().GetOrCreateHistogram("over_seconds", 0.1, 1)
+	h := newHistogram(0.1, 1)
 	h.Observe(100) // lands in +Inf
 	if got := h.Quantile(0.99); got != 1 {
 		t.Errorf("tail quantile = %v, want capped at highest bound 1", got)
 	}
 }
 
-func TestKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.GetOrCreateCounter("dual_use")
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on kind mismatch")
-		}
-	}()
-	r.GetOrCreateGauge("dual_use")
-}
-
-func TestInvalidNamePanics(t *testing.T) {
-	for _, name := range []string{
-		"", "1bad", "sp ace", "unterminated{a=\"b\"", `x{=""}`,
-		`x{a=b}`, `x{a="b` + "\n" + `"}`, "dash-ed",
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic for name %q", name)
-				}
-			}()
-			NewRegistry().GetOrCreateCounter(name)
-		}()
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.GetOrCreateCounter("hits_total").Add(3)
-	r.GetOrCreateGauge("depth").Set(2.5)
-	h := r.GetOrCreateHistogram(`stage_seconds{stage="matching"}`, 0.01, 0.1)
+	h := newHistogram(0.01, 0.1)
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(5)
+	var w Writer
+	w.Counter("hits_total", 3)
+	w.Gauge("depth", 2.5)
+	w.Histogram(`stage_seconds{stage="matching"}`, h)
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if _, err := w.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -198,12 +145,15 @@ func lineValue(t *testing.T, out, series string) float64 {
 // labelled series of a base under one TYPE header and skip
 // never-observed histograms.
 func TestWritePrometheusQuantileFamilies(t *testing.T) {
-	r := NewRegistry()
-	r.GetOrCreateHistogram(`stage_seconds{stage="a"}`, 0.01, 0.1).Observe(0.005)
-	r.GetOrCreateHistogram(`stage_seconds{stage="b"}`, 0.01, 0.1).Observe(0.05)
-	r.GetOrCreateHistogram("idle_seconds") // never observed
+	a, b := newHistogram(0.01, 0.1), newHistogram(0.01, 0.1)
+	a.Observe(0.005)
+	b.Observe(0.05)
+	var w Writer
+	w.Histogram(`stage_seconds{stage="a"}`, a)
+	w.Histogram(`stage_seconds{stage="b"}`, b)
+	w.Histogram("idle_seconds", NewHistogram()) // never observed
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if _, err := w.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -223,15 +173,20 @@ func TestWritePrometheusQuantileFamilies(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusGroupsTypeHeaders checks a family's series written
+// back to back share one TYPE header, and the next family opens its own.
 func TestWritePrometheusGroupsTypeHeaders(t *testing.T) {
-	r := NewRegistry()
-	r.GetOrCreateCounter(`req_total{code="200"}`).Inc()
-	r.GetOrCreateCounter(`req_total{code="404"}`).Inc()
+	var w Writer
+	w.Counter(`req_total{code="200"}`, 1)
+	w.Counter(`req_total{code="404"}`, 1)
+	w.Gauge("req_depth", 0)
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if _, err := w.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(sb.String(), "# TYPE req_total counter"); got != 1 {
-		t.Errorf("TYPE header written %d times, want 1:\n%s", got, sb.String())
+	want := "# TYPE req_total counter\nreq_total{code=\"200\"} 1\nreq_total{code=\"404\"} 1\n" +
+		"# TYPE req_depth gauge\nreq_depth 0\n"
+	if got := sb.String(); got != want {
+		t.Errorf("output\n%s\nwant\n%s", got, want)
 	}
 }

@@ -3,154 +3,93 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strconv"
+	"math"
 	"strings"
 )
 
-// parseName splits a full metric name into its base name and the inner
-// label string (without braces), validating both. Accepted forms:
-//
-//	requests_total
-//	requests_total{code="200"}
-//	stage_seconds{stage="matching",algo="nstd-p"}
-//
-// Label values may not contain quotes, backslashes, or newlines — the
-// exporter writes them verbatim.
-func parseName(full string) (base, labels string, err error) {
-	base = full
-	if i := strings.IndexByte(full, '{'); i >= 0 {
-		if !strings.HasSuffix(full, "}") {
-			return "", "", fmt.Errorf("unterminated label block")
-		}
-		base, labels = full[:i], full[i+1:len(full)-1]
-	}
-	if !validBase(base) {
-		return "", "", fmt.Errorf("invalid base name %q", base)
-	}
-	if labels != "" {
-		for _, pair := range strings.Split(labels, ",") {
-			k, v, ok := strings.Cut(pair, "=")
-			if !ok || !validBase(k) {
-				return "", "", fmt.Errorf("invalid label pair %q", pair)
-			}
-			if len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
-				return "", "", fmt.Errorf("label value in %q must be quoted", pair)
-			}
-			if strings.ContainsAny(v[1:len(v)-1], "\"\\\n") {
-				return "", "", fmt.Errorf("label value in %q contains unsupported characters", pair)
-			}
-		}
-	}
-	return base, labels, nil
+// Writer renders one scrape in the Prometheus text exposition format
+// (version 0.0.4). Each call writes one series, named with an optional
+// inline label set (`sim_events_total{kind="assign"}`); a call whose
+// base name differs from the previous call's opens a new metric family
+// under its own # TYPE line, so callers write a family's series back to
+// back. WriteTo appends, for every observed histogram, interpolated
+// quantile gauge families (<base>_p50, _p95, _p99) so dashboards can
+// plot tail latency without histogram_quantile(), then writes the body.
+// The zero value is ready to use.
+type Writer struct {
+	b      []byte
+	family string // base name of the family being written
+	hists  []histSeries
 }
 
-func validBase(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		alpha := r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-		if !alpha && (i == 0 || r < '0' || r > '9') {
-			return false
-		}
-	}
-	return true
+// histSeries is one observed histogram awaiting its quantile gauges.
+type histSeries struct {
+	base, block string // block is the "{labels}" suffix or ""
+	h           *Histogram
 }
 
-// seriesName renders a base name with an optional label set, appending
-// extra as a final label when non-empty.
-func seriesName(base, labels, extra string) string {
-	switch {
-	case labels == "" && extra == "":
-		return base
-	case labels == "":
-		return base + "{" + extra + "}"
-	case extra == "":
-		return base + "{" + labels + "}"
-	default:
-		return base + "{" + labels + "," + extra + "}"
+// Counter writes one counter sample.
+func (w *Writer) Counter(series string, v uint64) { w.sample(series, "counter", v) }
+
+// Gauge writes one gauge sample.
+func (w *Writer) Gauge(series string, v float64) { w.sample(series, "gauge", v) }
+
+// Histogram writes h as cumulative le-buckets plus _sum and _count.
+// Concurrent observers may skew the totals by in-flight observations,
+// which Prometheus tolerates.
+func (w *Writer) Histogram(series string, h *Histogram) {
+	base, labels, _ := strings.Cut(series, "{")
+	block := series[len(base):] // "{labels}" or ""
+	if labels = strings.TrimSuffix(labels, "}"); labels != "" {
+		labels += ","
+	}
+	w.open(base, "histogram")
+	var cum uint64
+	for i := range h.buckets {
+		cum += h.buckets[i].Load()
+		le := math.Inf(1)
+		if i < len(h.bounds) {
+			le = h.bounds[i]
+		}
+		w.b = fmt.Appendf(w.b, "%s_bucket{%sle=\"%g\"} %d\n", base, labels, le, cum)
+	}
+	count := h.Count()
+	w.b = fmt.Appendf(w.b, "%s_sum%s %g\n%s_count%s %d\n", base, block, h.Sum(), base, block, count)
+	if count > 0 {
+		w.hists = append(w.hists, histSeries{base, block, h})
 	}
 }
 
-// WritePrometheus renders every registered metric in the Prometheus
-// text exposition format (version 0.0.4): counters and gauges as single
-// samples, histograms as cumulative le-buckets plus _sum and _count.
-// Series sharing a base name are grouped under one # TYPE header by the
-// sorted iteration order. Each observed histogram additionally exports
-// interpolated-quantile gauge families (<base>_p50, _p95, _p99) so
-// dashboards can plot tail latency without histogram_quantile();
-// never-observed series are skipped there.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
-	lastTyped := ""
-	type histSeries struct {
-		base, labels string
-		h            *Histogram
-	}
-	var hists []histSeries
-	r.Each(func(name string, metric any) {
-		base, labels, err := parseName(name)
-		if err != nil {
-			return // unreachable: names are validated at registration
-		}
-		kind := ""
-		switch metric.(type) {
-		case *Counter:
-			kind = "counter"
-		case *Gauge:
-			kind = "gauge"
-		case *Histogram:
-			kind = "histogram"
-		}
-		if base != lastTyped {
-			fmt.Fprintf(&b, "# TYPE %s %s\n", base, kind)
-			lastTyped = base
-		}
-		switch m := metric.(type) {
-		case *Counter:
-			fmt.Fprintf(&b, "%s %d\n", name, m.Value())
-		case *Gauge:
-			fmt.Fprintf(&b, "%s %s\n", name, formatFloat(m.Value()))
-		case *Histogram:
-			bounds, cumulative, count, sum := m.snapshot()
-			for i, bound := range bounds {
-				le := `le="` + formatFloat(bound) + `"`
-				fmt.Fprintf(&b, "%s %d\n", seriesName(base+"_bucket", labels, le), cumulative[i])
-			}
-			fmt.Fprintf(&b, "%s %d\n", seriesName(base+"_bucket", labels, `le="+Inf"`), cumulative[len(cumulative)-1])
-			fmt.Fprintf(&b, "%s %s\n", seriesName(base+"_sum", labels, ""), formatFloat(sum))
-			fmt.Fprintf(&b, "%s %d\n", seriesName(base+"_count", labels, ""), count)
-			if count > 0 {
-				hists = append(hists, histSeries{base, labels, m})
-			}
-		}
-	})
-	// Interpolated quantiles as derived gauge families (<base>_p50/…),
-	// after the real metrics so histogram families stay contiguous. Each
-	// family groups every labelled series of one base under one TYPE
-	// header; Each iterates in name order, so bases are contiguous.
-	quantiles := []struct {
+// WriteTo appends the quantile gauge families and writes the scrape to
+// dst. It ends the scrape: the Writer is not reused.
+func (w *Writer) WriteTo(dst io.Writer) (int64, error) {
+	// One pass per quantile keeps each derived family contiguous: the
+	// histograms of one base were written, and so are listed, together.
+	for _, qt := range []struct {
 		suffix string
 		q      float64
-	}{{"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}}
-	for i := 0; i < len(hists); {
-		j := i
-		for j < len(hists) && hists[j].base == hists[i].base {
-			j++
+	}{{"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}} {
+		for _, hs := range w.hists {
+			w.Gauge(hs.base+qt.suffix+hs.block, hs.h.Quantile(qt.q))
 		}
-		for _, qt := range quantiles {
-			fmt.Fprintf(&b, "# TYPE %s gauge\n", hists[i].base+qt.suffix)
-			for _, hs := range hists[i:j] {
-				fmt.Fprintf(&b, "%s %s\n",
-					seriesName(hs.base+qt.suffix, hs.labels, ""), formatFloat(hs.h.Quantile(qt.q)))
-			}
-		}
-		i = j
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	n, err := dst.Write(w.b)
+	return int64(n), err
 }
 
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// sample writes one sample line, opening its family first. %v renders
+// counts in decimal and floats in the shortest 'g' form.
+func (w *Writer) sample(series, kind string, v any) {
+	base, _, _ := strings.Cut(series, "{")
+	w.open(base, kind)
+	w.b = fmt.Appendf(w.b, "%s %v\n", series, v)
+}
+
+// open writes family's # TYPE line unless it is the family being
+// written.
+func (w *Writer) open(family, kind string) {
+	if family != w.family {
+		w.b = fmt.Appendf(w.b, "# TYPE %s %s\n", family, kind)
+		w.family = family
+	}
 }

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestConcurrentWritersAndExporter hammers one registry from parallel
-// counter/gauge/histogram writers while a reader exports
-// concurrently; `go test -race ./internal/obs` is the real assertion.
+// TestConcurrentWritersAndExporter hammers one histogram from
+// parallel observers while a reader exports it concurrently;
+// `go test -race ./internal/obs` is the real assertion.
 func TestConcurrentWritersAndExporter(t *testing.T) {
-	r := NewRegistry()
+	h := newHistogram(0.001, 0.01, 0.1)
 	const (
 		writers = 8
 		rounds  = 2000
@@ -20,14 +20,7 @@ func TestConcurrentWritersAndExporter(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Every writer resolves its own metric handles to exercise
-			// the registration race path too.
-			c := r.GetOrCreateCounter("race_total")
-			g := r.GetOrCreateGauge("race_depth")
-			h := r.GetOrCreateHistogram(`race_seconds{stage="x"}`, 0.001, 0.01, 0.1)
 			for i := 0; i < rounds; i++ {
-				c.Inc()
-				g.Set(float64(i))
 				h.Observe(float64(i%100) / 1000)
 			}
 		}()
@@ -36,18 +29,17 @@ func TestConcurrentWritersAndExporter(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			if err := r.WritePrometheus(io.Discard); err != nil {
-				t.Errorf("WritePrometheus: %v", err)
+			var w Writer
+			w.Histogram(`race_seconds{stage="x"}`, h)
+			if _, err := w.WriteTo(io.Discard); err != nil {
+				t.Errorf("WriteTo: %v", err)
 				return
 			}
 		}
 	}()
 	wg.Wait()
 
-	if got := r.GetOrCreateCounter("race_total").Value(); got != writers*rounds {
-		t.Errorf("counter = %d, want %d", got, writers*rounds)
-	}
-	if got := r.GetOrCreateHistogram(`race_seconds{stage="x"}`).Count(); got != writers*rounds {
+	if got := h.Count(); got != writers*rounds {
 		t.Errorf("histogram count = %d, want %d", got, writers*rounds)
 	}
 }

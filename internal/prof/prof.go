@@ -65,10 +65,11 @@ var StageNames = [NumStages]string{
 	"matching", "packing", "commit", "movement",
 }
 
+// TopN is the slow-frame ring size.
+const TopN = 8
+
 // Defaults for Config zero values.
 const (
-	// DefaultTopN is the slow-frame ring size.
-	DefaultTopN = 8
 	// DefaultCooldownFrames spaces overrun captures: after a capture
 	// fires, this many frames of further overruns are only counted.
 	// Matches the flight recorder's trigger cooldown.
@@ -88,8 +89,6 @@ type Config struct {
 	// whose wall-clock exceeds it is an overrun; ≤ 0 disables overrun
 	// detection (the ledger still attributes every frame).
 	BudgetNs int64
-	// TopN bounds the slow-frame ring (default DefaultTopN).
-	TopN int
 	// CooldownFrames is the minimum frame distance between overrun
 	// captures (default DefaultCooldownFrames). Overruns inside the
 	// cooldown are counted as suppressed, exactly like flightrec's
@@ -216,9 +215,6 @@ type Ledger struct {
 
 // New builds a ledger.
 func New(cfg Config) *Ledger {
-	if cfg.TopN <= 0 {
-		cfg.TopN = DefaultTopN
-	}
 	if cfg.CooldownFrames <= 0 {
 		cfg.CooldownFrames = DefaultCooldownFrames
 	}
@@ -228,7 +224,7 @@ func New(cfg Config) *Ledger {
 	ld := &Ledger{
 		cfg:         cfg,
 		lastCapture: -1 << 62,
-		top:         make([]FrameProfile, 0, cfg.TopN),
+		top:         make([]FrameProfile, 0, TopN),
 	}
 	ld.allocSample[0].Name = allocMetric
 	return ld

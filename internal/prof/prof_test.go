@@ -101,19 +101,22 @@ func TestNoLedgerSpanIsFree(t *testing.T) {
 }
 
 func TestTopNRingKeepsSlowest(t *testing.T) {
-	ld := newLedger(t, Config{TopN: 3})
-	for i := int64(0); i < 10; i++ {
+	ld := newLedger(t, Config{})
+	// Walls are a permutation of 1..frames µs (7 is coprime to frames),
+	// so the slowest frames are scattered through the run.
+	const frames = 3 * TopN
+	for i := int64(0); i < frames; i++ {
+		wall := (i*7%frames + 1) * 1000
 		ld.BeginFrame(i, nil)
-		ld.EndFrame(i, (i+1)*1000, 0)
+		ld.EndFrame(i, wall, 0)
 	}
 	top := ld.TopFrames()
-	if len(top) != 3 {
-		t.Fatalf("TopFrames len = %d, want 3", len(top))
+	if len(top) != TopN {
+		t.Fatalf("TopFrames len = %d, want %d", len(top), TopN)
 	}
-	wantWall := []int64{10000, 9000, 8000}
 	for i, fr := range top {
-		if fr.WallNs != wantWall[i] {
-			t.Fatalf("top[%d].WallNs = %d, want %d (top=%+v)", i, fr.WallNs, wantWall[i], top)
+		if want := int64(frames-i) * 1000; fr.WallNs != want {
+			t.Fatalf("top[%d].WallNs = %d, want %d (top=%+v)", i, fr.WallNs, want, top)
 		}
 	}
 }
@@ -176,9 +179,9 @@ func TestDominant(t *testing.T) {
 }
 
 func TestRecordingPathDoesNotAllocate(t *testing.T) {
-	ld := newLedger(t, Config{TopN: 2})
-	// Warm the top ring so inserts replace in place.
-	for i := int64(0); i < 4; i++ {
+	ld := newLedger(t, Config{})
+	// Fill the top ring so inserts replace in place.
+	for i := int64(0); i < TopN; i++ {
 		ld.BeginFrame(i, nil)
 		ld.EndFrame(i, 1000, 0)
 	}

@@ -16,7 +16,7 @@ import (
 // tseries sample's FrameNs/Allocs/StageNs exactly, and the attributed
 // stage time never exceeds the frame wall-clock.
 func TestProfLedgerMatchesTSeries(t *testing.T) {
-	ld := prof.New(prof.Config{TopN: 256})
+	ld := prof.New(prof.Config{})
 	rec := tseries.New(tseries.Config{Capacity: 256})
 	cfg := simpleConfig(nearestDispatcher{})
 	cfg.KPI = rec
@@ -43,7 +43,11 @@ func TestProfLedgerMatchesTSeries(t *testing.T) {
 		byFrame[smp.Frame] = smp
 	}
 
-	// TopN exceeds the run length, so the ring retains every frame.
+	// The run is no longer than prof.TopN frames, so the slow-frame
+	// ring retains every frame.
+	if len(samples) > prof.TopN {
+		t.Fatalf("run took %d frames; the ring keeps only %d", len(samples), prof.TopN)
+	}
 	top := ld.TopFrames()
 	if len(top) != len(samples) {
 		t.Fatalf("ledger retained %d frames, tseries %d", len(top), len(samples))
