@@ -3,10 +3,12 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -405,6 +407,86 @@ func TestWithObsCountsRequests(t *testing.T) {
 	}
 	if got := metrics.seconds.Count(); got != 3 {
 		t.Errorf("http_request_seconds count = %d, want 3", got)
+	}
+}
+
+// TestStreamNotTimedAsRequest holds a stream open for a second against
+// an idle daemon: its 200 is counted, but http_request_seconds, the
+// API latency histogram, must not take its lifetime.
+func TestStreamNotTimedAsRequest(t *testing.T) {
+	ts, srv := startServer(t, testConfig())
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	count, p99, ok := srv.http.seconds.Count(), srv.http.seconds.Quantile(0.99), srv.http.codes[200].Load()
+
+	conn, err := http.Get(ts.URL + streamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conn.StatusCode != http.StatusOK {
+		t.Fatalf("stream status = %d", conn.StatusCode)
+	}
+	time.Sleep(time.Second)
+	conn.Body.Close()
+	waitFor(t, func() bool { return srv.http.codes[200].Load() == ok+1 })
+
+	if got := srv.http.seconds.Count(); got != count {
+		t.Errorf("http_request_seconds_count = %d after the stream, want %d", got, count)
+	}
+	if got := srv.http.seconds.Quantile(0.99); got != p99 {
+		t.Errorf("http_request_seconds_p99 = %v after the stream, want %v", got, p99)
+	}
+}
+
+// TestRouteErrorsAreJSON checks a request no route matches gets the
+// JSON error envelope every handler error uses, with ServeMux's status
+// and, on a 405, its Allow header, while ServeMux's redirect of a
+// non-canonical path reaches the client as ServeMux wrote it.
+func TestRouteErrorsAreJSON(t *testing.T) {
+	ts := testServer(t)
+	redirect := httptest.NewRecorder()
+	http.RedirectHandler("/v1/nope", http.StatusMovedPermanently).ServeHTTP(redirect, httptest.NewRequest(http.MethodGet, "/v1//nope", nil))
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		header       http.Header
+		body         string
+	}{
+		{http.MethodPut, "/v1/tick", http.StatusMethodNotAllowed,
+			http.Header{"Content-Type": {"application/json"}, "Allow": {"POST"}}, `{"error":"PUT /v1/tick: method not allowed"}`},
+		{http.MethodGet, "/v1/nope", http.StatusNotFound,
+			http.Header{"Content-Type": {"application/json"}, "Allow": nil}, `{"error":"GET /v1/nope: not found"}`},
+		{http.MethodGet, "/v1//nope", http.StatusMovedPermanently,
+			http.Header{"Content-Type": {redirect.Header().Get("Content-Type")}, "Location": {"/v1/nope"}}, strings.TrimSpace(redirect.Body.String())},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.code)
+		}
+		for k, v := range tc.header {
+			if got := resp.Header.Values(k); !slices.Equal(got, v) {
+				t.Errorf("%s %s: %s %q, want %q", tc.method, tc.path, k, got, v)
+			}
+		}
+		if got := strings.TrimSpace(string(body)); got != tc.body {
+			t.Errorf("%s %s: body %s, want %s", tc.method, tc.path, got, tc.body)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -13,9 +14,10 @@ import (
 )
 
 // httpMetrics is one server's request metrics: http_request_seconds
-// times every API request end to end across all routes,
-// http_panics_total counts handler panics converted into JSON 500s, and
-// http_requests_total{code=...} counts requests by status code.
+// times every API request end to end across all routes but the
+// long-lived stream, http_panics_total counts handler panics converted
+// into JSON 500s, and http_requests_total{code=...} counts requests by
+// status code.
 type httpMetrics struct {
 	seconds *obs.Histogram
 	panics  atomic.Uint64
@@ -102,13 +104,17 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // withObs wraps the API handler with request metrics recorded into
 // metrics (http_requests_total{code=...}, http_request_seconds) and,
 // when logger is non-nil, one structured access-log line per request.
+// A streamPath connection lasts as long as its client listens, so it is
+// counted by status code but not timed: its duration is no latency.
 func withObs(logger *slog.Logger, metrics *httpMetrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
-		metrics.seconds.Observe(elapsed.Seconds())
+		if r.URL.Path != streamPath {
+			metrics.seconds.Observe(elapsed.Seconds())
+		}
 		if uint(sw.status) < uint(len(metrics.codes)) {
 			metrics.codes[sw.status].Add(1)
 		}
@@ -121,4 +127,53 @@ func withObs(logger *slog.Logger, metrics *httpMetrics, next http.Handler) http.
 			)
 		}
 	})
+}
+
+// withJSONRouteErrors answers a request no route matches the way a
+// handler answers an error: ServeMux's plain-text 404 and 405 become
+// writeError's {"error":…} body with the same status, and a 405 keeps
+// the Allow header ServeMux sets.
+func withJSONRouteErrors(mux *http.ServeMux) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if h, pattern := mux.Handler(r); pattern == "" {
+			h.ServeHTTP(&routeErrorWriter{ResponseWriter: w, r: r}, r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// routeErrorWriter replaces the plain-text error ServeMux writes for an
+// unmatched request with writeError's JSON, keeping its status code and
+// Allow header. Anything below 400, such as the redirect of a
+// non-canonical path, passes through as ServeMux wrote it.
+type routeErrorWriter struct {
+	http.ResponseWriter
+	r        *http.Request
+	wrote    bool
+	replaced bool
+}
+
+func (w *routeErrorWriter) WriteHeader(code int) {
+	if w.wrote {
+		return
+	}
+	w.wrote = true
+	if code < http.StatusBadRequest {
+		w.ResponseWriter.WriteHeader(code)
+		return
+	}
+	w.replaced = true
+	w.Header().Del("Content-Type")
+	w.Header().Del("X-Content-Type-Options")
+	writeError(w.ResponseWriter, code, fmt.Errorf("%s %s: %s", w.r.Method, w.r.URL.Path, strings.ToLower(http.StatusText(code))))
+}
+
+// Write drops ServeMux's plain-text error body.
+func (w *routeErrorWriter) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	if w.replaced {
+		return len(b), nil
+	}
+	return w.ResponseWriter.Write(b)
 }

@@ -208,6 +208,9 @@ func (s *server) drainFinal() error {
 	return s.stepLocked()
 }
 
+// streamPath is the live event stream's route.
+const streamPath = "/v1/stream"
+
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/requests", s.postRequest)
@@ -217,7 +220,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/requests/{id}", s.getRequest)
 	mux.HandleFunc("DELETE /v1/requests/{id}", s.deleteRequest)
 	mux.HandleFunc("POST /v1/chaos", s.postChaos)
-	mux.HandleFunc("GET /v1/stream", s.getStream)
+	mux.HandleFunc("GET "+streamPath, s.getStream)
 	mux.HandleFunc("GET /v1/metrics", s.getMetrics)
 	mux.HandleFunc("GET /v1/timeseries", s.getTimeseries)
 	mux.HandleFunc("GET /v1/traces/{id}", s.getTrace)
@@ -227,7 +230,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/profile", s.getProfile)
 	mux.HandleFunc("POST /v1/debug/bundle", s.postBundle)
 	mux.HandleFunc("GET /healthz", s.getHealth)
-	return mux
+	return withJSONRouteErrors(mux)
 }
 
 // healthOut is the liveness payload: still "status":"ok", now with

@@ -66,7 +66,10 @@ func Toward(p, q Point, dist float64) (Point, float64) {
 
 // Metric measures travel distance between two points, in kilometres.
 // Implementations must be symmetric, non-negative, and safe for
-// concurrent use.
+// concurrent use. Pruning relies on two more properties every metric
+// here has: no distance beats the straight line (package costplane),
+// and the triangle inequality D(a, c) ≤ D(a, b) + D(b, c) holds
+// (package share's pair bounds).
 type Metric interface {
 	// Distance returns the travel distance from a to b.
 	Distance(a, b Point) float64

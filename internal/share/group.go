@@ -2,8 +2,10 @@ package share
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/dtrace"
@@ -34,9 +36,11 @@ type PackConfig struct {
 	// PairRadius optionally prunes the O(R³) exhaustive search: only
 	// requests whose pickups are within PairRadius of each other are
 	// considered for sharing. Zero disables pruning (the paper's exact
-	// exhaustive search). Pruning is safe for the packing objective —
-	// a group of mutually distant pickups always violates θ anyway
-	// once PairRadius ≥ 2θ.
+	// exhaustive search). The prune is a heuristic, not a sound bound:
+	// one rider can be picked up along the other's trip, so a feasible
+	// pair's pickups may lie farther apart than 2θ. On 150 sampled
+	// frames of the New York STD-P day, 180 of 6,706 feasible pairs
+	// (2.7%) had pickups more than 10 km apart (ROADMAP item 2).
 	PairRadius float64
 	// Tracer, when non-nil, records every feasible-group and packing
 	// decision on the members' traces. Dispatchers set it per frame
@@ -82,12 +86,19 @@ func (c PackConfig) Validate() error {
 // plane's metric — route permutations visit point pairs no frame-wide
 // matrix holds.
 //
+// A pair inside PairRadius runs the route search only if it passes two
+// sound bounds first (DESIGN.md, "Sound pair bounds"), which drop no
+// pair the route search would accept on a metric that obeys the
+// triangle inequality: Euclid, Manhattan and roadnet.Metric do. A pair
+// that fails them is traced as no_savings or detour_exceeded.
+//
 // Triples are only explored when all three member pairs are themselves
-// feasible (adding a rider to a route almost never shortens the others'
-// on-board legs); combined with the PairRadius prefilter this keeps
-// line 1 tractable when rush-hour queues grow, at the cost of a
-// vanishingly rare missed triple — well within the algorithm's
-// approximation regime.
+// feasible; combined with the PairRadius prefilter this keeps line 1
+// tractable when rush-hour queues grow. The triple prune is not sound:
+// on 150 sampled frames of the New York STD-P day it found only 2,257 of
+// the 37,223 triples that pass the route search's own tests, most of the
+// missed ones a rider overlapping two riders who would chain (ROADMAP
+// items 1–2).
 func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -155,6 +166,66 @@ func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, e
 		return Group{Members: append([]int(nil), members...), Plan: s.plan(sub)}, true
 	}
 
+	// gap returns D(x^s, y^s): the plane's cell when it holds one, the
+	// metric otherwise (a batch past the pair rows, possible without
+	// PairRadius, or a cell the plane pruned, which reads +Inf).
+	pairRows := pl.PairRows()
+	gap := func(x, y int) float64 {
+		if x < pairRows && y < pairRows {
+			if d := pl.PairDist(x, y); !math.IsInf(d, 1) {
+				return d
+			}
+		}
+		return m.Distance(reqs[x].Pickup, reqs[y].Pickup)
+	}
+	// A pair that saves driving is no chain, so one rider x boards first
+	// and the other, y, boards while x rides. Then every such route is at
+	// least gap(x, y) + trip_y long and carries x at least
+	// lead = gap(x, y) + D(y^s, x^d), which bounds the pair by savings,
+	// gap(x, y) < trip_x, and by x's detour, lead − trip_x ≤ θ. bound
+	// returns lead if the savings test passes (no metric call when it
+	// fails, one when it passes); boardsFirst adds the detour test. Both
+	// are rounded outward (costplane.Radius), so float rounding never
+	// drops a pair the route search accepts.
+	bound := func(x, y int) (lead float64, saves bool) {
+		d := gap(x, y)
+		if d > costplane.Radius(0, -pl.Trip(x)) {
+			return 0, false
+		}
+		return d + m.Distance(reqs[y].Pickup, reqs[x].Dropoff), true
+	}
+	boardsFirst := func(x, y int) bool {
+		lead, saves := bound(x, y)
+		return saves && lead <= costplane.Radius(cfg.Theta, -pl.Trip(x))
+	}
+	// tracePruned explains a pair that failed both orientations: no
+	// savings when neither rider's solo trip exceeds the gap to the
+	// other's pickup, otherwise the detour bound of every orientation
+	// that could save.
+	tracePruned := func(a, b int) {
+		members := []int{a, b}
+		dab, dba := gap(a, b), gap(b, a)
+		ta, tb := pl.Trip(a), pl.Trip(b)
+		if dab >= ta && dba >= tb {
+			traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "no_savings",
+				fmt.Sprintf("pickup gap ≥ the first rider's solo trip either way (r%d first: %.2f ≥ %.2f km; r%d first: %.2f ≥ %.2f km): no shared route saves driving",
+					reqs[a].ID, dab, ta, reqs[b].ID, dba, tb))
+			return
+		}
+		var bounds []string
+		for _, o := range [2][2]int{{a, b}, {b, a}} {
+			if lead, saves := bound(o[0], o[1]); saves {
+				bounds = append(bounds, fmt.Sprintf("rider r%d detour ≥ %.2f km", reqs[o[0]].ID, lead-pl.Trip(o[0])))
+			}
+		}
+		scope := "on every shared route"
+		if len(bounds) == 2 {
+			scope = "on every shared route the rider boards first"
+		}
+		traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "detour_exceeded",
+			fmt.Sprintf("%s %s, θ=%.2f km", strings.Join(bounds, ", "), scope, cfg.Theta))
+	}
+
 	// Pairs, and the feasible-pair graph reused to prune triples: a
 	// triple is only explored when all three member pairs are
 	// feasible. The graph is kept as ascending adjacency lists —
@@ -169,6 +240,12 @@ func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, e
 			if cfg.PairRadius > 0 && pl.PairDist(a, b) > cfg.PairRadius {
 				continue
 			}
+			if !boardsFirst(a, b) && !boardsFirst(b, a) {
+				if rec != nil {
+					tracePruned(a, b)
+				}
+				continue
+			}
 			if g, ok := tryGroup([]int{a, b}); ok {
 				groups = append(groups, g)
 				adj = append(adj, b)
@@ -177,12 +254,11 @@ func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, e
 	}
 	first[len(reqs)] = len(adj)
 	if cfg.MaxGroupSize >= 3 {
-		// Triples are grown from feasible pairs: adding a rider can
-		// only lengthen the others' on-board legs, so a triple whose
-		// pairs already violate θ cannot become feasible. This turns
-		// the O(R³) scan into a triangle enumeration of the feasible-
-		// pair graph, which is what keeps Algorithm 3 frame-rate under
-		// rush-hour queue build-up.
+		// Triples are grown from feasible pairs: a triangle
+		// enumeration of the feasible-pair graph instead of the O(R³)
+		// scan, which keeps Algorithm 3 frame-rate under rush-hour
+		// queue build-up. It misses triples whose pairs are not all
+		// feasible (see the function comment).
 		for a := 0; a < len(reqs); a++ {
 			na := adj[first[a]:first[a+1]]
 			for bi, b := range na {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"stabledispatch/internal/costplane"
@@ -375,5 +376,234 @@ func TestFeasibleGroupsOrderIsDeterministic(t *testing.T) {
 	}
 	if triples == 0 {
 		t.Fatal("fixtures form no triple; the order of triples is untested")
+	}
+}
+
+func TestFeasibleGroupsDivergentPairFailsDetourBound(t *testing.T) {
+	// Pickups 3 km apart, dropoffs in different directions: whoever
+	// boards first rides at least 3.44 km extra, so the detour bound
+	// rejects the pair without a route search.
+	reqs := []fleet.Request{
+		{ID: 0, Pickup: geo.Point{}, Dropoff: geo.Point{X: 10}},
+		{ID: 1, Pickup: geo.Point{Y: 3}, Dropoff: geo.Point{Y: 10}},
+	}
+	cfg := PackConfig{Theta: 1, MaxGroupSize: 2}
+	calls := 0
+	m := geo.MetricFunc(func(a, b geo.Point) float64 { calls++; return geo.Euclid(a, b) })
+	pl := pairPlane(reqs, m, cfg)
+	calls = 0
+	if groups, err := FeasibleGroupsPlane(len(reqs), pl, cfg); err != nil || len(groups) != 0 {
+		t.Fatalf("FeasibleGroupsPlane = %v, %v; want no group", groups, err)
+	}
+	if calls != 2 {
+		t.Errorf("%d metric calls, want 2 (one detour bound per rider, no route search)", calls)
+	}
+	cfg.Tracer = dtrace.New(0, 0)
+	if _, err := FeasibleGroupsPlane(len(reqs), pl, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reqs {
+		tr, _ := cfg.Tracer.Trace(r.ID)
+		if len(tr.Events) != 1 || tr.Events[0].Outcome != "detour_exceeded" ||
+			!strings.Contains(tr.Events[0].Detail, "rider r0 detour ≥ 3.44 km, rider r1 detour ≥ 6.00 km") {
+			t.Errorf("rider %d's trace = %+v, want one detour_exceeded rejection naming both bounds", r.ID, tr.Events)
+		}
+	}
+}
+
+// refFeasibleGroups is the route-search reference of
+// FeasibleGroupsPlane: every pair within PairRadius runs BestRoute and
+// the θ and savings checks, and triples grow from the feasible-pair
+// graph the same way. It also returns the number of group_rejected
+// events a traced run records: one per member of each rejected
+// candidate.
+func refFeasibleGroups(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, int) {
+	reqs, m := pl.Requests[:n], pl.Metric()
+	var groups []Group
+	rejected := 0
+	try := func(members ...int) bool {
+		sub := make([]fleet.Request, len(members))
+		for g, idx := range members {
+			sub[g] = reqs[idx]
+		}
+		plan, err := BestRoute(sub, m)
+		ok := err == nil
+		soloSum := 0.0
+		for g, idx := range members {
+			if ok && plan.Detour(g, pl.Trip(idx)) > cfg.Theta {
+				ok = false
+			}
+			soloSum += pl.Trip(idx)
+		}
+		if ok && plan.Length < soloSum-1e-9 {
+			groups = append(groups, Group{Members: members, Plan: plan})
+			return true
+		}
+		rejected += len(members)
+		return false
+	}
+	adj := make([][]int, n)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if (cfg.PairRadius == 0 || pl.PairDist(a, b) <= cfg.PairRadius) && try(a, b) {
+				adj[a] = append(adj[a], b)
+			}
+		}
+	}
+	for a := 0; a < n && cfg.MaxGroupSize >= 3; a++ {
+		for bi, b := range adj[a] {
+			for _, c := range adj[a][bi+1:] {
+				if slices.Contains(adj[b], c) {
+					try(a, b, c)
+				}
+			}
+		}
+	}
+	return groups, rejected
+}
+
+// groupMembers lists each group's members, for failure messages.
+func groupMembers(groups []Group) [][]int {
+	out := make([][]int, len(groups))
+	for k, g := range groups {
+		out[k] = g.Members
+	}
+	return out
+}
+
+// directedIsland is the island of directedMetric: no leg joins it to
+// any other point.
+var directedIsland = geo.Point{X: 14, Y: 14}
+
+// directedMetric is Manhattan plus every eastward step counted twice,
+// so a leg and its reverse differ, and +Inf between the island and any
+// other point. Both parts obey the triangle inequality, and so does
+// their sum. It is deliberately not symmetric, which geo.Metric asks
+// for, so that a bound reading a pair's distance in the wrong direction
+// shows.
+func directedMetric(a, b geo.Point) float64 {
+	if (a == directedIsland) != (b == directedIsland) {
+		return math.Inf(1)
+	}
+	return geo.Manhattan(a, b) + max(0, b.X-a.X)
+}
+
+// TestFeasibleGroupsPlaneMatchesRouteSearch holds the sound pair bounds
+// to the route search they skip: FeasibleGroupsPlane, traced or not,
+// must deep-equal refFeasibleGroups and record as many group_rejected
+// events. Frames run under Euclid with real coordinates, Manhattan on
+// an integer grid, a directed metric on the same grid whose island
+// makes some legs +Inf, and collinear same-direction rides under Euclid with
+// θ = 0, where the bounds tie the route search's own sums up to float
+// rounding. The integer frames put pairs exactly on both bounds: a
+// pickup gap equal to the first rider's solo trip, and a detour bound
+// equal to θ.
+func TestFeasibleGroupsPlaneMatchesRouteSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	grid := func() geo.Point { return geo.Point{X: float64(rng.Intn(11)), Y: float64(rng.Intn(11))} }
+	real := func() geo.Point { return geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10} }
+	dir := geo.Point{X: 0.6, Y: 0.8}
+	families := []struct {
+		name   string
+		m      geo.Metric
+		req    func() fleet.Request
+		thetas []float64
+	}{
+		{"euclid", geo.EuclidMetric, func() fleet.Request { return fleet.Request{Pickup: real(), Dropoff: real()} }, []float64{0, 0.5, 2, 4}},
+		{"manhattan", geo.ManhattanMetric, func() fleet.Request { return fleet.Request{Pickup: grid(), Dropoff: grid()} }, []float64{0, 1, 2, 4}},
+		{"directed", geo.MetricFunc(directedMetric), func() fleet.Request {
+			r := fleet.Request{Pickup: grid(), Dropoff: grid()}
+			switch rng.Intn(10) {
+			case 0:
+				r.Pickup = directedIsland
+			case 1:
+				r.Dropoff = directedIsland
+			case 2:
+				r.Pickup = geo.Point{X: r.Pickup.X + rng.Float64() - 0.5, Y: r.Pickup.Y}
+			}
+			return r
+		}, []float64{0, 2, 4, 8}},
+		{"collinear", geo.EuclidMetric, func() fleet.Request {
+			s, e := rng.Float64()*10, rng.Float64()*10
+			s, e = min(s, e), max(s, e)
+			return fleet.Request{Pickup: geo.Point{X: s * dir.X, Y: s * dir.Y}, Dropoff: geo.Point{X: e * dir.X, Y: e * dir.Y}}
+		}, []float64{0}},
+	}
+	for _, f := range families {
+		var feasible, triples, rejected, gapTies, detourTies, infLegs int
+		for trial := 0; trial < 40; trial++ {
+			reqs := make([]fleet.Request, 2+rng.Intn(24))
+			for j := range reqs {
+				reqs[j] = f.req()
+				reqs[j].ID = 100 + j
+			}
+			cfg := PackConfig{Theta: f.thetas[rng.Intn(len(f.thetas))], MaxGroupSize: 2 + rng.Intn(2), PairRadius: []float64{0, 3, 6}[rng.Intn(3)]}
+			pl := pairPlane(reqs, f.m, cfg)
+			if cfg.PairRadius == 0 && rng.Intn(2) == 0 {
+				pl = costplane.Build(reqs, nil, f.m, costplane.Config{Workers: 1}) // no pair rows
+			}
+			for x := range reqs {
+				for y := range reqs {
+					if x == y {
+						continue
+					}
+					px, py, dx := reqs[x].Pickup, reqs[y].Pickup, reqs[x].Dropoff
+					d, trip := f.m.Distance(px, py), pl.Trip(x)
+					if d == trip {
+						gapTies++
+					}
+					if d < trip && d+f.m.Distance(py, dx)-trip == cfg.Theta {
+						detourTies++
+					}
+					if math.IsInf(d+trip, 1) {
+						infLegs++
+					}
+				}
+			}
+			want, wantRejected := refFeasibleGroups(len(reqs), pl, cfg)
+			got, err := FeasibleGroupsPlane(len(reqs), pl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trial %d (%+v): groups %v, route search %v", f.name, trial, cfg, groupMembers(got), groupMembers(want))
+			}
+			cfg.Tracer = dtrace.New(1<<20, 1<<20)
+			traced, err := FeasibleGroupsPlane(len(reqs), pl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(traced, want) {
+				t.Fatalf("%s trial %d: traced groups %v, route search %v", f.name, trial, groupMembers(traced), groupMembers(want))
+			}
+			events := 0
+			for _, tr := range cfg.Tracer.Snapshot() {
+				for _, e := range tr.Events {
+					if e.Kind == dtrace.KindGroupRejected {
+						events++
+					}
+				}
+			}
+			if events != wantRejected {
+				t.Fatalf("%s trial %d: %d group_rejected events, route search %d", f.name, trial, events, wantRejected)
+			}
+			for _, gr := range want {
+				if len(gr.Members) == 3 {
+					triples++
+				}
+			}
+			feasible += len(want)
+			rejected += wantRejected
+		}
+		switch {
+		case feasible == 0 || rejected == 0:
+			t.Errorf("%s: fixtures have %d feasible groups, %d rejected member slots", f.name, feasible, rejected)
+		case f.name != "collinear" && triples == 0:
+			t.Errorf("%s: fixtures form no triple", f.name)
+		case f.name != "euclid" && f.name != "collinear" && (gapTies == 0 || detourTies == 0):
+			t.Errorf("%s: fixtures put %d pairs on the savings bound, %d on the detour bound", f.name, gapTies, detourTies)
+		case f.name == "directed" && infLegs == 0:
+			t.Errorf("%s: fixtures reach no +Inf leg", f.name)
+		}
 	}
 }
