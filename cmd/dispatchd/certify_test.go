@@ -19,7 +19,8 @@ import (
 // TestTracesArePerServer runs two daemon stacks in one process, each
 // with its own simulator and trace recorder, and sends traffic to one
 // only. The idle stack must answer 404 for every request the busy stack
-// traced and every frame it certified; the busy stack serves them all.
+// explained and every frame it certified; the busy stack serves them
+// all.
 func TestTracesArePerServer(t *testing.T) {
 	busyTS, busy := startServer(t, testConfig())
 	idleTS, _ := startServer(t, testConfig())
@@ -31,7 +32,7 @@ func TestTracesArePerServer(t *testing.T) {
 			Dropoff: pointJSON{X: 14, Y: 10},
 		})
 		id := decode[requestOut](t, resp).ID
-		paths = append(paths, fmt.Sprintf("/v1/traces/%d", id), fmt.Sprintf("/v1/explain/%d", id))
+		paths = append(paths, fmt.Sprintf("/v1/explain/%d", id))
 	}
 	postJSON(t, busyTS.URL+"/v1/tick", tickIn{Frames: 4})
 	frames := busy.sim.Tracer().CertifiedFrames()
@@ -53,8 +54,9 @@ func TestTracesArePerServer(t *testing.T) {
 }
 
 // TestServingPathCertifiesEveryFrame drives Algorithm 1 (NSTD-P)
-// through the daemon's full handler chain — admission, /v1/tick, and
-// breakdowns, outages and cancellations injected between ticks — and
+// through the daemon's full handler chain — admission, /v1/tick and
+// cancellations, with breakdowns and outages injected into its
+// simulator under the server lock between ticks — and
 // requires a certificate for every committed frame in the server's own
 // recorder, served on /v1/frames/{n}/stability: stable with no blocking
 // pair unless the frame is noted as degraded.
@@ -75,6 +77,7 @@ func TestServingPathCertifiesEveryFrame(t *testing.T) {
 	})
 
 	var ids []int
+	var err error
 	cancelled := 0
 	for f := 0; f < frames; f++ {
 		for k := 0; k < 4; k++ {
@@ -86,23 +89,27 @@ func TestServingPathCertifiesEveryFrame(t *testing.T) {
 		}
 		switch f % 5 {
 		case 1:
-			postJSON(t, ts.URL+"/v1/chaos", chaosIn{Kind: "breakdown", TaxiID: rng.Intn(len(taxis)), Frames: 3})
+			taxi := rng.Intn(len(taxis))
+			srv.locked(func() { err = srv.sim.InjectBreakdown(taxi, 3) })
 		case 3:
-			postJSON(t, ts.URL+"/v1/chaos", chaosIn{Kind: "outage", TaxiID: rng.Intn(len(taxis)), Frames: 2})
+			taxi := rng.Intn(len(taxis))
+			srv.locked(func() { err = srv.sim.InjectOutage(taxi, srv.sim.Frame(), srv.sim.Frame()+2) })
 		case 4:
 			resp := doRequest(t, http.MethodDelete, fmt.Sprintf("%s/v1/requests/%d", ts.URL, ids[rng.Intn(len(ids))]), "")
 			if resp.StatusCode == http.StatusOK {
 				cancelled++
 			}
 		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", f, err)
+		}
 		if resp := postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 1}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("frame %d: POST /v1/tick = %d", f, resp.StatusCode)
 		}
 	}
 
-	srv.mu.Lock()
-	st := srv.sim.Stats()
-	srv.mu.Unlock()
+	var st sim.Stats
+	srv.locked(func() { st = srv.sim.Stats() })
 	if st.Frames != frames || st.Breakdowns == 0 || cancelled == 0 || st.Events[sim.EventAssign] == 0 {
 		t.Fatalf("run saw %d frames, %d breakdowns, %d cancels, %d assignments; the pin proves nothing",
 			st.Frames, st.Breakdowns, cancelled, st.Events[sim.EventAssign])

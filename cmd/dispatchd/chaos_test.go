@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/fleet"
@@ -136,42 +137,6 @@ func TestDeleteRequestErrors(t *testing.T) {
 	}
 }
 
-func TestChaosEndpoint(t *testing.T) {
-	ts := testServer(t)
-
-	resp := postJSON(t, ts.URL+"/v1/chaos", chaosIn{Kind: "outage", TaxiID: 0, Frames: 5})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("outage status = %d", resp.StatusCode)
-	}
-	out := decode[map[string]any](t, resp)
-	if out["kind"] != "outage" || out["to"].(float64) != 5 {
-		t.Errorf("outage body = %v", out)
-	}
-
-	resp = postJSON(t, ts.URL+"/v1/chaos", chaosIn{Kind: "breakdown", TaxiID: 1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("breakdown status = %d", resp.StatusCode)
-	}
-	// Both taxis are now dark: a new request must stay pending.
-	resp = postJSON(t, ts.URL+"/v1/requests", requestIn{
-		Pickup:  pointJSON{X: 10.5, Y: 10},
-		Dropoff: pointJSON{X: 12, Y: 10},
-	})
-	created := decode[requestOut](t, resp)
-	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 3})
-	resp = doRequest(t, http.MethodGet, fmt.Sprintf("%s/v1/requests/%d", ts.URL, created.ID), "")
-	if st := decode[requestStatusOut](t, resp); st.Status != "pending" {
-		t.Errorf("status with whole fleet dark = %q, want pending", st.Status)
-	}
-
-	if resp := postJSON(t, ts.URL+"/v1/chaos", chaosIn{Kind: "meteor", TaxiID: 0}); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown kind status = %d, want 400", resp.StatusCode)
-	}
-	if resp := postJSON(t, ts.URL+"/v1/chaos", chaosIn{Kind: "breakdown", TaxiID: 42}); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown taxi status = %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestStrictPathIDs pins the strconv.Atoi parsing: trailing junk after
 // the numeric ID is a 400, not a silent truncation to the prefix.
 func TestStrictPathIDs(t *testing.T) {
@@ -194,7 +159,7 @@ func TestRecoveryMiddlewareConvertsPanics(t *testing.T) {
 		panic("handler bug")
 	}))
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/taxis", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/report", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("status = %d, want 500", rec.Code)
 	}
@@ -206,6 +171,51 @@ func TestRecoveryMiddlewareConvertsPanics(t *testing.T) {
 	}
 	if got := metrics.panics.Load(); got != 1 {
 		t.Errorf("http_panics_total = %d, want 1", got)
+	}
+}
+
+// panicDispatcher matches nothing on its first frame and panics on its
+// second: a dispatcher bug inside Step.
+type panicDispatcher struct{ calls int }
+
+func (*panicDispatcher) Name() string { return "panic" }
+
+func (d *panicDispatcher) Dispatch(*sim.Frame) ([]fleet.Assignment, error) {
+	if d.calls++; d.calls == 2 {
+		panic("dispatcher bug")
+	}
+	return nil, nil
+}
+
+// TestTickPanicReleasesLock checks a dispatcher panic inside POST
+// /v1/tick, on a daemon without -frame-deadline (so no dispatch.Resilient
+// recovers it), becomes a JSON 500 that leaves the server lock free:
+// /healthz still answers.
+func TestTickPanicReleasesLock(t *testing.T) {
+	cfg := testConfig()
+	cfg.Dispatcher = &panicDispatcher{}
+	ts, _ := startServer(t, cfg)
+	postJSON(t, ts.URL+"/v1/requests", requestIn{
+		Pickup:  pointJSON{X: 10.5, Y: 10},
+		Dropoff: pointJSON{X: 12, Y: 10},
+	})
+	resp := postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 2})
+	if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("tick into a panicking dispatcher: status %d, Content-Type %q; want a JSON 500",
+			resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	if body := decode[map[string]string](t, resp); body["error"] == "" {
+		t.Errorf("500 body %v lacks the error", body)
+	}
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	health, err := client.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz after the panic: %v (server lock still held)", err)
+	}
+	defer health.Body.Close()
+	if h := decode[healthOut](t, health); h.Status != "ok" || h.Frame != 1 {
+		t.Errorf("healthz after the panic = %+v, want ok at frame 1", h)
 	}
 }
 
@@ -234,7 +244,7 @@ func TestPanicBundleKeepsCooldown(t *testing.T) {
 	if path, err := rec.Trigger(500, flightrec.ReasonSLOBreach, "", false); err != nil || path == "" {
 		t.Fatalf("SLO bundle: path=%q err=%v", path, err)
 	}
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/taxis", nil))
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/report", nil))
 	if _, err := rec.Trigger(510, flightrec.ReasonSLOBreach, "", false); err != nil {
 		t.Fatal(err)
 	}

@@ -10,27 +10,11 @@ import (
 	"stabledispatch/internal/sim"
 )
 
-// Decision-provenance surface: /v1/traces/{id} returns a request's raw
-// causal timeline, /v1/explain/{id} folds it into a "why this taxi"
-// answer with ranks and rejected alternatives, and
-// /v1/frames/{n}/stability serves the frame's blocking-pair certificate.
-// All three read the simulator's own trace recorder (Simulator.Tracer),
-// which newServer always attaches.
-
-// getTrace serves the full causal timeline of one request.
-func (s *server) getTrace(w http.ResponseWriter, r *http.Request) {
-	id, err := pathID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	tr, ok := s.sim.Tracer().Trace(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no trace for request %d", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, tr)
-}
+// Decision-provenance surface: /v1/explain/{id} folds a request's causal
+// timeline into a "why this taxi" answer with ranks and rejected
+// alternatives, and /v1/frames/{n}/stability serves the frame's
+// blocking-pair certificate. Both read the simulator's own trace
+// recorder (Simulator.Tracer), which newServer always attaches.
 
 // getStability serves the stability certificate of one committed frame.
 func (s *server) getStability(w http.ResponseWriter, r *http.Request) {
@@ -93,9 +77,9 @@ func (s *server) getExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no trace for request %d", id))
 		return
 	}
-	s.mu.Lock()
-	o, known := s.sim.RequestOutcome(id)
-	s.mu.Unlock()
+	var o sim.RequestOutcome
+	var known bool
+	s.locked(func() { o, known = s.sim.RequestOutcome(id) })
 	if !known {
 		writeError(w, http.StatusNotFound, fmt.Errorf("request %d not found", id))
 		return

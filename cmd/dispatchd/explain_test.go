@@ -39,7 +39,7 @@ func getJSON[T any](t *testing.T, url string) (T, int) {
 // taxi, both preference ranks, and at least one rejected alternative
 // with a reason.
 func TestExplainEveryRequestE2E(t *testing.T) {
-	ts, _ := tracingServer(t)
+	ts, srv := tracingServer(t)
 
 	// Frame 1: three rivals for three taxis. Frame 2: two more requests
 	// while some taxis are still busy.
@@ -100,10 +100,10 @@ func TestExplainEveryRequestE2E(t *testing.T) {
 			t.Errorf("explain %d has empty summary", id)
 		}
 
-		// The raw trace behind it is also served.
-		tr, code := getJSON[dtrace.Trace](t, fmt.Sprintf("%s/v1/traces/%d", ts.URL, id))
-		if code != http.StatusOK {
-			t.Fatalf("trace %d status code = %d", id, code)
+		// The raw trace behind it is the server's own recorder's.
+		tr, ok := srv.sim.Tracer().Trace(id)
+		if !ok {
+			t.Fatalf("no trace recorded for request %d", id)
 		}
 		if tr.RequestID != id || len(tr.Events) == 0 {
 			t.Errorf("trace %d = %+v, want events", id, tr)
@@ -170,20 +170,19 @@ func TestStabilityEndpointE2E(t *testing.T) {
 	}
 }
 
-// TestTraceEndpointErrors pins the 400/404 contract of the new routes.
+// TestTraceEndpointErrors pins the 400/404 contract of the decision-trace
+// routes.
 func TestTraceEndpointErrors(t *testing.T) {
 	ts, _ := tracingServer(t)
 
 	for path, want := range map[string]int{
-		"/v1/traces/xyz":            http.StatusBadRequest,
-		"/v1/traces/9999":           http.StatusNotFound,
 		"/v1/explain/xyz":           http.StatusBadRequest,
 		"/v1/explain/9999":          http.StatusNotFound,
 		"/v1/frames/xyz/stability":  http.StatusBadRequest,
 		"/v1/frames/9999/stability": http.StatusNotFound,
 		"/v1/frames/-1/stability":   http.StatusNotFound, // valid int, no certificate
 		"/v1/frames/1e3/stability":  http.StatusBadRequest,
-		"/v1/traces/12abc":          http.StatusBadRequest,
+		"/v1/explain/12abc":         http.StatusBadRequest,
 		"/v1/explain/%20":           http.StatusBadRequest,
 	} {
 		resp, err := http.Get(ts.URL + path)

@@ -15,19 +15,14 @@
 // API:
 //
 //	POST   /v1/requests       {"pickup":{"x":1,"y":2},"dropoff":{"x":3,"y":4},"seats":1}
+//	GET    /v1/requests/{id}
 //	DELETE /v1/requests/{id}  passenger cancellation (before pickup)
 //	POST   /v1/tick           {"frames":1}
-//	POST   /v1/chaos          {"kind":"outage"|"breakdown","taxiId":3,"frames":30}
-//	GET    /v1/taxis
-//	GET    /v1/requests/{id}
 //	GET    /v1/report
-//	GET    /v1/traces/{id}             full decision trace of one request
+//	GET    /v1/stream                  live SSE feed: kpi, slo, admission, events, notice
 //	GET    /v1/explain/{id}            why this taxi: ranks + rejected alternatives
 //	GET    /v1/frames/{n}/stability    blocking-pair certificate of frame n
-//	GET    /v1/timeseries              per-frame KPI series (?series=&from=&to=&step=&limit=&format=csv)
-//	GET    /v1/slo                     per-objective SLO alert table (-slo-file)
 //	GET    /v1/profile                 frame-budget profiler: stage breakdown, slow-frame attribution
-//	POST   /v1/debug/bundle            force a flight-recorder diagnostic bundle (-bundle-dir)
 //	GET    /v1/metrics        Prometheus text format
 //	GET    /healthz           uptime, frame, occupancy counts, and SLO alert state
 //
@@ -86,8 +81,8 @@ func run(args []string) error {
 		quiet      = fs.Bool("quiet", false, "suppress per-request access logging")
 		frameDDL   = fs.Duration("frame-deadline", 0, "per-frame dispatch compute deadline; overruns and panics degrade to greedy (0 = unbounded)")
 		workers    = fs.Int("workers", 0, "cost-plane worker pool size; 0 = GOMAXPROCS (results are identical for any value)")
-		sloFile    = fs.String("slo-file", "", "SLO definitions file; objectives are evaluated every frame and served at /v1/slo")
-		bundleDir  = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, panic, certificate violation, or POST /v1/debug/bundle")
+		sloFile    = fs.String("slo-file", "", "SLO definitions file; objectives are evaluated every frame, their worst state served in /healthz's slo block and each objective in /v1/metrics' slo_* gauges and the stream's slo topic")
+		bundleDir  = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, panic, certificate violation, or frame-budget overrun")
 		intakeCap  = fs.Int("intake-queue", admission.DefaultQueueCap, "admission queue capacity, at least 1: requests accepted but not yet injected into a frame; beyond it POST /v1/requests sheds 429")
 		maxInfl    = fs.Int("max-inflight", 100000, "max admitted requests that have not reached a terminal state; beyond it POST /v1/requests sheds 429 (at least 0; 0 = unlimited)")
 		profBudget = fs.Duration("prof-budget", 0, "frame deadline budget for the frame-budget profiler; frames over it are overruns and, with -bundle-dir, capture pprof CPU/heap deltas into a flight-recorder bundle (0 = attribution only, no overrun detection)")

@@ -18,6 +18,7 @@ import (
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/prof"
+	"stabledispatch/internal/sim"
 	"stabledispatch/internal/slo"
 	"stabledispatch/internal/tseries"
 )
@@ -282,9 +283,8 @@ func TestMetricsArePerServer(t *testing.T) {
 	}
 
 	got := scrape(t, busyTS.URL)
-	busy.mu.Lock()
-	c := busy.sim.Counts()
-	busy.mu.Unlock()
+	var c sim.Counts
+	busy.locked(func() { c = busy.sim.Counts() })
 	ts := busy.sim.Tracer().Stats()
 	shed := got[`admission_shed_total{reason="queue_full"}`] + got[`admission_shed_total{reason="inflight_cap"}`] +
 		got[`admission_shed_total{reason="draining"}`]
@@ -444,9 +444,11 @@ func TestStreamNotTimedAsRequest(t *testing.T) {
 // TestRouteErrorsAreJSON checks a request no route matches gets the
 // JSON error envelope every handler error uses, with ServeMux's status
 // and, on a 405, its Allow header, while ServeMux's redirect of a
-// non-canonical path reaches the client as ServeMux wrote it.
+// non-canonical path reaches the client as ServeMux wrote it. The
+// routes dispatchd no longer serves are pinned to that 404.
 func TestRouteErrorsAreJSON(t *testing.T) {
 	ts := testServer(t)
+	notFound := http.Header{"Content-Type": {"application/json"}, "Allow": nil}
 	redirect := httptest.NewRecorder()
 	http.RedirectHandler("/v1/nope", http.StatusMovedPermanently).ServeHTTP(redirect, httptest.NewRequest(http.MethodGet, "/v1//nope", nil))
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
@@ -458,8 +460,13 @@ func TestRouteErrorsAreJSON(t *testing.T) {
 	}{
 		{http.MethodPut, "/v1/tick", http.StatusMethodNotAllowed,
 			http.Header{"Content-Type": {"application/json"}, "Allow": {"POST"}}, `{"error":"PUT /v1/tick: method not allowed"}`},
-		{http.MethodGet, "/v1/nope", http.StatusNotFound,
-			http.Header{"Content-Type": {"application/json"}, "Allow": nil}, `{"error":"GET /v1/nope: not found"}`},
+		{http.MethodGet, "/v1/nope", http.StatusNotFound, notFound, `{"error":"GET /v1/nope: not found"}`},
+		{http.MethodGet, "/v1/timeseries", http.StatusNotFound, notFound, `{"error":"GET /v1/timeseries: not found"}`},
+		{http.MethodGet, "/v1/taxis", http.StatusNotFound, notFound, `{"error":"GET /v1/taxis: not found"}`},
+		{http.MethodPost, "/v1/chaos", http.StatusNotFound, notFound, `{"error":"POST /v1/chaos: not found"}`},
+		{http.MethodGet, "/v1/traces/3", http.StatusNotFound, notFound, `{"error":"GET /v1/traces/3: not found"}`},
+		{http.MethodGet, "/v1/slo", http.StatusNotFound, notFound, `{"error":"GET /v1/slo: not found"}`},
+		{http.MethodPost, "/v1/debug/bundle", http.StatusNotFound, notFound, `{"error":"POST /v1/debug/bundle: not found"}`},
 		{http.MethodGet, "/v1//nope", http.StatusMovedPermanently,
 			http.Header{"Content-Type": {redirect.Header().Get("Content-Type")}, "Location": {"/v1/nope"}}, strings.TrimSpace(redirect.Body.String())},
 	} {
@@ -533,6 +540,36 @@ func TestProfileIncludesStageBreakdown(t *testing.T) {
 	}
 	if report["served"] != 1.0 {
 		t.Errorf("/v1/report served = %v, want 1", report["served"])
+	}
+}
+
+// TestTimeseriesStageColumns checks each frame's stage columns in the
+// KPI ring are that frame's own, as /v1/profile summarises them: every
+// frame runs the arrivals phase, and only the frame that dispatches the
+// request builds a dispatch view.
+func TestTimeseriesStageColumns(t *testing.T) {
+	ts := testServer(t)
+	postJSON(t, ts.URL+"/v1/requests", requestIn{
+		Pickup:  pointJSON{X: 10.5, Y: 10},
+		Dropoff: pointJSON{X: 12, Y: 10},
+	})
+	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 3})
+
+	resp, err := http.Get(ts.URL + "/v1/profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	profile := decode[profileOut](t, resp)
+	if profile.FrameLatency == nil || profile.FrameLatency.Count != 3 {
+		t.Fatalf("frame latency %+v, want 3 frames", profile.FrameLatency)
+	}
+	stages := make(map[string]tseries.StageSummary)
+	for _, st := range profile.Stages {
+		stages[st.Stage] = st
+	}
+	if stages["arrivals"].Count != 3 || stages["view"].Count != 1 {
+		t.Errorf("arrivals in %d frames, view in %d; want 3 and 1", stages["arrivals"].Count, stages["view"].Count)
 	}
 }
 

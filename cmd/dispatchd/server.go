@@ -32,7 +32,7 @@ import (
 // server wraps a live simulator behind a JSON HTTP API: the O2O platform
 // view of the dispatcher. Passengers POST requests, an operator (or a
 // timer) POSTs ticks to advance dispatch frames, and anyone can read the
-// fleet and the running metrics.
+// running metrics.
 //
 // Ingestion is decoupled from the frame loop: POST /v1/requests runs
 // admission control and enqueues under the controller's own mutex, never
@@ -107,9 +107,9 @@ func newServer(cfg config) (*server, error) {
 		SpeedKmH:   cfg.SpeedKmH,
 		Workers:    cfg.Workers,
 		Events:     admissionSink(adm),
-		// A sliding window (no downsampling): operators polling
-		// /v1/timeseries care about the recent trajectory, and the
-		// stage distributions cover the same retained frames.
+		// A sliding window (no downsampling): /v1/profile, /v1/metrics
+		// and the stream's connect snapshot describe the recent
+		// frames, not a thinned whole run.
 		KPI: tseries.New(tseries.Config{Capacity: tseries.DefaultCapacity}),
 		SLO: cfg.SLO,
 		Ledger: prof.New(prof.Config{
@@ -161,11 +161,33 @@ func admissionSink(c *admission.Controller) sim.EventSink {
 	})
 }
 
-// step advances one frame under the server lock; the auto-ticker uses it.
-func (s *server) step() error {
+// locked runs f under s.mu. Every holder of s.mu goes through it or
+// unlocks by defer, so a panic in f — a dispatcher bug inside Step,
+// recovered into a 500 by withRecovery — still releases the lock and
+// later requests and the auto-ticker are not blocked forever.
+func (s *server) locked(f func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stepLocked()
+	f()
+}
+
+// step advances one frame under the server lock; the auto-ticker uses it.
+func (s *server) step() error {
+	_, err := s.stepN(1)
+	return err
+}
+
+// stepN advances n frames under one hold of s.mu and returns the frame
+// reached.
+func (s *server) stepN(n int) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := 0; i < n; i++ {
+		if err := s.stepLocked(); err != nil {
+			return 0, err
+		}
+	}
+	return s.sim.Frame(), nil
 }
 
 // stepLocked injects every request admitted since the last boundary —
@@ -215,20 +237,14 @@ func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/requests", s.postRequest)
 	mux.HandleFunc("POST /v1/tick", s.postTick)
-	mux.HandleFunc("GET /v1/taxis", s.getTaxis)
 	mux.HandleFunc("GET /v1/report", s.getReport)
 	mux.HandleFunc("GET /v1/requests/{id}", s.getRequest)
 	mux.HandleFunc("DELETE /v1/requests/{id}", s.deleteRequest)
-	mux.HandleFunc("POST /v1/chaos", s.postChaos)
 	mux.HandleFunc("GET "+streamPath, s.getStream)
 	mux.HandleFunc("GET /v1/metrics", s.getMetrics)
-	mux.HandleFunc("GET /v1/timeseries", s.getTimeseries)
-	mux.HandleFunc("GET /v1/traces/{id}", s.getTrace)
 	mux.HandleFunc("GET /v1/explain/{id}", s.getExplain)
 	mux.HandleFunc("GET /v1/frames/{n}/stability", s.getStability)
-	mux.HandleFunc("GET /v1/slo", s.getSLO)
 	mux.HandleFunc("GET /v1/profile", s.getProfile)
-	mux.HandleFunc("POST /v1/debug/bundle", s.postBundle)
 	mux.HandleFunc("GET /healthz", s.getHealth)
 	return withJSONRouteErrors(mux)
 }
@@ -260,9 +276,8 @@ type healthOut struct {
 }
 
 func (s *server) getHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	c := s.sim.Counts()
-	s.mu.Unlock()
+	var c sim.Counts
+	s.locked(func() { c = s.sim.Counts() })
 	status := "ok"
 	if s.adm.Draining() {
 		status = "draining"
@@ -400,50 +415,13 @@ func (s *server) postTick(w http.ResponseWriter, r *http.Request) {
 // duration of a large batch.
 func (s *server) tick(n int) (frame int, err error) {
 	for n > 0 {
-		chunk := n
-		if chunk > tickChunkFrames {
-			chunk = tickChunkFrames
-		}
+		chunk := min(n, tickChunkFrames)
 		n -= chunk
-		s.mu.Lock()
-		for i := 0; i < chunk; i++ {
-			if err := s.stepLocked(); err != nil {
-				s.mu.Unlock()
-				return 0, err
-			}
+		if frame, err = s.stepN(chunk); err != nil {
+			return 0, err
 		}
-		frame = s.sim.Frame()
-		s.mu.Unlock()
 	}
 	return frame, nil
-}
-
-type taxiOut struct {
-	ID       int       `json:"id"`
-	Pos      pointJSON `json:"pos"`
-	Idle     bool      `json:"idle"`
-	Load     int       `json:"load"`
-	Onboard  []int     `json:"onboard,omitempty"`
-	Assigned []int     `json:"assigned,omitempty"`
-}
-
-func (s *server) getTaxis(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	views := s.sim.TaxiViews()
-	s.mu.Unlock()
-	out := make([]taxiOut, len(views))
-	for i, v := range views {
-		onboard, assigned := v.Riders()
-		out[i] = taxiOut{
-			ID:       v.ID,
-			Pos:      pointJSON{X: v.Pos.X, Y: v.Pos.Y},
-			Idle:     v.Idle,
-			Load:     v.Load,
-			Onboard:  onboard,
-			Assigned: assigned,
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // reportOut is the GET /v1/report payload: the paper's §VI metrics so
@@ -461,10 +439,9 @@ type reportOut struct {
 }
 
 func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	rep := s.sim.Snapshot()
-	frame := s.sim.Frame()
-	s.mu.Unlock()
+	var rep *sim.Report
+	var frame int
+	s.locked(func() { rep, frame = s.sim.Snapshot(), s.sim.Frame() })
 	writeJSON(w, http.StatusOK, reportOut{
 		Algorithm:         rep.Algorithm,
 		Frame:             frame,
@@ -489,9 +466,8 @@ func (s *server) getReport(w http.ResponseWriter, _ *http.Request) {
 // which export nothing when not configured.
 func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	var p obs.Writer
-	s.mu.Lock()
-	st := s.sim.Stats()
-	s.mu.Unlock()
+	var st sim.Stats
+	s.locked(func() { st = s.sim.Stats() })
 	p.Counter("sim_frames_total", uint64(st.Frames))
 	p.Gauge("sim_pending_requests", float64(st.Pending))
 	kinds := make([]string, 0, len(st.Events))
@@ -628,15 +604,17 @@ func (s *server) getRequest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mu.Lock()
-	o, ok := s.sim.RequestOutcome(id)
-	if !ok && s.adm.Queued(id) {
-		// Admitted, waiting for its frame boundary: pending, joining
-		// the current frame.
-		o, ok = sim.RequestOutcome{ID: id, ArrivalFrame: s.sim.Frame(),
-			AssignFrame: -1, PickupFrame: -1, DropoffFrame: -1, TaxiID: -1}, true
-	}
-	s.mu.Unlock()
+	var o sim.RequestOutcome
+	var ok bool
+	s.locked(func() {
+		o, ok = s.sim.RequestOutcome(id)
+		if !ok && s.adm.Queued(id) {
+			// Admitted, waiting for its frame boundary: pending,
+			// joining the current frame.
+			o, ok = sim.RequestOutcome{ID: id, ArrivalFrame: s.sim.Frame(),
+				AssignFrame: -1, PickupFrame: -1, DropoffFrame: -1, TaxiID: -1}, true
+		}
+	})
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("request %d not found", id))
 		return
@@ -663,15 +641,16 @@ func (s *server) deleteRequest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mu.Lock()
-	if queued, ok := s.adm.Withdraw(id); ok {
-		// Not yet injected: hand it to the simulator now and cancel it
-		// before its release, so it never reaches a dispatch frame and
-		// its cancel event settles the in-flight slot.
-		s.injectLocked(queued)
-	}
-	err = s.sim.CancelRequest(id)
-	s.mu.Unlock()
+	s.locked(func() {
+		if queued, ok := s.adm.Withdraw(id); ok {
+			// Not yet injected: hand it to the simulator now and
+			// cancel it before its release, so it never reaches a
+			// dispatch frame and its cancel event settles the
+			// in-flight slot.
+			s.injectLocked(queued)
+		}
+		err = s.sim.CancelRequest(id)
+	})
 	switch {
 	case errors.Is(err, sim.ErrUnknownRequest):
 		writeError(w, http.StatusNotFound, err)
@@ -681,59 +660,6 @@ func (s *server) deleteRequest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 	default:
 		writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "cancelled"})
-	}
-}
-
-type chaosIn struct {
-	// Kind is "outage" (taxi refuses new work for a window, finishing
-	// its current fare) or "breakdown" (taxi dies on the spot: route
-	// unwound, riders rescued).
-	Kind   string `json:"kind"`
-	TaxiID int    `json:"taxiId"`
-	// From is the outage start frame (outages only; defaults to the
-	// current frame).
-	From int `json:"from"`
-	// Frames is the fault duration (defaults to 30).
-	Frames int `json:"frames"`
-}
-
-// postChaos injects an outage or breakdown into the live simulation, so
-// operators can rehearse fleet failures against the running dispatcher.
-func (s *server) postChaos(w http.ResponseWriter, r *http.Request) {
-	var in chaosIn
-	if code, err := decodeBody(r, &in); code != 0 {
-		writeError(w, code, fmt.Errorf("decode chaos: %w", err))
-		return
-	}
-	if in.Frames <= 0 {
-		in.Frames = sim.DefaultRepairFrames
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	frame := s.sim.Frame()
-	switch in.Kind {
-	case "outage":
-		from := in.From
-		if from < frame {
-			from = frame
-		}
-		if err := s.sim.InjectOutage(in.TaxiID, from, from+in.Frames); err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"kind": "outage", "taxiId": in.TaxiID, "from": from, "to": from + in.Frames,
-		})
-	case "breakdown":
-		if err := s.sim.InjectBreakdown(in.TaxiID, in.Frames); err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"kind": "breakdown", "taxiId": in.TaxiID, "from": frame, "to": frame + in.Frames,
-		})
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown chaos kind %q (want outage or breakdown)", in.Kind))
 	}
 }
 

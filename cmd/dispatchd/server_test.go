@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"stabledispatch/internal/carpool"
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/exp"
 	"stabledispatch/internal/fleet"
@@ -140,59 +138,6 @@ func TestRequestLifecycleOverHTTP(t *testing.T) {
 	}
 	if report.Frame != 10 {
 		t.Errorf("frame = %d, want 10", report.Frame)
-	}
-}
-
-func TestGetTaxis(t *testing.T) {
-	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/v1/taxis")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	taxis := decode[[]taxiOut](t, resp)
-	if len(taxis) != 2 {
-		t.Fatalf("got %d taxis", len(taxis))
-	}
-	if !taxis[0].Idle || taxis[0].Load != 0 {
-		t.Errorf("taxi 0 = %+v", taxis[0])
-	}
-
-	// A busy RAII taxi carrying riders 7 and 3 with insertions 9 and 5
-	// still ahead: the rider lists are ascending, not in route order.
-	busy, srv := startServer(t, config{
-		Taxis:      []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}},
-		Params:     pref.Unbounded(),
-		Dispatcher: carpool.NewRAII(carpool.DefaultConfig()),
-		SpeedKmH:   60,
-	})
-	at := func(x float64) geo.Point { return geo.Point{X: x, Y: 10} }
-	for _, r := range []fleet.Request{
-		{ID: 7, Pickup: at(10.2), Dropoff: at(20)},
-		{ID: 3, Pickup: at(11.5), Dropoff: at(19)},
-		{ID: 9, Pickup: at(16), Dropoff: at(18)},
-		{ID: 5, Pickup: at(15), Dropoff: at(17)},
-	} {
-		r.Frame = srv.sim.Frame()
-		if err := srv.sim.Inject(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err = http.Get(busy.URL + "/v1/taxis")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = `[{"id":0,"pos":{"x":14,"y":10},"idle":false,"load":2,"onboard":[3,7],"assigned":[5,9]}]`
-	if got := string(bytes.TrimSpace(body)); got != want {
-		t.Errorf("busy /v1/taxis = %s, want %s", got, want)
 	}
 }
 

@@ -3,15 +3,9 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
-	"stabledispatch/internal/dispatch"
-	"stabledispatch/internal/fleet"
-	"stabledispatch/internal/flightrec"
-	"stabledispatch/internal/geo"
-	"stabledispatch/internal/pref"
 	"stabledispatch/internal/slo"
 )
 
@@ -34,29 +28,28 @@ func sloTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// getSLOStatus fetches /v1/slo and returns the single objective.
-func getSLOStatus(t *testing.T, url string) (sloOut, slo.Status) {
+// sloState reads the objective's alert state through /healthz's slo
+// block and its breach count through /v1/metrics.
+func sloState(t *testing.T, url string) (*sloHealth, float64) {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/slo")
-	if err != nil {
-		t.Fatal(err)
+	h, code := getJSON[healthOut](t, url+"/healthz")
+	if code != http.StatusOK {
+		t.Fatalf("GET /healthz status = %d", code)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/slo status = %d", resp.StatusCode)
+	if h.Status != "ok" {
+		t.Errorf("healthz status = %q, want ok (a breach is an alert, not death)", h.Status)
 	}
-	out := decode[sloOut](t, resp)
-	if !out.Enabled || len(out.Objectives) != 1 {
-		t.Fatalf("slo payload = %+v, want enabled with 1 objective", out)
+	if h.SLO == nil || h.SLO.Total != 1 {
+		t.Fatalf("healthz slo = %+v, want 1 objective", h.SLO)
 	}
-	return out, out.Objectives[0]
+	return h.SLO, scrape(t, url)["slo_breaches_total"]
 }
 
 func TestSLOEndpointBreachThenRecover(t *testing.T) {
 	ts := sloTestServer(t)
 
-	if _, st := getSLOStatus(t, ts.URL); st.State != slo.StateOK {
-		t.Fatalf("initial state = %q, want ok", st.State)
+	if st, breaches := sloState(t, ts.URL); st.State != slo.StateOK || breaches != 0 {
+		t.Fatalf("initial state = %q with %v breaches, want ok and 0", st.State, breaches)
 	}
 
 	// Four requests onto two taxis: the first tick leaves a backlog, so
@@ -71,33 +64,19 @@ func TestSLOEndpointBreachThenRecover(t *testing.T) {
 		}
 	}
 	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 1})
-	_, st := getSLOStatus(t, ts.URL)
-	if st.State != slo.StateBreach || st.Breaches != 1 {
-		t.Fatalf("after backlog: state = %q breaches = %d, want breach/1", st.State, st.Breaches)
-	}
-
-	// /healthz carries the alert without going unhealthy.
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	h := decode[healthOut](t, resp)
-	if h.Status != "ok" {
-		t.Errorf("healthz status = %q, want ok (a breach is an alert, not death)", h.Status)
-	}
-	if h.SLO == nil || h.SLO.State != slo.StateBreach || h.SLO.Breaching != 1 {
-		t.Errorf("healthz slo = %+v, want breach with 1 breaching", h.SLO)
+	st, breaches := sloState(t, ts.URL)
+	if st.State != slo.StateBreach || st.Breaching != 1 || breaches != 1 {
+		t.Fatalf("after backlog: healthz slo = %+v, slo_breaches_total = %v; want breach, 1 breaching, 1 breach", st, breaches)
 	}
 
 	// Draining the queue for clear=2 consecutive frames moves the
 	// objective to recovered; clear more healthy frames settle it back
-	// to ok. Tick one frame at a time so the endpoint is observed in
-	// the recovered state before it fades.
+	// to ok. Tick one frame at a time so /healthz is observed in the
+	// recovered state before it fades.
 	sawRecovered := false
 	for i := 0; i < 20 && !sawRecovered; i++ {
 		postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 1})
-		_, st = getSLOStatus(t, ts.URL)
+		st, _ = sloState(t, ts.URL)
 		switch st.State {
 		case slo.StateRecovered:
 			sawRecovered = true
@@ -106,76 +85,28 @@ func TestSLOEndpointBreachThenRecover(t *testing.T) {
 		}
 	}
 	if !sawRecovered {
-		t.Fatalf("objective never recovered: state = %q fast = %g", st.State, st.Fast)
+		t.Fatalf("objective never recovered: healthz slo = %+v", st)
+	}
+	for i := 0; i < 20 && st.State != slo.StateOK; i++ {
+		postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 1})
+		st, breaches = sloState(t, ts.URL)
+	}
+	if st.State != slo.StateOK || st.Breaching != 0 || breaches != 1 {
+		t.Errorf("after recovery: healthz slo = %+v, slo_breaches_total = %v; want ok, 0 breaching, still 1 breach", st, breaches)
 	}
 }
 
+// TestSLOEndpointDisabled checks a daemon without -slo-file exports no
+// SLO state: /healthz has no slo block and /v1/metrics no slo_* family.
 func TestSLOEndpointDisabled(t *testing.T) {
 	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/v1/slo")
-	if err != nil {
-		t.Fatal(err)
+	h, code := getJSON[healthOut](t, ts.URL+"/healthz")
+	if code != http.StatusOK || h.SLO != nil {
+		t.Errorf("no-engine healthz: status %d, slo %+v; want 200 and no slo block", code, h.SLO)
 	}
-	defer resp.Body.Close()
-	out := decode[sloOut](t, resp)
-	if out.Enabled || len(out.Objectives) != 0 {
-		t.Errorf("no-engine payload = %+v, want disabled and empty", out)
-	}
-}
-
-func TestDebugBundleEndpoint(t *testing.T) {
-	ts := testServer(t)
-
-	// Without a flight recorder the endpoint degrades to 503, not 500.
-	resp := postJSON(t, ts.URL+"/v1/debug/bundle", bundleIn{})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("no-recorder status = %d, want 503", resp.StatusCode)
-	}
-
-	dir := t.TempDir()
-	rec, err := flightrec.New(flightrec.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, _ = startServer(t, config{
-		Taxis:      []fleet.Taxi{{ID: 0, Pos: geo.Point{X: 10, Y: 10}}},
-		Params:     pref.Unbounded(),
-		Dispatcher: dispatch.NewNSTDP(),
-		Recorder:   rec,
-	})
-
-	resp = postJSON(t, ts.URL+"/v1/debug/bundle", bundleIn{Detail: "during incident 42"})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("status = %d, want 201", resp.StatusCode)
-	}
-	out := decode[bundleOut](t, resp)
-	m, err := flightrec.ReadManifest(out.Path)
-	if err != nil {
-		t.Fatalf("ReadManifest(%s): %v", out.Path, err)
-	}
-	if m.Trigger.Reason != flightrec.ReasonManual || !m.Trigger.Forced {
-		t.Errorf("trigger = %+v, want forced manual", m.Trigger)
-	}
-	if !strings.Contains(m.Trigger.Detail, "incident 42") {
-		t.Errorf("detail %q lost the operator note", m.Trigger.Detail)
-	}
-
-	// Manual triggers bypass the cooldown: a second POST bundles too.
-	resp = postJSON(t, ts.URL+"/v1/debug/bundle", bundleIn{})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("second bundle status = %d, want 201", resp.StatusCode)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundles := 0
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), flightrec.DefaultBundlePrefix) {
-			bundles++
+	for name := range scrape(t, ts.URL) {
+		if strings.HasPrefix(name, "slo_") {
+			t.Errorf("no-engine metrics export %s", name)
 		}
-	}
-	if bundles != 2 {
-		t.Errorf("bundle count = %d, want 2", bundles)
 	}
 }

@@ -1,12 +1,11 @@
 package main
 
 // GET /v1/stream: the live telemetry feed over server-sent events. One
-// long-lived GET replaces a polling loop over /v1/timeseries, /v1/slo
-// and /healthz: the connection subscribes to the broadcast hub,
-// receives a coherent snapshot of current state (the simulator's event
-// tail included), then gets every subsequent KPI sample, SLO
-// transition, admission decision, lifecycle event, and operator notice
-// the moment it is published.
+// long-lived GET replaces a polling loop over /v1/metrics and /healthz:
+// the connection subscribes to the broadcast hub, receives a coherent
+// snapshot of current state (the simulator's event tail included), then
+// gets every subsequent KPI sample, SLO transition, admission decision,
+// lifecycle event, and operator notice the moment it is published.
 //
 // Wire protocol (text/event-stream):
 //

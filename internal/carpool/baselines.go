@@ -26,7 +26,8 @@ type Config struct {
 	// candidate taxis around a pickup (km).
 	SearchRadius float64
 	// MaxWait bounds the along-route distance to an inserted rider's
-	// pickup — the pickup-deadline window of the cited systems.
+	// pickup — the pickup-deadline window of the cited systems. Zero
+	// admits only a pickup the taxi is already at.
 	MaxWait float64
 }
 
@@ -43,15 +44,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("carpool: negative constraint in config %+v", c)
 	}
 	return nil
-}
-
-// maxWait returns the pickup-deadline window, defaulting to 2θ when the
-// config predates the field.
-func (c Config) maxWait() float64 {
-	if c.MaxWait <= 0 {
-		return 2 * c.Theta
-	}
-	return c.MaxWait
 }
 
 // RAII is the spatio-temporal-index baseline [7]: candidate taxis come
@@ -98,7 +90,7 @@ func (d *RAII) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 			if views[ti].Offline {
 				continue
 			}
-			plan, ok := bestInsertion(views[ti], r, f.Metric, d.cfg.Theta, d.cfg.MaxAdded, d.cfg.maxWait())
+			plan, ok := bestInsertion(views[ti], r, f.Metric, d.cfg.Theta, d.cfg.MaxAdded, d.cfg.MaxWait)
 			if ok && plan.added < best.added {
 				bestTaxi, best = ti, plan
 			}
@@ -145,7 +137,7 @@ func (d *SARP) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 			if views[ti].Offline {
 				continue
 			}
-			plan, ok := bestInsertion(views[ti], r, f.Metric, d.cfg.Theta, d.cfg.MaxAdded, d.cfg.maxWait())
+			plan, ok := bestInsertion(views[ti], r, f.Metric, d.cfg.Theta, d.cfg.MaxAdded, d.cfg.MaxWait)
 			if ok && plan.added < best.added {
 				bestTaxi, best = ti, plan
 			}

@@ -233,9 +233,9 @@ func packConfig(theta float64) share.PackConfig {
 }
 
 // carpoolConfig is the insertion baselines' configuration at detour
-// bound θ: added distance and index radius at 2θ.
+// bound θ: added distance, index radius and pickup-wait window at 2θ.
 func carpoolConfig(theta float64) carpool.Config {
-	return carpool.Config{Theta: theta, MaxAdded: 2 * theta, SearchRadius: 2 * theta}
+	return carpool.Config{Theta: theta, MaxAdded: 2 * theta, SearchRadius: 2 * theta, MaxWait: 2 * theta}
 }
 
 // algorithms maps every algorithm name the commands accept to its

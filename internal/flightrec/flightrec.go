@@ -13,11 +13,12 @@
 //
 // Triggers follow a small taxonomy (see Reason): an SLO breach from
 // internal/slo, a dispatch.Resilient degrade, a recovered panic, a
-// stability-certificate violation from dtrace.Certify, a frame-budget
-// overrun, or a manual operator request (POST /v1/debug/bundle).
+// stability-certificate violation from dtrace.Certify, or a
+// frame-budget overrun.
 //
 // Bundles are rate-limited (a cooldown in frames between automatic
-// triggers; manual triggers may force) and retention-capped (oldest
+// triggers; an overrun capture, paced by the profiler's own cooldown,
+// forces) and retention-capped (oldest
 // bundle directories are deleted beyond MaxBundles), so a flapping SLO
 // cannot fill a disk.
 //
@@ -52,8 +53,6 @@ const (
 	// ReasonOverrun marks a frame that blew the frame-budget profiler's
 	// deadline budget; the bundle carries the capture's pprof evidence.
 	ReasonOverrun Reason = "frame_overrun"
-	// ReasonManual marks an operator-requested bundle.
-	ReasonManual Reason = "manual"
 )
 
 // Defaults for Config.
@@ -69,8 +68,8 @@ type Config struct {
 	// demand). Required.
 	Dir string
 	// CooldownFrames is the minimum number of frames between two
-	// automatic bundles (default DefaultCooldown). Forced (manual)
-	// triggers ignore it.
+	// automatic bundles (default DefaultCooldown). Forced triggers
+	// (overrun captures) ignore it.
 	CooldownFrames int
 	// MaxBundles caps retained bundle directories; beyond it the
 	// oldest are deleted (default DefaultMaxBundles).

@@ -132,7 +132,7 @@ func TestBundleContents(t *testing.T) {
 // registered still writes a valid manifest-only bundle.
 func TestNoContentsWritesManifestOnly(t *testing.T) {
 	r := newTestRecorder(t, Config{})
-	path, err := r.Trigger(0, ReasonManual, "", true)
+	path, err := r.Trigger(0, ReasonOverrun, "", true)
 	if err != nil {
 		t.Fatalf("Trigger: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestCooldownSuppresses(t *testing.T) {
 		t.Errorf("suppressed = %d, want 1", got)
 	}
 	// Forced bypasses the cooldown.
-	if path, err := r.Trigger(60, ReasonManual, "operator", true); err != nil || path == "" {
+	if path, err := r.Trigger(60, ReasonOverrun, "capture", true); err != nil || path == "" {
 		t.Fatalf("forced trigger: path=%q err=%v", path, err)
 	}
 	// Past the cooldown (measured from the forced trigger's frame).
@@ -187,7 +187,7 @@ func TestRetentionPrunesOldest(t *testing.T) {
 	r := newTestRecorder(t, Config{Dir: dir, MaxBundles: 3, CooldownFrames: 1})
 	registerFiles(r, 2)
 	for i := 0; i < 6; i++ {
-		if _, err := r.Trigger(int64(i*10), ReasonManual, "", true); err != nil {
+		if _, err := r.Trigger(int64(i*10), ReasonOverrun, "", true); err != nil {
 			t.Fatalf("trigger %d: %v", i, err)
 		}
 	}

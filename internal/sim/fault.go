@@ -69,9 +69,8 @@ func (s *Simulator) refreshOutages() {
 }
 
 // InjectOutage takes a taxi out of service for the frame window
-// [from, to); a from in the past is clamped to the current frame. The
-// dispatch daemon's chaos endpoint uses this to inject outages into a
-// live simulation.
+// [from, to); a from in the past is clamped to the current frame, so a
+// caller can inject an outage into a running simulation between Steps.
 func (s *Simulator) InjectOutage(taxiID, from, to int) error {
 	if _, ok := s.byID[taxiID]; !ok {
 		return fmt.Errorf("sim: outage names unknown taxi %d", taxiID)

@@ -193,13 +193,3 @@ func (s *Simulator) KPISeries() []tseries.Sample {
 	}
 	return s.cfg.KPI.Snapshot()
 }
-
-// KPIWindow returns the retained samples with frame in [from, to]
-// (negative to means "through the latest"), thinned to every step-th.
-// Empty (never nil) when recording is disabled or the window is empty.
-func (s *Simulator) KPIWindow(from, to int64, step int) []tseries.Sample {
-	if s.cfg.KPI == nil {
-		return []tseries.Sample{}
-	}
-	return s.cfg.KPI.Window(from, to, step)
-}

@@ -60,11 +60,6 @@ func TestKPISeriesRecordsEveryFrame(t *testing.T) {
 	if last.PassDissMean <= 0 {
 		t.Errorf("passenger dissatisfaction mean = %v, want > 0", last.PassDissMean)
 	}
-	// Windowed query matches the snapshot's slice.
-	win := s.KPIWindow(1, -1, 1)
-	if len(win) != len(samples)-1 || win[0].Frame != 1 {
-		t.Fatalf("KPIWindow(1,-1,1) = %d samples, want %d from frame 1", len(win), len(samples)-1)
-	}
 }
 
 // TestKPIExpiredAndDelay checks the expired counter and the nonzero
@@ -86,10 +81,11 @@ func TestKPIExpiredAndDelay(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	last, ok := rec.Last()
-	if !ok {
+	samples := rec.Snapshot()
+	if len(samples) == 0 {
 		t.Fatal("no samples recorded")
 	}
+	last := samples[len(samples)-1]
 	if last.Expired != 1 {
 		t.Errorf("expired = %d, want 1 (request 2 outlives patience)", last.Expired)
 	}
@@ -98,8 +94,8 @@ func TestKPIExpiredAndDelay(t *testing.T) {
 	}
 }
 
-// TestKPIDisabled keeps the nil-recorder path inert: no samples, empty
-// non-nil query results.
+// TestKPIDisabled keeps the nil-recorder path inert: no samples, an
+// empty non-nil series.
 func TestKPIDisabled(t *testing.T) {
 	s, err := New(simpleConfig(nearestDispatcher{}), singleTaxi(geo.Point{}),
 		[]fleet.Request{{ID: 1, Pickup: geo.Point{X: 1}, Dropoff: geo.Point{X: 2}}})
@@ -114,9 +110,6 @@ func TestKPIDisabled(t *testing.T) {
 	}
 	if got := s.KPISeries(); got == nil || len(got) != 0 {
 		t.Errorf("KPISeries = %#v, want empty non-nil", got)
-	}
-	if got := s.KPIWindow(0, -1, 1); got == nil || len(got) != 0 {
-		t.Errorf("KPIWindow = %#v, want empty non-nil", got)
 	}
 }
 

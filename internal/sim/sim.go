@@ -158,14 +158,10 @@ type TaxiView struct {
 	// Route is the taxi's remaining stop sequence. It is the simulator's
 	// own slice, shared and read-only: the simulator never writes into
 	// it, so a view keeps its route after later Steps. A drop-off without
-	// its pickup on the route is a rider on board (see Riders), and the
+	// its pickup on the route is a rider on board (see riders), and the
 	// stops' Seats give the load profile.
 	Route []fleet.Stop
 }
-
-// Riders returns the request IDs on board and those assigned but not
-// yet picked up, each ascending, as read off the route.
-func (v TaxiView) Riders() (onboard, assigned []int) { return riders(v.Route) }
 
 // riders splits a route's requests into those on board (a drop-off
 // without a pickup ahead of it) and those awaiting pickup, each in

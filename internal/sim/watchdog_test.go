@@ -219,7 +219,7 @@ func TestBundleReadsSimulatorStores(t *testing.T) {
 		traced bool
 		minID  int
 	}{{sa, dirA, true, 1}, {sb, dirB, false, 101}} {
-		if _, err := tc.s.Recorder().Trigger(int64(tc.s.Frame()), flightrec.ReasonManual, "", true); err != nil {
+		if _, err := tc.s.Recorder().Trigger(int64(tc.s.Frame()), flightrec.ReasonOverrun, "", true); err != nil {
 			t.Fatal(err)
 		}
 		m := onlyBundle(t, tc.dir)
@@ -358,7 +358,7 @@ func TestBundleWhileStepping(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := s.Recorder().Trigger(0, flightrec.ReasonManual, "", true); err != nil {
+			if _, err := s.Recorder().Trigger(0, flightrec.ReasonOverrun, "", true); err != nil {
 				t.Error(err)
 				return
 			}

@@ -113,7 +113,8 @@ func (o Op) holds(v, threshold float64) bool {
 
 // Def is one declarative objective.
 type Def struct {
-	// Name labels the objective in gauges, /v1/slo, and bundles.
+	// Name labels the objective in gauges, the stream's slo topic, and
+	// bundles.
 	Name string
 	// Agg aggregates Series over each window (AggLast when empty).
 	Agg Agg

@@ -3,9 +3,9 @@
 // transitions, admission accepted/shed/queue-depth, the lifecycle event
 // tail, and degrade/fault notices — out to any number of subscribers in
 // real time. It is the push-based counterpart of the pull endpoints
-// (/v1/metrics, /v1/timeseries): the moment queue depth climbs or an
-// SLO goes warning, every subscriber sees it, instead of on its next
-// poll.
+// (/v1/metrics, /v1/profile, /healthz): the moment queue depth climbs
+// or an SLO goes warning, every subscriber sees it, instead of on its
+// next poll.
 //
 // The contract with the frame loop (the producers' hot path):
 //

@@ -19,18 +19,19 @@
 //     stride doubles, so the whole run's trajectory survives at halving
 //     time resolution — a day-long run fits any capacity.
 //
-// Snapshots and windowed queries copy out under the same mutex Record
-// takes, so readers (the /v1/timeseries handler, the -kpi-out exporter)
-// are safe against a concurrently stepping simulator.
+// Snapshot and LastN copy out under the same mutex Record takes, so
+// readers (/v1/profile and /v1/metrics, the stream's connect snapshot,
+// the -kpi-out exporter, flight-recorder bundles) are safe against a
+// concurrently stepping simulator.
 package tseries
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
-	"unsafe"
 
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/stats"
@@ -91,9 +92,6 @@ type Sample struct {
 	// stage is the series stage_<name>_ns.
 	StageNs [prof.NumStages]int64 `json:"stageNs"`
 }
-
-// sampleBytes is the in-memory width of one Sample.
-const sampleBytes = int(unsafe.Sizeof(Sample{}))
 
 // stageSeries are the stage columns' series names, stage_<name>_ns in
 // prof.StageNames order.
@@ -189,8 +187,6 @@ type Recorder struct {
 	n          int // live sample count
 	stride     int // record every stride-th offered sample (downsampling)
 	skip       int // offers left to skip before the next record
-	offered    int64
-	dropped    int64
 	downsample bool
 }
 
@@ -217,10 +213,8 @@ func New(cfg Config) *Recorder {
 func (r *Recorder) Record(s Sample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.offered++
 	if r.skip > 0 {
 		r.skip--
-		r.dropped++
 		return
 	}
 	r.skip = r.stride - 1
@@ -233,7 +227,6 @@ func (r *Recorder) Record(s Sample) {
 		// Evict the oldest: overwrite it and advance the head.
 		r.buf[r.head] = s
 		r.head = (r.head + 1) % len(r.buf)
-		r.dropped++
 		return
 	}
 	// Compact: keep every second sample (the even offsets), halving the
@@ -244,7 +237,6 @@ func (r *Recorder) Record(s Sample) {
 		r.buf[kept] = r.buf[(r.head+i)%len(r.buf)]
 		kept++
 	}
-	r.dropped += int64(r.n - kept)
 	r.head = 0
 	r.n = kept
 	r.stride *= 2
@@ -255,69 +247,9 @@ func (r *Recorder) Record(s Sample) {
 	r.n++
 }
 
-// Len returns the number of retained samples.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Stride returns the current recording stride: 1 until the first
-// downsampling compaction, doubling at each.
-func (r *Recorder) Stride() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stride
-}
-
-// Offered returns how many samples were offered to Record.
-func (r *Recorder) Offered() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.offered
-}
-
-// Dropped returns how many offered samples are no longer retained
-// (stride skips, evictions, and compactions).
-func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// MemoryBytes returns the fixed ring memory bound in bytes.
-func (r *Recorder) MemoryBytes() int { return len(r.buf) * sampleBytes }
-
 // Snapshot copies out every retained sample in chronological order. The
 // result is never nil.
-func (r *Recorder) Snapshot() []Sample {
-	return r.Window(0, -1, 1)
-}
-
-// Window copies out the retained samples with Frame in [from, to],
-// keeping every step-th (step < 1 is treated as 1). A negative to means
-// "through the latest frame". An empty window yields an empty, non-nil
-// slice.
-func (r *Recorder) Window(from, to int64, step int) []Sample {
-	if step < 1 {
-		step = 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := []Sample{}
-	kept := 0
-	for i := 0; i < r.n; i++ {
-		s := r.buf[(r.head+i)%len(r.buf)]
-		if s.Frame < from || (to >= 0 && s.Frame > to) {
-			continue
-		}
-		if kept%step == 0 {
-			out = append(out, s)
-		}
-		kept++
-	}
-	return out
-}
+func (r *Recorder) Snapshot() []Sample { return r.LastN(math.MaxInt) }
 
 // LastN copies out the newest n retained samples in chronological
 // order (all of them when n exceeds the retained count). The result is
@@ -337,16 +269,6 @@ func (r *Recorder) LastN(n int) []Sample {
 		out = append(out, r.buf[(r.head+i)%len(r.buf)])
 	}
 	return out
-}
-
-// Last returns the most recent sample, or ok=false on an empty ring.
-func (r *Recorder) Last() (Sample, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n == 0 {
-		return Sample{}, false
-	}
-	return r.buf[(r.head+r.n-1)%len(r.buf)], true
 }
 
 // WriteCSV renders samples as a CSV table: a frame column followed by

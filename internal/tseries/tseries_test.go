@@ -29,11 +29,8 @@ func TestEvictKeepsSlidingWindow(t *testing.T) {
 			t.Errorf("sample %d has frame %d, want %d", i, s.Frame, want)
 		}
 	}
-	if r.Stride() != 1 {
-		t.Errorf("evict policy changed stride to %d", r.Stride())
-	}
-	if r.Offered() != 10 || r.Dropped() != 6 {
-		t.Errorf("offered/dropped = %d/%d, want 10/6", r.Offered(), r.Dropped())
+	if r.stride != 1 {
+		t.Errorf("evict policy changed stride to %d", r.stride)
 	}
 }
 
@@ -45,7 +42,7 @@ func TestDownsampleDoublesStride(t *testing.T) {
 	for f := int64(0); f < 64; f++ {
 		r.Record(sampleAt(f))
 	}
-	if got := r.Stride(); got != 8 {
+	if got := r.stride; got != 8 {
 		t.Fatalf("stride = %d, want 8 after compactions", got)
 	}
 	got := r.Snapshot()
@@ -59,46 +56,33 @@ func TestDownsampleDoublesStride(t *testing.T) {
 			t.Errorf("retained sample %d has frame %d, want %d", i, s.Frame, want)
 		}
 	}
-	if r.Offered() != 64 {
-		t.Errorf("offered = %d, want 64", r.Offered())
-	}
-	if int64(len(got))+r.Dropped() != r.Offered() {
-		t.Errorf("retained %d + dropped %d != offered %d", len(got), r.Dropped(), r.Offered())
-	}
 }
 
-// TestWindowQueries covers from/to/step filtering and the well-formed
-// empty result.
+// TestWindowQueries covers LastN's trailing window, its clamping, and
+// the well-formed empty result of both queries.
 func TestWindowQueries(t *testing.T) {
 	r := New(Config{Capacity: 100})
 	for f := int64(0); f < 50; f++ {
 		r.Record(sampleAt(f))
 	}
-	got := r.Window(10, 19, 1)
-	if len(got) != 10 || got[0].Frame != 10 || got[9].Frame != 19 {
-		t.Fatalf("window [10,19] returned %d samples (%v..%v)", len(got), got[0].Frame, got[len(got)-1].Frame)
+	got := r.LastN(10)
+	if len(got) != 10 || got[0].Frame != 40 || got[9].Frame != 49 {
+		t.Fatalf("LastN(10) returned %d samples (%v..%v)", len(got), got[0].Frame, got[len(got)-1].Frame)
 	}
-	stepped := r.Window(0, -1, 10)
-	if len(stepped) != 5 {
-		t.Fatalf("step 10 over 50 samples returned %d, want 5", len(stepped))
-	}
-	for i, s := range stepped {
-		if want := int64(i * 10); s.Frame != want {
-			t.Errorf("stepped sample %d has frame %d, want %d", i, s.Frame, want)
-		}
+	if all := r.LastN(1000); len(all) != 50 || all[0].Frame != 0 {
+		t.Fatalf("LastN(1000) over 50 samples returned %d starting at %v, want all 50 from frame 0", len(all), all[0].Frame)
 	}
 	// Empty window: non-nil, zero length, no panic.
-	empty := r.Window(1000, 2000, 1)
-	if empty == nil || len(empty) != 0 {
-		t.Fatalf("empty window = %#v, want non-nil empty slice", empty)
+	if empty := r.LastN(0); empty == nil || len(empty) != 0 {
+		t.Fatalf("LastN(0) = %#v, want non-nil empty slice", empty)
 	}
 	// Empty recorder behaves the same.
 	fresh := New(Config{})
 	if s := fresh.Snapshot(); s == nil || len(s) != 0 {
 		t.Fatalf("empty recorder snapshot = %#v, want non-nil empty slice", s)
 	}
-	if _, ok := fresh.Last(); ok {
-		t.Error("Last on empty recorder reported ok")
+	if s := fresh.LastN(5); s == nil || len(s) != 0 {
+		t.Fatalf("empty recorder LastN(5) = %#v, want non-nil empty slice", s)
 	}
 }
 
@@ -129,14 +113,12 @@ func TestConcurrentWriteSnapshot(t *testing.T) {
 				for _, s := range r.Snapshot() {
 					_ = s.Frame
 				}
-				r.Window(100, 4000, 7)
-				r.Last()
-				r.Len()
+				r.LastN(100)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Len(); got == 0 {
+	if got := len(r.Snapshot()); got == 0 {
 		t.Fatal("no samples retained after concurrent run")
 	}
 }
@@ -229,13 +211,13 @@ func TestRecordNoAllocs(t *testing.T) {
 
 func TestMemoryBound(t *testing.T) {
 	r := New(Config{Capacity: 100})
-	if got, want := r.MemoryBytes(), 100*sampleBytes; got != want {
-		t.Errorf("MemoryBytes = %d, want %d", got, want)
+	if got := len(r.buf); got != 100 {
+		t.Errorf("ring allocated %d samples, want the capacity 100", got)
 	}
 	for f := int64(0); f < 100000; f++ {
 		r.Record(sampleAt(f))
 	}
-	if got := r.Len(); got > 100 {
+	if got := len(r.Snapshot()); got > 100 {
 		t.Errorf("ring grew to %d samples past its capacity", got)
 	}
 }

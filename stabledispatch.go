@@ -159,8 +159,7 @@ type (
 	Frame = sim.Frame
 	// TaxiView is the dispatcher-visible state of one taxi. Its Route is
 	// the simulator's own slice, shared and read-only (the simulator
-	// never writes into it); Riders derives the onboard and assigned
-	// request IDs from it.
+	// never writes into it).
 	TaxiView = sim.TaxiView
 	// Dispatcher decides assignments each frame.
 	Dispatcher = sim.Dispatcher
@@ -271,7 +270,7 @@ type (
 )
 
 // NewKPIRecorder returns a per-frame KPI ring; attach it via
-// SimConfig.KPI and query it with Simulator.KPISeries / KPIWindow.
+// SimConfig.KPI and read it with Simulator.KPISeries.
 func NewKPIRecorder(cfg KPIRecorderConfig) *KPIRecorder { return tseries.New(cfg) }
 
 // Trace and workload types.
@@ -361,8 +360,8 @@ func (e *UnknownFigureError) Error() string {
 // Flight-recorder types: a black box that freezes its simulator's own
 // stores into a self-contained diagnostic bundle (manifest, the KPI
 // ring as CSV, the event tail as JSONL, the decision trace) on SLO
-// breach, dispatch degrade, stability violation, frame overrun, panic,
-// or manual trigger.
+// breach, dispatch degrade, stability violation, frame overrun, or
+// panic.
 type (
 	// FlightRecorder is the black box: trigger policy and bundle writer.
 	FlightRecorder = flightrec.Recorder

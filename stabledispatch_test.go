@@ -362,8 +362,10 @@ func TestFacadeKPISeries(t *testing.T) {
 			t.Errorf("series %q not readable from a sample", name)
 		}
 	}
-	if win := s.KPIWindow(1, 3, 1); len(win) != 3 || win[0].Frame != 1 {
-		t.Errorf("KPIWindow(1,3,1) = %d samples starting %v", len(win), win)
+	for i, smp := range samples {
+		if smp.Frame != int64(i) {
+			t.Fatalf("KPISeries()[%d] is frame %d, want one sample per frame in order", i, smp.Frame)
+		}
 	}
 }
 
