@@ -8,6 +8,7 @@ package stabledispatch
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -344,12 +345,17 @@ func BenchmarkAblationStableVariant(b *testing.B) {
 // BenchmarkCostPlane measures one frame's shared distance-plane build —
 // the threshold-pruned configuration the non-sharing stable dispatchers
 // request (pref.PlaneConfig) — serially and with the default worker
-// pool, and reports the stored share of the T·R cells. The road variant
-// rebuilds the shortest-path cache each iteration so the pool is
-// measured against cold Dijkstra fills, not cache hits; note on a
-// single-core runner the parallel rows match the serial ones.
+// pool, and reports the stored share of the T·R cells. Two frame shapes:
+// the dense Boston frame (100 requests, 400 taxis, most cells kept, on
+// Euclid and on a road grid) and a sparser New York rush-hour frame
+// (300 requests, 380 taxis, 15% kept), where the disc grid skips three
+// quarters of the T·R disc tests. The road variant rebuilds the
+// shortest-path cache each iteration so the pool is measured against
+// cold Dijkstra fills, not cache hits; note on a single-core runner the
+// parallel rows match the serial ones.
 func BenchmarkCostPlane(b *testing.B) {
 	reqs, taxis := benchWorld(b, 100, 400)
+	nycReqs, nycTaxis := nycFrame(b, 300, 380)
 	cfg := pref.PlaneConfig(pref.DefaultParams())
 	g, err := roadnet.NewGrid(roadnet.GridConfig{Rows: 24, Cols: 24, Spacing: 1, Seed: 7})
 	if err != nil {
@@ -361,21 +367,44 @@ func BenchmarkCostPlane(b *testing.B) {
 	}{{"serial", 1}, {"parallel", 0}} {
 		cfg := cfg
 		cfg.Workers = workers.n
-		b.Run("euclid/"+workers.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var pl *costplane.Plane
-			for i := 0; i < b.N; i++ {
-				pl = costplane.Build(reqs, taxis, geo.EuclidMetric, cfg)
-			}
-			b.ReportMetric(float64(pl.Entries())/float64(pl.Cells()), "entries/cell")
-		})
-		b.Run("road/"+workers.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var pl *costplane.Plane
-			for i := 0; i < b.N; i++ {
-				pl = costplane.Build(reqs, taxis, roadnet.NewMetric(g, 256), cfg)
-			}
-			b.ReportMetric(float64(pl.Entries())/float64(pl.Cells()), "entries/cell")
-		})
+		for _, bc := range []struct {
+			name   string
+			reqs   []fleet.Request
+			taxis  []fleet.Taxi
+			metric func() geo.Metric
+		}{
+			{"euclid", reqs, taxis, func() geo.Metric { return geo.EuclidMetric }},
+			{"road", reqs, taxis, func() geo.Metric { return roadnet.NewMetric(g, 256) }},
+			{"nyc", nycReqs, nycTaxis, func() geo.Metric { return geo.EuclidMetric }},
+		} {
+			b.Run(bc.name+"/"+workers.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var pl *costplane.Plane
+				for i := 0; i < b.N; i++ {
+					pl = costplane.Build(bc.reqs, bc.taxis, bc.metric(), cfg)
+				}
+				b.ReportMetric(float64(pl.Entries())/float64(pl.Cells()), "entries/cell")
+			})
+		}
 	}
+}
+
+// nycFrame returns a New York rush-hour frame: the first nReqs
+// requests of the calibrated day from 08:00, and nTaxis taxis spread
+// over the city.
+func nycFrame(b *testing.B, nReqs, nTaxis int) ([]fleet.Request, []fleet.Taxi) {
+	b.Helper()
+	reqs, err := trace.Generate(trace.NewYorkConfig(600, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := sort.Search(len(reqs), func(j int) bool { return reqs[j].Frame >= 480 })
+	if len(reqs)-start < nReqs {
+		b.Fatalf("trace holds %d requests from 08:00, want %d", len(reqs)-start, nReqs)
+	}
+	taxis, err := trace.Taxis(trace.NewYork(), nTaxis, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return reqs[start : start+nReqs], taxis
 }

@@ -5,7 +5,7 @@
 // preference construction, the baselines' cost matrix, and share-group
 // formation.
 //
-// Two things make the plane cheaper than the query-as-you-go pattern it
+// Three things make the plane cheaper than the query-as-you-go pattern it
 // replaces. First, threshold pruning: the straight line lower-bounds
 // every metric in this repository, so a taxi whose straight-line
 // distance to a pickup exceeds the largest pickup any market could
@@ -19,10 +19,15 @@
 // packed on the plane's trips and pair rows, so its taxi pass runs
 // afterwards, over per-request radii package share computes
 // (Plane.WithTaxis); a negative radius leaves a request's column out.
-// Second, batched parallel construction: each row is one
-// single-source job (served by geo.BatchMetric when the metric provides
-// one, so a road-network row costs one Dijkstra traversal over the
-// row's candidates), and rows are computed by a bounded worker pool.
+// Second, a disc grid: the taxi pass buckets every pickup's disc by the
+// cells of a uniform grid over the taxis that its bounding box overlaps,
+// so each taxi tests only the discs listed under its own cell instead of
+// every column (discGrid), unless the discs are so wide that the full
+// scan is cheaper. Third, batched parallel construction: each
+// row is one single-source job (served by geo.BatchMetric when the
+// metric provides one, so a road-network row costs one Dijkstra
+// traversal over the row's candidates), and rows are computed by a
+// bounded worker pool sized by the distance tests the pass makes.
 //
 // Construction is bit-deterministic: every row's contents depend only
 // on the inputs, never on worker count or scheduling, because each row
@@ -203,15 +208,16 @@ func (p *Plane) CostMatrix() [][]float64 {
 	return cost
 }
 
-// autoSerialCells is the plane size below which auto worker sizing
-// (Config.Workers ≤ 0) skips the pool: at a few thousand cells the
-// goroutine spawn and join cost more than the distance work they would
-// split. An explicit positive worker count is always honoured, so tests
-// can force the pool onto arbitrarily small planes.
+// autoSerialCells is the pass size, in distance tests, below which auto
+// worker sizing (Config.Workers ≤ 0) skips the pool: at a few thousand
+// tests the goroutine spawn and join cost more than the distance work
+// they would split. An explicit positive worker count is always
+// honoured, so tests can force the pool onto arbitrarily small planes.
 const autoSerialCells = 4096
 
-// poolSize resolves a worker count for a pass over cells cells split into
-// jobs jobs: ≤ 0 means GOMAXPROCS, or one worker below autoSerialCells.
+// poolSize resolves a worker count for a pass of cells distance tests
+// split into jobs jobs: ≤ 0 means GOMAXPROCS, or one worker below
+// autoSerialCells.
 func poolSize(workers, cells, jobs int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -258,11 +264,16 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 		}
 	}
 
-	workers := poolSize(cfg.Workers, t*r+dense, t+r)
-	parallel(workers, r, func(_, j int) {
+	work := dense
+	if p.batch != nil {
+		// Each request row is a traversal, not a cell test: size the
+		// pool by the whole plane.
+		work += t * r
+	}
+	parallel(poolSize(cfg.Workers, work, r), r, func(_, j int) {
 		p.buildRequestRow(j, prunePair, cfg.PairRadius)
 	})
-	p.fillRows(taxis, radii(cfg, p.trip), workers)
+	p.fillRows(taxis, radii(cfg, p.trip), cfg.Workers)
 	return p
 }
 
@@ -276,33 +287,56 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 // does; p itself is not modified.
 func (p *Plane) WithTaxis(taxis []fleet.Taxi, radii []float64, workers int) *Plane {
 	q := *p
-	q.fillRows(taxis, radii, poolSize(workers, len(taxis)*len(radii), len(taxis)))
+	q.fillRows(taxis, radii, workers)
 	return &q
 }
 
 // fillRows is the taxi pass: it sets p.Taxis and computes every taxi's
-// row on `workers` goroutines.
+// row, on a pool that workers sizes as Config.Workers does.
 func (p *Plane) fillRows(taxis []fleet.Taxi, radii []float64, workers int) {
 	p.Taxis = taxis
 	p.rows = make([][]Entry, len(taxis))
+	if len(taxis) == 0 {
+		return
+	}
 	discs, cols, pruned := scanDiscs(p.Requests, radii)
 	c, t := len(discs), len(taxis)
 	if !pruned {
 		// Every row holds every scanned column, so the rows share one
 		// exactly sized slab.
 		slab := make([]Entry, t*c)
-		parallel(workers, t, func(_, i int) {
-			p.rows[i] = p.buildPickupRow(i, discs, cols, slab[i*c:i*c:(i+1)*c])
+		parallel(poolSize(workers, t*c, t), t, func(_, i int) {
+			p.rows[i] = p.buildPickupRow(i, discs, cols, nil, slab[i*c:i*c:(i+1)*c])
 		})
 		return
 	}
+	g := newDiscGrid(taxis, discs)
+	tests := t * c // without a grid every row tests every disc
+	if g != nil {
+		tests = 0
+		for _, taxi := range taxis {
+			tests += len(g.at(taxi.Pos))
+		}
+	}
+	work := tests
+	if p.batch != nil {
+		// Each row is a traversal, not a cell test: size the pool by
+		// the whole plane.
+		work = t * c
+	}
+	workers = poolSize(workers, work, t)
 	// A threshold plane keeps a few percent of the cells, so each
 	// worker's first block guesses 1/32 of its share of the plane.
 	arenas := make([]rowArena, workers)
 	hint := max(c, t*c/(32*workers))
 	parallel(workers, t, func(w, i int) {
 		a := &arenas[w]
-		p.rows[i] = a.keep(p.buildPickupRow(i, discs, cols, a.reserve(c, hint)))
+		cand, n := []int32(nil), c
+		if g != nil {
+			cand = g.at(taxis[i].Pos)
+			n = len(cand)
+		}
+		p.rows[i] = a.keep(p.buildPickupRow(i, discs, cols, cand, a.reserve(n, hint)))
 	})
 }
 
@@ -419,27 +453,183 @@ func scanDiscs(reqs []fleet.Request, radii []float64) ([]disc, []int32, bool) {
 	return discs, cols, pruned
 }
 
-// buildPickupRow appends taxi i's stored cells to dst, whose capacity
-// holds every scanned column, and returns it: the pickups whose disc
-// holds the taxi. The squared pre-test rejects most pickups before any
-// square root; the exact straight-line rule decides the rest. The straight
-// line lower-bounds every metric here, so a pruned cell's true distance
-// also exceeds its radius and fails the threshold the radius came from.
-// Scalar metrics compute each candidate directly; batching metrics
-// spend one single-source traversal on the row's candidates.
-func (p *Plane) buildPickupRow(i int, discs []disc, cols []int32, dst []Entry) []Entry {
-	src := p.Taxis[i].Pos
-	var dsts []geo.Point // batching metrics: the row's candidate pickups
-	for x, d := range discs {
-		dx, dy := d.pickup.X-src.X, d.pickup.Y-src.Y
-		if dx*dx+dy*dy > d.sq || (!math.IsInf(d.r, 1) && geo.Euclid(src, d.pickup) > d.r) {
+// discGrid buckets the scanned discs by the cells of a uniform grid
+// over the taxis' bounding box: each disc is listed under every cell its
+// bounding box, widened outward by netSlack as Radius widens a radius,
+// overlaps, so a taxi whose cell does not list a disc lies outside it.
+// The lists form one CSR index — cell k's discs are
+// list[start[k]:start[k+1]] — each in ascending disc order, so a row
+// built from one comes out in request order with no sort. The grid only
+// narrows the candidates; the exact disc test still decides every cell.
+type discGrid struct {
+	minX, minY float64 // low corner of the taxis' bounding box
+	inv        float64 // 1 / cell side; 0 for a single cell
+	nx, ny     int     // cells per axis
+	start      []int   // [cell] offset of its list in list; nx·ny+1 long
+	list       []int32 // disc indices, ascending within each cell's list
+	every      []int32 // every disc: the list of a taxi at a non-finite position
+}
+
+// cellSpan is the block of cells [x0, x1]×[y0, y1] a disc is listed
+// under; x0 > x1 lists it nowhere.
+type cellSpan struct{ x0, x1, y0, y1 int32 }
+
+// newDiscGrid builds the grid over taxis' positions for discs, or
+// returns nil when the full scan is cheaper. The cell side is the larger
+// of √(area/T) and the longer side over T, so the grid has about one
+// taxi per cell and at most 3T+1 cells; taxis all at one point (or a box
+// too large to measure) get a single cell, which lists every disc and so
+// takes the full scan. Taxis at non-finite positions stay off the grid
+// and test every disc.
+func newDiscGrid(taxis []fleet.Taxi, discs []disc) *discGrid {
+	g := &discGrid{minX: math.Inf(1), minY: math.Inf(1), nx: 1, ny: 1}
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	n := 0
+	for _, taxi := range taxis {
+		pos := taxi.Pos
+		if !finite(pos) {
+			if g.every == nil {
+				g.every = iota32(len(discs))
+			}
 			continue
 		}
+		g.minX, g.minY = min(g.minX, pos.X), min(g.minY, pos.Y)
+		maxX, maxY = max(maxX, pos.X), max(maxY, pos.Y)
+		n++
+	}
+	if n > 0 {
+		w, h := maxX-g.minX, maxY-g.minY
+		side := max(math.Sqrt(w*h/float64(n)), w/float64(n), h/float64(n))
+		if inv := 1 / side; inv > 0 && !math.IsInf(inv, 1) {
+			// A taxi's cell coordinate rounds from (v − min)·inv, which
+			// is at most w·inv, so no taxi falls past the last cell.
+			g.inv, g.nx, g.ny = inv, int(w*inv)+1, int(h*inv)+1
+		}
+	}
+	spans := make([]cellSpan, len(discs))
+	listed := 0
+	for k, d := range discs {
+		spans[k] = g.span(d)
+		listed += max(int(spans[k].x1-spans[k].x0+1), 0) * int(spans[k].y1-spans[k].y0+1)
+	}
+	if 4*listed > len(discs)*g.nx*g.ny {
+		// The boxes cover over a quarter of the grid on average, so
+		// each taxi would still test most discs: listing them costs more
+		// than the tests it saves, and every row scans every disc.
+		return nil
+	}
+	// Count each cell's discs into start, prefix-sum the counts into
+	// each list's end, then fill in descending disc order: every end
+	// walks back to its list's start, and each list comes out ascending.
+	cells := g.nx * g.ny
+	g.start = make([]int, cells+1)
+	for _, s := range spans {
+		for y := s.y0; y <= s.y1; y++ {
+			for x := s.x0; x <= s.x1; x++ {
+				g.start[int(y)*g.nx+int(x)]++
+			}
+		}
+	}
+	for k := 1; k <= cells; k++ {
+		g.start[k] += g.start[k-1]
+	}
+	g.list = make([]int32, g.start[cells])
+	for k := len(spans) - 1; k >= 0; k-- {
+		s := spans[k]
+		for y := s.y0; y <= s.y1; y++ {
+			for x := s.x0; x <= s.x1; x++ {
+				c := int(y)*g.nx + int(x)
+				g.start[c]--
+				g.list[g.start[c]] = int32(k)
+			}
+		}
+	}
+	return g
+}
+
+// span returns the cells that d's bounding box, widened outward by
+// netSlack, overlaps: none when that box lies wholly outside the taxis'
+// box, and every cell for a NaN or +Inf radius (or a NaN pickup
+// coordinate, which the exact test cannot reject), which bounds
+// nothing.
+func (g *discGrid) span(d disc) cellSpan {
+	w := d.r + netSlack*(d.r+math.Abs(d.pickup.X)+math.Abs(d.pickup.Y))
+	ax, bx := (d.pickup.X-w-g.minX)*g.inv, (d.pickup.X+w-g.minX)*g.inv
+	ay, by := (d.pickup.Y-w-g.minY)*g.inv, (d.pickup.Y+w-g.minY)*g.inv
+	nx, ny := float64(g.nx), float64(g.ny)
+	switch {
+	case !(ax <= bx && ay <= by):
+		return cellSpan{0, int32(g.nx - 1), 0, int32(g.ny - 1)}
+	case bx < 0 || by < 0 || ax >= nx || ay >= ny:
+		return cellSpan{0, -1, 0, -1}
+	}
+	return cellSpan{int32(max(ax, 0)), int32(min(bx, nx-1)), int32(max(ay, 0)), int32(min(by, ny-1))}
+}
+
+// at returns the discs a taxi at pos must test, in ascending order.
+func (g *discGrid) at(pos geo.Point) []int32 {
+	if !finite(pos) {
+		return g.every
+	}
+	k := int((pos.Y-g.minY)*g.inv)*g.nx + int((pos.X-g.minX)*g.inv)
+	return g.list[g.start[k]:g.start[k+1]]
+}
+
+// finite reports whether both of p's coordinates are finite: v − v is
+// NaN exactly when v is ±Inf or NaN.
+func finite(p geo.Point) bool {
+	return !math.IsNaN(p.X-p.X) && !math.IsNaN(p.Y-p.Y)
+}
+
+// iota32 returns 0, 1, …, n−1.
+func iota32(n int) []int32 {
+	s := make([]int32, n)
+	for k := range s {
+		s[k] = int32(k)
+	}
+	return s
+}
+
+// buildPickupRow appends taxi i's stored cells to dst, whose capacity
+// holds every candidate, and returns it: the candidate discs that hold
+// the taxi, where cand lists the candidates' indices into discs in
+// ascending order and nil means every disc. The squared pre-test rejects
+// most candidates before any square root; the exact straight-line rule
+// decides the rest, so a row is the same whichever superset of its discs
+// the candidates are. The straight line lower-bounds every metric here,
+// so a pruned cell's true distance also exceeds its radius and fails the
+// threshold the radius came from. Scalar metrics compute each candidate
+// directly; batching metrics spend one single-source traversal on the
+// row's candidates.
+func (p *Plane) buildPickupRow(i int, discs []disc, cols, cand []int32, dst []Entry) []Entry {
+	src := p.Taxis[i].Pos
+	var dsts []geo.Point // batching metrics: the row's candidate pickups
+	keep := func(x int) {
 		if p.batch == nil {
-			dst = append(dst, Entry{Req: cols[x], Dist: p.metric.Distance(src, d.pickup)})
+			dst = append(dst, Entry{Req: cols[x], Dist: p.metric.Distance(src, discs[x].pickup)})
 		} else {
 			dst = append(dst, Entry{Req: cols[x]})
-			dsts = append(dsts, d.pickup)
+			dsts = append(dsts, discs[x].pickup)
+		}
+	}
+	// The two loops run the same test. The full scan keeps a plain
+	// range loop: one loop over indices, branching on cand each step,
+	// built the dense BenchmarkCostPlane frame ~15% slower (2-vCPU
+	// x86-64 VM).
+	if cand == nil {
+		for x, d := range discs {
+			dx, dy := d.pickup.X-src.X, d.pickup.Y-src.Y
+			if !(dx*dx+dy*dy > d.sq || (!math.IsInf(d.r, 1) && geo.Euclid(src, d.pickup) > d.r)) {
+				keep(x)
+			}
+		}
+	} else {
+		for _, x := range cand {
+			d := &discs[x]
+			dx, dy := d.pickup.X-src.X, d.pickup.Y-src.Y
+			if !(dx*dx+dy*dy > d.sq || (!math.IsInf(d.r, 1) && geo.Euclid(src, d.pickup) > d.r)) {
+				keep(int(x))
+			}
 		}
 	}
 	if len(dsts) > 0 {
