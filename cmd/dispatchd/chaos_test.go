@@ -241,11 +241,11 @@ func TestPanicBundleKeepsCooldown(t *testing.T) {
 		panic("handler bug")
 	}))
 
-	if path, err := rec.Trigger(500, flightrec.ReasonSLOBreach, "", false); err != nil || path == "" {
+	if path, err := rec.Trigger(500, flightrec.ReasonSLOBreach, ""); err != nil || path == "" {
 		t.Fatalf("SLO bundle: path=%q err=%v", path, err)
 	}
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/report", nil))
-	if _, err := rec.Trigger(510, flightrec.ReasonSLOBreach, "", false); err != nil {
+	if _, err := rec.Trigger(510, flightrec.ReasonSLOBreach, ""); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Bundles() != 1 || rec.Suppressed() != 2 {

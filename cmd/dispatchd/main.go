@@ -55,7 +55,6 @@ import (
 	"stabledispatch/internal/exp"
 	"stabledispatch/internal/flightrec"
 	"stabledispatch/internal/pref"
-	"stabledispatch/internal/prof"
 	"stabledispatch/internal/slo"
 	"stabledispatch/internal/trace"
 )
@@ -86,8 +85,7 @@ func run(args []string) error {
 		intakeCap  = fs.Int("intake-queue", admission.DefaultQueueCap, "admission queue capacity, at least 1: requests accepted but not yet injected into a frame; beyond it POST /v1/requests sheds 429")
 		maxInfl    = fs.Int("max-inflight", 100000, "max admitted requests that have not reached a terminal state; beyond it POST /v1/requests sheds 429 (at least 0; 0 = unlimited)")
 		profBudget = fs.Duration("prof-budget", 0, "frame deadline budget for the frame-budget profiler; frames over it are overruns and, with -bundle-dir, capture pprof CPU/heap deltas into a flight-recorder bundle (0 = attribution only, no overrun detection)")
-		profCapt   = fs.Int("prof-capture-frames", prof.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger, at least 1")
-		profCool   = fs.Int64("prof-cooldown", prof.DefaultCooldownFrames, "minimum frames between two overrun captures, at least 1; overruns inside it are counted, not captured")
+		profCapt   = fs.Int("prof-capture-frames", flightrec.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger, at least 1")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,7 +99,6 @@ func run(args []string) error {
 		{"intake-queue", int64(*intakeCap), 1},
 		{"max-inflight", int64(*maxInfl), 0},
 		{"prof-capture-frames", int64(*profCapt), 1},
-		{"prof-cooldown", *profCool, 1},
 	} {
 		if f.v < f.min {
 			err := fmt.Errorf("invalid value %d for flag -%s: want at least %d", f.v, f.name, f.min)
@@ -128,7 +125,7 @@ func run(args []string) error {
 	}
 	var recorder *flightrec.Recorder
 	if *bundleDir != "" {
-		if recorder, err = flightrec.New(flightrec.Config{Dir: *bundleDir}); err != nil {
+		if recorder, err = flightrec.New(flightrec.Config{Dir: *bundleDir, CaptureFrames: *profCapt}); err != nil {
 			return err
 		}
 	}
@@ -142,25 +139,32 @@ func run(args []string) error {
 	// The admission queue drains once per frame, so the Retry-After hint
 	// is the auto-tick interval when one is set (else the 1s default).
 	server, err := newServer(config{
-		Taxis:             fleetTaxis,
-		Params:            pref.DefaultParams(),
-		Dispatcher:        d,
-		Workers:           *workers,
-		SLO:               sloEng,
-		Recorder:          recorder,
-		QueueCap:          *intakeCap,
-		MaxInflight:       *maxInfl,
-		RetryAfter:        *auto,
-		ProfBudget:        *profBudget,
-		ProfCaptureFrames: *profCapt,
-		ProfCooldown:      *profCool,
-		Log:               logger,
-		Quiet:             *quiet,
+		Taxis:       fleetTaxis,
+		Params:      pref.DefaultParams(),
+		Dispatcher:  d,
+		Workers:     *workers,
+		SLO:         sloEng,
+		Recorder:    recorder,
+		QueueCap:    *intakeCap,
+		MaxInflight: *maxInfl,
+		RetryAfter:  *auto,
+		ProfBudget:  *profBudget,
+		Log:         logger,
+		Quiet:       *quiet,
 	})
 	if err != nil {
 		return err
 	}
-	defer server.sim.Ledger().Close()
+	if recorder != nil {
+		// Deferred before the ticker's stop, so it runs once no frame
+		// can step any more: a capture still running is written as a
+		// short bundle and the CPU profiler released.
+		defer func() {
+			if err := recorder.Close(); err != nil {
+				logger.Warn("final overrun bundle failed", "err", err)
+			}
+		}()
+	}
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           server.handler,

@@ -64,7 +64,7 @@ func withRecovery(logger *slog.Logger, rec *flightrec.Recorder, frame func() int
 				}
 				if rec != nil {
 					rec.Trigger(frame(), flightrec.ReasonPanic, //nolint:errcheck // counted by the recorder
-						fmt.Sprintf("HTTP handler panic on %s %s: %v", r.Method, r.URL.Path, p), false)
+						fmt.Sprintf("HTTP handler panic on %s %s: %v", r.Method, r.URL.Path, p))
 				}
 				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal server error"))
 			}

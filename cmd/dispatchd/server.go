@@ -77,12 +77,9 @@ type config struct {
 	// (-intake-queue, -max-inflight, and the -auto interval).
 	QueueCap, MaxInflight int
 	RetryAfter            time.Duration
-	// ProfBudget, ProfCaptureFrames and ProfCooldown configure the
-	// frame-budget ledger; its captures arm only when a budget and a
-	// flight recorder are both set.
-	ProfBudget        time.Duration
-	ProfCaptureFrames int
-	ProfCooldown      int64
+	// ProfBudget is the frame-budget ledger's deadline; with a
+	// Recorder, an overrun frame is one of its triggers.
+	ProfBudget time.Duration
 	// Log receives handler panics and, unless Quiet, one access-log
 	// line per request; nil logs nothing.
 	Log   *slog.Logger
@@ -110,14 +107,9 @@ func newServer(cfg config) (*server, error) {
 		// A sliding window (no downsampling): /v1/profile, /v1/metrics
 		// and the stream's connect snapshot describe the recent
 		// frames, not a thinned whole run.
-		KPI: tseries.New(tseries.Config{Capacity: tseries.DefaultCapacity}),
-		SLO: cfg.SLO,
-		Ledger: prof.New(prof.Config{
-			BudgetNs:       cfg.ProfBudget.Nanoseconds(),
-			CaptureFrames:  cfg.ProfCaptureFrames,
-			CooldownFrames: cfg.ProfCooldown,
-			Capture:        cfg.ProfBudget > 0 && cfg.Recorder != nil,
-		}),
+		KPI:       tseries.New(tseries.Config{Capacity: tseries.DefaultCapacity}),
+		SLO:       cfg.SLO,
+		Ledger:    prof.New(prof.Config{BudgetNs: cfg.ProfBudget.Nanoseconds()}),
 		Recorder:  cfg.Recorder,
 		Tracer:    dtrace.New(dtrace.DefaultCapacity, 0),
 		Hub:       hub,

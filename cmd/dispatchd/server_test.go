@@ -253,20 +253,17 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-// TestRunRejectsProfCooldownBelowOne checks each bounded numeric flag
-// below its minimum is a usage error rather than a silent switch to a
-// default: -intake-queue 0 would become 4096, -max-inflight -3
-// unlimited, and -prof-capture-frames or -prof-cooldown the profiler's
-// defaults.
-func TestRunRejectsProfCooldownBelowOne(t *testing.T) {
+// TestRunRejectsBoundedFlagsBelowMinimum checks each bounded numeric
+// flag below its minimum is a usage error rather than a silent switch
+// to a default: -intake-queue 0 would become 4096, -max-inflight -3
+// unlimited, and -prof-capture-frames 0 the flight recorder's 30.
+func TestRunRejectsBoundedFlagsBelowMinimum(t *testing.T) {
 	for _, tc := range []struct{ flag, v string }{
 		{"-intake-queue", "0"},
 		{"-intake-queue", "-1"},
 		{"-max-inflight", "-3"},
 		{"-prof-capture-frames", "0"},
 		{"-prof-capture-frames", "-2"},
-		{"-prof-cooldown", "0"},
-		{"-prof-cooldown", "-1"},
 	} {
 		// The unknown city makes a value that slips past the check
 		// fail fast with another error instead of starting the daemon.

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -65,7 +66,7 @@ func run(args []string, out io.Writer) error {
 		kpiOut    = fs.String("kpi-out", "", "write the per-frame KPI time series as CSV to this file (multi-algorithm runs write one suffixed file per algorithm)")
 		traceCap  = fs.Int("trace-capacity", dtrace.DefaultCapacity, "max request traces retained when -trace-out is set")
 		sloPath   = fs.String("slo", "", "SLO definitions file; objectives are evaluated every frame and a report line is printed per run")
-		bundleDir = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, or certificate violation (multi-algorithm runs use one subdirectory per algorithm)")
+		bundleDir = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, certificate violation, or frame-budget overrun (multi-algorithm runs use one subdirectory per algorithm)")
 
 		faultSeed     = fs.Int64("fault-seed", 0, "seed for the fault-injection schedule (0 = derive from -seed)")
 		breakdownRate = fs.Float64("breakdown-rate", 0, "per-frame probability a busy taxi breaks down mid-route")
@@ -73,27 +74,18 @@ func run(args []string, out io.Writer) error {
 		driverCancel  = fs.Float64("driver-cancel-rate", 0, "probability a driver abandons an accepted fare before pickup")
 		frameDDL      = fs.Duration("frame-deadline", 0, "per-frame dispatch compute deadline; overruns and panics degrade to greedy (0 = unbounded)")
 		profBudget    = fs.Duration("prof-budget", 0, "frame deadline budget for the frame-budget profiler; overruns print in the run summary and, with -bundle-dir, capture pprof CPU/heap deltas into a flight-recorder bundle (0 = off)")
-		profCapt      = fs.Int("prof-capture-frames", prof.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger, at least 1")
-		profCool      = fs.Int64("prof-cooldown", prof.DefaultCooldownFrames, "minimum frames between two overrun captures, at least 1; overruns inside it are counted, not captured")
+		profCapt      = fs.Int("prof-capture-frames", flightrec.DefaultCaptureFrames, "frames the CPU profile spans after an overrun trigger, at least 1")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Reported like flag parse errors: prof.New would read a value
-	// below its minimum as its default, not as the one asked for.
-	for _, f := range []struct {
-		name   string
-		v, min int64
-	}{
-		{"prof-capture-frames", int64(*profCapt), 1},
-		{"prof-cooldown", *profCool, 1},
-	} {
-		if f.v < f.min {
-			err := fmt.Errorf("invalid value %d for flag -%s: want at least %d", f.v, f.name, f.min)
-			fmt.Fprintln(fs.Output(), err)
-			fs.Usage()
-			return err
-		}
+	// Reported like flag parse errors: flightrec.New would read a
+	// value below one as its default, not as the one asked for.
+	if *profCapt < 1 {
+		err := fmt.Errorf("invalid value %d for flag -prof-capture-frames: want at least 1", *profCapt)
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return err
 	}
 
 	var faults sim.FaultInjector
@@ -184,6 +176,7 @@ func run(args []string, out io.Writer) error {
 	}
 	var reports []*sim.Report
 	var ledgers []*prof.Ledger
+	var recorders []*flightrec.Recorder
 	var kpis []*tseries.Recorder
 	var sloLines []string
 	for _, name := range names {
@@ -222,19 +215,14 @@ func run(args []string, out io.Writer) error {
 		}
 		var recorder *flightrec.Recorder
 		if *bundleDir != "" {
-			if recorder, err = flightrec.New(flightrec.Config{Dir: bundles}); err != nil {
+			if recorder, err = flightrec.New(flightrec.Config{Dir: bundles, CaptureFrames: *profCapt}); err != nil {
 				return err
 			}
 		}
 		// Each run gets its own frame-budget ledger, so every algorithm's
-		// stage table and overrun accounting are its own. Overrun
-		// captures arm only with a budget and a recorder to bundle into.
-		ledger := prof.New(prof.Config{
-			BudgetNs:       profBudget.Nanoseconds(),
-			CaptureFrames:  *profCapt,
-			CooldownFrames: *profCool,
-			Capture:        *profBudget > 0 && recorder != nil,
-		})
+		// stage table and overrun count are its own. With a recorder, an
+		// overrun frame is one of its triggers.
+		ledger := prof.New(prof.Config{BudgetNs: profBudget.Nanoseconds()})
 		s, err := sim.New(sim.Config{
 			SpeedKmH:       *speed,
 			Params:         pref.DefaultParams(),
@@ -253,12 +241,18 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		rep, err := s.Run()
-		ledger.Close()
+		if recorder != nil {
+			// A capture still running when the run ends is written as
+			// a short bundle, and the CPU profiler is released for the
+			// next algorithm's run.
+			err = errors.Join(err, recorder.Close())
+		}
 		if err != nil {
 			return err
 		}
 		reports = append(reports, rep)
 		ledgers = append(ledgers, ledger)
+		recorders = append(recorders, recorder)
 		kpis = append(kpis, kpi)
 		if *kpiOut != "" {
 			if err := writeKPISeries(kpiPath, kpi); err != nil {
@@ -283,7 +277,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	for i, rep := range reports {
-		if err := printStageTimings(out, rep.Algorithm, kpis[i].Snapshot(), ledgers[i]); err != nil {
+		if err := printStageTimings(out, rep.Algorithm, kpis[i].Snapshot(), ledgers[i], recorders[i]); err != nil {
 			return err
 		}
 	}
@@ -391,8 +385,9 @@ func printSummary(w io.Writer, rep *sim.Report, total, taxis int) error {
 
 // printStageTimings renders one run's stage timings from that run's KPI
 // samples (tseries.StageBreakdown, the same rollup behind dispatchd's
-// /v1/report and /v1/profile) and its ledger's overrun accounting.
-func printStageTimings(w io.Writer, algo string, samples []tseries.Sample, ld *prof.Ledger) error {
+// /v1/report and /v1/profile), its ledger's overrun count and, with a
+// flight recorder, the recorder's bundle and suppression counts.
+func printStageTimings(w io.Writer, algo string, samples []tseries.Sample, ld *prof.Ledger, rec *flightrec.Recorder) error {
 	frame, stages := tseries.StageBreakdown(samples)
 	if frame == nil && len(stages) == 0 {
 		return nil
@@ -415,12 +410,16 @@ func printStageTimings(w io.Writer, algo string, samples []tseries.Sample, ld *p
 	if err := tb.Render(w); err != nil {
 		return err
 	}
-	// With a budget set, the ledger's overrun accounting belongs in the
-	// summary: it is the line an operator greps after a slow run.
-	if sum := ld.Summary(); sum.BudgetNs > 0 {
-		_, err := fmt.Fprintf(w, "  frame budget %v: %d overruns, %d pprof captures, %d suppressed\n",
-			time.Duration(sum.BudgetNs), sum.Overruns, sum.Captures, sum.Suppressed)
-		return err
+	// With a budget set, the overrun accounting belongs in the summary:
+	// it is the line an operator greps after a slow run.
+	sum := ld.Summary()
+	if sum.BudgetNs <= 0 {
+		return nil
 	}
-	return nil
+	line := fmt.Sprintf("  frame budget %v: %d overruns", time.Duration(sum.BudgetNs), sum.Overruns)
+	if rec != nil {
+		line += fmt.Sprintf("; flight recorder: %d bundles, %d suppressed", rec.Bundles(), rec.Suppressed())
+	}
+	_, err := fmt.Fprintln(w, line)
+	return err
 }

@@ -77,17 +77,14 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunRejectsProfCooldownBelowOne checks -prof-capture-frames and
-// -prof-cooldown below one frame are usage errors rather than a silent
-// switch to the profiler's 30- and 300-frame defaults, and that one
-// frame is accepted.
-func TestRunRejectsProfCooldownBelowOne(t *testing.T) {
+// TestRunRejectsProfCaptureFramesBelowOne checks -prof-capture-frames
+// below one frame is a usage error rather than a silent switch to the
+// flight recorder's 30-frame default, and that one frame is accepted.
+func TestRunRejectsProfCaptureFramesBelowOne(t *testing.T) {
 	var sb strings.Builder
 	for _, tc := range []struct{ flag, v string }{
 		{"-prof-capture-frames", "0"},
 		{"-prof-capture-frames", "-2"},
-		{"-prof-cooldown", "0"},
-		{"-prof-cooldown", "-3"},
 	} {
 		err := run([]string{tc.flag, tc.v}, &sb)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {
@@ -98,8 +95,8 @@ func TestRunRejectsProfCooldownBelowOne(t *testing.T) {
 		t.Errorf("rejected runs wrote output:\n%s", sb.String())
 	}
 	if err := run([]string{"-frames", "5", "-volume", "200", "-taxis", "5",
-		"-prof-capture-frames", "1", "-prof-cooldown", "1"}, &sb); err != nil {
-		t.Errorf("-prof-capture-frames 1 -prof-cooldown 1: %v", err)
+		"-prof-capture-frames", "1"}, &sb); err != nil {
+		t.Errorf("-prof-capture-frames 1: %v", err)
 	}
 }
 
@@ -196,11 +193,12 @@ func TestRunWritesChromeTrace(t *testing.T) {
 	// A comparison run writes one trace per algorithm, each holding only
 	// its own run: the NSTD-P file is byte-identical to the solo run's,
 	// and Greedy, which records no matching decisions, has no proposals.
-	// Its flight recorders (armed by a 1ns frame budget) bundle into one
-	// subdirectory per algorithm, each bundle with its own run's trace.
+	// Its flight recorders (triggered by a 1ns frame budget's overruns,
+	// one bundle per 300-frame cooldown) bundle into one subdirectory
+	// per algorithm, each bundle with its own run's trace.
 	bundles := filepath.Join(dir, "bundles")
 	if err := run(append([]string{"-algo", "nstd-p,greedy", "-bundle-dir", bundles,
-		"-prof-budget", "1ns", "-prof-capture-frames", "1", "-prof-cooldown", "100000"}, args...), &sb); err != nil {
+		"-prof-budget", "1ns", "-prof-capture-frames", "1"}, args...), &sb); err != nil {
 		t.Fatalf("comparison run: %v", err)
 	}
 	for _, algo := range []string{"nstd-p", "greedy"} {
@@ -446,26 +444,54 @@ func TestKPIOutPath(t *testing.T) {
 }
 
 // TestRunProfBudgetCapturesOverrun runs with an impossible 1ns frame
-// budget so every frame overruns, and checks the profiler prints its
-// accounting line and ships exactly one rate-limited pprof capture into
-// a flight-recorder bundle.
+// budget so every frame overruns, and checks the budget line reports
+// the ledger's overruns and the recorder's counts, and that the first
+// overrun's capture ships as exactly one flight-recorder bundle: the
+// recorder's cooldown turns every later overrun away. A capture still
+// running when a run ends is written as a short bundle, and each run
+// releases the CPU profiler for the next.
 func TestRunProfBudgetCapturesOverrun(t *testing.T) {
-	dir := t.TempDir()
-	var sb strings.Builder
-	err := run([]string{
-		"-algo", "greedy", "-taxis", "8", "-frames", "30",
-		"-volume", "1000", "-seed", "4",
-		"-prof-budget", "1ns", "-prof-capture-frames", "2",
-		"-prof-cooldown", "100000", "-bundle-dir", dir,
-	}, &sb)
-	if err != nil {
-		t.Fatalf("run with prof budget: %v", err)
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		algos   []string
+		capture int  // -prof-capture-frames
+		short   bool // the run ends before the capture does
+	}{
+		{"full", []string{"-algo", "greedy", "-frames", "30"}, nil, 2, false},
+		{"cut-short", []string{"-algo", "greedy,nstd-p", "-frames", "5"}, []string{"greedy", "nstd-p"}, 100, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var sb strings.Builder
+			err := run(append([]string{"-taxis", "8", "-volume", "1000", "-seed", "4",
+				"-prof-budget", "1ns", "-prof-capture-frames", strconv.Itoa(tc.capture),
+				"-bundle-dir", dir}, tc.args...), &sb)
+			if err != nil {
+				t.Fatalf("run with prof budget: %v", err)
+			}
+			out := sb.String()
+			// The budget prints as a Go duration: "%.2fms" would read 0.00ms.
+			if !strings.Contains(out, "frame budget 1ns:") || !strings.Contains(out, "; flight recorder: 1 bundles, ") {
+				t.Errorf("summary missing profiler accounting:\n%s", out)
+			}
+			if tc.algos == nil {
+				checkOverrunBundle(t, dir, tc.capture, tc.short)
+				return
+			}
+			for _, algo := range tc.algos {
+				checkOverrunBundle(t, filepath.Join(dir, algo), tc.capture, tc.short)
+			}
+		})
 	}
-	out := sb.String()
-	// The budget prints as a Go duration: "%.2fms" would read 0.00ms.
-	if !strings.Contains(out, "frame budget 1ns:") || !strings.Contains(out, "1 pprof captures") {
-		t.Errorf("summary missing profiler accounting:\n%s", out)
-	}
+}
+
+// checkOverrunBundle checks dir holds exactly one frame_overrun bundle
+// with a non-empty cpu.pprof, the heap pair, profile.json (captureFrames
+// equal to capture, or below it for a short capture), and the run's KPI
+// samples with their stage columns.
+func checkOverrunBundle(t *testing.T, dir string, capture int, short bool) {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -486,6 +512,7 @@ func TestRunProfBudgetCapturesOverrun(t *testing.T) {
 	}
 	var oc struct {
 		Schema  string `json:"schema"`
+		Frames  int    `json:"captureFrames"`
 		Trigger struct {
 			WallNs int64 `json:"wallNs"`
 		} `json:"trigger"`
@@ -496,8 +523,13 @@ func TestRunProfBudgetCapturesOverrun(t *testing.T) {
 	if oc.Schema != "prof-capture/v1" || oc.Trigger.WallNs <= 0 {
 		t.Fatalf("profile.json = %+v", oc)
 	}
-	if _, err := os.Stat(filepath.Join(bdir, "heap.pprof")); err != nil {
-		t.Fatalf("heap delta missing from bundle: %v", err)
+	if short && (oc.Frames < 0 || oc.Frames >= capture) || !short && oc.Frames != capture {
+		t.Errorf("profile.json captureFrames = %d, want %d (short capture: %v)", oc.Frames, capture, short)
+	}
+	for _, name := range []string{"cpu.pprof", "heap_pre.pprof", "heap.pprof"} {
+		if fi, err := os.Stat(filepath.Join(bdir, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s missing or empty in %s (err %v)", name, bdir, err)
+		}
 	}
 	// taxisim always records KPI samples, so the bundle's kpi.csv
 	// carries the stage columns and its manifest the stage table.

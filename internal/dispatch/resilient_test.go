@@ -236,7 +236,6 @@ func (d *straddlingPrimary) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 // 1's stage sum cannot exceed its wall-clock on the primary's account.
 func TestAbandonedPrimarySpanStaysOutOfNextFrame(t *testing.T) {
 	ld := prof.New(prof.Config{})
-	defer ld.Close()
 	primary := &straddlingPrimary{release: make(chan struct{}), ended: make(chan struct{})}
 	fallback := &fakeDispatcher{name: "quiet"}
 	r := NewResilient(primary, fallback, 50*time.Millisecond)
@@ -247,7 +246,7 @@ func TestAbandonedPrimarySpanStaysOutOfNextFrame(t *testing.T) {
 		if _, err := r.Dispatch(f); err != nil {
 			t.Fatalf("frame %d: %v", n, err)
 		}
-		sealed, _ := ld.EndFrame(int64(n), int64(time.Second), 0)
+		sealed := ld.EndFrame(int64(n), int64(time.Second), 0)
 		if got := sealed.StageCalls[prof.StagePacking]; got != 0 {
 			t.Errorf("frame %d: %d packing calls, want 0 (the span began in frame 0 and ended in frame 1)", n, got)
 		}

@@ -24,8 +24,8 @@ type Manifest struct {
 	Schema  string          `json:"schema"`
 	Seq     int             `json:"seq"`
 	Trigger ManifestTrigger `json:"trigger"`
-	// Suppressed counts automatic triggers the cooldown swallowed
-	// before this bundle.
+	// Suppressed counts triggers the rate limit turned away before
+	// this bundle.
 	Suppressed uint64 `json:"suppressed"`
 	// Files lists the bundle's payload files, kind → filename.
 	Files map[string]string `json:"files"`
@@ -39,10 +39,9 @@ type ManifestTrigger struct {
 	Reason Reason `json:"reason"`
 	Detail string `json:"detail,omitempty"`
 	Frame  int64  `json:"frame"`
-	Forced bool   `json:"forced,omitempty"`
 }
 
-// bundle is one frozen bundle handed from TriggerFiles to the writer.
+// bundle is one admitted bundle on its way to the writer.
 type bundle struct {
 	Contents
 	seq        int

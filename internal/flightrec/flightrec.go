@@ -14,13 +14,16 @@
 // Triggers follow a small taxonomy (see Reason): an SLO breach from
 // internal/slo, a dispatch.Resilient degrade, a recovered panic, a
 // stability-certificate violation from dtrace.Certify, or a
-// frame-budget overrun.
+// frame-budget overrun. An overrun is an ordinary trigger whose bundle
+// also carries pprof evidence: admitted, it starts a capture that
+// profiles the next CaptureFrames frames before its bundle is written
+// (Observe, Close).
 //
-// Bundles are rate-limited (a cooldown in frames between automatic
-// triggers; an overrun capture, paced by the profiler's own cooldown,
-// forces) and retention-capped (oldest
-// bundle directories are deleted beyond MaxBundles), so a flapping SLO
-// cannot fill a disk.
+// Every trigger class passes one rate limit: a cooldown in frames
+// between bundles, and no new bundle while a capture runs; whatever it
+// turns away is counted (Suppressed). Bundles are also retention-capped
+// (oldest bundle directories are deleted beyond MaxBundles), so a
+// flapping SLO cannot fill a disk.
 //
 // A recorder belongs to one simulator (sim.Config.Recorder; nil means
 // off). The simulator registers its contents and fires its triggers;
@@ -57,9 +60,10 @@ const (
 
 // Defaults for Config.
 const (
-	DefaultCooldown     = 300
-	DefaultMaxBundles   = 8
-	DefaultBundlePrefix = "bundle-"
+	DefaultCooldown      = 300
+	DefaultCaptureFrames = 30
+	DefaultMaxBundles    = 8
+	DefaultBundlePrefix  = "bundle-"
 )
 
 // Config parameterises a Recorder.
@@ -68,9 +72,12 @@ type Config struct {
 	// demand). Required.
 	Dir string
 	// CooldownFrames is the minimum number of frames between two
-	// automatic bundles (default DefaultCooldown). Forced triggers
-	// (overrun captures) ignore it.
+	// bundles of any reason (default DefaultCooldown).
 	CooldownFrames int
+	// CaptureFrames is how many frames after an admitted overrun the
+	// CPU profile runs before its bundle is written (default
+	// DefaultCaptureFrames).
+	CaptureFrames int
 	// MaxBundles caps retained bundle directories; beyond it the
 	// oldest are deleted (default DefaultMaxBundles).
 	MaxBundles int
@@ -79,6 +86,9 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CooldownFrames <= 0 {
 		c.CooldownFrames = DefaultCooldown
+	}
+	if c.CaptureFrames <= 0 {
+		c.CaptureFrames = DefaultCaptureFrames
 	}
 	if c.MaxBundles <= 0 {
 		c.MaxBundles = DefaultMaxBundles
@@ -112,9 +122,10 @@ type Recorder struct {
 	seq        int   // bundles attempted so far (the directory sequence)
 	written    int   // bundles written successfully
 	errors     int   // bundle write and retention-cleanup failures
-	lastFrame  int64 // frame of the last automatic bundle
+	lastFrame  int64 // trigger frame of the last admitted bundle
 	hasBundled bool
 	suppressed uint64
+	capture    *capture // the running overrun capture, if any
 }
 
 // New builds a recorder. The bundle directory is created lazily at
@@ -138,7 +149,7 @@ func (r *Recorder) SetContents(fn func() Contents) {
 	r.mu.Unlock()
 }
 
-// Suppressed returns how many automatic triggers the cooldown swallowed.
+// Suppressed returns how many triggers the rate limit turned away.
 func (r *Recorder) Suppressed() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -167,40 +178,49 @@ func (r *Recorder) count(n *int) {
 }
 
 // Trigger freezes the registered contents and writes one diagnostic
-// bundle, returning its directory path. An automatic trigger
-// (force=false) inside the cooldown window is suppressed and returns
-// ("", nil); a forced trigger bypasses the cooldown but still counts
-// toward retention. Write failures are counted (Errors) and returned.
-func (r *Recorder) Trigger(frame int64, reason Reason, detail string, force bool) (string, error) {
-	return r.TriggerFiles(frame, reason, detail, force, nil)
+// bundle, returning its directory path. A trigger inside the cooldown
+// window, or while an overrun capture runs, is suppressed and returns
+// ("", nil). Write failures are counted (Errors) and returned.
+func (r *Recorder) Trigger(frame int64, reason Reason, detail string) (string, error) {
+	r.mu.Lock()
+	b, ok := r.admit(frame, reason, detail)
+	r.mu.Unlock()
+	if !ok {
+		return "", nil
+	}
+	return r.write(b, nil)
 }
 
-// TriggerFiles is Trigger with extra attachment files written into the
-// bundle directory and indexed in the manifest's Files map.
-func (r *Recorder) TriggerFiles(frame int64, reason Reason, detail string, force bool, attachments []Attachment) (string, error) {
-	r.mu.Lock()
-	// Cooldown: frames since the last automatic bundle. A frame counter
-	// that went backwards (a new run reusing the recorder) re-arms it.
-	if !force && r.hasBundled && frame >= r.lastFrame && frame-r.lastFrame < int64(r.cfg.CooldownFrames) {
+// admit is the one rate limit every trigger passes: it suppresses a
+// trigger inside the cooldown or during a running capture, and
+// otherwise takes the next bundle sequence number. A frame counter that
+// went backwards (a new run reusing the recorder) re-arms the cooldown.
+// Called under r.mu.
+func (r *Recorder) admit(frame int64, reason Reason, detail string) (bundle, bool) {
+	cooling := r.hasBundled && frame >= r.lastFrame && frame-r.lastFrame < int64(r.cfg.CooldownFrames)
+	if cooling || r.capture != nil {
 		r.suppressed++
-		r.mu.Unlock()
-		return "", nil
+		return bundle{}, false
 	}
 	r.seq++
 	r.lastFrame = frame
 	r.hasBundled = true
-	b := bundle{
+	return bundle{
 		seq:        r.seq,
-		trigger:    ManifestTrigger{Reason: reason, Detail: detail, Frame: frame, Forced: force},
+		trigger:    ManifestTrigger{Reason: reason, Detail: detail, Frame: frame},
 		suppressed: r.suppressed,
-	}
+	}, true
+}
+
+// write freezes the registered contents into the admitted bundle b,
+// adds the trigger's own attachments after them, and writes it.
+func (r *Recorder) write(b bundle, attachments []Attachment) (string, error) {
+	r.mu.Lock()
 	contents := r.contents
 	r.mu.Unlock()
-
 	if contents != nil {
 		b.Contents = contents()
 	}
-	// Trigger-site attachments own their Files keys.
 	b.Files = append(b.Files, attachments...)
 	dir, err := r.writeBundle(b)
 	if err != nil {

@@ -18,6 +18,8 @@ func newTestRecorder(t *testing.T, cfg Config) *Recorder {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// A test that stops early must not leave the CPU profiler running.
+	t.Cleanup(func() { r.Close() })
 	return r
 }
 
@@ -83,12 +85,12 @@ func TestBundleContents(t *testing.T) {
 		}
 	})
 
-	path, err := r.Trigger(19, ReasonDegraded, "deadline 1ms exceeded", false)
+	path, err := r.Trigger(19, ReasonDegraded, "deadline 1ms exceeded")
 	if err != nil {
 		t.Fatalf("Trigger: %v", err)
 	}
 	rows = 5
-	later, err := r.Trigger(30, ReasonDegraded, "", false)
+	later, err := r.Trigger(30, ReasonDegraded, "")
 	if err != nil {
 		t.Fatalf("second Trigger: %v", err)
 	}
@@ -129,10 +131,11 @@ func TestBundleContents(t *testing.T) {
 }
 
 // TestNoContentsWritesManifestOnly checks a recorder with nothing
-// registered still writes a valid manifest-only bundle.
+// registered still writes a valid manifest-only bundle (its first
+// trigger, which no cooldown holds back).
 func TestNoContentsWritesManifestOnly(t *testing.T) {
 	r := newTestRecorder(t, Config{})
-	path, err := r.Trigger(0, ReasonOverrun, "", true)
+	path, err := r.Trigger(0, ReasonPanic, "")
 	if err != nil {
 		t.Fatalf("Trigger: %v", err)
 	}
@@ -145,50 +148,47 @@ func TestNoContentsWritesManifestOnly(t *testing.T) {
 	}
 }
 
-// TestCooldownSuppresses checks the automatic-trigger rate limit, the
-// forced bypass, and the epoch reset when the frame counter restarts.
+// TestCooldownSuppresses checks the trigger rate limit and the epoch
+// reset when the frame counter restarts.
 func TestCooldownSuppresses(t *testing.T) {
 	dir := t.TempDir()
 	r := newTestRecorder(t, Config{Dir: dir, CooldownFrames: 100})
 	registerFiles(r, 5)
 
-	if path, err := r.Trigger(10, ReasonSLOBreach, "", false); err != nil || path == "" {
+	if path, err := r.Trigger(10, ReasonSLOBreach, ""); err != nil || path == "" {
 		t.Fatalf("first trigger: path=%q err=%v", path, err)
 	}
 	// Inside the cooldown: suppressed, no error, no new directory.
-	if path, err := r.Trigger(50, ReasonSLOBreach, "", false); err != nil || path != "" {
+	if path, err := r.Trigger(50, ReasonSLOBreach, ""); err != nil || path != "" {
 		t.Fatalf("suppressed trigger: path=%q err=%v", path, err)
 	}
 	if got := r.Suppressed(); got != 1 {
 		t.Errorf("suppressed = %d, want 1", got)
 	}
-	// Forced bypasses the cooldown.
-	if path, err := r.Trigger(60, ReasonOverrun, "capture", true); err != nil || path == "" {
-		t.Fatalf("forced trigger: path=%q err=%v", path, err)
-	}
-	// Past the cooldown (measured from the forced trigger's frame).
-	if path, err := r.Trigger(200, ReasonSLOBreach, "", false); err != nil || path == "" {
+	// Past the cooldown (measured from the first bundle's frame).
+	if path, err := r.Trigger(110, ReasonSLOBreach, ""); err != nil || path == "" {
 		t.Fatalf("post-cooldown trigger: path=%q err=%v", path, err)
 	}
 	// Frame counter restarted (new run): cooldown re-arms rather than
 	// suppressing forever.
-	if path, err := r.Trigger(3, ReasonSLOBreach, "", false); err != nil || path == "" {
+	if path, err := r.Trigger(3, ReasonSLOBreach, ""); err != nil || path == "" {
 		t.Fatalf("epoch-reset trigger: path=%q err=%v", path, err)
 	}
-	if got := len(listBundles(t, dir)); got != 4 {
-		t.Errorf("bundle count = %d, want 4", got)
+	if got := len(listBundles(t, dir)); got != 3 {
+		t.Errorf("bundle count = %d, want 3", got)
 	}
 }
 
-// TestRetentionPrunesOldest fills past MaxBundles and checks the oldest
-// sequence directories are removed.
+// TestRetentionPrunesOldest fills past MaxBundles, every trigger past
+// the previous one's cooldown, and checks the oldest sequence
+// directories are removed.
 func TestRetentionPrunesOldest(t *testing.T) {
 	dir := t.TempDir()
 	r := newTestRecorder(t, Config{Dir: dir, MaxBundles: 3, CooldownFrames: 1})
 	registerFiles(r, 2)
 	for i := 0; i < 6; i++ {
-		if _, err := r.Trigger(int64(i*10), ReasonOverrun, "", true); err != nil {
-			t.Fatalf("trigger %d: %v", i, err)
+		if path, err := r.Trigger(int64(i*10), ReasonSLOBreach, ""); err != nil || path == "" {
+			t.Fatalf("trigger %d: path=%q err=%v", i, path, err)
 		}
 	}
 	bundles := listBundles(t, dir)
@@ -209,8 +209,9 @@ func TestRetentionPrunesOldest(t *testing.T) {
 // refused.
 func TestNewDefaultsAndRequiresDir(t *testing.T) {
 	r := newTestRecorder(t, Config{})
-	if got := r.Config(); got.CooldownFrames != DefaultCooldown || got.MaxBundles != DefaultMaxBundles {
-		t.Errorf("default config = %+v, want cooldown %d, max bundles %d", got, DefaultCooldown, DefaultMaxBundles)
+	if got := r.Config(); got.CooldownFrames != DefaultCooldown || got.CaptureFrames != DefaultCaptureFrames || got.MaxBundles != DefaultMaxBundles {
+		t.Errorf("default config = %+v, want cooldown %d, capture frames %d, max bundles %d",
+			got, DefaultCooldown, DefaultCaptureFrames, DefaultMaxBundles)
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted empty Dir")
@@ -222,7 +223,7 @@ func TestNewDefaultsAndRequiresDir(t *testing.T) {
 func TestReasonSanitized(t *testing.T) {
 	dir := t.TempDir()
 	r := newTestRecorder(t, Config{Dir: dir})
-	path, err := r.Trigger(0, Reason("SLO/../breach !"), "", true)
+	path, err := r.Trigger(0, Reason("SLO/../breach !"), "")
 	if err != nil {
 		t.Fatalf("Trigger: %v", err)
 	}

@@ -5,10 +5,12 @@
 // view, movement — and the dispatch pipeline between them: costplane
 // build/prune → preference construction → market build →
 // matching/set-packing → commit), keeps the N slowest frames for
-// post-hoc attribution ("frame 412: 78% in matching"), and — when a
-// frame blows a configured deadline budget — captures pprof CPU/heap
-// profiles, rate-limited flightrec-style, and hands them to a callback
-// for bundling.
+// post-hoc attribution ("frame 412: 78% in matching"), and flags each
+// frame that blows a configured deadline budget as an overrun. The
+// ledger owns no capture policy: the simulator hands every sealed frame
+// to its flight recorder, which turns an overrun into an ordinary
+// frame_overrun trigger under its one cooldown and captures the pprof
+// evidence itself.
 //
 // The ledger stores no distributions. The simulator copies each sealed
 // frame's per-stage time into that frame's KPI sample (tseries.Sample's
@@ -18,18 +20,16 @@
 // manifests — over the KPI ring's retained window. The ledger keeps
 // only what that ring cannot: the in-flight frame's spans, the N
 // slowest frames with per-stage calls, allocations and cache traffic,
-// the run-cumulative Summary, and overrun capture.
+// the run-cumulative Summary, and the overrun count.
 //
 // A ledger belongs to one simulator (sim.Config.Ledger). A nil *Ledger
 // is valid and off: its spans are zero Spans that end for free, so the
 // simulator and dispatchers never pay for profiling they didn't ask
 // for. The ledger forwards nothing itself: EndFrame returns the sealed
-// frame and any finished capture, and the simulator publishes and
-// bundles them.
+// frame, and the simulator publishes it and hands it to its recorder.
 package prof
 
 import (
-	"bytes"
 	"runtime/metrics"
 	"sync"
 	"time"
@@ -68,17 +68,6 @@ var StageNames = [NumStages]string{
 // TopN is the slow-frame ring size.
 const TopN = 8
 
-// Defaults for Config zero values.
-const (
-	// DefaultCooldownFrames spaces overrun captures: after a capture
-	// fires, this many frames of further overruns are only counted.
-	// Matches the flight recorder's trigger cooldown.
-	DefaultCooldownFrames = 300
-	// DefaultCaptureFrames is how many frames the CPU profile spans
-	// after the triggering overrun.
-	DefaultCaptureFrames = 30
-)
-
 // allocMetric is the runtime/metrics cumulative heap-object counter the
 // ledger samples at span boundaries for per-stage allocation counts.
 const allocMetric = "/gc/heap/allocs:objects"
@@ -89,18 +78,6 @@ type Config struct {
 	// whose wall-clock exceeds it is an overrun; ≤ 0 disables overrun
 	// detection (the ledger still attributes every frame).
 	BudgetNs int64
-	// CooldownFrames is the minimum frame distance between overrun
-	// captures (default DefaultCooldownFrames). Overruns inside the
-	// cooldown are counted as suppressed, exactly like flightrec's
-	// trigger cooldown — see DESIGN.md for how the two interact.
-	CooldownFrames int64
-	// CaptureFrames is how many frames after the trigger the CPU
-	// profile runs before the capture is finalised (default
-	// DefaultCaptureFrames).
-	CaptureFrames int
-	// Capture arms pprof captures on overrun; EndFrame returns each
-	// finalised one. False leaves overruns detected and counted only.
-	Capture bool
 }
 
 // FrameProfile is one frame's cost ledger: fixed-width arrays so the
@@ -151,34 +128,6 @@ func (p *FrameProfile) Dominant() (stage string, share float64) {
 	return StageNames[best], share
 }
 
-// Capture is one finalised overrun capture: the triggering frame's
-// ledger plus pprof evidence. CPU is nil when the process-wide CPU
-// profiler was already running (a live /debug/pprof/profile session);
-// the heap pair is always present so an offline delta
-// (`go tool pprof -base heap_pre.pprof heap.pprof`) is computable.
-type Capture struct {
-	Trigger  FrameProfile
-	BudgetNs int64
-	// Frames is how many frames the CPU profile spans.
-	Frames int
-	// Suppressed counts overruns swallowed by the cooldown since the
-	// previous capture.
-	Suppressed int64
-	CPU        []byte
-	HeapPre    []byte
-	Heap       []byte
-}
-
-// pendingCapture is an armed overrun capture counting down its frames.
-type pendingCapture struct {
-	trigger    FrameProfile
-	left       int
-	suppressed int64
-	cpu        bytes.Buffer
-	cpuActive  bool
-	heapPre    []byte
-}
-
 // Ledger is the frame-budget profiler of one simulator. All methods are
 // safe for concurrent use (the Resilient dispatcher's abandoned primary
 // may still be closing spans while the fallback runs).
@@ -194,10 +143,6 @@ type Ledger struct {
 
 	frames      int64
 	overruns    int64
-	captures    int64
-	suppressed  int64 // total cooldown-suppressed overruns
-	sinceCap    int64 // suppressed since the last capture
-	lastCapture int64 // frame of the last capture trigger
 	totalWallNs int64
 	totalAllocs int64
 	totalNs     [NumStages]int64
@@ -206,8 +151,7 @@ type Ledger struct {
 	totalHits   [NumStages]int64
 	totalMisses [NumStages]int64
 
-	top     []FrameProfile // slow-frame ring, capacity TopN
-	pending *pendingCapture
+	top []FrameProfile // slow-frame ring, capacity TopN
 
 	allocMu     sync.Mutex
 	allocSample [1]metrics.Sample
@@ -215,31 +159,14 @@ type Ledger struct {
 
 // New builds a ledger.
 func New(cfg Config) *Ledger {
-	if cfg.CooldownFrames <= 0 {
-		cfg.CooldownFrames = DefaultCooldownFrames
-	}
-	if cfg.CaptureFrames <= 0 {
-		cfg.CaptureFrames = DefaultCaptureFrames
-	}
-	ld := &Ledger{
-		cfg:         cfg,
-		lastCapture: -1 << 62,
-		top:         make([]FrameProfile, 0, TopN),
-	}
+	ld := &Ledger{cfg: cfg, top: make([]FrameProfile, 0, TopN)}
 	ld.allocSample[0].Name = allocMetric
 	return ld
 }
 
-// Close abandons an in-flight CPU capture, stopping the profiler.
-func (ld *Ledger) Close() {
-	ld.mu.Lock()
-	pc := ld.pending
-	ld.pending = nil
-	ld.mu.Unlock()
-	if pc != nil && pc.cpuActive {
-		stopCPUProfile()
-	}
-}
+// BudgetNs returns the per-frame deadline budget (≤ 0: no overrun
+// detection).
+func (ld *Ledger) BudgetNs() int64 { return ld.cfg.BudgetNs }
 
 // readAllocs samples the cumulative heap-object allocation counter.
 func (ld *Ledger) readAllocs() int64 {
@@ -335,23 +262,24 @@ func (ld *Ledger) BeginFrame(frame int64, metric geo.Metric) {
 // sample's FrameNs/Allocs, so the ledger and the KPI ring agree by
 // construction. It folds the frame into the cumulative totals and the
 // slow-frame ring, and runs overrun detection. It returns the sealed
-// frame (Overrun set when it blew the budget) and the capture this
-// frame finalised, if any; a frame that was never begun returns a zero
-// profile.
-func (ld *Ledger) EndFrame(frame, wallNs, allocs int64) (FrameProfile, *Capture) {
+// frame, Overrun set when it blew the budget; a frame that was never
+// begun returns a zero profile.
+func (ld *Ledger) EndFrame(frame, wallNs, allocs int64) FrameProfile {
 	ld.mu.Lock()
+	defer ld.mu.Unlock()
 	if !ld.inFrame || ld.cur.Frame != frame {
-		ld.mu.Unlock()
-		return FrameProfile{}, nil
+		return FrameProfile{}
 	}
 	ld.inFrame = false
 	ld.cur.WallNs = wallNs
 	ld.cur.Allocs = allocs
-	overrun := ld.cfg.BudgetNs > 0 && wallNs > ld.cfg.BudgetNs
-	ld.cur.Overrun = overrun
+	ld.cur.Overrun = ld.cfg.BudgetNs > 0 && wallNs > ld.cfg.BudgetNs
 	p := ld.cur
 
 	ld.frames++
+	if p.Overrun {
+		ld.overruns++
+	}
 	ld.totalWallNs += wallNs
 	ld.totalAllocs += allocs
 	for i := 0; i < NumStages; i++ {
@@ -362,47 +290,7 @@ func (ld *Ledger) EndFrame(frame, wallNs, allocs int64) (FrameProfile, *Capture)
 		ld.totalMisses[i] += p.StageCacheMisses[i]
 	}
 	ld.noteTop(p)
-
-	var done *pendingCapture
-	if overrun {
-		ld.overruns++
-	}
-	switch {
-	case ld.pending != nil:
-		ld.pending.left--
-		if ld.pending.left <= 0 {
-			done = ld.pending
-			ld.pending = nil
-		}
-		if overrun {
-			// Overruns during an in-flight capture are part of the
-			// evidence being collected, not new triggers.
-			ld.suppressed++
-			ld.sinceCap++
-		}
-	case overrun && ld.cfg.Capture:
-		if frame-ld.lastCapture >= ld.cfg.CooldownFrames {
-			ld.pending = &pendingCapture{
-				trigger:    p,
-				left:       ld.cfg.CaptureFrames,
-				suppressed: ld.sinceCap,
-			}
-			ld.sinceCap = 0
-			ld.lastCapture = frame
-			ld.captures++
-			ld.pending.heapPre = heapProfile()
-			ld.pending.cpuActive = startCPUProfile(&ld.pending.cpu)
-		} else {
-			ld.suppressed++
-			ld.sinceCap++
-		}
-	}
-	ld.mu.Unlock()
-
-	if done == nil {
-		return p, nil
-	}
-	return p, ld.finishCapture(done)
+	return p
 }
 
 // noteTop inserts p into the slow-frame ring, evicting the fastest
@@ -421,24 +309,5 @@ func (ld *Ledger) noteTop(p FrameProfile) {
 	}
 	if p.WallNs > ld.top[min].WallNs {
 		ld.top[min] = p
-	}
-}
-
-// finishCapture stops the profilers and seals the capture. Called off
-// the ledger mutex: the heap profile walks the whole heap.
-func (ld *Ledger) finishCapture(pc *pendingCapture) *Capture {
-	var cpu []byte
-	if pc.cpuActive {
-		stopCPUProfile()
-		cpu = pc.cpu.Bytes()
-	}
-	return &Capture{
-		Trigger:    pc.trigger,
-		BudgetNs:   ld.cfg.BudgetNs,
-		Frames:     ld.cfg.CaptureFrames,
-		Suppressed: pc.suppressed,
-		CPU:        cpu,
-		HeapPre:    pc.heapPre,
-		Heap:       heapProfile(),
 	}
 }

@@ -61,13 +61,11 @@ func (p *FrameProfile) Report() FrameReport {
 
 // Summary is the run-cumulative view of the ledger.
 type Summary struct {
-	Frames     int64 `json:"frames"`
-	BudgetNs   int64 `json:"budgetNs,omitempty"`
-	Overruns   int64 `json:"overruns"`
-	Captures   int64 `json:"captures"`
-	Suppressed int64 `json:"suppressed"`
-	AvgWallNs  int64 `json:"avgWallNs"`
-	AvgAllocs  int64 `json:"avgAllocs"`
+	Frames    int64 `json:"frames"`
+	BudgetNs  int64 `json:"budgetNs,omitempty"`
+	Overruns  int64 `json:"overruns"`
+	AvgWallNs int64 `json:"avgWallNs"`
+	AvgAllocs int64 `json:"avgAllocs"`
 	// Stages carries cumulative per-stage cost; Share is against the
 	// cumulative frame wall-clock.
 	Stages []StageCost `json:"stages"`
@@ -78,12 +76,10 @@ func (ld *Ledger) Summary() Summary {
 	ld.mu.Lock()
 	defer ld.mu.Unlock()
 	s := Summary{
-		Frames:     ld.frames,
-		BudgetNs:   ld.cfg.BudgetNs,
-		Overruns:   ld.overruns,
-		Captures:   ld.captures,
-		Suppressed: ld.suppressed,
-		Stages:     make([]StageCost, 0, NumStages),
+		Frames:   ld.frames,
+		BudgetNs: ld.cfg.BudgetNs,
+		Overruns: ld.overruns,
+		Stages:   make([]StageCost, 0, NumStages),
 	}
 	if ld.frames > 0 {
 		s.AvgWallNs = ld.totalWallNs / ld.frames

@@ -246,13 +246,15 @@ type Config struct {
 	// bracketed as one ledger frame, the simulator's phases and the
 	// dispatchers (through Frame.Ledger) open stage spans, each sealed
 	// frame's stage times fill its KPI sample's StageNs (published on
-	// the Hub's kpi topic). Overrun captures are bundled into Recorder.
+	// the Hub's kpi topic), and each sealed frame goes to Recorder.
 	Ledger *prof.Ledger
 	// Recorder, when non-nil, is the flight recorder. Its bundles freeze
 	// this simulator's own stores (the KPI ring, the event tail, the
 	// Tracer, the SLO status and the fault state), and the simulator
-	// triggers it at the end of Step on SLO breaches, degraded frames,
-	// stability violations, and overrun captures.
+	// triggers it at the end of Step on SLO breaches, degraded frames
+	// and stability violations, then hands it the Ledger's sealed
+	// frame (Observe), where a frame-budget overrun starts a capture.
+	// The owner calls Recorder.Close when the run ends.
 	Recorder *flightrec.Recorder
 	// Tracer, when non-nil, is the decision-trace recorder: it receives
 	// every lifecycle event, every dispatch decision (through
@@ -563,19 +565,19 @@ func (s *Simulator) Step() error {
 	// frame's wall/allocs are the sample's FrameNs/Allocs, and its stage
 	// times become the sample's StageNs.
 	var p prof.FrameProfile
-	var capture *prof.Capture
 	if ld != nil {
-		p, capture = ld.EndFrame(int64(frame), wall.Nanoseconds(), int64(allocs))
+		p = ld.EndFrame(int64(frame), wall.Nanoseconds(), int64(allocs))
 	}
 	if rec != nil {
 		sample := s.recordKPI(rec, frame, wall, allocs, p.StageNs)
 		s.watchFrame(sample)
 	}
 	// Every trigger fires after the KPI sample is recorded, so each
-	// bundle already holds the frame that tripped it.
+	// bundle already holds the frame that tripped it; the sealed frame
+	// goes to the recorder last, where an overrun is one more trigger.
 	s.fireTriggers()
-	if capture != nil && s.cfg.Recorder != nil {
-		s.cfg.Recorder.TriggerOverrun(*capture) //nolint:errcheck // counted by the recorder
+	if r := s.cfg.Recorder; r != nil && ld != nil {
+		r.Observe(p, ld.BudgetNs()) //nolint:errcheck // counted by the recorder
 	}
 	return nil
 }

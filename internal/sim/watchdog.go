@@ -76,7 +76,7 @@ func (s *Simulator) fireTriggers() {
 	s.triggers = nil
 	s.degradedMu.Unlock()
 	for _, tr := range queued {
-		r.Trigger(tr.frame, tr.reason, tr.detail, false) //nolint:errcheck // counted by the recorder
+		r.Trigger(tr.frame, tr.reason, tr.detail) //nolint:errcheck // counted by the recorder
 	}
 }
 
@@ -94,8 +94,8 @@ type faultState struct {
 // the simulator's own stores: kpi.csv and the stages section from one
 // snapshot of the KPI ring, events.jsonl from the event tail, trace.json
 // from the tracer, and the slo and faults sections. Each store carries
-// its own lock, so a trigger on another goroutine (a manual or panic
-// bundle) reads them safely.
+// its own lock, so a trigger on another goroutine (dispatchd's HTTP
+// panic trigger) reads them safely.
 func (s *Simulator) bundleContents() flightrec.Contents {
 	fs := faultState{ActiveOutages: s.outagesNow.Load()}
 	if f, ok := s.cfg.Faults.(interface{ Config() fault.Config }); ok {

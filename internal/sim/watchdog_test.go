@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"stabledispatch/internal/dtrace"
@@ -153,11 +154,12 @@ func (farthestDispatcher) Dispatch(f *Frame) ([]fleet.Assignment, error) {
 }
 
 // bundledSim builds a simulator over two taxis and three requests with
-// IDs from base+1, recording into its own flight recorder.
-func bundledSim(t *testing.T, cfg Config, base int) (*Simulator, string) {
+// IDs from base+1, recording into its own flight recorder with the
+// given cooldown in frames.
+func bundledSim(t *testing.T, cfg Config, base, cooldown int) (*Simulator, string) {
 	t.Helper()
 	dir := t.TempDir()
-	rec, err := flightrec.New(flightrec.Config{Dir: dir, CooldownFrames: 1 << 20})
+	rec, err := flightrec.New(flightrec.Config{Dir: dir, CooldownFrames: cooldown})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +205,8 @@ func TestBundleReadsSimulatorStores(t *testing.T) {
 	traced.KPI, traced.Tracer = tseries.New(tseries.Config{Capacity: 64}), dtrace.New(0, 0)
 	plain := simpleConfig(nearestDispatcher{})
 	plain.KPI = tseries.New(tseries.Config{Capacity: 64})
-	sa, dirA := bundledSim(t, traced, 0)
-	sb, dirB := bundledSim(t, plain, 100)
+	sa, dirA := bundledSim(t, traced, 0, 1<<20)
+	sb, dirB := bundledSim(t, plain, 100, 1<<20)
 	for i := 0; i < 8; i++ {
 		for _, s := range []*Simulator{sa, sb} {
 			if err := s.Step(); err != nil {
@@ -219,8 +221,9 @@ func TestBundleReadsSimulatorStores(t *testing.T) {
 		traced bool
 		minID  int
 	}{{sa, dirA, true, 1}, {sb, dirB, false, 101}} {
-		if _, err := tc.s.Recorder().Trigger(int64(tc.s.Frame()), flightrec.ReasonOverrun, "", true); err != nil {
-			t.Fatal(err)
+		// The recorder's first trigger is outside any cooldown.
+		if path, err := tc.s.Recorder().Trigger(int64(tc.s.Frame()), flightrec.ReasonOverrun, ""); err != nil || path == "" {
+			t.Fatalf("trigger: path=%q err=%v", path, err)
 		}
 		m := onlyBundle(t, tc.dir)
 
@@ -290,7 +293,7 @@ func TestInFrameTriggersBundleTheirFrame(t *testing.T) {
 			if tc.traced {
 				cfg.Tracer = dtrace.New(0, 0)
 			}
-			s, dir := bundledSim(t, cfg, 0)
+			s, dir := bundledSim(t, cfg, 0, 1<<20)
 			if _, err := s.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -342,33 +345,50 @@ func TestEventTailEviction(t *testing.T) {
 }
 
 // TestBundleWhileStepping bundles and reads the event tail from another
-// goroutine while the simulator steps, as dispatchd's manual and panic
-// triggers do; run under -race it checks every store a bundle reads is
-// synchronised.
+// goroutine while the simulator steps, as dispatchd's HTTP panic
+// trigger does; run under -race it checks every store a bundle reads is
+// synchronised. The recorder's 1-frame cooldown admits each of the
+// goroutine's triggers, made at increasing frames, and the simulator
+// keeps stepping until more than one of them has written its bundle.
 func TestBundleWhileStepping(t *testing.T) {
 	cfg := simpleConfig(farthestDispatcher{})
 	cfg.KPI, cfg.Tracer = tseries.New(tseries.Config{Capacity: 64}), dtrace.New(0, 0)
-	s, _ := bundledSim(t, cfg, 0)
+	s, _ := bundledSim(t, cfg, 0, 1)
+	rec := s.Recorder()
+	var written atomic.Int64
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		for {
+		for frame := int64(1 << 20); ; frame++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if _, err := s.Recorder().Trigger(0, flightrec.ReasonOverrun, "", true); err != nil {
+			path, err := rec.Trigger(frame, flightrec.ReasonPanic, "")
+			if err != nil {
 				t.Error(err)
 				return
+			}
+			if path != "" {
+				written.Add(1)
 			}
 			s.RecentEvents()
 		}
 	}()
-	_, err := s.Run()
+	for steps := 0; !s.Done() || written.Load() < 2; steps++ {
+		if steps == 1_000_000 {
+			t.Error("the triggering goroutine wrote fewer than 2 bundles while the simulator stepped")
+			break
+		}
+		if err := s.Step(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
 	close(stop)
 	<-done
-	if err != nil {
-		t.Fatal(err)
+	if n := written.Load(); n < 2 {
+		t.Errorf("bundles written while stepping = %d, want more than 1", n)
 	}
 }
