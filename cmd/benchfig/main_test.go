@@ -31,7 +31,7 @@ func TestRunSharingFigure(t *testing.T) {
 	if err := run(quickArgs("fig9"), &sb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, want := range []string{"STD-P", "RAII", "SARP", "ILP"} {
+	for _, want := range []string{"STD-P", "SARP", "ILP"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("output missing %q", want)
 		}

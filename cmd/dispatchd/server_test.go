@@ -189,14 +189,17 @@ func TestDaemonDispatcherNames(t *testing.T) {
 	for _, name := range []string{
 		"nstd-p", "nstd-t", "nstd-c", "nstd-m", "NSTD-P",
 		"greedy", "mincost", "bottleneck",
-		"std-p", "std-t", "raii", "sarp", "ilp",
+		"std-p", "std-t", "sarp", "ilp",
 	} {
 		if _, err := exp.Dispatcher(name, 5); err != nil {
 			t.Errorf("exp.Dispatcher(%q): %v", name, err)
 		}
 	}
-	if _, err := exp.Dispatcher("nope", 5); err == nil {
-		t.Error("accepted unknown dispatcher")
+	// raii is gone: SARP dispatches identically (package carpool).
+	for _, name := range []string{"nope", "raii"} {
+		if _, err := exp.Dispatcher(name, 5); err == nil {
+			t.Errorf("accepted unknown dispatcher %q", name)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // and prints metrics summaries:
 //
 //	taxisim -city boston -algo nstd-p -taxis 200 -frames 1440
-//	taxisim -trace day.csv -city newyork -algo raii
+//	taxisim -trace day.csv -city newyork -algo sarp
 //	taxisim -algo nstd-p,greedy,mincost    # side-by-side comparison
 //	taxisim -algo all                      # every algorithm
 //	taxisim -algo nstd-p -trace-out decisions.json   # Chrome trace of dispatch decisions
@@ -12,7 +12,7 @@
 //	taxisim -algo nstd-p -slo ci/watchdog.slo -bundle-dir bundles   # SLO watchdog + flight recorder
 //
 // Algorithms: nstd-p, nstd-t, nstd-c, nstd-m, greedy, mincost, bottleneck
-// (non-sharing); std-p, std-t, raii, sarp, ilp (sharing).
+// (non-sharing); std-p, std-t, sarp, ilp (sharing).
 package main
 
 import (
@@ -286,7 +286,15 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	return nil
+	// A bundle that failed to write is lost evidence: like a failed
+	// -kpi-out write, it fails the run, after the summary that counts it.
+	var failed []error
+	for i, rec := range recorders {
+		if rec != nil && rec.Errors() > 0 {
+			failed = append(failed, fmt.Errorf("%s: flight recorder: %d bundle writes or deletions failed", reports[i].Algorithm, rec.Errors()))
+		}
+	}
+	return errors.Join(failed...)
 }
 
 // kpiOutPath derives the per-algorithm KPI CSV or Chrome trace path for
@@ -386,7 +394,8 @@ func printSummary(w io.Writer, rep *sim.Report, total, taxis int) error {
 // printStageTimings renders one run's stage timings from that run's KPI
 // samples (tseries.StageBreakdown, the same rollup behind dispatchd's
 // /v1/report and /v1/profile), its ledger's overrun count and, with a
-// flight recorder, the recorder's bundle and suppression counts.
+// flight recorder, the recorder's bundle, suppression and failure
+// counts.
 func printStageTimings(w io.Writer, algo string, samples []tseries.Sample, ld *prof.Ledger, rec *flightrec.Recorder) error {
 	frame, stages := tseries.StageBreakdown(samples)
 	if frame == nil && len(stages) == 0 {
@@ -410,16 +419,18 @@ func printStageTimings(w io.Writer, algo string, samples []tseries.Sample, ld *p
 	if err := tb.Render(w); err != nil {
 		return err
 	}
-	// With a budget set, the overrun accounting belongs in the summary:
-	// it is the line an operator greps after a slow run.
-	sum := ld.Summary()
-	if sum.BudgetNs <= 0 {
+	// The overrun and recorder accounting belong in the summary: it is
+	// the line an operator greps after a slow or breached run.
+	var parts []string
+	if sum := ld.Summary(); sum.BudgetNs > 0 {
+		parts = append(parts, fmt.Sprintf("frame budget %v: %d overruns", time.Duration(sum.BudgetNs), sum.Overruns))
+	}
+	if rec != nil {
+		parts = append(parts, fmt.Sprintf("flight recorder: %d bundles, %d suppressed, %d failed", rec.Bundles(), rec.Suppressed(), rec.Errors()))
+	}
+	if len(parts) == 0 {
 		return nil
 	}
-	line := fmt.Sprintf("  frame budget %v: %d overruns", time.Duration(sum.BudgetNs), sum.Overruns)
-	if rec != nil {
-		line += fmt.Sprintf("; flight recorder: %d bundles, %d suppressed", rec.Bundles(), rec.Suppressed())
-	}
-	_, err := fmt.Fprintln(w, line)
+	_, err := fmt.Fprintln(w, "  "+strings.Join(parts, "; "))
 	return err
 }

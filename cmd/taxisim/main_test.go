@@ -34,7 +34,7 @@ func TestRunAllAlgorithms(t *testing.T) {
 	for _, algo := range []string{
 		"nstd-p", "nstd-t", "nstd-c", "nstd-m", "NSTD-P",
 		"greedy", "mincost", "bottleneck",
-		"std-p", "std-t", "raii", "sarp", "ilp",
+		"std-p", "std-t", "sarp", "ilp",
 	} {
 		t.Run(algo, func(t *testing.T) {
 			var sb strings.Builder
@@ -66,8 +66,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-city", "gotham"}, &sb); err == nil {
 		t.Error("accepted unknown city")
 	}
-	if err := run([]string{"-algo", "magic"}, &sb); err == nil {
-		t.Error("accepted unknown algorithm")
+	// raii is gone: SARP dispatches identically (package carpool).
+	for _, algo := range []string{"magic", "raii"} {
+		if err := run([]string{"-algo", algo}, &sb); err == nil {
+			t.Errorf("accepted unknown algorithm %q", algo)
+		}
 	}
 	if err := run([]string{"-trace", "/no/such/file.csv"}, &sb); err == nil {
 		t.Error("accepted missing trace file")
@@ -472,7 +475,8 @@ func TestRunProfBudgetCapturesOverrun(t *testing.T) {
 			}
 			out := sb.String()
 			// The budget prints as a Go duration: "%.2fms" would read 0.00ms.
-			if !strings.Contains(out, "frame budget 1ns:") || !strings.Contains(out, "; flight recorder: 1 bundles, ") {
+			if !strings.Contains(out, "frame budget 1ns:") || !strings.Contains(out, "; flight recorder: 1 bundles, ") ||
+				!strings.Contains(out, " suppressed, 0 failed") {
 				t.Errorf("summary missing profiler accounting:\n%s", out)
 			}
 			if tc.algos == nil {
@@ -483,6 +487,27 @@ func TestRunProfBudgetCapturesOverrun(t *testing.T) {
 				checkOverrunBundle(t, filepath.Join(dir, algo), tc.capture, tc.short)
 			}
 		})
+	}
+}
+
+// TestRunFailsOnUnwritableBundleDir breaches the abandonment SLO with
+// -bundle-dir under a regular file, so every bundle write fails: the
+// summary counts the failures and the run returns an error after it.
+func TestRunFailsOnUnwritableBundleDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	err := run([]string{"-algo", "nstd-p", "-taxis", "12", "-frames", "120", "-volume", "4000",
+		"-seed", "11", "-patience", "10", "-fault-seed", "7", "-breakdown-rate", "0.02",
+		"-cancel-rate", "0.05", "-slo", "../../ci/watchdog.slo", "-bundle-dir", filepath.Join(file, "b")}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "flight recorder: 1 bundle writes or deletions failed") {
+		t.Errorf("run error = %v, want one failed bundle write", err)
+	}
+	out := sb.String()
+	if !strings.Contains(out, "abandonment BREACH") || !strings.Contains(out, "flight recorder: 0 bundles, 0 suppressed, 1 failed") {
+		t.Errorf("summary missing the breach or the failed bundle:\n%s", out)
 	}
 }
 

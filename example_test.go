@@ -182,7 +182,7 @@ func ExamplePackRequests() {
 	// group [12 13]: route 4.07 km  rider 12 detour 0.11 km  rider 13 detour 0.00 km
 	// group [15 23]: route 3.05 km  rider 15 detour 0.05 km  rider 23 detour 0.32 km
 	// STD-P  served  650/650  shared rides 142  mean delay  1.26 min  taxi diss  -1.020 km
-	// SARP   served  650/650  shared rides  56  mean delay  0.00 min  taxi diss  -1.827 km
+	// SARP   served  650/650  shared rides 550  mean delay  0.00 min  taxi diss  -1.827 km
 }
 
 // ExampleSimConfig_outages takes a third of the fleet offline during

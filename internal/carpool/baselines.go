@@ -6,15 +6,13 @@ import (
 
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/fleet"
-	"stabledispatch/internal/geo"
 	"stabledispatch/internal/match"
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
-	"stabledispatch/internal/spatial"
 )
 
-// Config holds the constraints shared by the insertion baselines.
+// Config holds the insertion baseline's constraints.
 type Config struct {
 	// Theta bounds the new rider's on-board detour (km); matches the
 	// paper's θ = 5.
@@ -22,9 +20,6 @@ type Config struct {
 	// MaxAdded bounds the total extra driving an insertion may cost the
 	// taxi, which also shields existing riders from long detours.
 	MaxAdded float64
-	// SearchRadius is how far RAII's spatio-temporal index looks for
-	// candidate taxis around a pickup (km).
-	SearchRadius float64
 	// MaxWait bounds the along-route distance to an inserted rider's
 	// pickup — the pickup-deadline window of the cited systems. Zero
 	// admits only a pickup the taxi is already at.
@@ -32,76 +27,17 @@ type Config struct {
 }
 
 // DefaultConfig mirrors the paper's sharing evaluation: θ = 5 km, with
-// the added-distance bound, index radius, and pickup-wait window all at
-// 2θ.
+// the added-distance bound and pickup-wait window both at 2θ.
 func DefaultConfig() Config {
-	return Config{Theta: 5, MaxAdded: 10, SearchRadius: 10, MaxWait: 10}
+	return Config{Theta: 5, MaxAdded: 10, MaxWait: 10}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Theta < 0 || c.MaxAdded < 0 || c.SearchRadius < 0 || c.MaxWait < 0 {
+	if c.Theta < 0 || c.MaxAdded < 0 || c.MaxWait < 0 {
 		return fmt.Errorf("carpool: negative constraint in config %+v", c)
 	}
 	return nil
-}
-
-// RAII is the spatio-temporal-index baseline [7]: candidate taxis come
-// from a grid index around the request's pickup, and the request goes to
-// the candidate whose route absorbs it with the least added distance.
-type RAII struct {
-	cfg Config
-}
-
-var _ sim.Dispatcher = (*RAII)(nil)
-
-// NewRAII returns the RAII baseline dispatcher.
-func NewRAII(cfg Config) *RAII { return &RAII{cfg: cfg} }
-
-// Name implements sim.Dispatcher.
-func (d *RAII) Name() string { return "RAII" }
-
-// Dispatch implements sim.Dispatcher.
-func (d *RAII) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
-	if err := d.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(f.Taxis) == 0 {
-		return nil, nil
-	}
-	// Build the spatial index over taxi positions for this frame.
-	bounds := frameBounds(f)
-	index := spatial.NewIndex(bounds, indexCell(bounds))
-	for i, v := range f.Taxis {
-		index.Insert(i, v.Pos)
-	}
-
-	views := append([]sim.TaxiView(nil), f.Taxis...)
-	plans := make(map[int]insertionPlan) // taxi slice index -> plan
-	reqsOf := make(map[int][]int)        // taxi slice index -> request IDs
-
-	for _, r := range f.Requests {
-		candidates := index.WithinRadius(r.Pickup, d.cfg.SearchRadius)
-		bestTaxi, best := -1, insertionPlan{added: math.Inf(1)}
-		for _, ti := range candidates {
-			if _, taken := plans[ti]; taken {
-				continue // one assignment per taxi per frame
-			}
-			if views[ti].Offline {
-				continue
-			}
-			plan, ok := bestInsertion(views[ti], r, f.Metric, d.cfg.Theta, d.cfg.MaxAdded, d.cfg.MaxWait)
-			if ok && plan.added < best.added {
-				bestTaxi, best = ti, plan
-			}
-		}
-		if bestTaxi < 0 {
-			continue // no nearby feasible taxi; the request waits
-		}
-		plans[bestTaxi] = best
-		reqsOf[bestTaxi] = append(reqsOf[bestTaxi], r.ID)
-	}
-	return buildAssignments(views, plans, reqsOf), nil
 }
 
 // SARP is the TSP-insertion baseline [8]: every taxi is a candidate (no
@@ -226,47 +162,4 @@ func buildAssignments(views []sim.TaxiView, plans map[int]insertionPlan, reqsOf 
 		})
 	}
 	return out
-}
-
-func frameBounds(f *sim.Frame) geo.Rect {
-	first := true
-	var r geo.Rect
-	grow := func(p geo.Point) {
-		if first {
-			r = geo.NewRect(p, p)
-			first = false
-			return
-		}
-		if p.X < r.Min.X {
-			r.Min.X = p.X
-		}
-		if p.X > r.Max.X {
-			r.Max.X = p.X
-		}
-		if p.Y < r.Min.Y {
-			r.Min.Y = p.Y
-		}
-		if p.Y > r.Max.Y {
-			r.Max.Y = p.Y
-		}
-	}
-	for _, v := range f.Taxis {
-		grow(v.Pos)
-	}
-	for _, req := range f.Requests {
-		grow(req.Pickup)
-	}
-	if first {
-		return geo.NewRect(geo.Point{}, geo.Point{X: 1, Y: 1})
-	}
-	return r.Expand(1)
-}
-
-func indexCell(bounds geo.Rect) float64 {
-	side := math.Max(bounds.Width(), bounds.Height())
-	cell := side / 16
-	if cell <= 0 {
-		return 1
-	}
-	return cell
 }

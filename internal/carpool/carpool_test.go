@@ -55,9 +55,6 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	if got := NewRAII(DefaultConfig()).Name(); got != "RAII" {
-		t.Errorf("Name = %q", got)
-	}
 	if got := NewSARP(DefaultConfig()).Name(); got != "SARP" {
 		t.Errorf("Name = %q", got)
 	}
@@ -69,7 +66,6 @@ func TestNames(t *testing.T) {
 func TestBaselinesServeTraffic(t *testing.T) {
 	taxis, reqs := smallWorld(t, 10, 12, 40)
 	dispatchers := []sim.Dispatcher{
-		NewRAII(DefaultConfig()),
 		NewSARP(DefaultConfig()),
 		NewILP(share.DefaultPackConfig()),
 	}
@@ -87,8 +83,8 @@ func TestBaselinesServeTraffic(t *testing.T) {
 }
 
 func TestInsertionBaselinesShareRides(t *testing.T) {
-	// Overloaded fleet with aligned demand: insertion baselines must
-	// produce at least one shared episode.
+	// Overloaded fleet with aligned demand: the insertion baseline must
+	// share at least one ride.
 	var reqs []fleet.Request
 	for i := 0; i < 20; i++ {
 		reqs = append(reqs, fleet.Request{
@@ -102,7 +98,7 @@ func TestInsertionBaselinesShareRides(t *testing.T) {
 		{ID: 0, Pos: geo.Point{}},
 		{ID: 1, Pos: geo.Point{X: 1}},
 	}
-	for _, d := range []sim.Dispatcher{NewRAII(DefaultConfig()), NewSARP(DefaultConfig())} {
+	for _, d := range []sim.Dispatcher{NewSARP(DefaultConfig())} {
 		t.Run(d.Name(), func(t *testing.T) {
 			rep := runSim(t, d, taxis, reqs)
 			if rep.SharedRideCount() == 0 {
@@ -210,36 +206,9 @@ func TestILPUsesIdleTaxisOnly(t *testing.T) {
 	}
 }
 
-func TestRAIIRadiusLimitsCandidates(t *testing.T) {
-	// The only taxi is far outside the search radius: RAII must leave
-	// the request pending even though SARP would take it.
-	frame := &sim.Frame{
-		Requests: []fleet.Request{{ID: 0, Pickup: geo.Point{}, Dropoff: geo.Point{X: 3}}},
-		Taxis:    []sim.TaxiView{{ID: 0, Pos: geo.Point{X: 30}, Idle: true}},
-		Metric:   geo.EuclidMetric,
-		Params:   pref.DefaultParams(),
-	}
-	cfg := Config{Theta: 5, MaxAdded: 100, SearchRadius: 5, MaxWait: 100}
-	out, err := NewRAII(cfg).Dispatch(frame)
-	if err != nil {
-		t.Fatalf("RAII: %v", err)
-	}
-	if len(out) != 0 {
-		t.Errorf("RAII assigned beyond its index radius: %v", out)
-	}
-	sarpOut, err := NewSARP(cfg).Dispatch(frame)
-	if err != nil {
-		t.Fatalf("SARP: %v", err)
-	}
-	if len(sarpOut) != 1 {
-		t.Errorf("SARP should take the distant taxi: %v", sarpOut)
-	}
-}
-
 func TestDeterministicBaselines(t *testing.T) {
 	taxis, reqs := smallWorld(t, 11, 8, 25)
 	for _, mk := range []func() sim.Dispatcher{
-		func() sim.Dispatcher { return NewRAII(DefaultConfig()) },
 		func() sim.Dispatcher { return NewSARP(DefaultConfig()) },
 		func() sim.Dispatcher { return NewILP(share.DefaultPackConfig()) },
 	} {
@@ -331,5 +300,35 @@ func TestBestInsertionMatchesBruteForce(t *testing.T) {
 		if math.Abs(fastLen-slowLen) > 1e-9 {
 			t.Fatalf("trial %d: route length %v vs %v", trial, fastLen, slowLen)
 		}
+	}
+}
+
+// TestPickupWindowBoundsStraightLine pins why SARP also stands for RAII:
+// a feasible insertion reaches the pickup within maxWait along the
+// route, so the taxi is within maxWait in straight line, and a radius
+// index at maxWait around the pickup would drop no taxi SARP can use.
+func TestPickupWindowBoundsStraightLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	feasible := 0
+	for trial := 0; trial < 500; trial++ {
+		v := randomTaxiView(rng)
+		r := fleet.Request{
+			ID:      1,
+			Pickup:  geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10},
+			Dropoff: geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10},
+			Seats:   1,
+		}
+		maxWait := rng.Float64() * 15
+		for _, m := range []geo.Metric{geo.EuclidMetric, geo.ManhattanMetric} {
+			if _, ok := bestInsertion(v, r, m, 6, 30, maxWait); ok {
+				feasible++
+				if d := geo.Euclid(v.Pos, r.Pickup); d > maxWait {
+					t.Fatalf("trial %d: feasible insertion for a taxi %v km from the pickup, window %v", trial, d, maxWait)
+				}
+			}
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no feasible insertion: the check is vacuous")
 	}
 }

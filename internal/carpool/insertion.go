@@ -1,20 +1,21 @@
 // Package carpool implements the sharing comparison algorithms the paper
 // evaluates against (§VI-B):
 //
-//   - RAII (Ma et al. [7]): a spatio-temporal grid index over taxis;
-//     each request is inserted into the nearby candidate taxi that adds
-//     the least total travel distance. The index only surfaces nearby
-//     taxis, which the paper calls "information-lossy".
 //   - SARP (Li et al. [8]): TSP-style insertion — every taxi is
 //     considered and the new request's pickup and drop-off are spliced
 //     into the existing route wherever they add the least distance.
+//     It also stands in for RAII (Ma et al. [7]): RAII's spatial index
+//     surfaces only taxis within the pickup-wait window in straight-line
+//     distance, and SARP's own window test (along-route distance, never
+//     shorter than the straight line, against the same bound) rejects
+//     every taxi the index would drop, so the two dispatch identically.
 //   - ILP ([6]): per frame, requests are packed into share groups by
 //     Algorithm 3's first stage (dispatch.PackFrame, the same units STD
 //     matches) and the group-to-idle-taxi assignment problem is solved
 //     exactly as a minimum-cost matching (the assignment polytope is
 //     integral, so the LP solution is the ILP optimum for the frame).
 //
-// RAII and SARP may insert into busy taxis; the engine's route validator
+// SARP may insert into busy taxis; the engine's route validator
 // guarantees onboard passengers still reach their destinations.
 package carpool
 

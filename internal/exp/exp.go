@@ -214,13 +214,13 @@ func nonSharingDispatchers() []sim.Dispatcher {
 	}
 }
 
-// sharingDispatchers returns fresh instances of the five §VI-D
-// algorithms.
+// sharingDispatchers returns fresh instances of the §VI-D algorithms.
+// SARP also stands for RAII, which dispatches identically (package
+// carpool).
 func sharingDispatchers(theta float64) []sim.Dispatcher {
 	return []sim.Dispatcher{
 		dispatch.NewSTDP(packConfig(theta)),
 		dispatch.NewSTDT(packConfig(theta)),
-		carpool.NewRAII(carpoolConfig(theta)),
 		carpool.NewSARP(carpoolConfig(theta)),
 		carpool.NewILP(packConfig(theta)),
 	}
@@ -232,10 +232,10 @@ func packConfig(theta float64) share.PackConfig {
 	return share.PackConfig{Theta: theta, MaxGroupSize: 3, PairRadius: 2 * theta}
 }
 
-// carpoolConfig is the insertion baselines' configuration at detour
-// bound θ: added distance, index radius and pickup-wait window at 2θ.
+// carpoolConfig is the insertion baseline's configuration at detour
+// bound θ: added distance and pickup-wait window at 2θ.
 func carpoolConfig(theta float64) carpool.Config {
-	return carpool.Config{Theta: theta, MaxAdded: 2 * theta, SearchRadius: 2 * theta, MaxWait: 2 * theta}
+	return carpool.Config{Theta: theta, MaxAdded: 2 * theta, MaxWait: 2 * theta}
 }
 
 // algorithms maps every algorithm name the commands accept to its
@@ -253,7 +253,6 @@ var algorithms = []struct {
 	{"bottleneck", func(float64) sim.Dispatcher { return dispatch.NewBottleneck() }},
 	{"std-p", func(theta float64) sim.Dispatcher { return dispatch.NewSTDP(packConfig(theta)) }},
 	{"std-t", func(theta float64) sim.Dispatcher { return dispatch.NewSTDT(packConfig(theta)) }},
-	{"raii", func(theta float64) sim.Dispatcher { return carpool.NewRAII(carpoolConfig(theta)) }},
 	{"sarp", func(theta float64) sim.Dispatcher { return carpool.NewSARP(carpoolConfig(theta)) }},
 	{"ilp", func(theta float64) sim.Dispatcher { return carpool.NewILP(packConfig(theta)) }},
 }

@@ -129,7 +129,7 @@ func TestFig9Quick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig9: %v", err)
 	}
-	checkFigure(t, f, 5)
+	checkFigure(t, f, 4)
 }
 
 func TestInvalidOptionsRejected(t *testing.T) {

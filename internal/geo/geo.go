@@ -157,11 +157,3 @@ func (r Rect) Clamp(p Point) Point {
 		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
 	}
 }
-
-// Expand grows r by d on every side.
-func (r Rect) Expand(d float64) Rect {
-	return Rect{
-		Min: Point{X: r.Min.X - d, Y: r.Min.Y - d},
-		Max: Point{X: r.Max.X + d, Y: r.Max.Y + d},
-	}
-}

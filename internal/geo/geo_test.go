@@ -160,10 +160,6 @@ func TestRect(t *testing.T) {
 	if clamped.X != 4 || clamped.Y != -2 {
 		t.Errorf("Clamp = %v, want (4, -2)", clamped)
 	}
-	grown := r.Expand(1)
-	if grown.Min.X != -2 || grown.Max.Y != 7 {
-		t.Errorf("Expand = %+v", grown)
-	}
 }
 
 func TestPointArithmetic(t *testing.T) {

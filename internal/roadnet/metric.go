@@ -1,11 +1,9 @@
 package roadnet
 
 import (
-	"math"
 	"sync"
 
 	"stabledispatch/internal/geo"
-	"stabledispatch/internal/spatial"
 )
 
 // maxCacheShards bounds the shard fan-out; sixteen shards is enough to
@@ -43,7 +41,7 @@ type cacheShard struct {
 // independent of cache state.
 type Metric struct {
 	graph *Graph
-	snap  *spatial.Index
+	snap  *snapGrid
 
 	shards    []cacheShard
 	shardMask int
@@ -100,11 +98,6 @@ func NewMetric(g *Graph, cacheSources int) *Metric {
 	if cacheSources < 1 {
 		cacheSources = 1
 	}
-	bounds := graphBounds(g)
-	snap := spatial.NewIndex(bounds, snapCellSize(bounds, g.NumNodes()))
-	for i := 0; i < g.NumNodes(); i++ {
-		snap.Insert(i, g.Node(i))
-	}
 	n := shardCountFor(cacheSources)
 	shards := make([]cacheShard, n)
 	base, extra := cacheSources/n, cacheSources%n
@@ -120,7 +113,7 @@ func NewMetric(g *Graph, cacheSources int) *Metric {
 	}
 	return &Metric{
 		graph:     g,
-		snap:      snap,
+		snap:      newSnapIndex(g),
 		shards:    shards,
 		shardMask: n - 1,
 	}
@@ -131,11 +124,7 @@ func (m *Metric) Graph() *Graph { return m.graph }
 
 // Snap returns the nearest intersection to p, or -1 for an empty graph.
 func (m *Metric) Snap(p geo.Point) int {
-	id, _, ok := m.snap.Nearest(p)
-	if !ok {
-		return -1
-	}
-	return id
+	return m.snap.nearest(p)
 }
 
 // Distance implements geo.Metric.
@@ -232,43 +221,4 @@ func (m *Metric) sourceTable(u int) []float64 {
 	sh.tables[u] = dist
 	sh.order = append(sh.order, u)
 	return dist
-}
-
-func graphBounds(g *Graph) geo.Rect {
-	if g.NumNodes() == 0 {
-		return geo.NewRect(geo.Point{}, geo.Point{X: 1, Y: 1})
-	}
-	r := geo.NewRect(g.Node(0), g.Node(0))
-	for i := 1; i < g.NumNodes(); i++ {
-		p := g.Node(i)
-		if p.X < r.Min.X {
-			r.Min.X = p.X
-		}
-		if p.X > r.Max.X {
-			r.Max.X = p.X
-		}
-		if p.Y < r.Min.Y {
-			r.Min.Y = p.Y
-		}
-		if p.Y > r.Max.Y {
-			r.Max.Y = p.Y
-		}
-	}
-	return r
-}
-
-func snapCellSize(bounds geo.Rect, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	area := bounds.Width() * bounds.Height()
-	if area <= 0 {
-		return 1
-	}
-	// Aim for roughly one node per cell.
-	size := area / float64(n)
-	if size <= 0 {
-		return 1
-	}
-	return math.Sqrt(size)
 }

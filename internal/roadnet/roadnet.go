@@ -5,7 +5,8 @@
 // The package provides a perturbed-grid city generator (Manhattan-style
 // street grids with randomly missing segments and jittered intersections),
 // a binary-heap Dijkstra, path extraction for taxi movement, and an
-// adapter that exposes the network as a geo.Metric.
+// adapter that exposes the network as a geo.Metric, snapping arbitrary
+// points to their nearest intersection through a uniform cell grid.
 package roadnet
 
 import (
@@ -77,8 +78,8 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 func (g *Graph) Node(i int) geo.Point { return g.nodes[i] }
 
 // Nearest returns the index of the intersection closest to p, or -1 for
-// an empty graph. It is a linear scan; callers on hot paths should keep a
-// spatial index instead.
+// an empty graph. It is a linear scan; callers on hot paths should use
+// Metric.Snap, which answers the same query from a grid index.
 func (g *Graph) Nearest(p geo.Point) int {
 	best, bestDist := -1, math.Inf(1)
 	for i, n := range g.nodes {

@@ -162,12 +162,14 @@ func (r *Report) RequeueCount() int {
 	return n
 }
 
-// SharedRideCount returns how many episodes carried more than one
-// request.
+// SharedRideCount returns how many dispatch decisions left their taxi
+// carrying more than one request (AssignmentOutcome.Shared), the same
+// count as the KPI ring's shared_rides. Episodes would hide most
+// insertion sharing: a busy taxi takes many riders in one episode.
 func (r *Report) SharedRideCount() int {
 	n := 0
-	for _, e := range r.Episodes {
-		if e.Requests > 1 {
+	for _, a := range r.Assignments {
+		if a.Shared {
 			n++
 		}
 	}

@@ -18,19 +18,19 @@ import (
 	"stabledispatch/internal/sim"
 )
 
-// lingeringRAII is an RAII primary that outlives its frame: it snapshots
+// lingeringSARP is a SARP primary that outlives its frame: it snapshots
 // every taxi's route when handed the frame, dispatches, then keeps
 // re-reading the frame's routes for a while, counting any that no longer
 // match the snapshot. Each call marks wg done.
-type lingeringRAII struct {
+type lingeringSARP struct {
 	inner   sim.Dispatcher
 	wg      *sync.WaitGroup
 	changed atomic.Int64
 }
 
-func (d *lingeringRAII) Name() string { return "lingering-RAII" }
+func (d *lingeringSARP) Name() string { return "lingering-SARP" }
 
-func (d *lingeringRAII) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
+func (d *lingeringSARP) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	defer d.wg.Done()
 	snap := make([][]fleet.Stop, len(f.Taxis))
 	for i, v := range f.Taxis {
@@ -60,7 +60,7 @@ func (d tracked) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	return d.Dispatcher.Dispatch(f)
 }
 
-// TestAbandonedPrimaryReadsSharedRoutes runs a Resilient whose RAII
+// TestAbandonedPrimaryReadsSharedRoutes runs a Resilient whose SARP
 // primary is abandoned at a 1 ns deadline, so the primary keeps reading
 // the frame's shared routes while the simulator steps on through
 // breakdowns and cancellations. Under -race this proves the simulator
@@ -87,7 +87,7 @@ func TestAbandonedPrimaryReadsSharedRoutes(t *testing.T) {
 		t.Fatalf("fault.New: %v", err)
 	}
 	var wg sync.WaitGroup
-	primary := &lingeringRAII{inner: carpool.NewRAII(carpool.DefaultConfig()), wg: &wg}
+	primary := &lingeringSARP{inner: carpool.NewSARP(carpool.DefaultConfig()), wg: &wg}
 	resilient := dispatch.NewResilient(primary, carpool.NewSARP(carpool.DefaultConfig()), time.Nanosecond)
 	s, err := sim.New(sim.Config{
 		Params:         pref.Unbounded(),

@@ -1,7 +1,7 @@
 package stabledispatch
 
-// Quick-scale KPI pin: the paper's headline dispatchers, the two
-// insertion baselines (the only readers of busy taxis' routes) and the
+// Quick-scale KPI pin: the paper's headline dispatchers, the insertion
+// baseline SARP (the only reader of busy taxis' routes) and the
 // ILP baseline (Algorithm 3's packing with a min-cost assignment) over two
 // simulated Boston hours at a tenth of the paper volume must reproduce
 // these end-of-run KPIs exactly, as must NSTD-P under seeded faults.
@@ -40,7 +40,6 @@ func TestQuickScaleKPIs(t *testing.T) {
 		{"NSTD-T", func() sim.Dispatcher { return dispatch.NewNSTDT() }, 62, 0.016129032258064516, 0, 1.2753322832902854, -0.6401274483997326},
 		{"STD-P", func() sim.Dispatcher { return dispatch.NewSTDP(packCfg) }, 62, 0.3709677419354839, 0, 1.223253422272735, -0.8682186663500442},
 		{"Greedy", func() sim.Dispatcher { return dispatch.NewGreedy() }, 62, 0, 0, 1.338192073948082, -0.5772676577419357},
-		{"RAII", func() sim.Dispatcher { return carpool.NewRAII(carpool.DefaultConfig()) }, 62, 0, 0, 1.7097137938133697, -1.1903204102245741},
 		{"SARP", func() sim.Dispatcher { return carpool.NewSARP(carpool.DefaultConfig()) }, 62, 0, 0, 1.7097137938133697, -1.1903204102245741},
 		{"ILP", func() sim.Dispatcher { return carpool.NewILP(packCfg) }, 62, 0, 0, 1.3022341072178312, -0.7866052919067777},
 		{"NSTD-P+faults", func() sim.Dispatcher { return dispatch.NewNSTDP() }, 57, 0.875, 4, 1.2677785630848795, -0.7051091251503289},
@@ -82,7 +81,8 @@ func TestQuickScaleKPIs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sim.New: %v", err)
 			}
-			if _, err := s.Run(); err != nil {
+			rep, err := s.Run()
+			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			if isFaulted {
@@ -101,6 +101,11 @@ func TestQuickScaleKPIs(t *testing.T) {
 				t.Errorf("KPIs = served %d, delay mean %v p95 %v, pass diss %v, taxi diss %v; want %d, %v, %v, %v, %v",
 					last.Served, last.DelayMean, last.DelayP95, last.PassDissMean, last.TaxiDissMean,
 					tc.served, tc.delayMean, tc.delayP95, tc.passDiss, tc.taxiDiss)
+			}
+			// The report and the KPI ring count shared rides from the
+			// same decision records.
+			if got := int64(rep.SharedRideCount()); last.SharedRides != got {
+				t.Errorf("KPI shared_rides = %d, report SharedRideCount = %d", last.SharedRides, got)
 			}
 		})
 	}

@@ -16,7 +16,8 @@
 //     packed groups.
 //   - Dispatchers for a discrete-time fleet simulator: NSTD-P, NSTD-T,
 //     STD-P, STD-T, plus the literature baselines (greedy nearest,
-//     minimum-cost matching, bottleneck matching, RAII, SARP, ILP).
+//     minimum-cost matching, bottleneck matching, SARP, ILP; SARP
+//     also stands in for RAII, which dispatches identically).
 //   - Calibrated synthetic New York and Boston workloads and the
 //     experiment harness regenerating every figure of the paper.
 //
@@ -211,14 +212,11 @@ func MinCostDispatcher() Dispatcher { return dispatch.NewMinCost() }
 // BottleneckDispatcher returns the bottleneck matching baseline.
 func BottleneckDispatcher() Dispatcher { return dispatch.NewBottleneck() }
 
-// CarpoolConfig configures the sharing baselines RAII and SARP.
+// CarpoolConfig configures the insertion sharing baseline SARP.
 type CarpoolConfig = carpool.Config
 
 // DefaultCarpoolConfig mirrors the paper's sharing evaluation settings.
 func DefaultCarpoolConfig() CarpoolConfig { return carpool.DefaultConfig() }
-
-// RAIIDispatcher returns the spatio-temporal-index sharing baseline.
-func RAIIDispatcher(cfg CarpoolConfig) Dispatcher { return carpool.NewRAII(cfg) }
 
 // SARPDispatcher returns the TSP-insertion sharing baseline.
 func SARPDispatcher(cfg CarpoolConfig) Dispatcher { return carpool.NewSARP(cfg) }

@@ -123,7 +123,6 @@ func TestFacadeDispatcherConstructors(t *testing.T) {
 		"Bottleneck": BottleneckDispatcher(),
 		"STD-P":      STDP(DefaultPackConfig()),
 		"STD-T":      STDT(DefaultPackConfig()),
-		"RAII":       RAIIDispatcher(DefaultCarpoolConfig()),
 		"SARP":       SARPDispatcher(DefaultCarpoolConfig()),
 		"ILP":        ILPDispatcher(DefaultPackConfig()),
 	}
