@@ -119,6 +119,7 @@ type Plane struct {
 
 	metric geo.Metric
 	batch  geo.BatchMetric // metric when it batches (road network); nil otherwise
+	euclid bool            // metric is geo.StraightLine: a disc test's distance is the cell's
 	rows   [][]Entry       // [taxi] stored D(t_i, r_j^s) cells, ascending Req
 	trip   []float64       // [request] D(r_j^s, r_j^d)
 	pairs  [][]float64     // [j][k] D(r_j^s, r_k^s) for j, k < PairRows(); nil without Pairs
@@ -241,6 +242,7 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 		metric:   metric,
 	}
 	p.batch, _ = metric.(geo.BatchMetric)
+	_, p.euclid = metric.(geo.StraightLine)
 	r, t := len(reqs), len(taxis)
 	// The trips and the batch's pair rows share one dense slab: workers
 	// write disjoint ranges, and a frame costs one allocation for them.
@@ -598,18 +600,22 @@ func iota32(n int) []int32 {
 // decides the rest, so a row is the same whichever superset of its discs
 // the candidates are. The straight line lower-bounds every metric here,
 // so a pruned cell's true distance also exceeds its radius and fails the
-// threshold the radius came from. Scalar metrics compute each candidate
-// directly; batching metrics spend one single-source traversal on the
-// row's candidates.
+// threshold the radius came from. Scalar metrics compute each kept cell
+// directly, except that under geo.StraightLine a cell whose exact test
+// ran keeps that test's distance; batching metrics spend one
+// single-source traversal on the row's candidates.
 func (p *Plane) buildPickupRow(i int, discs []disc, cols, cand []int32, dst []Entry) []Entry {
 	src := p.Taxis[i].Pos
 	var dsts []geo.Point // batching metrics: the row's candidate pickups
-	keep := func(x int) {
-		if p.batch == nil {
-			dst = append(dst, Entry{Req: cols[x], Dist: p.metric.Distance(src, discs[x].pickup)})
-		} else {
+	keep := func(x int, dist float64, exact bool) {
+		switch {
+		case p.batch != nil:
 			dst = append(dst, Entry{Req: cols[x]})
 			dsts = append(dsts, discs[x].pickup)
+		case exact && p.euclid:
+			dst = append(dst, Entry{Req: cols[x], Dist: dist})
+		default:
+			dst = append(dst, Entry{Req: cols[x], Dist: p.metric.Distance(src, discs[x].pickup)})
 		}
 	}
 	// The two loops run the same test. The full scan keeps a plain
@@ -619,16 +625,28 @@ func (p *Plane) buildPickupRow(i int, discs []disc, cols, cand []int32, dst []En
 	if cand == nil {
 		for x, d := range discs {
 			dx, dy := d.pickup.X-src.X, d.pickup.Y-src.Y
-			if !(dx*dx+dy*dy > d.sq || (!math.IsInf(d.r, 1) && geo.Euclid(src, d.pickup) > d.r)) {
-				keep(x)
+			switch {
+			case dx*dx+dy*dy > d.sq:
+			case math.IsInf(d.r, 1):
+				keep(x, 0, false)
+			default:
+				if dist := geo.Euclid(src, d.pickup); !(dist > d.r) {
+					keep(x, dist, true)
+				}
 			}
 		}
 	} else {
 		for _, x := range cand {
 			d := &discs[x]
 			dx, dy := d.pickup.X-src.X, d.pickup.Y-src.Y
-			if !(dx*dx+dy*dy > d.sq || (!math.IsInf(d.r, 1) && geo.Euclid(src, d.pickup) > d.r)) {
-				keep(int(x))
+			switch {
+			case dx*dx+dy*dy > d.sq:
+			case math.IsInf(d.r, 1):
+				keep(int(x), 0, false)
+			default:
+				if dist := geo.Euclid(src, d.pickup); !(dist > d.r) {
+					keep(int(x), dist, true)
+				}
 			}
 		}
 	}

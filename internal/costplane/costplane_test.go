@@ -617,6 +617,31 @@ func TestPickupRowsMatchDiscScan(t *testing.T) {
 	}
 }
 
+// TestWrappedEuclidKeepsMetricCalls pins the scope of the straight-line
+// reuse: under geo.StraightLine a stored cell keeps the distance its disc
+// test computed, while a metric wrapping Euclid (a call counter) is
+// still called once per trip and once per stored cell, and both planes
+// hold the same rows bit for bit.
+func TestWrappedEuclidKeepsMetricCalls(t *testing.T) {
+	calls := 0
+	wrapped := geo.MetricFunc(func(a, b geo.Point) float64 { calls++; return geo.Euclid(a, b) })
+	for _, f := range gridFrames(t) {
+		for _, cfg := range []Config{{Workers: 1, PruneRadius: 3}, {Workers: 1, Net: true, MaxNet: 2, Alpha: 1}} {
+			calls = 0
+			pl := Build(f.reqs, f.taxis, wrapped, cfg)
+			if want := len(f.reqs) + pl.Entries(); calls != want {
+				t.Errorf("%s %+v: wrapped metric called %d times, want %d (trips + stored cells)", f.name, cfg, calls, want)
+			}
+			plain := Build(f.reqs, f.taxis, geo.EuclidMetric, cfg)
+			want := make([][]Entry, len(f.taxis))
+			for i := range want {
+				want[i] = plain.PickupRow(i)
+			}
+			checkRows(t, f.name, pl, want)
+		}
+	}
+}
+
 // FuzzPlaneRowsMatchScan checks the disc grid against the full disc
 // scan on random frames: up to 48 taxis and 48 requests spread over a
 // box of the given size (any float, so positions may be huge or

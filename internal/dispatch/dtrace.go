@@ -151,17 +151,32 @@ func (t *frameTracer) observer(taxiProposing bool) *stable.Observer {
 	}
 }
 
+// taxiRank returns request j's position on taxi i's preference list, or
+// -1. The tracer ranks two requests per proposal, so it reads the sorted
+// rows (one sort per traced market) and stops at the pair, which sits
+// near the front: a taxi holds the best proposer so far.
+// pref.Market.TaxiRank, which never sorts, reads the whole build-order
+// row on every call instead.
+func (t *frameTracer) taxiRank(i, j int) int {
+	for k, e := range t.mk.TaxiEntries(i) {
+		if e.Partner == j {
+			return k
+		}
+	}
+	return -1
+}
+
 // reqProposal records one passenger-proposing step: request j proposes
 // to taxi i whose tentative partner was rival (another request index).
 func (t *frameTracer) reqProposal(j, i, rival int, outcome string) {
 	e := dtrace.Ev(dtrace.KindPropose)
 	e.TaxiID = t.taxiID(i)
 	e.ReqRank = t.mk.ReqRank(j, i)
-	e.TaxiRank = t.mk.TaxiRank(i, j)
+	e.TaxiRank = t.taxiRank(i, j)
 	e.Outcome = outcome
 	if rival != stable.Unmatched {
 		e.RivalID = t.firstMember(rival)
-		e.RivalRank = t.mk.TaxiRank(i, rival)
+		e.RivalRank = t.taxiRank(i, rival)
 	}
 	switch outcome {
 	case "accepted":
@@ -182,9 +197,9 @@ func (t *frameTracer) reqProposal(j, i, rival int, outcome string) {
 		d := dtrace.Ev(dtrace.KindDisplaced)
 		d.TaxiID = e.TaxiID
 		d.ReqRank = t.mk.ReqRank(rival, i)
-		d.TaxiRank = t.mk.TaxiRank(i, rival)
+		d.TaxiRank = e.RivalRank
 		d.RivalID = t.firstMember(j)
-		d.RivalRank = t.mk.TaxiRank(i, j)
+		d.RivalRank = e.TaxiRank
 		d.Outcome = "displaced"
 		d.Detail = fmt.Sprintf("lost taxi %d to request %d, which the taxi ranks #%d (this request ranked #%d); resuming proposals",
 			d.TaxiID, d.RivalID, d.RivalRank, d.TaxiRank)
@@ -207,7 +222,7 @@ func (t *frameTracer) taxiProposal(i, j, rival int, outcome string) {
 	e := dtrace.Ev(dtrace.KindPropose)
 	e.TaxiID = t.taxiID(i)
 	e.ReqRank = t.mk.ReqRank(j, i)
-	e.TaxiRank = t.mk.TaxiRank(i, j)
+	e.TaxiRank = t.taxiRank(i, j)
 	if rival != stable.Unmatched {
 		e.RivalID = t.taxiID(rival)
 		e.RivalRank = t.mk.ReqRank(j, rival)

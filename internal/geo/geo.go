@@ -110,11 +110,20 @@ func DistancesFrom(m Metric, src Point, dsts []Point) []float64 {
 	return out
 }
 
+// StraightLine is the straight-line metric, Euclid as a named type, so
+// a consumer that already holds a pair's Euclid distance can recognise
+// the metric by a type assertion and reuse the value (a func-typed
+// Metric is not comparable). A metric wrapping it is not recognised.
+type StraightLine struct{}
+
+// Distance implements Metric.
+func (StraightLine) Distance(a, b Point) float64 { return Euclid(a, b) }
+
 var (
 	_ Metric = MetricFunc(nil)
 
 	// EuclidMetric measures straight-line distance.
-	EuclidMetric Metric = MetricFunc(Euclid)
+	EuclidMetric Metric = StraightLine{}
 	// ManhattanMetric measures L1 (grid) distance.
 	ManhattanMetric Metric = MetricFunc(Manhattan)
 )

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/fleet"
@@ -91,15 +92,31 @@ func (p Params) Validate() error {
 // The pairs sit in compressed-row form, once per side. Request j's
 // entries are byReq[reqStart[j]:reqStart[j+1]], most preferred first:
 // lowest request cost, ties to the lower taxi index. Taxi i's entries are
-// byTaxi[taxiStart[i]:taxiStart[i+1]]: lowest taxi cost, ties to the
-// lower request index. Every entry carries both sides' costs, so the
-// receiving side of a proposal compares costs without a lookup. A
-// counterparty behind the dummy ranks after every acceptable one, and
-// such counterparties rank among themselves by index. The orders are
-// strict, which keeps every algorithm in package stable deterministic.
+// byTaxi[taxiStart[i]:taxiStart[i+1]] in the order the market was built
+// in; its preference order (lowest taxi cost, ties to the lower request
+// index) is materialised on first demand, because the passenger-proposing
+// algorithms never read it: the receiving taxi compares costs (Better).
+// Every entry carries both sides' costs, so the receiving side of a
+// proposal compares costs without a lookup. A counterparty behind the
+// dummy ranks after every acceptable one, and such counterparties rank
+// among themselves by index. The orders are strict, which keeps every
+// algorithm in package stable deterministic.
+//
+// A Market is safe for concurrent reads, and copies of it share the
+// taxi preference order once built.
 type Market struct {
 	reqStart, taxiStart []int
 	byReq, byTaxi       []Entry
+	taxiOrder           *taxiOrder
+}
+
+// taxiOrder holds byTaxi with every row sorted into the taxi's
+// preference order, built once by the first TaxiEntries call. It is a
+// sorted copy, so readers of the build-order rows (TaxiRank) never race
+// the sort.
+type taxiOrder struct {
+	once sync.Once
+	rows []Entry
 }
 
 // Entry is one mutually acceptable pair as it sits on one side's
@@ -170,17 +187,13 @@ func NewMarket(nReq, nTaxi int, pairs []Pair) *Market {
 // BuildMarket assembles a market in one pass over the taxis. For taxi
 // i, accept appends to dst the entries of i's mutually acceptable
 // requests, each carrying both sides' costs, and returns dst. Only the
-// accepted pairs are ever stored.
-func BuildMarket(nReq, nTaxi int, accept func(i int, dst []Entry) []Entry) Market {
+// accepted pairs are ever stored. bound is an upper bound on the entries
+// accept appends over all taxis: the taxi-side slab is allocated once at
+// that capacity (a larger total still builds, by regrowing it).
+func BuildMarket(nReq, nTaxi, bound int, accept func(i int, dst []Entry) []Entry) Market {
 	taxiStart := make([]int, nTaxi+1)
-	var byTaxi []Entry
+	byTaxi := make([]Entry, 0, bound)
 	for i := 0; i < nTaxi; i++ {
-		// A row adds at most nReq entries. Growing ahead of each row
-		// by at least the current length keeps accept's appends from
-		// reallocating and the total growth a doubling.
-		if cap(byTaxi)-len(byTaxi) < nReq {
-			byTaxi = slices.Grow(byTaxi, max(nReq, len(byTaxi)))
-		}
 		byTaxi = accept(i, byTaxi)
 		taxiStart[i+1] = len(byTaxi)
 	}
@@ -188,15 +201,17 @@ func BuildMarket(nReq, nTaxi int, accept func(i int, dst []Entry) []Entry) Marke
 }
 
 // assemble completes a market from its taxi-side entries, grouped by taxi
-// in taxiStart's rows but in any order within a row: it sorts every
-// taxi's row into preference order and derives the request-side rows by
-// a counting sort on the request index.
+// in taxiStart's rows but in any order within a row: it derives the
+// request-side rows by a counting sort on the request index and sorts
+// each into the request's preference order. The taxi rows stay as given
+// until TaxiEntries first needs their order.
 func assemble(nReq int, taxiStart []int, byTaxi []Entry) Market {
 	m := Market{
 		reqStart:  make([]int, nReq+1),
 		taxiStart: taxiStart,
 		byReq:     make([]Entry, len(byTaxi)),
 		byTaxi:    byTaxi,
+		taxiOrder: new(taxiOrder),
 	}
 	for _, e := range byTaxi {
 		m.reqStart[e.Partner+1]++
@@ -206,12 +221,10 @@ func assemble(nReq int, taxiStart []int, byTaxi []Entry) Market {
 	}
 	next := slices.Clone(m.reqStart[:nReq])
 	for i := 0; i < m.NumTaxis(); i++ {
-		row := m.TaxiEntries(i)
-		for _, e := range row {
+		for _, e := range m.byTaxi[taxiStart[i]:taxiStart[i+1]] {
 			m.byReq[next[e.Partner]] = Entry{Partner: i, ReqCost: e.ReqCost, TaxiCost: e.TaxiCost}
 			next[e.Partner]++
 		}
-		slices.SortFunc(row, func(a, b Entry) int { return order(a.TaxiCost, a.Partner, b.TaxiCost, b.Partner) })
 	}
 	for j := 0; j < nReq; j++ {
 		slices.SortFunc(m.ReqEntries(j), func(a, b Entry) int { return order(a.ReqCost, a.Partner, b.ReqCost, b.Partner) })
@@ -232,16 +245,47 @@ func (m *Market) ReqEntries(j int) []Entry { return m.byReq[m.reqStart[j]:m.reqS
 
 // TaxiEntries returns taxi i's mutually acceptable requests, most
 // preferred first. The slice aliases the market; callers must not modify
-// it.
-func (m *Market) TaxiEntries(i int) []Entry { return m.byTaxi[m.taxiStart[i]:m.taxiStart[i+1]] }
+// it. The first call on a market sorts a copy of every taxi row, O(P log
+// P) for P pairs; Algorithm 1 never needs it, only the taxi-proposing
+// pass, TaxiPrefList, Validate and the decision tracer do.
+func (m *Market) TaxiEntries(i int) []Entry {
+	o := m.taxiOrder
+	o.once.Do(func() {
+		o.rows = slices.Clone(m.byTaxi)
+		for k := 0; k < m.NumTaxis(); k++ {
+			slices.SortFunc(o.rows[m.taxiStart[k]:m.taxiStart[k+1]], func(a, b Entry) int {
+				return order(a.TaxiCost, a.Partner, b.TaxiCost, b.Partner)
+			})
+		}
+	})
+	return o.rows[m.taxiStart[i]:m.taxiStart[i+1]]
+}
 
 // ReqRank returns taxi i's position on request j's preference list (0 =
 // most preferred), or -1 when the pair is not mutually acceptable.
 func (m *Market) ReqRank(j, i int) int { return position(m.ReqEntries(j), i) }
 
 // TaxiRank returns request j's position on taxi i's preference list, or
-// -1 when the pair is not mutually acceptable.
-func (m *Market) TaxiRank(i, j int) int { return position(m.TaxiEntries(i), j) }
+// -1 when the pair is not mutually acceptable. It never sorts a taxi
+// row: it finds the pair in i's build-order row and counts the entries i
+// prefers over j, which, the taxi order being total, is j's position in
+// the sorted row. Both scans read the whole row where a scan of the
+// sorted row stops at the pair, so a caller ranking many pairs of one
+// market (the decision tracer) scans TaxiEntries instead.
+func (m *Market) TaxiRank(i, j int) int {
+	row := m.byTaxi[m.taxiStart[i]:m.taxiStart[i+1]]
+	k := position(row, j)
+	if k < 0 {
+		return -1
+	}
+	n := 0
+	for _, e := range row {
+		if order(e.TaxiCost, e.Partner, row[k].TaxiCost, j) < 0 {
+			n++
+		}
+	}
+	return n
+}
 
 func position(list []Entry, partner int) int {
 	for r, e := range list {
@@ -430,7 +474,13 @@ func buildNonSharingMarket(inst *Instance) Market {
 		}
 		return dst
 	}
-	return BuildMarket(len(inst.Requests), len(inst.Taxis), accept)
+	// Each stored cell yields at most one entry; a market that visits
+	// every cell may fill all of them.
+	bound := inst.plane.Entries()
+	if everyCell {
+		bound = inst.plane.Cells()
+	}
+	return BuildMarket(len(inst.Requests), len(inst.Taxis), bound, accept)
 }
 
 // PassengerDissatisfaction returns the paper's non-sharing passenger

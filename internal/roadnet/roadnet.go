@@ -77,19 +77,6 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // Node returns the coordinates of intersection i.
 func (g *Graph) Node(i int) geo.Point { return g.nodes[i] }
 
-// Nearest returns the index of the intersection closest to p, or -1 for
-// an empty graph. It is a linear scan; callers on hot paths should use
-// Metric.Snap, which answers the same query from a grid index.
-func (g *Graph) Nearest(p geo.Point) int {
-	best, bestDist := -1, math.Inf(1)
-	for i, n := range g.nodes {
-		if d := geo.Euclid(p, n); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
 // ShortestDistances runs Dijkstra from src and returns the distance to
 // every node (math.Inf(1) for unreachable nodes).
 func (g *Graph) ShortestDistances(src int) []float64 {

@@ -126,17 +126,6 @@ func TestShortestPathDisconnected(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	g := buildTriangle(t)
-	if got := g.Nearest(geo.Point{X: 2.9, Y: 0.1}); got != 1 {
-		t.Errorf("Nearest = %d, want 1", got)
-	}
-	empty := NewGraph(0)
-	if got := empty.Nearest(geo.Point{}); got != -1 {
-		t.Errorf("Nearest on empty graph = %d, want -1", got)
-	}
-}
-
 func TestDijkstraAgainstFloydWarshall(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {

@@ -141,7 +141,12 @@ func BuildMarketPlane(units []Unit, taxis []fleet.Taxi, pl *costplane.Plane, par
 	}
 	everyCell := math.IsInf(params.MaxPickup, 1) && math.IsInf(params.MaxNet, 1)
 	var full []costplane.Entry
-	market := pref.BuildMarket(len(units), len(taxis), func(i int, dst []pref.Entry) []pref.Entry {
+	// A cell yields at most one entry, for the unit its request starts.
+	bound := pl.Entries()
+	if everyCell {
+		bound = len(units) * len(taxis)
+	}
+	market := pref.BuildMarket(len(units), len(taxis), bound, func(i int, dst []pref.Entry) []pref.Entry {
 		seats := taxis[i].Capacity()
 		row := pl.PickupRow(i)
 		if everyCell {

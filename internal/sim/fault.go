@@ -173,7 +173,7 @@ func (s *Simulator) passengerCancel(rs *requestState) {
 		taxiID = rs.taxiID
 		s.unassign(rs)
 	} else {
-		s.removePending(rs.req.ID)
+		s.removePending(rs)
 	}
 	rs.cancelled = true
 	s.emit(Event{Frame: s.frame, Kind: EventCancel, RequestID: rs.req.ID, TaxiID: taxiID, Pos: rs.req.Pickup})
@@ -277,16 +277,16 @@ func (s *Simulator) requeue(rs *requestState, kind EventKind, taxiID int) {
 	rs.requeues++
 	rs.waitSince = s.frame
 	pos := len(s.pending)
-	for i, pid := range s.pending {
-		pr := s.reqs[pid].req
+	for i, p := range s.pending {
+		pr := p.req
 		if pr.Frame > rs.req.Frame || (pr.Frame == rs.req.Frame && pr.ID > id) {
 			pos = i
 			break
 		}
 	}
-	s.pending = append(s.pending, 0)
+	s.pending = append(s.pending, nil)
 	copy(s.pending[pos+1:], s.pending[pos:])
-	s.pending[pos] = id
+	s.pending[pos] = rs
 	s.emit(Event{Frame: s.frame, Kind: kind, RequestID: id, TaxiID: taxiID, Pos: rs.req.Pickup})
 }
 

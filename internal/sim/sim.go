@@ -380,7 +380,7 @@ type Simulator struct {
 	frame   int
 	arrival []fleet.Request // all requests sorted by arrival frame
 	nextArr int             // index of the next unreleased arrival
-	pending []int           // request IDs awaiting assignment
+	pending []*requestState // requests awaiting assignment, in arrival order
 	reqs    map[int]*requestState
 	taxis   []*taxiState
 	byID    map[int]*taxiState
@@ -621,14 +621,13 @@ func (s *Simulator) expireImpatient() {
 		return
 	}
 	kept := s.pending[:0]
-	for _, id := range s.pending {
-		rs := s.reqs[id]
+	for _, rs := range s.pending {
 		if s.frame-rs.waitSince >= s.cfg.PatienceFrames {
 			rs.abandoned = true
-			s.emit(Event{Frame: s.frame, Kind: EventAbandon, RequestID: id, TaxiID: -1, Pos: rs.req.Pickup})
+			s.emit(Event{Frame: s.frame, Kind: EventAbandon, RequestID: rs.req.ID, TaxiID: -1, Pos: rs.req.Pickup})
 			continue
 		}
-		kept = append(kept, id)
+		kept = append(kept, rs)
 	}
 	s.pending = kept
 }
@@ -647,8 +646,8 @@ func (s *Simulator) Run() (*Report, error) {
 			return nil, err
 		}
 	}
-	for _, id := range s.pending {
-		s.reqs[id].abandoned = true
+	for _, rs := range s.pending {
+		rs.abandoned = true
 	}
 	// Close any still-open episodes at the deadline.
 	for _, t := range s.taxis {
@@ -677,7 +676,7 @@ func (s *Simulator) releaseArrivals() {
 		if rs.cancelled {
 			continue
 		}
-		s.pending = append(s.pending, r.ID)
+		s.pending = append(s.pending, rs)
 		s.emit(Event{Frame: s.frame, Kind: EventRequest, RequestID: r.ID, TaxiID: -1, Pos: r.Pickup})
 		s.scheduleFaultsOnArrival(r.ID)
 	}
@@ -687,8 +686,8 @@ func (s *Simulator) releaseArrivals() {
 // whatever the fleet size, since taxi views share the installed routes.
 func (s *Simulator) view() *Frame {
 	reqs := make([]fleet.Request, len(s.pending))
-	for i, id := range s.pending {
-		reqs[i] = s.reqs[id].req
+	for i, rs := range s.pending {
+		reqs[i] = rs.req
 	}
 	return &Frame{
 		Number:   s.frame,
@@ -724,9 +723,13 @@ func (s *Simulator) dispatch() error {
 	defer sp.End()
 	seenTaxi := make(map[int]bool, len(assignments))
 	for _, a := range assignments {
-		if err := s.apply(a, seenTaxi); err != nil {
-			return fmt.Errorf("sim: dispatcher %s frame %d: %w", s.cfg.Dispatcher.Name(), s.frame, err)
+		if err = s.apply(a, seenTaxi); err != nil {
+			break
 		}
+	}
+	s.dropAssigned()
+	if err != nil {
+		return fmt.Errorf("sim: dispatcher %s frame %d: %w", s.cfg.Dispatcher.Name(), s.frame, err)
 	}
 	if rec := s.cfg.Tracer; rec != nil {
 		s.certifyFrame(rec, frame, assignments)
@@ -734,7 +737,8 @@ func (s *Simulator) dispatch() error {
 	return nil
 }
 
-// apply validates and installs one assignment.
+// apply validates and installs one assignment. The requests it assigns
+// stay in the queue until the frame's commit ends (dropAssigned).
 func (s *Simulator) apply(a fleet.Assignment, seenTaxi map[int]bool) error {
 	t, ok := s.byID[a.TaxiID]
 	if !ok {
@@ -805,7 +809,6 @@ func (s *Simulator) apply(a fleet.Assignment, seenTaxi map[int]bool) error {
 		if s.cfg.KPI != nil {
 			s.kpi.assignRequest(s.frame-rs.req.Frame, rs.passengerDiss)
 		}
-		s.removePending(rs.req.ID)
 		s.emit(Event{Frame: s.frame, Kind: EventAssign, RequestID: rs.req.ID, TaxiID: a.TaxiID, Pos: rs.req.Pickup})
 		s.scheduleFaultsOnAssign(a.TaxiID, rs.req.ID)
 	}
@@ -921,9 +924,21 @@ func (s *Simulator) passengerDiss(t *taxiState, a fleet.Assignment, rs *requestS
 	return toPickup + s.cfg.Params.Beta*(onBoard-solo)
 }
 
-func (s *Simulator) removePending(id int) {
+// dropAssigned removes the requests this frame's commit assigned from
+// the queue in one pass, keeping arrival order.
+func (s *Simulator) dropAssigned() {
+	kept := s.pending[:0]
+	for _, rs := range s.pending {
+		if !rs.assigned {
+			kept = append(kept, rs)
+		}
+	}
+	s.pending = kept
+}
+
+func (s *Simulator) removePending(rs *requestState) {
 	for i, p := range s.pending {
-		if p == id {
+		if p == rs {
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
 			return
 		}

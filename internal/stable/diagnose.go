@@ -72,14 +72,18 @@ func EachBlockingPair(mk *pref.Market, m Matching, fn func(BlockingPair) bool) {
 			}
 		}
 	}
-	// held[i] is taxi i's entry for its partner; heldOK[i] is false when
-	// the taxi is free or its partner sits behind its dummy, so that
+	// held[i] is taxi i's cost of its partner, read off the partner's
+	// request row, so the taxi rows are never sorted; heldOK[i] is false
+	// when the taxi is free or its partner sits behind its dummy, so that
 	// every acceptable request beats it.
-	held := make([]pref.Entry, t)
+	held := make([]float64, t)
 	heldOK := make([]bool, t)
 	for i, j := range m.TaxiPartner {
-		if k := mk.TaxiRank(i, j); k >= 0 {
-			held[i], heldOK[i] = mk.TaxiEntries(i)[k], true
+		if j < 0 || j >= r {
+			continue
+		}
+		if k := mk.ReqRank(j, i); k >= 0 {
+			held[i], heldOK[i] = mk.ReqEntries(j)[k].TaxiCost, true
 		}
 	}
 	var blocking []int
@@ -90,7 +94,7 @@ func EachBlockingPair(mk *pref.Market, m Matching, fn func(BlockingPair) bool) {
 				break // j prefers its partner over the rest of its list
 			}
 			i := e.Partner
-			if !heldOK[i] || pref.Better(e.TaxiCost, j, held[i].TaxiCost, held[i].Partner) {
+			if !heldOK[i] || pref.Better(e.TaxiCost, j, held[i], m.TaxiPartner[i]) {
 				blocking = append(blocking, i)
 			}
 		}
