@@ -160,17 +160,9 @@ func buildExplain(tr dtrace.Trace, o sim.RequestOutcome) explainOut {
 				Reason: fmt.Sprintf("displaced: held taxi %d until request %d (the taxi's rank #%d, vs #%d for this request) took it",
 					e.TaxiID, e.RivalID, e.RivalRank, e.TaxiRank),
 			}
-		case "assign":
-			if len(e.Members) > 1 {
-				for _, m := range e.Members {
-					if m != tr.RequestID {
-						out.SharedWith = append(out.SharedWith, m)
-					}
-				}
-			}
 		}
 	}
-	// Share-group membership also shows on matching events.
+	// Share-group membership shows on matching events.
 	if out.SharedWith == nil {
 		for k := range tr.Events {
 			e := &tr.Events[k]

@@ -255,12 +255,13 @@ func run(args []string, out io.Writer) error {
 		recorders = append(recorders, recorder)
 		kpis = append(kpis, kpi)
 		if *kpiOut != "" {
-			if err := writeKPISeries(kpiPath, kpi); err != nil {
+			csv := func(w io.Writer) error { return tseries.WriteCSV(w, kpi.Snapshot(), tseries.SeriesNames) }
+			if err := writeFile(kpiPath, "kpi series", csv); err != nil {
 				return err
 			}
 		}
 		if tracer != nil {
-			if err := writeChromeTrace(tracePath, tracer); err != nil {
+			if err := writeFile(tracePath, "trace", tracer.WriteChromeTrace); err != nil {
 				return err
 			}
 		}
@@ -306,30 +307,17 @@ func kpiOutPath(base, algo string) string {
 	return dir + strings.TrimSuffix(file, ext) + "." + strings.ToLower(algo) + ext
 }
 
-// writeKPISeries dumps the run's per-frame KPI trajectory as CSV, every
-// known series as one column.
-func writeKPISeries(path string, rec *tseries.Recorder) error {
+// writeFile creates path and fills it: the per-frame KPI CSV, every
+// known series as one column, or the Chrome decision trace (load in
+// chrome://tracing or Perfetto).
+func writeFile(path, what string, fill func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tseries.WriteCSV(f, rec.Snapshot(), tseries.SeriesNames); err != nil {
+	if err := fill(f); err != nil {
 		f.Close()
-		return fmt.Errorf("write kpi series %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-// writeChromeTrace dumps one run's decision traces in the Chrome
-// trace-event format (load in chrome://tracing or Perfetto).
-func writeChromeTrace(path string, rec *dtrace.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("write trace %s: %w", path, err)
+		return fmt.Errorf("write %s %s: %w", what, path, err)
 	}
 	return f.Close()
 }

@@ -1,8 +1,6 @@
 package dispatch
 
 import (
-	"fmt"
-
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/pref"
@@ -108,12 +106,9 @@ func (t *frameTracer) recordCandidates() {
 		e := dtrace.Ev(dtrace.KindCandidates)
 		e.Acceptable = len(list)
 		e.Pool = pool
+		e.Outcome = "acceptable"
 		if len(list) == 0 {
 			e.Outcome = "no_acceptable_taxi"
-			e.Detail = fmt.Sprintf("all %d taxis sit behind a dummy partner (too far, or the trip does not pay)", pool)
-		} else {
-			e.Outcome = "acceptable"
-			e.Detail = fmt.Sprintf("%d of %d taxis ahead of the dummy partner", len(list), pool)
 		}
 		top := list
 		if len(top) > traceTopCandidates {
@@ -140,10 +135,8 @@ func (t *frameTracer) observer(taxiProposing bool) *stable.Observer {
 		return nil
 	}
 	if taxiProposing {
-		return &stable.Observer{
-			Proposal:  t.taxiProposal,
-			Exhausted: func(int) {}, // a taxi settling for its dummy is not a request-side event
-		}
+		// A taxi settling for its dummy is not a request-side event.
+		return &stable.Observer{Proposal: t.taxiProposal}
 	}
 	return &stable.Observer{
 		Proposal:  t.reqProposal,
@@ -178,17 +171,6 @@ func (t *frameTracer) reqProposal(j, i, rival int, outcome string) {
 		e.RivalID = t.firstMember(rival)
 		e.RivalRank = t.taxiRank(i, rival)
 	}
-	switch outcome {
-	case "accepted":
-		e.Detail = fmt.Sprintf("taxi %d was free and the pair is mutually acceptable (request rank #%d, taxi rank #%d)",
-			e.TaxiID, e.ReqRank, e.TaxiRank)
-	case "displaced":
-		e.Detail = fmt.Sprintf("taxi %d upgraded: ranks this request #%d, displacing request %d ranked #%d",
-			e.TaxiID, e.TaxiRank, e.RivalID, e.RivalRank)
-	case "refused":
-		e.Detail = fmt.Sprintf("taxi %d refused: prefers its tentative request %d (rank #%d) over this one (rank #%d)",
-			e.TaxiID, e.RivalID, e.RivalRank, e.TaxiRank)
-	}
 	t.record(j, e)
 
 	// The loser's trace gets the mirror event so its timeline explains
@@ -201,8 +183,6 @@ func (t *frameTracer) reqProposal(j, i, rival int, outcome string) {
 		d.RivalID = t.firstMember(j)
 		d.RivalRank = e.TaxiRank
 		d.Outcome = "displaced"
-		d.Detail = fmt.Sprintf("lost taxi %d to request %d, which the taxi ranks #%d (this request ranked #%d); resuming proposals",
-			d.TaxiID, d.RivalID, d.RivalRank, d.TaxiRank)
 		t.record(rival, d)
 	}
 }
@@ -211,7 +191,6 @@ func (t *frameTracer) reqProposal(j, i, rival int, outcome string) {
 func (t *frameTracer) reqExhausted(j int) {
 	e := dtrace.Ev(dtrace.KindPropose)
 	e.Outcome = "exhausted"
-	e.Detail = "every acceptable taxi refused; the request settles for its dummy partner (unserved this frame)"
 	t.record(j, e)
 }
 
@@ -220,6 +199,7 @@ func (t *frameTracer) reqExhausted(j int) {
 // taxi was rival (a taxi index).
 func (t *frameTracer) taxiProposal(i, j, rival int, outcome string) {
 	e := dtrace.Ev(dtrace.KindPropose)
+	e.TaxiProposing = true
 	e.TaxiID = t.taxiID(i)
 	e.ReqRank = t.mk.ReqRank(j, i)
 	e.TaxiRank = t.taxiRank(i, j)
@@ -230,28 +210,12 @@ func (t *frameTracer) taxiProposal(i, j, rival int, outcome string) {
 	switch outcome {
 	case "accepted":
 		e.Outcome = "accepted"
-		e.Detail = fmt.Sprintf("taxi %d proposed and the request was free (request rank #%d, taxi rank #%d)",
-			e.TaxiID, e.ReqRank, e.TaxiRank)
 	case "displaced":
 		e.Outcome = "upgraded"
-		e.Detail = fmt.Sprintf("taxi %d proposed and the request upgraded from taxi %d (rank #%d) to it (rank #%d)",
-			e.TaxiID, e.RivalID, e.RivalRank, e.ReqRank)
 	case "refused":
 		e.Outcome = "refused_taxi"
-		e.Detail = fmt.Sprintf("taxi %d proposed but the request kept taxi %d (rank #%d vs #%d)",
-			e.TaxiID, e.RivalID, e.RivalRank, e.ReqRank)
 	}
 	t.record(j, e)
-}
-
-// traceDegrade annotates the frame when Resilient hands it to the
-// fallback dispatcher: every subsequent assignment of the frame came
-// from the fallback, not the stable matching.
-func traceDegrade(f *sim.Frame, primary, fallback, reason string, cause error) {
-	if rec := f.Tracer; rec != nil {
-		rec.AddFrameNote(f.Number, fmt.Sprintf(
-			"degraded dispatch: %s failed (%s: %v); frame decided by fallback %s", primary, reason, cause, fallback))
-	}
 }
 
 // singleIDs builds the one-request-per-proposer member table for the

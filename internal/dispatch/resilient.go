@@ -91,7 +91,6 @@ func (d *Resilient) degrade(f *sim.Frame, reason string, cause error) ([]fleet.A
 	slog.Warn("dispatch: degraded frame",
 		"frame", f.Number, "primary", d.primary.Name(),
 		"fallback", d.fallback.Name(), "reason", reason, "err", cause)
-	traceDegrade(f, d.primary.Name(), d.fallback.Name(), reason, cause)
 	f.NoteDegraded(reason, fmt.Sprintf("%s degraded to %s (%s): %v", d.primary.Name(), d.fallback.Name(), reason, cause))
 	res := safeDispatch(d.fallback, f)
 	if res.err != nil {

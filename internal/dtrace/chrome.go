@@ -39,21 +39,35 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		Name: "process_name", Ph: "M", Pid: 1,
 		Args: map[string]any{"name": "stabledispatch"},
 	}}
-	for _, t := range r.Snapshot() {
-		events = append(events, chromeEvents(t)...)
+	// The first and last sequence number of each frame spread the
+	// frame's instants over its millisecond.
+	traces := r.Snapshot()
+	seqs := map[int][2]uint64{}
+	for _, t := range traces {
+		for _, e := range t.Events {
+			s, ok := seqs[e.Frame]
+			if !ok {
+				s = [2]uint64{e.Seq, e.Seq}
+			}
+			seqs[e.Frame] = [2]uint64{min(s[0], e.Seq), max(s[1], e.Seq)}
+		}
+	}
+	for _, t := range traces {
+		events = append(events, chromeEvents(t, seqs)...)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(events)
 }
 
 // chromeEvents renders one request's trace: lifecycle phases as "X"
-// slices plus every decision event as an "i" instant. Within a frame,
-// instants are offset by their sequence number so causal order survives
-// the frame→millisecond quantisation.
-func chromeEvents(t Trace) []chromeEvent {
+// slices plus every decision event as an "i" instant. A frame's
+// instants, on every track, are spread over its millisecond in
+// sequence order, so causal order survives the frame→millisecond
+// quantisation however many events the frame holds.
+func chromeEvents(t Trace, seqs map[int][2]uint64) []chromeEvent {
 	out := []chromeEvent{{
 		Name: "thread_name", Ph: "M", Pid: 1, Tid: t.RequestID,
-		Args: map[string]any{"name": reqTrackName(t.RequestID)},
+		Args: map[string]any{"name": "request " + strconv.Itoa(t.RequestID)},
 	}}
 
 	// Lifecycle phase boundaries, in frame time.
@@ -63,7 +77,8 @@ func chromeEvents(t Trace) []chromeEvent {
 	}
 	var marks []boundary
 	for _, e := range t.Events {
-		ts := float64(e.Frame)*frameMicros + float64(e.Seq%frameMicros)
+		s := seqs[e.Frame]
+		ts := float64(e.Frame)*frameMicros + float64(e.Seq-s[0])*frameMicros/float64(s[1]-s[0]+1)
 		args := map[string]any{"frame": e.Frame}
 		if e.TaxiID >= 0 {
 			args["taxi"] = e.TaxiID
@@ -80,8 +95,8 @@ func chromeEvents(t Trace) []chromeEvent {
 		if e.Outcome != "" {
 			args["outcome"] = e.Outcome
 		}
-		if e.Detail != "" {
-			args["detail"] = e.Detail
+		if d := e.Detail(); d != "" {
+			args["detail"] = d
 		}
 		if len(e.Members) > 0 {
 			args["members"] = e.Members
@@ -122,8 +137,4 @@ func chromeEvents(t Trace) []chromeEvent {
 		})
 	}
 	return out
-}
-
-func reqTrackName(id int) string {
-	return "request " + strconv.Itoa(id)
 }

@@ -16,6 +16,9 @@
 // peer-to-peer ridesharing literature run post hoc, kept as an always-on
 // runtime surface.
 //
+// Events store a decision's facts, not prose: Event.Detail renders the
+// sentence when the trace is read, so recording formats no strings.
+//
 // A Recorder belongs to one simulator (sim.Config.Tracer; nil means
 // off): the simulator and the dispatchers it hands frames to record
 // into it, so two simulators in one process keep disjoint traces and
@@ -82,7 +85,8 @@ type Candidate struct {
 
 // Event is one causally-ordered step of a request's decision trace. Seq
 // is a recorder-global monotone sequence number, so interleaving events
-// of different requests within a frame stay ordered.
+// of different requests within a frame stay ordered. An event holds
+// facts only; Detail renders them as a sentence.
 type Event struct {
 	Seq   uint64 `json:"seq"`
 	Frame int    `json:"frame"`
@@ -102,8 +106,9 @@ type Event struct {
 	// Outcome is the decision result ("accepted", "refused",
 	// "displaced", a rejection reason, …).
 	Outcome string `json:"outcome,omitempty"`
-	// Detail is a human-readable elaboration with the numeric evidence.
-	Detail string `json:"detail,omitempty"`
+	// TaxiProposing marks a KindPropose event of the taxi-proposing
+	// mirror, recorded from the receiving request's side.
+	TaxiProposing bool `json:"taxiProposing,omitempty"`
 	// Members lists the request IDs of a share group the event concerns.
 	Members []int `json:"members,omitempty"`
 	// Candidates carries the top-ranked acceptable taxis of a
@@ -114,6 +119,25 @@ type Event struct {
 	// of the request's dummy partner.
 	Acceptable int `json:"acceptable,omitempty"`
 	Pool       int `json:"pool,omitempty"`
+	// Group holds the distances behind a share-group or packing event;
+	// like Members, one value serves the events of every member.
+	Group *GroupFacts `json:"group,omitempty"`
+}
+
+// GroupFacts are the distances (km) behind one share-group or
+// set-packing decision: θ, the best shared route's length, the members'
+// solo trips summed, and the detour of Members[Rider], the first rider
+// over θ on that route. Pruned marks a pair the sound pair bounds
+// rejected before any route search; with Members[k] boarding first,
+// GapKm[k] is the distance to the other pickup, TripKm[k] its own solo
+// trip and, where Saves[k], BoundKm[k] a lower bound on its detour.
+// Added counts the groups a set-packing move brought in.
+type GroupFacts struct {
+	Theta, RouteKm, SoloKm, DetourKm float64
+	Rider, Added                     int
+	Pruned                           bool
+	GapKm, TripKm, BoundKm           [2]float64
+	Saves                            [2]bool
 }
 
 // Ev returns an Event of the given kind with every ID and rank field
@@ -186,16 +210,13 @@ func normCap(v, def int) int {
 // without an explicit frame are stamped with it.
 func (r *Recorder) SetFrame(n int) { r.frame.Store(int64(n)) }
 
-// Frame returns the last frame published by SetFrame.
-func (r *Recorder) Frame() int { return int(r.frame.Load()) }
-
 // Record appends one event to the request's trace, stamping the
 // recorder-global sequence number and (if the event carries no frame)
 // the current frame. A new request beyond the ring capacity evicts the
 // oldest trace; an event beyond the per-trace cap is counted as dropped.
 func (r *Recorder) Record(reqID int, e Event) {
 	if e.Frame == 0 {
-		e.Frame = r.Frame()
+		e.Frame = int(r.frame.Load())
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -228,11 +249,10 @@ func (r *Recorder) evictLocked() {
 
 // Lifecycle records one simulator lifecycle event (assign, pickup,
 // requeue, …) on the request's trace.
-func (r *Recorder) Lifecycle(reqID, frame, taxiID int, kind Kind, detail string) {
+func (r *Recorder) Lifecycle(reqID, frame, taxiID int, kind Kind) {
 	e := Ev(kind)
 	e.Frame = frame
 	e.TaxiID = taxiID
-	e.Detail = detail
 	r.Record(reqID, e)
 }
 
@@ -248,18 +268,12 @@ func (r *Recorder) Trace(reqID int) (Trace, bool) {
 	if !ok {
 		return Trace{}, false
 	}
-	return Trace{
-		RequestID:     reqID,
-		Events:        append([]Event(nil), t.events...),
-		DroppedEvents: t.dropped,
-	}, true
+	return t.snapshot(reqID), true
 }
 
-// TraceIDs returns the retained request IDs, oldest first.
-func (r *Recorder) TraceIDs() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]int(nil), r.order...)
+// snapshot copies the trace out as request reqID's Trace.
+func (t *trace) snapshot(reqID int) Trace {
+	return Trace{RequestID: reqID, Events: append([]Event(nil), t.events...), DroppedEvents: t.dropped}
 }
 
 // Snapshot returns every retained trace, oldest request first.
@@ -268,12 +282,7 @@ func (r *Recorder) Snapshot() []Trace {
 	defer r.mu.Unlock()
 	out := make([]Trace, 0, len(r.order))
 	for _, id := range r.order {
-		t := r.traces[id]
-		out = append(out, Trace{
-			RequestID:     id,
-			Events:        append([]Event(nil), t.events...),
-			DroppedEvents: t.dropped,
-		})
+		out = append(out, r.traces[id].snapshot(id))
 	}
 	return out
 }

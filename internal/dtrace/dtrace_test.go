@@ -22,7 +22,7 @@ func TestRecordAndTrace(t *testing.T) {
 	e.ReqRank = 0
 	e.Outcome = "accepted"
 	r.Record(42, e)
-	r.Lifecycle(42, 7, 3, "assign", "dispatched")
+	r.Lifecycle(42, 7, 3, "assign")
 
 	tr, ok := r.Trace(42)
 	if !ok {
@@ -47,7 +47,10 @@ func TestRingEvictionAndPerTraceCap(t *testing.T) {
 	for id := 1; id <= 5; id++ {
 		r.Record(id, Ev(KindPropose))
 	}
-	ids := r.TraceIDs()
+	var ids []int
+	for _, tr := range r.Snapshot() {
+		ids = append(ids, tr.RequestID)
+	}
 	if len(ids) != 3 || ids[0] != 3 || ids[2] != 5 {
 		t.Fatalf("want oldest-first [3 4 5] after eviction, got %v", ids)
 	}
@@ -132,7 +135,7 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if n := len(r.TraceIDs()); n > 64 {
+	if n := len(r.Snapshot()); n > 64 {
 		t.Fatalf("ring exceeds capacity: %d traces", n)
 	}
 }
@@ -278,16 +281,16 @@ func TestTrivialCertificate(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	r := New(8, 32)
-	r.Lifecycle(1, 2, -1, "request", "")
+	r.Lifecycle(1, 2, -1, "request")
 	e := Ev(KindPropose)
 	e.Frame = 2
 	e.TaxiID = 9
 	e.ReqRank = 0
 	e.Outcome = "accepted"
 	r.Record(1, e)
-	r.Lifecycle(1, 2, 9, "assign", "")
-	r.Lifecycle(1, 4, 9, "pickup", "")
-	r.Lifecycle(1, 8, 9, "dropoff", "")
+	r.Lifecycle(1, 2, 9, "assign")
+	r.Lifecycle(1, 4, 9, "pickup")
+	r.Lifecycle(1, 8, 9, "dropoff")
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -314,5 +317,34 @@ func TestWriteChromeTrace(t *testing.T) {
 		if !haveSlices[want] {
 			t.Fatalf("missing %q lifecycle slice; slices=%v", want, haveSlices)
 		}
+	}
+}
+
+// TestChromeInstantsKeepSeqOrder records two events of one request in a
+// frame whose sequence numbers cross a multiple of 1000: the second
+// must render after the first, and both inside the frame's millisecond.
+func TestChromeInstantsKeepSeqOrder(t *testing.T) {
+	r := New(8, 2)
+	for k := 0; k < 998; k++ {
+		r.Lifecycle(2, 3, -1, "request")
+	}
+	r.Lifecycle(1, 3, -1, "request")
+	r.Lifecycle(1, 3, 9, "assign")
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []chromeEvent
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	var ts []float64
+	for _, e := range events {
+		if e.Ph == "i" && e.Tid == 1 {
+			ts = append(ts, e.Ts)
+		}
+	}
+	if len(ts) != 2 || !(3000 <= ts[0] && ts[0] < ts[1] && ts[1] < 4000) {
+		t.Fatalf("request 1's instants at %v; want two increasing timestamps in [3000, 4000)", ts)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/dtrace"
@@ -127,13 +126,8 @@ func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, e
 			sub[g] = reqs[idx]
 		}
 		s.run(sub, m)
-		// Trace details are formatted only with a live recorder: an
-		// untraced frame tries thousands of candidate groups.
 		if !s.found() {
-			if rec != nil {
-				traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "route_error",
-					fmt.Sprintf("no feasible shared route: %v", errNoOrder(len(members))))
-			}
+			traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "route_error", dtrace.GroupFacts{})
 			return Group{}, false
 		}
 		_, onBoard, _ := s.walk(sub)
@@ -141,28 +135,20 @@ func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, e
 		for g, idx := range members {
 			soloTrip := pl.Trip(idx)
 			if d := onBoard[g] - soloTrip; d > cfg.Theta {
-				if rec != nil {
-					traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "detour_exceeded",
-						fmt.Sprintf("rider r%d detour %.2f km exceeds θ=%.2f km on the best shared route", reqs[idx].ID, d, cfg.Theta))
-				}
+				traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "detour_exceeded",
+					dtrace.GroupFacts{Theta: cfg.Theta, DetourKm: d, Rider: g})
 				return Group{}, false
 			}
 			soloSum += soloTrip
 		}
+		facts := dtrace.GroupFacts{Theta: cfg.Theta, RouteKm: s.length, SoloKm: soloSum}
 		if s.length >= soloSum-1e-9 {
 			// The "shared" route saves nothing over driving the
 			// trips one after another: a chain, not a share.
-			if rec != nil {
-				traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "no_savings",
-					fmt.Sprintf("shared route %.2f km saves nothing over %.2f km of solo trips (chain)", s.length, soloSum))
-			}
+			traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "no_savings", facts)
 			return Group{}, false
 		}
-		if rec != nil {
-			traceGroup(rec, reqs, members, dtrace.KindGroupFormed, "feasible",
-				fmt.Sprintf("shared route %.2f km keeps every detour within θ=%.2f km, saving %.2f km vs solo trips",
-					s.length, cfg.Theta, soloSum-s.length))
-		}
+		traceGroup(rec, reqs, members, dtrace.KindGroupFormed, "feasible", facts)
 		return Group{Members: append([]int(nil), members...), Plan: s.plan(sub)}, true
 	}
 
@@ -203,27 +189,18 @@ func FeasibleGroupsPlane(n int, pl *costplane.Plane, cfg PackConfig) ([]Group, e
 	// other's pickup, otherwise the detour bound of every orientation
 	// that could save.
 	tracePruned := func(a, b int) {
-		members := []int{a, b}
-		dab, dba := gap(a, b), gap(b, a)
-		ta, tb := pl.Trip(a), pl.Trip(b)
-		if dab >= ta && dba >= tb {
-			traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "no_savings",
-				fmt.Sprintf("pickup gap ≥ the first rider's solo trip either way (r%d first: %.2f ≥ %.2f km; r%d first: %.2f ≥ %.2f km): no shared route saves driving",
-					reqs[a].ID, dab, ta, reqs[b].ID, dba, tb))
+		f := dtrace.GroupFacts{Theta: cfg.Theta, Pruned: true,
+			GapKm: [2]float64{gap(a, b), gap(b, a)}, TripKm: [2]float64{pl.Trip(a), pl.Trip(b)}}
+		if f.GapKm[0] >= f.TripKm[0] && f.GapKm[1] >= f.TripKm[1] {
+			traceGroup(rec, reqs, []int{a, b}, dtrace.KindGroupRejected, "no_savings", f)
 			return
 		}
-		var bounds []string
-		for _, o := range [2][2]int{{a, b}, {b, a}} {
+		for k, o := range [2][2]int{{a, b}, {b, a}} {
 			if lead, saves := bound(o[0], o[1]); saves {
-				bounds = append(bounds, fmt.Sprintf("rider r%d detour ≥ %.2f km", reqs[o[0]].ID, lead-pl.Trip(o[0])))
+				f.Saves[k], f.BoundKm[k] = true, lead-f.TripKm[k]
 			}
 		}
-		scope := "on every shared route"
-		if len(bounds) == 2 {
-			scope = "on every shared route the rider boards first"
-		}
-		traceGroup(rec, reqs, members, dtrace.KindGroupRejected, "detour_exceeded",
-			fmt.Sprintf("%s %s, θ=%.2f km", strings.Join(bounds, ", "), scope, cfg.Theta))
+		traceGroup(rec, reqs, []int{a, b}, dtrace.KindGroupRejected, "detour_exceeded", f)
 	}
 
 	// Pairs, and the feasible-pair graph reused to prune triples: a
@@ -318,7 +295,8 @@ func pack(reqs []fleet.Request, groups []Group, cfg PackConfig) PackResult {
 	packed := make([]bool, len(reqs))
 	for _, k := range chosen {
 		res.Groups = append(res.Groups, groups[k])
-		tracePick(rec, reqs, groups[k], cfg.Theta)
+		traceGroup(rec, reqs, groups[k].Members, dtrace.KindPackPick, "packed",
+			dtrace.GroupFacts{Theta: cfg.Theta, RouteKm: groups[k].Plan.Length})
 		for _, idx := range groups[k].Members {
 			packed[idx] = true
 		}
@@ -332,4 +310,46 @@ func pack(reqs []fleet.Request, groups []Group, cfg PackConfig) PackResult {
 		return res.Groups[a].Members[0] < res.Groups[b].Members[0]
 	})
 	return res
+}
+
+// traceGroup records one group decision on every member's trace (a
+// passenger asking "why did I ride alone" needs the rejection of the
+// groups they were considered for), with the distances behind it. It is
+// a no-op without a live recorder, and the facts reach the heap only
+// with one, so an untraced frame's thousands of candidate groups
+// allocate nothing here.
+func traceGroup(rec *dtrace.Recorder, reqs []fleet.Request, members []int, kind dtrace.Kind, outcome string, facts dtrace.GroupFacts) {
+	if rec == nil {
+		return
+	}
+	ids := Unit{Members: members}.RequestIDs(reqs)
+	shared := new(dtrace.GroupFacts)
+	*shared = facts
+	for _, id := range ids {
+		e := dtrace.Ev(kind)
+		e.Members = ids
+		e.Outcome = outcome
+		e.Group = shared
+		rec.Record(id, e)
+	}
+}
+
+// packObserver adapts setpack's move callbacks into pack_swap events on
+// the affected members' traces.
+func packObserver(rec *dtrace.Recorder, reqs []fleet.Request, groups []Group) func(move string, removed, added []int) {
+	if rec == nil {
+		return nil
+	}
+	return func(move string, removed, added []int) {
+		for _, k := range removed {
+			traceGroup(rec, reqs, groups[k].Members, dtrace.KindPackSwap, "swapped_out", dtrace.GroupFacts{Added: len(added)})
+		}
+		for _, k := range added {
+			out := "swapped_in"
+			if move == "add" {
+				out = "added"
+			}
+			traceGroup(rec, reqs, groups[k].Members, dtrace.KindPackSwap, out, dtrace.GroupFacts{})
+		}
+	}
 }

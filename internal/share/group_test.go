@@ -405,7 +405,7 @@ func TestFeasibleGroupsDivergentPairFailsDetourBound(t *testing.T) {
 	for _, r := range reqs {
 		tr, _ := cfg.Tracer.Trace(r.ID)
 		if len(tr.Events) != 1 || tr.Events[0].Outcome != "detour_exceeded" ||
-			!strings.Contains(tr.Events[0].Detail, "rider r0 detour ≥ 3.44 km, rider r1 detour ≥ 6.00 km") {
+			!strings.Contains(tr.Events[0].Detail(), "rider r0 detour ≥ 3.44 km, rider r1 detour ≥ 6.00 km") {
 			t.Errorf("rider %d's trace = %+v, want one detour_exceeded rejection naming both bounds", r.ID, tr.Events)
 		}
 	}

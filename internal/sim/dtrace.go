@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
@@ -20,32 +21,11 @@ import (
 // Breakdowns carry no request (RequestID −1) and become a frame note on
 // the certificate instead of a trace event.
 func (s *Simulator) traceEvent(rec *dtrace.Recorder, e Event) {
-	if e.RequestID < 0 {
-		if e.Kind == EventBreakdown {
-			rec.AddFrameNote(e.Frame, fmt.Sprintf("taxi %d broke down mid-route; its assignments were revoked", e.TaxiID))
-		}
-		return
+	if e.RequestID >= 0 {
+		rec.Lifecycle(e.RequestID, e.Frame, e.TaxiID, dtrace.Kind(e.Kind))
+	} else if e.Kind == EventBreakdown {
+		rec.AddFrameNote(e.Frame, "taxi "+strconv.Itoa(e.TaxiID)+" broke down mid-route; its assignments were revoked")
 	}
-	var detail string
-	switch e.Kind {
-	case EventRequest:
-		detail = "entered the pending queue"
-	case EventAssign:
-		detail = fmt.Sprintf("dispatched: taxi %d committed to this request", e.TaxiID)
-	case EventPickup:
-		detail = fmt.Sprintf("boarded taxi %d", e.TaxiID)
-	case EventDropoff:
-		detail = fmt.Sprintf("dropped off by taxi %d", e.TaxiID)
-	case EventAbandon:
-		detail = "gave up waiting (patience exceeded)"
-	case EventCancel:
-		detail = "assignment or request withdrawn before pickup"
-	case EventRequeue:
-		detail = "assignment revoked; re-entered the pending queue"
-	case EventRescue:
-		detail = "orphaned by a breakdown; re-entered the queue from the breakdown position"
-	}
-	rec.Lifecycle(e.RequestID, e.Frame, e.TaxiID, dtrace.Kind(e.Kind), detail)
 }
 
 // certifyFrame audits the frame's realized matching at commit: the

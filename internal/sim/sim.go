@@ -86,12 +86,16 @@ type Frame struct {
 }
 
 // NoteDegraded reports that the frame was handed to a fallback
-// dispatcher for reason ("deadline", "panic", "error"). The simulator
+// dispatcher for reason ("deadline", "panic", "error"). A traced frame
+// notes "degraded dispatch: "+detail on its certificate. The simulator
 // counts it by reason (Stats.Degraded) and in the degraded_frames KPI,
 // queues a flight-recorder trigger for the end of the frame, and
 // publishes a degrade notice on its hub. A frame built by hand ignores
-// the note.
+// the rest.
 func (f *Frame) NoteDegraded(reason, detail string) {
+	if f.Tracer != nil {
+		f.Tracer.AddFrameNote(f.Number, "degraded dispatch: "+detail)
+	}
 	s := f.sim
 	if s == nil {
 		return

@@ -129,6 +129,19 @@ func TestNoteDegradedForwarded(t *testing.T) {
 	}
 }
 
+// TestNoteDegradedNotesTracedFrame checks a degrade lands on a traced
+// frame's certificate as one note carrying the dispatcher's detail.
+func TestNoteDegradedNotesTracedFrame(t *testing.T) {
+	rec := dtrace.New(0, 0)
+	f := &Frame{Number: 4, Tracer: rec}
+	f.NoteDegraded("deadline", "primary missed its deadline")
+	rec.PutCertificate(dtrace.Trivial(4, 0, 0, ""))
+	c, _ := rec.Certificate(4)
+	if want := []string{"degraded dispatch: primary missed its deadline"}; !reflect.DeepEqual(c.Notes, want) {
+		t.Errorf("frame notes = %q, want %q", c.Notes, want)
+	}
+}
+
 // farthestDispatcher hands each request the farthest idle taxi, so the
 // request and a nearer idle taxi form a blocking pair.
 type farthestDispatcher struct{}

@@ -287,7 +287,7 @@ func TestFacadeDecisionTracing(t *testing.T) {
 		t.Fatal("nothing served")
 	}
 
-	if len(rec.TraceIDs()) == 0 {
+	if len(rec.Snapshot()) == 0 {
 		t.Fatal("no traces recorded")
 	}
 	frames := rec.CertifiedFrames()
