@@ -244,7 +244,7 @@ func BenchmarkDispatchFrame(b *testing.B) { benchmarkDispatchFrame(b, dispatch.N
 // is ≤5% (BenchmarkDispatchFrame itself exercises that path: each
 // instrumentation site is one nil check without a recorder).
 func BenchmarkDispatchFrameTraced(b *testing.B) {
-	benchmarkDispatchFrame(b, dispatch.NewNSTDP(), dtrace.New(0, 0))
+	benchmarkDispatchFrame(b, dispatch.NewNSTDP(), dtrace.New(0))
 }
 
 // BenchmarkDispatchFrameSTDP measures Algorithm 3 on the identical

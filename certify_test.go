@@ -69,7 +69,7 @@ func TestTracedQuickScaleCertificates(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.algo, func(t *testing.T) {
-			rec := dtrace.New(0, 0)
+			rec := dtrace.New(0)
 			if _, err := quickTracedSim(t, tc.make(), rec).Run(); err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -121,10 +121,10 @@ func TestInterleavedTracedSimulatorsMatchSoloRuns(t *testing.T) {
 	var sims []*sim.Simulator
 	var recs []*dtrace.Recorder
 	for _, make := range makers {
-		rec := dtrace.New(0, 0)
+		rec := dtrace.New(0)
 		stepAll(t, quickTracedSim(t, make(), rec))
 		solo = append(solo, record(rec))
-		rec = dtrace.New(0, 0)
+		rec = dtrace.New(0)
 		sims = append(sims, quickTracedSim(t, make(), rec))
 		recs = append(recs, rec)
 	}
@@ -186,7 +186,7 @@ func TestTracedFrameReusesDispatchPlane(t *testing.T) {
 		return m.calls.Load()
 	}
 	untraced := run(nil)
-	rec := dtrace.New(0, 0)
+	rec := dtrace.New(0)
 	traced := run(rec)
 	if len(rec.CertifiedFrames()) == 0 {
 		t.Fatal("traced run certified no frame")
@@ -238,7 +238,7 @@ func TestCertifyFrameHandCrossedBlockingPair(t *testing.T) {
 		t.Fatal("reference certificate finds no violation")
 	}
 
-	rec := dtrace.New(0, 0)
+	rec := dtrace.New(0)
 	s, err := sim.New(sim.Config{Params: params, Dispatcher: crossedDispatcher{}, Metric: geo.EuclidMetric, Tracer: rec}, taxis, reqs)
 	if err != nil {
 		t.Fatal(err)

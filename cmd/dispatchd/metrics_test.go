@@ -172,8 +172,7 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		"http_panics_total",
 		"stream_dropped_total",
 		"stream_subscribers",
-		"dtrace_traces_evicted_total",
-		"dtrace_events_dropped_total",
+		"dtrace_events_evicted_total",
 		"dtrace_certificates",
 	} {
 		if !names[want] {
@@ -253,19 +252,16 @@ func TestMetricsArePerServer(t *testing.T) {
 		})
 	}
 	postJSON(t, busyTS.URL+"/v1/tick", tickIn{Frames: 4})
-	// Overflow the busy daemon's trace ring and one trace's event cap,
-	// so its eviction and drop counters are non-zero.
+	// Overflow the busy daemon's event ring, so its eviction counter is
+	// non-zero.
 	tr := busy.sim.Tracer()
 	for id := 0; id <= dtrace.DefaultCapacity; id++ {
 		tr.Record(1_000_000+id, dtrace.Event{Kind: dtrace.KindCandidates})
 	}
-	for i := 0; i <= dtrace.DefaultPerTraceCap; i++ {
-		tr.Record(2_000_000, dtrace.Event{Kind: dtrace.KindCandidates})
-	}
 
 	idle := scrape(t, idleTS.URL)
 	for _, series := range []string{"sim_frames_total", "admission_accepted_total", `sim_events_total{kind="assign"}`,
-		"dtrace_traces_evicted_total", "dtrace_events_dropped_total", "dtrace_certificates"} {
+		"dtrace_events_evicted_total", "dtrace_certificates"} {
 		if got, ok := idle[series]; !ok || got != 0 {
 			t.Errorf("idle server %s = %v, want 0", series, got)
 		}
@@ -298,8 +294,7 @@ func TestMetricsArePerServer(t *testing.T) {
 		{"admission_accepted_total", got["admission_accepted_total"], busy.adm.Accepted()},
 		{"admission_shed_total", shed, busy.adm.Shed()},
 		{`http_requests_total{code="201"}`, got[`http_requests_total{code="201"}`], 3},
-		{"dtrace_traces_evicted_total", got["dtrace_traces_evicted_total"], int(ts.EvictedTraces)},
-		{"dtrace_events_dropped_total", got["dtrace_events_dropped_total"], int(ts.DroppedEvents)},
+		{"dtrace_events_evicted_total", got["dtrace_events_evicted_total"], int(ts.Evicted)},
 		{"dtrace_certificates", got["dtrace_certificates"], ts.Certificates},
 	} {
 		if tc.got != float64(tc.want) {
@@ -328,8 +323,8 @@ func TestMetricsArePerServer(t *testing.T) {
 	if c.Frame != 4 || busy.adm.Accepted() != 3 {
 		t.Errorf("busy server ran %d frames and accepted %d requests, want 4 and 3", c.Frame, busy.adm.Accepted())
 	}
-	if ts.EvictedTraces == 0 || ts.DroppedEvents == 0 || ts.Certificates != 4 {
-		t.Errorf("busy trace recorder %+v: want evictions, dropped events and 4 certificates", ts)
+	if ts.Evicted == 0 || ts.Certificates != 4 {
+		t.Errorf("busy trace recorder %+v: want evictions and 4 certificates", ts)
 	}
 	if st := idleSrv.sim.Tracer().Stats(); st != (dtrace.Stats{}) {
 		t.Errorf("idle trace recorder %+v, want empty", st)

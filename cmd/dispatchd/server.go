@@ -111,7 +111,7 @@ func newServer(cfg config) (*server, error) {
 		SLO:       cfg.SLO,
 		Ledger:    prof.New(prof.Config{BudgetNs: cfg.ProfBudget.Nanoseconds()}),
 		Recorder:  cfg.Recorder,
-		Tracer:    dtrace.New(dtrace.DefaultCapacity, 0),
+		Tracer:    dtrace.New(0),
 		Hub:       hub,
 		Admission: adm,
 	}, cfg.Taxis, nil)
@@ -484,8 +484,7 @@ func (s *server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("roadnet_cache_evictions_total", st.Cache.Evictions)
 	p.Gauge("roadnet_cache_size", float64(st.Cache.Size))
 	ts := s.sim.Tracer().Stats()
-	p.Counter("dtrace_traces_evicted_total", ts.EvictedTraces)
-	p.Counter("dtrace_events_dropped_total", ts.DroppedEvents)
+	p.Counter("dtrace_events_evicted_total", ts.Evicted)
 	p.Gauge("dtrace_certificates", float64(ts.Certificates))
 	hub := s.sim.Hub()
 	for _, t := range stream.Topics {

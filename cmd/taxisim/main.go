@@ -64,7 +64,7 @@ func run(args []string, out io.Writer) error {
 		eventPath = fs.String("events", "", "write a JSONL lifecycle event log to this file")
 		traceOut  = fs.String("trace-out", "", "write a Chrome trace-event JSON of dispatch decisions to this file (multi-algorithm runs write one suffixed file per algorithm)")
 		kpiOut    = fs.String("kpi-out", "", "write the per-frame KPI time series as CSV to this file (multi-algorithm runs write one suffixed file per algorithm)")
-		traceCap  = fs.Int("trace-capacity", dtrace.DefaultCapacity, "max request traces retained when -trace-out is set")
+		traceCap  = fs.Int("trace-capacity", dtrace.DefaultCapacity, "decision-trace events retained (across all requests) when -trace-out is set, at least 1")
 		sloPath   = fs.String("slo", "", "SLO definitions file; objectives are evaluated every frame and a report line is printed per run")
 		bundleDir = fs.String("bundle-dir", "", "flight-recorder bundle directory; enables diagnostic bundles on SLO breach, degrade, certificate violation, or frame-budget overrun (multi-algorithm runs use one subdirectory per algorithm)")
 
@@ -79,13 +79,16 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Reported like flag parse errors: flightrec.New would read a
-	// value below one as its default, not as the one asked for.
-	if *profCapt < 1 {
-		err := fmt.Errorf("invalid value %d for flag -prof-capture-frames: want at least 1", *profCapt)
-		fmt.Fprintln(fs.Output(), err)
-		fs.Usage()
-		return err
+	// Reported like flag parse errors: flightrec.New and dtrace.New
+	// would read a value below one as their default, not as the one
+	// asked for.
+	for _, name := range []string{"prof-capture-frames", "trace-capacity"} {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 1 {
+			err := fmt.Errorf("invalid value %d for flag -%s: want at least 1", v, name)
+			fmt.Fprintln(fs.Output(), err)
+			fs.Usage()
+			return err
+		}
 	}
 
 	var faults sim.FaultInjector
@@ -211,7 +214,7 @@ func run(args []string, out io.Writer) error {
 		// bundles stay per algorithm.
 		var tracer *dtrace.Recorder
 		if *traceOut != "" {
-			tracer = dtrace.New(*traceCap, 0)
+			tracer = dtrace.New(*traceCap)
 		}
 		var recorder *flightrec.Recorder
 		if *bundleDir != "" {

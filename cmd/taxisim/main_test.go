@@ -78,6 +78,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}, &sb); err == nil {
 		t.Error("accepted bad flag")
 	}
+	// Below one event is a usage error, not a silent switch to the
+	// recorder's default capacity.
+	for _, v := range []string{"0", "-3"} {
+		if err := run([]string{"-trace-capacity", v}, &sb); err == nil || !strings.Contains(err.Error(), "-trace-capacity") {
+			t.Errorf("-trace-capacity %s: err = %v, want a usage error naming the flag", v, err)
+		}
+	}
 }
 
 // TestRunRejectsProfCaptureFramesBelowOne checks -prof-capture-frames

@@ -31,7 +31,7 @@ func TestTracedQuickScaleChromeDigests(t *testing.T) {
 	seen := map[[2]string]bool{}
 	for _, tc := range cases {
 		t.Run(tc.algo, func(t *testing.T) {
-			rec := dtrace.New(0, 0)
+			rec := dtrace.New(0)
 			runFaultedTraced(t, tc.algo, rec)
 			for _, tr := range rec.Snapshot() {
 				for _, e := range tr.Events {

@@ -1,6 +1,6 @@
 // Package dtrace is the dispatch pipeline's decision-provenance layer:
-// a concurrency-safe, bounded ring buffer of per-request traces, where
-// each trace records the causally-ordered decisions that produced (or
+// a concurrency-safe, bounded record of per-request traces, where each
+// trace records the causally-ordered decisions that produced (or
 // denied) a dispatch — Gale–Shapley proposals and refusals with both
 // sides' preference ranks, dummy-partner threshold checks, share-group
 // formation and rejection with the detour bound θ, set-packing swap
@@ -23,22 +23,24 @@
 // off): the simulator and the dispatchers it hands frames to record
 // into it, so two simulators in one process keep disjoint traces and
 // certificates, and an untraced run pays one nil check per recording
-// site. Memory is bounded twice over: the ring keeps at most Capacity
-// request traces (oldest evicted first) and each trace keeps at most
-// PerTraceCap events (later events counted, not stored).
+// site. Memory is bounded by one ring per kind of record: the event
+// ring keeps the last capacity events of every request (a request's
+// trace is its events still in the ring, oldest first), and frame f's
+// certificate and notes live in slot f mod DefaultCertCap, so with
+// sequential frames the last DefaultCertCap frames are kept.
 package dtrace
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Capacity defaults: how many request traces the ring retains, how many
-// events one trace retains, and how many frame certificates are kept.
+// Capacity defaults: how many events the event ring retains, and how
+// many frames' certificates and notes the frame-slot ring keeps.
 const (
-	DefaultCapacity    = 4096
-	DefaultPerTraceCap = 512
-	DefaultCertCap     = 1024
+	DefaultCapacity = 1 << 15
+	DefaultCertCap  = 1024
 )
 
 // Kind labels one decision-trace event.
@@ -150,15 +152,20 @@ func Ev(kind Kind) Event {
 type Trace struct {
 	RequestID int     `json:"requestId"`
 	Events    []Event `json:"events"`
-	// DroppedEvents counts events beyond the per-trace cap that were
-	// recorded but not stored.
-	DroppedEvents int `json:"droppedEvents,omitempty"`
 }
 
-// trace is the mutable store behind one Trace snapshot.
-type trace struct {
-	events  []Event
-	dropped int
+// entry is one slot of the event ring.
+type entry struct {
+	reqID int
+	ev    Event
+}
+
+// frameSlot holds one frame's certificate and notes; frame f owns slot
+// f mod len(slots) until a frame len(slots) later claims it.
+type frameSlot struct {
+	frame int
+	cert  *Certificate
+	notes []string
 }
 
 // Recorder is a bounded, concurrency-safe store of per-request decision
@@ -167,43 +174,22 @@ type trace struct {
 type Recorder struct {
 	frame atomic.Int64 // current simulation frame, set by the engine
 
-	mu          sync.Mutex
-	seq         uint64
-	capacity    int
-	perTraceCap int
-	traces      map[int]*trace
-	order       []int // request IDs in first-touch order, for FIFO eviction
+	mu       sync.Mutex
+	seq      uint64  // events recorded; event seq sits at ring index (seq-1) mod capacity
+	capacity int     // events the ring retains
+	events   []entry // the event ring, grown by append up to capacity
 
-	certCap   int
-	certs     map[int]*Certificate
-	certOrder []int
-	notes     map[int][]string
-	noteOrder []int // note frames in first-touch order, for FIFO eviction
-
-	evictedTraces uint64
-	droppedEvents uint64
+	slots []frameSlot // the frame-slot ring
 }
 
-// New returns an empty recorder retaining at most capacity request
-// traces of at most perTraceCap events each. Non-positive arguments take
-// the package defaults.
-func New(capacity, perTraceCap int) *Recorder {
-	r := &Recorder{
-		traces:  make(map[int]*trace),
-		certs:   make(map[int]*Certificate),
-		notes:   make(map[int][]string),
-		certCap: DefaultCertCap,
+// New returns an empty recorder retaining the last capacity events (a
+// non-positive capacity takes DefaultCapacity) and the certificates and
+// notes of the last DefaultCertCap frames.
+func New(capacity int) *Recorder {
+	if capacity <= 0 {
+		capacity = DefaultCapacity
 	}
-	r.capacity = normCap(capacity, DefaultCapacity)
-	r.perTraceCap = normCap(perTraceCap, DefaultPerTraceCap)
-	return r
-}
-
-func normCap(v, def int) int {
-	if v <= 0 {
-		return def
-	}
-	return v
+	return &Recorder{capacity: capacity, slots: make([]frameSlot, DefaultCertCap)}
 }
 
 // SetFrame publishes the engine's current frame number; events recorded
@@ -212,8 +198,8 @@ func (r *Recorder) SetFrame(n int) { r.frame.Store(int64(n)) }
 
 // Record appends one event to the request's trace, stamping the
 // recorder-global sequence number and (if the event carries no frame)
-// the current frame. A new request beyond the ring capacity evicts the
-// oldest trace; an event beyond the per-trace cap is counted as dropped.
+// the current frame. Once the ring is full, the event overwrites the
+// oldest one.
 func (r *Recorder) Record(reqID int, e Event) {
 	if e.Frame == 0 {
 		e.Frame = int(r.frame.Load())
@@ -222,29 +208,11 @@ func (r *Recorder) Record(reqID int, e Event) {
 	defer r.mu.Unlock()
 	r.seq++
 	e.Seq = r.seq
-	t := r.traces[reqID]
-	if t == nil {
-		t = &trace{}
-		r.traces[reqID] = t
-		r.order = append(r.order, reqID)
-		r.evictLocked()
-	}
-	if len(t.events) >= r.perTraceCap {
-		t.dropped++
-		r.droppedEvents++
+	if len(r.events) < r.capacity {
+		r.events = append(r.events, entry{reqID, e})
 		return
 	}
-	t.events = append(t.events, e)
-}
-
-// evictLocked drops oldest traces until the ring fits its capacity.
-func (r *Recorder) evictLocked() {
-	for len(r.order) > r.capacity {
-		old := r.order[0]
-		r.order = r.order[1:]
-		delete(r.traces, old)
-		r.evictedTraces++
-	}
+	r.events[(r.seq-1)%uint64(r.capacity)] = entry{reqID, e}
 }
 
 // Lifecycle records one simulator lifecycle event (assign, pickup,
@@ -256,35 +224,65 @@ func (r *Recorder) Lifecycle(reqID, frame, taxiID int, kind Kind) {
 	r.Record(reqID, e)
 }
 
-// Trace returns a snapshot of one request's decision history. A nil
-// recorder (tracing off) holds no trace.
+// each calls fn on every entry in the ring, oldest first.
+func (r *Recorder) each(fn func(*entry)) {
+	oldest := int(r.seq % uint64(r.capacity)) // once the ring is full
+	if len(r.events) < r.capacity {
+		oldest = 0
+	}
+	for i := range r.events {
+		fn(&r.events[(oldest+i)%len(r.events)])
+	}
+}
+
+// Trace returns a snapshot of one request's retained decision history.
+// A nil recorder (tracing off) holds no trace.
 func (r *Recorder) Trace(reqID int) (Trace, bool) {
 	if r == nil {
 		return Trace{}, false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.traces[reqID]
-	if !ok {
-		return Trace{}, false
-	}
-	return t.snapshot(reqID), true
+	t := Trace{RequestID: reqID}
+	r.each(func(en *entry) {
+		if en.reqID == reqID {
+			t.Events = append(t.Events, en.ev)
+		}
+	})
+	return t, t.Events != nil
 }
 
-// snapshot copies the trace out as request reqID's Trace.
-func (t *trace) snapshot(reqID int) Trace {
-	return Trace{RequestID: reqID, Events: append([]Event(nil), t.events...), DroppedEvents: t.dropped}
-}
-
-// Snapshot returns every retained trace, oldest request first.
+// Snapshot returns every retained trace, in order of each request's
+// oldest retained event.
 func (r *Recorder) Snapshot() []Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Trace, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, r.traces[id].snapshot(id))
-	}
+	out := []Trace{}
+	at := map[int]int{} // request ID → index in out
+	r.each(func(en *entry) {
+		k, ok := at[en.reqID]
+		if !ok {
+			k = len(out)
+			at[en.reqID] = k
+			out = append(out, Trace{RequestID: en.reqID})
+		}
+		out[k].Events = append(out[k].Events, en.ev)
+	})
 	return out
+}
+
+// slot returns the slot frame owns, which may still hold an older frame.
+func (r *Recorder) slot(frame int) *frameSlot {
+	return &r.slots[uint(frame)%uint(len(r.slots))]
+}
+
+// claim returns frame's slot, dropping the older frame it held.
+func (r *Recorder) claim(frame int) *frameSlot {
+	s := r.slot(frame)
+	if s.frame != frame {
+		*s = frameSlot{frame: frame}
+	}
+	return s
 }
 
 // AddFrameNote attaches a frame-level annotation (a degraded dispatch, a
@@ -293,41 +291,18 @@ func (r *Recorder) Snapshot() []Trace {
 func (r *Recorder) AddFrameNote(frame int, note string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.notes[frame]; !ok {
-		r.noteOrder = append(r.noteOrder, frame)
-		// Notes ride the certificate ring's bound: beyond certCap
-		// annotated frames, the oldest frame's notes are evicted.
-		// noteOrder may hold frames whose notes a certificate eviction
-		// already removed; skip those.
-		for len(r.notes) >= r.certCap && len(r.noteOrder) > 0 {
-			old := r.noteOrder[0]
-			r.noteOrder = r.noteOrder[1:]
-			if old != frame {
-				delete(r.notes, old)
-			}
-		}
-	}
-	r.notes[frame] = append(r.notes[frame], note)
+	s := r.claim(frame)
+	s.notes = append(s.notes, note)
 }
 
-// PutCertificate stores one frame's stability certificate, evicting the
-// oldest beyond the certificate ring capacity.
+// PutCertificate stores one frame's stability certificate.
 func (r *Recorder) PutCertificate(c *Certificate) {
 	if c == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.certs[c.Frame]; !ok {
-		r.certOrder = append(r.certOrder, c.Frame)
-		for len(r.certOrder) > r.certCap {
-			old := r.certOrder[0]
-			r.certOrder = r.certOrder[1:]
-			delete(r.certs, old)
-			delete(r.notes, old)
-		}
-	}
-	r.certs[c.Frame] = c
+	r.claim(c.Frame).cert = c
 }
 
 // Certificate returns the stored certificate for one frame, with any
@@ -339,13 +314,13 @@ func (r *Recorder) Certificate(frame int) (Certificate, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.certs[frame]
-	if !ok {
+	s := r.slot(frame)
+	if s.frame != frame || s.cert == nil {
 		return Certificate{}, false
 	}
-	out := *c
-	out.Violations = append([]BlockingPair(nil), c.Violations...)
-	out.Notes = append(append([]string(nil), c.Notes...), r.notes[frame]...)
+	out := *s.cert
+	out.Violations = append([]BlockingPair(nil), s.cert.Violations...)
+	out.Notes = append(append([]string(nil), s.cert.Notes...), s.notes...)
 	return out, true
 }
 
@@ -354,27 +329,34 @@ func (r *Recorder) Certificate(frame int) (Certificate, bool) {
 func (r *Recorder) CertifiedFrames() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]int(nil), r.certOrder...)
+	var frames []int
+	for _, s := range r.slots {
+		if s.cert != nil {
+			frames = append(frames, s.frame)
+		}
+	}
+	slices.Sort(frames)
+	return frames
 }
 
 // Stats summarises the recorder's occupancy for health surfaces.
 type Stats struct {
-	Traces        int    `json:"traces"`
-	Events        uint64 `json:"events"`
-	Certificates  int    `json:"certificates"`
-	EvictedTraces uint64 `json:"evictedTraces"`
-	DroppedEvents uint64 `json:"droppedEvents"`
+	// Events counts every event recorded; Evicted those the ring has
+	// since overwritten.
+	Events       uint64 `json:"events"`
+	Evicted      uint64 `json:"evicted"`
+	Certificates int    `json:"certificates"`
 }
 
 // Stats returns the recorder's current occupancy and loss counters.
 func (r *Recorder) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return Stats{
-		Traces:        len(r.traces),
-		Events:        r.seq,
-		Certificates:  len(r.certs),
-		EvictedTraces: r.evictedTraces,
-		DroppedEvents: r.droppedEvents,
+	st := Stats{Events: r.seq, Evicted: r.seq - uint64(len(r.events))}
+	for _, s := range r.slots {
+		if s.cert != nil {
+			st.Certificates++
+		}
 	}
+	return st
 }

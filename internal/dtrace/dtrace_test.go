@@ -15,7 +15,7 @@ import (
 )
 
 func TestRecordAndTrace(t *testing.T) {
-	r := New(8, 4)
+	r := New(8)
 	r.SetFrame(7)
 	e := Ev(KindPropose)
 	e.TaxiID = 3
@@ -42,8 +42,8 @@ func TestRecordAndTrace(t *testing.T) {
 	}
 }
 
-func TestRingEvictionAndPerTraceCap(t *testing.T) {
-	r := New(3, 2)
+func TestEventRingEviction(t *testing.T) {
+	r := New(3)
 	for id := 1; id <= 5; id++ {
 		r.Record(id, Ev(KindPropose))
 	}
@@ -58,25 +58,26 @@ func TestRingEvictionAndPerTraceCap(t *testing.T) {
 		t.Fatal("request 1 should have been evicted")
 	}
 
+	// One busy request evicts the others' events, then its own oldest:
+	// the bound is on events, whichever requests they belong to.
 	for k := 0; k < 5; k++ {
 		r.Record(5, Ev(KindPropose))
 	}
-	tr, _ := r.Trace(5)
-	if len(tr.Events) != 2 {
-		t.Fatalf("per-trace cap: got %d events, want 2", len(tr.Events))
+	snap := r.Snapshot()
+	if len(snap) != 1 || snap[0].RequestID != 5 || len(snap[0].Events) != 3 {
+		t.Fatalf("want request 5's last 3 events only, got %+v", snap)
 	}
-	if tr.DroppedEvents != 4 {
-		t.Fatalf("got %d dropped, want 4", tr.DroppedEvents)
+	if first := snap[0].Events[0].Seq; first != 8 {
+		t.Fatalf("oldest retained event has seq %d, want 8", first)
 	}
-	st := r.Stats()
-	if st.EvictedTraces != 2 || st.DroppedEvents != 4 {
-		t.Fatalf("stats %+v: want 2 evicted, 4 dropped", st)
+	if st := r.Stats(); st.Events != 10 || st.Evicted != 7 {
+		t.Fatalf("stats %+v: want 10 events, 7 evicted", st)
 	}
 }
 
 func TestCertificateRing(t *testing.T) {
-	r := New(4, 4)
-	r.certCap = 2
+	r := New(4)
+	r.slots = make([]frameSlot, 2)
 	for f := 1; f <= 3; f++ {
 		r.AddFrameNote(f, "note")
 		r.PutCertificate(&Certificate{Frame: f, Stable: true})
@@ -98,10 +99,10 @@ func TestCertificateRing(t *testing.T) {
 
 // TestConcurrentWritersAndSnapshots hammers one recorder from many
 // writers while readers snapshot — run under -race this is the
-// satellite's data-race check; without it, it still verifies the bounds
-// hold under interleaving.
+// recorder's data-race check; without it, it still verifies the event
+// bound holds under interleaving.
 func TestConcurrentWritersAndSnapshots(t *testing.T) {
-	r := New(64, 16)
+	r := New(64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -123,21 +124,30 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 	go func() {
 		defer close(done)
 		for k := 0; k < 200; k++ {
-			for _, tr := range r.Snapshot() {
-				if len(tr.Events) > 16 {
-					t.Errorf("trace %d exceeds per-trace cap: %d", tr.RequestID, len(tr.Events))
-					return
-				}
+			if n := retainedEvents(r); n > 64 {
+				t.Errorf("ring exceeds capacity: %d events", n)
+				return
 			}
+			r.Trace(k % 100)
+			r.Certificate(k)
 			r.Stats()
 			r.CertifiedFrames()
 		}
 	}()
 	wg.Wait()
 	<-done
-	if n := len(r.Snapshot()); n > 64 {
-		t.Fatalf("ring exceeds capacity: %d traces", n)
+	if n := retainedEvents(r); n != 64 {
+		t.Fatalf("full ring retains %d events, want 64", n)
 	}
+}
+
+// retainedEvents counts the events of every retained trace.
+func retainedEvents(r *Recorder) int {
+	n := 0
+	for _, tr := range r.Snapshot() {
+		n += len(tr.Events)
+	}
+	return n
 }
 
 // seededMarket builds a real non-sharing market from deterministic
@@ -280,7 +290,7 @@ func TestTrivialCertificate(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	r := New(8, 32)
+	r := New(8)
 	r.Lifecycle(1, 2, -1, "request")
 	e := Ev(KindPropose)
 	e.Frame = 2
@@ -324,7 +334,7 @@ func TestWriteChromeTrace(t *testing.T) {
 // frame whose sequence numbers cross a multiple of 1000: the second
 // must render after the first, and both inside the frame's millisecond.
 func TestChromeInstantsKeepSeqOrder(t *testing.T) {
-	r := New(8, 2)
+	r := New(8)
 	for k := 0; k < 998; k++ {
 		r.Lifecycle(2, 3, -1, "request")
 	}

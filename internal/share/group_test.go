@@ -94,7 +94,7 @@ func TestFeasibleGroupsOppositeRidersChain(t *testing.T) {
 		{ID: 0, Pickup: geo.Point{X: 0}, Dropoff: geo.Point{X: 10}},
 		{ID: 1, Pickup: geo.Point{X: 10}, Dropoff: geo.Point{X: 0}},
 	}
-	rec := dtrace.New(0, 0)
+	rec := dtrace.New(0)
 	if groups := feasibleGroups(t, reqs, PackConfig{Theta: 0.5, MaxGroupSize: 2, Tracer: rec}); len(groups) != 0 {
 		t.Fatalf("got %d groups, want 0 (chains save nothing)", len(groups))
 	}
@@ -398,7 +398,7 @@ func TestFeasibleGroupsDivergentPairFailsDetourBound(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("%d metric calls, want 2 (one detour bound per rider, no route search)", calls)
 	}
-	cfg.Tracer = dtrace.New(0, 0)
+	cfg.Tracer = dtrace.New(0)
 	if _, err := FeasibleGroupsPlane(len(reqs), pl, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +568,7 @@ func TestFeasibleGroupsPlaneMatchesRouteSearch(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s trial %d (%+v): groups %v, route search %v", f.name, trial, cfg, groupMembers(got), groupMembers(want))
 			}
-			cfg.Tracer = dtrace.New(1<<20, 1<<20)
+			cfg.Tracer = dtrace.New(1 << 20)
 			traced, err := FeasibleGroupsPlane(len(reqs), pl, cfg)
 			if err != nil {
 				t.Fatal(err)

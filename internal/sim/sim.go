@@ -197,8 +197,6 @@ type Config struct {
 	Metric geo.Metric
 	// SpeedKmH is the taxi cruising speed; the paper uses 20 km/h.
 	SpeedKmH float64
-	// FrameMinutes is the batching interval; the paper uses 1 minute.
-	FrameMinutes float64
 	// Params are the interest-model coefficients used for metric
 	// reporting (and by dispatchers that read them off the frame).
 	Params pref.Params
@@ -298,9 +296,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SpeedKmH <= 0 {
 		c.SpeedKmH = 20
-	}
-	if c.FrameMinutes <= 0 {
-		c.FrameMinutes = 1
 	}
 	if c.DrainFrames <= 0 {
 		c.DrainFrames = 240
@@ -952,7 +947,7 @@ func (s *Simulator) removePending(rs *requestState) {
 // moveTaxis advances every busy taxi along its route by one frame's
 // driving budget, executing pickups and drop-offs it reaches.
 func (s *Simulator) moveTaxis() {
-	budget := s.cfg.SpeedKmH * s.cfg.FrameMinutes / 60
+	budget := s.cfg.SpeedKmH / 60 // one frame is one minute
 	for _, t := range s.taxis {
 		if t.idle() {
 			continue

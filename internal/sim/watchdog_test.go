@@ -132,7 +132,7 @@ func TestNoteDegradedForwarded(t *testing.T) {
 // TestNoteDegradedNotesTracedFrame checks a degrade lands on a traced
 // frame's certificate as one note carrying the dispatcher's detail.
 func TestNoteDegradedNotesTracedFrame(t *testing.T) {
-	rec := dtrace.New(0, 0)
+	rec := dtrace.New(0)
 	f := &Frame{Number: 4, Tracer: rec}
 	f.NoteDegraded("deadline", "primary missed its deadline")
 	rec.PutCertificate(dtrace.Trivial(4, 0, 0, ""))
@@ -215,7 +215,7 @@ func readBundleFile(t *testing.T, dir string, m flightrec.Manifest, kind string)
 // carries only its own events.
 func TestBundleReadsSimulatorStores(t *testing.T) {
 	traced := simpleConfig(nearestDispatcher{})
-	traced.KPI, traced.Tracer = tseries.New(tseries.Config{Capacity: 64}), dtrace.New(0, 0)
+	traced.KPI, traced.Tracer = tseries.New(tseries.Config{Capacity: 64}), dtrace.New(0)
 	plain := simpleConfig(nearestDispatcher{})
 	plain.KPI = tseries.New(tseries.Config{Capacity: 64})
 	sa, dirA := bundledSim(t, traced, 0, 1<<20)
@@ -304,7 +304,7 @@ func TestInFrameTriggersBundleTheirFrame(t *testing.T) {
 				cfg.KPI = tseries.New(tseries.Config{Capacity: 64})
 			}
 			if tc.traced {
-				cfg.Tracer = dtrace.New(0, 0)
+				cfg.Tracer = dtrace.New(0)
 			}
 			s, dir := bundledSim(t, cfg, 0, 1<<20)
 			if _, err := s.Run(); err != nil {
@@ -365,7 +365,7 @@ func TestEventTailEviction(t *testing.T) {
 // keeps stepping until more than one of them has written its bundle.
 func TestBundleWhileStepping(t *testing.T) {
 	cfg := simpleConfig(farthestDispatcher{})
-	cfg.KPI, cfg.Tracer = tseries.New(tseries.Config{Capacity: 64}), dtrace.New(0, 0)
+	cfg.KPI, cfg.Tracer = tseries.New(tseries.Config{Capacity: 64}), dtrace.New(0)
 	s, _ := bundledSim(t, cfg, 0, 1)
 	rec := s.Recorder()
 	var written atomic.Int64

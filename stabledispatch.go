@@ -230,19 +230,19 @@ func ILPDispatcher(cfg PackConfig) Dispatcher { return carpool.NewILP(cfg) }
 // a per-frame stability certificate (a Definition 1 blocking-pair scan
 // of the realized matching).
 type (
-	// TraceRecorder is a bounded ring of per-request decision traces.
+	// TraceRecorder is a bounded ring of decision-trace events.
 	TraceRecorder = dtrace.Recorder
 	// StabilityCertificate is a frame-commit audit of the realized
 	// matching against Definition 1.
 	StabilityCertificate = dtrace.Certificate
 )
 
-// NewTraceRecorder returns an empty decision-trace recorder keeping at
-// most capacity request traces of at most perTraceCap events each
-// (non-positive arguments take the defaults). Attach it to one
-// simulator through SimConfig.Tracer.
-func NewTraceRecorder(capacity, perTraceCap int) *TraceRecorder {
-	return dtrace.New(capacity, perTraceCap)
+// NewTraceRecorder returns an empty decision-trace recorder keeping the
+// last capacity events across all requests (non-positive takes the
+// default, 1<<15) and the certificates of the last 1024 frames. Attach
+// it to one simulator through SimConfig.Tracer.
+func NewTraceRecorder(capacity int) *TraceRecorder {
+	return dtrace.New(capacity)
 }
 
 // CertifyStability audits a realized matching against Definition 1 under

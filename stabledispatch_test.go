@@ -262,7 +262,7 @@ func TestFacadeOutagesAndEvents(t *testing.T) {
 // API: traces accumulate for dispatched requests, frames certify stable,
 // and CertifyStability flags a hand-crossed matching.
 func TestFacadeDecisionTracing(t *testing.T) {
-	rec := NewTraceRecorder(0, 0)
+	rec := NewTraceRecorder(0)
 	reqs, err := GenerateTrace(BostonConfig(15, 3))
 	if err != nil {
 		t.Fatalf("GenerateTrace: %v", err)
