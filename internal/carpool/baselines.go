@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 
+	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/fleet"
+	"stabledispatch/internal/geo"
 	"stabledispatch/internal/match"
 	"stabledispatch/internal/prof"
 	"stabledispatch/internal/share"
@@ -40,9 +42,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// SARP is the TSP-insertion baseline [8]: every taxi is a candidate (no
-// index), and the new request is spliced into the route with minimum
-// additional travel distance.
+// SARP is the TSP-insertion baseline [8]: every taxi within the pickup
+// window in straight line is a candidate, and the new request is
+// spliced into the route with minimum additional travel distance.
 type SARP struct {
 	cfg Config
 }
@@ -63,14 +65,19 @@ func (d *SARP) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	views := append([]sim.TaxiView(nil), f.Taxis...)
 	plans := make(map[int]insertionPlan)
 	reqsOf := make(map[int][]int)
+	// A feasible insertion reaches the pickup within MaxWait along the
+	// route, and no metric here is shorter than the straight line, so a
+	// taxi farther than MaxWait in straight line has no feasible
+	// insertion. The radius is widened outward for rounding.
+	reach := costplane.Radius(d.cfg.MaxWait, 0)
 
 	for _, r := range f.Requests {
 		bestTaxi, best := -1, insertionPlan{added: math.Inf(1)}
 		for ti := range views {
-			if _, taken := plans[ti]; taken {
+			if views[ti].Offline || geo.Euclid(views[ti].Pos, r.Pickup) > reach {
 				continue
 			}
-			if views[ti].Offline {
+			if _, taken := plans[ti]; taken {
 				continue
 			}
 			plan, ok := bestInsertion(views[ti], r, f.Metric, d.cfg.Theta, d.cfg.MaxAdded, d.cfg.MaxWait)

@@ -3,11 +3,13 @@ package carpool
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/roadnet"
 	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/trace"
@@ -303,10 +305,11 @@ func TestBestInsertionMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestPickupWindowBoundsStraightLine pins why SARP also stands for RAII:
-// a feasible insertion reaches the pickup within maxWait along the
-// route, so the taxi is within maxWait in straight line, and a radius
-// index at maxWait around the pickup would drop no taxi SARP can use.
+// TestPickupWindowBoundsStraightLine pins why SARP also stands for RAII,
+// and why SARP may skip a taxi before the splice search: a feasible
+// insertion reaches the pickup within maxWait along the route, so the
+// taxi is within maxWait in straight line, and a radius index at
+// maxWait around the pickup would drop no taxi SARP can use.
 func TestPickupWindowBoundsStraightLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	feasible := 0
@@ -330,5 +333,84 @@ func TestPickupWindowBoundsStraightLine(t *testing.T) {
 	}
 	if feasible == 0 {
 		t.Fatal("no feasible insertion: the check is vacuous")
+	}
+}
+
+// sarpUnpruned is SARP.Dispatch without the straight-line prune: every
+// online taxi not yet planned this frame goes through the splice search.
+func sarpUnpruned(f *sim.Frame, cfg Config) []fleet.Assignment {
+	views := append([]sim.TaxiView(nil), f.Taxis...)
+	plans := make(map[int]insertionPlan)
+	reqsOf := make(map[int][]int)
+	for _, r := range f.Requests {
+		bestTaxi, best := -1, insertionPlan{added: math.Inf(1)}
+		for ti := range views {
+			if _, taken := plans[ti]; taken || views[ti].Offline {
+				continue
+			}
+			plan, ok := bestInsertion(views[ti], r, f.Metric, cfg.Theta, cfg.MaxAdded, cfg.MaxWait)
+			if ok && plan.added < best.added {
+				bestTaxi, best = ti, plan
+			}
+		}
+		if bestTaxi >= 0 {
+			plans[bestTaxi] = best
+			reqsOf[bestTaxi] = append(reqsOf[bestTaxi], r.ID)
+		}
+	}
+	return buildAssignments(views, plans, reqsOf)
+}
+
+// TestSARPPruneKeepsAssignments checks that SARP's straight-line prune
+// changes no assignment: on random busy fleets, under Euclid, Manhattan
+// and a road grid, SARP dispatches exactly as the unpruned search.
+func TestSARPPruneKeepsAssignments(t *testing.T) {
+	g, err := roadnet.NewGrid(roadnet.GridConfig{Rows: 11, Cols: 11, Spacing: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := map[string]geo.Metric{
+		"euclid":    geo.EuclidMetric,
+		"manhattan": geo.ManhattanMetric,
+		"road":      roadnet.NewMetric(g, 16),
+	}
+	rng := rand.New(rand.NewSource(36))
+	pt := func() geo.Point { return geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10} }
+	for name, m := range metrics {
+		pruned, assigned := 0, 0
+		for trial := 0; trial < 60; trial++ {
+			taxis := make([]sim.TaxiView, 5+rng.Intn(20))
+			for i := range taxis {
+				taxis[i] = randomTaxiView(rng)
+				taxis[i].ID = i
+				if rng.Intn(8) == 0 {
+					taxis[i].Offline, taxis[i].Idle = true, false
+				}
+			}
+			reqs := make([]fleet.Request, 1+rng.Intn(15))
+			for j := range reqs {
+				reqs[j] = fleet.Request{ID: 1000 + j, Pickup: pt(), Dropoff: pt(), Seats: 1 + rng.Intn(2)}
+			}
+			cfg := Config{Theta: 5, MaxAdded: 10, MaxWait: rng.Float64() * 8}
+			f := &sim.Frame{Requests: reqs, Taxis: taxis, Metric: m}
+			got, err := NewSARP(cfg).Dispatch(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sarpUnpruned(f, cfg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trial %d: pruned SARP assigned %+v, unpruned %+v", name, trial, got, want)
+			}
+			assigned += len(got)
+			for _, v := range taxis {
+				for _, r := range reqs {
+					if geo.Euclid(v.Pos, r.Pickup) > cfg.MaxWait {
+						pruned++
+					}
+				}
+			}
+		}
+		if pruned == 0 || assigned == 0 {
+			t.Fatalf("%s: %d pruned pairs, %d assignments: the check is vacuous", name, pruned, assigned)
+		}
 	}
 }

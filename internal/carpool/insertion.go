@@ -9,6 +9,7 @@
 //     distance, and SARP's own window test (along-route distance, never
 //     shorter than the straight line, against the same bound) rejects
 //     every taxi the index would drop, so the two dispatch identically.
+//     SARP skips those taxis before the splice search for that reason.
 //   - ILP ([6]): per frame, requests are packed into share groups by
 //     Algorithm 3's first stage (dispatch.PackFrame, the same units STD
 //     matches) and the group-to-idle-taxi assignment problem is solved

@@ -46,31 +46,26 @@ import (
 	"stabledispatch/internal/stable"
 )
 
-// IdleFleet converts the idle taxis of a frame into fleet.Taxi values,
-// in fleet order: the taxi set every dispatcher's cost plane is built
-// over. It times the idle_scan stage.
+// IdleFleet returns the frame's idle taxis as fleet.Taxi values, in
+// fleet order (sim.Frame.IdleFleet). It times the idle_scan stage.
 func IdleFleet(f *sim.Frame) []fleet.Taxi {
 	defer f.Ledger.Begin(prof.StageIdleScan).End()
-	views := f.IdleTaxis()
-	taxis := make([]fleet.Taxi, len(views))
-	for i, v := range views {
-		taxis[i] = fleet.Taxi{ID: v.ID, Pos: v.Pos, Seats: v.Seats, Status: fleet.TaxiIdle}
-	}
-	return taxis
+	return f.IdleFleet()
 }
 
-// prunedInstance builds the frame's non-sharing preference instance from
-// a cost plane pruned at both dummy thresholds (pref.PlaneConfig): a
-// taxi beyond request j's radius min(MaxPickup, MaxNet + α·trip_j) sits
-// behind a dummy regardless, so skipping its cell leaves every
-// preference list unchanged.
+// prunedInstance returns the frame's memoised non-sharing preference
+// instance (sim.Frame.Instance), built from a cost plane pruned at both
+// dummy thresholds (pref.PlaneConfig): a taxi beyond request j's radius
+// min(MaxPickup, MaxNet + α·trip_j) sits behind a dummy regardless, so
+// skipping its cell leaves every preference list unchanged. The plane
+// is built under the cost_plane span and the market under pref_build.
 func prunedInstance(f *sim.Frame, taxis []fleet.Taxi) (*pref.Instance, error) {
 	sp := f.Ledger.Begin(prof.StageCostPlane)
-	pl := f.CostPlane(taxis, pref.PlaneConfig(f.Params))
+	f.CostPlane(taxis, pref.PlaneConfig(f.Params))
 	sp.End()
 	sp = f.Ledger.Begin(prof.StagePrefBuild)
 	defer sp.End()
-	return pref.FromPlane(pl, f.Params)
+	return f.Instance(taxis)
 }
 
 // NSTD is the paper's non-sharing stable dispatcher. The passenger-

@@ -144,19 +144,10 @@ type Pair struct {
 
 // Better reports whether a counterparty with index k1 at cost c1 is
 // strictly preferred over k2 at cost c2: the lower cost wins and a cost
-// tie goes to the lower index. Both sides of every market order their
-// lists this way.
-func Better(c1 float64, k1 int, c2 float64, k2 int) bool { return order(c1, k1, c2, k2) < 0 }
-
-// order is Better as a three-way comparison, for sorting.
-func order(c1 float64, k1 int, c2 float64, k2 int) int {
-	switch {
-	case c1 < c2:
-		return -1
-	case c1 > c2:
-		return 1
-	}
-	return k1 - k2
+// tie (−0 against +0 included) goes to the lower index. Both sides of
+// every market order their lists this way.
+func Better(c1 float64, k1 int, c2 float64, k2 int) bool {
+	return c1 < c2 || (!(c1 > c2) && k1 < k2)
 }
 
 // NewMarket returns the market whose mutually acceptable pairs are
@@ -227,7 +218,7 @@ func assemble(nReq int, taxiStart []int, byTaxi []Entry) Market {
 		}
 	}
 	for j := 0; j < nReq; j++ {
-		slices.SortFunc(m.ReqEntries(j), func(a, b Entry) int { return order(a.ReqCost, a.Partner, b.ReqCost, b.Partner) })
+		sortRow(m.ReqEntries(j), false)
 	}
 	return m
 }
@@ -253,9 +244,7 @@ func (m *Market) TaxiEntries(i int) []Entry {
 	o.once.Do(func() {
 		o.rows = slices.Clone(m.byTaxi)
 		for k := 0; k < m.NumTaxis(); k++ {
-			slices.SortFunc(o.rows[m.taxiStart[k]:m.taxiStart[k+1]], func(a, b Entry) int {
-				return order(a.TaxiCost, a.Partner, b.TaxiCost, b.Partner)
-			})
+			sortRow(o.rows[m.taxiStart[k]:m.taxiStart[k+1]], true)
 		}
 	})
 	return o.rows[m.taxiStart[i]:m.taxiStart[i+1]]
@@ -280,7 +269,7 @@ func (m *Market) TaxiRank(i, j int) int {
 	}
 	n := 0
 	for _, e := range row {
-		if order(e.TaxiCost, e.Partner, row[k].TaxiCost, j) < 0 {
+		if Better(e.TaxiCost, e.Partner, row[k].TaxiCost, j) {
 			n++
 		}
 	}

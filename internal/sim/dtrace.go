@@ -7,7 +7,6 @@ import (
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/flightrec"
-	"stabledispatch/internal/pref"
 )
 
 // Decision-trace wiring for the engine: lifecycle events land on each
@@ -38,28 +37,26 @@ func (s *Simulator) traceEvent(rec *dtrace.Recorder, e Event) {
 // pair rather elope", which §V's refined model only re-weights — and
 // the certificate carries a note whenever that lens was stretched.
 func (s *Simulator) certifyFrame(rec *dtrace.Recorder, f *Frame, applied []fleet.Assignment) {
-	idle := f.IdleTaxis()
-	if len(f.Requests) == 0 || len(idle) == 0 {
+	taxis := f.IdleFleet()
+	if len(f.Requests) == 0 || len(taxis) == 0 {
 		note := "no pending requests"
 		if len(f.Requests) > 0 {
 			note = "no idle taxis"
 		}
-		rec.PutCertificate(dtrace.Trivial(f.Number, len(f.Requests), len(idle), note+": nothing to match, vacuously stable"))
+		rec.PutCertificate(dtrace.Trivial(f.Number, len(f.Requests), len(taxis), note+": nothing to match, vacuously stable"))
 		return
 	}
-	taxis := make([]fleet.Taxi, len(idle))
-	taxiIDs := make([]int, len(idle))
-	taxiIdx := make(map[int]int, len(idle))
-	for i, v := range idle {
-		taxis[i] = fleet.Taxi{ID: v.ID, Pos: v.Pos, Seats: v.Seats, Status: fleet.TaxiIdle}
-		taxiIDs[i] = v.ID
-		taxiIdx[v.ID] = i
+	taxiIDs := make([]int, len(taxis))
+	taxiIdx := make(map[int]int, len(taxis))
+	for i, t := range taxis {
+		taxiIDs[i] = t.ID
+		taxiIdx[t.ID] = i
 	}
 	// The frame's plane pruned at both thresholds yields the same market
-	// as an unpruned one (see pref.FromPlane), and its configuration is
-	// the non-sharing dispatchers', so it memo-hits the plane they
-	// already built this frame.
-	inst, err := pref.FromPlane(f.CostPlane(taxis, pref.PlaneConfig(f.Params)), f.Params)
+	// as an unpruned one (see pref.FromPlane). After a non-sharing
+	// dispatcher the frame holds that instance, and the certificate reads
+	// the market the dispatcher matched on.
+	inst, err := f.Instance(taxis)
 	if err != nil {
 		rec.AddFrameNote(f.Number, "stability certificate unavailable: "+err.Error())
 		return

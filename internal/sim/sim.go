@@ -74,11 +74,14 @@ type Frame struct {
 	// several consumers (a resilient primary and its fallback, or the
 	// preference build and a baseline's cost matrix) computes each
 	// distance at most once. A frame sees at most a couple of distinct
-	// configurations, so a tiny linear list beats a map here. Guarded by
-	// planeMu: dispatch.Resilient may run its fallback while a timed-out
-	// primary still holds the frame.
+	// configurations, so a tiny linear list beats a map here. inst
+	// memoises the non-sharing market built on one of those planes, so
+	// the stability certificate reads the market Algorithm 1 matched on.
+	// Both are guarded by planeMu: dispatch.Resilient may run its
+	// fallback while a timed-out primary still holds the frame.
 	planeMu sync.Mutex
 	planes  []framePlane
+	inst    *pref.Instance
 
 	// sim is the simulator that built the frame (nil for a frame built
 	// by hand); NoteDegraded reports to it.
@@ -121,12 +124,17 @@ type framePlane struct {
 // cfg.Key(). taxis must be the frame's idle fleet (every dispatcher
 // derives the same slice from the frame, so concurrent callers agree).
 func (f *Frame) CostPlane(taxis []fleet.Taxi, cfg costplane.Config) *costplane.Plane {
+	f.planeMu.Lock()
+	defer f.planeMu.Unlock()
+	return f.costPlane(taxis, cfg)
+}
+
+// costPlane is CostPlane with planeMu held.
+func (f *Frame) costPlane(taxis []fleet.Taxi, cfg costplane.Config) *costplane.Plane {
 	if cfg.Workers == 0 {
 		cfg.Workers = f.Workers
 	}
 	key := cfg.Key()
-	f.planeMu.Lock()
-	defer f.planeMu.Unlock()
 	for _, e := range f.planes {
 		if e.key == key {
 			return e.pl
@@ -137,15 +145,56 @@ func (f *Frame) CostPlane(taxis []fleet.Taxi, cfg costplane.Config) *costplane.P
 	return pl
 }
 
+// Instance returns the frame's non-sharing §IV-A instance: pref.FromPlane
+// over the frame's plane at pref.PlaneConfig(f.Params), built on first
+// use and memoised, so Algorithm 1 and the stability certificate build
+// and sort its market once per frame. taxis must be the frame's idle
+// fleet, as for CostPlane.
+func (f *Frame) Instance(taxis []fleet.Taxi) (*pref.Instance, error) {
+	f.planeMu.Lock()
+	defer f.planeMu.Unlock()
+	if f.inst == nil {
+		inst, err := pref.FromPlane(f.costPlane(taxis, pref.PlaneConfig(f.Params)), f.Params)
+		if err != nil {
+			return nil, err
+		}
+		f.inst = inst
+	}
+	return f.inst, nil
+}
+
 // IdleTaxis returns the idle subset of the fleet, preserving order.
 func (f *Frame) IdleTaxis() []TaxiView {
-	var idle []TaxiView
+	idle := make([]TaxiView, 0, f.idleCount())
 	for _, t := range f.Taxis {
 		if t.Idle {
 			idle = append(idle, t)
 		}
 	}
 	return idle
+}
+
+// IdleFleet returns the idle taxis as fleet values, in fleet order: the
+// taxi set every dispatcher's cost plane and the stability certificate
+// are built over. It fills one slice of exactly the idle count.
+func (f *Frame) IdleFleet() []fleet.Taxi {
+	taxis := make([]fleet.Taxi, 0, f.idleCount())
+	for i := range f.Taxis {
+		if v := &f.Taxis[i]; v.Idle {
+			taxis = append(taxis, fleet.Taxi{ID: v.ID, Pos: v.Pos, Seats: v.Seats, Status: fleet.TaxiIdle})
+		}
+	}
+	return taxis
+}
+
+func (f *Frame) idleCount() int {
+	n := 0
+	for i := range f.Taxis {
+		if f.Taxis[i].Idle {
+			n++
+		}
+	}
+	return n
 }
 
 // TaxiView is the dispatcher-visible state of one taxi.

@@ -5,11 +5,14 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/stable"
 )
 
 // scriptedDispatcher returns canned assignments per frame number.
@@ -610,8 +613,81 @@ func TestIdleTaxisHelper(t *testing.T) {
 		{ID: 2, Idle: true},
 	}}
 	idle := f.IdleTaxis()
-	if len(idle) != 2 || idle[0].ID != 0 || idle[1].ID != 2 {
-		t.Errorf("IdleTaxis = %+v", idle)
+	if len(idle) != 2 || cap(idle) != 2 || idle[0].ID != 0 || idle[1].ID != 2 {
+		t.Errorf("IdleTaxis = %+v (cap %d)", idle, cap(idle))
+	}
+	taxis := f.IdleFleet()
+	if len(taxis) != 2 || cap(taxis) != 2 || taxis[0].ID != 0 || taxis[1].ID != 2 || taxis[1].Status != fleet.TaxiIdle {
+		t.Errorf("IdleFleet = %+v (cap %d)", taxis, cap(taxis))
+	}
+}
+
+// TestCertificateReadsFrameInstance pins that a traced frame's
+// certificate audits the non-sharing market memoised on the frame, the
+// one Algorithm 1 matched on, and builds none of its own: certified
+// against a memo whose taxis sit swapped, the frame's own stable
+// matching reads as unstable.
+func TestCertificateReadsFrameInstance(t *testing.T) {
+	reqs := []fleet.Request{
+		{ID: 10, Pickup: geo.Point{X: 0, Y: 0}, Dropoff: geo.Point{X: 0, Y: 8}},
+		{ID: 11, Pickup: geo.Point{X: 4, Y: 0}, Dropoff: geo.Point{X: 4, Y: 8}},
+	}
+	frame := func(x0, x1 float64) *Frame {
+		return &Frame{
+			Number:   1,
+			Requests: reqs,
+			Taxis: []TaxiView{
+				{ID: 0, Pos: geo.Point{X: x0, Y: 0.5}, Idle: true},
+				{ID: 1, Pos: geo.Point{X: x1, Y: 0.5}, Idle: true},
+			},
+			Metric: geo.EuclidMetric,
+			Params: pref.DefaultParams(),
+			Tracer: dtrace.New(0),
+		}
+	}
+	f := frame(0, 4)
+	inst, err := f.Instance(f.IdleFleet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := stable.PassengerOptimal(&inst.Market); !slices.Equal(m.ReqPartner, []int{0, 1}) {
+		t.Fatalf("Algorithm 1 matched %v, want each request to the taxi beside it", m.ReqPartner)
+	}
+	applied := []fleet.Assignment{fleet.SingleRide(0, reqs[0]), fleet.SingleRide(1, reqs[1])}
+	new(Simulator).certifyFrame(f.Tracer, f, applied)
+	if c, _ := f.Tracer.Certificate(1); !c.Stable {
+		t.Fatalf("Algorithm 1's matching certified unstable: %+v", c)
+	}
+	if again, _ := f.Instance(f.IdleFleet()); again != inst || len(f.planes) != 1 {
+		t.Fatalf("the certificate rebuilt the frame's market (%d planes)", len(f.planes))
+	}
+
+	// A Resilient straggler and the certificate may ask at once: every
+	// caller gets the one memoised instance.
+	h := frame(0, 4)
+	got := make([]*pref.Instance, 8)
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			got[k], _ = h.Instance(h.IdleFleet())
+		}(k)
+	}
+	wg.Wait()
+	for _, inst := range got {
+		if inst == nil || inst != got[0] {
+			t.Fatal("concurrent callers got different instances")
+		}
+	}
+
+	g, swapped := frame(0, 4), frame(4, 0)
+	if g.inst, err = swapped.Instance(swapped.IdleFleet()); err != nil {
+		t.Fatal(err)
+	}
+	new(Simulator).certifyFrame(g.Tracer, g, applied)
+	if c, _ := g.Tracer.Certificate(1); c.Stable || c.ViolationsTotal == 0 {
+		t.Fatalf("certificate ignored the frame's memoised market: %+v", c)
 	}
 }
 
