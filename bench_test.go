@@ -330,18 +330,6 @@ func BenchmarkAblationTheta(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStableVariant compares the four stable selections.
-func BenchmarkAblationStableVariant(b *testing.B) {
-	o := benchOptions()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationStableVariant(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCostPlane measures one frame's shared distance-plane build —
 // the threshold-pruned configuration the non-sharing stable dispatchers
 // request (pref.PlaneConfig) — serially and with the default worker

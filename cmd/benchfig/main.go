@@ -4,7 +4,7 @@
 //	benchfig -fig fig5            # one figure at paper scale (one day)
 //	benchfig -fig all -quick      # everything, shrunken for a fast pass
 //	benchfig -fig fig8 -frames 360 -volume-scale 0.25
-//	benchfig -fig extras -quick       # ablation sweeps (maxnet, theta, variants)
+//	benchfig -fig extras -quick       # ablation sweeps (maxnet, theta)
 package main
 
 import (

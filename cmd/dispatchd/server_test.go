@@ -187,7 +187,7 @@ func TestBadInputs(t *testing.T) {
 // through exp.Dispatcher: every algorithm taxisim runs, case-insensitively.
 func TestDaemonDispatcherNames(t *testing.T) {
 	for _, name := range []string{
-		"nstd-p", "nstd-t", "nstd-c", "nstd-m", "NSTD-P",
+		"nstd-p", "nstd-t", "NSTD-P",
 		"greedy", "mincost", "bottleneck",
 		"std-p", "std-t", "sarp", "ilp",
 	} {
@@ -196,7 +196,9 @@ func TestDaemonDispatcherNames(t *testing.T) {
 		}
 	}
 	// raii is gone: SARP dispatches identically (package carpool).
-	for _, name := range []string{"nope", "raii"} {
+	// nstd-c and nstd-m are gone: every frame has one stable matching,
+	// so they dispatched as nstd-p (DESIGN.md).
+	for _, name := range []string{"nope", "raii", "nstd-c", "nstd-m"} {
 		if _, err := exp.Dispatcher(name, 5); err == nil {
 			t.Errorf("accepted unknown dispatcher %q", name)
 		}

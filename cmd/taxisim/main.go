@@ -11,8 +11,8 @@
 //	taxisim -algo nstd-p,greedy -kpi-out kpi.csv     # one CSV per algorithm (kpi.nstd-p.csv, …)
 //	taxisim -algo nstd-p -slo ci/watchdog.slo -bundle-dir bundles   # SLO watchdog + flight recorder
 //
-// Algorithms: nstd-p, nstd-t, nstd-c, nstd-m, greedy, mincost, bottleneck
-// (non-sharing); std-p, std-t, sarp, ilp (sharing).
+// Algorithms: nstd-p, nstd-t, greedy, mincost, bottleneck (non-sharing);
+// std-p, std-t, sarp, ilp (sharing).
 package main
 
 import (

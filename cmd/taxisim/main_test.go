@@ -32,7 +32,7 @@ func TestRunSmoke(t *testing.T) {
 
 func TestRunAllAlgorithms(t *testing.T) {
 	for _, algo := range []string{
-		"nstd-p", "nstd-t", "nstd-c", "nstd-m", "NSTD-P",
+		"nstd-p", "nstd-t", "NSTD-P",
 		"greedy", "mincost", "bottleneck",
 		"std-p", "std-t", "sarp", "ilp",
 	} {
@@ -144,19 +144,6 @@ func TestRunComparisonMode(t *testing.T) {
 		"NSTD-P dispatch pipeline stage timings", "Greedy dispatch pipeline stage timings"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("comparison output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRunExtensionAlgorithms(t *testing.T) {
-	for _, algo := range []string{"nstd-c", "nstd-m"} {
-		var sb strings.Builder
-		err := run([]string{
-			"-algo", algo, "-taxis", "8", "-frames", "12",
-			"-volume", "1500", "-seed", "6",
-		}, &sb)
-		if err != nil {
-			t.Fatalf("run(%s): %v", algo, err)
 		}
 	}
 }

@@ -116,6 +116,17 @@ func (d *NSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	return singleRides(m, taxis, f.Requests), nil
 }
 
+// singleRides converts a non-sharing matching into assignments.
+func singleRides(m stable.Matching, taxis []fleet.Taxi, reqs []fleet.Request) []fleet.Assignment {
+	var out []fleet.Assignment
+	for j, i := range m.ReqPartner {
+		if i != stable.Unmatched {
+			out = append(out, fleet.SingleRide(taxis[i].ID, reqs[j]))
+		}
+	}
+	return out
+}
+
 // costMatrix returns the request-major pickup-distance matrix the
 // baselines minimise — they model only the passenger's wait. The matrix
 // is a view of the frame's unpruned cost plane: the baselines have no

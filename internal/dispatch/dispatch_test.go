@@ -227,89 +227,3 @@ func TestDeterministicDispatch(t *testing.T) {
 		}
 	}
 }
-
-func TestExtensionDispatcherNames(t *testing.T) {
-	if got := NewNSTDC().Name(); got != "NSTD-C" {
-		t.Errorf("Name = %q", got)
-	}
-	if got := NewNSTDM().Name(); got != "NSTD-M" {
-		t.Errorf("Name = %q", got)
-	}
-}
-
-func TestExtensionDispatchersServeTraffic(t *testing.T) {
-	taxis, reqs := smallWorld(t, 6, 20, 45)
-	for _, d := range []sim.Dispatcher{NewNSTDC(), NewNSTDM()} {
-		t.Run(d.Name(), func(t *testing.T) {
-			rep := runSim(t, d, taxis, reqs)
-			if rep.ServedCount()*2 < len(reqs) {
-				t.Errorf("%s served only %d/%d", d.Name(), rep.ServedCount(), len(reqs))
-			}
-		})
-	}
-}
-
-func TestExtensionFrameMatchingsAreStable(t *testing.T) {
-	taxis, reqs := smallWorld(t, 7, 12, 1)
-	frame := &sim.Frame{
-		Requests: reqs,
-		Metric:   geo.EuclidMetric,
-		Params:   pref.DefaultParams(),
-	}
-	for _, taxi := range taxis {
-		frame.Taxis = append(frame.Taxis, sim.TaxiView{ID: taxi.ID, Pos: taxi.Pos, Seats: taxi.Seats, Idle: true})
-	}
-	inst, err := pref.NewInstance(reqs, taxis, frame.Metric, frame.Params)
-	if err != nil {
-		t.Fatalf("NewInstance: %v", err)
-	}
-	for _, d := range []sim.Dispatcher{NewNSTDC(), NewNSTDM()} {
-		assignments, err := d.Dispatch(frame)
-		if err != nil {
-			t.Fatalf("%s: %v", d.Name(), err)
-		}
-		m := stable.NewMatching(len(reqs), len(taxis))
-		reqIdx := make(map[int]int, len(reqs))
-		for j, r := range reqs {
-			reqIdx[r.ID] = j
-		}
-		taxiIdx := make(map[int]int, len(taxis))
-		for i, taxi := range taxis {
-			taxiIdx[taxi.ID] = i
-		}
-		for _, a := range assignments {
-			j := reqIdx[a.Requests[0]]
-			i := taxiIdx[a.TaxiID]
-			m.ReqPartner[j] = i
-			m.TaxiPartner[i] = j
-		}
-		if err := stable.IsStable(&inst.Market, m); err != nil {
-			t.Errorf("%s produced an unstable matching: %v", d.Name(), err)
-		}
-	}
-}
-
-func TestNSTDCMinimisesPickupAmongStable(t *testing.T) {
-	// Crossed 2x2 instance with two stable matchings: the company pick
-	// must have the smaller total pickup distance.
-	reqs := []fleet.Request{
-		{ID: 0, Pickup: geo.Point{X: 0}, Dropoff: geo.Point{X: 30}},
-		{ID: 1, Pickup: geo.Point{X: 10}, Dropoff: geo.Point{X: 40}},
-	}
-	taxis := []fleet.Taxi{
-		{ID: 0, Pos: geo.Point{X: 1}},
-		{ID: 1, Pos: geo.Point{X: 9}},
-	}
-	inst, err := pref.NewInstance(reqs, taxis, geo.EuclidMetric, pref.Unbounded())
-	if err != nil {
-		t.Fatalf("NewInstance: %v", err)
-	}
-	all := stable.AllStableMatchings(&inst.Market, 0)
-	best := stable.CompanyOptimal(&inst.Market, stable.TotalPickupDistance(inst), 0)
-	objective := stable.TotalPickupDistance(inst)
-	for _, m := range all {
-		if objective(m) < objective(best)-1e-12 {
-			t.Fatalf("company pick %v beaten by %v", best.ReqPartner, m.ReqPartner)
-		}
-	}
-}

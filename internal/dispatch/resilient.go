@@ -18,8 +18,8 @@ const DefaultFrameDeadline = 500 * time.Millisecond
 // Resilient wraps any Dispatcher with a per-frame compute deadline and
 // panic recovery, degrading to a cheap fallback (Greedy by default)
 // when the primary overruns, panics, or errors. A pathological frame —
-// say a stable-matching enumeration blowing up on adversarial ties — is
-// then a degraded frame and a counter increment instead of a stalled
+// say a cubic assignment solve over a surge backlog — is then a
+// degraded frame and a counter increment instead of a stalled
 // pipeline, so tail frame latency stays bounded by the deadline plus
 // the fallback's (near-linear) cost.
 type Resilient struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"stabledispatch/internal/dispatch"
-	"stabledispatch/internal/sim"
 	"stabledispatch/internal/stats"
 	"stabledispatch/internal/trace"
 )
@@ -97,58 +96,10 @@ func AblationTheta(o Options) (Figure, error) {
 	}, nil
 }
 
-// AblationStableVariant compares the four stable selections (passenger-
-// optimal, taxi-optimal, company-optimal, median) on one workload: all
-// serve the same requests (rural hospitals), so only the dissatisfaction
-// split between the sides moves.
-func AblationStableVariant(o Options) (Figure, error) {
-	if err := o.Validate(); err != nil {
-		return Figure{}, err
-	}
-	reqs, taxis, err := paperWorkload(trace.Boston(), o)
-	if err != nil {
-		return Figure{}, err
-	}
-	variants := []sim.Dispatcher{
-		dispatch.NewNSTDP(),
-		dispatch.NewNSTDT(),
-		dispatch.NewNSTDC(),
-		dispatch.NewNSTDM(),
-	}
-	x := []float64{0, 1, 2, 3}
-	var delays, passes, taxisDiss []float64
-	names := make([]string, len(variants))
-	for i, d := range variants {
-		names[i] = d.Name()
-		rep, err := runReport(d, taxis, reqs, o)
-		if err != nil {
-			return Figure{}, fmt.Errorf("exp: ablation-variant %s: %w", d.Name(), err)
-		}
-		delays = append(delays, stats.Mean(rep.DispatchDelays()))
-		passes = append(passes, stats.Mean(rep.PassengerDissatisfactions()))
-		taxisDiss = append(taxisDiss, stats.Mean(rep.TaxiDissatisfactions()))
-	}
-	xlabel := fmt.Sprintf("variant index (%v)", names)
-	fig := Figure{
-		ID:    "ablation-variant",
-		Title: "Stable-matching selection variants, Boston trace",
-	}
-	fig.Panels = append(fig.Panels,
-		Panel{Metric: "average dispatch delay (min)", XLabel: xlabel, X: x,
-			Series: []Series{{Name: "mean", Y: delays}}},
-		Panel{Metric: "average passenger dissatisfaction (km)", XLabel: xlabel, X: x,
-			Series: []Series{{Name: "mean", Y: passes}}},
-		Panel{Metric: "average taxi dissatisfaction (km)", XLabel: xlabel, X: x,
-			Series: []Series{{Name: "mean", Y: taxisDiss}}},
-	)
-	return fig, nil
-}
-
 // Extras indexes the ablation experiments beyond the paper's figures.
 func Extras() map[string]Runner {
 	return map[string]Runner{
-		"ablation-maxnet":  AblationMaxNet,
-		"ablation-theta":   AblationTheta,
-		"ablation-variant": AblationStableVariant,
+		"ablation-maxnet": AblationMaxNet,
+		"ablation-theta":  AblationTheta,
 	}
 }

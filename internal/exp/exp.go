@@ -246,8 +246,6 @@ var algorithms = []struct {
 }{
 	{"nstd-p", func(float64) sim.Dispatcher { return dispatch.NewNSTDP() }},
 	{"nstd-t", func(float64) sim.Dispatcher { return dispatch.NewNSTDT() }},
-	{"nstd-c", func(float64) sim.Dispatcher { return dispatch.NewNSTDC() }},
-	{"nstd-m", func(float64) sim.Dispatcher { return dispatch.NewNSTDM() }},
 	{"greedy", func(float64) sim.Dispatcher { return dispatch.NewGreedy() }},
 	{"mincost", func(float64) sim.Dispatcher { return dispatch.NewMinCost() }},
 	{"bottleneck", func(float64) sim.Dispatcher { return dispatch.NewBottleneck() }},

@@ -121,16 +121,49 @@ func randomFrame(rng *rand.Rand) ([]fleet.Request, []fleet.Taxi) {
 }
 
 // randomParams returns pref.Unbounded a quarter of the time and small
-// finite thresholds otherwise.
-func randomParams(rng *rand.Rand) pref.Params {
-	if rng.Intn(4) == 0 {
+// finite thresholds otherwise, drawing each choice from intn.
+func randomParams(intn func(int) int) pref.Params {
+	if intn(4) == 0 {
 		return pref.Unbounded()
 	}
 	p := pref.DefaultParams()
-	p.Alpha = float64(rng.Intn(3))
-	p.MaxPickup = float64(1 + rng.Intn(6))
-	p.MaxNet = float64(rng.Intn(5) - 2)
+	p.Alpha = float64(intn(3))
+	p.MaxPickup = float64(1 + intn(6))
+	p.MaxNet = float64(intn(5) - 2)
 	return p
+}
+
+// randomGroupUnits packs a random batch of the oldest requests into
+// units on a request-only plane: maximum set packing prefers pairs to
+// triples, so the units take random disjoint feasible groups, triples
+// first, and every other request rides alone. It draws each choice
+// from intn and returns the plane with the units.
+func randomGroupUnits(t testing.TB, reqs []fleet.Request, m geo.Metric, cfg PackConfig, intn func(int) int) (*costplane.Plane, []Unit) {
+	t.Helper()
+	n := min(len(reqs), 2+intn(len(reqs)))
+	base := costplane.Build(reqs, nil, m, costplane.Config{Workers: 1, Pairs: n >= 2, PairRows: n, PairRadius: cfg.PairRadius})
+	groups, err := FeasibleGroupsPlane(n, base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortStableFunc(groups, func(a, b Group) int { return len(b.Members) - len(a.Members) })
+	var res PackResult
+	taken := make([]bool, len(reqs))
+	for _, gr := range groups {
+		if intn(2) == 0 || slices.ContainsFunc(gr.Members, func(idx int) bool { return taken[idx] }) {
+			continue
+		}
+		for _, idx := range gr.Members {
+			taken[idx] = true
+		}
+		res.Groups = append(res.Groups, gr)
+	}
+	for idx := range reqs {
+		if !taken[idx] {
+			res.Singles = append(res.Singles, idx)
+		}
+	}
+	return base, res.UnitsPlane(base)
 }
 
 // TestMarketConstructionMatchesDenseReference pins both market builders
@@ -142,7 +175,7 @@ func TestMarketConstructionMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	for trial := 0; trial < 400; trial++ {
 		reqs, taxis := randomFrame(rng)
-		params := randomParams(rng)
+		params := randomParams(rng.Intn)
 		prune := []float64{0, 2, 3.5}[rng.Intn(3)]
 		pl := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{Workers: 1, PruneRadius: prune})
 
@@ -417,33 +450,8 @@ func TestUnitPlaneMarketMatchesPickupPlane(t *testing.T) {
 					reqs[j].Dropoff = g.Node(island)
 				}
 			}
-			n := min(len(reqs), 2+rng.Intn(len(reqs)))
-			base := costplane.Build(reqs, nil, mc.m, costplane.Config{Workers: 1, Pairs: true, PairRows: n, PairRadius: cfg.PairRadius})
-			// Maximum set packing prefers pairs to triples, so the units
-			// take random disjoint feasible groups, triples first.
-			groups, err := FeasibleGroupsPlane(n, base, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slices.SortStableFunc(groups, func(a, b Group) int { return len(b.Members) - len(a.Members) })
-			var res PackResult
-			taken := make([]bool, len(reqs))
-			for _, gr := range groups {
-				if rng.Intn(2) == 0 || slices.ContainsFunc(gr.Members, func(idx int) bool { return taken[idx] }) {
-					continue
-				}
-				for _, idx := range gr.Members {
-					taken[idx] = true
-				}
-				res.Groups = append(res.Groups, gr)
-			}
-			for idx := range reqs {
-				if !taken[idx] {
-					res.Singles = append(res.Singles, idx)
-				}
-			}
-			units := res.UnitsPlane(base)
-			for _, params := range []pref.Params{pref.DefaultParams(), alpha0, pref.Unbounded(), randomParams(rng)} {
+			base, units := randomGroupUnits(t, reqs, mc.m, cfg, rng.Intn)
+			for _, params := range []pref.Params{pref.DefaultParams(), alpha0, pref.Unbounded(), randomParams(rng.Intn)} {
 				radii, err := UnitRadii(units, base, params)
 				if err != nil {
 					t.Fatal(err)
@@ -479,7 +487,7 @@ func TestUnitPlaneMarketMatchesPickupPlane(t *testing.T) {
 				}
 				unitPl := base.WithTaxis(taxis, radii, 1+rng.Intn(3))
 				pickupPl := costplane.Build(reqs, taxis, mc.m, costplane.Config{
-					Workers: 1, PruneRadius: params.MaxPickup, Pairs: true, PairRows: n, PairRadius: cfg.PairRadius,
+					Workers: 1, PruneRadius: params.MaxPickup, Pairs: true, PairRows: base.PairRows(), PairRadius: cfg.PairRadius,
 				})
 				want, err := BuildMarketPlane(units, taxis, pickupPl, params)
 				if err != nil {

@@ -14,8 +14,9 @@ import (
 //
 // The number of stable matchings can be exponential in adversarial
 // instances; limit caps how many are returned (0 or negative means no
-// cap). Real dispatch frames have few stable matchings because distances
-// rarely align, so the cap exists only as a safety valve.
+// cap). A frame's market built from a metric has exactly one stable
+// matching (DESIGN.md, "One stable matching per frame"), so the cap
+// guards only arbitrary markets built with pref.NewMarket.
 func AllStableMatchings(mk *pref.Market, limit int) []Matching {
 	if limit <= 0 {
 		limit = math.MaxInt
@@ -119,41 +120,4 @@ func (e *enumerator) breakDispatch(s gsState, j int) (gsState, bool) {
 			continue
 		}
 	}
-}
-
-// CompanyObjective scores a stable matching from the platform's
-// perspective; lower is better.
-type CompanyObjective func(Matching) float64
-
-// TotalPickupDistance returns a CompanyObjective that sums D(t_i, r_j^s)
-// over matched pairs. By the rural-hospitals property (Theorem 2 and its
-// taxi-side mirror) every stable matching serves the same requests with
-// the same taxis, so per-ride commission revenue is identical across
-// them; the company's remaining lever is fleet efficiency — idle
-// kilometres burned before pickups — which this objective captures.
-func TotalPickupDistance(inst *pref.Instance) CompanyObjective {
-	return func(m Matching) float64 {
-		total := 0.0
-		for j, i := range m.ReqPartner {
-			if i != Unmatched {
-				total += inst.PickupDist(i, j)
-			}
-		}
-		return total
-	}
-}
-
-// CompanyOptimal enumerates the stable matchings (capped at limit) and
-// returns the one minimising the objective. Ties go to the earliest
-// matching found, so the passenger-optimal matching wins exact ties.
-func CompanyOptimal(mk *pref.Market, objective CompanyObjective, limit int) Matching {
-	all := AllStableMatchings(mk, limit)
-	best := all[0]
-	bestScore := objective(best)
-	for _, m := range all[1:] {
-		if score := objective(m); score < bestScore {
-			best, bestScore = m, score
-		}
-	}
-	return best
 }

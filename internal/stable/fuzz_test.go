@@ -97,9 +97,9 @@ func equalInts(a, b []int) bool {
 
 // FuzzStableCore checks the matching core against brute force on small
 // markets: the proposing algorithms return the side-optimal stable
-// matchings, Algorithm 2 enumerates exactly the stable set, the
-// selections among it are stable, and the O(P) blocking-pair scan, the
-// certificate and the cell-by-cell definition agree on any matching.
+// matchings, Algorithm 2 enumerates exactly the stable set, and the
+// O(P) blocking-pair scan, the certificate and the cell-by-cell
+// definition agree on any matching.
 func FuzzStableCore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mk, random, ok := fuzzMarket(data)
@@ -146,22 +146,6 @@ func FuzzStableCore(f *testing.F) {
 			if !got[k] {
 				t.Fatalf("AllStableMatchings misses %s", k)
 			}
-		}
-
-		if err := stable.IsStable(mk, stable.MedianStable(mk, 0)); err != nil {
-			t.Fatalf("MedianStable: %v", err)
-		}
-		reqRanks := func(m stable.Matching) float64 {
-			sum := 0
-			for j, i := range m.ReqPartner {
-				if i != stable.Unmatched {
-					sum += mk.ReqRank(j, i)
-				}
-			}
-			return -float64(sum)
-		}
-		if err := stable.IsStable(mk, stable.CompanyOptimal(mk, reqRanks, 0)); err != nil {
-			t.Fatalf("CompanyOptimal: %v", err)
 		}
 
 		for _, m := range []stable.Matching{po, to, random} {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"stabledispatch/internal/pref"
 )
@@ -51,12 +52,6 @@ func randomMarket(rng *rand.Rand, r, t int, acceptProb float64) *pref.Market {
 		}
 	}
 	return denseMarket(reqCost, taxiCost, func(j, i int) bool { return reqOK[j][i] && taxiOK[i][j] })
-}
-
-// pairCosts returns both sides' costs of a mutually acceptable pair.
-func pairCosts(mk *pref.Market, j, i int) (reqCost, taxiCost float64) {
-	e := mk.ReqEntries(j)[mk.ReqRank(j, i)]
-	return e.ReqCost, e.TaxiCost
 }
 
 // TestAlgorithm1PaperExample encodes the worked example of the paper's
@@ -411,34 +406,42 @@ func TestIsStableDetectsViolations(t *testing.T) {
 	}
 }
 
-func TestCompanyOptimal(t *testing.T) {
-	// Two stable matchings; the objective prefers the taxi-optimal one.
-	reqCost := [][]float64{
-		{1, 2},
-		{2, 1},
-	}
-	taxiCost := [][]float64{
-		{2, 1},
-		{1, 2},
-	}
-	mk := marketFromCosts(reqCost, taxiCost)
-	objective := func(m Matching) float64 {
-		// Score by summed request cost; the taxi-optimal matching
-		// has the larger value, so negate to make it win.
-		total := 0.0
-		for j, i := range m.ReqPartner {
-			if i != Unmatched {
-				total += reqCost[j][i]
+// TestStableQuickProperties drives the core invariants through
+// testing/quick: for any random market, Algorithm 1 is stable, idempotent
+// and passenger-side rural-hospitals-consistent with the taxi-proposing
+// mirror.
+func TestStableQuickProperties(t *testing.T) {
+	property := func(seed int64, rRaw, tRaw uint8, acceptRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := 1 + int(rRaw%7)
+		tt := 1 + int(tRaw%7)
+		accept := 0.2 + float64(acceptRaw%80)/100
+		mk := randomMarket(rng, r, tt, accept)
+
+		po := PassengerOptimal(mk)
+		if IsStable(mk, po) != nil {
+			return false
+		}
+		if !po.Equal(PassengerOptimal(mk)) {
+			return false
+		}
+		to := TaxiOptimal(mk)
+		if IsStable(mk, to) != nil {
+			return false
+		}
+		// Rural hospitals across the two extremes.
+		if po.Size() != to.Size() {
+			return false
+		}
+		for j := 0; j < r; j++ {
+			if (po.ReqPartner[j] == Unmatched) != (to.ReqPartner[j] == Unmatched) {
+				return false
 			}
 		}
-		return -total
+		return true
 	}
-	best := CompanyOptimal(mk, objective, 0)
-	if best.ReqPartner[0] != 1 || best.ReqPartner[1] != 0 {
-		t.Errorf("CompanyOptimal = %v, want the taxi-optimal matching", best.ReqPartner)
-	}
-	if err := IsStable(mk, best); err != nil {
-		t.Errorf("CompanyOptimal result unstable: %v", err)
+	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -189,14 +189,6 @@ func NSTDP() Dispatcher { return dispatch.NewNSTDP() }
 // NSTDT returns the taxi-optimal stable dispatcher.
 func NSTDT() Dispatcher { return dispatch.NewNSTDT() }
 
-// NSTDC returns the company-optimal stable dispatcher: Algorithm 2 picks
-// the stable matching minimising total idle pickup distance (§IV-D).
-func NSTDC() Dispatcher { return dispatch.NewNSTDC() }
-
-// NSTDM returns the median stable dispatcher: the fairness compromise
-// between the passenger-optimal and taxi-optimal matchings.
-func NSTDM() Dispatcher { return dispatch.NewNSTDM() }
-
 // STDP returns the sharing passenger-optimal dispatcher (Algorithm 3).
 func STDP(cfg PackConfig) Dispatcher { return dispatch.NewSTDP(cfg) }
 

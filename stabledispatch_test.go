@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"stabledispatch/internal/pref"
-	"stabledispatch/internal/stable"
 	"stabledispatch/internal/stream"
 	"stabledispatch/internal/tseries"
 )
@@ -200,31 +199,6 @@ func TestFacadeLiveInjection(t *testing.T) {
 	}
 	if len(s.TaxiViews()) != 5 {
 		t.Errorf("TaxiViews = %d", len(s.TaxiViews()))
-	}
-}
-
-func TestFacadeExtensions(t *testing.T) {
-	reqs := []Request{
-		{ID: 0, Pickup: Point{X: 1}, Dropoff: Point{X: 5}},
-		{ID: 1, Pickup: Point{X: 2}, Dropoff: Point{X: 9}},
-	}
-	taxis := []Taxi{
-		{ID: 0, Pos: Point{}},
-		{ID: 1, Pos: Point{X: 3}},
-	}
-	inst, err := NewInstance(reqs, taxis, EuclidMetric, pref.Unbounded())
-	if err != nil {
-		t.Fatalf("NewInstance: %v", err)
-	}
-	med := stable.MedianStable(&inst.Market, 0)
-	if err := IsStable(&inst.Market, med); err != nil {
-		t.Fatalf("median unstable: %v", err)
-	}
-	if got := NSTDC().Name(); got != "NSTD-C" {
-		t.Errorf("NSTDC name = %q", got)
-	}
-	if got := NSTDM().Name(); got != "NSTD-M" {
-		t.Errorf("NSTDM name = %q", got)
 	}
 }
 
