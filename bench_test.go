@@ -331,8 +331,8 @@ func BenchmarkAblationTheta(b *testing.B) {
 }
 
 // BenchmarkCostPlane measures one frame's shared distance-plane build —
-// the threshold-pruned configuration the non-sharing stable dispatchers
-// request (pref.PlaneConfig) — serially and with the default worker
+// the threshold-pruned §IV-A plane the non-sharing stable dispatchers
+// request (pref.Plane) — serially and with the default worker
 // pool, and reports the stored share of the T·R cells. Two frame shapes:
 // the dense Boston frame (100 requests, 400 taxis, most cells kept, on
 // Euclid and on a road grid) and a sparser New York rush-hour frame
@@ -344,7 +344,7 @@ func BenchmarkAblationTheta(b *testing.B) {
 func BenchmarkCostPlane(b *testing.B) {
 	reqs, taxis := benchWorld(b, 100, 400)
 	nycReqs, nycTaxis := nycFrame(b, 300, 380)
-	cfg := pref.PlaneConfig(pref.DefaultParams())
+	params := pref.DefaultParams()
 	g, err := roadnet.NewGrid(roadnet.GridConfig{Rows: 24, Cols: 24, Spacing: 1, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
@@ -353,8 +353,6 @@ func BenchmarkCostPlane(b *testing.B) {
 		name string
 		n    int
 	}{{"serial", 1}, {"parallel", 0}} {
-		cfg := cfg
-		cfg.Workers = workers.n
 		for _, bc := range []struct {
 			name   string
 			reqs   []fleet.Request
@@ -369,7 +367,7 @@ func BenchmarkCostPlane(b *testing.B) {
 				b.ReportAllocs()
 				var pl *costplane.Plane
 				for i := 0; i < b.N; i++ {
-					pl = costplane.Build(bc.reqs, bc.taxis, bc.metric(), cfg)
+					pl = pref.Plane(bc.reqs, bc.taxis, bc.metric(), params, workers.n)
 				}
 				b.ReportMetric(float64(pl.Entries())/float64(pl.Cells()), "entries/cell")
 			})

@@ -196,7 +196,8 @@ func buildExplain(tr dtrace.Trace, o sim.RequestOutcome) explainOut {
 					c.Rank, c.PickupKm)
 			} else if out.RequestRank >= 0 && c.Rank < out.RequestRank {
 				// A better-ranked taxi with no refusal on record (e.g.
-				// enumeration-based dispatchers record no proposals).
+				// under NSTD-T or STD-T, where a taxi that never
+				// proposed to the request leaves no event).
 				reason = fmt.Sprintf("ranked #%d by the request but matched elsewhere in the chosen stable matching", c.Rank)
 			}
 			altByTaxi[c.TaxiID] = alternativeOut{TaxiID: c.TaxiID, RequestRank: c.Rank, Reason: reason}

@@ -181,7 +181,7 @@ func run(args []string, out io.Writer) error {
 	var ledgers []*prof.Ledger
 	var recorders []*flightrec.Recorder
 	var kpis []*tseries.Recorder
-	var sloLines []string
+	var sloLines, traceLines []string
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		kpiPath, tracePath, bundles := *kpiOut, *traceOut, *bundleDir
@@ -267,6 +267,11 @@ func run(args []string, out io.Writer) error {
 			if err := writeFile(tracePath, "trace", tracer.WriteChromeTrace); err != nil {
 				return err
 			}
+			// The ring keeps the newest events only: say how much of
+			// the run the written trace covers.
+			st := tracer.Stats()
+			traceLines = append(traceLines, fmt.Sprintf("%s decision trace: %d of %d events kept, %d evicted (-trace-capacity %d)",
+				rep.Algorithm, st.Events-st.Evicted, st.Events, st.Evicted, *traceCap))
 		}
 		if sloEng != nil {
 			sloLines = append(sloLines, fmt.Sprintf("%s: %s", rep.Algorithm, sloEng.Report()))
@@ -285,7 +290,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	for _, line := range sloLines {
+	for _, line := range append(sloLines, traceLines...) {
 		if _, err := fmt.Fprintln(out, line); err != nil {
 			return err
 		}

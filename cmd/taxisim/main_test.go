@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -217,6 +218,34 @@ func TestRunWritesChromeTrace(t *testing.T) {
 	}
 	if bytes.Contains(greedy, []byte(`"name":"propose"`)) {
 		t.Error("greedy trace holds Gale–Shapley proposals from another run")
+	}
+}
+
+// TestRunReportsTraceEviction pins the decision-trace summary line: a
+// run whose trace outgrows -trace-capacity says, per algorithm, how many
+// events it kept and how many the ring evicted, and one that fits
+// reports none evicted.
+func TestRunReportsTraceEviction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.json")
+	args := []string{"-algo", "nstd-p,greedy", "-taxis", "6", "-frames", "10", "-volume", "1500", "-seed", "7", "-trace-out", path}
+	line := regexp.MustCompile(`(?m)^(\S+) decision trace: (\d+) of (\d+) events kept, (\d+) evicted \(-trace-capacity (\d+)\)$`)
+	for _, capacity := range []int{10, 1 << 20} {
+		var sb strings.Builder
+		if err := run(append(args, "-trace-capacity", strconv.Itoa(capacity)), &sb); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		lines := line.FindAllStringSubmatch(sb.String(), -1)
+		if len(lines) != 2 || lines[0][1] != "NSTD-P" || lines[1][1] != "Greedy" {
+			t.Fatalf("capacity %d: trace lines %q, want one for NSTD-P and one for Greedy in\n%s", capacity, lines, sb.String())
+		}
+		for _, m := range lines {
+			kept, _ := strconv.Atoi(m[2])
+			total, _ := strconv.Atoi(m[3])
+			evicted, _ := strconv.Atoi(m[4])
+			if m[5] != strconv.Itoa(capacity) || kept+evicted != total || kept != min(total, capacity) || total <= 10 {
+				t.Errorf("capacity %d: %q, want %d events kept of more than 10 and the rest evicted", capacity, m[0], min(total, capacity))
+			}
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ func TestTracedQuickScaleChromeDigests(t *testing.T) {
 		{"nstd-p", "67f016472d1a9e748d09b4b2aac058555b9d7beaec2d368403784364950e96fe"},
 		{"nstd-t", "441a3fb8529f5e92e9c978a7d9e72f6392e4e060aae74aad466970a43b50307a"},
 		{"std-p", "39d123071e6d4363c12c22f07de938a9761b47aa1db7d64895a8bae70ece2592"},
+		{"std-t", "5020f2a9b86a19ba4a7277ecde17883b860e14ac68c804bb5e2f1b8134eb9c3e"},
 		{"ilp", "7c521d6e010167e4fce528d9054a706a3b8382c4e8ce9993b3396bf483535841"},
 	}
 	// seen collects every (kind, outcome) the runs recorded.

@@ -8,17 +8,18 @@
 // Three things make the plane cheaper than the query-as-you-go pattern it
 // replaces. First, threshold pruning: the straight line lower-bounds
 // every metric in this repository, so a taxi whose straight-line
-// distance to a pickup exceeds the largest pickup any market could
-// accept sits behind a dummy partner in every market built from the
-// plane. Such cells are never computed and never stored; each taxi's
-// row keeps only its candidate requests. With the non-sharing
-// thresholds that radius is r_j = min(MaxPickup, MaxNet + α·trip_j),
-// rounded outward (Radius), and the exact threshold test stays in
-// package pref, which builds the markets, so pruning can never drop a
-// pair the test accepts. The sharing market's radii depend on the units
-// packed on the plane's trips and pair rows, so its taxi pass runs
-// afterwards, over per-request radii package share computes
+// distance to a pickup exceeds the largest pickup a market could accept
+// sits behind a dummy partner in every market built from the plane.
+// Such cells are never computed and never stored; each taxi's row keeps
+// only its candidate requests. The package knows geometry, not the
+// interest models: Build prunes every column at one radius
+// (Config.PruneRadius), and a market whose radii depend on the trips —
+// the §IV-A market (pref.Plane) and the §V-A unit market
+// (share.UnitRadii) — runs the request pass first and then the taxi
+// pass over per-request radii it computes, rounded outward by Radius
 // (Plane.WithTaxis); a negative radius leaves a request's column out.
+// The exact threshold tests stay in the packages that build the
+// markets, so pruning can never drop a pair a test accepts.
 // Second, a disc grid: the taxi pass buckets every pickup's disc by the
 // cells of a uniform grid over the taxis that its bounding box overlaps,
 // so each taxi tests only the discs listed under its own cell instead of
@@ -60,14 +61,6 @@ type Config struct {
 	// cells beyond the radius as unacceptable — which is exactly the
 	// passenger-side dummy threshold Params.MaxPickup.
 	PruneRadius float64
-	// Net, when set, also prunes request j's cells beyond
-	// MaxNet + Alpha·trip_j: the taxi-side dummy threshold of the
-	// non-sharing market, D(t,r^s) − α·D(r^s,r^d) ≤ MaxNet, solved for
-	// the pickup. The radius is rounded outward (see Radius). The
-	// zero value prunes by PruneRadius alone.
-	Net    bool
-	MaxNet float64
-	Alpha  float64
 	// Pairs additionally computes the pickup→pickup matrix the sharing
 	// pipeline's group formation reads.
 	Pairs bool
@@ -81,17 +74,6 @@ type Config struct {
 	// pair (share.PackConfig.PairRadius = 0 disables pruning there
 	// too).
 	PairRadius float64
-}
-
-// Key is the portion of a Config that determines the plane's contents:
-// everything except Workers, which only changes how fast the identical
-// values are produced. sim.Frame memoises planes by Key.
-type Key Config
-
-// Key returns the memoisation key of c.
-func (c Config) Key() Key {
-	c.Workers = 0
-	return Key(c)
 }
 
 // netSlack widens a threshold radius limit − c (Radius) by this
@@ -230,9 +212,9 @@ func poolSize(workers, cells, jobs int) int {
 }
 
 // Build computes the plane for one frame in two parallel passes. The
-// request pass computes the solo trips (and the batch's pair rows),
-// which fix each request's pickup radius under cfg; the taxi pass then
-// computes each taxi's row over its candidate requests (see WithTaxis).
+// request pass computes the solo trips (and the batch's pair rows); the
+// taxi pass then computes each taxi's row over the requests within
+// cfg.PruneRadius (see WithTaxis).
 // Jobs are rows, executed by min(cfg.Workers, rows) goroutines pulling
 // from an atomic counter. Each row is written by exactly one job, so the
 // result is bit-identical for every worker count.
@@ -269,13 +251,14 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 	work := dense
 	if p.batch != nil {
 		// Each request row is a traversal, not a cell test: size the
-		// pool by the whole plane.
-		work += t * r
+		// pool by the whole plane, and by r columns when the taxi pass
+		// comes later (WithTaxis).
+		work += max(t, r) * r
 	}
 	parallel(poolSize(cfg.Workers, work, r), r, func(_, j int) {
 		p.buildRequestRow(j, prunePair, cfg.PairRadius)
 	})
-	p.fillRows(taxis, radii(cfg, p.trip), cfg.Workers)
+	p.fillRows(taxis, radii(cfg, r), cfg.Workers)
 	return p
 }
 
@@ -405,23 +388,15 @@ func Radius(limit, c float64) float64 {
 	return limit - c + netSlack*(math.Abs(limit)+math.Abs(c))
 }
 
-// radii returns each request's pruning radius under cfg: PruneRadius,
-// tightened with Net to the Radius of the taxi-side test
-// D(t,r^s) − α·D(r^s,r^d) ≤ MaxNet. A NaN radius (MaxNet = −Inf) fails
-// the comparison and keeps the base.
-func radii(cfg Config, trips []float64) []float64 {
-	base := math.Inf(1)
+// radii returns every request's pruning radius under cfg: PruneRadius
+// when positive, else +Inf, which prunes nothing.
+func radii(cfg Config, n int) []float64 {
+	r := math.Inf(1)
 	if cfg.PruneRadius > 0 {
-		base = cfg.PruneRadius
+		r = cfg.PruneRadius
 	}
-	out := make([]float64, len(trips))
-	for j, trip := range trips {
-		r := base
-		if cfg.Net {
-			if net := Radius(cfg.MaxNet, -cfg.Alpha*trip); net < r {
-				r = net
-			}
-		}
+	out := make([]float64, n)
+	for j := range out {
 		out[j] = r
 	}
 	return out

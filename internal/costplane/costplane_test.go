@@ -120,49 +120,6 @@ func TestPruning(t *testing.T) {
 	}
 }
 
-// TestNetPruning checks the threshold radius: a taxi→pickup cell is
-// stored, with the metric's exact value, when the straight line is
-// within min(PruneRadius, MaxNet + α·trip), and absent beyond it; rows
-// are in request order and FullRow and CostMatrix agree with PickupDist
-// on every cell.
-func TestNetPruning(t *testing.T) {
-	reqs, taxis := world(t, 30, 40, 6)
-	m := geo.ManhattanMetric
-	cfg := Config{Workers: 1, PruneRadius: 9, Net: true, MaxNet: 1, Alpha: 0.5}
-	pl := Build(reqs, taxis, m, cfg)
-	cost := pl.CostMatrix()
-	var full []Entry
-	stored := 0
-	for i, taxi := range taxis {
-		row := pl.PickupRow(i)
-		if !slices.IsSortedFunc(row, func(a, b Entry) int { return int(a.Req - b.Req) }) {
-			t.Fatalf("row %d is not in request order", i)
-		}
-		stored += len(row)
-		full = pl.FullRow(i, full[:0])
-		for j, rq := range reqs {
-			radius := min(cfg.PruneRadius, cfg.MaxNet+cfg.Alpha*pl.Trip(j))
-			got, straight := pl.PickupDist(i, j), geo.Euclid(taxi.Pos, rq.Pickup)
-			switch {
-			case straight <= radius:
-				if want := m.Distance(taxi.Pos, rq.Pickup); got != want {
-					t.Fatalf("PickupDist(%d,%d) = %v, want %v", i, j, got, want)
-				}
-			case straight > radius+1e-6:
-				if !math.IsInf(got, 1) {
-					t.Fatalf("PickupDist(%d,%d) = %v, want +Inf (beyond %v)", i, j, got, radius)
-				}
-			}
-			if full[j].Req != int32(j) || full[j].Dist != got || cost[j][i] != got {
-				t.Fatalf("cell (%d,%d): FullRow %+v, CostMatrix %v, PickupDist %v", i, j, full[j], cost[j][i], got)
-			}
-		}
-	}
-	if stored != pl.Entries() || stored == 0 || stored == pl.Cells() {
-		t.Fatalf("rows hold %d cells, Entries() = %d, of %d", stored, pl.Entries(), pl.Cells())
-	}
-}
-
 // TestWithTaxis checks the taxi pass over caller radii: a column with a
 // negative radius holds no cell, a NaN or +Inf radius keeps every cell,
 // and a finite one keeps exactly the straight-line disc with the
@@ -211,10 +168,10 @@ func TestWithTaxis(t *testing.T) {
 				}
 			}
 		}
-		for _, cfg := range []Config{{}, {PruneRadius: 6}, {PruneRadius: 10, Net: true, MaxNet: -1, Alpha: 1}} {
+		for _, cfg := range []Config{{}, {PruneRadius: 6}} {
 			cfg.Workers = 2
 			want := Build(reqs, taxis, m, cfg)
-			got := base.WithTaxis(taxis, radii(cfg, base.Trips()), 2)
+			got := base.WithTaxis(taxis, radii(cfg, len(reqs)), 2)
 			for i := range taxis {
 				if !slices.Equal(got.PickupRow(i), want.PickupRow(i)) {
 					t.Fatalf("%s cfg=%+v: row %d differs from Build's", name, cfg, i)
@@ -246,8 +203,8 @@ func TestRadius(t *testing.T) {
 
 // TestWorkerCountInvariance is the package-level determinism guarantee:
 // every row and cell is bit-identical across worker counts, with and
-// without pruning — at a fixed radius and at the non-sharing thresholds
-// — on both metric kinds.
+// without pruning, on both metric kinds. The §IV-A plane's per-request
+// radii are pinned the same way in package pref.
 func TestWorkerCountInvariance(t *testing.T) {
 	reqs, taxis := world(t, 40, 60, 3)
 	configs := []Config{
@@ -255,8 +212,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{PruneRadius: 8},
 		{Pairs: true, PairRadius: 8},
 		{PruneRadius: 8, Pairs: true, PairRadius: 8},
-		{PruneRadius: 10, Net: true, MaxNet: 2, Alpha: 1},
-		{Net: true, MaxNet: -3, Alpha: 0.5, Pairs: true, PairRadius: 8},
 		{PruneRadius: 8, Pairs: true, PairRows: 17, PairRadius: 8},
 	}
 	metrics := map[string]geo.Metric{
@@ -380,7 +335,7 @@ func TestCostMatrixLayout(t *testing.T) {
 // TestEmptyAndDegenerate covers zero-request and zero-taxi frames.
 func TestEmptyAndDegenerate(t *testing.T) {
 	reqs, taxis := world(t, 3, 2, 5)
-	for _, cfg := range []Config{{}, {PruneRadius: 5, Pairs: true, PairRadius: 5}, {Net: true, MaxNet: 2, Alpha: 1}} {
+	for _, cfg := range []Config{{}, {PruneRadius: 5, Pairs: true, PairRadius: 5}} {
 		if pl := Build(nil, taxis, geo.EuclidMetric, cfg); pl.Cells() != 0 {
 			t.Fatal("empty request frame has cells")
 		}
@@ -388,32 +343,6 @@ func TestEmptyAndDegenerate(t *testing.T) {
 			t.Fatal("empty taxi frame has cells")
 		} else if pl.Trip(0) != reqs[0].TripDistance(geo.EuclidMetric) {
 			t.Fatal("trips missing on taxi-less frame")
-		}
-	}
-}
-
-// TestConfigKey pins that Workers is excluded from the memo key and the
-// prune thresholds and pair rows are included.
-func TestConfigKey(t *testing.T) {
-	a := Config{Workers: 1, PruneRadius: 3, Pairs: true, PairRadius: 7}
-	b := Config{Workers: 16, PruneRadius: 3, Pairs: true, PairRadius: 7}
-	if a.Key() != b.Key() {
-		t.Fatal("worker count leaked into the plane key")
-	}
-	c := Config{Workers: 1, PruneRadius: 4, Pairs: true, PairRadius: 7}
-	if a.Key() == c.Key() {
-		t.Fatal("prune radius missing from the plane key")
-	}
-	rows := a
-	rows.PairRows = 100
-	if a.Key() == rows.Key() {
-		t.Fatal("pair rows missing from the plane key")
-	}
-	net := a
-	net.Net, net.MaxNet, net.Alpha = true, 2, 1
-	for _, other := range []Config{a, {Workers: 1, PruneRadius: 3, Pairs: true, PairRadius: 7, Net: true, MaxNet: 2, Alpha: 0.5}} {
-		if net.Key() == other.Key() {
-			t.Fatalf("net thresholds missing from the plane key: %+v and %+v share a key", net, other)
 		}
 	}
 }
@@ -595,12 +524,7 @@ func TestPickupRowsMatchDiscScan(t *testing.T) {
 		name string
 		m    geo.Metric
 	}{{"euclid", geo.EuclidMetric}, {"manhattan", geo.ManhattanMetric}, {"roadnet", roadMetric(t)}}
-	configs := []Config{
-		{PruneRadius: 10, Net: true, MaxNet: 2, Alpha: 1},
-		{PruneRadius: 3},
-		{Net: true, MaxNet: -1, Alpha: 0.5},
-		{},
-	}
+	configs := []Config{{PruneRadius: 10}, {PruneRadius: 3}, {}}
 	for _, mc := range metrics {
 		for _, f := range frames {
 			for _, workers := range []int{1, 4} {
@@ -610,7 +534,7 @@ func TestPickupRowsMatchDiscScan(t *testing.T) {
 				for _, cfg := range configs {
 					cfg.Workers = workers
 					pl := Build(f.reqs, f.taxis, mc.m, cfg)
-					checkRows(t, fmt.Sprintf("%s/Build %+v", name, cfg), pl, scanRows(f.reqs, f.taxis, mc.m, radii(cfg, pl.Trips())))
+					checkRows(t, fmt.Sprintf("%s/Build %+v", name, cfg), pl, scanRows(f.reqs, f.taxis, mc.m, radii(cfg, len(f.reqs))))
 				}
 			}
 		}
@@ -626,7 +550,7 @@ func TestWrappedEuclidKeepsMetricCalls(t *testing.T) {
 	calls := 0
 	wrapped := geo.MetricFunc(func(a, b geo.Point) float64 { calls++; return geo.Euclid(a, b) })
 	for _, f := range gridFrames(t) {
-		for _, cfg := range []Config{{Workers: 1, PruneRadius: 3}, {Workers: 1, Net: true, MaxNet: 2, Alpha: 1}} {
+		for _, cfg := range []Config{{Workers: 1, PruneRadius: 3}, {Workers: 1, PruneRadius: 0.5}} {
 			calls = 0
 			pl := Build(f.reqs, f.taxis, wrapped, cfg)
 			if want := len(f.reqs) + pl.Entries(); calls != want {

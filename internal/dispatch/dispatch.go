@@ -54,14 +54,14 @@ func IdleFleet(f *sim.Frame) []fleet.Taxi {
 }
 
 // prunedInstance returns the frame's memoised non-sharing preference
-// instance (sim.Frame.Instance), built from a cost plane pruned at both
-// dummy thresholds (pref.PlaneConfig): a taxi beyond request j's radius
+// instance (sim.Frame.Instance), built from the cost plane pruned at
+// both dummy thresholds (pref.Plane): a taxi beyond request j's radius
 // min(MaxPickup, MaxNet + α·trip_j) sits behind a dummy regardless, so
 // skipping its cell leaves every preference list unchanged. The plane
 // is built under the cost_plane span and the market under pref_build.
 func prunedInstance(f *sim.Frame, taxis []fleet.Taxi) (*pref.Instance, error) {
 	sp := f.Ledger.Begin(prof.StageCostPlane)
-	f.CostPlane(taxis, pref.PlaneConfig(f.Params))
+	f.PrefPlane(taxis)
 	sp.End()
 	sp = f.Ledger.Begin(prof.StagePrefBuild)
 	defer sp.End()
@@ -70,9 +70,9 @@ func prunedInstance(f *sim.Frame, taxis []fleet.Taxi) (*pref.Instance, error) {
 
 // NSTD is the paper's non-sharing stable dispatcher. The passenger-
 // optimal variant (NSTD-P) runs Algorithm 1 directly; the taxi-optimal
-// variant (NSTD-T) selects the taxi-best stable matching (the paper
-// derives it from Algorithms 1 and 2; the taxi-proposing mirror computes
-// the same matching and is validated against the enumeration in tests).
+// variant (NSTD-T) selects the taxi-best stable matching, which it
+// computes as Algorithm 1 on the transposed market (stable.TaxiOptimal;
+// validated against the Algorithm 2 enumeration in tests).
 type NSTD struct {
 	taxiOptimal bool
 }
@@ -134,7 +134,7 @@ func singleRides(m stable.Matching, taxis []fleet.Taxi, reqs []fleet.Request) []
 // its nearest taxi), so every cell must hold a real distance.
 func costMatrix(f *sim.Frame, taxis []fleet.Taxi) [][]float64 {
 	sp := f.Ledger.Begin(prof.StageCostPlane)
-	pl := f.CostPlane(taxis, costplane.Config{})
+	pl := f.FullPlane(taxis)
 	sp.End()
 	defer f.Ledger.Begin(prof.StageCostMatrix).End()
 	return pl.CostMatrix()

@@ -223,6 +223,20 @@ func assemble(nReq int, taxiStart []int, byTaxi []Entry) Market {
 	return m
 }
 
+// Transpose returns m with the sides swapped: m's taxi i is the
+// result's request i and m's request j its taxi j, each pair keeping
+// both costs (ReqCost and TaxiCost trade places). The result's request
+// rows are m's taxi rows in m's taxi order, so Algorithm 1 on it is the
+// taxi-proposing mirror of Algorithm 1 on m.
+func (m *Market) Transpose() *Market {
+	byTaxi := make([]Entry, len(m.byReq))
+	for k, e := range m.byReq {
+		byTaxi[k] = Entry{Partner: e.Partner, ReqCost: e.TaxiCost, TaxiCost: e.ReqCost}
+	}
+	t := assemble(m.NumTaxis(), m.reqStart, byTaxi)
+	return &t
+}
+
 // NumRequests returns R.
 func (m *Market) NumRequests() int { return max(len(m.reqStart)-1, 0) }
 
@@ -237,8 +251,8 @@ func (m *Market) ReqEntries(j int) []Entry { return m.byReq[m.reqStart[j]:m.reqS
 // TaxiEntries returns taxi i's mutually acceptable requests, most
 // preferred first. The slice aliases the market; callers must not modify
 // it. The first call on a market sorts a copy of every taxi row, O(P log
-// P) for P pairs; Algorithm 1 never needs it, only the taxi-proposing
-// pass, TaxiPrefList, Validate and the decision tracer do.
+// P) for P pairs; Algorithm 1 (either side proposing) never needs it,
+// only TaxiPrefList, Validate and the decision tracer do.
 func (m *Market) TaxiEntries(i int) []Entry {
 	o := m.taxiOrder
 	o.once.Do(func() {
@@ -387,14 +401,32 @@ type Instance struct {
 // finite thresholds).
 func (inst *Instance) PickupDist(i, j int) float64 { return inst.plane.PickupDist(i, j) }
 
-// PlaneConfig returns the cost-plane configuration the non-sharing
-// market under p reads: each request's cells pruned at
-// min(MaxPickup, MaxNet + α·trip), the largest pickup both of the
-// pair's thresholds can accept. Every caller that builds this market
-// for a frame takes its configuration from here, so they share one
-// memoised plane.
-func PlaneConfig(p Params) costplane.Config {
-	return costplane.Config{PruneRadius: p.MaxPickup, Net: true, MaxNet: p.MaxNet, Alpha: p.Alpha}
+// Plane builds the §IV-A distance plane of reqs × taxis: the request
+// pass for the solo trips, then the taxi pass (costplane.Plane.WithTaxis)
+// keeping request j's cells within min(MaxPickup, MaxNet + α·trip_j),
+// the largest pickup both thresholds can accept. workers sizes the pool
+// as costplane.Config.Workers does.
+func Plane(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, p Params, workers int) *costplane.Plane {
+	pl := costplane.Build(reqs, nil, metric, costplane.Config{Workers: workers})
+	return pl.WithTaxis(taxis, planeRadii(p, pl.Trips()), workers)
+}
+
+// planeRadii returns Plane's radii: MaxPickup (+Inf, no prune, when it
+// is ≤ 0), tightened to the costplane.Radius of the net test. MaxNet =
+// −Inf gives a NaN net radius, which keeps MaxPickup's.
+func planeRadii(p Params, trips []float64) []float64 {
+	base := math.Inf(1)
+	if p.MaxPickup > 0 {
+		base = p.MaxPickup
+	}
+	radii := make([]float64, len(trips))
+	for j, trip := range trips {
+		radii[j] = base
+		if net := costplane.Radius(p.MaxNet, -p.Alpha*trip); net < base {
+			radii[j] = net
+		}
+	}
+	return radii
 }
 
 // NewInstance computes the non-sharing market for the given requests and
@@ -404,8 +436,8 @@ func PlaneConfig(p Params) costplane.Config {
 // seat-infeasible pairs behind both dummies).
 //
 // The full (unpruned) distance plane is built serially; dispatchers on
-// the per-frame hot path instead build a pruned plane once via
-// sim.Frame.CostPlane and call FromPlane.
+// the per-frame hot path instead build the pruned plane once per frame
+// (Plane, memoised by sim.Frame) and call FromPlane.
 func NewInstance(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, params Params) (*Instance, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -415,7 +447,7 @@ func NewInstance(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, pa
 
 // FromPlane builds the non-sharing instance from an already-computed
 // distance plane, which the instance keeps (planes are immutable after
-// Build). A plane pruned at PlaneConfig(params), or at any radius no
+// Build). The Plane under params, or a plane pruned at any radius no
 // smaller, yields the same market as an unpruned one: a pruned cell's
 // true distance exceeds the radius, so it fails the pickup or the net
 // threshold exactly like the +Inf the plane reports — the pair sits

@@ -441,14 +441,12 @@ func boundaryMetrics(t *testing.T) []struct {
 	}{{"euclid", geo.EuclidMetric}, {"manhattan", geo.ManhattanMetric}, {"road", roadnet.NewMetric(g, 64)}}
 }
 
-// checkThresholdPlane builds the market from the PlaneConfig(params)
-// plane and from an unpruned plane and requires them to be identical,
-// with every stored cell equal to the unpruned plane's value.
+// checkThresholdPlane builds the market from the Plane under params
+// and from an unpruned plane and requires them to be identical, with
+// every stored cell equal to the unpruned plane's value.
 func checkThresholdPlane(t *testing.T, label string, reqs []fleet.Request, taxis []fleet.Taxi, m geo.Metric, params Params) *costplane.Plane {
 	t.Helper()
-	cfg := PlaneConfig(params)
-	cfg.Workers = 1
-	pruned := costplane.Build(reqs, taxis, m, cfg)
+	pruned := Plane(reqs, taxis, m, params, 1)
 	full := costplane.Build(reqs, taxis, m, costplane.Config{Workers: 1})
 	for i := range taxis {
 		for _, e := range pruned.PickupRow(i) {
@@ -546,7 +544,7 @@ func TestThresholdPlaneMatchesUnprunedMarket(t *testing.T) {
 
 // TestThresholdPlaneStoresOnlyCandidates pins the sparse plane: on a
 // city-like 700-taxi × 400-request frame at default params, the
-// PlaneConfig plane stores at most 3% of the T·R cells and its build
+// Plane stores at most 3% of the T·R cells and its build
 // allocates under an eighth of the T·R·8 bytes a dense float64 plane
 // took. Taxis and pickups spread over 50×50 km and trips are local
 // (0.5 km plus an exponential 1.5 km), so MaxPickup alone would keep
@@ -564,15 +562,12 @@ func TestThresholdPlaneStoresOnlyCandidates(t *testing.T) {
 	for i := range taxis {
 		taxis[i] = fleet.Taxi{ID: i, Pos: pt()}
 	}
-	cfg := PlaneConfig(DefaultParams())
-	cfg.Workers = 1
-
 	const runs = 10
 	var pl *costplane.Plane
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for k := 0; k < runs; k++ {
-		pl = costplane.Build(reqs, taxis, geo.EuclidMetric, cfg)
+		pl = Plane(reqs, taxis, geo.EuclidMetric, DefaultParams(), 1)
 	}
 	runtime.ReadMemStats(&after)
 
@@ -582,7 +577,7 @@ func TestThresholdPlaneStoresOnlyCandidates(t *testing.T) {
 	}
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	if dense := float64(pl.Cells() * 8); perRun >= dense/8 {
-		t.Errorf("Build allocates %.0f bytes per plane, want under %.0f (1/8 of dense)", perRun, dense/8)
+		t.Errorf("Plane allocates %.0f bytes per plane, want under %.0f (1/8 of dense)", perRun, dense/8)
 	}
 	pickupOnly := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{Workers: 1, PruneRadius: DefaultParams().MaxPickup})
 	t.Logf("%.0f bytes per build, %d entries (%.2f%% of cells; MaxPickup alone keeps %.2f%%)",

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
@@ -47,8 +46,7 @@ func tiedMarkets(t *testing.T) map[string]*pref.Market {
 		params := pref.DefaultParams()
 		params.MaxPickup = 4
 		for name, p := range map[string]pref.Params{"default": params, "unbounded": pref.Unbounded()} {
-			pl := costplane.Build(reqs, taxis, geo.EuclidMetric, pref.PlaneConfig(p))
-			inst, err := pref.FromPlane(pl, p)
+			inst, err := pref.FromPlane(pref.Plane(reqs, taxis, geo.EuclidMetric, p, 0), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +111,8 @@ func TestLazyTaxiRowsMatchEagerSort(t *testing.T) {
 // TestPassengerProposingLeavesTaxiRowsUnsorted pins what Algorithm 1
 // pays for: building the NSTD-P market, matching it, certifying the
 // matching and a broken one, and reading every rank never sort a taxi
-// row. The taxi-proposing mirror does.
+// row. Nor does the taxi-proposing mirror: it sorts the request rows of
+// its own transposed copy.
 func TestPassengerProposingLeavesTaxiRowsUnsorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pt := func() geo.Point { return geo.Point{X: rng.Float64() * 20, Y: rng.Float64() * 20} }
@@ -126,7 +125,7 @@ func TestPassengerProposingLeavesTaxiRowsUnsorted(t *testing.T) {
 		taxis[i] = fleet.Taxi{ID: i, Pos: pt()}
 	}
 	params := pref.DefaultParams()
-	inst, err := pref.FromPlane(costplane.Build(reqs, taxis, geo.EuclidMetric, pref.PlaneConfig(params)), params)
+	inst, err := pref.FromPlane(pref.Plane(reqs, taxis, geo.EuclidMetric, params, 0), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +155,52 @@ func TestPassengerProposingLeavesTaxiRowsUnsorted(t *testing.T) {
 	if pref.TaxiRowsSorted(mk) {
 		t.Fatal("Algorithm 1, certification or ranking sorted the taxi rows")
 	}
-	stable.TaxiOptimal(mk)
-	if !pref.TaxiRowsSorted(mk) {
-		t.Fatal("the taxi-proposing mirror ran without the taxi order")
+	if stable.TaxiOptimal(mk).Size() == 0 || pref.TaxiRowsSorted(mk) {
+		t.Fatal("the taxi-proposing mirror matched nothing or sorted the market's taxi rows")
+	}
+}
+
+// TestTransposeRoundTrip checks Transpose on the tied markets: the
+// result is valid, its request rows are the market's taxi rows and its
+// taxi rows the market's request rows, each entry with its costs
+// swapped, and transposing it again returns the market's rows and
+// costs.
+func TestTransposeRoundTrip(t *testing.T) {
+	swapped := func(row []pref.Entry) []pref.Entry {
+		out := make([]pref.Entry, len(row))
+		for k, e := range row {
+			out[k] = pref.Entry{Partner: e.Partner, ReqCost: e.TaxiCost, TaxiCost: e.ReqCost}
+		}
+		return out
+	}
+	for name, m := range tiedMarkets(t) {
+		tr := m.Transpose()
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%s: transposed market: %v", name, err)
+		}
+		if tr.NumRequests() != m.NumTaxis() || tr.NumTaxis() != m.NumRequests() {
+			t.Fatalf("%s: transposed %dx%d market is %dx%d", name, m.NumRequests(), m.NumTaxis(), tr.NumRequests(), tr.NumTaxis())
+		}
+		for i := 0; i < m.NumTaxis(); i++ {
+			if got, want := tr.ReqEntries(i), swapped(m.TaxiEntries(i)); !slices.Equal(got, want) {
+				t.Fatalf("%s: transposed request %d = %v, want taxi %d's row %v", name, i, got, i, want)
+			}
+		}
+		for j := 0; j < m.NumRequests(); j++ {
+			if got, want := tr.TaxiEntries(j), swapped(m.ReqEntries(j)); !slices.Equal(got, want) {
+				t.Fatalf("%s: transposed taxi %d = %v, want request %d's row %v", name, j, got, j, want)
+			}
+		}
+		back := tr.Transpose()
+		for j := 0; j < m.NumRequests(); j++ {
+			if !slices.Equal(back.ReqEntries(j), m.ReqEntries(j)) {
+				t.Fatalf("%s: request %d after two transposes = %v, want %v", name, j, back.ReqEntries(j), m.ReqEntries(j))
+			}
+		}
+		for i := 0; i < m.NumTaxis(); i++ {
+			if !slices.Equal(back.TaxiEntries(i), m.TaxiEntries(i)) {
+				t.Fatalf("%s: taxi %d after two transposes = %v, want %v", name, i, back.TaxiEntries(i), m.TaxiEntries(i))
+			}
+		}
 	}
 }

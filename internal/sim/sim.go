@@ -70,18 +70,16 @@ type Frame struct {
 	// tracing is off.
 	Tracer *dtrace.Recorder
 
-	// planes memoises cost planes by content key, so a frame visited by
-	// several consumers (a resilient primary and its fallback, or the
-	// preference build and a baseline's cost matrix) computes each
-	// distance at most once. A frame sees at most a couple of distinct
-	// configurations, so a tiny linear list beats a map here. inst
-	// memoises the non-sharing market built on one of those planes, so
-	// the stability certificate reads the market Algorithm 1 matched on.
-	// Both are guarded by planeMu: dispatch.Resilient may run its
+	// The planes more than one consumer reads, memoised so each
+	// distance is computed once per frame: the §IV-A plane and the
+	// market on it (NSTD and the stability certificate) and the
+	// baselines' unpruned plane (a resilient primary and its Greedy
+	// fallback). planeMu guards them: dispatch.Resilient may run its
 	// fallback while a timed-out primary still holds the frame.
-	planeMu sync.Mutex
-	planes  []framePlane
-	inst    *pref.Instance
+	planeMu   sync.Mutex
+	prefPlane *costplane.Plane
+	inst      *pref.Instance
+	fullPlane *costplane.Plane
 
 	// sim is the simulator that built the frame (nil for a frame built
 	// by hand); NoteDegraded reports to it.
@@ -113,54 +111,47 @@ func (f *Frame) NoteDegraded(reason, detail string) {
 	}
 }
 
-// framePlane is one memoised (configuration, plane) pair of a frame.
-type framePlane struct {
-	key costplane.Key
-	pl  *costplane.Plane
-}
-
-// CostPlane returns the frame's distance plane for the given
-// configuration, building it on first use and memoising it by
-// cfg.Key(). taxis must be the frame's idle fleet (every dispatcher
-// derives the same slice from the frame, so concurrent callers agree).
-func (f *Frame) CostPlane(taxis []fleet.Taxi, cfg costplane.Config) *costplane.Plane {
+// PrefPlane returns the frame's §IV-A plane, pref.Plane under
+// f.Params, building it on first use. taxis must be the frame's idle
+// fleet (every dispatcher derives the same slice from the frame, so
+// concurrent callers agree).
+func (f *Frame) PrefPlane(taxis []fleet.Taxi) *costplane.Plane {
 	f.planeMu.Lock()
 	defer f.planeMu.Unlock()
-	return f.costPlane(taxis, cfg)
+	if f.prefPlane == nil {
+		f.prefPlane = pref.Plane(f.Requests, taxis, f.Metric, f.Params, f.Workers)
+	}
+	return f.prefPlane
 }
 
-// costPlane is CostPlane with planeMu held.
-func (f *Frame) costPlane(taxis []fleet.Taxi, cfg costplane.Config) *costplane.Plane {
-	if cfg.Workers == 0 {
-		cfg.Workers = f.Workers
-	}
-	key := cfg.Key()
-	for _, e := range f.planes {
-		if e.key == key {
-			return e.pl
-		}
-	}
-	pl := costplane.Build(f.Requests, taxis, f.Metric, cfg)
-	f.planes = append(f.planes, framePlane{key: key, pl: pl})
-	return pl
-}
-
-// Instance returns the frame's non-sharing §IV-A instance: pref.FromPlane
-// over the frame's plane at pref.PlaneConfig(f.Params), built on first
-// use and memoised, so Algorithm 1 and the stability certificate build
-// and sort its market once per frame. taxis must be the frame's idle
-// fleet, as for CostPlane.
+// Instance returns the frame's non-sharing §IV-A instance, pref.FromPlane
+// over PrefPlane, built on first use, so Algorithm 1 and the stability
+// certificate build and sort its market once per frame. taxis must be
+// the frame's idle fleet, as for PrefPlane.
 func (f *Frame) Instance(taxis []fleet.Taxi) (*pref.Instance, error) {
+	pl := f.PrefPlane(taxis)
 	f.planeMu.Lock()
 	defer f.planeMu.Unlock()
 	if f.inst == nil {
-		inst, err := pref.FromPlane(f.costPlane(taxis, pref.PlaneConfig(f.Params)), f.Params)
+		inst, err := pref.FromPlane(pl, f.Params)
 		if err != nil {
 			return nil, err
 		}
 		f.inst = inst
 	}
 	return f.inst, nil
+}
+
+// FullPlane returns the frame's unpruned plane, building it on first
+// use: the baselines have no acceptability thresholds. taxis must be
+// the frame's idle fleet, as for PrefPlane.
+func (f *Frame) FullPlane(taxis []fleet.Taxi) *costplane.Plane {
+	f.planeMu.Lock()
+	defer f.planeMu.Unlock()
+	if f.fullPlane == nil {
+		f.fullPlane = costplane.Build(f.Requests, taxis, f.Metric, costplane.Config{Workers: f.Workers})
+	}
+	return f.fullPlane
 }
 
 // IdleTaxis returns the idle subset of the fleet, preserving order.

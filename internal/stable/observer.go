@@ -49,5 +49,6 @@ func PassengerOptimalObserved(mk *pref.Market, o *Observer) Matching {
 // proposing side is the taxis, so Observer.Proposal receives taxi
 // indices as proposer and request indices as target.
 func TaxiOptimalObserved(mk *pref.Market, o *Observer) Matching {
-	return taxiOptimal(mk, o)
+	m := passengerOptimalState(mk.Transpose(), o).match
+	return Matching{ReqPartner: m.TaxiPartner, TaxiPartner: m.ReqPartner}
 }

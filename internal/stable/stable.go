@@ -1,8 +1,8 @@
 // Package stable implements the paper's matching core: Algorithm 1
 // (non-sharing taxi dispatch via passenger-proposing deferred acceptance
 // with dummy partners), Algorithm 2 (enumerating all stable matchings via
-// BreakDispatch under Rules 1–3), the taxi-optimal matching, and
-// company-side selection among the stable matchings.
+// BreakDispatch under Rules 1–3), and the taxi-optimal matching, which
+// is Algorithm 1 run on the transposed market.
 //
 // Terminology follows the paper: passengers play the proposing side of
 // the Gale–Shapley procedure, so Algorithm 1 yields the passenger-optimal
@@ -173,56 +173,12 @@ func propose(mk *pref.Market, s *gsState, j int, o *Observer) {
 
 // TaxiOptimal returns the taxi-optimal stable matching: among all stable
 // matchings every taxi gets its best partner and every request its worst.
-// It runs the mirror-image of Algorithm 1 with taxis proposing, which by
-// the lattice structure of stable matchings (and confirmed against the
-// Algorithm 2 enumeration in tests) is exactly the matching the paper
-// calls NSTD-T.
+// It runs Algorithm 1 on the transposed market (pref.Market.Transpose),
+// so the taxis propose, which by the lattice structure of stable
+// matchings (and confirmed against the Algorithm 2 enumeration in tests)
+// is exactly the matching the paper calls NSTD-T.
 func TaxiOptimal(mk *pref.Market) Matching {
 	return TaxiOptimalObserved(mk, nil)
-}
-
-// taxiOptimal is the taxi-proposing deferred acceptance with optional
-// per-decision callbacks (o may be nil). held[j] is request j's cost of
-// its tentative taxi.
-func taxiOptimal(mk *pref.Market, o *Observer) Matching {
-	r, t := mk.NumRequests(), mk.NumTaxis()
-	match := NewMatching(r, t)
-	next := make([]int, t)
-	held := make([]float64, r)
-	for i := 0; i < t; i++ {
-		active := i
-		for {
-			list := mk.TaxiEntries(active)
-			if next[active] >= len(list) {
-				match.TaxiPartner[active] = Unmatched
-				o.exhausted(active)
-				break
-			}
-			e := list[next[active]]
-			next[active]++
-
-			j := e.Partner
-			cur := match.ReqPartner[j]
-			if cur == Unmatched {
-				match.ReqPartner[j] = active
-				match.TaxiPartner[active] = j
-				held[j] = e.ReqCost
-				o.proposal(active, j, Unmatched, "accepted")
-				break
-			}
-			if pref.Better(e.ReqCost, active, held[j], cur) {
-				match.ReqPartner[j] = active
-				match.TaxiPartner[active] = j
-				match.TaxiPartner[cur] = Unmatched
-				held[j] = e.ReqCost
-				o.proposal(active, j, cur, "displaced")
-				active = cur
-				continue
-			}
-			o.proposal(active, j, cur, "refused")
-		}
-	}
-	return match
 }
 
 // IsStable reports whether the matching is stable under Definition 1,
