@@ -367,7 +367,7 @@ func BenchmarkCostPlane(b *testing.B) {
 				b.ReportAllocs()
 				var pl *costplane.Plane
 				for i := 0; i < b.N; i++ {
-					pl = pref.Plane(bc.reqs, bc.taxis, bc.metric(), params, workers.n)
+					pl = pref.Plane(nil, bc.reqs, bc.taxis, bc.metric(), params, workers.n)
 				}
 				b.ReportMetric(float64(pl.Entries())/float64(pl.Cells()), "entries/cell")
 			})

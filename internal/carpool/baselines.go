@@ -70,6 +70,7 @@ func (d *SARP) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	// taxi farther than MaxWait in straight line has no feasible
 	// insertion. The radius is widened outward for rounding.
 	reach := costplane.Radius(d.cfg.MaxWait, 0)
+	var sc insertionScratch
 
 	for _, r := range f.Requests {
 		bestTaxi, best := -1, insertionPlan{added: math.Inf(1)}
@@ -80,7 +81,7 @@ func (d *SARP) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 			if _, taken := plans[ti]; taken {
 				continue
 			}
-			plan, ok := bestInsertion(views[ti], r, f.Metric, d.cfg.Theta, d.cfg.MaxAdded, d.cfg.MaxWait)
+			plan, ok := bestInsertion(views[ti], r, f.Metric, d.cfg.Theta, d.cfg.MaxAdded, d.cfg.MaxWait, &sc)
 			if ok && plan.added < best.added {
 				bestTaxi, best = ti, plan
 			}

@@ -113,7 +113,7 @@ func TestInsertionBaselinesShareRides(t *testing.T) {
 func TestBestInsertionIdleTaxi(t *testing.T) {
 	v := sim.TaxiView{ID: 0, Pos: geo.Point{}, Idle: true}
 	r := fleet.Request{ID: 1, Pickup: geo.Point{X: 2}, Dropoff: geo.Point{X: 5}}
-	plan, ok := bestInsertion(v, r, geo.EuclidMetric, 5, 100, 1000)
+	plan, ok := bestInsertion(v, r, geo.EuclidMetric, 5, 100, 1000, new(insertionScratch))
 	if !ok {
 		t.Fatal("no insertion found for idle taxi")
 	}
@@ -128,7 +128,7 @@ func TestBestInsertionIdleTaxi(t *testing.T) {
 func TestBestInsertionRespectsMaxAdded(t *testing.T) {
 	v := sim.TaxiView{ID: 0, Pos: geo.Point{}, Idle: true}
 	r := fleet.Request{ID: 1, Pickup: geo.Point{X: 50}, Dropoff: geo.Point{X: 60}}
-	if _, ok := bestInsertion(v, r, geo.EuclidMetric, 5, 10, 1000); ok {
+	if _, ok := bestInsertion(v, r, geo.EuclidMetric, 5, 10, 1000, new(insertionScratch)); ok {
 		t.Error("insertion accepted despite exceeding maxAdded")
 	}
 }
@@ -143,7 +143,7 @@ func TestBestInsertionRespectsTheta(t *testing.T) {
 		},
 	}
 	r := fleet.Request{ID: 1, Pickup: geo.Point{X: 0, Y: 1}, Dropoff: geo.Point{X: 0, Y: 3}}
-	if plan, ok := bestInsertion(v, r, geo.EuclidMetric, 0.5, 1000, 1000); ok {
+	if plan, ok := bestInsertion(v, r, geo.EuclidMetric, 0.5, 1000, 1000, new(insertionScratch)); ok {
 		if onBoard := onBoardDistance(v.Pos, plan.route, 1, geo.EuclidMetric); onBoard-2 > 0.5+1e-9 {
 			t.Errorf("accepted insertion with detour: onboard %v vs solo 2", onBoard)
 		}
@@ -161,7 +161,7 @@ func TestBestInsertionRespectsCapacity(t *testing.T) {
 	// insertion that picks up before x=10's drop-off busts capacity;
 	// picking up after is allowed.
 	r := fleet.Request{ID: 1, Pickup: geo.Point{X: 11}, Dropoff: geo.Point{X: 12}}
-	plan, ok := bestInsertion(v, r, geo.EuclidMetric, 5, 100, 1000)
+	plan, ok := bestInsertion(v, r, geo.EuclidMetric, 5, 100, 1000, new(insertionScratch))
 	if !ok {
 		t.Fatal("no insertion found")
 	}
@@ -265,9 +265,11 @@ func randomTaxiView(rng *rand.Rand) sim.TaxiView {
 
 // TestBestInsertionMatchesBruteForce pins the incremental insertion
 // arithmetic to the materialise-and-measure reference on random busy
-// taxis.
+// taxis. Every trial shares one scratch, as the calls of one
+// SARP.Dispatch do, so a trial reads arrays a longer route left behind.
 func TestBestInsertionMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	var sc insertionScratch
 	for trial := 0; trial < 500; trial++ {
 		v := randomTaxiView(rng)
 		r := fleet.Request{
@@ -280,7 +282,7 @@ func TestBestInsertionMatchesBruteForce(t *testing.T) {
 		maxAdded := rng.Float64() * 12
 
 		maxWait := rng.Float64() * 30
-		fast, fastOK := bestInsertion(v, r, geo.EuclidMetric, theta, maxAdded, maxWait)
+		fast, fastOK := bestInsertion(v, r, geo.EuclidMetric, theta, maxAdded, maxWait, &sc)
 		slow, slowOK := bestInsertionBrute(v, r, geo.EuclidMetric, theta, maxAdded, maxWait)
 		if fastOK != slowOK {
 			t.Fatalf("trial %d: feasibility mismatch fast=%v slow=%v (route %v)",
@@ -323,7 +325,7 @@ func TestPickupWindowBoundsStraightLine(t *testing.T) {
 		}
 		maxWait := rng.Float64() * 15
 		for _, m := range []geo.Metric{geo.EuclidMetric, geo.ManhattanMetric} {
-			if _, ok := bestInsertion(v, r, m, 6, 30, maxWait); ok {
+			if _, ok := bestInsertion(v, r, m, 6, 30, maxWait, new(insertionScratch)); ok {
 				feasible++
 				if d := geo.Euclid(v.Pos, r.Pickup); d > maxWait {
 					t.Fatalf("trial %d: feasible insertion for a taxi %v km from the pickup, window %v", trial, d, maxWait)
@@ -348,7 +350,7 @@ func sarpUnpruned(f *sim.Frame, cfg Config) []fleet.Assignment {
 			if _, taken := plans[ti]; taken || views[ti].Offline {
 				continue
 			}
-			plan, ok := bestInsertion(views[ti], r, f.Metric, cfg.Theta, cfg.MaxAdded, cfg.MaxWait)
+			plan, ok := bestInsertion(views[ti], r, f.Metric, cfg.Theta, cfg.MaxAdded, cfg.MaxWait, new(insertionScratch))
 			if ok && plan.added < best.added {
 				bestTaxi, best = ti, plan
 			}

@@ -48,11 +48,12 @@ type insertionPlan struct {
 //     it, tail-of-chain insertions give absurd waits).
 //
 // Insertion costs are computed incrementally from precomputed leg
-// distances — O(1) per (pickup, drop-off) position pair with no
-// allocation — and only the winning plan materialises a route. The
-// dispatch baselines evaluate this for every pending request against
-// every candidate taxi each frame, so this is their hot path.
-func bestInsertion(v sim.TaxiView, r fleet.Request, m geo.Metric, theta, maxAdded, maxWait float64) (insertionPlan, bool) {
+// distances — O(1) per (pickup, drop-off) position pair — and only the
+// winning plan materialises a route. The precomputed arrays live in sc,
+// so a call allocates only that route once sc has grown to the longest
+// route. The dispatch baselines evaluate this for every pending request
+// against every candidate taxi each frame, so this is their hot path.
+func bestInsertion(v sim.TaxiView, r fleet.Request, m geo.Metric, theta, maxAdded, maxWait float64, sc *insertionScratch) (insertionPlan, bool) {
 	n := len(v.Route)
 	solo := r.TripDistance(m)
 
@@ -67,11 +68,12 @@ func bestInsertion(v sim.TaxiView, r fleet.Request, m geo.Metric, theta, maxAdde
 		}
 		return v.Route[i].Pos
 	}
-	leg := make([]float64, n)
-	toPickup := make([]float64, n+1)
-	fromPickup := make([]float64, n)
-	toDrop := make([]float64, n+1)
-	fromDrop := make([]float64, n)
+	if cap(sc.dist) < 6*n+3 {
+		sc.dist, sc.load = make([]float64, 6*n+3), make([]int, n+1)
+	}
+	d := sc.dist[:6*n+3]
+	leg, fromPickup, fromDrop := d[:n], d[n:2*n], d[2*n:3*n]
+	toPickup, toDrop, prefix := d[3*n:4*n+1], d[4*n+1:5*n+2], d[5*n+2:]
 	for i := 0; i < n; i++ {
 		leg[i] = m.Distance(at(i-1), at(i))
 		fromPickup[i] = m.Distance(r.Pickup, at(i))
@@ -85,14 +87,14 @@ func bestInsertion(v sim.TaxiView, r fleet.Request, m geo.Metric, theta, maxAdde
 
 	// span[i] = distance along the existing route from at(i) to at(j)
 	// is span(j) - span(i), via the prefix sum of legs.
-	prefix := make([]float64, n+1)
+	prefix[0] = 0
 	for i := 0; i < n; i++ {
 		prefix[i+1] = prefix[i] + leg[i]
 	}
 
 	// loadBefore[i] = occupied seats while driving toward stop i;
 	// loadBefore[n] = seats after the last stop.
-	loadBefore := make([]int, n+1)
+	loadBefore := sc.load[:n+1]
 	loadBefore[0] = v.Load
 	for i := 0; i < n; i++ {
 		delta := v.Route[i].Seats
@@ -156,6 +158,14 @@ func bestInsertion(v sim.TaxiView, r fleet.Request, m geo.Metric, theta, maxAdde
 		route: spliceRoute(v.Route, r, bestPi, bestDi),
 		added: bestAdded,
 	}, true
+}
+
+// insertionScratch holds bestInsertion's per-call arrays: dist the six
+// distance arrays of a route of n stops (6n+3 values), load its n+1 load
+// states. One scratch serves every call of one SARP.Dispatch.
+type insertionScratch struct {
+	dist []float64
+	load []int
 }
 
 // legOrZero returns leg[i], or 0 when inserting after the final stop

@@ -14,10 +14,11 @@
 // only its candidate requests. The package knows geometry, not the
 // interest models: Build prunes every column at one radius
 // (Config.PruneRadius), and a market whose radii depend on the trips —
-// the §IV-A market (pref.Plane) and the §V-A unit market
-// (share.UnitRadii) — runs the request pass first and then the taxi
-// pass over per-request radii it computes, rounded outward by Radius
-// (Plane.WithTaxis); a negative radius leaves a request's column out.
+// the §IV-A market (pref.Plane, through Threshold) and the §V-A unit
+// market (share.UnitRadii, through Plane.WithTaxis) — runs the request
+// pass first and then the taxi pass over per-request radii it computes,
+// rounded outward by Radius; a negative radius leaves a request's
+// column out.
 // The exact threshold tests stay in the packages that build the
 // markets, so pruning can never drop a pair a test accepts.
 // Second, a disc grid: the taxi pass buckets every pickup's disc by the
@@ -29,6 +30,11 @@
 // metric provides one, so a road-network row costs one Dijkstra
 // traversal over the row's candidates), and rows are computed by a
 // bounded worker pool sized by the distance tests the pass makes.
+//
+// A plane also keeps the memory it was built in. Threshold builds into
+// a spent plane, the last frame's, reusing its trips, radii, row
+// arenas, discs and disc grid, so a steady stream of frames stops
+// allocating once the storage has grown to the largest frame.
 //
 // Construction is bit-deterministic: every row's contents depend only
 // on the inputs, never on worker count or scheduling, because each row
@@ -105,6 +111,32 @@ type Plane struct {
 	rows   [][]Entry       // [taxi] stored D(t_i, r_j^s) cells, ascending Req
 	trip   []float64       // [request] D(r_j^s, r_j^d)
 	pairs  [][]float64     // [j][k] D(r_j^s, r_k^s) for j, k < PairRows(); nil without Pairs
+
+	buf storage // the memory the plane was built in; Threshold builds into it again
+}
+
+// storage is the memory one build leaves behind: the slices the plane's
+// rows and trips sit in and the taxi pass's scratch. A plane handed to
+// Threshold as spent gives all of it to the new build, so a frame built
+// into the last frame's plane allocates only where it outgrows it.
+type storage struct {
+	cells  []float64  // trips, then pair rows
+	radii  []float64  // Threshold's taxi-pass radii
+	rows   [][]Entry  // the rows' headers
+	arenas []rowArena // one per worker: the blocks the rows sit in
+	discs  []disc     // scanDiscs' discs
+	cols   []int32    // and their request indices
+	grid   discGrid   // the taxi pass's disc grid
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough and growing it as append does when it is not; a nil s
+// allocates exactly n. The elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // Metric returns the metric the plane was built with, for the residual
@@ -219,13 +251,42 @@ func poolSize(workers, cells, jobs int) int {
 // from an atomic counter. Each row is written by exactly one job, so the
 // result is bit-identical for every worker count.
 func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Config) *Plane {
-	p := &Plane{
-		Requests: reqs,
-		metric:   metric,
+	p := new(Plane)
+	p.requestPass(reqs, len(taxis), metric, cfg)
+	var rad []float64
+	if len(taxis) > 0 {
+		rad = radii(cfg, len(reqs))
 	}
+	p.fillRows(taxis, rad, cfg.Workers)
+	return p
+}
+
+// Threshold builds the plane of reqs × taxis for a market whose pruning
+// radii depend on the solo trips: Build's request pass, then
+// radii(trips, dst), which appends every request's radius to dst and
+// returns it, then the taxi pass over those radii (see WithTaxis). It
+// builds into spent's storage and returns spent, so the caller must be
+// done with spent and everything read from it; a nil spent allocates a
+// new plane. workers sizes the pool as Config.Workers does.
+func Threshold(spent *Plane, reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, workers int, radii func(trips, dst []float64) []float64) *Plane {
+	p := spent
+	if p == nil {
+		p = new(Plane)
+	}
+	p.requestPass(reqs, len(taxis), metric, Config{Workers: workers})
+	p.buf.radii = radii(p.trip, p.buf.radii[:0])
+	p.fillRows(taxis, p.buf.radii, workers)
+	return p
+}
+
+// requestPass resets p to a plane over reqs, keeping its storage, and
+// computes the solo trips and, under cfg.Pairs, the batch's pair rows.
+// t is the taxi count the taxi pass will cover, which sizes the pool.
+func (p *Plane) requestPass(reqs []fleet.Request, t int, metric geo.Metric, cfg Config) {
+	*p = Plane{Requests: reqs, metric: metric, buf: p.buf}
 	p.batch, _ = metric.(geo.BatchMetric)
 	_, p.euclid = metric.(geo.StraightLine)
-	r, t := len(reqs), len(taxis)
+	r := len(reqs)
 	// The trips and the batch's pair rows share one dense slab: workers
 	// write disjoint ranges, and a frame costs one allocation for them.
 	// Pair rows cover the first m requests only, so the slab stays
@@ -238,7 +299,8 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 		}
 	}
 	dense := r + m*m
-	cells := make([]float64, dense)
+	cells := resize(p.buf.cells, dense)
+	p.buf.cells = cells
 	p.trip = cells[:r:r]
 	prunePair := cfg.Pairs && cfg.PairRadius > 0 && !math.IsInf(cfg.PairRadius, 1)
 	if cfg.Pairs {
@@ -258,8 +320,6 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 	parallel(poolSize(cfg.Workers, work, r), r, func(_, j int) {
 		p.buildRequestRow(j, prunePair, cfg.PairRadius)
 	})
-	p.fillRows(taxis, radii(cfg, r), cfg.Workers)
-	return p
 }
 
 // WithTaxis returns a plane with p's requests, trips and pair rows and
@@ -271,31 +331,42 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 // within those radii. Workers ≤ 0 sizes the pool as Config.Workers
 // does; p itself is not modified.
 func (p *Plane) WithTaxis(taxis []fleet.Taxi, radii []float64, workers int) *Plane {
+	// q shares p's trips and pair rows but none of its storage.
 	q := *p
+	q.buf = storage{}
 	q.fillRows(taxis, radii, workers)
 	return &q
 }
 
 // fillRows is the taxi pass: it sets p.Taxis and computes every taxi's
-// row, on a pool that workers sizes as Config.Workers does.
+// row into p's storage, on a pool that workers sizes as Config.Workers
+// does.
 func (p *Plane) fillRows(taxis []fleet.Taxi, radii []float64, workers int) {
+	b := &p.buf
+	t := len(taxis)
 	p.Taxis = taxis
-	p.rows = make([][]Entry, len(taxis))
-	if len(taxis) == 0 {
+	b.rows = resize(b.rows, t)
+	p.rows = b.rows
+	if t == 0 {
 		return
 	}
-	discs, cols, pruned := scanDiscs(p.Requests, radii)
-	c, t := len(discs), len(taxis)
+	var pruned bool
+	b.discs, b.cols, pruned = scanDiscs(b.discs, b.cols, p.Requests, radii)
+	discs, cols := b.discs, b.cols
+	c := len(discs)
 	if !pruned {
 		// Every row holds every scanned column, so the rows share one
 		// exactly sized slab.
-		slab := make([]Entry, t*c)
+		b.arenas = resize(b.arenas, 1)
+		a := &b.arenas[0]
+		a.start()
+		slab := a.keep(a.reserve(t*c, t*c)[:t*c])
 		parallel(poolSize(workers, t*c, t), t, func(_, i int) {
 			p.rows[i] = p.buildPickupRow(i, discs, cols, nil, slab[i*c:i*c:(i+1)*c])
 		})
 		return
 	}
-	g := newDiscGrid(taxis, discs)
+	g := b.grid.build(taxis, discs)
 	tests := t * c // without a grid every row tests every disc
 	if g != nil {
 		tests = 0
@@ -312,7 +383,11 @@ func (p *Plane) fillRows(taxis []fleet.Taxi, radii []float64, workers int) {
 	workers = poolSize(workers, work, t)
 	// A threshold plane keeps a few percent of the cells, so each
 	// worker's first block guesses 1/32 of its share of the plane.
-	arenas := make([]rowArena, workers)
+	b.arenas = resize(b.arenas, workers)
+	arenas := b.arenas
+	for w := range arenas {
+		arenas[w].start()
+	}
 	hint := max(c, t*c/(32*workers))
 	parallel(workers, t, func(w, i int) {
 		a := &arenas[w]
@@ -355,18 +430,39 @@ func parallel(workers, n int, job func(w, k int)) {
 // rowArena carves one worker's rows out of a few large blocks: a row is
 // reserved at its worst case (every scanned column) and shrunk to the
 // cells it kept, so a pruned plane costs a handful of allocations and
-// no copying.
+// no copying. The first block outlives the build: the next build into
+// the same plane starts in it, and one that needed more blocks gets a
+// first block of their whole size.
 type rowArena struct {
-	free []Entry // unused tail of the current block
-	last int     // size of the current block
+	first []Entry // the build's first block
+	free  []Entry // unused tail of the current block
+	last  int     // size of the current block
+	total int     // size of every block of the build
 }
 
-// reserve returns empty storage for up to n entries. The first block
-// holds hint entries; each later one doubles.
+// start readies the arena for a new build.
+func (a *rowArena) start() {
+	if a.total > len(a.first) {
+		a.first = make([]Entry, a.total)
+	}
+	a.free, a.last, a.total = nil, 0, 0
+}
+
+// reserve returns empty storage for up to n entries. The first block is
+// the last build's, if it holds n, or else holds hint entries; each
+// later one doubles.
 func (a *rowArena) reserve(n, hint int) []Entry {
 	if len(a.free) < n {
-		a.last = max(n, hint, 2*a.last)
-		a.free = make([]Entry, a.last)
+		if a.total == 0 && len(a.first) >= n {
+			a.free = a.first
+		} else {
+			a.free = make([]Entry, max(n, hint, 2*a.last))
+			if a.total == 0 {
+				a.first = a.free
+			}
+		}
+		a.last = len(a.free)
+		a.total += a.last
 	}
 	return a.free[:0:n]
 }
@@ -413,11 +509,11 @@ type disc struct {
 // scanDiscs returns the discs of the columns whose radius is not
 // negative, in request order, with each disc's request index, and
 // whether any of them is finite (when none is, every row holds every
-// scanned column). The squared bound carries a further relative slack
-// so that it never rejects a point the exact rule keeps.
-func scanDiscs(reqs []fleet.Request, radii []float64) ([]disc, []int32, bool) {
-	discs := make([]disc, 0, len(radii))
-	cols := make([]int32, 0, len(radii))
+// scanned column), reusing the arrays of discs and cols. The squared
+// bound carries a further relative slack so that it never rejects a
+// point the exact rule keeps.
+func scanDiscs(discs []disc, cols []int32, reqs []fleet.Request, radii []float64) ([]disc, []int32, bool) {
+	discs, cols = resize(discs, len(radii))[:0], resize(cols, len(radii))[:0]
 	pruned := false
 	for j, r := range radii {
 		if r < 0 {
@@ -444,29 +540,35 @@ type discGrid struct {
 	nx, ny     int     // cells per axis
 	start      []int   // [cell] offset of its list in list; nx·ny+1 long
 	list       []int32 // disc indices, ascending within each cell's list
-	every      []int32 // every disc: the list of a taxi at a non-finite position
+	every      []int32 // every disc: the list of a taxi at a non-finite position; empty if no taxi is
+
+	spans []cellSpan // [disc] the cells it is listed under: build's scratch
 }
 
 // cellSpan is the block of cells [x0, x1]×[y0, y1] a disc is listed
 // under; x0 > x1 lists it nowhere.
 type cellSpan struct{ x0, x1, y0, y1 int32 }
 
-// newDiscGrid builds the grid over taxis' positions for discs, or
-// returns nil when the full scan is cheaper. The cell side is the larger
+// build fills g, reusing its slices, with the grid over taxis'
+// positions for discs and returns it, or returns nil when the full scan
+// is cheaper. The cell side is the larger
 // of √(area/T) and the longer side over T, so the grid has about one
 // taxi per cell and at most 3T+1 cells; taxis all at one point (or a box
 // too large to measure) get a single cell, which lists every disc and so
 // takes the full scan. Taxis at non-finite positions stay off the grid
 // and test every disc.
-func newDiscGrid(taxis []fleet.Taxi, discs []disc) *discGrid {
-	g := &discGrid{minX: math.Inf(1), minY: math.Inf(1), nx: 1, ny: 1}
+func (g *discGrid) build(taxis []fleet.Taxi, discs []disc) *discGrid {
+	*g = discGrid{minX: math.Inf(1), minY: math.Inf(1), nx: 1, ny: 1,
+		start: g.start, list: g.list, every: g.every[:0], spans: g.spans}
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	n := 0
 	for _, taxi := range taxis {
 		pos := taxi.Pos
 		if !finite(pos) {
-			if g.every == nil {
-				g.every = iota32(len(discs))
+			if len(g.every) == 0 {
+				for k := range discs {
+					g.every = append(g.every, int32(k))
+				}
 			}
 			continue
 		}
@@ -483,7 +585,8 @@ func newDiscGrid(taxis []fleet.Taxi, discs []disc) *discGrid {
 			g.inv, g.nx, g.ny = inv, int(w*inv)+1, int(h*inv)+1
 		}
 	}
-	spans := make([]cellSpan, len(discs))
+	g.spans = resize(g.spans, len(discs))
+	spans := g.spans
 	listed := 0
 	for k, d := range discs {
 		spans[k] = g.span(d)
@@ -499,7 +602,8 @@ func newDiscGrid(taxis []fleet.Taxi, discs []disc) *discGrid {
 	// each list's end, then fill in descending disc order: every end
 	// walks back to its list's start, and each list comes out ascending.
 	cells := g.nx * g.ny
-	g.start = make([]int, cells+1)
+	g.start = resize(g.start, cells+1)
+	clear(g.start)
 	for _, s := range spans {
 		for y := s.y0; y <= s.y1; y++ {
 			for x := s.x0; x <= s.x1; x++ {
@@ -510,7 +614,7 @@ func newDiscGrid(taxis []fleet.Taxi, discs []disc) *discGrid {
 	for k := 1; k <= cells; k++ {
 		g.start[k] += g.start[k-1]
 	}
-	g.list = make([]int32, g.start[cells])
+	g.list = resize(g.list, g.start[cells])
 	for k := len(spans) - 1; k >= 0; k-- {
 		s := spans[k]
 		for y := s.y0; y <= s.y1; y++ {
@@ -556,15 +660,6 @@ func (g *discGrid) at(pos geo.Point) []int32 {
 // NaN exactly when v is ±Inf or NaN.
 func finite(p geo.Point) bool {
 	return !math.IsNaN(p.X-p.X) && !math.IsNaN(p.Y-p.Y)
-}
-
-// iota32 returns 0, 1, …, n−1.
-func iota32(n int) []int32 {
-	s := make([]int32, n)
-	for k := range s {
-		s[k] = int32(k)
-	}
-	return s
 }
 
 // buildPickupRow appends taxi i's stored cells to dst, whose capacity

@@ -353,7 +353,7 @@ func TestEmptyAndDegenerate(t *testing.T) {
 // cell holds the metric's distance (a batching metric's DistancesFrom
 // is bit-identical to Distance per pair).
 func scanRows(reqs []fleet.Request, taxis []fleet.Taxi, m geo.Metric, radii []float64) [][]Entry {
-	discs, cols, _ := scanDiscs(reqs, radii)
+	discs, cols, _ := scanDiscs(nil, nil, reqs, radii)
 	rows := make([][]Entry, len(taxis))
 	for i, taxi := range taxis {
 		src := taxi.Pos
@@ -498,8 +498,8 @@ func gridFrames(t *testing.T) []gridFrame {
 	nonFinite.taxis[7].Pos.Y = math.Inf(1)
 	nonFinite.taxis[11].Pos = geo.Point{X: math.Inf(-1), Y: math.Inf(1)}
 	boundary, left, right := boundaryFrame()
-	discs, _, _ := scanDiscs(boundary.reqs, boundary.radii)
-	if g := newDiscGrid(boundary.taxis, discs); left == 0 || right == 0 || g == nil || g.inv != 0.5 {
+	discs, _, _ := scanDiscs(nil, nil, boundary.reqs, boundary.radii)
+	if g := new(discGrid).build(boundary.taxis, discs); left == 0 || right == 0 || g == nil || g.inv != 0.5 {
 		t.Fatalf("boundary frame: %d left and %d right pickups whose unwidened box misses a taxi, grid %+v; want both, and 2-km cells", left, right, g)
 	}
 	return []gridFrame{

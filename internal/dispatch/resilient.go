@@ -56,8 +56,10 @@ type dispatchResult struct {
 
 // Dispatch implements sim.Dispatcher. The primary runs in its own
 // goroutine; if it misses the deadline its eventual result is discarded
-// (the Frame is an immutable snapshot, so a straggler finishing late is
-// harmless) and the fallback decides the frame instead.
+// and the fallback decides the frame instead. The frame is noted
+// degraded on "deadline" before the fallback runs, so the simulator
+// never builds a later frame into its storage and a straggler finishing
+// late reads a frame nothing else writes.
 func (d *Resilient) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	ch := make(chan dispatchResult, 1)
 	go func() {

@@ -68,7 +68,7 @@ func TestPlanePrunesAtBothThresholds(t *testing.T) {
 	reqs, taxis := planeWorld(30, 40, 6)
 	m := geo.ManhattanMetric
 	params := Params{Alpha: 0.5, Beta: 1, MaxPickup: 9, MaxNet: 1}
-	pl := Plane(reqs, taxis, m, params, 1)
+	pl := Plane(nil, reqs, taxis, m, params, 1)
 	cost := pl.CostMatrix()
 	var full []costplane.Entry
 	stored := 0
@@ -119,7 +119,7 @@ func TestPlaneRadiiEdges(t *testing.T) {
 		{Params{Alpha: 1, MaxPickup: inf, MaxNet: -2}, []float64{-2, -1, 2}},
 		{Params{Alpha: 0.5, MaxPickup: 3, MaxNet: 1}, []float64{1, 1.5, 3}},
 	} {
-		got := planeRadii(tc.params, trips)
+		got := planeRadii(tc.params, trips, nil)
 		for j, want := range tc.want {
 			if r := got[j]; !(r == want || math.Abs(r-want) <= 1e-6) {
 				t.Errorf("%+v: radius %d = %v, want %v", tc.params, j, r, want)
@@ -163,10 +163,10 @@ func TestPlaneMatchesDiscRule(t *testing.T) {
 	for _, mt := range boundaryMetrics(t) {
 		for _, f := range frames {
 			for _, p := range params {
-				want := discRows(f.reqs, f.taxis, mt.m, planeRadii(p, Plane(f.reqs, nil, mt.m, p, 1).Trips()))
+				want := discRows(f.reqs, f.taxis, mt.m, planeRadii(p, Plane(nil, f.reqs, nil, mt.m, p, 1).Trips(), nil))
 				for _, workers := range []int{1, 4} {
 					label := fmt.Sprintf("%s/%s/%+v/workers=%d", mt.name, f.name, p, workers)
-					pl := Plane(f.reqs, f.taxis, mt.m, p, workers)
+					pl := Plane(nil, f.reqs, f.taxis, mt.m, p, workers)
 					for i, row := range want {
 						if got := pl.PickupRow(i); !slices.Equal(got, row) {
 							t.Fatalf("%s: row %d = %v, scan %v", label, i, got, row)
@@ -180,11 +180,11 @@ func TestPlaneMatchesDiscRule(t *testing.T) {
 	wrapped := geo.MetricFunc(func(a, b geo.Point) float64 { calls++; return geo.Euclid(a, b) })
 	for _, p := range params {
 		calls = 0
-		pl := Plane(reqs, taxis, wrapped, p, 1)
+		pl := Plane(nil, reqs, taxis, wrapped, p, 1)
 		if want := len(reqs) + pl.Entries(); calls != want {
 			t.Errorf("%+v: wrapped metric called %d times, want %d (trips + stored cells)", p, calls, want)
 		}
-		samePlaneRows(t, fmt.Sprintf("wrapped %+v", p), pl, Plane(reqs, taxis, geo.EuclidMetric, p, 1))
+		samePlaneRows(t, fmt.Sprintf("wrapped %+v", p), pl, Plane(nil, reqs, taxis, geo.EuclidMetric, p, 1))
 	}
 }
 
@@ -195,9 +195,9 @@ func TestPlaneWorkerCountInvariance(t *testing.T) {
 	reqs, taxis := planeWorld(40, 60, 3)
 	for _, mt := range boundaryMetrics(t) {
 		for _, p := range []Params{{Alpha: 1, MaxPickup: 10, MaxNet: 2}, {Alpha: 0.5, MaxPickup: 0, MaxNet: -3}} {
-			ref := Plane(reqs, taxis, mt.m, p, 1)
+			ref := Plane(nil, reqs, taxis, mt.m, p, 1)
 			for _, workers := range []int{0, 2, 4, 16} {
-				samePlaneRows(t, fmt.Sprintf("%s %+v workers=%d", mt.name, p, workers), Plane(reqs, taxis, mt.m, p, workers), ref)
+				samePlaneRows(t, fmt.Sprintf("%s %+v workers=%d", mt.name, p, workers), Plane(nil, reqs, taxis, mt.m, p, workers), ref)
 			}
 		}
 	}

@@ -117,6 +117,7 @@ type Market struct {
 type taxiOrder struct {
 	once sync.Once
 	rows []Entry
+	buf  []Entry // the array rows is built in: the spent market's, or nil
 }
 
 // Entry is one mutually acceptable pair as it sits on one side's
@@ -171,7 +172,7 @@ func NewMarket(nReq, nTaxi int, pairs []Pair) *Market {
 		byTaxi[next[p.Taxi]] = Entry{Partner: p.Req, ReqCost: p.ReqCost, TaxiCost: p.TaxiCost}
 		next[p.Taxi]++
 	}
-	m := assemble(nReq, taxiStart, byTaxi)
+	m := assemble(Market{}, nReq, taxiStart, byTaxi)
 	return &m
 }
 
@@ -182,39 +183,59 @@ func NewMarket(nReq, nTaxi int, pairs []Pair) *Market {
 // accept appends over all taxis: the taxi-side slab is allocated once at
 // that capacity (a larger total still builds, by regrowing it).
 func BuildMarket(nReq, nTaxi, bound int, accept func(i int, dst []Entry) []Entry) Market {
-	taxiStart := make([]int, nTaxi+1)
-	byTaxi := make([]Entry, 0, bound)
+	return buildMarket(Market{}, nReq, nTaxi, bound, accept)
+}
+
+// buildMarket is BuildMarket into spent's storage; a zero spent
+// allocates.
+func buildMarket(spent Market, nReq, nTaxi, bound int, accept func(i int, dst []Entry) []Entry) Market {
+	taxiStart := slices.Grow(spent.taxiStart[:0], nTaxi+1)[:nTaxi+1]
+	taxiStart[0] = 0
+	byTaxi := spent.byTaxi[:0]
+	if byTaxi == nil || cap(byTaxi) < bound {
+		byTaxi = make([]Entry, 0, max(bound, 2*cap(byTaxi)))
+	}
 	for i := 0; i < nTaxi; i++ {
 		byTaxi = accept(i, byTaxi)
 		taxiStart[i+1] = len(byTaxi)
 	}
-	return assemble(nReq, taxiStart, byTaxi)
+	return assemble(spent, nReq, taxiStart, byTaxi)
 }
 
 // assemble completes a market from its taxi-side entries, grouped by taxi
 // in taxiStart's rows but in any order within a row: it derives the
 // request-side rows by a counting sort on the request index and sorts
-// each into the request's preference order. The taxi rows stay as given
-// until TaxiEntries first needs their order.
-func assemble(nReq int, taxiStart []int, byTaxi []Entry) Market {
+// each into the request's preference order, in the request-side arrays
+// and taxi-order storage of spent (a zero spent allocates). The taxi
+// rows stay as given until TaxiEntries first needs their order.
+func assemble(spent Market, nReq int, taxiStart []int, byTaxi []Entry) Market {
 	m := Market{
-		reqStart:  make([]int, nReq+1),
+		reqStart:  slices.Grow(spent.reqStart[:0], nReq+1)[:nReq+1],
 		taxiStart: taxiStart,
-		byReq:     make([]Entry, len(byTaxi)),
+		byReq:     slices.Grow(spent.byReq[:0], len(byTaxi))[:len(byTaxi)],
 		byTaxi:    byTaxi,
 		taxiOrder: new(taxiOrder),
 	}
+	if spent.taxiOrder != nil {
+		m.taxiOrder.buf = spent.taxiOrder.rows
+	}
+	// Count each request's entries into reqStart, prefix-sum the counts
+	// into each row's end, then fill taxis and their entries in
+	// descending order: every end walks back to its row's start, and
+	// each row comes out in ascending taxi order.
+	clear(m.reqStart)
 	for _, e := range byTaxi {
-		m.reqStart[e.Partner+1]++
+		m.reqStart[e.Partner]++
 	}
-	for j := 0; j < nReq; j++ {
-		m.reqStart[j+1] += m.reqStart[j]
+	for j := 1; j <= nReq; j++ {
+		m.reqStart[j] += m.reqStart[j-1]
 	}
-	next := slices.Clone(m.reqStart[:nReq])
-	for i := 0; i < m.NumTaxis(); i++ {
-		for _, e := range m.byTaxi[taxiStart[i]:taxiStart[i+1]] {
-			m.byReq[next[e.Partner]] = Entry{Partner: i, ReqCost: e.ReqCost, TaxiCost: e.TaxiCost}
-			next[e.Partner]++
+	for i := m.NumTaxis() - 1; i >= 0; i-- {
+		row := byTaxi[taxiStart[i]:taxiStart[i+1]]
+		for k := len(row) - 1; k >= 0; k-- {
+			e := row[k]
+			m.reqStart[e.Partner]--
+			m.byReq[m.reqStart[e.Partner]] = Entry{Partner: i, ReqCost: e.ReqCost, TaxiCost: e.TaxiCost}
 		}
 	}
 	for j := 0; j < nReq; j++ {
@@ -233,7 +254,7 @@ func (m *Market) Transpose() *Market {
 	for k, e := range m.byReq {
 		byTaxi[k] = Entry{Partner: e.Partner, ReqCost: e.TaxiCost, TaxiCost: e.ReqCost}
 	}
-	t := assemble(m.NumTaxis(), m.reqStart, byTaxi)
+	t := assemble(Market{}, m.NumTaxis(), m.reqStart, byTaxi)
 	return &t
 }
 
@@ -256,7 +277,7 @@ func (m *Market) ReqEntries(j int) []Entry { return m.byReq[m.reqStart[j]:m.reqS
 func (m *Market) TaxiEntries(i int) []Entry {
 	o := m.taxiOrder
 	o.once.Do(func() {
-		o.rows = slices.Clone(m.byTaxi)
+		o.rows = append(o.buf[:0], m.byTaxi...)
 		for k := 0; k < m.NumTaxis(); k++ {
 			sortRow(o.rows[m.taxiStart[k]:m.taxiStart[k+1]], true)
 		}
@@ -402,31 +423,35 @@ type Instance struct {
 func (inst *Instance) PickupDist(i, j int) float64 { return inst.plane.PickupDist(i, j) }
 
 // Plane builds the §IV-A distance plane of reqs × taxis: the request
-// pass for the solo trips, then the taxi pass (costplane.Plane.WithTaxis)
-// keeping request j's cells within min(MaxPickup, MaxNet + α·trip_j),
-// the largest pickup both thresholds can accept. workers sizes the pool
+// pass for the solo trips, then the taxi pass keeping request j's cells
+// within min(MaxPickup, MaxNet + α·trip_j), the largest pickup both
+// thresholds can accept (costplane.Threshold). It builds into spent's
+// storage and returns spent, so the caller must be done with spent and
+// every instance on it; a nil spent allocates. workers sizes the pool
 // as costplane.Config.Workers does.
-func Plane(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, p Params, workers int) *costplane.Plane {
-	pl := costplane.Build(reqs, nil, metric, costplane.Config{Workers: workers})
-	return pl.WithTaxis(taxis, planeRadii(p, pl.Trips()), workers)
+func Plane(spent *costplane.Plane, reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, p Params, workers int) *costplane.Plane {
+	return costplane.Threshold(spent, reqs, taxis, metric, workers, func(trips, dst []float64) []float64 {
+		return planeRadii(p, trips, dst)
+	})
 }
 
-// planeRadii returns Plane's radii: MaxPickup (+Inf, no prune, when it
-// is ≤ 0), tightened to the costplane.Radius of the net test. MaxNet =
-// −Inf gives a NaN net radius, which keeps MaxPickup's.
-func planeRadii(p Params, trips []float64) []float64 {
+// planeRadii appends Plane's radii to dst and returns it: MaxPickup
+// (+Inf, no prune, when it is ≤ 0), tightened to the costplane.Radius of
+// the net test. MaxNet = −Inf gives a NaN net radius, which keeps
+// MaxPickup's.
+func planeRadii(p Params, trips, dst []float64) []float64 {
 	base := math.Inf(1)
 	if p.MaxPickup > 0 {
 		base = p.MaxPickup
 	}
-	radii := make([]float64, len(trips))
-	for j, trip := range trips {
-		radii[j] = base
+	for _, trip := range trips {
+		r := base
 		if net := costplane.Radius(p.MaxNet, -p.Alpha*trip); net < base {
-			radii[j] = net
+			r = net
 		}
+		dst = append(dst, r)
 	}
-	return radii
+	return dst
 }
 
 // NewInstance computes the non-sharing market for the given requests and
@@ -437,7 +462,8 @@ func planeRadii(p Params, trips []float64) []float64 {
 //
 // The full (unpruned) distance plane is built serially; dispatchers on
 // the per-frame hot path instead build the pruned plane once per frame
-// (Plane, memoised by sim.Frame) and call FromPlane.
+// and the instance on it (Plane and Refill, memoised by sim.Frame, which
+// builds both into the last frame's).
 func NewInstance(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, params Params) (*Instance, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -453,10 +479,23 @@ func NewInstance(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, pa
 // threshold exactly like the +Inf the plane reports — the pair sits
 // behind a dummy either way, so preference lists are unchanged.
 func FromPlane(pl *costplane.Plane, params Params) (*Instance, error) {
+	return Refill(nil, pl, params)
+}
+
+// Refill builds FromPlane's instance into spent's storage and returns
+// spent, so the caller must be done with spent and every row read from
+// its market; a nil spent allocates, which is FromPlane. On an error
+// spent is left as it was.
+func Refill(spent *Instance, pl *costplane.Plane, params Params) (*Instance, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	inst := &Instance{
+	inst := spent
+	if inst == nil {
+		inst = new(Instance)
+	}
+	*inst = Instance{
+		Market:   inst.Market,
 		Requests: pl.Requests,
 		Taxis:    pl.Taxis,
 		TripDist: pl.Trips(),
@@ -467,7 +506,8 @@ func FromPlane(pl *costplane.Plane, params Params) (*Instance, error) {
 	return inst, nil
 }
 
-// buildNonSharingMarket keeps a pair iff the taxi has the seats, the
+// buildNonSharingMarket builds inst's market into the storage of the
+// market inst holds. It keeps a pair iff the taxi has the seats, the
 // pickup distance is within params.MaxPickup and the taxi's net cost
 // D(t_i, r_j^s) − α·D(r_j^s, r_j^d) is within params.MaxNet. It walks
 // each taxi's stored cells and takes both costs from the cell's own
@@ -501,7 +541,7 @@ func buildNonSharingMarket(inst *Instance) Market {
 	if everyCell {
 		bound = inst.plane.Cells()
 	}
-	return BuildMarket(len(inst.Requests), len(inst.Taxis), bound, accept)
+	return buildMarket(inst.Market, len(inst.Requests), len(inst.Taxis), bound, accept)
 }
 
 // PassengerDissatisfaction returns the paper's non-sharing passenger

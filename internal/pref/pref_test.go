@@ -446,7 +446,7 @@ func boundaryMetrics(t *testing.T) []struct {
 // every stored cell equal to the unpruned plane's value.
 func checkThresholdPlane(t *testing.T, label string, reqs []fleet.Request, taxis []fleet.Taxi, m geo.Metric, params Params) *costplane.Plane {
 	t.Helper()
-	pruned := Plane(reqs, taxis, m, params, 1)
+	pruned := Plane(nil, reqs, taxis, m, params, 1)
 	full := costplane.Build(reqs, taxis, m, costplane.Config{Workers: 1})
 	for i := range taxis {
 		for _, e := range pruned.PickupRow(i) {
@@ -567,7 +567,7 @@ func TestThresholdPlaneStoresOnlyCandidates(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for k := 0; k < runs; k++ {
-		pl = Plane(reqs, taxis, geo.EuclidMetric, DefaultParams(), 1)
+		pl = Plane(nil, reqs, taxis, geo.EuclidMetric, DefaultParams(), 1)
 	}
 	runtime.ReadMemStats(&after)
 

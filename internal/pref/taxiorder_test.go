@@ -46,7 +46,7 @@ func tiedMarkets(t *testing.T) map[string]*pref.Market {
 		params := pref.DefaultParams()
 		params.MaxPickup = 4
 		for name, p := range map[string]pref.Params{"default": params, "unbounded": pref.Unbounded()} {
-			inst, err := pref.FromPlane(pref.Plane(reqs, taxis, geo.EuclidMetric, p, 0), p)
+			inst, err := pref.FromPlane(pref.Plane(nil, reqs, taxis, geo.EuclidMetric, p, 0), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestPassengerProposingLeavesTaxiRowsUnsorted(t *testing.T) {
 		taxis[i] = fleet.Taxi{ID: i, Pos: pt()}
 	}
 	params := pref.DefaultParams()
-	inst, err := pref.FromPlane(pref.Plane(reqs, taxis, geo.EuclidMetric, params, 0), params)
+	inst, err := pref.FromPlane(pref.Plane(nil, reqs, taxis, geo.EuclidMetric, params, 0), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,15 @@ type Dispatcher interface {
 	Dispatch(f *Frame) ([]fleet.Assignment, error)
 }
 
-// Frame is the dispatcher's read-only view of one time step.
+// Frame is the dispatcher's read-only view of one time step. A frame
+// the simulator built is valid until the simulator builds the next one,
+// in the next Step that dispatches: that frame is built into this one's
+// storage (its Requests, Taxis, idle fleet, §IV-A plane and market), so
+// nothing read from a frame may be kept past the next Step, except the
+// taxis' Routes and whatever the reader copied. A frame whose
+// dispatcher was abandoned on its deadline (NoteDegraded "deadline") is
+// never reused: a straggler still running it reads storage nothing else
+// writes.
 type Frame struct {
 	// Number is the current frame index (minutes since simulation
 	// start).
@@ -50,8 +58,8 @@ type Frame struct {
 	// Requests are the pending, unassigned requests in arrival order.
 	Requests []fleet.Request
 	// Taxis holds the runtime state of every taxi in the fleet. Each
-	// view's Route is shared with the simulator and read-only; it stays
-	// valid after later Steps.
+	// view's Route is shared with the simulator and read-only; unlike
+	// the frame, it stays valid after later Steps.
 	Taxis []TaxiView
 	// Metric measures travel distances.
 	Metric geo.Metric
@@ -70,20 +78,58 @@ type Frame struct {
 	// tracing is off.
 	Tracer *dtrace.Recorder
 
-	// The planes more than one consumer reads, memoised so each
-	// distance is computed once per frame: the §IV-A plane and the
-	// market on it (NSTD and the stability certificate) and the
-	// baselines' unpruned plane (a resilient primary and its Greedy
-	// fallback). planeMu guards them: dispatch.Resilient may run its
-	// fallback while a timed-out primary still holds the frame.
+	// The values more than one consumer reads, memoised so each is
+	// computed once per frame: the idle fleet (every dispatcher and the
+	// stability certificate), the §IV-A plane and the market on it (NSTD
+	// and the certificate) and the baselines' unpruned plane (a
+	// resilient primary and its Greedy fallback). planeMu guards them:
+	// dispatch.Resilient may run its fallback while a timed-out primary
+	// still holds the frame.
 	planeMu   sync.Mutex
+	idle      []fleet.Taxi
 	prefPlane *costplane.Plane
 	inst      *pref.Instance
 	fullPlane *costplane.Plane
 
+	// spent is the storage of the frame this one reuses; the idle
+	// fleet, the §IV-A plane and its instance build into it.
+	spent frameStorage
+	// abandoned marks a frame whose dispatcher was abandoned on its
+	// deadline, which the simulator never reuses.
+	abandoned atomic.Bool
+
 	// sim is the simulator that built the frame (nil for a frame built
 	// by hand); NoteDegraded reports to it.
 	sim *Simulator
+}
+
+// frameStorage is the memory a frame is built in, which each frame
+// hands to the next (Simulator.view).
+type frameStorage struct {
+	requests []fleet.Request
+	taxis    []TaxiView
+	idle     []fleet.Taxi
+	plane    *costplane.Plane
+	inst     *pref.Instance
+}
+
+// storage returns f's memory for the next frame: its slices and each
+// memoised value, or, for one f never built, the storage it had for it.
+func (f *Frame) storage() frameStorage {
+	f.planeMu.Lock()
+	defer f.planeMu.Unlock()
+	st := f.spent
+	st.requests, st.taxis = f.Requests, f.Taxis
+	if f.idle != nil {
+		st.idle = f.idle
+	}
+	if f.prefPlane != nil {
+		st.plane = f.prefPlane
+	}
+	if f.inst != nil {
+		st.inst = f.inst
+	}
+	return st
 }
 
 // NoteDegraded reports that the frame was handed to a fallback
@@ -92,8 +138,12 @@ type Frame struct {
 // counts it by reason (Stats.Degraded) and in the degraded_frames KPI,
 // queues a flight-recorder trigger for the end of the frame, and
 // publishes a degrade notice on its hub. A frame built by hand ignores
-// the rest.
+// the rest. On "deadline" the abandoned dispatcher may still be reading
+// the frame, so the simulator never builds another frame into it.
 func (f *Frame) NoteDegraded(reason, detail string) {
+	if reason == "deadline" {
+		f.abandoned.Store(true)
+	}
 	if f.Tracer != nil {
 		f.Tracer.AddFrameNote(f.Number, "degraded dispatch: "+detail)
 	}
@@ -113,13 +163,12 @@ func (f *Frame) NoteDegraded(reason, detail string) {
 
 // PrefPlane returns the frame's §IV-A plane, pref.Plane under
 // f.Params, building it on first use. taxis must be the frame's idle
-// fleet (every dispatcher derives the same slice from the frame, so
-// concurrent callers agree).
+// fleet, IdleFleet.
 func (f *Frame) PrefPlane(taxis []fleet.Taxi) *costplane.Plane {
 	f.planeMu.Lock()
 	defer f.planeMu.Unlock()
 	if f.prefPlane == nil {
-		f.prefPlane = pref.Plane(f.Requests, taxis, f.Metric, f.Params, f.Workers)
+		f.prefPlane = pref.Plane(f.spent.plane, f.Requests, taxis, f.Metric, f.Params, f.Workers)
 	}
 	return f.prefPlane
 }
@@ -133,7 +182,7 @@ func (f *Frame) Instance(taxis []fleet.Taxi) (*pref.Instance, error) {
 	f.planeMu.Lock()
 	defer f.planeMu.Unlock()
 	if f.inst == nil {
-		inst, err := pref.FromPlane(pl, f.Params)
+		inst, err := pref.Refill(f.spent.inst, pl, f.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -167,15 +216,22 @@ func (f *Frame) IdleTaxis() []TaxiView {
 
 // IdleFleet returns the idle taxis as fleet values, in fleet order: the
 // taxi set every dispatcher's cost plane and the stability certificate
-// are built over. It fills one slice of exactly the idle count.
+// are built over. It is built once per frame and shared by every
+// caller, who must not modify it; like the frame, it is valid until the
+// simulator builds the next frame.
 func (f *Frame) IdleFleet() []fleet.Taxi {
-	taxis := make([]fleet.Taxi, 0, f.idleCount())
-	for i := range f.Taxis {
-		if v := &f.Taxis[i]; v.Idle {
-			taxis = append(taxis, fleet.Taxi{ID: v.ID, Pos: v.Pos, Seats: v.Seats, Status: fleet.TaxiIdle})
+	f.planeMu.Lock()
+	defer f.planeMu.Unlock()
+	if f.idle == nil {
+		taxis := slices.Grow(f.spent.idle[:0], f.idleCount())
+		for i := range f.Taxis {
+			if v := &f.Taxis[i]; v.Idle {
+				taxis = append(taxis, fleet.Taxi{ID: v.ID, Pos: v.Pos, Seats: v.Seats, Status: fleet.TaxiIdle})
+			}
 		}
+		f.idle = taxis
 	}
-	return taxis
+	return f.idle
 }
 
 func (f *Frame) idleCount() int {
@@ -201,7 +257,8 @@ type TaxiView struct {
 	Offline bool
 	// Route is the taxi's remaining stop sequence. It is the simulator's
 	// own slice, shared and read-only: the simulator never writes into
-	// it, so a view keeps its route after later Steps. A drop-off without
+	// it, so the route stays valid after later Steps even though the
+	// frame holding the view does not. A drop-off without
 	// its pickup on the route is a rider on board (see riders), and the
 	// stops' Seats give the load profile.
 	Route []fleet.Stop
@@ -427,6 +484,10 @@ type Simulator struct {
 	assignments []AssignmentOutcome
 	episodes    []EpisodeOutcome
 
+	// last is the latest frame view builds, whose storage the next
+	// frame reuses.
+	last *Frame
+
 	// kpi holds the running per-frame KPI aggregates; only updated when
 	// cfg.KPI is configured.
 	kpi kpiState
@@ -541,7 +602,11 @@ func (s *Simulator) Snapshot() *Report { return s.buildReport() }
 
 // TaxiViews returns the current dispatcher-visible state of the fleet.
 func (s *Simulator) TaxiViews() []TaxiView {
-	views := make([]TaxiView, len(s.taxis))
+	return s.fillViews(make([]TaxiView, len(s.taxis)))
+}
+
+// fillViews writes the fleet's views into views, one per taxi.
+func (s *Simulator) fillViews(views []TaxiView) []TaxiView {
 	for i, t := range s.taxis {
 		offline := s.offline(t.taxi.ID)
 		views[i] = TaxiView{
@@ -721,24 +786,31 @@ func (s *Simulator) releaseArrivals() {
 	}
 }
 
-// view builds the dispatcher's frame: a fixed number of allocations
-// whatever the fleet size, since taxi views share the installed routes.
+// view builds the dispatcher's frame into the storage of the last frame
+// it built, unless that frame's dispatcher was abandoned on its
+// deadline: a fixed number of allocations whatever the fleet size, since
+// taxi views share the installed routes, and none once the storage has
+// grown to the day's largest frame.
 func (s *Simulator) view() *Frame {
-	reqs := make([]fleet.Request, len(s.pending))
-	for i, rs := range s.pending {
-		reqs[i] = rs.req
+	f := &Frame{
+		Number:  s.frame,
+		Metric:  s.cfg.Metric,
+		Params:  s.cfg.Params,
+		Workers: s.cfg.Workers,
+		Ledger:  s.cfg.Ledger,
+		Tracer:  s.cfg.Tracer,
+		sim:     s,
 	}
-	return &Frame{
-		Number:   s.frame,
-		Requests: reqs,
-		Taxis:    s.TaxiViews(),
-		Metric:   s.cfg.Metric,
-		Params:   s.cfg.Params,
-		Workers:  s.cfg.Workers,
-		Ledger:   s.cfg.Ledger,
-		Tracer:   s.cfg.Tracer,
-		sim:      s,
+	if last := s.last; last != nil && !last.abandoned.Load() {
+		f.spent = last.storage()
 	}
+	f.Requests = slices.Grow(f.spent.requests[:0], len(s.pending))
+	for _, rs := range s.pending {
+		f.Requests = append(f.Requests, rs.req)
+	}
+	f.Taxis = s.fillViews(slices.Grow(f.spent.taxis[:0], len(s.taxis))[:len(s.taxis)])
+	s.last = f
+	return f
 }
 
 func (s *Simulator) dispatch() error {

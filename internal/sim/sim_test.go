@@ -416,13 +416,19 @@ func TestFrameViewConsistency(t *testing.T) {
 		routeStop(reqs[0], fleet.StopPickup), routeStop(reqs[1], fleet.StopPickup),
 		routeStop(reqs[1], fleet.StopDropoff), routeStop(reqs[0], fleet.StopDropoff),
 	}}
-	var captured []*Frame
-	var installed [][]fleet.Stop // taxi 0's route as installed at each capture
+	// A frame is valid only until the next Step, which builds into its
+	// storage, so each capture copies what it needs at hand-over; taxi
+	// 0's view keeps the simulator's own Route, which must stay valid.
+	type capture struct {
+		number, requests int
+		taxi             TaxiView     // taxi 0's view, Route shared
+		installed        []fleet.Stop // taxi 0's route cloned at hand-over
+	}
+	var captured []capture
 	d := &capturingDispatcher{
-		inner:  &scriptedDispatcher{plans: map[int][]fleet.Assignment{0: {shared}}},
-		frames: &captured,
+		inner: &scriptedDispatcher{plans: map[int][]fleet.Assignment{0: {shared}}},
 		onCapture: func(f *Frame) {
-			installed = append(installed, slices.Clone(f.Taxis[0].Route))
+			captured = append(captured, capture{f.Number, len(f.Requests), f.Taxis[0], slices.Clone(f.Taxis[0].Route)})
 		},
 	}
 	s, err := New(simpleConfig(d), singleTaxi(geo.Point{}), reqs)
@@ -456,43 +462,39 @@ func TestFrameViewConsistency(t *testing.T) {
 	if len(captured) < 4 {
 		t.Fatalf("captured %d frames, want at least 4", len(captured))
 	}
-	if f0 := captured[0]; len(f0.Requests) != 2 || !f0.Taxis[0].Idle {
-		t.Errorf("frame 0 = requests %v, taxis %+v; want riders 1 and 2 and an idle taxi", f0.Requests, f0.Taxis)
+	if f0 := captured[0]; f0.requests != 2 || !f0.taxi.Idle {
+		t.Errorf("frame 0 = %d requests, taxi %+v; want riders 1 and 2 and an idle taxi", f0.requests, f0.taxi)
 	}
-	if got := len(captured[1].Taxis[0].Route); got != 4 {
+	if got := len(captured[1].taxi.Route); got != 4 {
 		t.Errorf("frame 1 route has %d stops, want 4", got)
 	}
-	if got := captured[len(captured)-1].Taxis[0]; !got.Offline || len(got.Route) != 0 {
+	if got := captured[len(captured)-1].taxi; !got.Offline || len(got.Route) != 0 {
 		t.Errorf("frame after breakdown: taxi = %+v, want offline with no route", got)
 	}
-	for i, f := range captured {
-		route := f.Taxis[0].Route
-		if !slices.Equal(route, installed[i]) {
-			t.Errorf("frame %d route = %v after later steps, want %v as captured", f.Number, route, installed[i])
+	for _, c := range captured {
+		route := c.taxi.Route
+		if !slices.Equal(route, c.installed) {
+			t.Errorf("frame %d route = %v after later steps, want %v as captured", c.number, route, c.installed)
 		}
 		for _, stop := range route {
 			if stop.Seats != 2 {
-				t.Errorf("frame %d stop %v carries %d seats, want 2", f.Number, stop, stop.Seats)
+				t.Errorf("frame %d stop %v carries %d seats, want 2", c.number, stop, stop.Seats)
 			}
 		}
 	}
 }
 
-// capturingDispatcher keeps every frame it is handed (calling onCapture,
-// if set, at hand-over) and delegates to inner.
+// capturingDispatcher calls onCapture with every frame it is handed and
+// delegates to inner.
 type capturingDispatcher struct {
 	inner     Dispatcher
-	frames    *[]*Frame
 	onCapture func(*Frame)
 }
 
 func (d *capturingDispatcher) Name() string { return "capturing" }
 
 func (d *capturingDispatcher) Dispatch(f *Frame) ([]fleet.Assignment, error) {
-	*d.frames = append(*d.frames, f)
-	if d.onCapture != nil {
-		d.onCapture(f)
-	}
+	d.onCapture(f)
 	return d.inner.Dispatch(f)
 }
 
