@@ -15,10 +15,10 @@
 // interest models: Build prunes every column at one radius
 // (Config.PruneRadius), and a market whose radii depend on the trips —
 // the §IV-A market (pref.Plane, through Threshold) and the §V-A unit
-// market (share.UnitRadii, through Plane.WithTaxis) — runs the request
-// pass first and then the taxi pass over per-request radii it computes,
-// rounded outward by Radius; a negative radius leaves a request's
-// column out.
+// market (share.Units.AppendRadii, through Plane.FillTaxis) — runs the
+// request pass first and then the taxi pass over per-request radii it
+// computes, rounded outward by Radius; a negative radius leaves a
+// request's column out.
 // The exact threshold tests stay in the packages that build the
 // markets, so pruning can never drop a pair a test accepts.
 // Second, a disc grid: the taxi pass buckets every pickup's disc by the
@@ -31,10 +31,14 @@
 // traversal over the row's candidates), and rows are computed by a
 // bounded worker pool sized by the distance tests the pass makes.
 //
-// A plane also keeps the memory it was built in. Threshold builds into
-// a spent plane, the last frame's, reusing its trips, radii, row
-// arenas, discs and disc grid, so a steady stream of frames stops
-// allocating once the storage has grown to the largest frame.
+// A plane also keeps the memory it was built in. Rebuild and Threshold
+// build into a spent plane, the last frame's, reusing its trips, pair
+// rows, radii, row arenas, discs and disc grid, and FillTaxis fills a
+// plane's taxi rows into its own storage, so a steady stream of frames
+// stops allocating once the storage has grown to the largest frame:
+// sim.Frame builds the §IV-A plane through Threshold, and Algorithm 3's
+// frame (dispatch.PackFrame) its request plane through Rebuild and then
+// its unit taxi rows through FillTaxis, each into the last frame's.
 //
 // Construction is bit-deterministic: every row's contents depend only
 // on the inputs, never on worker count or scheduling, because each row
@@ -112,21 +116,23 @@ type Plane struct {
 	trip   []float64       // [request] D(r_j^s, r_j^d)
 	pairs  [][]float64     // [j][k] D(r_j^s, r_k^s) for j, k < PairRows(); nil without Pairs
 
-	buf storage // the memory the plane was built in; Threshold builds into it again
+	buf storage // the memory the plane was built in; Rebuild, Threshold and FillTaxis reuse it
 }
 
 // storage is the memory one build leaves behind: the slices the plane's
-// rows and trips sit in and the taxi pass's scratch. A plane handed to
-// Threshold as spent gives all of it to the new build, so a frame built
-// into the last frame's plane allocates only where it outgrows it.
+// rows, trips and pair rows sit in and the taxi pass's scratch. A plane
+// handed to Rebuild or Threshold as spent gives all of it to the new
+// build, and FillTaxis reuses it, so a frame built into the last
+// frame's plane allocates only where it outgrows it.
 type storage struct {
-	cells  []float64  // trips, then pair rows
-	radii  []float64  // Threshold's taxi-pass radii
-	rows   [][]Entry  // the rows' headers
-	arenas []rowArena // one per worker: the blocks the rows sit in
-	discs  []disc     // scanDiscs' discs
-	cols   []int32    // and their request indices
-	grid   discGrid   // the taxi pass's disc grid
+	cells  []float64   // trips, then pair rows
+	pairs  [][]float64 // the pair rows' headers
+	radii  []float64   // the taxi pass's radii
+	rows   [][]Entry   // the rows' headers
+	arenas []rowArena  // one per worker: the blocks the rows sit in
+	discs  []disc      // scanDiscs' discs
+	cols   []int32     // and their request indices
+	grid   discGrid    // the taxi pass's disc grid
 }
 
 // resize returns s with length n, reusing its array when it is large
@@ -246,37 +252,45 @@ func poolSize(workers, cells, jobs int) int {
 // Build computes the plane for one frame in two parallel passes. The
 // request pass computes the solo trips (and the batch's pair rows); the
 // taxi pass then computes each taxi's row over the requests within
-// cfg.PruneRadius (see WithTaxis).
+// cfg.PruneRadius (see FillTaxis).
 // Jobs are rows, executed by min(cfg.Workers, rows) goroutines pulling
 // from an atomic counter. Each row is written by exactly one job, so the
 // result is bit-identical for every worker count.
 func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Config) *Plane {
-	p := new(Plane)
+	return Rebuild(nil, reqs, taxis, metric, cfg)
+}
+
+// Rebuild is Build into spent's storage. It returns spent, so the
+// caller must be done with spent and everything read from it; a nil
+// spent allocates a new plane, which is Build.
+func Rebuild(spent *Plane, reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Config) *Plane {
+	p := reuse(spent)
 	p.requestPass(reqs, len(taxis), metric, cfg)
-	var rad []float64
-	if len(taxis) > 0 {
-		rad = radii(cfg, len(reqs))
-	}
-	p.fillRows(taxis, rad, cfg.Workers)
+	p.FillTaxis(taxis, cfg.Workers, func(_, dst []float64) []float64 {
+		return appendRadii(dst, cfg, len(reqs))
+	})
 	return p
 }
 
 // Threshold builds the plane of reqs × taxis for a market whose pruning
-// radii depend on the solo trips: Build's request pass, then
-// radii(trips, dst), which appends every request's radius to dst and
-// returns it, then the taxi pass over those radii (see WithTaxis). It
-// builds into spent's storage and returns spent, so the caller must be
-// done with spent and everything read from it; a nil spent allocates a
-// new plane. workers sizes the pool as Config.Workers does.
+// radii depend on the solo trips: Build's request pass, then the taxi
+// pass over radii (FillTaxis). It builds into spent's storage and
+// returns spent, so the caller must be done with spent and everything
+// read from it; a nil spent allocates a new plane. workers sizes the
+// pool as Config.Workers does.
 func Threshold(spent *Plane, reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, workers int, radii func(trips, dst []float64) []float64) *Plane {
-	p := spent
-	if p == nil {
-		p = new(Plane)
-	}
+	p := reuse(spent)
 	p.requestPass(reqs, len(taxis), metric, Config{Workers: workers})
-	p.buf.radii = radii(p.trip, p.buf.radii[:0])
-	p.fillRows(taxis, p.buf.radii, workers)
+	p.FillTaxis(taxis, workers, radii)
 	return p
+}
+
+// reuse returns spent, or a new plane when spent is nil.
+func reuse(spent *Plane) *Plane {
+	if spent == nil {
+		return new(Plane)
+	}
+	return spent
 }
 
 // requestPass resets p to a plane over reqs, keeping its storage, and
@@ -304,7 +318,8 @@ func (p *Plane) requestPass(reqs []fleet.Request, t int, metric geo.Metric, cfg 
 	p.trip = cells[:r:r]
 	prunePair := cfg.Pairs && cfg.PairRadius > 0 && !math.IsInf(cfg.PairRadius, 1)
 	if cfg.Pairs {
-		p.pairs = make([][]float64, m)
+		p.buf.pairs = resize(p.buf.pairs, m)
+		p.pairs = p.buf.pairs
 		for j := range p.pairs {
 			p.pairs[j] = cells[r+j*m : r+(j+1)*m : r+(j+1)*m]
 		}
@@ -314,7 +329,7 @@ func (p *Plane) requestPass(reqs []fleet.Request, t int, metric geo.Metric, cfg 
 	if p.batch != nil {
 		// Each request row is a traversal, not a cell test: size the
 		// pool by the whole plane, and by r columns when the taxi pass
-		// comes later (WithTaxis).
+		// comes later (FillTaxis).
 		work += max(t, r) * r
 	}
 	parallel(poolSize(cfg.Workers, work, r), r, func(_, j int) {
@@ -322,20 +337,19 @@ func (p *Plane) requestPass(reqs []fleet.Request, t int, metric geo.Metric, cfg 
 	})
 }
 
-// WithTaxis returns a plane with p's requests, trips and pair rows and
-// one row per taxi — the taxi pass of Build, over radii the caller
-// chose. Request j's column keeps a taxi whose straight-line distance to
-// its pickup is at most radii[j]; a negative radius leaves the column
-// out of the scan, and +Inf (or NaN) keeps every cell. A consumer may
-// trust the plane only for pairs its own threshold test can accept
-// within those radii. Workers ≤ 0 sizes the pool as Config.Workers
-// does; p itself is not modified.
-func (p *Plane) WithTaxis(taxis []fleet.Taxi, radii []float64, workers int) *Plane {
-	// q shares p's trips and pair rows but none of its storage.
-	q := *p
-	q.buf = storage{}
-	q.fillRows(taxis, radii, workers)
-	return &q
+// FillTaxis is the taxi pass of Build over radii the caller chooses,
+// run in place: it sets p.Taxis to taxis and computes one row per taxi
+// into p's storage, replacing the rows p had. radii(trips, dst) appends
+// every request's radius to dst and returns it. Request j's column
+// keeps a taxi whose straight-line distance to its pickup is at most
+// radii[j]; a negative radius leaves the column out of the scan, and
+// +Inf (or NaN) keeps every cell. A consumer may trust the plane only
+// for pairs its own threshold test can accept within those radii.
+// Workers ≤ 0 sizes the pool as Config.Workers does. The requests,
+// trips and pair rows stay as they were.
+func (p *Plane) FillTaxis(taxis []fleet.Taxi, workers int, radii func(trips, dst []float64) []float64) {
+	p.buf.radii = radii(p.trip, p.buf.radii[:0])
+	p.fillRows(taxis, p.buf.radii, workers)
 }
 
 // fillRows is the taxi pass: it sets p.Taxis and computes every taxi's
@@ -484,18 +498,18 @@ func Radius(limit, c float64) float64 {
 	return limit - c + netSlack*(math.Abs(limit)+math.Abs(c))
 }
 
-// radii returns every request's pruning radius under cfg: PruneRadius
-// when positive, else +Inf, which prunes nothing.
-func radii(cfg Config, n int) []float64 {
+// appendRadii appends the pruning radius of each of n requests under
+// cfg to dst and returns it: PruneRadius when positive, else +Inf, which
+// prunes nothing.
+func appendRadii(dst []float64, cfg Config, n int) []float64 {
 	r := math.Inf(1)
 	if cfg.PruneRadius > 0 {
 		r = cfg.PruneRadius
 	}
-	out := make([]float64, n)
-	for j := range out {
-		out[j] = r
+	for range n {
+		dst = append(dst, r)
 	}
-	return out
+	return dst
 }
 
 // disc is one scanned column's pickup with its taxi→pickup pruning

@@ -120,26 +120,46 @@ func TestPruning(t *testing.T) {
 	}
 }
 
-// TestWithTaxis checks the taxi pass over caller radii: a column with a
+// withTaxis returns a copy of p, in storage of its own, with the taxi
+// rows FillTaxis computes over radii; p is left as it was.
+func withTaxis(p *Plane, taxis []fleet.Taxi, radii []float64, workers int) *Plane {
+	q := *p
+	q.buf = storage{}
+	q.FillTaxis(taxis, workers, func(_, dst []float64) []float64 { return append(dst, radii...) })
+	return &q
+}
+
+// TestFillTaxis checks the taxi pass over caller radii: a column with a
 // negative radius holds no cell, a NaN or +Inf radius keeps every cell,
 // and a finite one keeps exactly the straight-line disc with the
-// metric's value; the request plane is left as it was and shares its
-// trips and pair rows; every worker count agrees; and Build is the
-// request pass followed by this pass over its own radii.
-func TestWithTaxis(t *testing.T) {
+// metric's value; filling in place leaves the request plane's trips and
+// pair rows where they were; refilling the same plane with other taxis
+// and back gives the same rows; every worker count agrees; and Build is
+// the request pass followed by this pass over its own radii.
+func TestFillTaxis(t *testing.T) {
 	reqs, taxis := world(t, 30, 25, 8)
 	cols := make([]float64, len(reqs))
 	for j := range cols {
 		cols[j] = []float64{-1, -0.5, 0, 3, 7.5, math.Inf(1), math.NaN()}[j%7]
 	}
+	colRadii := func(_, dst []float64) []float64 { return append(dst, cols...) }
 	for name, m := range map[string]geo.Metric{"manhattan": geo.ManhattanMetric, "roadnet": roadMetric(t)} {
 		base := Build(reqs, nil, m, Config{Workers: 1, Pairs: true, PairRows: 9})
-		pl := base.WithTaxis(taxis, cols, 1)
-		if len(base.Taxis) != 0 || base.Entries() != 0 {
-			t.Fatalf("%s: WithTaxis modified the request plane", name)
+		trip0, pair := &base.Trips()[0], base.PairDist(3, 5)
+		pl := withTaxis(base, taxis, cols, 1)
+		base.FillTaxis(taxis, 1, colRadii)
+		if &base.Trips()[0] != trip0 || base.PairRows() != 9 || base.PairDist(3, 5) != pair {
+			t.Fatalf("%s: FillTaxis moved the request plane's trips or pair rows", name)
 		}
-		if &pl.Trips()[0] != &base.Trips()[0] || pl.PairRows() != 9 || pl.PairDist(3, 5) != base.PairDist(3, 5) {
-			t.Fatalf("%s: taxi plane does not share the request plane's trips and pair rows", name)
+		base.FillTaxis(taxis[:7], 2, func(_, dst []float64) []float64 { return appendRadii(dst, Config{PruneRadius: 2}, len(reqs)) })
+		if len(base.Taxis) != 7 {
+			t.Fatalf("%s: refilled plane has %d taxis, want 7", name, len(base.Taxis))
+		}
+		base.FillTaxis(taxis, 1, colRadii)
+		for i := range taxis {
+			if !slices.Equal(base.PickupRow(i), pl.PickupRow(i)) {
+				t.Fatalf("%s: row %d differs after refilling in place", name, i)
+			}
 		}
 		for i, taxi := range taxis {
 			for j, rq := range reqs {
@@ -161,7 +181,7 @@ func TestWithTaxis(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{0, 3, 16} {
-			other := base.WithTaxis(taxis, cols, workers)
+			other := withTaxis(base, taxis, cols, workers)
 			for i := range taxis {
 				if !slices.Equal(other.PickupRow(i), pl.PickupRow(i)) {
 					t.Fatalf("%s workers=%d: row %d differs", name, workers, i)
@@ -171,7 +191,7 @@ func TestWithTaxis(t *testing.T) {
 		for _, cfg := range []Config{{}, {PruneRadius: 6}} {
 			cfg.Workers = 2
 			want := Build(reqs, taxis, m, cfg)
-			got := base.WithTaxis(taxis, radii(cfg, len(reqs)), 2)
+			got := withTaxis(base, taxis, appendRadii(nil, cfg, len(reqs)), 2)
 			for i := range taxis {
 				if !slices.Equal(got.PickupRow(i), want.PickupRow(i)) {
 					t.Fatalf("%s cfg=%+v: row %d differs from Build's", name, cfg, i)
@@ -384,7 +404,7 @@ func checkRows(t *testing.T, name string, pl *Plane, want [][]Entry) {
 	}
 }
 
-// gridFrame is one taxi-pass input: a frame and the WithTaxis radii.
+// gridFrame is one taxi-pass input: a frame and the FillTaxis radii.
 type gridFrame struct {
 	name  string
 	reqs  []fleet.Request
@@ -515,7 +535,7 @@ func gridFrames(t *testing.T) []gridFrame {
 
 // TestPickupRowsMatchDiscScan pins the disc grid against the full disc
 // scan it replaced: on every gridFrames frame, under Euclid, Manhattan
-// and a road grid, with one and four workers, every row of WithTaxis
+// and a road grid, with one and four workers, every row of FillTaxis
 // over the frame's radii and of Build under pruned and unpruned
 // configurations equals the scan's, Req and Dist bits alike.
 func TestPickupRowsMatchDiscScan(t *testing.T) {
@@ -530,11 +550,11 @@ func TestPickupRowsMatchDiscScan(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("%s/%s/workers=%d", mc.name, f.name, workers)
 				base := Build(f.reqs, nil, mc.m, Config{Workers: workers})
-				checkRows(t, name+"/WithTaxis", base.WithTaxis(f.taxis, f.radii, workers), scanRows(f.reqs, f.taxis, mc.m, f.radii))
+				checkRows(t, name+"/FillTaxis", withTaxis(base, f.taxis, f.radii, workers), scanRows(f.reqs, f.taxis, mc.m, f.radii))
 				for _, cfg := range configs {
 					cfg.Workers = workers
 					pl := Build(f.reqs, f.taxis, mc.m, cfg)
-					checkRows(t, fmt.Sprintf("%s/Build %+v", name, cfg), pl, scanRows(f.reqs, f.taxis, mc.m, radii(cfg, len(f.reqs))))
+					checkRows(t, fmt.Sprintf("%s/Build %+v", name, cfg), pl, scanRows(f.reqs, f.taxis, mc.m, appendRadii(nil, cfg, len(f.reqs))))
 				}
 			}
 		}
@@ -621,7 +641,7 @@ func FuzzPlaneRowsMatchScan(f *testing.F) {
 			want := scanRows(reqs, taxis, m, radii)
 			base := Build(reqs, nil, m, Config{Workers: 1})
 			for _, workers := range []int{1, 3} {
-				checkRows(t, fmt.Sprintf("workers=%d", workers), base.WithTaxis(taxis, radii, workers), want)
+				checkRows(t, fmt.Sprintf("workers=%d", workers), withTaxis(base, taxis, radii, workers), want)
 			}
 		}
 	})

@@ -21,7 +21,7 @@
 //	              spans: the request plane before packing, the
 //	              unit-start taxi rows after)
 //	pref_build  — market construction from the plane (pref.FromPlane
-//	              or share.BuildMarketPlane)
+//	              or share.Units.Market)
 //	cost_matrix — the baselines' request-major view of the plane
 //	matching    — the stable matching (or baseline assignment) solve
 //	packing     — Algorithm 3's feasible-group + set-packing stage
@@ -107,13 +107,17 @@ func (d *NSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	// built from the matching, so no dispatcher glue runs unstaged.
 	defer f.Ledger.Begin(prof.StageMatching).End()
 	ft := newFrameTracer(f, &inst.Market, nil, taxis)
-	var m stable.Matching
-	if d.taxiOptimal {
-		m = stable.TaxiOptimalObserved(&inst.Market, ft.observer(true))
-	} else {
-		m = stable.PassengerOptimalObserved(&inst.Market, ft.observer(false))
+	return singleRides(stableMatch(&f.Storage().Solver, &inst.Market, ft, d.taxiOptimal), taxis, f.Requests), nil
+}
+
+// stableMatch runs Algorithm 1 on mk in solver's arrays, taxi-optimal when
+// taxiOptimal is set, recording its decisions into ft. The matching is
+// valid until the solver's next run, the next frame's.
+func stableMatch(solver *stable.Solver, mk *pref.Market, ft *frameTracer, taxiOptimal bool) stable.Matching {
+	if taxiOptimal {
+		return solver.TaxiOptimal(mk, ft.observer(true))
 	}
-	return singleRides(m, taxis, f.Requests), nil
+	return solver.PassengerOptimal(mk, ft.observer(false))
 }
 
 // singleRides converts a non-sharing matching into assignments.
@@ -210,18 +214,25 @@ func (b *baseline) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 const DefaultPackBatch = 100
 
 // PackFrame runs Algorithm 3's first stage for a frame, for STD and the
-// ILP baseline alike. It builds the frame's request plane — solo trips
-// plus the pickup→pickup rows of the oldest DefaultPackBatch pending
-// requests, and no taxi rows — packs that batch on it, and appends the
-// overflow as single-rider units, so a long queue is still dispatched
-// while the packing stage stays frame-rate. STD adds the taxi rows its
-// unit market can accept afterwards (unitPlane); ILP reads no plane
-// cell. It times the cost_plane and packing stages and records packing
-// decisions into the frame's tracer.
+// ILP baseline alike, in the frame's Storage (packFrame). ILP reads no
+// cell of the returned plane.
 func PackFrame(f *sim.Frame, cfg share.PackConfig) (*costplane.Plane, []share.Unit, error) {
+	return packFrame(f, f.Storage(), cfg)
+}
+
+// packFrame builds the frame's request plane into st.Plane — solo
+// trips plus the pickup→pickup rows of the oldest DefaultPackBatch
+// pending requests, and no taxi rows — packs that batch on it, and
+// fills st.Units with the packed units followed by the overflow as
+// single-rider units, so a long queue is still dispatched while the
+// packing stage stays frame-rate. Both build into the last frame's
+// storage. STD adds the taxi rows its unit market can accept afterwards
+// (unitPlane). It times the cost_plane and packing stages and records
+// packing decisions into the frame's tracer.
+func packFrame(f *sim.Frame, st *sim.Storage, cfg share.PackConfig) (*costplane.Plane, []share.Unit, error) {
 	n := min(len(f.Requests), DefaultPackBatch)
 	sp := f.Ledger.Begin(prof.StageCostPlane)
-	pl := costplane.Build(f.Requests, nil, f.Metric, costplane.Config{
+	st.Plane = costplane.Rebuild(st.Plane, f.Requests, nil, f.Metric, costplane.Config{
 		Workers: f.Workers,
 		// Group formation reads pickup pairs within the batch only, so
 		// the pair matrix is n×n however long the queue is; a singleton
@@ -234,28 +245,28 @@ func PackFrame(f *sim.Frame, cfg share.PackConfig) (*costplane.Plane, []share.Un
 	sp.End()
 	defer f.Ledger.Begin(prof.StagePacking).End()
 	cfg.Tracer = f.Tracer
-	res, err := share.PackPlane(n, pl, cfg)
+	res, err := share.PackPlane(n, st.Plane, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	units := res.UnitsPlane(pl)
-	for idx := n; idx < len(f.Requests); idx++ {
-		units = append(units, share.SingleUnitPlane(idx, pl))
-	}
-	return pl, units, nil
+	return st.Plane, st.Units.Fill(res, st.Plane, n), nil
 }
 
-// unitPlane adds to the request plane the taxi rows the §V-A unit
-// market can read: only the columns of unit-start requests, each pruned
-// at its unit's radius (share.UnitRadii). It times a second cost_plane
-// span.
-func unitPlane(f *sim.Frame, taxis []fleet.Taxi, pl *costplane.Plane, units []share.Unit) (*costplane.Plane, error) {
+// unitPlane computes the unit constants (share.Units.Prepare), which
+// the unit market reads too, and fills into the request plane the taxi
+// rows that market can read: only the columns of unit-start requests,
+// each pruned at its unit's radius (share.Units.AppendRadii). STD reads
+// nothing of the taxi-less request plane after packing, so the rows go
+// into that plane in place. It times a second cost_plane span.
+func unitPlane(f *sim.Frame, taxis []fleet.Taxi, st *sim.Storage) error {
 	defer f.Ledger.Begin(prof.StageCostPlane).End()
-	radii, err := share.UnitRadii(units, pl, f.Params)
-	if err != nil {
-		return nil, err
+	if err := st.Units.Prepare(st.Plane, f.Params); err != nil {
+		return err
 	}
-	return pl.WithTaxis(taxis, radii, f.Workers), nil
+	st.Plane.FillTaxis(taxis, f.Workers, func(_, dst []float64) []float64 {
+		return st.Units.AppendRadii(dst)
+	})
+	return nil
 }
 
 // STD is Algorithm 3: pack compatible requests into share groups by
@@ -288,27 +299,20 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if len(taxis) == 0 || len(f.Requests) == 0 {
 		return nil, nil
 	}
-	pl, units, err := PackFrame(f, d.packCfg)
+	st := f.Storage()
+	_, units, err := packFrame(f, st, d.packCfg)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
 	}
-	if pl, err = unitPlane(f, taxis, pl, units); err != nil {
+	if err = unitPlane(f, taxis, st); err != nil {
 		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
 	}
 	sp := f.Ledger.Begin(prof.StagePrefBuild)
-	mk, err := share.BuildMarketPlane(units, taxis, pl, f.Params)
+	st.Market = st.Units.Market(st.Market, taxis, st.Plane)
 	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
-	}
 	defer f.Ledger.Begin(prof.StageMatching).End()
-	ft := newFrameTracer(f, mk, units, taxis)
-	var m stable.Matching
-	if d.taxiOptimal {
-		m = stable.TaxiOptimalObserved(mk, ft.observer(true))
-	} else {
-		m = stable.PassengerOptimalObserved(mk, ft.observer(false))
-	}
+	ft := newFrameTracer(f, st.Market, units, taxis)
+	m := stableMatch(&st.Solver, st.Market, ft, d.taxiOptimal)
 	var out []fleet.Assignment
 	for k, i := range m.ReqPartner {
 		if i != stable.Unmatched {

@@ -176,17 +176,24 @@ func NewMarket(nReq, nTaxi int, pairs []Pair) *Market {
 	return &m
 }
 
-// BuildMarket assembles a market in one pass over the taxis. For taxi
-// i, accept appends to dst the entries of i's mutually acceptable
-// requests, each carrying both sides' costs, and returns dst. Only the
-// accepted pairs are ever stored. bound is an upper bound on the entries
-// accept appends over all taxis: the taxi-side slab is allocated once at
-// that capacity (a larger total still builds, by regrowing it).
-func BuildMarket(nReq, nTaxi, bound int, accept func(i int, dst []Entry) []Entry) Market {
-	return buildMarket(Market{}, nReq, nTaxi, bound, accept)
+// RebuildMarket assembles a market in one pass over the taxis, into
+// spent's storage. For taxi i, accept appends to dst the entries of i's
+// mutually acceptable requests, each carrying both sides' costs, and
+// returns dst. Only the accepted pairs are ever stored. bound is an
+// upper bound on the entries accept appends over all taxis: the
+// taxi-side slab is allocated once at that capacity unless spent's
+// holds it (a larger total still builds, by regrowing it). It returns
+// spent, so the caller must be done with spent and every row read from
+// it; a nil spent allocates a new market.
+func RebuildMarket(spent *Market, nReq, nTaxi, bound int, accept func(i int, dst []Entry) []Entry) *Market {
+	if spent == nil {
+		spent = new(Market)
+	}
+	*spent = buildMarket(*spent, nReq, nTaxi, bound, accept)
+	return spent
 }
 
-// buildMarket is BuildMarket into spent's storage; a zero spent
+// buildMarket is RebuildMarket on a market value; a zero spent
 // allocates.
 func buildMarket(spent Market, nReq, nTaxi, bound int, accept func(i int, dst []Entry) []Entry) Market {
 	taxiStart := slices.Grow(spent.taxiStart[:0], nTaxi+1)[:nTaxi+1]

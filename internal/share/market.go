@@ -3,6 +3,7 @@ package share
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/fleet"
@@ -24,17 +25,24 @@ type Unit struct {
 // SingleUnitPlane builds the trivial unit for the plane's request idx
 // riding alone.
 func SingleUnitPlane(idx int, pl *costplane.Plane) Unit {
+	return singleUnit(idx, pl, make([]int, 1), make([]fleet.Stop, 2), make([]float64, 2))
+}
+
+// singleUnit is SingleUnitPlane in the storage given: one member, two
+// stops and two legs, the pickup offset and the on-board distance.
+func singleUnit(idx int, pl *costplane.Plane, members []int, stops []fleet.Stop, legs []float64) Unit {
 	r, trip := pl.Requests[idx], pl.Trip(idx)
+	members[0] = idx
+	stops[0] = fleet.Stop{RequestID: r.ID, Kind: fleet.StopPickup, Pos: r.Pickup, Seats: r.SeatCount()}
+	stops[1] = fleet.Stop{RequestID: r.ID, Kind: fleet.StopDropoff, Pos: r.Dropoff, Seats: r.SeatCount()}
+	legs[0], legs[1] = 0, trip
 	return Unit{
-		Members: []int{idx},
+		Members: members,
 		Plan: RoutePlan{
-			Stops: []fleet.Stop{
-				{RequestID: r.ID, Kind: fleet.StopPickup, Pos: r.Pickup, Seats: r.SeatCount()},
-				{RequestID: r.ID, Kind: fleet.StopDropoff, Pos: r.Dropoff, Seats: r.SeatCount()},
-			},
+			Stops:        stops,
 			Length:       trip,
-			PickupOffset: []float64{0},
-			OnBoard:      []float64{trip},
+			PickupOffset: legs[:1:1],
+			OnBoard:      legs[1:2:2],
 			MaxLoad:      r.SeatCount(),
 		},
 	}
@@ -45,20 +53,66 @@ func SingleUnitPlane(idx int, pl *costplane.Plane) Unit {
 // deterministic; the singles' trips come from the plane the result was
 // packed on.
 func (r PackResult) UnitsPlane(pl *costplane.Plane) []Unit {
-	units := make([]Unit, 0, len(r.Groups)+len(r.Singles))
+	var u Units
+	return u.Fill(r, pl, len(pl.Requests))
+}
+
+// Units is Algorithm 3's second-stage input over one plane: the
+// dispatch units, the request that starts each, and the §V-A unit
+// constants, computed once by Prepare and read by both the unit radii
+// (AppendRadii) and the unit market (Market). A Units keeps the memory
+// it was built in, so a frame builds its units into the last frame's:
+// Fill carves every single rider from slabs it reuses.
+type Units struct {
+	// List holds the units in market order.
+	List []Unit
+
+	unitOf []int // [request] the unit starting at its pickup, or −1
+	costs  unitCosts
+
+	// The single riders' storage: one member, two stops and two legs
+	// each.
+	members []int
+	stops   []fleet.Stop
+	legs    []float64
+}
+
+// grow returns s with length n, reusing its array when it is large
+// enough. The elements are not cleared.
+func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// Fill sets u.List to the packing result's units (UnitsPlane) followed
+// by each of the plane's requests from index n on riding alone, and
+// returns it. It builds into u's storage, so the caller must be done
+// with the units u held; a unit's Assignment copies what it keeps.
+func (u *Units) Fill(r PackResult, pl *costplane.Plane, n int) []Unit {
+	singles := len(r.Singles) + len(pl.Requests) - n
+	u.members, u.stops, u.legs = grow(u.members, singles), grow(u.stops, 2*singles), grow(u.legs, 2*singles)
+	s := 0
+	single := func(idx int) Unit {
+		unit := singleUnit(idx, pl, u.members[s:s+1:s+1], u.stops[2*s:2*s+2:2*s+2], u.legs[2*s:2*s+2:2*s+2])
+		s++
+		return unit
+	}
+	units := u.List[:0]
 	for _, g := range r.Groups {
 		units = append(units, Unit{Members: g.Members, Plan: g.Plan})
 	}
 	for _, idx := range r.Singles {
-		units = append(units, SingleUnitPlane(idx, pl))
+		units = append(units, single(idx))
 	}
 	// Insertion sort by first member keeps the common case (already
-	// mostly ordered) cheap and avoids an import for one call.
+	// mostly ordered) cheap. The requests past n come after every
+	// packed one, in order.
 	for i := 1; i < len(units); i++ {
 		for j := i; j > 0 && units[j].Members[0] < units[j-1].Members[0]; j-- {
 			units[j], units[j-1] = units[j-1], units[j]
 		}
 	}
+	for idx := n; idx < len(pl.Requests); idx++ {
+		units = append(units, single(idx))
+	}
+	u.List = units
 	return units
 }
 
@@ -114,39 +168,76 @@ func (u Unit) taxiCost(trips []float64, alpha float64) float64 {
 }
 
 // BuildMarketPlane computes the second-stage matching market between
-// units and taxis under the §V-A interest model. Acceptability mirrors
-// the non-sharing dummies: a unit accepts taxis whose preference value
-// stays within params.MaxPickup, a taxi accepts units within
-// params.MaxNet, and both sides reject pairs the taxi lacks seats for.
+// units and taxis under the §V-A interest model: Prepare, then Market.
+func BuildMarketPlane(units []Unit, taxis []fleet.Taxi, pl *costplane.Plane, params pref.Params) (*pref.Market, error) {
+	u := Units{List: units}
+	if err := u.Prepare(pl, params); err != nil {
+		return nil, err
+	}
+	return u.Market(nil, taxis, pl), nil
+}
+
+// Prepare computes, for u.List over the plane's requests and solo
+// trips, the request each unit starts at and the unit constants under
+// params, into u's storage. A unit must start at one of its members,
+// and no two units at the same request. pl needs its requests and trips
+// only.
+func (u *Units) Prepare(pl *costplane.Plane, params pref.Params) error {
+	u.unitOf = grow(u.unitOf, len(pl.Requests))
+	for j := range u.unitOf {
+		u.unitOf[j] = -1
+	}
+	for k, unit := range u.List {
+		if len(unit.Members) == 0 || len(unit.Plan.Stops) == 0 {
+			return fmt.Errorf("share: unit with no members or empty plan")
+		}
+		start := -1
+		startID := unit.Plan.Stops[0].RequestID
+		for _, idx := range unit.Members {
+			if pl.Requests[idx].ID == startID {
+				start = idx
+				break
+			}
+		}
+		if start < 0 {
+			return fmt.Errorf("share: unit %d starts at request %d, not a member", k, startID)
+		}
+		if u.unitOf[start] >= 0 {
+			return fmt.Errorf("share: units %d and %d both start at request %d", u.unitOf[start], k, startID)
+		}
+		u.unitOf[start] = k
+	}
+	return u.costs.fill(u.List, params, pl.Trips())
+}
+
+// Market builds the unit market between u.List and taxis into spent's
+// storage and returns it; a nil spent allocates. u must be prepared on
+// pl's requests. Acceptability mirrors the non-sharing dummies: a unit
+// accepts taxis whose preference value stays within params.MaxPickup, a
+// taxi accepts units within params.MaxNet, and both sides reject pairs
+// the taxi lacks seats for.
 //
 // Every distance comes from the plane: the lead-in is the plane's
 // taxi→pickup cell of the unit's first stop (always a member's pickup),
 // and the unit constants use the plane's solo trips. Each taxi's stored
 // cells are walked through a start-request→unit index, so only the
 // cells the plane kept are visited. A plane whose taxi rows follow
-// UnitRadii yields the same market as one pruned at params.MaxPickup,
+// AppendRadii yields the same market as one pruned at params.MaxPickup,
 // and that one the same as an unpruned plane, since the triangle
 // inequality makes the passenger constants non-negative: a pruned lead
 // reads +Inf, and its true distance also fails the unit's test. Only a
 // market with both thresholds +Inf accepts a +Inf lead; it visits every
 // cell.
-func BuildMarketPlane(units []Unit, taxis []fleet.Taxi, pl *costplane.Plane, params pref.Params) (*pref.Market, error) {
-	unitOf, err := unitStarts(units, pl.Requests)
-	if err != nil {
-		return nil, err
-	}
-	c, err := newUnitCosts(units, params, pl.Trips())
-	if err != nil {
-		return nil, err
-	}
-	everyCell := math.IsInf(params.MaxPickup, 1) && math.IsInf(params.MaxNet, 1)
+func (u *Units) Market(spent *pref.Market, taxis []fleet.Taxi, pl *costplane.Plane) *pref.Market {
+	c := &u.costs
+	everyCell := math.IsInf(c.params.MaxPickup, 1) && math.IsInf(c.params.MaxNet, 1)
 	var full []costplane.Entry
 	// A cell yields at most one entry, for the unit its request starts.
 	bound := pl.Entries()
 	if everyCell {
-		bound = len(units) * len(taxis)
+		bound = len(u.List) * len(taxis)
 	}
-	market := pref.BuildMarket(len(units), len(taxis), bound, func(i int, dst []pref.Entry) []pref.Entry {
+	return pref.RebuildMarket(spent, len(u.List), len(taxis), bound, func(i int, dst []pref.Entry) []pref.Entry {
 		seats := taxis[i].Capacity()
 		row := pl.PickupRow(i)
 		if everyCell {
@@ -154,73 +245,34 @@ func BuildMarketPlane(units []Unit, taxis []fleet.Taxi, pl *costplane.Plane, par
 			row = full
 		}
 		for _, e := range row {
-			if k := unitOf[e.Req]; k >= 0 {
+			if k := u.unitOf[e.Req]; k >= 0 {
 				dst = c.appendAcceptable(dst, k, e.Dist, seats)
 			}
 		}
 		return dst
 	})
-	return &market, nil
 }
 
-// UnitRadii returns the per-request taxi radii of the unit market, for
-// costplane.Plane.WithTaxis: the column of the request that starts unit
-// k is pruned at the largest lead-in both of k's tests can accept,
-// min(MaxPickup − passengerConst, MaxNet − taxiConst), each widened by
-// costplane.Radius, and every other column is left out (−1), because
-// BuildMarketPlane reads a taxi's lead-in to the unit's first pickup
-// only. The radius is never wider than a positive MaxPickup, the prune
-// of the passenger-side plane, so the kept cells are a subset of that
-// plane's and the market is the same. A NaN or infinite unit constant
-// never prunes its side. pl needs its requests and trips only.
-func UnitRadii(units []Unit, pl *costplane.Plane, params pref.Params) ([]float64, error) {
-	unitOf, err := unitStarts(units, pl.Requests)
-	if err != nil {
-		return nil, err
-	}
-	c, err := newUnitCosts(units, params, pl.Trips())
-	if err != nil {
-		return nil, err
-	}
-	radii := make([]float64, len(unitOf))
-	for j, k := range unitOf {
-		radii[j] = -1
+// AppendRadii appends the unit market's taxi radius of every plane
+// request to dst and returns it, for costplane.Plane.FillTaxis: the
+// column of the request that starts unit k is pruned at the largest
+// lead-in both of k's tests can accept, min(MaxPickup − passengerConst,
+// MaxNet − taxiConst), each widened by costplane.Radius, and every
+// other column is left out (−1), because Market reads a taxi's lead-in
+// to the unit's first pickup only. The radius is never wider than a
+// positive MaxPickup, the prune of the passenger-side plane, so the
+// kept cells are a subset of that plane's and the market is the same. A
+// NaN or infinite unit constant never prunes its side. u must be
+// prepared.
+func (u *Units) AppendRadii(dst []float64) []float64 {
+	for _, k := range u.unitOf {
+		r := -1.0
 		if k >= 0 {
-			radii[j] = c.radius(k)
+			r = u.costs.radius(k)
 		}
+		dst = append(dst, r)
 	}
-	return radii, nil
-}
-
-// unitStarts returns, for each of reqs, the index of the unit whose
-// route starts at its pickup, or −1. A unit must start at one of its
-// members, and no two units at the same request.
-func unitStarts(units []Unit, reqs []fleet.Request) ([]int, error) {
-	unitOf := make([]int, len(reqs))
-	for j := range unitOf {
-		unitOf[j] = -1
-	}
-	for k, u := range units {
-		if len(u.Members) == 0 || len(u.Plan.Stops) == 0 {
-			return nil, fmt.Errorf("share: unit with no members or empty plan")
-		}
-		start := -1
-		startID := u.Plan.Stops[0].RequestID
-		for _, idx := range u.Members {
-			if reqs[idx].ID == startID {
-				start = idx
-				break
-			}
-		}
-		if start < 0 {
-			return nil, fmt.Errorf("share: unit %d starts at request %d, not a member", k, startID)
-		}
-		if unitOf[start] >= 0 {
-			return nil, fmt.Errorf("share: units %d and %d both start at request %d", unitOf[start], k, startID)
-		}
-		unitOf[start] = k
-	}
-	return unitOf, nil
+	return dst
 }
 
 // unitCosts is the market's hot core. Both interest formulas decompose
@@ -234,24 +286,24 @@ type unitCosts struct {
 	maxLoad                   []int
 }
 
-// newUnitCosts computes the unit constants; trips holds the members'
-// solo trip distances.
-func newUnitCosts(units []Unit, params pref.Params, trips []float64) (*unitCosts, error) {
+// fill computes the unit constants into c's storage; trips holds the
+// members' solo trip distances.
+func (c *unitCosts) fill(units []Unit, params pref.Params, trips []float64) error {
 	if err := params.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	nu := len(units)
-	consts := make([]float64, 2*nu)
-	c := &unitCosts{params: params, passengerConst: consts[:nu:nu], taxiConst: consts[nu:], maxLoad: make([]int, nu)}
+	c.params = params
+	c.passengerConst, c.taxiConst, c.maxLoad = grow(c.passengerConst, nu), grow(c.taxiConst, nu), grow(c.maxLoad, nu)
 	for k, u := range units {
 		c.passengerConst[k] = u.passengerCost(trips, params.Beta)
 		c.taxiConst[k] = u.taxiCost(trips, params.Alpha)
 		c.maxLoad[k] = u.Plan.MaxLoad
 	}
-	return c, nil
+	return nil
 }
 
-// radius returns unit k's lead-in radius (see UnitRadii). The
+// radius returns unit k's lead-in radius (see AppendRadii). The
 // comparisons skip a NaN side, so it never tightens.
 func (c *unitCosts) radius(k int) float64 {
 	r := math.Inf(1)

@@ -415,9 +415,27 @@ func BenchmarkFeasibleGroupsPlane(b *testing.B) {
 	}
 }
 
+// preparedUnits returns units prepared on base under params, as STD
+// prepares its frame's units.
+func preparedUnits(t testing.TB, units []Unit, base *costplane.Plane, params pref.Params) *Units {
+	t.Helper()
+	us := &Units{List: units}
+	if err := us.Prepare(base, params); err != nil {
+		t.Fatal(err)
+	}
+	return us
+}
+
+// fillUnitRows fills into base, in place, the taxi rows of the unit
+// market of us, at the unit radii, and returns base.
+func fillUnitRows(base *costplane.Plane, us *Units, taxis []fleet.Taxi, workers int) *costplane.Plane {
+	base.FillTaxis(taxis, workers, func(_, dst []float64) []float64 { return us.AppendRadii(dst) })
+	return base
+}
+
 // TestUnitPlaneMarketMatchesPickupPlane pins the dispatcher's pruning
 // of its taxi rows: the market built on a plane whose rows cover only
-// unit-start columns, each at its UnitRadii radius, deep-equals the
+// unit-start columns, each at its Units.AppendRadii radius, deep-equals the
 // market on a plane pruned at MaxPickup alone, and so do the
 // passenger- and taxi-optimal matchings STD-P and STD-T take from it.
 // Frames run under Euclid, Manhattan and a road grid whose island node
@@ -452,14 +470,8 @@ func TestUnitPlaneMarketMatchesPickupPlane(t *testing.T) {
 			}
 			base, units := randomGroupUnits(t, reqs, mc.m, cfg, rng.Intn)
 			for _, params := range []pref.Params{pref.DefaultParams(), alpha0, pref.Unbounded(), randomParams(rng.Intn)} {
-				radii, err := UnitRadii(units, base, params)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := newUnitCosts(units, params, base.Trips())
-				if err != nil {
-					t.Fatal(err)
-				}
+				us := preparedUnits(t, units, base, params)
+				c := &us.costs
 				taxis := make([]fleet.Taxi, 3+rng.Intn(10))
 				for i := range taxis {
 					taxis[i] = fleet.Taxi{ID: 200 + i, Pos: pt(), Seats: 2 + rng.Intn(3)}
@@ -485,7 +497,7 @@ func TestUnitPlaneMarketMatchesPickupPlane(t *testing.T) {
 						}
 					}
 				}
-				unitPl := base.WithTaxis(taxis, radii, 1+rng.Intn(3))
+				unitPl := fillUnitRows(base, us, taxis, 1+rng.Intn(3))
 				pickupPl := costplane.Build(reqs, taxis, mc.m, costplane.Config{
 					Workers: 1, PruneRadius: params.MaxPickup, Pairs: true, PairRows: base.PairRows(), PairRadius: cfg.PairRadius,
 				})
@@ -532,11 +544,8 @@ func TestUnitRadiiNeverExceedMaxPickup(t *testing.T) {
 	u := SingleUnitPlane(0, base)
 	u.Plan.OnBoard[0] -= 0.5
 	units := []Unit{u}
-	radii, err := UnitRadii(units, base, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if radii[0] != params.MaxPickup {
+	us := preparedUnits(t, units, base, params)
+	if radii := us.AppendRadii(nil); radii[0] != params.MaxPickup {
 		t.Fatalf("radius %v, want the MaxPickup cap %v", radii[0], params.MaxPickup)
 	}
 	pickupPl := costplane.Build(reqs, taxis, geo.EuclidMetric, costplane.Config{Workers: 1, PruneRadius: params.MaxPickup})
@@ -544,7 +553,7 @@ func TestUnitRadiiNeverExceedMaxPickup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BuildMarketPlane(units, taxis, base.WithTaxis(taxis, radii, 1), params)
+	got, err := BuildMarketPlane(units, taxis, fillUnitRows(base, us, taxis, 1), params)
 	if err != nil {
 		t.Fatal(err)
 	}

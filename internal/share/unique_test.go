@@ -76,11 +76,7 @@ func uniqueMarket(t testing.TB, reqs []fleet.Request, taxis []fleet.Taxi, m geo.
 		return &inst.Market
 	}
 	base, us := randomGroupUnits(t, reqs, m, PackConfig{Theta: 4, MaxGroupSize: 3, PairRadius: 4}, intn)
-	radii, err := UnitRadii(us, base, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk, err := BuildMarketPlane(us, taxis, base.WithTaxis(taxis, radii, 1), params)
+	mk, err := BuildMarketPlane(us, taxis, fillUnitRows(base, preparedUnits(t, us, base, params), taxis, 1), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
 )
 
@@ -130,121 +132,176 @@ type frameSnapshot struct {
 }
 
 // snapshotFrame reads f's requests, views, idle fleet, plane and market
-// as a dispatcher does, copying each.
-func snapshotFrame(f *sim.Frame) (frameSnapshot, error) {
+// as a dispatcher does, copying each, and counts the market's pairs.
+func snapshotFrame(f *sim.Frame) (any, int, error) {
 	idle := f.IdleFleet()
 	pl := f.PrefPlane(idle)
 	inst, err := f.Instance(idle)
 	if err != nil {
-		return frameSnapshot{}, err
+		return nil, 0, err
 	}
 	s := frameSnapshot{
 		requests: slices.Clone(f.Requests),
 		taxis:    slices.Clone(f.Taxis),
 		idle:     slices.Clone(idle),
 		trips:    slices.Clone(pl.Trips()),
+		rows:     pickupRows(pl),
 	}
-	for i := range pl.Taxis {
-		s.rows = append(s.rows, slices.Clone(pl.PickupRow(i)))
+	s.reqRows, s.taxiRows = marketRows(&inst.Market)
+	pairs := 0
+	for _, row := range s.reqRows {
+		pairs += len(row)
 	}
-	for j := 0; j < inst.NumRequests(); j++ {
-		s.reqRows = append(s.reqRows, slices.Clone(inst.ReqEntries(j)))
-	}
-	for i := 0; i < inst.NumTaxis(); i++ {
-		s.taxiRows = append(s.taxiRows, slices.Clone(inst.TaxiEntries(i)))
-	}
-	return s, nil
+	return s, pairs, nil
 }
 
-// equal compares two snapshots; the views' routes by their stops.
-func (s frameSnapshot) equal(o frameSnapshot) bool {
-	sameView := func(a, b sim.TaxiView) bool {
-		return a.ID == b.ID && a.Pos == b.Pos && a.Seats == b.Seats && a.Idle == b.Idle &&
-			a.Load == b.Load && a.Offline == b.Offline && slices.Equal(a.Route, b.Route)
+// storageSnapshot is a deep copy of what an STD-P dispatch builds in
+// its frame's Storage: the plane's trips, pair rows and unit taxi rows,
+// the units' members and routes, and the unit market's rows.
+type storageSnapshot struct {
+	trips    []float64
+	pairs    [][]float64
+	rows     [][]costplane.Entry
+	members  [][]int
+	stops    [][]fleet.Stop
+	reqRows  [][]pref.Entry
+	taxiRows [][]pref.Entry
+}
+
+// snapshotStorage copies what STD-P built in f's Storage, and counts
+// its units; a frame whose dispatch built no market (no idle taxi)
+// yields nil.
+func snapshotStorage(f *sim.Frame) (any, int, error) {
+	st := sim.StorageOf(f)
+	if st == nil || st.Market == nil {
+		return nil, 0, nil
 	}
-	return slices.Equal(s.requests, o.requests) && slices.EqualFunc(s.taxis, o.taxis, sameView) &&
-		slices.Equal(s.idle, o.idle) && slices.Equal(s.trips, o.trips) &&
-		slices.EqualFunc(s.rows, o.rows, slices.Equal) &&
-		slices.EqualFunc(s.reqRows, o.reqRows, slices.Equal) &&
-		slices.EqualFunc(s.taxiRows, o.taxiRows, slices.Equal)
+	pl := st.Plane
+	s := storageSnapshot{trips: slices.Clone(pl.Trips()), rows: pickupRows(pl)}
+	for j := 0; j < pl.PairRows(); j++ {
+		row := make([]float64, pl.PairRows())
+		for k := range row {
+			row[k] = pl.PairDist(j, k)
+		}
+		s.pairs = append(s.pairs, row)
+	}
+	for _, u := range st.Units.List {
+		s.members = append(s.members, slices.Clone(u.Members))
+		s.stops = append(s.stops, slices.Clone(u.Plan.Stops))
+	}
+	s.reqRows, s.taxiRows = marketRows(st.Market)
+	return s, len(s.members), nil
 }
 
-// lingeringNSTD is an NSTD-P primary that outlives its frame: after it
-// dispatches, it snapshots everything it read from the frame and keeps
-// re-reading it for a while, counting the reads that no longer match.
-// Each call marks wg done.
-type lingeringNSTD struct {
-	inner          sim.Dispatcher
-	wg             *sync.WaitGroup
-	changed, pairs atomic.Int64
+// pickupRows copies every taxi row of pl.
+func pickupRows(pl *costplane.Plane) [][]costplane.Entry {
+	rows := make([][]costplane.Entry, len(pl.Taxis))
+	for i := range rows {
+		rows[i] = slices.Clone(pl.PickupRow(i))
+	}
+	return rows
 }
 
-func (d *lingeringNSTD) Name() string { return "lingering-NSTD-P" }
+// marketRows copies every request and taxi row of mk.
+func marketRows(mk *pref.Market) (reqRows, taxiRows [][]pref.Entry) {
+	for j := 0; j < mk.NumRequests(); j++ {
+		reqRows = append(reqRows, slices.Clone(mk.ReqEntries(j)))
+	}
+	for i := 0; i < mk.NumTaxis(); i++ {
+		taxiRows = append(taxiRows, slices.Clone(mk.TaxiEntries(i)))
+	}
+	return reqRows, taxiRows
+}
 
-func (d *lingeringNSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
+// lingering is a primary that outlives its frame: after it dispatches,
+// it snapshots what it read or built in the frame, and keeps re-reading
+// it for a while, counting the reads that no longer match. snapshot
+// also returns how many pairs or units it holds, which seen sums. Each
+// call marks wg done.
+type lingering struct {
+	inner         sim.Dispatcher
+	snapshot      func(f *sim.Frame) (any, int, error)
+	wg            *sync.WaitGroup
+	changed, seen atomic.Int64
+}
+
+func (d *lingering) Name() string { return "lingering-" + d.inner.Name() }
+
+func (d *lingering) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	defer d.wg.Done()
 	out, err := d.inner.Dispatch(f)
 	if err != nil {
 		return out, err
 	}
-	snap, err := snapshotFrame(f)
+	snap, n, err := d.snapshot(f)
 	if err != nil {
 		return out, err
 	}
-	for _, row := range snap.reqRows {
-		d.pairs.Add(int64(len(row)))
-	}
+	d.seen.Add(int64(n))
 	for round := 0; round < 30; round++ {
 		time.Sleep(20 * time.Microsecond)
-		again, err := snapshotFrame(f)
-		if err != nil || !again.equal(snap) {
+		again, _, err := d.snapshot(f)
+		if err != nil || !reflect.DeepEqual(again, snap) {
 			d.changed.Add(1)
 		}
 	}
 	return out, err
 }
 
-// TestAbandonedPrimaryReadsItsFrame runs a Resilient whose NSTD-P
-// primary is abandoned at a 1 ns deadline, so the primary keeps reading
-// its frame's requests, views, §IV-A plane and market while the
-// simulator dispatches the next frames. Each frame is built into the
-// last frame's storage unless the last frame was abandoned; this proves
-// an abandoned frame is never reused: the primary sees no change, and
-// under -race no write races its reads.
+// TestAbandonedPrimaryReadsItsFrame runs a Resilient whose primary is
+// abandoned at a 1 ns deadline, so the primary keeps reading its frame
+// while the simulator dispatches the next frames: an NSTD-P primary
+// its frame's requests, views, §IV-A plane and market, an STD-P primary
+// the request and unit plane, units and unit market it built in the
+// frame's Storage. Each frame is built into the last frame's storage
+// unless the last frame was abandoned; this proves an abandoned frame
+// is never reused: the primary sees no change, and under -race no write
+// races its reads.
 func TestAbandonedPrimaryReadsItsFrame(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pt := func() geo.Point { return geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10} }
-	var reqs []fleet.Request
-	for i := 0; i < 300; i++ {
-		reqs = append(reqs, fleet.Request{ID: i, Pickup: pt(), Dropoff: pt(), Frame: rng.Intn(60), Seats: 1 + rng.Intn(2)})
-	}
-	var taxis []fleet.Taxi
-	for i := 0; i < 20; i++ {
-		taxis = append(taxis, fleet.Taxi{ID: i, Pos: pt()})
-	}
-	var wg sync.WaitGroup
-	primary := &lingeringNSTD{inner: dispatch.NewNSTDP(), wg: &wg}
-	s, err := sim.New(sim.Config{
-		Params:         pref.DefaultParams(),
-		Dispatcher:     tracked{Dispatcher: dispatch.NewResilient(primary, nil, time.Nanosecond), wg: &wg},
-		SpeedKmH:       60,
-		PatienceFrames: 20,
-	}, taxis, reqs)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	rep, err := s.Run()
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if rep.ServedCount() == 0 || primary.pairs.Load() == 0 {
-		t.Fatal("nothing served or no acceptable pair: the soak is vacuous")
-	}
-	if s.Stats().Degraded["deadline"] == 0 {
-		t.Fatal("no frame missed the deadline: the primary was never abandoned")
-	}
-	if n := primary.changed.Load(); n > 0 {
-		t.Errorf("%d reads saw the frame change after the primary was abandoned", n)
+	for _, c := range []struct {
+		name     string
+		inner    sim.Dispatcher
+		snapshot func(f *sim.Frame) (any, int, error)
+	}{
+		{"NSTD-P", dispatch.NewNSTDP(), snapshotFrame},
+		{"STD-P", dispatch.NewSTDP(share.DefaultPackConfig()), snapshotStorage},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			pt := func() geo.Point { return geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10} }
+			var reqs []fleet.Request
+			for i := 0; i < 300; i++ {
+				reqs = append(reqs, fleet.Request{ID: i, Pickup: pt(), Dropoff: pt(), Frame: rng.Intn(60), Seats: 1 + rng.Intn(2)})
+			}
+			var taxis []fleet.Taxi
+			for i := 0; i < 20; i++ {
+				taxis = append(taxis, fleet.Taxi{ID: i, Pos: pt()})
+			}
+			var wg sync.WaitGroup
+			primary := &lingering{inner: c.inner, snapshot: c.snapshot, wg: &wg}
+			s, err := sim.New(sim.Config{
+				Params:         pref.DefaultParams(),
+				Dispatcher:     tracked{Dispatcher: dispatch.NewResilient(primary, nil, time.Nanosecond), wg: &wg},
+				SpeedKmH:       60,
+				PatienceFrames: 20,
+			}, taxis, reqs)
+			if err != nil {
+				t.Fatalf("sim.New: %v", err)
+			}
+			rep, err := s.Run()
+			wg.Wait()
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if rep.ServedCount() == 0 || primary.seen.Load() == 0 {
+				t.Fatal("nothing served or nothing read: the soak is vacuous")
+			}
+			if s.Stats().Degraded["deadline"] == 0 {
+				t.Fatal("no frame missed the deadline: the primary was never abandoned")
+			}
+			if n := primary.changed.Load(); n > 0 {
+				t.Errorf("%d reads saw the frame change after the primary was abandoned", n)
+			}
+		})
 	}
 }

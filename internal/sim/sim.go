@@ -26,7 +26,9 @@ import (
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
 	"stabledispatch/internal/prof"
+	"stabledispatch/internal/share"
 	"stabledispatch/internal/slo"
+	"stabledispatch/internal/stable"
 	"stabledispatch/internal/stream"
 	"stabledispatch/internal/tseries"
 )
@@ -45,12 +47,13 @@ type Dispatcher interface {
 // Frame is the dispatcher's read-only view of one time step. A frame
 // the simulator built is valid until the simulator builds the next one,
 // in the next Step that dispatches: that frame is built into this one's
-// storage (its Requests, Taxis, idle fleet, §IV-A plane and market), so
-// nothing read from a frame may be kept past the next Step, except the
-// taxis' Routes and whatever the reader copied. A frame whose
-// dispatcher was abandoned on its deadline (NoteDegraded "deadline") is
-// never reused: a straggler still running it reads storage nothing else
-// writes.
+// storage (its Requests, Taxis, idle fleet, §IV-A plane and market, and
+// the dispatcher's Storage: Algorithm 3's request and unit plane, units
+// and unit market, and Algorithm 1's matching), so nothing read from a
+// frame may be kept past the next Step, except the taxis' Routes and
+// whatever the reader copied. A frame whose dispatcher was abandoned on
+// its deadline (NoteDegraded "deadline") is never reused: a straggler
+// still running it reads storage nothing else writes.
 type Frame struct {
 	// Number is the current frame index (minutes since simulation
 	// start).
@@ -90,9 +93,13 @@ type Frame struct {
 	prefPlane *costplane.Plane
 	inst      *pref.Instance
 	fullPlane *costplane.Plane
+	// own is the Storage the frame's dispatcher took (Frame.Storage),
+	// also guarded by planeMu.
+	own *Storage
 
 	// spent is the storage of the frame this one reuses; the idle
-	// fleet, the §IV-A plane and its instance build into it.
+	// fleet, the §IV-A plane and its instance build into it, and the
+	// dispatcher takes its Storage.
 	spent frameStorage
 	// abandoned marks a frame whose dispatcher was abandoned on its
 	// deadline, which the simulator never reuses.
@@ -111,6 +118,46 @@ type frameStorage struct {
 	idle     []fleet.Taxi
 	plane    *costplane.Plane
 	inst     *pref.Instance
+	own      *Storage
+}
+
+// Storage is the memory a dispatcher builds its own per-frame values
+// in, the ones the frame does not memoise because they depend on the
+// dispatcher: Algorithm 3's request plane, which the unit taxi rows are
+// then filled into, its units and unit market, and Algorithm 1's
+// proposal state and matching. It belongs to the frame (Frame.Storage)
+// and moves on to the next frame with the rest of its storage, never
+// held by a dispatcher between frames.
+type Storage struct {
+	// Plane is Algorithm 3's request plane (costplane.Rebuild), with
+	// the unit market's taxi rows filled in place (FillTaxis).
+	Plane *costplane.Plane
+	// Units are Algorithm 3's units and unit constants.
+	Units share.Units
+	// Market is Algorithm 3's unit market (share.Units.Market).
+	Market *pref.Market
+	// Solver holds Algorithm 1's proposal state and matching.
+	Solver stable.Solver
+}
+
+// Storage returns the memory the frame's dispatcher builds its own
+// values in. The first call takes the last frame's Storage, which the
+// frame then hands on to the next; every later call on the same frame
+// (a resilient fallback running beside its abandoned primary) gets new,
+// empty storage, so no two dispatchers ever build into the same memory.
+// Like the frame, what is built in it is valid until the simulator
+// builds the next frame.
+func (f *Frame) Storage() *Storage {
+	f.planeMu.Lock()
+	defer f.planeMu.Unlock()
+	if f.own != nil {
+		return new(Storage)
+	}
+	f.own = f.spent.own
+	if f.own == nil {
+		f.own = new(Storage)
+	}
+	return f.own
 }
 
 // storage returns f's memory for the next frame: its slices and each
@@ -128,6 +175,9 @@ func (f *Frame) storage() frameStorage {
 	}
 	if f.inst != nil {
 		st.inst = f.inst
+	}
+	if f.own != nil {
+		st.own = f.own
 	}
 	return st
 }
@@ -426,6 +476,9 @@ type taxiState struct {
 	route []fleet.Stop
 	// load is the seats occupied now: the riders on board.
 	load int
+	// committed is one past the last frame an assignment to the taxi
+	// was applied in, so a second one in the same frame is caught.
+	committed int
 
 	// Episode bookkeeping: an episode spans idle→busy→idle and carries
 	// the taxi-dissatisfaction metric.
@@ -483,6 +536,9 @@ type Simulator struct {
 
 	assignments []AssignmentOutcome
 	episodes    []EpisodeOutcome
+	// newReqs is apply's scratch: the requests of the assignment it
+	// installs.
+	newReqs []*requestState
 
 	// last is the latest frame view builds, whose storage the next
 	// frame reuses.
@@ -832,9 +888,8 @@ func (s *Simulator) dispatch() error {
 	// hand. The commit stage closes the pipeline in the stage ledger.
 	sp = s.cfg.Ledger.Begin(prof.StageCommit)
 	defer sp.End()
-	seenTaxi := make(map[int]bool, len(assignments))
 	for _, a := range assignments {
-		if err = s.apply(a, seenTaxi); err != nil {
+		if err = s.apply(a); err != nil {
 			break
 		}
 	}
@@ -850,7 +905,7 @@ func (s *Simulator) dispatch() error {
 
 // apply validates and installs one assignment. The requests it assigns
 // stay in the queue until the frame's commit ends (dropAssigned).
-func (s *Simulator) apply(a fleet.Assignment, seenTaxi map[int]bool) error {
+func (s *Simulator) apply(a fleet.Assignment) error {
 	t, ok := s.byID[a.TaxiID]
 	if !ok {
 		return fmt.Errorf("assignment names unknown taxi %d", a.TaxiID)
@@ -858,16 +913,16 @@ func (s *Simulator) apply(a fleet.Assignment, seenTaxi map[int]bool) error {
 	if s.offline(a.TaxiID) {
 		return fmt.Errorf("taxi %d is offline (injected outage)", a.TaxiID)
 	}
-	if seenTaxi[a.TaxiID] {
+	if t.committed == s.frame+1 {
 		return fmt.Errorf("taxi %d assigned twice in one frame", a.TaxiID)
 	}
-	seenTaxi[a.TaxiID] = true
+	t.committed = s.frame + 1
 	if len(a.Requests) == 0 {
 		return fmt.Errorf("taxi %d assignment has no requests", a.TaxiID)
 	}
 
 	// Every named request must be pending, and named once.
-	newReqs := make([]*requestState, 0, len(a.Requests))
+	newReqs := s.newReqs[:0]
 	for i, id := range a.Requests {
 		rs, ok := s.reqs[id]
 		if !ok {
@@ -881,6 +936,7 @@ func (s *Simulator) apply(a fleet.Assignment, seenTaxi map[int]bool) error {
 		}
 		newReqs = append(newReqs, rs)
 	}
+	s.newReqs = newReqs
 	if err := s.checkRoute(t, a); err != nil {
 		return err
 	}

@@ -42,13 +42,12 @@ func (o *Observer) exhausted(proposer int) {
 // PassengerOptimalObserved is PassengerOptimal with per-decision
 // callbacks; a nil observer makes it identical to PassengerOptimal.
 func PassengerOptimalObserved(mk *pref.Market, o *Observer) Matching {
-	return passengerOptimalState(mk, o).match
+	return new(Solver).PassengerOptimal(mk, o)
 }
 
 // TaxiOptimalObserved is TaxiOptimal with per-decision callbacks; the
 // proposing side is the taxis, so Observer.Proposal receives taxi
 // indices as proposer and request indices as target.
 func TaxiOptimalObserved(mk *pref.Market, o *Observer) Matching {
-	m := passengerOptimalState(mk.Transpose(), o).match
-	return Matching{ReqPartner: m.TaxiPartner, TaxiPartner: m.ReqPartner}
+	return new(Solver).TaxiOptimal(mk, o)
 }

@@ -33,17 +33,7 @@ type Matching struct {
 
 // NewMatching returns an empty matching for r requests and t taxis.
 func NewMatching(r, t int) Matching {
-	m := Matching{
-		ReqPartner:  make([]int, r),
-		TaxiPartner: make([]int, t),
-	}
-	for j := range m.ReqPartner {
-		m.ReqPartner[j] = Unmatched
-	}
-	for i := range m.TaxiPartner {
-		m.TaxiPartner[i] = Unmatched
-	}
-	return m
+	return Matching{ReqPartner: fill(nil, r, Unmatched), TaxiPartner: fill(nil, t, Unmatched)}
 }
 
 // Clone returns a deep copy of the matching.
@@ -114,16 +104,53 @@ func PassengerOptimal(mk *pref.Market) Matching {
 // passengerOptimalState runs Algorithm 1 and returns the full proposal
 // state, which Algorithm 2 continues from. o may be nil.
 func passengerOptimalState(mk *pref.Market, o *Observer) gsState {
+	var s gsState
+	s.run(mk, o)
+	return s
+}
+
+// run resets s to the empty matching of mk, reusing its arrays, and
+// runs Algorithm 1 on it. o may be nil.
+func (s *gsState) run(mk *pref.Market, o *Observer) {
 	r, t := mk.NumRequests(), mk.NumTaxis()
-	s := gsState{
-		match: NewMatching(r, t),
-		next:  make([]int, r),
-		held:  make([]float64, t),
-	}
+	s.match.ReqPartner = fill(s.match.ReqPartner, r, Unmatched)
+	s.match.TaxiPartner = fill(s.match.TaxiPartner, t, Unmatched)
+	s.next = fill(s.next, r, 0)
+	// held[i] is read only while taxi i holds a partner, and set when
+	// it takes one, so it needs no reset.
+	s.held = slices.Grow(s.held[:0], t)[:t]
 	for j := 0; j < r; j++ {
-		propose(mk, &s, j, o)
+		propose(mk, s, j, o)
+	}
+}
+
+// fill returns s with length n and every element v, reusing its array
+// when it is large enough.
+func fill(s []int, n, v int) []int {
+	s = slices.Grow(s[:0], n)[:n]
+	for k := range s {
+		s[k] = v
 	}
 	return s
+}
+
+// Solver runs Algorithm 1 in arrays it keeps from run to run: the
+// proposal state and the matching. A run's Matching sits in those
+// arrays, so it is valid only until the solver's next run; a caller
+// that keeps it must Clone it. The zero Solver is ready to use, and a
+// Solver must not run two markets at once.
+type Solver struct{ s gsState }
+
+// PassengerOptimal is PassengerOptimalObserved in the solver's arrays.
+func (v *Solver) PassengerOptimal(mk *pref.Market, o *Observer) Matching {
+	v.s.run(mk, o)
+	return v.s.match
+}
+
+// TaxiOptimal is TaxiOptimalObserved in the solver's arrays.
+func (v *Solver) TaxiOptimal(mk *pref.Market, o *Observer) Matching {
+	v.s.run(mk.Transpose(), o)
+	return Matching{ReqPartner: v.s.match.TaxiPartner, TaxiPartner: v.s.match.ReqPartner}
 }
 
 // propose is the paper's Proposal/Refusal pair: request j proposes down
