@@ -202,9 +202,8 @@ func BenchmarkSharedRoute(b *testing.B) {
 
 // benchFrames returns a builder of one NSTD-P-sized dispatch frame with
 // an all-idle fleet, for measuring the full per-frame dispatch path.
-// Every call builds a fresh frame: a frame memoises its cost planes, so
-// a reused one would skip the cost_plane stage from the second
-// iteration on.
+// Every call builds a fresh frame, with fresh Storage: a reused frame
+// would keep its idle fleet from the first iteration on.
 func benchFrames(b *testing.B, nReqs, nTaxis int) func() *sim.Frame {
 	b.Helper()
 	reqs, taxis := benchWorld(b, nReqs, nTaxis)

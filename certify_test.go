@@ -1,11 +1,14 @@
 package stabledispatch
 
 // Stability certificates from the simulator's commit path. Each traced
-// frame is certified against the market built from the frame's own cost
-// plane, pruned at both dummy thresholds; these pins hold the per-frame
-// certificates of quick-scale runs and the rank evidence of a
-// hand-crossed frame to the values of a certificate built from a fresh
-// unpruned plane.
+// frame is certified on the market its stable dispatcher reported
+// matching on — NSTD's §IV-A market, STD's §V-A unit market — or, for a
+// frame with no report (a baseline's, or a degraded one), on the §IV-A
+// market built from a plane pruned at both dummy thresholds. These pins
+// hold the per-frame certificates of quick-scale runs, the distance
+// calls a traced run makes, and the rank evidence of a hand-crossed
+// frame to the values of a certificate built from a fresh unpruned
+// plane.
 
 import (
 	"crypto/sha256"
@@ -65,7 +68,7 @@ func TestTracedQuickScaleCertificates(t *testing.T) {
 		digest                    string
 	}{
 		{"NSTD-P", func() sim.Dispatcher { return dispatch.NewNSTDP() }, 121, 0, 62, "4f9593890efec49c"},
-		{"STD-P", func() sim.Dispatcher { return dispatch.NewSTDP(quickPackConfig()) }, 121, 2, 62, "499d1cca52f5834f"},
+		{"STD-P", func() sim.Dispatcher { return dispatch.NewSTDP(quickPackConfig()) }, 121, 0, 60, "e82c8df7e92c8356"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.algo, func(t *testing.T) {
@@ -156,44 +159,53 @@ func (c *countingMetric) Distance(a, b geo.Point) float64 {
 }
 
 // TestTracedFrameReusesDispatchPlane pins that certifying a frame costs
-// no distance computation on NSTD-P: the certifier asks the frame for
-// the plane configuration the dispatcher asked for, so it memo-hits the
-// dispatcher's plane and a traced quick-scale run makes exactly the
-// distance calls of an untraced one. The test fails if the two keys
-// diverge, since a second plane per frame repeats the computation.
+// no distance computation on NSTD-P or STD-P: the certificate audits the
+// market the dispatcher reported matching on, so a traced quick-scale
+// run makes exactly the distance calls of an untraced one. The test
+// fails if the certificate builds a plane of its own.
 func TestTracedFrameReusesDispatchPlane(t *testing.T) {
 	o := exp.QuickOptions()
-	run := func(rec *dtrace.Recorder) int64 {
-		reqs, taxis, err := exp.Workload(trace.Boston(), 13500, 200, o)
-		if err != nil {
-			t.Fatalf("workload: %v", err)
-		}
-		m := &countingMetric{}
-		s, err := sim.New(sim.Config{
-			Params:         o.Params,
-			Metric:         m,
-			Dispatcher:     dispatch.NewNSTDP(),
-			PatienceFrames: o.PatienceMinutes,
-			Workers:        o.Workers,
-			Tracer:         rec,
-		}, taxis, reqs)
-		if err != nil {
-			t.Fatalf("sim.New: %v", err)
-		}
-		if _, err := s.Run(); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return m.calls.Load()
-	}
-	untraced := run(nil)
-	rec := dtrace.New(0)
-	traced := run(rec)
-	if len(rec.CertifiedFrames()) == 0 {
-		t.Fatal("traced run certified no frame")
-	}
-	t.Logf("%d distance calls per run", untraced)
-	if traced != untraced {
-		t.Errorf("traced run made %d distance calls, untraced %d: certification built its own plane", traced, untraced)
+	for _, tc := range []struct {
+		name string
+		make func() sim.Dispatcher
+	}{
+		{"NSTD-P", func() sim.Dispatcher { return dispatch.NewNSTDP() }},
+		{"STD-P", func() sim.Dispatcher { return dispatch.NewSTDP(quickPackConfig()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(rec *dtrace.Recorder) int64 {
+				reqs, taxis, err := exp.Workload(trace.Boston(), 13500, 200, o)
+				if err != nil {
+					t.Fatalf("workload: %v", err)
+				}
+				m := &countingMetric{}
+				s, err := sim.New(sim.Config{
+					Params:         o.Params,
+					Metric:         m,
+					Dispatcher:     tc.make(),
+					PatienceFrames: o.PatienceMinutes,
+					Workers:        o.Workers,
+					Tracer:         rec,
+				}, taxis, reqs)
+				if err != nil {
+					t.Fatalf("sim.New: %v", err)
+				}
+				if _, err := s.Run(); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				return m.calls.Load()
+			}
+			untraced := run(nil)
+			rec := dtrace.New(0)
+			traced := run(rec)
+			if len(rec.CertifiedFrames()) == 0 {
+				t.Fatal("traced run certified no frame")
+			}
+			t.Logf("%d distance calls per run", untraced)
+			if traced != untraced {
+				t.Errorf("traced run made %d distance calls, untraced %d: certification built its own plane", traced, untraced)
+			}
+		})
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
+	"stabledispatch/internal/share"
 	"stabledispatch/internal/sim"
 )
 
@@ -53,14 +54,21 @@ func TestTracesArePerServer(t *testing.T) {
 	}
 }
 
-// TestServingPathCertifiesEveryFrame drives Algorithm 1 (NSTD-P)
-// through the daemon's full handler chain — admission, /v1/tick and
-// cancellations, with breakdowns and outages injected into its
-// simulator under the server lock between ticks — and
+// TestServingPathCertifiesEveryFrame drives Algorithm 1 (NSTD-P) and
+// Algorithm 3 (STD-P) through the daemon's full handler chain —
+// admission, /v1/tick and cancellations, with breakdowns and outages
+// injected into its simulator under the server lock between ticks — and
 // requires a certificate for every committed frame in the server's own
 // recorder, served on /v1/frames/{n}/stability: stable with no blocking
-// pair unless the frame is noted as degraded.
+// pair, on the market the frame was matched on, unless the frame is
+// noted as degraded.
 func TestServingPathCertifiesEveryFrame(t *testing.T) {
+	for _, d := range []sim.Dispatcher{dispatch.NewNSTDP(), dispatch.NewSTDP(share.DefaultPackConfig())} {
+		t.Run(d.Name(), func(t *testing.T) { servingPathCertifiesEveryFrame(t, d) })
+	}
+}
+
+func servingPathCertifiesEveryFrame(t *testing.T, d sim.Dispatcher) {
 	const frames = 40
 	rng := rand.New(rand.NewSource(5))
 	point := func() pointJSON { return pointJSON{X: 6 + 8*rng.Float64(), Y: 6 + 8*rng.Float64()} }
@@ -72,7 +80,7 @@ func TestServingPathCertifiesEveryFrame(t *testing.T) {
 	ts, srv := startServer(t, config{
 		Taxis:      taxis,
 		Params:     pref.DefaultParams(),
-		Dispatcher: dispatch.NewNSTDP(),
+		Dispatcher: d,
 		SpeedKmH:   60,
 	})
 

@@ -14,11 +14,11 @@
 // only its candidate requests. The package knows geometry, not the
 // interest models: Build prunes every column at one radius
 // (Config.PruneRadius), and a market whose radii depend on the trips —
-// the §IV-A market (pref.Plane, through Threshold) and the §V-A unit
-// market (share.Units.AppendRadii, through Plane.FillTaxis) — runs the
-// request pass first and then the taxi pass over per-request radii it
-// computes, rounded outward by Radius; a negative radius leaves a
-// request's column out.
+// the §IV-A market (pref.Plane) and the §V-A unit market
+// (share.Units.AppendRadii) — builds the taxi-less plane first
+// (Rebuild with no taxis) and then fills the taxi rows over per-request
+// radii it computes from the trips (Plane.FillTaxis), rounded outward
+// by Radius; a negative radius leaves a request's column out.
 // The exact threshold tests stay in the packages that build the
 // markets, so pruning can never drop a pair a test accepts.
 // Second, a disc grid: the taxi pass buckets every pickup's disc by the
@@ -31,14 +31,13 @@
 // traversal over the row's candidates), and rows are computed by a
 // bounded worker pool sized by the distance tests the pass makes.
 //
-// A plane also keeps the memory it was built in. Rebuild and Threshold
-// build into a spent plane, the last frame's, reusing its trips, pair
-// rows, radii, row arenas, discs and disc grid, and FillTaxis fills a
-// plane's taxi rows into its own storage, so a steady stream of frames
-// stops allocating once the storage has grown to the largest frame:
-// sim.Frame builds the §IV-A plane through Threshold, and Algorithm 3's
-// frame (dispatch.PackFrame) its request plane through Rebuild and then
-// its unit taxi rows through FillTaxis, each into the last frame's.
+// A plane also keeps the memory it was built in. Rebuild builds into a
+// spent plane, the last frame's, reusing its trips, pair rows, radii,
+// row arenas, discs and disc grid, and FillTaxis fills a plane's taxi
+// rows into its own storage, so a steady stream of frames stops
+// allocating once the storage has grown to the largest frame: both
+// Algorithm 1's §IV-A plane and Algorithm 3's request plane with its
+// unit taxi rows are built this way into the last frame's (sim.Storage).
 //
 // Construction is bit-deterministic: every row's contents depend only
 // on the inputs, never on worker count or scheduling, because each row
@@ -116,12 +115,12 @@ type Plane struct {
 	trip   []float64       // [request] D(r_j^s, r_j^d)
 	pairs  [][]float64     // [j][k] D(r_j^s, r_k^s) for j, k < PairRows(); nil without Pairs
 
-	buf storage // the memory the plane was built in; Rebuild, Threshold and FillTaxis reuse it
+	buf storage // the memory the plane was built in; Rebuild and FillTaxis reuse it
 }
 
 // storage is the memory one build leaves behind: the slices the plane's
 // rows, trips and pair rows sit in and the taxi pass's scratch. A plane
-// handed to Rebuild or Threshold as spent gives all of it to the new
+// handed to Rebuild as spent gives all of it to the new
 // build, and FillTaxis reuses it, so a frame built into the last
 // frame's plane allocates only where it outgrows it.
 type storage struct {
@@ -264,33 +263,15 @@ func Build(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Conf
 // caller must be done with spent and everything read from it; a nil
 // spent allocates a new plane, which is Build.
 func Rebuild(spent *Plane, reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, cfg Config) *Plane {
-	p := reuse(spent)
+	p := spent
+	if p == nil {
+		p = new(Plane)
+	}
 	p.requestPass(reqs, len(taxis), metric, cfg)
 	p.FillTaxis(taxis, cfg.Workers, func(_, dst []float64) []float64 {
 		return appendRadii(dst, cfg, len(reqs))
 	})
 	return p
-}
-
-// Threshold builds the plane of reqs × taxis for a market whose pruning
-// radii depend on the solo trips: Build's request pass, then the taxi
-// pass over radii (FillTaxis). It builds into spent's storage and
-// returns spent, so the caller must be done with spent and everything
-// read from it; a nil spent allocates a new plane. workers sizes the
-// pool as Config.Workers does.
-func Threshold(spent *Plane, reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, workers int, radii func(trips, dst []float64) []float64) *Plane {
-	p := reuse(spent)
-	p.requestPass(reqs, len(taxis), metric, Config{Workers: workers})
-	p.FillTaxis(taxis, workers, radii)
-	return p
-}
-
-// reuse returns spent, or a new plane when spent is nil.
-func reuse(spent *Plane) *Plane {
-	if spent == nil {
-		return new(Plane)
-	}
-	return spent
 }
 
 // requestPass resets p to a plane over reqs, keeping its storage, and
@@ -746,9 +727,11 @@ func (p *Plane) buildPickupRow(i int, discs []disc, cols, cand []int32, dst []En
 // buildRequestRow fills request j's solo trip distance and, for a
 // request inside the pair rows, its pickup→pickup row over the pair
 // rows' requests, skipping pairs farther apart than radius in a
-// straight line when prune is set. On a batching metric the request's
-// own dropoff rides the same traversal as the pair row, so a
-// road-network request row costs one Dijkstra run total.
+// straight line when prune is set; under geo.StraightLine a kept pair
+// keeps that test's distance, as buildPickupRow's cells do. On a
+// batching metric the request's own dropoff rides the same traversal
+// as the pair row, so a road-network request row costs one Dijkstra
+// run total.
 func (p *Plane) buildRequestRow(j int, prune bool, radius float64) {
 	rq := p.Requests[j]
 	if j >= len(p.pairs) {
@@ -759,11 +742,18 @@ func (p *Plane) buildRequestRow(j int, prune bool, radius float64) {
 	var kept []int       // batching metrics: the pair row's candidates
 	var dsts []geo.Point // and their pickups
 	for k, other := range p.Requests[:len(row)] {
+		tested := prune && k != j
+		var dist float64
+		if tested {
+			dist = geo.Euclid(rq.Pickup, other.Pickup)
+		}
 		switch {
 		case k == j:
 			row[k] = 0 // diagonal is exactly zero, no query needed
-		case prune && geo.Euclid(rq.Pickup, other.Pickup) > radius:
+		case tested && dist > radius:
 			row[k] = math.Inf(1)
+		case tested && p.euclid:
+			row[k] = dist
 		case p.batch == nil:
 			row[k] = p.metric.Distance(rq.Pickup, other.Pickup)
 		default:

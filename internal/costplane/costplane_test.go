@@ -562,27 +562,52 @@ func TestPickupRowsMatchDiscScan(t *testing.T) {
 }
 
 // TestWrappedEuclidKeepsMetricCalls pins the scope of the straight-line
-// reuse: under geo.StraightLine a stored cell keeps the distance its disc
-// test computed, while a metric wrapping Euclid (a call counter) is
-// still called once per trip and once per stored cell, and both planes
-// hold the same rows bit for bit.
+// reuse: under geo.StraightLine a stored cell and a kept pair keep the
+// distance their prune test computed, while a metric wrapping Euclid (a
+// call counter) is still called once per trip, once per stored cell and
+// once per kept pair, and both planes hold the same rows and pair rows
+// bit for bit.
 func TestWrappedEuclidKeepsMetricCalls(t *testing.T) {
 	calls := 0
 	wrapped := geo.MetricFunc(func(a, b geo.Point) float64 { calls++; return geo.Euclid(a, b) })
+	prunedKept := 0 // pairs a pair prune kept, over every frame
 	for _, f := range gridFrames(t) {
-		for _, cfg := range []Config{{Workers: 1, PruneRadius: 3}, {Workers: 1, PruneRadius: 0.5}} {
+		for _, cfg := range []Config{
+			{Workers: 1, PruneRadius: 3},
+			{Workers: 1, PruneRadius: 0.5},
+			{Workers: 1, PruneRadius: 3, Pairs: true, PairRadius: 2},
+			{Workers: 1, PruneRadius: 3, Pairs: true, PairRows: 12, PairRadius: 1.5},
+			{Workers: 1, PruneRadius: 3, Pairs: true},
+		} {
 			calls = 0
 			pl := Build(f.reqs, f.taxis, wrapped, cfg)
-			if want := len(f.reqs) + pl.Entries(); calls != want {
-				t.Errorf("%s %+v: wrapped metric called %d times, want %d (trips + stored cells)", f.name, cfg, calls, want)
-			}
 			plain := Build(f.reqs, f.taxis, geo.EuclidMetric, cfg)
+			kept := 0
+			for j := 0; j < pl.PairRows(); j++ {
+				for k := 0; k < pl.PairRows(); k++ {
+					if got, want := pl.PairDist(j, k), plain.PairDist(j, k); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s %+v: pair (%d, %d) = %v, want %v", f.name, cfg, j, k, got, want)
+					}
+					if j != k && !math.IsInf(pl.PairDist(j, k), 1) {
+						kept++
+					}
+				}
+			}
+			if want := len(f.reqs) + pl.Entries() + kept; calls != want {
+				t.Errorf("%s %+v: wrapped metric called %d times, want %d (trips + stored cells + kept pairs)", f.name, cfg, calls, want)
+			}
+			if cfg.PairRadius > 0 {
+				prunedKept += kept
+			}
 			want := make([][]Entry, len(f.taxis))
 			for i := range want {
 				want[i] = plain.PickupRow(i)
 			}
 			checkRows(t, f.name, pl, want)
 		}
+	}
+	if prunedKept == 0 {
+		t.Error("no pair prune kept a pair; the pin proves nothing")
 	}
 }
 

@@ -15,11 +15,10 @@
 // span per stage of Algorithm 1/3 and the baselines:
 //
 //	idle_scan   — collecting the frame's idle fleet
-//	cost_plane  — building (or memo-hitting) the frame's shared
-//	              distance plane: threshold candidate pruning plus the
-//	              parallel batched distance computation (STD times two
-//	              spans: the request plane before packing, the
-//	              unit-start taxi rows after)
+//	cost_plane  — building the frame's distance plane: threshold
+//	              candidate pruning plus the parallel batched distance
+//	              computation (STD times two spans: the request plane
+//	              before packing, the unit-start taxi rows after)
 //	pref_build  — market construction from the plane (pref.FromPlane
 //	              or share.Units.Market)
 //	cost_matrix — the baselines' request-major view of the plane
@@ -53,19 +52,20 @@ func IdleFleet(f *sim.Frame) []fleet.Taxi {
 	return f.IdleFleet()
 }
 
-// prunedInstance returns the frame's memoised non-sharing preference
-// instance (sim.Frame.Instance), built from the cost plane pruned at
+// prunedInstance builds the frame's non-sharing preference instance
+// into st (st.Plane and st.Instance), from the cost plane pruned at
 // both dummy thresholds (pref.Plane): a taxi beyond request j's radius
 // min(MaxPickup, MaxNet + α·trip_j) sits behind a dummy regardless, so
 // skipping its cell leaves every preference list unchanged. The plane
 // is built under the cost_plane span and the market under pref_build.
-func prunedInstance(f *sim.Frame, taxis []fleet.Taxi) (*pref.Instance, error) {
+func prunedInstance(f *sim.Frame, taxis []fleet.Taxi, st *sim.Storage) (*pref.Instance, error) {
 	sp := f.Ledger.Begin(prof.StageCostPlane)
-	f.PrefPlane(taxis)
+	st.Plane = pref.Plane(st.Plane, f.Requests, taxis, f.Metric, f.Params, f.Workers)
 	sp.End()
-	sp = f.Ledger.Begin(prof.StagePrefBuild)
-	defer sp.End()
-	return f.Instance(taxis)
+	defer f.Ledger.Begin(prof.StagePrefBuild).End()
+	var err error
+	st.Instance, err = pref.Refill(st.Instance, st.Plane, f.Params)
+	return st.Instance, err
 }
 
 // NSTD is the paper's non-sharing stable dispatcher. The passenger-
@@ -99,7 +99,8 @@ func (d *NSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if len(taxis) == 0 || len(f.Requests) == 0 {
 		return nil, nil
 	}
-	inst, err := prunedInstance(f, taxis)
+	st := f.Storage()
+	inst, err := prunedInstance(f, taxis, st)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
@@ -107,7 +108,9 @@ func (d *NSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	// built from the matching, so no dispatcher glue runs unstaged.
 	defer f.Ledger.Begin(prof.StageMatching).End()
 	ft := newFrameTracer(f, &inst.Market, nil, taxis)
-	return singleRides(stableMatch(&f.Storage().Solver, &inst.Market, ft, d.taxiOptimal), taxis, f.Requests), nil
+	m := stableMatch(&st.Solver, &inst.Market, ft, d.taxiOptimal)
+	f.ReportMarket(&inst.Market, nil)
+	return singleRides(m, taxis, f.Requests), nil
 }
 
 // stableMatch runs Algorithm 1 on mk in solver's arrays, taxi-optimal when
@@ -133,12 +136,14 @@ func singleRides(m stable.Matching, taxis []fleet.Taxi, reqs []fleet.Request) []
 
 // costMatrix returns the request-major pickup-distance matrix the
 // baselines minimise — they model only the passenger's wait. The matrix
-// is a view of the frame's unpruned cost plane: the baselines have no
-// acceptability thresholds (a request beyond every radius still takes
-// its nearest taxi), so every cell must hold a real distance.
+// is a view of an unpruned cost plane, built fresh: the baselines have
+// no acceptability thresholds (a request beyond every radius still
+// takes its nearest taxi), so every cell must hold a real distance. It
+// takes no frame Storage, which stays with the stable dispatcher a
+// resilient baseline fallback runs beside.
 func costMatrix(f *sim.Frame, taxis []fleet.Taxi) [][]float64 {
 	sp := f.Ledger.Begin(prof.StageCostPlane)
-	pl := f.FullPlane(taxis)
+	pl := costplane.Build(f.Requests, taxis, f.Metric, costplane.Config{Workers: f.Workers})
 	sp.End()
 	defer f.Ledger.Begin(prof.StageCostMatrix).End()
 	return pl.CostMatrix()
@@ -313,6 +318,7 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	defer f.Ledger.Begin(prof.StageMatching).End()
 	ft := newFrameTracer(f, st.Market, units, taxis)
 	m := stableMatch(&st.Solver, st.Market, ft, d.taxiOptimal)
+	f.ReportMarket(st.Market, units)
 	var out []fleet.Assignment
 	for k, i := range m.ReqPartner {
 		if i != stable.Unmatched {

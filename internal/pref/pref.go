@@ -429,17 +429,19 @@ type Instance struct {
 // finite thresholds).
 func (inst *Instance) PickupDist(i, j int) float64 { return inst.plane.PickupDist(i, j) }
 
-// Plane builds the §IV-A distance plane of reqs × taxis: the request
-// pass for the solo trips, then the taxi pass keeping request j's cells
-// within min(MaxPickup, MaxNet + α·trip_j), the largest pickup both
-// thresholds can accept (costplane.Threshold). It builds into spent's
-// storage and returns spent, so the caller must be done with spent and
-// every instance on it; a nil spent allocates. workers sizes the pool
-// as costplane.Config.Workers does.
+// Plane builds the §IV-A distance plane of reqs × taxis: the taxi-less
+// plane for the solo trips (costplane.Rebuild), then the taxi rows
+// keeping request j's cells within min(MaxPickup, MaxNet + α·trip_j),
+// the largest pickup both thresholds can accept (Plane.FillTaxis). It
+// builds into spent's storage and returns spent, so the caller must be
+// done with spent and every instance on it; a nil spent allocates.
+// workers sizes the pool as costplane.Config.Workers does.
 func Plane(spent *costplane.Plane, reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, p Params, workers int) *costplane.Plane {
-	return costplane.Threshold(spent, reqs, taxis, metric, workers, func(trips, dst []float64) []float64 {
+	pl := costplane.Rebuild(spent, reqs, nil, metric, costplane.Config{Workers: workers})
+	pl.FillTaxis(taxis, workers, func(trips, dst []float64) []float64 {
 		return planeRadii(p, trips, dst)
 	})
+	return pl
 }
 
 // planeRadii appends Plane's radii to dst and returns it: MaxPickup
@@ -469,8 +471,8 @@ func planeRadii(p Params, trips, dst []float64) []float64 {
 //
 // The full (unpruned) distance plane is built serially; dispatchers on
 // the per-frame hot path instead build the pruned plane once per frame
-// and the instance on it (Plane and Refill, memoised by sim.Frame, which
-// builds both into the last frame's).
+// and the instance on it (Plane and Refill), both into the last frame's
+// (sim.Storage).
 func NewInstance(reqs []fleet.Request, taxis []fleet.Taxi, metric geo.Metric, params Params) (*Instance, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err

@@ -7,12 +7,13 @@ import (
 	"stabledispatch/internal/dtrace"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/flightrec"
+	"stabledispatch/internal/pref"
 )
 
 // Decision-trace wiring for the engine: lifecycle events land on each
 // request's trace, and every dispatched frame gets a stability
 // certificate at commit — a blocking-pair scan of the realized matching
-// against the §IV-A interest model the frame was dispatched under. All
+// against the market the frame was dispatched on. All
 // of it is gated on Config.Tracer, so an untraced run pays one nil check
 // per frame plus one per event.
 
@@ -30,12 +31,17 @@ func (s *Simulator) traceEvent(rec *dtrace.Recorder, e Event) {
 // certifyFrame audits the frame's realized matching at commit: the
 // pre-dispatch frame view pins the participants (pending requests ×
 // idle taxis), the applied assignments pin the matching, and
-// dtrace.Certify runs the Definition 1 blocking-pair scan under the
-// §IV-A single-ride interest model. Shared-group and busy-taxi
-// (insertion) assignments are evaluated under the same single-ride
-// lens — deliberate: the certificate answers "would any passenger-taxi
-// pair rather elope", which §V's refined model only re-weights — and
-// the certificate carries a note whenever that lens was stretched.
+// dtrace.Certify runs the Definition 1 blocking-pair scan on the market
+// the frame was matched on, the one its dispatcher reported
+// (Frame.ReportMarket): Algorithm 1's §IV-A market, or Algorithm 3's
+// §V-A unit market, where each unit proposes for its members under the
+// ID of its first. A frame with no report (a baseline, or a degraded
+// frame) is audited under the §IV-A single-ride interest model, built
+// in the simulator's own storage. Shared-group and busy-taxi
+// (insertion) assignments are evaluated under that lens too —
+// deliberate: the certificate answers "would any passenger-taxi pair
+// rather elope", which §V's refined model only re-weights — and the
+// certificate carries a note whenever that lens was stretched.
 func (s *Simulator) certifyFrame(rec *dtrace.Recorder, f *Frame, applied []fleet.Assignment) {
 	taxis := f.IdleFleet()
 	if len(f.Requests) == 0 || len(taxis) == 0 {
@@ -52,22 +58,38 @@ func (s *Simulator) certifyFrame(rec *dtrace.Recorder, f *Frame, applied []fleet
 		taxiIDs[i] = t.ID
 		taxiIdx[t.ID] = i
 	}
-	// The frame's plane pruned at both thresholds yields the same market
-	// as an unpruned one (see pref.FromPlane). After a non-sharing
-	// dispatcher the frame holds that instance, and the certificate reads
-	// the market the dispatcher matched on.
-	inst, err := f.Instance(taxis)
-	if err != nil {
-		rec.AddFrameNote(f.Number, "stability certificate unavailable: "+err.Error())
-		return
+	f.mu.Lock()
+	mk, units := f.market, f.units
+	f.mu.Unlock()
+	if mk == nil {
+		// The plane pruned at both thresholds yields the same market as
+		// an unpruned one (see pref.FromPlane).
+		st := &s.audit
+		st.Plane = pref.Plane(st.Plane, f.Requests, taxis, f.Metric, f.Params, f.Workers)
+		inst, err := pref.Refill(st.Instance, st.Plane, f.Params)
+		if err != nil {
+			rec.AddFrameNote(f.Number, "stability certificate unavailable: "+err.Error())
+			return
+		}
+		st.Instance, mk = inst, &inst.Market
 	}
-	reqIDs := make([]int, len(f.Requests))
+	// The proposers: the frame's requests, or the reported units, each
+	// named by its first member and standing for all of them.
 	reqIdx := make(map[int]int, len(f.Requests))
+	var reqIDs []int
 	for j, r := range f.Requests {
-		reqIDs[j] = r.ID
-		reqIdx[r.ID] = j
+		if units == nil {
+			reqIdx[r.ID] = j
+			reqIDs = append(reqIDs, r.ID)
+		}
 	}
-	reqPartner := make([]int, len(f.Requests))
+	for k, u := range units {
+		reqIDs = append(reqIDs, f.Requests[u.Members[0]].ID)
+		for _, j := range u.Members {
+			reqIdx[f.Requests[j].ID] = k
+		}
+	}
+	reqPartner := make([]int, len(reqIDs))
 	for j := range reqPartner {
 		reqPartner[j] = -1
 	}
@@ -80,7 +102,7 @@ func (s *Simulator) certifyFrame(rec *dtrace.Recorder, f *Frame, applied []fleet
 			sharedLens = true
 			continue
 		}
-		if len(a.Requests) > 1 {
+		if len(a.Requests) > 1 && units == nil {
 			sharedLens = true
 		}
 		for _, id := range a.Requests {
@@ -89,7 +111,11 @@ func (s *Simulator) certifyFrame(rec *dtrace.Recorder, f *Frame, applied []fleet
 			}
 		}
 	}
-	c := dtrace.Certify(f.Number, &inst.Market, reqPartner, reqIDs, taxiIDs)
+	c := dtrace.Certify(f.Number, mk, reqPartner, reqIDs, taxiIDs)
+	if units != nil {
+		c.Notes = append(c.Notes,
+			"certificate audits the §V-A unit market the frame was matched on; requests and matched count units, each named by its first member")
+	}
 	if sharedLens {
 		c.Notes = append(c.Notes,
 			"frame contains shared or insertion assignments; certificate evaluates them under the single-ride (§IV-A) interest model")

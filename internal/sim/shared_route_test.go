@@ -119,8 +119,9 @@ func TestAbandonedPrimaryReadsSharedRoutes(t *testing.T) {
 }
 
 // frameSnapshot is a deep copy of what an NSTD-P dispatch reads from
-// its frame: the requests, the taxi views, the idle fleet, the §IV-A
-// plane's trips and rows, and the market's request and taxi rows.
+// its frame and builds in its Storage: the requests, the taxi views,
+// the idle fleet, the §IV-A plane's trips and rows, and the market's
+// request and taxi rows.
 type frameSnapshot struct {
 	requests []fleet.Request
 	taxis    []sim.TaxiView
@@ -131,23 +132,21 @@ type frameSnapshot struct {
 	taxiRows [][]pref.Entry
 }
 
-// snapshotFrame reads f's requests, views, idle fleet, plane and market
-// as a dispatcher does, copying each, and counts the market's pairs.
+// snapshotFrame copies f's requests, views and idle fleet, and the
+// plane and market NSTD-P built in f's Storage (none when it built
+// none: no idle taxi), and counts the market's pairs.
 func snapshotFrame(f *sim.Frame) (any, int, error) {
-	idle := f.IdleFleet()
-	pl := f.PrefPlane(idle)
-	inst, err := f.Instance(idle)
-	if err != nil {
-		return nil, 0, err
-	}
 	s := frameSnapshot{
 		requests: slices.Clone(f.Requests),
 		taxis:    slices.Clone(f.Taxis),
-		idle:     slices.Clone(idle),
-		trips:    slices.Clone(pl.Trips()),
-		rows:     pickupRows(pl),
+		idle:     slices.Clone(f.IdleFleet()),
 	}
-	s.reqRows, s.taxiRows = marketRows(&inst.Market)
+	st := sim.StorageOf(f)
+	if st == nil || st.Instance == nil {
+		return s, 0, nil
+	}
+	s.trips, s.rows = slices.Clone(st.Plane.Trips()), pickupRows(st.Plane)
+	s.reqRows, s.taxiRows = marketRows(&st.Instance.Market)
 	pairs := 0
 	for _, row := range s.reqRows {
 		pairs += len(row)
@@ -251,12 +250,12 @@ func (d *lingering) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 // TestAbandonedPrimaryReadsItsFrame runs a Resilient whose primary is
 // abandoned at a 1 ns deadline, so the primary keeps reading its frame
 // while the simulator dispatches the next frames: an NSTD-P primary
-// its frame's requests, views, §IV-A plane and market, an STD-P primary
-// the request and unit plane, units and unit market it built in the
-// frame's Storage. Each frame is built into the last frame's storage
-// unless the last frame was abandoned; this proves an abandoned frame
-// is never reused: the primary sees no change, and under -race no write
-// races its reads.
+// its frame's requests and views and the §IV-A plane and market it
+// built in the frame's Storage, an STD-P primary the request and unit
+// plane, units and unit market it built there. Each frame is built
+// into the last frame's storage unless the last frame was abandoned;
+// this proves an abandoned frame is never reused: the primary sees no
+// change, and under -race no write races its reads.
 func TestAbandonedPrimaryReadsItsFrame(t *testing.T) {
 	for _, c := range []struct {
 		name     string

@@ -47,13 +47,12 @@ type Dispatcher interface {
 // Frame is the dispatcher's read-only view of one time step. A frame
 // the simulator built is valid until the simulator builds the next one,
 // in the next Step that dispatches: that frame is built into this one's
-// storage (its Requests, Taxis, idle fleet, §IV-A plane and market, and
-// the dispatcher's Storage: Algorithm 3's request and unit plane, units
-// and unit market, and Algorithm 1's matching), so nothing read from a
-// frame may be kept past the next Step, except the taxis' Routes and
-// whatever the reader copied. A frame whose dispatcher was abandoned on
-// its deadline (NoteDegraded "deadline") is never reused: a straggler
-// still running it reads storage nothing else writes.
+// Storage (its Requests, Taxis and idle fleet, and whatever the
+// dispatcher built there), so nothing read from a frame may be kept
+// past the next Step, except the taxis' Routes and whatever the reader
+// copied. A frame whose dispatcher was abandoned on its deadline
+// (NoteDegraded "deadline") is never reused: a straggler still running
+// it reads storage nothing else writes.
 type Frame struct {
 	// Number is the current frame index (minutes since simulation
 	// start).
@@ -81,26 +80,21 @@ type Frame struct {
 	// tracing is off.
 	Tracer *dtrace.Recorder
 
-	// The values more than one consumer reads, memoised so each is
-	// computed once per frame: the idle fleet (every dispatcher and the
-	// stability certificate), the §IV-A plane and the market on it (NSTD
-	// and the certificate) and the baselines' unpruned plane (a
-	// resilient primary and its Greedy fallback). planeMu guards them:
-	// dispatch.Resilient may run its fallback while a timed-out primary
-	// still holds the frame.
-	planeMu   sync.Mutex
-	idle      []fleet.Taxi
-	prefPlane *costplane.Plane
-	inst      *pref.Instance
-	fullPlane *costplane.Plane
-	// own is the Storage the frame's dispatcher took (Frame.Storage),
-	// also guarded by planeMu.
-	own *Storage
-
-	// spent is the storage of the frame this one reuses; the idle
-	// fleet, the §IV-A plane and its instance build into it, and the
-	// dispatcher takes its Storage.
-	spent frameStorage
+	// mu guards the fields below it: dispatch.Resilient may run its
+	// fallback while a timed-out primary still holds the frame.
+	mu sync.Mutex
+	// st is the storage the frame is built in, the last frame's (nil
+	// for a frame built by hand until its first use), and taken records
+	// that a dispatcher took it (Storage).
+	st    *Storage
+	taken bool
+	// idle is the idle fleet (IdleFleet), built into st once per frame.
+	idle []fleet.Taxi
+	// market and units are the market the dispatcher reported matching
+	// on (ReportMarket); degraded drops them and every later report.
+	market   *pref.Market
+	units    []share.Unit
+	degraded bool
 	// abandoned marks a frame whose dispatcher was abandoned on its
 	// deadline, which the simulator never reuses.
 	abandoned atomic.Bool
@@ -110,90 +104,90 @@ type Frame struct {
 	sim *Simulator
 }
 
-// frameStorage is the memory a frame is built in, which each frame
-// hands to the next (Simulator.view).
-type frameStorage struct {
-	requests []fleet.Request
-	taxis    []TaxiView
-	idle     []fleet.Taxi
-	plane    *costplane.Plane
-	inst     *pref.Instance
-	own      *Storage
-}
-
-// Storage is the memory a dispatcher builds its own per-frame values
-// in, the ones the frame does not memoise because they depend on the
-// dispatcher: Algorithm 3's request plane, which the unit taxi rows are
-// then filled into, its units and unit market, and Algorithm 1's
-// proposal state and matching. It belongs to the frame (Frame.Storage)
-// and moves on to the next frame with the rest of its storage, never
-// held by a dispatcher between frames.
+// Storage is the memory a frame is built in, which each frame hands to
+// the next (Simulator.view): the simulator builds the frame's requests,
+// taxi views and idle fleet in it, and the frame's dispatcher its own
+// per-frame values (Frame.Storage): Algorithm 1's §IV-A plane and
+// instance, or Algorithm 3's request plane, which the unit taxi rows are
+// then filled into, its units and unit market; and Algorithm 1's
+// proposal state and matching. No dispatcher holds it between frames.
 type Storage struct {
-	// Plane is Algorithm 3's request plane (costplane.Rebuild), with
-	// the unit market's taxi rows filled in place (FillTaxis).
+	// Plane is the §IV-A plane (pref.Plane) under NSTD, or Algorithm 3's
+	// request plane (costplane.Rebuild) with the unit market's taxi rows
+	// filled in place (FillTaxis) under STD.
 	Plane *costplane.Plane
+	// Instance is NSTD's §IV-A instance on Plane (pref.Refill).
+	Instance *pref.Instance
 	// Units are Algorithm 3's units and unit constants.
 	Units share.Units
 	// Market is Algorithm 3's unit market (share.Units.Market).
 	Market *pref.Market
 	// Solver holds Algorithm 1's proposal state and matching.
 	Solver stable.Solver
+
+	// The frame's own values, which the simulator builds.
+	requests []fleet.Request
+	taxis    []TaxiView
+	idle     []fleet.Taxi
 }
 
 // Storage returns the memory the frame's dispatcher builds its own
-// values in. The first call takes the last frame's Storage, which the
-// frame then hands on to the next; every later call on the same frame
-// (a resilient fallback running beside its abandoned primary) gets new,
-// empty storage, so no two dispatchers ever build into the same memory.
-// Like the frame, what is built in it is valid until the simulator
-// builds the next frame.
+// values in. The first call takes the frame's storage, the last frame's,
+// which the frame then hands on to the next; every later call on the
+// same frame (a resilient fallback running beside its abandoned
+// primary) gets new, empty storage, so no two dispatchers ever build
+// into the same memory. Like the frame, what is built in it is valid
+// until the simulator builds the next frame.
 func (f *Frame) Storage() *Storage {
-	f.planeMu.Lock()
-	defer f.planeMu.Unlock()
-	if f.own != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.taken {
 		return new(Storage)
 	}
-	f.own = f.spent.own
-	if f.own == nil {
-		f.own = new(Storage)
-	}
-	return f.own
+	f.taken = true
+	return f.storage()
 }
 
-// storage returns f's memory for the next frame: its slices and each
-// memoised value, or, for one f never built, the storage it had for it.
-func (f *Frame) storage() frameStorage {
-	f.planeMu.Lock()
-	defer f.planeMu.Unlock()
-	st := f.spent
-	st.requests, st.taxis = f.Requests, f.Taxis
-	if f.idle != nil {
-		st.idle = f.idle
+// storage returns f.st, allocating it for a frame built by hand. The
+// caller holds f.mu.
+func (f *Frame) storage() *Storage {
+	if f.st == nil {
+		f.st = new(Storage)
 	}
-	if f.prefPlane != nil {
-		st.plane = f.prefPlane
+	return f.st
+}
+
+// ReportMarket reports the market the frame's dispatcher matched on, the
+// one the frame's stability certificate audits: mk is over the idle
+// fleet (IdleFleet) and over the frame's requests when units is nil, or
+// over units, each proposing for its members. Like the frame, both must
+// stay as they are until the simulator builds the next frame. A frame
+// noted degraded drops its report and every later one, so a
+// straggler's market never audits the fallback's assignments.
+func (f *Frame) ReportMarket(mk *pref.Market, units []share.Unit) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.degraded {
+		f.market, f.units = mk, units
 	}
-	if f.inst != nil {
-		st.inst = f.inst
-	}
-	if f.own != nil {
-		st.own = f.own
-	}
-	return st
 }
 
 // NoteDegraded reports that the frame was handed to a fallback
-// dispatcher for reason ("deadline", "panic", "error"). A traced frame
-// notes "degraded dispatch: "+detail on its certificate. The simulator
-// counts it by reason (Stats.Degraded) and in the degraded_frames KPI,
-// queues a flight-recorder trigger for the end of the frame, and
-// publishes a degrade notice on its hub. A frame built by hand ignores
-// the rest. On "deadline" the abandoned dispatcher may still be reading
-// the frame, so the simulator never builds another frame into it.
+// dispatcher for reason ("deadline", "panic", "error"). It drops the
+// frame's market report (ReportMarket). A traced frame notes "degraded
+// dispatch: "+detail on its certificate. The simulator counts it by
+// reason (Stats.Degraded) and in the degraded_frames KPI, queues a
+// flight-recorder trigger for the end of the frame, and publishes a
+// degrade notice on its hub. A frame built by hand ignores the rest. On
+// "deadline" the abandoned dispatcher may still be reading the frame,
+// so the simulator never builds another frame into it.
 func (f *Frame) NoteDegraded(reason, detail string) {
 	if reason == "deadline" {
 		f.abandoned.Store(true)
 	}
+	f.mu.Lock()
+	f.degraded, f.market, f.units = true, nil, nil
+	f.mu.Unlock()
 	if f.Tracer != nil {
 		f.Tracer.AddFrameNote(f.Number, "degraded dispatch: "+detail)
 	}
@@ -209,48 +203,6 @@ func (f *Frame) NoteDegraded(reason, detail string) {
 	if s.cfg.Hub.Wants(stream.TopicNotices) {
 		s.cfg.Hub.Publish(stream.TopicNotices, frame, stream.Notice{Kind: "degrade", Frame: frame, Detail: detail})
 	}
-}
-
-// PrefPlane returns the frame's §IV-A plane, pref.Plane under
-// f.Params, building it on first use. taxis must be the frame's idle
-// fleet, IdleFleet.
-func (f *Frame) PrefPlane(taxis []fleet.Taxi) *costplane.Plane {
-	f.planeMu.Lock()
-	defer f.planeMu.Unlock()
-	if f.prefPlane == nil {
-		f.prefPlane = pref.Plane(f.spent.plane, f.Requests, taxis, f.Metric, f.Params, f.Workers)
-	}
-	return f.prefPlane
-}
-
-// Instance returns the frame's non-sharing §IV-A instance, pref.FromPlane
-// over PrefPlane, built on first use, so Algorithm 1 and the stability
-// certificate build and sort its market once per frame. taxis must be
-// the frame's idle fleet, as for PrefPlane.
-func (f *Frame) Instance(taxis []fleet.Taxi) (*pref.Instance, error) {
-	pl := f.PrefPlane(taxis)
-	f.planeMu.Lock()
-	defer f.planeMu.Unlock()
-	if f.inst == nil {
-		inst, err := pref.Refill(f.spent.inst, pl, f.Params)
-		if err != nil {
-			return nil, err
-		}
-		f.inst = inst
-	}
-	return f.inst, nil
-}
-
-// FullPlane returns the frame's unpruned plane, building it on first
-// use: the baselines have no acceptability thresholds. taxis must be
-// the frame's idle fleet, as for PrefPlane.
-func (f *Frame) FullPlane(taxis []fleet.Taxi) *costplane.Plane {
-	f.planeMu.Lock()
-	defer f.planeMu.Unlock()
-	if f.fullPlane == nil {
-		f.fullPlane = costplane.Build(f.Requests, taxis, f.Metric, costplane.Config{Workers: f.Workers})
-	}
-	return f.fullPlane
 }
 
 // IdleTaxis returns the idle subset of the fleet, preserving order.
@@ -270,16 +222,17 @@ func (f *Frame) IdleTaxis() []TaxiView {
 // caller, who must not modify it; like the frame, it is valid until the
 // simulator builds the next frame.
 func (f *Frame) IdleFleet() []fleet.Taxi {
-	f.planeMu.Lock()
-	defer f.planeMu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.idle == nil {
-		taxis := slices.Grow(f.spent.idle[:0], f.idleCount())
+		st := f.storage()
+		taxis := slices.Grow(st.idle[:0], f.idleCount())
 		for i := range f.Taxis {
 			if v := &f.Taxis[i]; v.Idle {
 				taxis = append(taxis, fleet.Taxi{ID: v.ID, Pos: v.Pos, Seats: v.Seats, Status: fleet.TaxiIdle})
 			}
 		}
-		f.idle = taxis
+		f.idle, st.idle = taxis, taxis
 	}
 	return f.idle
 }
@@ -540,9 +493,13 @@ type Simulator struct {
 	// installs.
 	newReqs []*requestState
 
-	// last is the latest frame view builds, whose storage the next
+	// last is the latest frame view builds, whose Storage the next
 	// frame reuses.
 	last *Frame
+	// audit is the storage the stability certificate builds the §IV-A
+	// model in, for a frame no dispatcher reported a market on
+	// (certifyFrame); no dispatcher ever sees it.
+	audit Storage
 
 	// kpi holds the running per-frame KPI aggregates; only updated when
 	// cfg.KPI is configured.
@@ -842,7 +799,7 @@ func (s *Simulator) releaseArrivals() {
 	}
 }
 
-// view builds the dispatcher's frame into the storage of the last frame
+// view builds the dispatcher's frame into the Storage of the last frame
 // it built, unless that frame's dispatcher was abandoned on its
 // deadline: a fixed number of allocations whatever the fleet size, since
 // taxi views share the installed routes, and none once the storage has
@@ -858,13 +815,17 @@ func (s *Simulator) view() *Frame {
 		sim:     s,
 	}
 	if last := s.last; last != nil && !last.abandoned.Load() {
-		f.spent = last.storage()
+		f.st = last.st
+	} else {
+		f.st = new(Storage)
 	}
-	f.Requests = slices.Grow(f.spent.requests[:0], len(s.pending))
+	st := f.st
+	st.requests = slices.Grow(st.requests[:0], len(s.pending))
 	for _, rs := range s.pending {
-		f.Requests = append(f.Requests, rs.req)
+		st.requests = append(st.requests, rs.req)
 	}
-	f.Taxis = s.fillViews(slices.Grow(f.spent.taxis[:0], len(s.taxis))[:len(s.taxis)])
+	st.taxis = s.fillViews(slices.Grow(st.taxis[:0], len(s.taxis))[:len(s.taxis)])
+	f.Requests, f.Taxis = st.requests, st.taxis
 	s.last = f
 	return f
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"stabledispatch/internal/dtrace"
@@ -624,12 +623,14 @@ func TestIdleTaxisHelper(t *testing.T) {
 	}
 }
 
-// TestCertificateReadsFrameInstance pins that a traced frame's
-// certificate audits the non-sharing market memoised on the frame, the
-// one Algorithm 1 matched on, and builds none of its own: certified
-// against a memo whose taxis sit swapped, the frame's own stable
-// matching reads as unstable.
-func TestCertificateReadsFrameInstance(t *testing.T) {
+// TestCertificateReadsReportedMarket pins that a traced frame's
+// certificate audits the market its dispatcher reported matching on
+// (Frame.ReportMarket) and builds none of its own: certified against a
+// reported market whose taxis sit swapped, the frame's own stable
+// matching reads as unstable. A degraded frame drops its report, and
+// one that arrives later, and is audited on the §IV-A market the
+// simulator builds in its own storage.
+func TestCertificateReadsReportedMarket(t *testing.T) {
 	reqs := []fleet.Request{
 		{ID: 10, Pickup: geo.Point{X: 0, Y: 0}, Dropoff: geo.Point{X: 0, Y: 8}},
 		{ID: 11, Pickup: geo.Point{X: 4, Y: 0}, Dropoff: geo.Point{X: 4, Y: 8}},
@@ -647,50 +648,51 @@ func TestCertificateReadsFrameInstance(t *testing.T) {
 			Tracer: dtrace.New(0),
 		}
 	}
-	f := frame(0, 4)
-	inst, err := f.Instance(f.IdleFleet())
-	if err != nil {
-		t.Fatal(err)
+	market := func(f *Frame) *pref.Market {
+		inst, err := pref.FromPlane(pref.Plane(nil, f.Requests, f.IdleFleet(), f.Metric, f.Params, 1), f.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &inst.Market
 	}
-	pl := f.prefPlane
-	if m := stable.PassengerOptimal(&inst.Market); !slices.Equal(m.ReqPartner, []int{0, 1}) {
+	certify := func(f *Frame) (dtrace.Certificate, *Simulator) {
+		s := new(Simulator)
+		s.certifyFrame(f.Tracer, f, []fleet.Assignment{fleet.SingleRide(0, reqs[0]), fleet.SingleRide(1, reqs[1])})
+		c, ok := f.Tracer.Certificate(1)
+		if !ok {
+			t.Fatal("frame not certified")
+		}
+		return c, s
+	}
+
+	f := frame(0, 4)
+	mk := market(f)
+	if m := stable.PassengerOptimal(mk); !slices.Equal(m.ReqPartner, []int{0, 1}) {
 		t.Fatalf("Algorithm 1 matched %v, want each request to the taxi beside it", m.ReqPartner)
 	}
-	applied := []fleet.Assignment{fleet.SingleRide(0, reqs[0]), fleet.SingleRide(1, reqs[1])}
-	new(Simulator).certifyFrame(f.Tracer, f, applied)
-	if c, _ := f.Tracer.Certificate(1); !c.Stable {
+	f.ReportMarket(mk, nil)
+	if c, s := certify(f); !c.Stable || c.Matched != 2 {
 		t.Fatalf("Algorithm 1's matching certified unstable: %+v", c)
-	}
-	if again, _ := f.Instance(f.IdleFleet()); again != inst || f.prefPlane != pl || f.fullPlane != nil {
-		t.Fatal("the certificate rebuilt the frame's market or built a plane of its own")
+	} else if s.audit.Plane != nil || s.audit.Instance != nil {
+		t.Fatal("the certificate of a reported frame built a plane of its own")
 	}
 
-	// A Resilient straggler and the certificate may ask at once: every
-	// caller gets the one memoised instance.
+	g := frame(0, 4)
+	g.ReportMarket(market(frame(4, 0)), nil)
+	if c, _ := certify(g); c.Stable || c.ViolationsTotal == 0 {
+		t.Fatalf("certificate ignored the reported market: %+v", c)
+	}
+
 	h := frame(0, 4)
-	got := make([]*pref.Instance, 8)
-	var wg sync.WaitGroup
-	for k := range got {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			got[k], _ = h.Instance(h.IdleFleet())
-		}(k)
+	h.ReportMarket(market(frame(4, 0)), nil)
+	h.NoteDegraded("error", "primary failed")
+	h.ReportMarket(market(frame(4, 0)), nil)
+	c, s := certify(h)
+	if !c.Stable || c.Matched != 2 || len(c.Notes) == 0 || !strings.HasPrefix(c.Notes[0], "degraded dispatch") {
+		t.Fatalf("degraded frame audited on a dropped report: %+v", c)
 	}
-	wg.Wait()
-	for _, inst := range got {
-		if inst == nil || inst != got[0] {
-			t.Fatal("concurrent callers got different instances")
-		}
-	}
-
-	g, swapped := frame(0, 4), frame(4, 0)
-	if g.inst, err = swapped.Instance(swapped.IdleFleet()); err != nil {
-		t.Fatal(err)
-	}
-	new(Simulator).certifyFrame(g.Tracer, g, applied)
-	if c, _ := g.Tracer.Certificate(1); c.Stable || c.ViolationsTotal == 0 {
-		t.Fatalf("certificate ignored the frame's memoised market: %+v", c)
+	if s.audit.Instance == nil {
+		t.Fatal("degraded frame's certificate built no §IV-A market of its own")
 	}
 }
 
