@@ -7,9 +7,11 @@
 #       --pairs 10 --seconds 30 --seed 1 --out BENCH_x.json
 #
 # The base side is the --base revision, extracted with git archive into
-# the work directory; the change side is this checkout's working tree.
-# Each side builds with its own CARGO_TARGET_DIR. Pair k runs the base first
-# when k is even and the change first when k is odd.
+# WORK/base; the change side is this checkout's working tree (tracked
+# files and untracked ones git does not ignore), copied into WORK/change
+# at start, so later edits do not reach the run. Both sides run from
+# sibling directories and build with their own CARGO_TARGET_DIR. Pair k
+# runs the base first when k is even and the change first when k is odd.
 #
 # For every workload and seed, the report holds each run's result line
 # and, per end-to-end metric of BENCHMARK.json, both sides' medians,
@@ -60,15 +62,19 @@ base_rev=$(git rev-parse --short "$base")
 rm -rf "$work/base"
 mkdir -p "$work/base"
 git archive "$base_rev" | tar -x -C "$work/base"
+rm -rf "$work/change"
+mkdir -p "$work/change"
+git ls-files -z --cached --others --exclude-standard | while IFS= read -r -d '' f; do
+	# A tracked file deleted in the working tree is not part of the change.
+	if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+done | tar --null -T - -cf - | tar -x -C "$work/change"
 change_rev="working tree of $(git rev-parse --short HEAD)"
 
 # bench SIDE WORKLOAD SEED prints one JSON object: the side, its exit
 # code and its result line (null when it printed none).
 bench() {
-	local dir=$work/base
-	[ "$1" = change ] && dir=$root
 	local line code=0
-	line=$(cd "$dir" && CARGO_TARGET_DIR=$work/build-$1 bash dispatchbench/run.sh \
+	line=$(cd "$work/$1" && CARGO_TARGET_DIR=$work/build-$1 bash dispatchbench/run.sh \
 		--workload "$2" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1) || code=$?
 	jq -cn --arg side "$1" --argjson code "$code" --arg line "$line" \
 		'{side: $side, exit: $code, result: ($line | try fromjson catch null)}'
@@ -125,10 +131,12 @@ for w in "${workloads[@]}"; do
 	done
 done
 
+# A fresh name, so an --out inside --work is never the file moved onto it.
+report=$(mktemp "$work/report.XXXXXX")
 if [ -s "$out" ]; then
-	jq -s '{entries: ((.[0].entries // {}) * .[1])}' "$out" "$entries" >"$work/report.json"
+	jq -s '{entries: ((.[0].entries // {}) * .[1])}' "$out" "$entries" >"$report"
 else
-	jq '{entries: .}' "$entries" >"$work/report.json"
+	jq '{entries: .}' "$entries" >"$report"
 fi
-mv "$work/report.json" "$out"
+mv "$report" "$out"
 echo "benchpairs: wrote $out" >&2

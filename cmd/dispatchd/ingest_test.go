@@ -3,10 +3,12 @@ package main
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"stabledispatch/internal/admission"
 	"stabledispatch/internal/dispatch"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/pref"
@@ -361,6 +363,91 @@ func TestQueueFullSheds429(t *testing.T) {
 	if resp := postJSON(t, ts.URL+"/v1/requests", in); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("post-drain create status = %d", resp.StatusCode)
 	}
+}
+
+// TestInflightCapSheds429 pins -max-inflight over HTTP. Past the cap a
+// POST sheds 429 inflight_cap with Retry-After, whether the admitted
+// requests are queued or already in the simulator; a DELETE frees its
+// slot at once; and once the rest finish nothing is in flight.
+func TestInflightCapSheds429(t *testing.T) {
+	cfg := testConfig()
+	cfg.Taxis = cfg.Taxis[:1] // one taxi: one request rides, one waits
+	cfg.MaxInflight = 2
+	cfg.RetryAfter = 2 * time.Second
+	ts, _ := startServer(t, cfg)
+
+	in := requestIn{Pickup: pointJSON{X: 12, Y: 10}, Dropoff: pointJSON{X: 16, Y: 10}, Seats: 1}
+	admit := func(when string) int {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/requests", in)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: create status = %d, want 201", when, resp.StatusCode)
+		}
+		return decode[requestOut](t, resp).ID
+	}
+	wantShed := func(when string) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/requests", in)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: create status = %d, want 429", when, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "2" {
+			t.Errorf("%s: Retry-After = %q, want %q", when, got, "2")
+		}
+		if msg := decode[map[string]string](t, resp)["error"]; !strings.Contains(msg, string(admission.ReasonInflight)) {
+			t.Errorf("%s: error %q does not name %s", when, msg, admission.ReasonInflight)
+		}
+	}
+	status := func(id int) string {
+		t.Helper()
+		st, code := getJSON[requestStatusOut](t, fmt.Sprintf("%s/v1/requests/%d", ts.URL, id))
+		if code != http.StatusOK {
+			t.Fatalf("request %d: status endpoint answered %d", id, code)
+		}
+		return st.Status
+	}
+
+	ids := []int{admit("first"), admit("second")}
+	wantShed("both queued")
+	postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 1})
+	wantShed("after the first tick")
+
+	pending := -1
+	for _, id := range ids {
+		if status(id) == "pending" {
+			pending = id
+		}
+	}
+	if pending < 0 {
+		t.Fatalf("no request pending after the first tick with one taxi (%s, %s)", status(ids[0]), status(ids[1]))
+	}
+	if resp := doRequest(t, http.MethodDelete, fmt.Sprintf("%s/v1/requests/%d", ts.URL, pending), ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete pending request: status %d", resp.StatusCode)
+	}
+	ids = append(ids, admit("after the delete"))
+	wantShed("cap refilled")
+
+	for frames := 0; ; frames++ {
+		done := true
+		for _, id := range ids {
+			switch status(id) {
+			case "completed", "cancelled":
+			default:
+				done = false
+			}
+		}
+		if done {
+			break
+		}
+		if frames == 60 {
+			t.Fatal("admitted requests still unfinished after 60 frames")
+		}
+		postJSON(t, ts.URL+"/v1/tick", tickIn{Frames: 1})
+	}
+	if h, _ := getJSON[healthOut](t, ts.URL+"/healthz"); h.Inflight != 0 || h.IntakeQueue != 0 {
+		t.Errorf("healthz inflight %d, intake queue %d after every request finished; want 0 and 0", h.Inflight, h.IntakeQueue)
+	}
+	admit("after every request finished")
 }
 
 // TestOverloadSLOFileLoads keeps ci/overload.slo parseable and bound to

@@ -166,8 +166,8 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		"admission_accepted_total",
 		"admission_queue_depth",
 		"admission_inject_failures_total",
-		"admission_wait_seconds_bucket",
-		"admission_wait_seconds_p99",
+		"admission_queue_wait_seconds_bucket",
+		"admission_queue_wait_seconds_p99",
 		"http_request_seconds_count",
 		"http_panics_total",
 		"stream_dropped_total",

@@ -87,7 +87,7 @@ type config struct {
 }
 
 // newServer builds one daemon: the stream hub, the admission controller
-// (publishing on the hub, settled by the simulator's lifecycle events),
+// (publishing on the hub, settled from the simulator's counts),
 // the KPI ring, the frame-budget ledger, the decision-trace recorder,
 // the simulator that owns them, and the handler chain that serves it.
 func newServer(cfg config) (*server, error) {
@@ -103,7 +103,6 @@ func newServer(cfg config) (*server, error) {
 		Dispatcher: cfg.Dispatcher,
 		SpeedKmH:   cfg.SpeedKmH,
 		Workers:    cfg.Workers,
-		Events:     admissionSink(adm),
 		// A sliding window (no downsampling): /v1/profile, /v1/metrics
 		// and the stream's connect snapshot describe the recent
 		// frames, not a thinned whole run.
@@ -137,22 +136,6 @@ func newServer(cfg config) (*server, error) {
 	return srv, nil
 }
 
-// admissionSink forwards lifecycle transitions into the admission
-// controller's in-flight ledger and enqueue→assignment histogram.
-// Breakdown events carry RequestID -1 and fall through untouched.
-func admissionSink(c *admission.Controller) sim.EventSink {
-	return sim.EventSinkFunc(func(e sim.Event) {
-		switch e.Kind {
-		case sim.EventAssign:
-			c.NoteAssigned(e.RequestID)
-		case sim.EventDropoff, sim.EventAbandon, sim.EventCancel:
-			c.NoteTerminal(e.RequestID)
-		case sim.EventRequeue, sim.EventRescue:
-			c.NoteRequeued(e.RequestID)
-		}
-	})
-}
-
 // locked runs f under s.mu. Every holder of s.mu goes through it or
 // unlocks by defer, so a panic in f — a dispatcher bug inside Step,
 // recovered into a 500 by withRecovery — still releases the lock and
@@ -184,11 +167,14 @@ func (s *server) stepN(n int) (int, error) {
 
 // stepLocked injects every request admitted since the last boundary —
 // in admission order, stamped with the current frame — then advances
-// one frame. Callers hold s.mu. Injecting the whole batch before Step
-// makes the batch indistinguishable from synchronous injection: the
-// requests join this frame's pending queue in exactly the order they
-// were admitted, so dispatch output per frame is unchanged.
+// one frame and settles the in-flight count, even when a dispatcher
+// panic unwinds Step. Callers hold s.mu. Injecting the whole batch
+// before Step makes the batch indistinguishable from synchronous
+// injection: the requests join this frame's pending queue in exactly
+// the order they were admitted, so dispatch output per frame is
+// unchanged.
 func (s *server) stepLocked() error {
+	defer s.settleLocked()
 	for _, r := range s.adm.TakeBatch() {
 		s.injectLocked(r)
 	}
@@ -204,10 +190,17 @@ func (s *server) stepLocked() error {
 func (s *server) injectLocked(r fleet.Request) {
 	r.Frame = s.sim.Frame()
 	if err := s.sim.Inject(r); err != nil {
-		// Unreachable while the controller is the sole ID source;
-		// release the slot so a bug cannot leak in-flight capacity.
-		s.adm.NoteInjectFailure(r.ID)
+		// Unreachable while the controller is the sole ID source; the
+		// next settle releases the slot.
+		s.adm.NoteInjectFailure()
 	}
+}
+
+// settleLocked hands the admission controller the simulator's count of
+// unfinished requests. Callers hold s.mu.
+func (s *server) settleLocked() {
+	c := s.sim.Counts()
+	s.adm.Settle(c.Pending + c.Active)
 }
 
 // drainFinal flushes any still-queued admitted requests through one
@@ -255,8 +248,9 @@ type healthOut struct {
 	// IntakeQueue is the admission queue depth: requests accepted but
 	// not yet injected into a frame.
 	IntakeQueue int `json:"intakeQueue"`
-	// Inflight counts admitted requests that have not reached a
-	// terminal lifecycle state (queued + pending + assigned + riding).
+	// Inflight counts admitted requests that had not reached a terminal
+	// lifecycle state at the last frame boundary (queued + pending +
+	// assigned + riding).
 	Inflight int `json:"inflightRequests"`
 	// Draining reports a shutdown in progress: new requests shed 503
 	// while the admitted tail flushes.
@@ -636,11 +630,11 @@ func (s *server) deleteRequest(w http.ResponseWriter, r *http.Request) {
 		if queued, ok := s.adm.Withdraw(id); ok {
 			// Not yet injected: hand it to the simulator now and
 			// cancel it before its release, so it never reaches a
-			// dispatch frame and its cancel event settles the
-			// in-flight slot.
+			// dispatch frame.
 			s.injectLocked(queued)
 		}
 		err = s.sim.CancelRequest(id)
+		s.settleLocked()
 	})
 	switch {
 	case errors.Is(err, sim.ErrUnknownRequest):

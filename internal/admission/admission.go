@@ -19,21 +19,21 @@
 //     only the lock coupling is gone (see DESIGN.md for the
 //     arrival-order-preservation argument).
 //   - Load shedding is fail-fast: when the queue is at capacity or the
-//     in-flight ledger is at its cap, Admit returns a *ShedError the
+//     in-flight count is at its cap, Admit returns a *ShedError the
 //     handler maps to 429 Too Many Requests with a Retry-After hint.
 //     Once BeginDrain is called (shutdown), every Admit sheds with
 //     ReasonDraining (503) while the already-admitted tail flushes.
 //
-// The in-flight ledger tracks every admitted request until it reaches a
-// terminal lifecycle state (drop-off, abandonment, cancellation), fed by
-// the simulator's event stream. It bounds the total work the daemon will
-// hold — queued plus dispatched-but-unfinished — and carries the
-// enqueue→assignment latency histogram.
+// The controller keeps no record of a request once TakeBatch hands it
+// out: the simulator is the one record of its life. The in-flight count
+// bounding the total work the daemon holds is the queue length plus the
+// unfinished requests the simulator reported at the last Settle, plus
+// every batch taken since.
 //
 // WritePrometheus renders the controller's own series:
 // admission_accepted_total, admission_shed_total{reason=...},
 // admission_queue_depth, admission_inject_failures_total, and the
-// admission_wait_seconds histogram (enqueue to assignment). Two
+// admission_queue_wait_seconds histogram (enqueue to injection). Two
 // controllers in one process never share a count.
 package admission
 
@@ -63,7 +63,7 @@ type Reason string
 // Shed reasons, exported as admission_shed_total{reason=...} labels.
 const (
 	ReasonQueueFull Reason = "queue_full"   // intake queue at capacity
-	ReasonInflight  Reason = "inflight_cap" // in-flight ledger at capacity
+	ReasonInflight  Reason = "inflight_cap" // in-flight count at capacity
 	ReasonDraining  Reason = "draining"     // shutdown in progress
 )
 
@@ -101,28 +101,26 @@ type Config struct {
 	now func() time.Time
 }
 
-// entry is the in-flight ledger record of one admitted request.
-type entry struct {
-	enqueuedAt time.Time
-	assigned   bool // enqueue→assignment latency already observed
-}
-
 // Controller is the admission front door. All methods are safe for
 // concurrent use; none of them ever blocks on anything but the
-// controller's own mutex, which is held only for O(1) work (TakeBatch
-// hands the queue over by swapping slices).
+// controller's own mutex, which is held only briefly (Admit and Settle
+// are O(1); TakeBatch hands the queue over by swapping slices and
+// observes each taken request's wait once).
 type Controller struct {
-	mu       sync.Mutex
-	cfg      Config
-	queue    []fleet.Request
+	mu    sync.Mutex
+	cfg   Config
+	queue []fleet.Request
+	// enqueued[i] is when queue[i] was admitted.
+	enqueued []time.Time
 	nextID   int
-	inflight int
-	entries  map[int]*entry
+	// inSim counts the unfinished requests the simulator held at the
+	// last Settle plus every batch taken since.
+	inSim    int
 	draining bool
 
 	shed        map[Reason]int // requests shed, by reason
 	injectFails int
-	wait        *obs.Histogram // enqueue→assignment latency
+	wait        *obs.Histogram // enqueue→injection latency
 }
 
 // New builds a Controller.
@@ -137,16 +135,15 @@ func New(cfg Config) *Controller {
 		cfg.now = time.Now
 	}
 	return &Controller{
-		cfg:     cfg,
-		entries: make(map[int]*entry),
-		shed:    make(map[Reason]int),
-		wait:    obs.NewHistogram(),
+		cfg:  cfg,
+		shed: make(map[Reason]int),
+		wait: obs.NewHistogram(),
 	}
 }
 
 // Decision is the live-stream payload of one front-door outcome,
 // published on the admission topic: per-request accept/shed decisions
-// and per-frame intake summaries, each carrying the queue and ledger
+// and per-frame intake summaries, each carrying the queue and in-flight
 // gauges at decision time.
 type Decision struct {
 	Kind string `json:"kind"` // "accepted", "shed", or "intake"
@@ -181,16 +178,15 @@ func (c *Controller) Admit(r fleet.Request) (int, error) {
 		return 0, c.shedLocked(ReasonDraining)
 	case len(c.queue) >= c.cfg.QueueCap:
 		return 0, c.shedLocked(ReasonQueueFull)
-	case c.cfg.MaxInflight > 0 && c.inflight >= c.cfg.MaxInflight:
+	case c.cfg.MaxInflight > 0 && c.inflightLocked() >= c.cfg.MaxInflight:
 		return 0, c.shedLocked(ReasonInflight)
 	}
 	id := c.nextID
 	c.nextID++
 	r.ID = id
 	c.queue = append(c.queue, r)
-	c.entries[id] = &entry{enqueuedAt: c.cfg.now()}
-	c.inflight++
-	depth, inflight := len(c.queue), c.inflight
+	c.enqueued = append(c.enqueued, c.cfg.now())
+	depth, inflight := len(c.queue), c.inflightLocked()
 	c.mu.Unlock()
 	c.publish(Decision{Kind: "accepted", ID: id, QueueDepth: depth, Inflight: inflight})
 	return id, nil
@@ -200,25 +196,32 @@ func (c *Controller) Admit(r fleet.Request) (int, error) {
 // and returns the error Admit hands the caller.
 func (c *Controller) shedLocked(reason Reason) error {
 	c.shed[reason]++
-	depth, inflight := len(c.queue), c.inflight
+	depth, inflight := len(c.queue), c.inflightLocked()
 	c.mu.Unlock()
 	c.publish(Decision{Kind: "shed", ID: -1, Reason: reason, QueueDepth: depth, Inflight: inflight})
 	return &ShedError{Reason: reason, RetryAfter: c.cfg.RetryAfter}
 }
 
 // TakeBatch removes and returns every queued request in admission
-// order. The serving layer calls it at each frame boundary, injects the
-// batch, then steps the frame. A non-empty take publishes one intake
-// summary on the admission stream topic.
+// order, observing each one's queue wait. The serving layer calls it at
+// each frame boundary, injects the batch, then steps the frame; the
+// batch counts as in flight until the next Settle recounts it. A
+// non-empty take publishes one intake summary on the admission stream
+// topic.
 func (c *Controller) TakeBatch() []fleet.Request {
 	c.mu.Lock()
 	if len(c.queue) == 0 {
 		c.mu.Unlock()
 		return nil
 	}
+	now := c.cfg.now()
+	for _, t := range c.enqueued {
+		c.wait.Observe(now.Sub(t).Seconds())
+	}
 	batch := c.queue
-	c.queue = nil
-	inflight := c.inflight
+	c.queue, c.enqueued = nil, c.enqueued[:0]
+	c.inSim += len(batch)
+	inflight := c.inflightLocked()
 	c.mu.Unlock()
 	c.publish(Decision{Kind: "intake", ID: -1, Batch: len(batch), Inflight: inflight})
 	return batch
@@ -233,8 +236,8 @@ func (c *Controller) Queued(id int) bool {
 }
 
 // Withdraw takes a still-queued request out of the queue, the rest
-// keeping their admission order; false when id is not queued. Its
-// in-flight slot stays held until its cancellation reaches NoteTerminal.
+// keeping their admission order, and frees its in-flight slot; false
+// when id is not queued.
 func (c *Controller) Withdraw(id int) (fleet.Request, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -244,6 +247,7 @@ func (c *Controller) Withdraw(id int) (fleet.Request, bool) {
 	}
 	r := c.queue[i]
 	c.queue = append(c.queue[:i], c.queue[i+1:]...)
+	c.enqueued = append(c.enqueued[:i], c.enqueued[i+1:]...)
 	return r, true
 }
 
@@ -259,7 +263,7 @@ func (c *Controller) indexLocked(id int) int {
 
 // BeginDrain stops admission permanently: every later Admit sheds with
 // ReasonDraining. Already-queued requests stay queued for the final
-// flush; the in-flight ledger keeps settling as events arrive.
+// flush; the in-flight count keeps settling frame by frame.
 func (c *Controller) BeginDrain() {
 	c.mu.Lock()
 	c.draining = true
@@ -281,12 +285,25 @@ func (c *Controller) QueueDepth() int {
 	return len(c.queue)
 }
 
-// Inflight returns the number of admitted requests that have not yet
-// reached a terminal lifecycle state.
+// Inflight returns the number of admitted requests that had not reached
+// a terminal lifecycle state at the last Settle: the queue plus the
+// simulator's unfinished requests.
 func (c *Controller) Inflight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inflight
+	return c.inflightLocked()
+}
+
+func (c *Controller) inflightLocked() int { return len(c.queue) + c.inSim }
+
+// Settle records n, the requests the simulator holds that have not
+// reached a terminal state (pending plus assigned plus riding). The
+// serving layer calls it after every frame and every cancellation, so a
+// finished request frees its slot at the next frame boundary.
+func (c *Controller) Settle(n int) {
+	c.mu.Lock()
+	c.inSim = n
+	c.mu.Unlock()
 }
 
 // Accepted returns the number of requests admitted so far.
@@ -307,62 +324,13 @@ func (c *Controller) Shed() int {
 	return n
 }
 
-// NoteAssigned records a dispatch for an admitted request: the first
-// assignment observes the enqueue→assignment latency; a re-dispatch
-// after a fault revocation observes the requeue→reassignment latency
-// (NoteRequeued resets the clock). Unknown IDs are ignored.
-func (c *Controller) NoteAssigned(id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok || e.assigned {
-		return
-	}
-	e.assigned = true
-	c.wait.Observe(c.cfg.now().Sub(e.enqueuedAt).Seconds())
-}
-
-// NoteTerminal settles an admitted request that reached a terminal
-// lifecycle state (drop-off, abandonment, cancellation), releasing its
-// in-flight slot. Unknown IDs are ignored, so sinks can forward every
-// event unconditionally.
-func (c *Controller) NoteTerminal(id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[id]; !ok {
-		return
-	}
-	delete(c.entries, id)
-	c.inflight--
-}
-
-// NoteRequeued re-activates a request the fault machinery put back in
-// the pending queue (driver cancellation, breakdown requeue or rescue).
-// A driver cancellation emits cancel (settling the entry) immediately
-// followed by requeue for the same ID, so re-creating a missing entry
-// here keeps the ledger balanced; the clock restarts so the next
-// NoteAssigned observes the redispatch latency.
-func (c *Controller) NoteRequeued(id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[id]; ok {
-		e.assigned = false
-		e.enqueuedAt = c.cfg.now()
-		return
-	}
-	c.entries[id] = &entry{enqueuedAt: c.cfg.now()}
-	c.inflight++
-}
-
-// NoteInjectFailure releases the in-flight slot of a request the
-// serving layer failed to inject into the simulator. The controller is
-// the sole ID allocator so this cannot happen in practice, but a bug
-// there must not leak in-flight capacity forever.
-func (c *Controller) NoteInjectFailure(id int) {
+// NoteInjectFailure counts a request the serving layer failed to inject
+// into the simulator. The controller is the sole ID allocator so this
+// cannot happen in practice; the next Settle releases its slot.
+func (c *Controller) NoteInjectFailure() {
 	c.mu.Lock()
 	c.injectFails++
 	c.mu.Unlock()
-	c.NoteTerminal(id)
 }
 
 // WritePrometheus writes the controller's series to p, every count
@@ -376,5 +344,5 @@ func (c *Controller) WritePrometheus(p *obs.Writer) {
 	p.Gauge("admission_queue_depth", float64(len(c.queue)))
 	p.Counter("admission_inject_failures_total", uint64(c.injectFails))
 	c.mu.Unlock()
-	p.Histogram("admission_wait_seconds", c.wait)
+	p.Histogram("admission_queue_wait_seconds", c.wait)
 }

@@ -83,7 +83,7 @@ func TestAdmitAllocatesSequentialIDsInOrder(t *testing.T) {
 		t.Errorf("queue depth after TakeBatch = %d", c.QueueDepth())
 	}
 	if c.Inflight() != 5 {
-		t.Errorf("inflight = %d, want 5 (batch taken but not terminal)", c.Inflight())
+		t.Errorf("inflight = %d, want 5 (batch taken but not yet settled)", c.Inflight())
 	}
 }
 
@@ -117,19 +117,20 @@ func TestQueueFullSheds(t *testing.T) {
 
 func TestInflightCapShedsUntilTerminal(t *testing.T) {
 	c := New(Config{QueueCap: 16, MaxInflight: 2})
-	a, _ := c.Admit(req(0))
-	b, _ := c.Admit(req(1))
+	c.Admit(req(0))
+	c.Admit(req(1))
 	c.TakeBatch()
 	_, err := c.Admit(req(2))
 	var shed *ShedError
 	if !errors.As(err, &shed) || shed.Reason != ReasonInflight {
 		t.Fatalf("err = %v, want inflight shed", err)
 	}
-	c.NoteTerminal(a)
+	// The simulator reports one of the two finished.
+	c.Settle(1)
 	if _, err := c.Admit(req(3)); err != nil {
-		t.Errorf("admit after terminal: %v", err)
+		t.Errorf("admit after one settled: %v", err)
 	}
-	c.NoteTerminal(b)
+	c.Settle(0)
 	if got := c.Inflight(); got != 1 {
 		t.Errorf("inflight = %d, want 1 (only the queued request remains)", got)
 	}
@@ -155,49 +156,30 @@ func TestDrainShedsWithDrainingReason(t *testing.T) {
 	}
 }
 
-func TestAssignmentLatencyObservedOncePerDispatch(t *testing.T) {
+func TestQueueWaitObservedOncePerInjection(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	c := New(Config{QueueCap: 4, now: clock.now})
-	id, _ := c.Admit(req(0))
-	c.TakeBatch()
+	c.Admit(req(0))
 	clock.advance(2 * time.Second)
-	c.NoteAssigned(id)
-	c.NoteAssigned(id) // duplicate assign events must not double-observe
-	if got := rendered(t, c)["admission_wait_seconds_count"]; got != 1 {
-		t.Fatalf("wait observations = %v, want 1", got)
-	}
-	// A requeue restarts the clock; the re-dispatch observes again.
-	c.NoteRequeued(id)
+	c.Admit(req(1))
 	clock.advance(time.Second)
-	c.NoteAssigned(id)
-	if got := rendered(t, c)["admission_wait_seconds_count"]; got != 2 {
-		t.Errorf("wait observations after requeue = %v, want 2", got)
-	}
-}
-
-func TestRequeueRebalancesLedgerAfterCancel(t *testing.T) {
-	c := New(Config{QueueCap: 4})
-	id, _ := c.Admit(req(0))
 	c.TakeBatch()
-	// Driver cancellation: cancel settles the entry, the immediately
-	// following requeue must re-activate it.
-	c.NoteTerminal(id)
-	if c.Inflight() != 0 {
-		t.Fatalf("inflight after cancel = %d", c.Inflight())
+	c.TakeBatch() // an empty take observes nothing
+	m := rendered(t, c)
+	if m["admission_queue_wait_seconds_count"] != 2 || m["admission_queue_wait_seconds_sum"] != 4 {
+		t.Fatalf("queue wait count %v sum %v, want 2 and 4 (3 s + 1 s)",
+			m["admission_queue_wait_seconds_count"], m["admission_queue_wait_seconds_sum"])
 	}
-	c.NoteRequeued(id)
-	if c.Inflight() != 1 {
-		t.Fatalf("inflight after requeue = %d, want 1", c.Inflight())
-	}
-	c.NoteTerminal(id)
-	if c.Inflight() != 0 {
-		t.Errorf("inflight after final terminal = %d", c.Inflight())
-	}
-	// Unknown IDs are ignored everywhere.
-	c.NoteTerminal(999)
-	c.NoteAssigned(999)
-	if c.Inflight() != 0 {
-		t.Errorf("inflight disturbed by unknown id: %d", c.Inflight())
+	// A withdrawn request never reaches injection and is not observed.
+	c.Admit(req(2))
+	c.Admit(req(3))
+	c.Withdraw(2)
+	clock.advance(time.Second)
+	c.TakeBatch()
+	m = rendered(t, c)
+	if m["admission_queue_wait_seconds_count"] != 3 || m["admission_queue_wait_seconds_sum"] != 5 {
+		t.Errorf("queue wait count %v sum %v after a withdrawal, want 3 and 5",
+			m["admission_queue_wait_seconds_count"], m["admission_queue_wait_seconds_sum"])
 	}
 }
 
@@ -256,22 +238,27 @@ func TestConcurrentAdmitKeepsIDsUniqueAndBounded(t *testing.T) {
 
 func TestInjectFailureReleasesInflight(t *testing.T) {
 	c := New(Config{QueueCap: 4, MaxInflight: 1})
-	id, _ := c.Admit(req(0))
+	c.Admit(req(0))
 	c.TakeBatch()
-	c.NoteInjectFailure(id)
+	c.NoteInjectFailure()
+	// The simulator never saw the request, so the next settle counts
+	// nothing for it.
+	c.Settle(0)
 	if c.Inflight() != 0 {
 		t.Errorf("inflight = %d after inject failure", c.Inflight())
+	}
+	if got := rendered(t, c)["admission_inject_failures_total"]; got != 1 {
+		t.Errorf("inject failures = %v, want 1", got)
 	}
 	if _, err := c.Admit(req(1)); err != nil {
 		t.Errorf("admit after released slot: %v", err)
 	}
 }
 
-// TestWithdrawKeepsOrderAndSlot pins the queued-cancellation contract:
-// Withdraw takes one request out of the queue, the rest of the batch
-// keeps admission order, and the in-flight slot is held until the
-// cancellation settles it through NoteTerminal.
-func TestWithdrawKeepsOrderAndSlot(t *testing.T) {
+// TestWithdrawKeepsOrderAndFreesSlot pins the queued-cancellation
+// contract: Withdraw takes one request out of the queue, the rest of
+// the batch keeps admission order, and the in-flight slot frees at once.
+func TestWithdrawKeepsOrderAndFreesSlot(t *testing.T) {
 	c := New(Config{QueueCap: 8})
 	for i := 0; i < 4; i++ {
 		c.Admit(req(float64(i)))
@@ -286,12 +273,8 @@ func TestWithdrawKeepsOrderAndSlot(t *testing.T) {
 	if _, ok := c.Withdraw(2); ok || c.Queued(2) {
 		t.Fatal("request 2 still queued after Withdraw")
 	}
-	if c.QueueDepth() != 3 || c.Inflight() != 4 {
-		t.Fatalf("depth %d inflight %d after Withdraw, want 3 and 4", c.QueueDepth(), c.Inflight())
-	}
-	c.NoteTerminal(2)
-	if c.Inflight() != 3 {
-		t.Fatalf("inflight %d after the withdrawn request settled, want 3", c.Inflight())
+	if c.QueueDepth() != 3 || c.Inflight() != 3 {
+		t.Fatalf("depth %d inflight %d after Withdraw, want 3 and 3", c.QueueDepth(), c.Inflight())
 	}
 	var ids []int
 	for _, r := range c.TakeBatch() {

@@ -7,54 +7,39 @@ import (
 )
 
 // TestLedgerStateMachineProperty drives random interleavings of Admit,
-// TakeBatch, NoteAssigned, NoteRequeued, NoteTerminal,
-// NoteInjectFailure and BeginDrain against a model of the controller.
-// After every step Inflight equals admitted minus terminal (admitted
-// counts NoteRequeued re-activations of settled requests too), the
-// accessors match the model, and the rendered admission_* series equal
-// the accessors. Once every admitted request is terminal, nothing is in
-// flight.
+// TakeBatch, Withdraw, Settle, NoteInjectFailure and BeginDrain against
+// a model of the controller. Settle reports a random number of the
+// simulator's requests still unfinished, never more than it was handed.
+// After every step Inflight equals the queue plus the simulator's
+// unfinished count, every admitted request is queued, withdrawn or
+// taken, the accessors match the model, and the rendered admission_*
+// series equal the accessors, one queue-wait observation per request
+// taken. Once the queue is empty and the simulator settles to zero,
+// nothing is in flight.
 func TestLedgerStateMachineProperty(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		queueCap, maxInflight := 1+rng.Intn(6), rng.Intn(10)
 		c := New(Config{QueueCap: queueCap, MaxInflight: maxInflight})
 		var (
-			admitted, terminal int
 			accepted, shed     int
-			queued             int
-			waits, injectFails int
+			taken, withdrawn   int
+			inSim, injectFails int
 			draining           bool
-			ids                []int
-			live               = make(map[int]bool) // in flight
-			observed           = make(map[int]bool) // wait already observed
+			queue              []int // queued IDs in admission order
 		)
-		// pick returns a known ID, or now and then one never admitted.
-		pick := func() int {
-			if len(ids) == 0 || rng.Intn(8) == 0 {
-				return 1 << 20
-			}
-			return ids[rng.Intn(len(ids))]
-		}
-		settle := func(id int) {
-			if live[id] {
-				delete(live, id)
-				delete(observed, id)
-				terminal++
-			}
-		}
 		for step := 0; step < 300; step++ {
 			var op string
 			switch k := rng.Intn(100); {
-			case k < 30:
+			case k < 35:
 				op = "Admit"
 				var want Reason
 				switch {
 				case draining:
 					want = ReasonDraining
-				case queued >= queueCap:
+				case len(queue) >= queueCap:
 					want = ReasonQueueFull
-				case maxInflight > 0 && len(live) >= maxInflight:
+				case maxInflight > 0 && len(queue)+inSim >= maxInflight:
 					want = ReasonInflight
 				}
 				id, err := c.Admit(req(0))
@@ -64,65 +49,66 @@ func TestLedgerStateMachineProperty(t *testing.T) {
 					t.Fatalf("seed %d step %d: Admit shed (%v), want accepted", seed, step, err)
 				case want == "":
 					accepted++
-					admitted++
-					queued++
-					ids = append(ids, id)
-					live[id] = true
+					queue = append(queue, id)
 				case !errors.As(err, &se) || se.Reason != want:
 					t.Fatalf("seed %d step %d: Admit err = %v, want a %s shed", seed, step, err, want)
 				default:
 					shed++
 				}
-			case k < 45:
+			case k < 50:
 				op = "TakeBatch"
-				if got := len(c.TakeBatch()); got != queued {
-					t.Fatalf("seed %d step %d: TakeBatch took %d, want %d", seed, step, got, queued)
+				batch := c.TakeBatch()
+				if len(batch) != len(queue) {
+					t.Fatalf("seed %d step %d: TakeBatch took %d, want %d", seed, step, len(batch), len(queue))
 				}
-				queued = 0
-			case k < 62:
-				op = "NoteAssigned"
-				id := pick()
-				c.NoteAssigned(id)
-				if live[id] && !observed[id] {
-					observed[id] = true
-					waits++
+				for i, r := range batch {
+					if r.ID != queue[i] {
+						t.Fatalf("seed %d step %d: batch[%d] = %d, want %d", seed, step, i, r.ID, queue[i])
+					}
 				}
-			case k < 72:
-				op = "NoteRequeued"
-				if len(ids) == 0 {
-					continue
+				taken += len(queue)
+				inSim += len(queue)
+				queue = queue[:0]
+			case k < 60:
+				op = "Withdraw"
+				id := 1 << 20 // never admitted
+				if len(queue) > 0 && rng.Intn(4) > 0 {
+					id = queue[rng.Intn(len(queue))]
 				}
-				id := ids[rng.Intn(len(ids))]
-				c.NoteRequeued(id)
-				if !live[id] {
-					live[id] = true
-					admitted++
+				_, ok := c.Withdraw(id)
+				i := indexOf(queue, id)
+				if ok != (i >= 0) {
+					t.Fatalf("seed %d step %d: Withdraw(%d) = %v, want %v", seed, step, id, ok, i >= 0)
 				}
-				delete(observed, id)
+				if ok {
+					queue = append(queue[:i], queue[i+1:]...)
+					withdrawn++
+				}
 			case k < 92:
-				op = "NoteTerminal"
-				id := pick()
-				c.NoteTerminal(id)
-				settle(id)
+				op = "Settle"
+				inSim = rng.Intn(inSim + 1)
+				c.Settle(inSim)
 			case k < 98:
 				op = "NoteInjectFailure"
-				id := pick()
-				c.NoteInjectFailure(id)
+				c.NoteInjectFailure()
 				injectFails++
-				settle(id)
 			default:
 				op = "BeginDrain"
 				c.BeginDrain()
 				draining = true
 			}
 
-			if got, want := c.Inflight(), admitted-terminal; got != want || got != len(live) {
-				t.Fatalf("seed %d step %d (%s): Inflight = %d, want admitted-terminal = %d (model %d)",
-					seed, step, op, got, want, len(live))
+			if got := c.Inflight(); got != len(queue)+inSim {
+				t.Fatalf("seed %d step %d (%s): Inflight = %d, want queue %d + in simulator %d",
+					seed, step, op, got, len(queue), inSim)
 			}
-			if c.Accepted() != accepted || c.Shed() != shed || c.QueueDepth() != queued || c.Draining() != draining {
+			if accepted != len(queue)+withdrawn+taken {
+				t.Fatalf("seed %d step %d (%s): accepted %d != queued %d + withdrawn %d + taken %d",
+					seed, step, op, accepted, len(queue), withdrawn, taken)
+			}
+			if c.Accepted() != accepted || c.Shed() != shed || c.QueueDepth() != len(queue) || c.Draining() != draining {
 				t.Fatalf("seed %d step %d (%s): accessors accepted=%d shed=%d queue=%d draining=%v, want %d %d %d %v",
-					seed, step, op, c.Accepted(), c.Shed(), c.QueueDepth(), c.Draining(), accepted, shed, queued, draining)
+					seed, step, op, c.Accepted(), c.Shed(), c.QueueDepth(), c.Draining(), accepted, shed, len(queue), draining)
 			}
 			m := rendered(t, c)
 			shedSeries := m[`admission_shed_total{reason="queue_full"}`] +
@@ -130,17 +116,25 @@ func TestLedgerStateMachineProperty(t *testing.T) {
 			if m["admission_accepted_total"] != float64(c.Accepted()) || shedSeries != float64(c.Shed()) ||
 				m["admission_queue_depth"] != float64(c.QueueDepth()) ||
 				m["admission_inject_failures_total"] != float64(injectFails) ||
-				m["admission_wait_seconds_count"] != float64(waits) {
-				t.Fatalf("seed %d step %d (%s): rendered %v disagrees with accessors (accepted %d shed %d queue %d) or model (inject failures %d, waits %d)",
-					seed, step, op, m, c.Accepted(), c.Shed(), c.QueueDepth(), injectFails, waits)
+				m["admission_queue_wait_seconds_count"] != float64(taken) {
+				t.Fatalf("seed %d step %d (%s): rendered %v disagrees with accessors (accepted %d shed %d queue %d) or model (inject failures %d, taken %d)",
+					seed, step, op, m, c.Accepted(), c.Shed(), c.QueueDepth(), injectFails, taken)
 			}
 		}
 
-		for id := range live {
-			c.NoteTerminal(id)
-		}
+		c.TakeBatch()
+		c.Settle(0)
 		if got := c.Inflight(); got != 0 {
-			t.Fatalf("seed %d: Inflight = %d after every admitted request went terminal", seed, got)
+			t.Fatalf("seed %d: Inflight = %d after the queue emptied and the simulator settled to 0", seed, got)
 		}
 	}
+}
+
+func indexOf(ids []int, id int) int {
+	for i, x := range ids {
+		if x == id {
+			return i
+		}
+	}
+	return -1
 }

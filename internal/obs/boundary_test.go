@@ -11,7 +11,7 @@ import (
 )
 
 // obsImporters are the only packages allowed to import obs: the
-// instances that own a histogram (the admission controller's wait
+// instances that own a histogram (the admission controller's queue-wait
 // histogram, dispatchd's HTTP timing and its scrape-time registry).
 // Every other /v1/metrics series — the stage histograms included — is
 // read from its owner at scrape time, so a new importer is a new

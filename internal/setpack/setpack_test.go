@@ -235,3 +235,47 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalSearchPacksNoTriangleTriple pins DESIGN.md's "Algorithm 3
+// packs pairs only": when every triple's three pairs are in the family,
+// as Algorithm 3's triangle enumeration makes them, Greedy leaves a
+// maximal pair packing and no exchange move can add a triple, so
+// LocalSearch never picks one.
+func TestLocalSearchPacksNoTriangleTriple(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	triples := 0
+	for trial := 0; trial < 20000; trial++ {
+		p := Problem{N: 3 + rng.Intn(10)}
+		density := rng.Float64()
+		edge := make([][]bool, p.N)
+		for a := range edge {
+			edge[a] = make([]bool, p.N)
+			for b := 0; b < a; b++ {
+				if rng.Float64() < density {
+					edge[a][b], edge[b][a] = true, true
+					p.Sets = append(p.Sets, []int{b, a})
+				}
+			}
+		}
+		for a := 0; a < p.N; a++ {
+			for b := a + 1; b < p.N; b++ {
+				for c := b + 1; c < p.N; c++ {
+					if edge[a][b] && edge[b][c] && edge[a][c] && rng.Intn(2) == 0 {
+						p.Sets = append(p.Sets, []int{a, b, c})
+						triples++
+					}
+				}
+			}
+		}
+		rng.Shuffle(len(p.Sets), func(i, j int) { p.Sets[i], p.Sets[j] = p.Sets[j], p.Sets[i] })
+		for _, k := range LocalSearch(p) {
+			if len(p.Sets[k]) == 3 {
+				t.Fatalf("trial %d: LocalSearch picked triple %v from %v", trial, p.Sets[k], p.Sets)
+			}
+		}
+	}
+	if triples == 0 {
+		t.Fatal("no trial offered a triple")
+	}
+	t.Logf("%d triples offered, none picked", triples)
+}
